@@ -187,6 +187,68 @@ def parse(text, hbar_order=None):
     return v
 
 
+class _Degrees:
+    """Degree bounds (num, den) for a quotient P/Q of polynomials in h that
+    represents a parsed value; _DegreeParser evaluates text to these."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=0):
+        self.num = num
+        self.den = den
+
+    def __add__(self, o):
+        return _Degrees(max(self.num + o.den, o.num + self.den), self.den + o.den)
+
+    __sub__ = __add__
+
+    def __mul__(self, o):
+        return _Degrees(self.num + o.num, self.den + o.den)
+
+    def __truediv__(self, o):
+        return _Degrees(self.num + o.den, self.den + o.num)
+
+    def __neg__(self):
+        return self
+
+    def __pow__(self, k):
+        if k < 0:
+            return _Degrees(-k * self.den, -k * self.num)
+        return _Degrees(k * self.num, k * self.den)
+
+
+class _DegreeParser(_Parser):
+    def atom(self):
+        t = self.peek()
+        if t.kind == "h":
+            self.take()
+            return _Degrees(1)
+        if t.kind == "(":
+            self.take()
+            v = self.expr()
+            self.take(")")
+            return v
+        super().atom()
+        return _Degrees(0)
+
+
+def hbar_valuation_bound(text):
+    """Upper bound on the hbar valuation of the value of text, untruncated,
+    when that value is not zero.
+
+    The value is a quotient P/Q of polynomials in h with Q(0) != 0, so its
+    valuation is at most deg P; the bound is the degree of P as built by
+    the operations in text.  Parsing at any order at or above the bound
+    gives zero only when the untruncated value is zero.
+    """
+    p = _DegreeParser(_tokenize(text), None)
+    v = p.expr()
+    t = p.peek()
+    if t.kind != "EOF":
+        raise ParseError("trailing input %r" % t.text, t.line, t.col)
+    return v.num
+
+
 # ---------------------------------------------------------------------------
 # rendering
 

@@ -8,9 +8,22 @@ Conventions:
     the image of basis i;
   * multiplication and coproduct tables are sparse;
   * tensor legs are 0-based, leftmost leg most significant in flat keys.
+
+Rational tensor products run on integers.  ``rational_convolve`` takes each
+operand as integer numerators over one common denominator (the lcm of its
+coefficients' denominators, as in FLINT's fmpq_poly), convolves the
+numerators once against the host's integer structure table, whose
+coefficients share one denominator D, and divides by the product of the two
+operand denominators and D**arity.  Every output Fraction is normalized once,
+instead of once per scalar product and sum.  Tensors over series rings take
+this path piece by piece in hbar valuation when they are tau-free and
+rational, and so does coproduct_leg when the coproduct has coefficients
+other than 1; Cyclotomic or tau-carrying values keep the generic kernel on
+Fraction/Series scalars.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from ._kernel import api as _kernel
@@ -46,6 +59,112 @@ def _clean(d):
     return {k: v for k, v in d.items() if v}
 
 
+def _accumulate(out, key, v):
+    """out[key] += v, keeping no zero entries."""
+    r = out.get(key)
+    if r is None:
+        if v:
+            out[key] = v
+    else:
+        r = r + v
+        if r:
+            out[key] = r
+        else:
+            del out[key]
+
+
+def _fills(cells, dim, n):
+    """Every n-fold tensor product of (index, coeff) cells, as (flat key,
+    coeff) pairs; coeff None means 1."""
+    out = [(0, None)]
+    for _ in range(n):
+        out = [
+            (key * dim + k, w if c is None else (c if w is None else c * w))
+            for key, c in out
+            for k, w in cells
+        ]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator products
+
+
+def _numerators(data):
+    """(integer numerators, common denominator) of a dict of rational values,
+    or None when some value is not rational."""
+    try:
+        den = lcm(*[v.denominator for v in data.values()])
+    except AttributeError:
+        return None
+    if den == 1:
+        return {k: v.numerator for k, v in data.items()}, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in data.items()}, den
+
+
+def _series_numerators(data, K):
+    """_numerators() of each hbar-degree piece of a dict of order-K series,
+    or None when some coefficient carries tau or is not rational."""
+    parts = [{} for _ in range(K + 1)]
+    for k, s in data.items():
+        for v, tl in enumerate(s.coeffs):
+            terms = tl.terms
+            if terms:
+                q = terms.get(0)
+                if q is None or len(terms) != 1:
+                    return None
+                parts[v][k] = q
+    out = []
+    for part in parts:
+        nd = _numerators(part)
+        if nd is None:
+            return None
+        out.append(nd)
+    return out
+
+
+def _sum_numerators(pieces):
+    """Sum of (numerators, denominator) pairs over the lcm denominator."""
+    den = lcm(*[d for _, d in pieces])
+    out = {}
+    for nums, d in pieces:
+        f = den // d
+        for k, n in nums.items():
+            out[k] = out.get(k, 0) + (n if f == 1 else n * f)
+    return {k: n for k, n in out.items() if n}, den
+
+
+def _series_from_pieces(pieces, K):
+    """{key: Series} from one list of (numerators, denominator) pairs per
+    hbar degree 0..K; the pairs of one degree are summed."""
+    cmaps = {}
+    for v, piece in enumerate(pieces):
+        if piece:
+            for k, q in _fractions(*_sum_numerators(piece)).items():
+                cmaps.setdefault(k, {})[v] = q
+    return {k: Series(K, cmap) for k, cmap in cmaps.items()}
+
+
+def _fractions(nums, den):
+    if den == 1:
+        return {k: Fraction(n) for k, n in nums.items()}
+    return {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def rational_convolve(host, arity, a, b):
+    """Product of two rational tensors of the given arity over host.
+
+    a and b are (integer numerators, denominator) pairs as made by
+    _numerators().  The numerators are convolved once, in integers, against
+    host.rational_table(); the product's denominator is a's times b's times
+    the table's denominator to the power arity, one factor per leg.
+    Returns the product as such a pair, exact zeros dropped.
+    """
+    tbl, tden = host.rational_table()
+    nums = _kernel.tensor_convolve(a[0], b[0], host.dim, arity, tbl)
+    return nums, a[1] * b[1] * tden ** arity
+
+
 class _MulOps:
     """Shared multiplication helpers for algebra-like presentations."""
 
@@ -62,7 +181,9 @@ class _MulOps:
                 self.mult[(i, j)] = cc
         self.unit = [ring.coerce(v) for v in unit]
         self._base = None
+        self._rational = 0
         self._unit_support = None
+        self._unit_cells = None
         self._pw = 0
         self._ucoef = None
 
@@ -86,12 +207,44 @@ class _MulOps:
             self._base = tbl
         return self._base
 
+    def rational_table(self):
+        """base_table() over integers: (cells, D), each coefficient an
+        integer numerator over the common denominator D, None for the
+        numerator 1.  None when some structure coefficient is not rational."""
+        if self._rational == 0:
+            cells = self.base_table()
+            try:
+                den = lcm(
+                    *[w.denominator for cell in cells for _k, w in cell if w is not None]
+                )
+            except AttributeError:
+                self._rational = None
+                return None
+            tbl = []
+            for cell in cells:
+                row = []
+                for k, w in cell:
+                    n = den if w is None else w.numerator * (den // w.denominator)
+                    row.append((k, None if n == 1 else n))
+                tbl.append(tuple(row))
+            self._rational = (tbl, den)
+        return self._rational
+
     def unit_support(self):
         if self._unit_support is None:
             self._unit_support = tuple(
                 (k, v) for k, v in enumerate(self.unit) if v
             )
         return self._unit_support
+
+    def unit_cells(self):
+        """unit_support() with coefficients equal to 1 replaced by None."""
+        if self._unit_cells is None:
+            one = self.ring.one()
+            self._unit_cells = tuple(
+                (k, None if v == one else v) for k, v in self.unit_support()
+            )
+        return self._unit_cells
 
     def elem_unit(self):
         return {k: v for k, v in self.unit_support()}
@@ -255,11 +408,60 @@ class HopfPresentation(_MulOps):
         self.cocommutative = cocommutative
         self.name = name or "hopf-%d" % dim
         self._order0 = None
+        self._leg_cells = None
+        self._cop_pieces = 0
 
     # -- coalgebra helpers
 
     def basis_coproduct(self, i):
         return self.coproduct.get(i, {})
+
+    def leg_cells(self):
+        """(coproduct cells, counit cells) per basis index for the leg
+        calculus: tuples of (j, k, w) and of w, coefficient None = 1 and
+        zeros left out."""
+        if self._leg_cells is None:
+            one = self.ring.one()
+            cop = [
+                tuple(
+                    (j, k, None if w == one else w)
+                    for (j, k), w in self.basis_coproduct(i).items()
+                )
+                for i in range(self.dim)
+            ]
+            cou = [
+                (None,) if e == one else ((e,) if e else ())
+                for e in self.counit
+            ]
+            self._leg_cells = (cop, cou)
+        return self._leg_cells
+
+    def coproduct_pieces(self):
+        """Coproduct cells of a series ring split by hbar degree, over
+        integers: one (cells, D) per degree 0..K, cells[i] a list of
+        (j, k, numerator) over the common denominator D.  None when some
+        coefficient carries tau or is not rational, and when every
+        coefficient is 1, where leg_cells() needs no multiplication."""
+        if self._cop_pieces == 0:
+            self._cop_pieces = None
+            K = self.ring.hbar_order
+            if K is not None and any(
+                w is not None for cell in self.leg_cells()[0] for _j, _k, w in cell
+            ):
+                flat = {
+                    (i, j, k): w
+                    for i, cell in self.coproduct.items()
+                    for (j, k), w in cell.items()
+                }
+                parts = _series_numerators(flat, K)
+                if parts is not None:
+                    self._cop_pieces = []
+                    for nums, den in parts:
+                        cells = [[] for _ in range(self.dim)]
+                        for (i, j, k), n in nums.items():
+                            cells[i].append((j, k, n))
+                        self._cop_pieces.append((cells, den))
+        return self._cop_pieces
 
     def elem_coproduct(self, u):
         """Coproduct of a sparse vector as a sparse rank-2 dict {(j,k): c}."""
@@ -392,23 +594,11 @@ class LegTensor:
     def unit(host, arity):
         if arity == 0:
             return LegTensor(host, 0, {0: host.ring.one()}, _checked=True)
-        sup = host.unit_support()
-        out = {}
-        keys = [()]
-        vals = {(): host.ring.one()}
-        for _ in range(arity):
-            nkeys = []
-            nvals = {}
-            for kt in keys:
-                cv = vals[kt]
-                for k, v in sup:
-                    nk = kt + (k,)
-                    nkeys.append(nk)
-                    nvals[nk] = cv * v
-            keys, vals = nkeys, nvals
-        dim = host.dim
-        for kt, v in vals.items():
-            out[encode_key(kt, dim)] = v
+        one = host.ring.one()
+        out = {
+            key: one if w is None else w
+            for key, w in _fills(host.unit_cells(), host.dim, arity)
+        }
         return LegTensor(host, arity, out, _checked=True)
 
     @staticmethod
@@ -493,6 +683,12 @@ class LegTensor:
             return LegTensor(host, self.arity, out, _checked=True)
         if host.ring.is_series and host.unit_coeff_table():
             return self._mul_filtered(other)
+        if host.rational_table() is not None:
+            a = _numerators(self.data)
+            b = None if a is None else _numerators(other.data)
+            if b is not None:
+                data = _fractions(*rational_convolve(host, self.arity, a, b))
+                return LegTensor(host, self.arity, data, _checked=True)
         data = _kernel.tensor_convolve(
             self.data, other.data, host.dim, self.arity,
             host.base_table(),
@@ -508,6 +704,20 @@ class LegTensor:
         host = self.host
         K = host.ring.hbar_order
         dim, arity = host.dim, self.arity
+        A = _series_numerators(self.data, K)
+        B = None if A is None else _series_numerators(other.data, K)
+        if B is not None:
+            pieces = [[] for _ in range(K + 1)]
+            for v in range(K + 1):
+                if not A[v][0]:
+                    continue
+                for w in range(K + 1 - v):
+                    if B[w][0]:
+                        pieces[v + w].append(
+                            rational_convolve(host, arity, A[v], B[w])
+                        )
+            out = _series_from_pieces(pieces, K)
+            return LegTensor(host, arity, out, _checked=True)
         base = host.base_table()
 
         def split(data):
@@ -554,19 +764,18 @@ class LegTensor:
         return LegTensor(host, arity, out, _checked=True)
 
     def add(self, other):
+        return self._add(other, False)
+
+    def sub(self, other):
+        return self._add(other, True)
+
+    def _add(self, other, negate):
         if other.host is not self.host or other.arity != self.arity:
             raise ArityMismatch("cannot add tensors of different shape")
         data = dict(self.data)
         for k, v in other.data.items():
-            r = data.get(k, 0) + v
-            if r:
-                data[k] = r
-            else:
-                data.pop(k, None)
+            _accumulate(data, k, -v if negate else v)
         return LegTensor(self.host, self.arity, data, _checked=True)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
 
     def scale(self, c):
         c = self.host.ring.coerce(c)
@@ -609,28 +818,25 @@ class LegTensor:
             raise BadPositions("positions out of range")
         host = self.host
         dim = host.dim
-        sup = host.unit_support()
+        strides = [dim ** (arity_out - 1 - p) for p in range(arity_out)]
         missing = [p for p in range(arity_out) if p not in positions]
+        # every fill of the missing legs with unit terms: (key offset, coeff)
+        fills = []
+        for fill, w in _fills(host.unit_cells(), dim, len(missing)):
+            off = 0
+            for p in reversed(missing):
+                fill, d = divmod(fill, dim)
+                off += d * strides[p]
+            fills.append((off, w))
+        kept = [strides[p] for p in reversed(positions)]
         out = {}
         for key, c in self.data.items():
-            digits = decode_key(key, dim, self.arity)
-            fills = [((), c)]
-            for _ in missing:
-                fills = [
-                    (f + (k,), cv * v) for f, cv in fills for k, v in sup
-                ]
-            for fill, cv in fills:
-                nd = [0] * arity_out
-                for p, d in zip(positions, digits):
-                    nd[p] = d
-                for p, d in zip(missing, fill):
-                    nd[p] = d
-                nk = encode_key(nd, dim)
-                r = out.get(nk, 0) + cv
-                if r:
-                    out[nk] = r
-                else:
-                    out.pop(nk, None)
+            base = 0
+            for st in kept:
+                key, d = divmod(key, dim)
+                base += d * st
+            for off, w in fills:
+                _accumulate(out, base + off, c if w is None else c * w)
         return LegTensor(host, arity_out, out, _checked=True)
 
     def coproduct_leg(self, leg):
@@ -638,18 +844,38 @@ class LegTensor:
             raise BadLeg("leg %d of %d" % (leg, self.arity))
         host = self.host
         dim = host.dim
+        low = dim ** (self.arity - 1 - leg)
+        cop = host.coproduct_pieces()
+        K = host.ring.hbar_order
+        A = None if cop is None else _series_numerators(self.data, K)
+        if A is not None:
+            # degree v of the tensor times degree u of the coproduct
+            pieces = [[] for _ in range(K + 1)]
+            for v, (nums, den) in enumerate(A):
+                split = []
+                for key, n in nums.items():
+                    head, tail = divmod(key, low)
+                    head, d = divmod(head, dim)
+                    split.append((head * dim, d, tail, n))
+                for u in range(K + 1 - v):
+                    cells, cden = cop[u]
+                    piece = {}
+                    for head, d, tail, n in split:
+                        for j, k, w in cells[d]:
+                            nk = ((head + j) * dim + k) * low + tail
+                            piece[nk] = piece.get(nk, 0) + n * w
+                    if piece:
+                        pieces[v + u].append((piece, den * cden))
+            out = _series_from_pieces(pieces, K)
+            return LegTensor(host, self.arity + 1, out, _checked=True)
+        cells = host.leg_cells()[0]
         out = {}
         for key, c in self.data.items():
-            digits = decode_key(key, dim, self.arity)
-            d = digits[leg]
-            for (j, k), w in host.basis_coproduct(d).items():
-                nd = digits[:leg] + (j, k) + digits[leg + 1 :]
-                nk = encode_key(nd, dim)
-                r = out.get(nk, 0) + c * w
-                if r:
-                    out[nk] = r
-                else:
-                    out.pop(nk, None)
+            head, tail = divmod(key, low)
+            head, d = divmod(head, dim)
+            for j, k, w in cells[d]:
+                nk = ((head * dim + j) * dim + k) * low + tail
+                _accumulate(out, nk, c if w is None else c * w)
         return LegTensor(host, self.arity + 1, out, _checked=True)
 
     def counit_leg(self, leg):
@@ -657,19 +883,14 @@ class LegTensor:
             raise BadLeg("leg %d of %d" % (leg, self.arity))
         host = self.host
         dim = host.dim
+        cells = host.leg_cells()[1]
+        low = dim ** (self.arity - 1 - leg)
         out = {}
         for key, c in self.data.items():
-            digits = decode_key(key, dim, self.arity)
-            e = host.counit[digits[leg]]
-            if not e:
-                continue
-            nd = digits[:leg] + digits[leg + 1 :]
-            nk = encode_key(nd, dim)
-            r = out.get(nk, 0) + c * e
-            if r:
-                out[nk] = r
-            else:
-                out.pop(nk, None)
+            head, tail = divmod(key, low)
+            head, d = divmod(head, dim)
+            for e in cells[d]:
+                _accumulate(out, head * low + tail, c if e is None else c * e)
         return LegTensor(host, self.arity - 1, out, _checked=True)
 
     def unit_like(self, arity):
@@ -750,12 +971,19 @@ def _invert_exact(t, unit):
     dim = host.dim
     arity = t.arity
     D = dim ** arity
-    base = host.base_table()
-    cols = []
-    one = host.ring.one()
-    for j in range(D):
-        col = _kernel.tensor_convolve(t.data, {j: one}, dim, arity, base)
-        cols.append(col)
+    a = None if host.rational_table() is None else _numerators(t.data)
+    if a is not None:
+        cols = [
+            _fractions(*rational_convolve(host, arity, a, ({j: 1}, 1)))
+            for j in range(D)
+        ]
+    else:
+        base = host.base_table()
+        one = host.ring.one()
+        cols = [
+            _kernel.tensor_convolve(t.data, {j: one}, dim, arity, base)
+            for j in range(D)
+        ]
     zero = host.ring.zero()
     mat = [[cols[j].get(i, zero) for j in range(D)] for i in range(D)]
     rhs = [unit.data.get(i, zero) for i in range(D)]

@@ -14,6 +14,7 @@ truncated at a fixed order K; binary operations insist on equal K.
 from fractions import Fraction
 from math import gcd
 
+from . import linalg
 from ._kernel import api as _kernel
 from .errors import NonNilpotent, NonUnit, OrderMismatch
 
@@ -263,7 +264,7 @@ class Cyclotomic:
             cols.append(shifted)
         mat = [[cols[j].get(i, Fraction(0)) for j in range(phi)] for i in range(phi)]
         rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-        sol = _frac_solve(mat, rhs)
+        sol = linalg.solve(mat, rhs)
         return Cyclotomic(
             n, {j: v for j, v in enumerate(sol) if v}, _reduced=True
         )
@@ -307,24 +308,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return "Cyclotomic(%d, %r)" % (self.conductor, self.coords)
-
-
-def _frac_solve(mat, rhs):
-    """Solve a square exact linear system by Gaussian elimination."""
-    n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 def root_of_unity(p, q):

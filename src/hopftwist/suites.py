@@ -39,7 +39,7 @@ from .graded import (
     window_battery,
     window_products_report,
 )
-from .grammar import parse
+from .grammar import hbar_valuation_bound, parse
 from .group_cohomology import (
     TorusWindowAlgebra,
     fano_octonions,
@@ -683,11 +683,26 @@ _BODIES = {
 }
 
 
-def _check_order(order):
+# Least order at which every check of a suite, negative controls included,
+# can show: pbw-gcl's non-cocycle twist has residuals from hbar^2 on, and
+# heis-torus builds theta = h + h^2.
+_MIN_ORDER = {"pbw-gcl": 2, "heis-torus": 2}
+
+# Largest order at which a theta that truncates to zero is expanded to tell
+# whether it is zero itself; beyond it the theta is rejected.
+_THETA_ORDER_CAP = 64
+
+
+def _check_order(name, order):
     if order is None:
         return None
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise SchemaError("order must be a positive integer", "order")
+    least = max(_MIN_ORDER.values()) if name == "all" else _MIN_ORDER.get(name, 1)
+    if order < least:
+        raise SchemaError(
+            "suite %s needs order at least %d" % (name, least), "order"
+        )
     return order
 
 
@@ -700,12 +715,20 @@ def _check_theta(theta, order):
         value = Series.const(value, effective)
     if not theta_ok(value):
         raise SchemaError("theta needs a vanishing constant term", "theta")
+    if isinstance(theta, str) and value.is_zero():
+        bound = hbar_valuation_bound(theta)
+        if bound > effective and (
+            bound > _THETA_ORDER_CAP or parse(theta, hbar_order=bound)
+        ):
+            raise SchemaError(
+                "theta truncates to zero at order %d" % effective, "theta"
+            )
     return value
 
 
 def run_suite(name, order=None, theta=None, seed=None):
     """Run one named suite (or 'all') and return its SuiteReport."""
-    order = _check_order(order)
+    order = _check_order(name, order)
     seed = DEFAULT_SEED if seed is None else seed
     started = time.monotonic()
     if name == "all":

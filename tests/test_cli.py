@@ -63,6 +63,24 @@ def test_verify_unparsable_theta_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite", ["heis-torus", "pbw-gcl", "all"])
+def test_verify_order_below_suite_minimum_exit_two(suite, capsys):
+    assert main(["verify", suite, "--order", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "order at least 2" in err
+
+
+def test_verify_order_one_allowed_where_no_check_needs_more(capsys):
+    assert main(["verify", "sharp-map", "--order", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_verify_theta_truncating_to_zero_exit_two(capsys):
+    assert main(["verify", "heis-torus", "--theta", "h^5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncates to zero at order 4" in err
+
+
 def test_verify_flags_reach_suite(capsys):
     assert main(["verify", "pbw-gcl", "--order", "3"]) == 0
     capsys.readouterr()

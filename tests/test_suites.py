@@ -60,6 +60,16 @@ def test_bad_flags_rejected():
     assert err.value.field == "theta"
 
 
+def test_theta_truncating_to_zero_rejected_unless_zero():
+    # sharp-map ignores theta, so only the validation runs
+    for text in ("h^5", "h/(1-h) - h - h^2 - h^3 - h^4", "h^100"):
+        with pytest.raises(SchemaError) as err:
+            run_suite("sharp-map", theta=text)
+        assert err.value.field == "theta"
+    for text in ("0", "h - h", "h^5 - h^5", "h^4"):
+        assert run_suite("sharp-map", theta=text).ok
+
+
 def test_flags_thread_through():
     assert run_suite("pbw-gcl", order=3).ok
     assert run_suite("heis-torus", theta="h+h^2").ok
