@@ -7,9 +7,8 @@ formal 2*pi*i symbol, and truncated power series in hbar.  Floating point
 appears only in optional report rendering.
 """
 
-from ._kernel import BACKEND as kernel_backend
 from .errors import HopftwistError
 
 __version__ = "0.1.0"
 
-__all__ = ["HopftwistError", "kernel_backend", "__version__"]
+__all__ = ["HopftwistError", "__version__"]

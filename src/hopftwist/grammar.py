@@ -16,7 +16,7 @@ emits text that parses back to an equal value.
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import NonUnit, ParseError
 from .scalars import Cyclotomic, Series, TauLaurent
 
 
@@ -75,6 +75,18 @@ def _tokenize(text):
     return toks
 
 
+def _invertible(op, compute):
+    """compute(), with a division by zero or a negative power of a
+    non-unit reported as a ParseError at the operator token op."""
+    try:
+        return compute()
+    except ZeroDivisionError:
+        reason = "division by zero"
+    except NonUnit as e:
+        reason = str(e)
+    raise ParseError("cannot evaluate '%s': %s" % (op.text, reason), op.line, op.col)
+
+
 class _Parser:
     def __init__(self, toks, hbar_order):
         self.toks = toks
@@ -106,9 +118,9 @@ class _Parser:
     def term(self):
         v = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
+            op = self.take()
             w = self.unary()
-            v = v * w if op == "*" else v / w
+            v = v * w if op.kind == "*" else _invertible(op, lambda: v / w)
         return v
 
     def unary(self):
@@ -120,8 +132,9 @@ class _Parser:
     def power(self):
         v = self.atom()
         if self.peek().kind == "^":
-            self.take()
-            v = v ** self.intexp()
+            op = self.take()
+            k = self.intexp()
+            v = _invertible(op, lambda: v**k)
         return v
 
     def intexp(self):

@@ -7,7 +7,6 @@ twisted algebra is the noncommutative torus.
 from fractions import Fraction
 from math import gcd
 
-from ._kernel import api as _kernel
 from .constructors import FiniteGroup
 from .errors import NotUnital, WindowOverflow
 from .multilinear import AlgebraPresentation
@@ -273,13 +272,13 @@ class TorusCochain:
         return root_of_unity(self.exponent(a, b), self.two_q)
 
     def cocycle_report(self, window):
-        """Exponent-arithmetic sweep of the full window plus a literal
-        cyclotomic evaluation on a radius-2 subwindow."""
-        bad = _kernel.torus_scan(self.p, self.two_q, window)
+        """The coboundary of exponent() must vanish on a radius-3 subwindow,
+        and the cocycle identity must hold in literal cyclotomics on a
+        radius-2 subwindow."""
+        w3 = min(window, 3)
         checks = [
-            CheckOutcome.from_residual(
-                "cocycle-exponent-window-%d" % window, bad,
-                None if bad == 0 else "exponent identity",
+            TorusCoboundary(self).trivial_on_window(w3).renamed(
+                "cocycle-exponent-window-%d" % w3
             )
         ]
         w2 = min(window, 2)
@@ -332,13 +331,16 @@ class TorusCoboundary:
             for k in range(-window, window + 1)
         ]
         bad = 0
+        wit = None
         for a in pts:
             for b in pts:
                 for c in pts:
                     if self.exponent(a, b, c):
                         bad += 1
+                        if wit is None:
+                            wit = "%r,%r,%r" % (a, b, c)
         return CheckOutcome.from_residual(
-            "coboundary-trivial-window-%d" % window, bad
+            "coboundary-trivial-window-%d" % window, bad, wit
         )
 
 

@@ -327,14 +327,7 @@ def verify_quasi(result):
     )
 
     rep = counital_report(phi_t)
-    checks.append(
-        CheckOutcome(
-            "associator-counital",
-            rep.status,
-            rep.residual_term_count,
-            rep.witness,
-        )
-    )
+    checks.append(rep.renamed("associator-counital"))
 
     pent, _ = coboundary_pair(phi_t.value, phi_t.inverse)
     unit4 = LegTensor.unit(tw, 4)

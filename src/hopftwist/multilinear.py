@@ -19,14 +19,14 @@ instead of once per scalar product and sum.  Tensors over series rings take
 this path piece by piece in hbar valuation when they are tau-free and
 rational, and so does coproduct_leg when the coproduct has coefficients
 other than 1; Cyclotomic or tau-carrying values keep the generic kernel on
-Fraction/Series scalars.
+Fraction/Series scalars.  Both paths run the one convolution loop,
+``tensor_convolve``, in plain Python.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from ._kernel import api as _kernel
 from .errors import (
     ArityMismatch,
     BadLeg,
@@ -49,6 +49,62 @@ def decode_key(key, dim, arity):
     for t in range(arity - 1, -1, -1):
         key, out[t] = divmod(key, dim)
     return tuple(out)
+
+
+def tensor_convolve(a, b, dim, arity, base):
+    """Multiply two sparse tensors over an algebra given by structure cells.
+
+    a, b map flat indices (base-dim digits, leftmost leg most significant) to
+    scalar coefficients.  base[i*dim + j] is a tuple of (k, coeff) pairs for
+    the product of basis i with basis j; coeff None means 1 and skips a
+    multiplication.  Returns a dict with exact zeros dropped.
+    """
+    out = {}
+    if arity == 1:
+        for ka, va in a.items():
+            row = ka * dim
+            for kb, vb in b.items():
+                c = va * vb
+                for k, w in base[row + kb]:
+                    v = c if w is None else c * w
+                    r = out.get(k, 0) + v
+                    if r:
+                        out[k] = r
+                    else:
+                        out.pop(k, None)
+        return out
+    strides = [dim ** (arity - 1 - t) for t in range(arity)]
+    for ka, va in a.items():
+        da = []
+        r = ka
+        for s in strides:
+            da.append(r // s)
+            r %= s
+        for kb, vb in b.items():
+            db = []
+            r = kb
+            for s in strides:
+                db.append(r // s)
+                r %= s
+            partial = [(0, va * vb)]
+            for t in range(arity):
+                cell = base[da[t] * dim + db[t]]
+                if not cell:
+                    partial = []
+                    break
+                st = strides[t]
+                nxt = []
+                for acc, cv in partial:
+                    for k, w in cell:
+                        nxt.append((acc + k * st, cv if w is None else cv * w))
+                partial = nxt
+            for idx, cv in partial:
+                r = out.get(idx, 0) + cv
+                if r:
+                    out[idx] = r
+                else:
+                    out.pop(idx, None)
+    return out
 
 
 def _vec_is_zero(v):
@@ -161,7 +217,7 @@ def rational_convolve(host, arity, a, b):
     Returns the product as such a pair, exact zeros dropped.
     """
     tbl, tden = host.rational_table()
-    nums = _kernel.tensor_convolve(a[0], b[0], host.dim, arity, tbl)
+    nums = tensor_convolve(a[0], b[0], host.dim, arity, tbl)
     return nums, a[1] * b[1] * tden ** arity
 
 
@@ -250,7 +306,7 @@ class _MulOps:
         return {k: v for k, v in self.unit_support()}
 
     def elem_mul(self, u, v):
-        return _kernel.tensor_convolve(u, v, self.dim, 1, self.base_table())
+        return tensor_convolve(u, v, self.dim, 1, self.base_table())
 
     def elem_inverse(self, u):
         t = LegTensor(self, 1, dict(u), _checked=True)
@@ -689,7 +745,7 @@ class LegTensor:
             if b is not None:
                 data = _fractions(*rational_convolve(host, self.arity, a, b))
                 return LegTensor(host, self.arity, data, _checked=True)
-        data = _kernel.tensor_convolve(
+        data = tensor_convolve(
             self.data, other.data, host.dim, self.arity,
             host.base_table(),
         )
@@ -740,7 +796,7 @@ class LegTensor:
                 bw = B[w]
                 if not bw:
                     continue
-                piece = _kernel.tensor_convolve(av, bw, dim, arity, base)
+                piece = tensor_convolve(av, bw, dim, arity, base)
                 tgt = acc[v + w]
                 for k, val in piece.items():
                     r = tgt.get(k)
@@ -981,7 +1037,7 @@ def _invert_exact(t, unit):
         base = host.base_table()
         one = host.ring.one()
         cols = [
-            _kernel.tensor_convolve(t.data, {j: one}, dim, arity, base)
+            tensor_convolve(t.data, {j: one}, dim, arity, base)
             for j in range(D)
         ]
     zero = host.ring.zero()

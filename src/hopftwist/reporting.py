@@ -34,6 +34,10 @@ class CheckOutcome:
     def error(id, witness):
         return CheckOutcome(id, "error", -1, witness)
 
+    def renamed(self, id):
+        """The same verdict, residual and witness under another id."""
+        return CheckOutcome(id, self.status, self.residual_term_count, self.witness)
+
     @property
     def ok(self):
         return self.status == "pass"

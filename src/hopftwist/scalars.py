@@ -5,6 +5,7 @@ Cyclotomic values live in the reduced power basis 1, z, ..., z^(phi(N)-1) of
 Q(z) with z = e^(2*pi*i/N); coordinates are Fractions keyed by exponent and
 zero coordinates are never stored.  Mixed-conductor arithmetic aligns both
 operands at the lcm conductor.  Conductors are never minimized automatically.
+Products of reduced coordinates run through ``cyclo_mul``.
 
 TauLaurent is a Laurent polynomial in the formal symbol tau whose numeric
 meaning is 2*pi*i, so i/(2*pi) is -tau**-1.  Series is a power series in hbar
@@ -15,7 +16,6 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from ._kernel import api as _kernel
 from .errors import NonNilpotent, NonUnit, OrderMismatch
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,35 @@ def _rows_list(n):
     return _ROWLIST[n]
 
 
+def cyclo_mul(a, b, n, phi, rows):
+    """Multiply two reduced cyclotomic coordinate dicts at conductor n.
+
+    rows[e - phi] lists (j, w) pairs expressing z^e in the reduced basis for
+    phi <= e <= 2*(phi-1); callers guarantee both inputs reduced.
+    """
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            if e >= n:
+                e -= n
+            v = va * vb
+            if e < phi:
+                r = out.get(e, 0) + v
+                if r:
+                    out[e] = r
+                else:
+                    out.pop(e, None)
+            else:
+                for j, w in rows[e - phi]:
+                    r = out.get(j, 0) + v * w
+                    if r:
+                        out[j] = r
+                    else:
+                        out.pop(j, None)
+    return out
+
+
 def _lcm(a, b):
     return a * b // gcd(a, b)
 
@@ -246,7 +275,7 @@ class Cyclotomic:
         if self.conductor == 1:
             return o * self.coords.get(0, Fraction(0))
         m, a, b = self.align(o)
-        out = _kernel.cyclo_mul(a, b, m, _phi_deg(m), _rows_list(m))
+        out = cyclo_mul(a, b, m, _phi_deg(m), _rows_list(m))
         return Cyclotomic(m, out, _reduced=True)
 
     __rmul__ = __mul__

@@ -134,12 +134,7 @@ def _rand_zak(order, degree, rng, terms=2):
 
 
 def _prefix(label, checks):
-    return [
-        CheckOutcome(
-            "%s:%s" % (label, c.id), c.status, c.residual_term_count, c.witness
-        )
-        for c in checks
-    ]
+    return [c.renamed("%s:%s" % (label, c.id)) for c in checks]
 
 
 def _aggregate(id, failures, witness=None):
@@ -193,14 +188,7 @@ def _group_cohomology(rng, order, theta):
             checks.append(_aggregate("ddelta-trivial:%s:arity%d" % (name, arity), bad))
         c1 = random_group_cochain(G, 1, rng)
         out = is_cocycle(group_coboundary(c1))
-        checks.append(
-            CheckOutcome(
-                "coboundary-closed:%s" % name,
-                out.status,
-                out.residual_term_count,
-                out.witness,
-            )
-        )
+        checks.append(out.renamed("coboundary-closed:%s" % name))
 
     # a coboundary twist gives an associative algebra, the Fano cochain not
     S3 = symmetric_3()
@@ -229,15 +217,9 @@ def _group_cohomology(rng, order, theta):
             _aggregate("%s:cocycle" % tag, sum(1 for o in outs if not o.ok))
         )
         u = is_unital(F)
-        checks.append(
-            CheckOutcome("%s:unital" % tag, u.status, u.residual_term_count, u.witness)
-        )
+        checks.append(u.renamed("%s:unital" % tag))
         rep = TorusWindowAlgebra(F, W).commutation_report()
-        checks.append(
-            CheckOutcome(
-                "%s:commutation" % tag, rep.status, rep.residual_term_count, rep.witness
-            )
-        )
+        checks.append(rep.renamed("%s:commutation" % tag))
         want = root_of_unity(theta_q.numerator, 2 * theta_q.denominator)
         checks.append(
             CheckOutcome.from_residual(
@@ -492,14 +474,7 @@ def _moyal(rng, order, theta):
     for kappa in (1, -1):
         for o in range(2, 7):
             ck = bch_report(kappa, o)
-            checks.append(
-                CheckOutcome(
-                    "kappa%+d:%s" % (kappa, ck.id),
-                    ck.status,
-                    ck.residual_term_count,
-                    ck.witness,
-                )
-            )
+            checks.append(ck.renamed("kappa%+d:%s" % (kappa, ck.id)))
     return checks
 
 
@@ -531,14 +506,7 @@ def _graded_galois(rng, order, theta):
 
     for name, ga, _ in battery():
         rep = ideal_property_report(ga)
-        checks.append(
-            CheckOutcome(
-                "ideal:%s:%s" % (name, rep.id),
-                rep.status,
-                rep.residual_term_count,
-                rep.witness,
-            )
-        )
+        checks.append(rep.renamed("ideal:%s:%s" % (name, rep.id)))
     # component products span iff the window grading is strong
     for name, ga, expect in window_battery():
         rep = window_products_report(ga)

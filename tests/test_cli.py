@@ -63,6 +63,19 @@ def test_verify_unparsable_theta_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("theta", ["h^-1", "1/0", "h/(h-h)"])
+def test_verify_theta_without_inverse_exit_two(theta, capsys):
+    assert main(["verify", "sharp-map", "--theta", theta]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot evaluate" in err
+
+
+@pytest.mark.parametrize("theta", ["h/(1-h)", "h*(1+h)^-1"])
+def test_verify_theta_with_invertible_divisor(theta, capsys):
+    assert main(["verify", "sharp-map", "--theta", theta]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("suite", ["heis-torus", "pbw-gcl", "all"])
 def test_verify_order_below_suite_minimum_exit_two(suite, capsys):
     assert main(["verify", suite, "--order", "1"]) == 2
@@ -104,6 +117,17 @@ def test_describe_broken_json_exit_two(tmp_path, capsys):
     p.write_text("{not json")
     assert main(["describe", str(p)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_describe_antipode_dividing_by_zero_exit_two(tmp_path, capsys):
+    path = resources.files("hopftwist").joinpath("data/ks3_hopf.json")
+    doc = json.loads(path.read_text())
+    doc["antipode"][0][0] = "1/0"
+    p = tmp_path / "bad_antipode.json"
+    p.write_text(json.dumps(doc))
+    assert main(["describe", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "division by zero" in err
 
 
 def test_describe_unrecognized_shape_exit_two(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hopftwist.constructors import cyclic_group, elementary_abelian_2, symmetric
 from hopftwist.errors import NotUnital, WindowOverflow
 from hopftwist.group_cohomology import (
     GroupCochain,
+    TorusCochain,
     TorusWindowAlgebra,
     fano_octonions,
     group_coboundary,
@@ -157,6 +158,20 @@ def test_torus_commutation_exact(theta):
     assert F.value((1, 0), (0, 1)) == root_of_unity(
         theta.numerator, 2 * theta.denominator
     )
+
+
+class _NotACocycle(TorusCochain):
+    # quadratic in n, so its coboundary does not vanish
+    def exponent(self, a, b):
+        (j, k), (m, n) = a, b
+        return (self.p * (j * n * n - k * m)) % self.two_q
+
+
+def test_torus_exponent_window_fails_on_a_non_cocycle():
+    checks = {c.id: c for c in is_cocycle(_NotACocycle(Fraction(1, 3)), window=5)}
+    ck = checks["cocycle-exponent-window-3"]
+    assert not ck.ok
+    assert ck.residual_term_count > 0 and ck.witness
 
 
 def test_torus_window_overflow():

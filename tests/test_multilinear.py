@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopftwist._kernel import api as kernel
+from hopftwist import multilinear as kernel
 from hopftwist.constructors import (
     dual_action_module,
     dual_group_hopf,
@@ -185,6 +185,16 @@ def test_filtered_series_product_matches_kernel():
     fast = a.mul(b)
     slow = kernel.tensor_convolve(a.data, b.data, host.dim, 2, host.base_table())
     assert fast.data == slow
+
+
+def test_tensor_convolve_drops_exact_zeros():
+    base = KS3.base_table()
+    a = {0: Fraction(1), 1: Fraction(-1)}
+    b = {0: Fraction(1)}
+    out = kernel.tensor_convolve(a, a, KS3.dim, 1, base)
+    # (e - g)(e - g) = e - 2g + g^2; no zero-valued keys may linger
+    assert all(v for v in out.values())
+    assert kernel.tensor_convolve({}, b, KS3.dim, 1, base) == {}
 
 
 def test_module_algebra_axioms():

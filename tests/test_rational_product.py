@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopftwist._kernel import api as kernel
+from hopftwist import multilinear as kernel
 from hopftwist.constructors import group_algebra, pauli_8, symmetric_3
 from hopftwist.group_cohomology import (
     GroupCochain,

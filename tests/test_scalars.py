@@ -284,3 +284,32 @@ def test_scalar_ring_coercion():
         ser.coerce(Series.one(4))
     with pytest.raises(TypeError):
         exact.coerce(Series.one(2))
+
+
+
+def _rand_coords(rng, n):
+    return {
+        rng.randrange(n): Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+        for _ in range(4)
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_cyclotomic_mul_matches_sympy_remainder(n):
+    # differential check: a*b equals rem(a(x) b(x), Phi_n(x)) over QQ
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(coords):
+        terms = [sympy.Rational(v.numerator, v.denominator) * x**e for e, v in coords.items()]
+        return sympy.Poly(sum(terms), x, domain="QQ")
+
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    rng = random.Random(500 + n)
+    for _ in range(20):
+        ca, cb = _rand_coords(rng, n), _rand_coords(rng, n)
+        got = Cyclotomic(n, ca) * Cyclotomic(n, cb)
+        rem = sympy.rem(poly(ca) * poly(cb), phi)
+        want = {e: Fraction(int(v.p), int(v.q)) for (e,), v in rem.terms() if v}
+        assert got.conductor == n
+        assert got.coords == want
