@@ -24,6 +24,7 @@ class NonNilpotent(HopftwistError):
 class ParseError(HopftwistError):
     def __init__(self, message, line, column):
         super().__init__("%s (line %d, column %d)" % (message, line, column))
+        self.message = message
         self.line = line
         self.column = column
 

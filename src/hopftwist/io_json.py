@@ -2,8 +2,9 @@
 
 All scalar coefficients travel as exact grammar strings (integers,
 rationals, roots of unity z(N,k), tau, and the formal h), never floats.
-Loaders raise SchemaError naming the offending field, or ParseError with
-line and column for malformed scalar text; dumpers emit a canonical
+Loaders raise SchemaError naming the offending field (for malformed scalar
+text it quotes the string and the column inside it), or ParseError with line
+and column for malformed JSON text; dumpers emit a canonical
 key-sorted layout so that dump(load(x)) == x for canonical files.
 """
 
@@ -29,7 +30,14 @@ def _scalar(v, hbar_order, field):
         return Fraction(v)
     if not isinstance(v, str):
         raise SchemaError("coefficients must be grammar strings", field)
-    return parse(v, hbar_order)
+    try:
+        return parse(v, hbar_order)
+    except ParseError as e:
+        # the position is inside the string, not inside the file
+        where = "column %d" % e.column
+        if e.line > 1:
+            where = "line %d, %s" % (e.line, where)
+        raise SchemaError("%s at %s of %r" % (e.message, where, v), field)
 
 
 def _field(doc, name, kinds=None):

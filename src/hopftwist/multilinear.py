@@ -21,6 +21,19 @@ rational, and so does coproduct_leg when the coproduct has coefficients
 other than 1; Cyclotomic or tau-carrying values keep the generic kernel on
 Fraction/Series scalars.  Both paths run the one convolution loop,
 ``tensor_convolve``, in plain Python.
+
+Over a group algebra k[G], k[G]^(tensor n) = k[G^n]: the product of two
+basis keys is one basis key with coefficient 1.  A host detects such a
+permutation table once (every cell exactly one (k, None); its integer
+rational_table() is one too) and hands tensor_convolve a cache of
+key-product rows.  The legs are split into blocks of at most two, a one-leg
+block first when the arity is odd; the row of a block value x is a flat list
+mapping each block value y to stride * key(x*y), so a product key is
+row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4; arity 5 and
+up keep the per-leg loop.  Rows are built lazily, one for each block value
+met, and kept on the host.  Pointwise products over series rings (dual
+hosts) multiply integer numerators of the common keys, degree by degree in
+hbar, in the same way.
 """
 
 from fractions import Fraction
@@ -58,8 +71,54 @@ def tensor_convolve(a, b, dim, arity, base):
     scalar coefficients.  base[i*dim + j] is a tuple of (k, coeff) pairs for
     the product of basis i with basis j; coeff None means 1 and skips a
     multiplication.  Returns a dict with exact zeros dropped.
+
+    When base is a permutation table (a _Cells whose rows are set) and the
+    arity is at most 4, each pair of keys gives one key with coefficient 1,
+    read from key-product rows: the legs are split into one or two blocks
+    of at most two legs, and a row of a block value x maps every block
+    value y to stride * key(x*y).  Otherwise the cells are expanded leg by
+    leg.  The b keys are decoded once.
     """
     out = {}
+    get = out.get
+    rows = getattr(base, "rows", None)
+    if rows is not None and arity <= 2:
+        # one block: the row of ka maps kb to key(ka*kb)
+        cache = rows.setdefault((arity, 1), {})
+        for ka, va in a.items():
+            row = cache.get(ka)
+            if row is None:
+                row = cache[ka] = _key_row(base, dim, arity, 1, ka)
+            for kb, vb in b.items():
+                idx = row[kb]
+                r = get(idx, 0) + va * vb
+                if r:
+                    out[idx] = r
+                else:
+                    out.pop(idx, None)
+        return out
+    if rows is not None and arity <= 4:
+        # a block of arity - 2 legs over a block of the two last legs
+        s0 = dim * dim
+        c0 = rows.setdefault((arity - 2, s0), {})
+        c1 = rows.setdefault((2, 1), {})
+        bd = [divmod(kb, s0) + (vb,) for kb, vb in b.items()]
+        for ka, va in a.items():
+            x0, x1 = divmod(ka, s0)
+            r0 = c0.get(x0)
+            if r0 is None:
+                r0 = c0[x0] = _key_row(base, dim, arity - 2, s0, x0)
+            r1 = c1.get(x1)
+            if r1 is None:
+                r1 = c1[x1] = _key_row(base, dim, 2, 1, x1)
+            for y0, y1, vb in bd:
+                idx = r0[y0] + r1[y1]
+                r = get(idx, 0) + va * vb
+                if r:
+                    out[idx] = r
+                else:
+                    out.pop(idx, None)
+        return out
     if arity == 1:
         for ka, va in a.items():
             row = ka * dim
@@ -67,44 +126,79 @@ def tensor_convolve(a, b, dim, arity, base):
                 c = va * vb
                 for k, w in base[row + kb]:
                     v = c if w is None else c * w
-                    r = out.get(k, 0) + v
+                    r = get(k, 0) + v
                     if r:
                         out[k] = r
                     else:
                         out.pop(k, None)
         return out
     strides = [dim ** (arity - 1 - t) for t in range(arity)]
+    legs = list(enumerate(strides))
+    bd = []
+    for kb, vb in b.items():
+        db = []
+        r = kb
+        for s in strides:
+            db.append(r // s)
+            r %= s
+        bd.append((db, vb))
     for ka, va in a.items():
         da = []
         r = ka
         for s in strides:
-            da.append(r // s)
+            da.append((r // s) * dim)
             r %= s
-        for kb, vb in b.items():
-            db = []
-            r = kb
-            for s in strides:
-                db.append(r // s)
-                r %= s
+        for db, vb in bd:
             partial = [(0, va * vb)]
-            for t in range(arity):
-                cell = base[da[t] * dim + db[t]]
+            for t, st in legs:
+                cell = base[da[t] + db[t]]
                 if not cell:
                     partial = []
                     break
-                st = strides[t]
                 nxt = []
                 for acc, cv in partial:
                     for k, w in cell:
                         nxt.append((acc + k * st, cv if w is None else cv * w))
                 partial = nxt
             for idx, cv in partial:
-                r = out.get(idx, 0) + cv
+                r = get(idx, 0) + cv
                 if r:
                     out[idx] = r
                 else:
                     out.pop(idx, None)
     return out
+
+
+class _Cells(list):
+    """Structure cells as tensor_convolve reads them.
+
+    rows is the host's cache of key-product rows when the table is a
+    permutation table (every cell exactly one (k, None)), else None.  The
+    cache maps a block shape (width in legs, stride) to {block value: row}
+    and gets one row for each block value met, so that a host built only
+    to be checked once pays only for the products it forms.  A host's
+    base and integer tables share one cache: their cells have the same keys.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, cells, rows):
+        super().__init__(cells)
+        self.rows = rows
+
+
+def _key_row(base, dim, width, stride, x):
+    """The row of block value x: stride * key(x*y) for each block value y
+    of a one- or two-leg block, over a permutation table."""
+    if width == 1:
+        return [cell[0][0] * stride for cell in base[x * dim:(x + 1) * dim]]
+    x0, x1 = divmod(x, dim)
+    low = [cell[0][0] for cell in base[x1 * dim:(x1 + 1) * dim]]
+    return [
+        (cell[0][0] * dim + k) * stride
+        for cell in base[x0 * dim:(x0 + 1) * dim]
+        for k in low
+    ]
 
 
 def _vec_is_zero(v):
@@ -201,6 +295,25 @@ def _series_from_pieces(pieces, K):
     return {k: Series(K, cmap) for k, cmap in cmaps.items()}
 
 
+def _series_product(A, B, K, product):
+    """{key: Series} from two _series_numerators() lists: product() of
+    hbar degree v of A and degree w of B, for each v + w <= K."""
+    pieces = [[] for _ in range(K + 1)]
+    for v in range(K + 1):
+        if not A[v][0]:
+            continue
+        for w in range(K + 1 - v):
+            if B[w][0]:
+                pieces[v + w].append(product(A[v], B[w]))
+    return _series_from_pieces(pieces, K)
+
+
+def _common_keys(a, b):
+    """Pointwise product of two (numerators, denominator) pairs."""
+    nb = b[0]
+    return {k: n * nb[k] for k, n in a[0].items() if k in nb}, a[1] * b[1]
+
+
 def _fractions(nums, den):
     if den == 1:
         return {k: Fraction(n) for k, n in nums.items()}
@@ -238,6 +351,7 @@ class _MulOps:
         self.unit = [ring.coerce(v) for v in unit]
         self._base = None
         self._rational = 0
+        self._rows = {}
         self._unit_support = None
         self._unit_cells = None
         self._pw = 0
@@ -260,7 +374,9 @@ class _MulOps:
                             for k, v in sorted(cell.items())
                         )
                     )
-            self._base = tbl
+            self._ucoef = all(c is None for cell in tbl for _k, c in cell)
+            perm = self._ucoef and all(len(cell) == 1 for cell in tbl)
+            self._base = _Cells(tbl, self._rows if perm else None)
         return self._base
 
     def rational_table(self):
@@ -283,7 +399,7 @@ class _MulOps:
                     n = den if w is None else w.numerator * (den // w.denominator)
                     row.append((k, None if n == 1 else n))
                 tbl.append(tuple(row))
-            self._rational = (tbl, den)
+            self._rational = (_Cells(tbl, cells.rows), den)
         return self._rational
 
     def unit_support(self):
@@ -335,10 +451,7 @@ class _MulOps:
 
     def unit_coeff_table(self):
         """True when every structure coefficient equals 1."""
-        if self._ucoef is None:
-            self._ucoef = all(
-                c is None for cell in self.base_table() for (_k, c) in cell
-            )
+        self.base_table()
         return self._ucoef
 
     def is_commutative_table(self):
@@ -718,7 +831,14 @@ class LegTensor:
             if len(b) < len(a):
                 a, b = b, a
             out = {}
-            if pw == "one":
+            K = host.ring.hbar_order
+            A = B = None
+            if pw == "one" and K is not None:
+                A = _series_numerators(a, K)
+                B = None if A is None else _series_numerators(b, K)
+            if B is not None:
+                out = _series_product(A, B, K, _common_keys)
+            elif pw == "one":
                 for k, va in a.items():
                     vb = b.get(k)
                     if vb is not None:
@@ -763,16 +883,9 @@ class LegTensor:
         A = _series_numerators(self.data, K)
         B = None if A is None else _series_numerators(other.data, K)
         if B is not None:
-            pieces = [[] for _ in range(K + 1)]
-            for v in range(K + 1):
-                if not A[v][0]:
-                    continue
-                for w in range(K + 1 - v):
-                    if B[w][0]:
-                        pieces[v + w].append(
-                            rational_convolve(host, arity, A[v], B[w])
-                        )
-            out = _series_from_pieces(pieces, K)
+            out = _series_product(
+                A, B, K, lambda x, y: rational_convolve(host, arity, x, y)
+            )
             return LegTensor(host, arity, out, _checked=True)
         base = host.base_table()
 

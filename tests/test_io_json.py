@@ -112,6 +112,31 @@ def test_malformed_fields_named(mutate, field):
     assert err.value.field == field
 
 
+def _shipped_ks3():
+    path = resources.files("hopftwist").joinpath("data/ks3_hopf.json")
+    return json.loads(path.read_text())
+
+
+def test_antipode_scalar_dividing_by_zero_names_its_field():
+    doc = _shipped_ks3()
+    doc["antipode"][0][0] = "1/0"
+    with pytest.raises(SchemaError) as err:
+        io.presentation_from_dict(doc)
+    assert err.value.field == "antipode"
+    msg = str(err.value)
+    assert "division by zero" in msg and "'1/0'" in msg
+    assert "line" not in msg
+
+
+def test_malformed_mult_scalar_names_its_field():
+    doc = _shipped_ks3()
+    doc["mult"]["0,1"][0][1] = "2 + )"
+    with pytest.raises(SchemaError) as err:
+        io.presentation_from_dict(doc)
+    assert err.value.field == "mult"
+    assert "column 5 of '2 + )'" in str(err.value)
+
+
 def test_algebra_without_coproduct_loads_as_plain_algebra():
     doc = io.presentation_to_dict(group_algebra(cyclic_group(2)))
     for key in ("coproduct", "counit", "antipode", "commutative", "cocommutative"):

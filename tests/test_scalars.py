@@ -313,3 +313,30 @@ def test_cyclotomic_mul_matches_sympy_remainder(n):
         want = {e: Fraction(int(v.p), int(v.q)) for (e,), v in rem.terms() if v}
         assert got.conductor == n
         assert got.coords == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_cyclotomic_inverse_matches_sympy_invert(n):
+    # differential check: 1/a equals invert(a(x), Phi_n(x)) over QQ
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(coords):
+        terms = [sympy.Rational(v.numerator, v.denominator) * x**e for e, v in coords.items()]
+        return sympy.Poly(sum(terms), x, domain="QQ")
+
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+    rng = random.Random(700 + n)
+    checked = 0
+    for _ in range(20):
+        ca = _rand_coords(rng, n)
+        a = Cyclotomic(n, ca)
+        if not a:
+            continue
+        got = a.inverse()
+        inv = sympy.invert(poly(ca), phi)
+        want = {e: Fraction(int(v.p), int(v.q)) for (e,), v in inv.terms() if v}
+        assert got.coords == want
+        assert a * got == 1
+        checked += 1
+    assert checked >= 15
