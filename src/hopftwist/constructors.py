@@ -435,14 +435,16 @@ def dual_pairing_report(G):
                     wit = wit or "(%d|%d,%d)" % (a, g, h)
     checks.append(CheckOutcome.from_residual("pairing-coproduct-mult", bad, wit))
 
-    bad = 0
+    bad, wit = 0, None
     for g in range(n):
         if pair(kg.elem_unit(), {g: one}) != kd.counit[g]:
             bad += 1
+            wit = wit or "(1|%d)" % g
     for a in range(n):
         if kg.counit[a] != pair({a: one}, kd.elem_unit()):
             bad += 1
-    checks.append(CheckOutcome.from_residual("pairing-unit-counit", bad, None))
+            wit = wit or "(%d|1)" % a
+    checks.append(CheckOutcome.from_residual("pairing-unit-counit", bad, wit))
 
     bad, wit = 0, None
     for a in range(n):
@@ -813,13 +815,14 @@ def shuffle_axiom_report(S):
         CheckOutcome.from_residual("antipode-antihomomorphism", bad, wit)
     )
 
-    bad = 0
+    bad, wit = 0, None
     for i in range(S.dim):
         s, j = S.antipode_index(i)
         s2, k = S.antipode_index(j)
         if k != i or s * s2 != 1:
             bad += 1
-    checks.append(CheckOutcome.from_residual("antipode-square", bad, None))
+            wit = wit or S.labels[i]
+    checks.append(CheckOutcome.from_residual("antipode-square", bad, wit))
     return checks
 
 

@@ -40,9 +40,6 @@ class ZWindow:
     def mul(self, a, b):
         return a + b
 
-    def inv_of(self, a):
-        return -a
-
     def contains(self, a):
         return abs(a) <= self.radius
 

@@ -37,13 +37,6 @@ class GroupCochain:
     def value(self, *key):
         return self.table[key]
 
-    def pointwise_inverse(self):
-        return GroupCochain(
-            self.group,
-            self.arity,
-            {k: 1 / v for k, v in self.table.items()},
-        )
-
     def __eq__(self, other):
         if not isinstance(other, GroupCochain):
             return NotImplemented

@@ -330,11 +330,13 @@ def verify_quasi(result):
     checks.append(rep.renamed("associator-counital"))
 
     pent, _ = coboundary_pair(phi_t.value, phi_t.inverse)
-    unit4 = LegTensor.unit(tw, 4)
+    res = pent.sub(LegTensor.unit(tw, 4))
+    wit = None
+    if res.data:
+        digits, _ = res.entries()[0]
+        wit = "(%s)" % ",".join(tw.labels[d] for d in digits)
     checks.append(
-        CheckOutcome.from_residual(
-            "associator-pentagon", pent.sub(unit4).term_count(), None
-        )
+        CheckOutcome.from_residual("associator-pentagon", res.term_count(), wit)
     )
 
     if result.module is not None and result.twisted_algebra is not None:

@@ -13,22 +13,6 @@ def identity(n, one=None, zero=None):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Fraction(0)
-            for t in range(k):
-                if a[i][t]:
-                    acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     m = [row[:] for row in mat]

@@ -9,18 +9,22 @@ Conventions:
   * multiplication and coproduct tables are sparse;
   * tensor legs are 0-based, leftmost leg most significant in flat keys.
 
-Rational tensor products run on integers.  ``rational_convolve`` takes each
-operand as integer numerators over one common denominator (the lcm of its
-coefficients' denominators, as in FLINT's fmpq_poly), convolves the
-numerators once against the host's integer structure table, whose
-coefficients share one denominator D, and divides by the product of the two
-operand denominators and D**arity.  Every output Fraction is normalized once,
-instead of once per scalar product and sum.  Tensors over series rings take
-this path piece by piece in hbar valuation when they are tau-free and
-rational, and so does coproduct_leg when the coproduct has coefficients
-other than 1; Cyclotomic or tau-carrying values keep the generic kernel on
-Fraction/Series scalars.  Both paths run the one convolution loop,
-``tensor_convolve``, in plain Python.
+LegTensor.mul has two paths.  The integer path takes every product whose
+values are rational and tau-free over a host with an integer structure
+table (host.rational_table(); every group algebra, its twists by a rational
+cocycle, and the dual hosts).  Each operand becomes integer numerators over
+one common denominator (the lcm of its coefficients' denominators, as in
+FLINT's fmpq_poly), one such pair per hbar degree over a series ring.  On a
+pointwise host with unit coefficients (a dual host) the product of two pairs
+is the key intersection of their numerators; otherwise ``rational_convolve``
+convolves them once against the integer table, whose coefficients share one
+denominator D, and divides by the two operand denominators and D**arity.
+Every output Fraction, or Series built from its degree pieces, is normalized
+once, instead of once per scalar product and sum.  The generic path is one
+``tensor_convolve`` over the values themselves: Cyclotomic values or
+structure constants, tau-carrying series, series structure constants other
+than 1.  coproduct_leg over a twisted series host takes integers degree by
+degree too.
 
 Over a group algebra k[G], k[G]^(tensor n) = k[G^n]: the product of two
 basis keys is one basis key with coefficient 1.  A host detects such a
@@ -31,9 +35,7 @@ block first when the arity is odd; the row of a block value x is a flat list
 mapping each block value y to stride * key(x*y), so a product key is
 row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4; arity 5 and
 up keep the per-leg loop.  Rows are built lazily, one for each block value
-met, and kept on the host.  Pointwise products over series rings (dual
-hosts) multiply integer numerators of the common keys, degree by degree in
-hbar, in the same way.
+met, and kept on the host.
 """
 
 from fractions import Fraction
@@ -201,10 +203,6 @@ def _key_row(base, dim, width, stride, x):
     ]
 
 
-def _vec_is_zero(v):
-    return not v
-
-
 def _clean(d):
     return {k: v for k, v in d.items() if v}
 
@@ -250,6 +248,16 @@ def _numerators(data):
     if den == 1:
         return {k: v.numerator for k, v in data.items()}, 1
     return {k: v.numerator * (den // v.denominator) for k, v in data.items()}, den
+
+
+def _pieces(data, K):
+    """Integer pieces of a dict of values: [_numerators(data)] over an exact
+    ring (K None), _series_numerators(data, K) over a series ring of order K.
+    None when some value is not rational or carries tau."""
+    if K is None:
+        nd = _numerators(data)
+        return None if nd is None else [nd]
+    return _series_numerators(data, K)
 
 
 def _series_numerators(data, K):
@@ -424,29 +432,19 @@ class _MulOps:
     def elem_mul(self, u, v):
         return tensor_convolve(u, v, self.dim, 1, self.base_table())
 
-    def elem_inverse(self, u):
-        t = LegTensor(self, 1, dict(u), _checked=True)
-        return dict(tensor_invert(t).data)
-
     def pointwise_coeffs(self):
-        """Per-index scale factors when the product is pointwise-diagonal
-        (basis_mul(i, j) supported on i = j = result), else None.
-
-        When every factor is 1 the cached value is the string "one" so
-        tensor products reduce to key intersection."""
+        """"one" when the product is pointwise with unit coefficients
+        (basis i times basis i is basis i, every other product is 0), else
+        None.  Over such a host a product of rational tensors is the key
+        intersection of their integer numerators; any other pointwise host
+        is a structure table like the rest."""
         if self._pw == 0:
-            coeffs = [None] * self.dim
-            for (i, j), cell in self.mult.items():
-                if i != j or list(cell) != [i]:
-                    self._pw = None
-                    return None
-                coeffs[i] = cell[i]
             one = self.ring.one()
-            if all(c is not None and c == one for c in coeffs):
-                self._pw = "one"
-            else:
-                zero = self.ring.zero()
-                self._pw = [zero if c is None else c for c in coeffs]
+            unit = len(self.mult) == self.dim and all(
+                i == j and list(cell) == [i] and cell[i] == one
+                for (i, j), cell in self.mult.items()
+            )
+            self._pw = "one" if unit else None
         return self._pw
 
     def unit_coeff_table(self):
@@ -454,12 +452,6 @@ class _MulOps:
         self.base_table()
         return self._ucoef
 
-    def is_commutative_table(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.basis_mul(i, j) != self.basis_mul(j, i):
-                    return False
-        return True
 
 
 class AlgebraPresentation(_MulOps):
@@ -527,21 +519,6 @@ class AlgebraPresentation(_MulOps):
             else "associativity"
         )
         return CheckOutcome.from_residual(cid, bad, witness)
-
-
-class CoalgebraPresentation:
-    """Coproduct/counit tables without multiplication."""
-
-    def __init__(self, dim, labels, ring, coproduct, counit):
-        self.dim = dim
-        self.labels = list(labels)
-        self.ring = ring
-        self.coproduct = {}
-        for i, cell in coproduct.items():
-            cc = _clean({jk: ring.coerce(v) for jk, v in cell.items()})
-            if cc:
-                self.coproduct[i] = cc
-        self.counit = [ring.coerce(v) for v in counit]
 
 
 class HopfPresentation(_MulOps):
@@ -817,120 +794,40 @@ class LegTensor:
     # -- algebra
 
     def mul(self, other):
+        """Product in host^(tensor arity).
+
+        Rational, tau-free values over a host with an integer structure
+        table take the integer path: key intersection on a pointwise host
+        with unit coefficients, rational_convolve otherwise, hbar degree by
+        hbar degree over a series ring.  Everything else is one
+        tensor_convolve over the values themselves."""
         if other.host is not self.host:
             raise ValueError("tensors live over different hosts")
         if other.arity != self.arity:
             raise ArityMismatch(
                 "arity %d vs %d" % (self.arity, other.arity)
             )
-        host = self.host
-        pw = host.pointwise_coeffs()
-        if pw is not None:
-            # pointwise product: key intersection instead of convolution
-            a, b = self.data, other.data
-            if len(b) < len(a):
-                a, b = b, a
-            out = {}
-            K = host.ring.hbar_order
-            A = B = None
-            if pw == "one" and K is not None:
-                A = _series_numerators(a, K)
-                B = None if A is None else _series_numerators(b, K)
-            if B is not None:
-                out = _series_product(A, B, K, _common_keys)
-            elif pw == "one":
-                for k, va in a.items():
-                    vb = b.get(k)
-                    if vb is not None:
-                        r = va * vb
-                        if r:
-                            out[k] = r
-            else:
-                dim = host.dim
-                for k, va in a.items():
-                    vb = b.get(k)
-                    if vb is None:
-                        continue
-                    r = va * vb
-                    for d in decode_key(k, dim, self.arity):
-                        r = r * pw[d]
-                    if r:
-                        out[k] = r
-            return LegTensor(host, self.arity, out, _checked=True)
-        if host.ring.is_series and host.unit_coeff_table():
-            return self._mul_filtered(other)
+        host, arity = self.host, self.arity
+        a, b = self.data, other.data
         if host.rational_table() is not None:
-            a = _numerators(self.data)
-            b = None if a is None else _numerators(other.data)
-            if b is not None:
-                data = _fractions(*rational_convolve(host, self.arity, a, b))
-                return LegTensor(host, self.arity, data, _checked=True)
-        data = tensor_convolve(
-            self.data, other.data, host.dim, self.arity,
-            host.base_table(),
-        )
-        return LegTensor(host, self.arity, data, _checked=True)
-
-    def _mul_filtered(self, other):
-        """Series-ring product split by hbar valuation.
-
-        Valid only for coefficient-1 structure tables: pieces beyond the
-        truncation order are never formed, and the order-0 piece (usually
-        a single unit key) meets the others in tiny convolutions."""
-        host = self.host
-        K = host.ring.hbar_order
-        dim, arity = host.dim, self.arity
-        A = _series_numerators(self.data, K)
-        B = None if A is None else _series_numerators(other.data, K)
-        if B is not None:
-            out = _series_product(
-                A, B, K, lambda x, y: rational_convolve(host, arity, x, y)
-            )
-            return LegTensor(host, arity, out, _checked=True)
-        base = host.base_table()
-
-        def split(data):
-            parts = [dict() for _ in range(K + 1)]
-            for k, s in data.items():
-                for v in range(K + 1):
-                    tl = s.coeffs[v]
-                    if tl:
-                        parts[v][k] = tl
-            return parts
-
-        A = split(self.data)
-        B = split(other.data)
-        acc = [dict() for _ in range(K + 1)]
-        for v in range(K + 1):
-            av = A[v]
-            if not av:
-                continue
-            for w in range(K + 1 - v):
-                bw = B[w]
-                if not bw:
-                    continue
-                piece = tensor_convolve(av, bw, dim, arity, base)
-                tgt = acc[v + w]
-                for k, val in piece.items():
-                    r = tgt.get(k)
-                    if r is None:
-                        tgt[k] = val
-                    else:
-                        r = r + val
-                        if r:
-                            tgt[k] = r
-                        else:
-                            del tgt[k]
-        out = {}
-        for k in set().union(*acc):
-            cmap = {}
-            for v in range(K + 1):
-                tl = acc[v].get(k)
-                if tl:
-                    cmap[v] = tl
-            if cmap:
-                out[k] = Series(K, cmap)
-        return LegTensor(host, arity, out, _checked=True)
+            if host.pointwise_coeffs() is not None:
+                product = _common_keys
+                if len(b) < len(a):
+                    a, b = b, a
+            else:
+                def product(x, y):
+                    return rational_convolve(host, arity, x, y)
+            K = host.ring.hbar_order
+            A = _pieces(a, K)
+            B = None if A is None else _pieces(b, K)
+            if B is not None:
+                if K is None:
+                    data = _fractions(*product(A[0], B[0]))
+                else:
+                    data = _series_product(A, B, K, product)
+                return LegTensor(host, arity, data, _checked=True)
+        data = tensor_convolve(a, b, host.dim, arity, host.base_table())
+        return LegTensor(host, arity, data, _checked=True)
 
     def add(self, other):
         return self._add(other, False)
@@ -1137,22 +1034,13 @@ def tensor_invert(t):
 
 def _invert_exact(t, unit):
     host = t.host
-    dim = host.dim
     arity = t.arity
-    D = dim ** arity
-    a = None if host.rational_table() is None else _numerators(t.data)
-    if a is not None:
-        cols = [
-            _fractions(*rational_convolve(host, arity, a, ({j: 1}, 1)))
-            for j in range(D)
-        ]
-    else:
-        base = host.base_table()
-        one = host.ring.one()
-        cols = [
-            tensor_convolve(t.data, {j: one}, dim, arity, base)
-            for j in range(D)
-        ]
+    D = host.dim ** arity
+    one = host.ring.one()
+    cols = [
+        t.mul(LegTensor(host, arity, {j: one}, _checked=True)).data
+        for j in range(D)
+    ]
     zero = host.ring.zero()
     mat = [[cols[j].get(i, zero) for j in range(D)] for i in range(D)]
     rhs = [unit.data.get(i, zero) for i in range(D)]
@@ -1182,9 +1070,6 @@ class ModuleAlgebra:
             vv = _clean({k: ring.coerce(v) for k, v in vec.items()})
             if vv:
                 self.action[key] = vv
-
-    def act_basis(self, i, j):
-        return self.action.get((i, j), {})
 
     def act(self, hvec, avec):
         out = {}
@@ -1332,19 +1217,6 @@ def antipode_map(host):
     if host.antipode is None:
         raise ValueError("presentation has no antipode")
     return [row[:] for row in host.antipode]
-
-
-def map_apply(m, vec):
-    out = {}
-    for i, c in vec.items():
-        for j, w in enumerate(m[i]):
-            if w:
-                r = out.get(j, 0) + c * w
-                if r:
-                    out[j] = r
-                else:
-                    out.pop(j, None)
-    return out
 
 
 def convolution(host, f, g):

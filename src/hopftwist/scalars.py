@@ -22,15 +22,6 @@ from .errors import NonNilpotent, NonUnit, OrderMismatch
 # cyclotomic polynomials and power-basis reduction
 
 
-def _poly_mul(a, b):
-    out = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + va * vb
-    return {e: v for e, v in out.items() if v}
-
-
 def _poly_divexact(num, den):
     # exact division of integer polynomials, den monic
     num = dict(num)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from hopftwist import constructors
 from hopftwist.constructors import (
     ChainComplexWindow,
     FiniteGroup,
+    ShuffleBialgebra,
     WindowComodule,
     chain_to_comodule,
     comodule_to_chain,
@@ -122,6 +124,41 @@ def test_shuffle_axioms():
     B = shuffle_bialgebra(2, 4)
     for ck in shuffle_axiom_report(B):
         assert ck.ok, ck.id
+
+
+class RotatingAntipode(ShuffleBialgebra):
+    """Antipode that rotates a word left by one letter instead of reversing
+    it: the same as reversal up to length 2, but its square moves 112."""
+
+    def antipode_index(self, i):
+        w = self.words[i]
+        return (Fraction(-1) ** len(w), self.index[w[1:] + w[:1]])
+
+
+def test_shuffle_antipode_square_failure_names_first_word():
+    report = {ck.id: ck for ck in shuffle_axiom_report(RotatingAntipode(2, 3))}
+    ck = report["antipode-square"]
+    # every word of length <= 2, 111 and 222 come back after two rotations;
+    # 112 -> 121 -> 211 is the first that does not, of six
+    assert (ck.status, ck.residual_term_count) == ("fail", 6)
+    assert ck.witness == "112"
+    passing = {ck.id: ck for ck in shuffle_axiom_report(shuffle_bialgebra(2, 3))}
+    assert passing["antipode-square"].witness is None
+
+
+def test_pairing_unit_counit_failure_names_index(monkeypatch):
+    build = constructors.dual_group_hopf
+
+    def wrong_counit(G):
+        kd = build(G)
+        kd.counit[2] = Fraction(1)  # <1, [2]> is 0, not 1
+        return kd
+
+    monkeypatch.setattr(constructors, "dual_group_hopf", wrong_counit)
+    report = {ck.id: ck for ck in dual_pairing_report(GROUPS["S3"])}
+    ck = report["pairing-unit-counit"]
+    assert not ck.ok
+    assert (ck.residual_term_count, ck.witness) == (1, "(1|2)")
 
 
 def test_word_pins():

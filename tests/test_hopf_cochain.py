@@ -19,6 +19,7 @@ from hopftwist.errors import ArityMismatch, NotCounital, NotInvertible
 from hopftwist.group_cohomology import fano_octonions
 from hopftwist.hopf_cochain import (
     HopfCochain,
+    QuasiHopfTwistResult,
     coboundary_pair,
     dsquared,
     equivariant_twist_check,
@@ -224,6 +225,22 @@ def test_twist_with_module_runs_all_five_checks():
     assert len(cks) == 5
     for ck in cks:
         assert ck.ok, ck.id
+
+
+def test_pentagon_failure_names_first_residual_key():
+    # phi = 1 corrupted to x (x) 1 (x) 1 with x = 1 + 2g in k[Z2]: d(phi) is
+    # (x (x) x) D(x)^-1 (x) 1 (x) 1 = (7 + 2 g(x)1 + 2 1(x)g - 2 g(x)g)/3 on the
+    # first two legs, so d(phi) - 1 has 4 terms, the first at e(x)e(x)e(x)e
+    H = group_algebra(cyclic_group(2))
+    R = twist(H, unit_cochain(H, 2))
+    x = LegTensor(H, 3, {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(2)})
+    bad = HopfCochain(H, 3, R.phi.value.mul(x))
+    corrupted = QuasiHopfTwistResult(R.original, R.twisted, R.cochain, bad, None, None)
+    cks = {ck.id: ck for ck in verify_quasi(corrupted)}
+    ck = cks["associator-pentagon"]
+    assert (ck.status, ck.residual_term_count) == ("fail", 4)
+    assert ck.witness == "([e],[e],[e],[e])"
+    assert {ck.id: ck for ck in verify_quasi(R)}["associator-pentagon"].witness is None
 
 
 def test_unit_twist_is_identity():
