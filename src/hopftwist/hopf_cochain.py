@@ -217,8 +217,8 @@ class QuasiHopfTwistResult:
             self._phi_twisted = HopfCochain(
                 tw,
                 3,
-                LegTensor(tw, 3, dict(self.phi.value.data), _checked=True),
-                LegTensor(tw, 3, dict(self.phi.inverse.data), _checked=True),
+                self.phi.value.over(tw),
+                self.phi.inverse.over(tw),
                 _trusted=True,
             )
         return self._phi_twisted
@@ -332,7 +332,7 @@ def verify_quasi(result):
     pent, _ = coboundary_pair(phi_t.value, phi_t.inverse)
     res = pent.sub(LegTensor.unit(tw, 4))
     wit = None
-    if res.data:
+    if not res.is_zero():
         digits, _ = res.entries()[0]
         wit = "(%s)" % ",".join(tw.labels[d] for d in digits)
     checks.append(
@@ -415,7 +415,7 @@ def equivariant_twist_check(F, result=None):
     else:
         tw = _conjugated_host(F.host, F)
         val, _ = coboundary_pair(F.value, F.inverse)
-        phi_val = LegTensor(tw, 3, dict(val.data), _checked=True)
+        phi_val = val.over(tw)
     one = tw.ring.one()
     for i in range(tw.dim):
         d = (

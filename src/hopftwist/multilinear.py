@@ -9,22 +9,22 @@ Conventions:
   * multiplication and coproduct tables are sparse;
   * tensor legs are 0-based, leftmost leg most significant in flat keys.
 
-LegTensor.mul has two paths.  The integer path takes every product whose
-values are rational and tau-free over a host with an integer structure
-table (host.rational_table(); every group algebra, its twists by a rational
-cocycle, and the dual hosts).  Each operand becomes integer numerators over
-one common denominator (the lcm of its coefficients' denominators, as in
-FLINT's fmpq_poly), one such pair per hbar degree over a series ring.  On a
-pointwise host with unit coefficients (a dual host) the product of two pairs
-is the key intersection of their numerators; otherwise ``rational_convolve``
-convolves them once against the integer table, whose coefficients share one
-denominator D, and divides by the two operand denominators and D**arity.
-Every output Fraction, or Series built from its degree pieces, is normalized
-once, instead of once per scalar product and sum.  The generic path is one
-``tensor_convolve`` over the values themselves: Cyclotomic values or
-structure constants, tau-carrying series, series structure constants other
-than 1.  coproduct_leg over a twisted series host takes integers degree by
-degree too.
+A LegTensor stores rational, tau-free values as integer rows, FLINT's
+fmpq_poly layout (integer numerators over one shared denominator) lifted to
+one canonical (numerators, denominator) pair per hbar degree 0..K, or a
+single pair over an exact ring.  mul, add, sub, neg, scale, coproduct_leg,
+leg_embed, counit_leg and eq work on the rows and return rows, so a chain
+of products never leaves the integers.  A product of rows over a host with
+an integer structure table (host.rational_table(): every group algebra, its
+twists by a rational cocycle, and the dual hosts) is the key intersection of
+numerators on a pointwise host with unit coefficients (a dual host), and
+otherwise ``rational_convolve``: one convolution against the integer table,
+whose coefficients share one denominator D, over the two operand
+denominators times D**arity.  The {key: value} dict of Fractions or Series
+is built from the rows only when it is read (reports, JSON, witnesses, the
+generic path).  The generic path is one ``tensor_convolve`` over the values
+themselves: Cyclotomic values or structure constants, tau-carrying series,
+series structure constants other than 1.
 
 Over a group algebra k[G], k[G]^(tensor n) = k[G^n]: the product of two
 basis keys is one basis key with coefficient 1.  A host detects such a
@@ -39,7 +39,7 @@ met, and kept on the host.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -49,7 +49,7 @@ from .errors import (
     NotInvertible,
 )
 from .reporting import CheckOutcome
-from .scalars import ScalarRing, Series
+from .scalars import ScalarRing, Series, TauLaurent
 
 
 def encode_key(digits, dim):
@@ -235,7 +235,7 @@ def _fills(cells, dim, n):
 
 
 # ---------------------------------------------------------------------------
-# integer-numerator products
+# integer rows
 
 
 def _numerators(data):
@@ -251,81 +251,101 @@ def _numerators(data):
 
 
 def _pieces(data, K):
-    """Integer pieces of a dict of values: [_numerators(data)] over an exact
-    ring (K None), _series_numerators(data, K) over a series ring of order K.
-    None when some value is not rational or carries tau."""
+    """Integer rows of a dict of values: [_numerators(data)] over an exact
+    ring (K None), _numerators() of each hbar-degree piece of order-K
+    series otherwise.  None when some value is not rational or carries tau."""
     if K is None:
-        nd = _numerators(data)
-        return None if nd is None else [nd]
-    return _series_numerators(data, K)
+        parts = [data]
+    else:
+        parts = [{} for _ in range(K + 1)]
+        for k, s in data.items():
+            for v, tl in enumerate(s.coeffs):
+                terms = tl.terms
+                if terms:
+                    q = terms.get(0)
+                    if q is None or len(terms) != 1:
+                        return None
+                    parts[v][k] = q
+    out = [_numerators(part) for part in parts]
+    return None if None in out else out
 
 
-def _series_numerators(data, K):
-    """_numerators() of each hbar-degree piece of a dict of order-K series,
-    or None when some coefficient carries tau or is not rational."""
-    parts = [{} for _ in range(K + 1)]
-    for k, s in data.items():
-        for v, tl in enumerate(s.coeffs):
-            terms = tl.terms
-            if terms:
-                q = terms.get(0)
-                if q is None or len(terms) != 1:
-                    return None
-                parts[v][k] = q
-    out = []
-    for part in parts:
-        nd = _numerators(part)
-        if nd is None:
-            return None
-        out.append(nd)
-    return out
+_ZERO_ROW = ({}, 1)
 
 
-def _sum_numerators(pieces):
-    """Sum of (numerators, denominator) pairs over the lcm denominator."""
-    den = lcm(*[d for _, d in pieces])
-    out = {}
-    for nums, d in pieces:
-        f = den // d
-        for k, n in nums.items():
-            out[k] = out.get(k, 0) + (n if f == 1 else n * f)
-    return {k: n for k, n in out.items() if n}, den
+def _row(pieces):
+    """The canonical (numerators, denominator) pair of a sum of such pairs:
+    no zero numerators, den > 0 and gcd(den, numerators) = 1, so equal
+    values give equal pairs; ({}, 1) for zero."""
+    if not pieces:
+        return _ZERO_ROW
+    if len(pieces) == 1:
+        nums, den = pieces[0]
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
+    else:
+        den = lcm(*[d for _, d in pieces])
+        nums = {}
+        for part, d in pieces:
+            f = den // d
+            for k, n in part.items():
+                nums[k] = nums.get(k, 0) + (n if f == 1 else n * f)
+        nums = {k: n for k, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: n // g for k, n in nums.items()}, den // g
 
 
-def _series_from_pieces(pieces, K):
-    """{key: Series} from one list of (numerators, denominator) pairs per
-    hbar degree 0..K; the pairs of one degree are summed."""
-    cmaps = {}
-    for v, piece in enumerate(pieces):
-        if piece:
-            for k, q in _fractions(*_sum_numerators(piece)).items():
-                cmaps.setdefault(k, {})[v] = q
-    return {k: Series(K, cmap) for k, cmap in cmaps.items()}
-
-
-def _series_product(A, B, K, product):
-    """{key: Series} from two _series_numerators() lists: product() of
-    hbar degree v of A and degree w of B, for each v + w <= K."""
-    pieces = [[] for _ in range(K + 1)]
-    for v in range(K + 1):
-        if not A[v][0]:
-            continue
-        for w in range(K + 1 - v):
-            if B[w][0]:
-                pieces[v + w].append(product(A[v], B[w]))
-    return _series_from_pieces(pieces, K)
+def _rows_product(A, B, product):
+    """Rows of a product: product() of degree v of A and degree w of B,
+    summed into degree v + w for each v + w below len(A)."""
+    n = len(A)
+    pieces = [[] for _ in range(n)]
+    for v, a in enumerate(A):
+        if a[0]:
+            for w in range(n - v):
+                if B[w][0]:
+                    pieces[v + w].append(product(a, B[w]))
+    return [_row(p) for p in pieces]
 
 
 def _common_keys(a, b):
     """Pointwise product of two (numerators, denominator) pairs."""
-    nb = b[0]
-    return {k: n * nb[k] for k, n in a[0].items() if k in nb}, a[1] * b[1]
+    na, nb = a[0], b[0]
+    if len(nb) < len(na):
+        na, nb = nb, na
+    return {k: n * nb[k] for k, n in na.items() if k in nb}, a[1] * b[1]
+
+
+def _scaled(a, c):
+    """A (numerators, denominator) pair times the scalar pair c = ({0: n}, d)."""
+    n = c[0][0]
+    return {k: x * n for k, x in a[0].items()}, a[1] * c[1]
 
 
 def _fractions(nums, den):
     if den == 1:
         return {k: Fraction(n) for k, n in nums.items()}
     return {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def _values(rows, K):
+    """{key: value} of integer rows: Fractions over an exact ring (K None),
+    otherwise order-K Series built raw, each exactly as Series(K, {degree:
+    Fraction}) builds it: K + 1 TauLaurent coefficients, {} or {0: q}."""
+    if K is None:
+        return _fractions(*rows[0])
+    cmaps = {}
+    for v, row in enumerate(rows):
+        for k, q in _fractions(*row).items():
+            cmaps.setdefault(k, {})[v] = q
+    raw = TauLaurent._raw
+    degrees = range(K + 1)
+    return {
+        k: Series._raw(K, [raw({0: c[v]} if v in c else {}) for v in degrees])
+        for k, c in cmaps.items()
+    }
 
 
 def rational_convolve(host, arity, a, b):
@@ -583,30 +603,26 @@ class HopfPresentation(_MulOps):
         return self._leg_cells
 
     def coproduct_pieces(self):
-        """Coproduct cells of a series ring split by hbar degree, over
-        integers: one (cells, D) per degree 0..K, cells[i] a list of
-        (j, k, numerator) over the common denominator D.  None when some
-        coefficient carries tau or is not rational, and when every
-        coefficient is 1, where leg_cells() needs no multiplication."""
+        """The coproduct as integer rows: one (cells, D) per hbar degree
+        0..K, or one over an exact ring, cells[i] a list of (j, k,
+        numerator) over the common denominator D and None for a degree
+        with no terms.  None when some coefficient carries tau or is not
+        rational."""
         if self._cop_pieces == 0:
+            flat = {
+                (i, j, k): w
+                for i, cell in self.coproduct.items()
+                for (j, k), w in cell.items()
+            }
+            parts = _pieces(flat, self.ring.hbar_order)
             self._cop_pieces = None
-            K = self.ring.hbar_order
-            if K is not None and any(
-                w is not None for cell in self.leg_cells()[0] for _j, _k, w in cell
-            ):
-                flat = {
-                    (i, j, k): w
-                    for i, cell in self.coproduct.items()
-                    for (j, k), w in cell.items()
-                }
-                parts = _series_numerators(flat, K)
-                if parts is not None:
-                    self._cop_pieces = []
-                    for nums, den in parts:
-                        cells = [[] for _ in range(self.dim)]
-                        for (i, j, k), n in nums.items():
-                            cells[i].append((j, k, n))
-                        self._cop_pieces.append((cells, den))
+            if parts is not None:
+                self._cop_pieces = []
+                for nums, den in parts:
+                    cells = [[] for _ in range(self.dim)] if nums else None
+                    for (i, j, k), n in nums.items():
+                        cells[i].append((j, k, n))
+                    self._cop_pieces.append((cells, den))
         return self._cop_pieces
 
     def elem_coproduct(self, u):
@@ -704,15 +720,25 @@ def with_series_ring(host, order):
 
 
 class LegTensor:
-    """Sparse element of host^(tensor arity)."""
+    """Sparse element of host^(tensor arity), keyed by flat key.
 
-    __slots__ = ("host", "arity", "data")
+    Rational, tau-free values are stored as integer rows: one canonical
+    (numerators, denominator) pair per hbar degree 0..K over a series ring,
+    a single pair over an exact ring (see _row).  data, {key: value} with
+    Fraction, Cyclotomic or Series values, is built from the rows on its
+    first read and then kept.  A tensor built from a dict gets its rows on
+    its first operation, or keeps None when some value is not rational or
+    carries tau; such tensors take the generic path over data.
+    """
+
+    __slots__ = ("host", "arity", "_data", "_rows")
 
     def __init__(self, host, arity, entries, _checked=False):
         self.host = host
         self.arity = arity
+        self._rows = 0  # not made yet: rows() makes them from data
         if _checked:
-            self.data = entries
+            self._data = entries
             return
         data = {}
         dim = host.dim
@@ -732,19 +758,28 @@ class LegTensor:
                 data[key] = v if r is None else r + v
                 if not data[key]:
                     del data[key]
-        self.data = data
+        self._data = data
+
+    @staticmethod
+    def _of_rows(host, arity, rows):
+        t = LegTensor.__new__(LegTensor)
+        t.host = host
+        t.arity = arity
+        t._data = None
+        t._rows = rows
+        return t
 
     # -- construction
 
     @staticmethod
     def unit(host, arity):
-        if arity == 0:
-            return LegTensor(host, 0, {0: host.ring.one()}, _checked=True)
+        fills = _fills(host.unit_cells(), host.dim, arity)
+        if all(w is None for _k, w in fills):
+            ones = {k: 1 for k, _w in fills}
+            rows = [(ones, 1)] + [_ZERO_ROW] * (host.ring.hbar_order or 0)
+            return LegTensor._of_rows(host, arity, rows)
         one = host.ring.one()
-        out = {
-            key: one if w is None else w
-            for key, w in _fills(host.unit_cells(), host.dim, arity)
-        }
+        out = {key: one if w is None else w for key, w in fills}
         return LegTensor(host, arity, out, _checked=True)
 
     @staticmethod
@@ -774,6 +809,20 @@ class LegTensor:
 
     # -- views
 
+    @property
+    def data(self):
+        """{flat key: value}, built from the rows on first read."""
+        if self._data is None:
+            self._data = _values(self._rows, self.host.ring.hbar_order)
+        return self._data
+
+    def rows(self):
+        """The integer rows of the values, made from data on the first call;
+        None when some value is not rational or carries tau."""
+        if self._rows == 0:
+            self._rows = _pieces(self._data, self.host.ring.hbar_order)
+        return self._rows
+
     def entries(self):
         """Sorted (digit tuple, scalar) pairs."""
         dim = self.host.dim
@@ -783,24 +832,37 @@ class LegTensor:
         ]
 
     def term_count(self):
-        return len(self.data)
+        if self._data is None:
+            return len(set().union(*[nums for nums, _ in self._rows]))
+        return len(self._data)
 
     def is_zero(self):
-        return not self.data
+        if self._data is None:
+            return not any(nums for nums, _ in self._rows)
+        return not self._data
+
+    def over(self, host):
+        """The same values over a host of the same dim, ring and product;
+        the rows move as they are."""
+        if self._rows:
+            return LegTensor._of_rows(host, self.arity, self._rows)
+        return LegTensor(host, self.arity, dict(self._data), _checked=True)
 
     def copy(self):
-        return LegTensor(self.host, self.arity, dict(self.data), _checked=True)
+        return self.over(self.host)
 
     # -- algebra
 
     def mul(self, other):
         """Product in host^(tensor arity).
 
-        Rational, tau-free values over a host with an integer structure
-        table take the integer path: key intersection on a pointwise host
-        with unit coefficients, rational_convolve otherwise, hbar degree by
-        hbar degree over a series ring.  Everything else is one
-        tensor_convolve over the values themselves."""
+        When both operands have rows and the host has an integer structure
+        table (host.rational_table(): every group algebra, its twists by a
+        rational cocycle, and the dual hosts), the product is formed on the
+        rows, hbar degree by hbar degree, and returned as rows: key
+        intersection on a pointwise host with unit coefficients,
+        rational_convolve otherwise.  Everything else is one tensor_convolve
+        over the values themselves."""
         if other.host is not self.host:
             raise ValueError("tensors live over different hosts")
         if other.arity != self.arity:
@@ -808,25 +870,19 @@ class LegTensor:
                 "arity %d vs %d" % (self.arity, other.arity)
             )
         host, arity = self.host, self.arity
-        a, b = self.data, other.data
         if host.rational_table() is not None:
-            if host.pointwise_coeffs() is not None:
-                product = _common_keys
-                if len(b) < len(a):
-                    a, b = b, a
-            else:
-                def product(x, y):
-                    return rational_convolve(host, arity, x, y)
-            K = host.ring.hbar_order
-            A = _pieces(a, K)
-            B = None if A is None else _pieces(b, K)
+            A = self.rows()
+            B = None if A is None else other.rows()
             if B is not None:
-                if K is None:
-                    data = _fractions(*product(A[0], B[0]))
+                if host.pointwise_coeffs() is not None:
+                    product = _common_keys
                 else:
-                    data = _series_product(A, B, K, product)
-                return LegTensor(host, arity, data, _checked=True)
-        data = tensor_convolve(a, b, host.dim, arity, host.base_table())
+                    def product(x, y):
+                        return rational_convolve(host, arity, x, y)
+                return LegTensor._of_rows(host, arity, _rows_product(A, B, product))
+        data = tensor_convolve(
+            self.data, other.data, host.dim, arity, host.base_table()
+        )
         return LegTensor(host, arity, data, _checked=True)
 
     def add(self, other):
@@ -838,28 +894,43 @@ class LegTensor:
     def _add(self, other, negate):
         if other.host is not self.host or other.arity != self.arity:
             raise ArityMismatch("cannot add tensors of different shape")
+        A = self.rows()
+        B = None if A is None else other.rows()
+        if B is not None:
+            if negate:
+                B = [({k: -n for k, n in nums.items()}, d) for nums, d in B]
+            rows = [_row([a, b]) for a, b in zip(A, B)]
+            return LegTensor._of_rows(self.host, self.arity, rows)
         data = dict(self.data)
         for k, v in other.data.items():
             _accumulate(data, k, -v if negate else v)
         return LegTensor(self.host, self.arity, data, _checked=True)
 
+    def neg(self):
+        return self.scale(-1)
+
     def scale(self, c):
-        c = self.host.ring.coerce(c)
-        if not c:
-            return LegTensor(self.host, self.arity, {}, _checked=True)
+        host = self.host
+        c = host.ring.coerce(c)
+        A = self.rows()
+        C = None if A is None else _pieces({0: c}, host.ring.hbar_order)
+        if C is not None:
+            return LegTensor._of_rows(host, self.arity, _rows_product(A, C, _scaled))
         return LegTensor(
-            self.host,
+            host,
             self.arity,
             _clean({k: v * c for k, v in self.data.items()}),
             _checked=True,
         )
 
     def eq(self, other):
-        return (
-            self.host is other.host
-            and self.arity == other.arity
-            and self.data == other.data
-        )
+        if self.host is not other.host or self.arity != other.arity:
+            return False
+        A = self.rows()
+        B = None if A is None else other.rows()
+        if B is not None:
+            return A == B
+        return self.data == other.data
 
     def __eq__(self, other):
         if not isinstance(other, LegTensor):
@@ -895,15 +966,26 @@ class LegTensor:
                 off += d * strides[p]
             fills.append((off, w))
         kept = [strides[p] for p in reversed(positions)]
-        out = {}
-        for key, c in self.data.items():
-            base = 0
-            for st in kept:
-                key, d = divmod(key, dim)
-                base += d * st
-            for off, w in fills:
-                _accumulate(out, base + off, c if w is None else c * w)
-        return LegTensor(host, arity_out, out, _checked=True)
+
+        def embed(values):
+            # distinct (key, fill) pairs give distinct keys: nothing merges
+            out = {}
+            for key, c in values.items():
+                base = 0
+                for st in kept:
+                    key, d = divmod(key, dim)
+                    base += d * st
+                for off, w in fills:
+                    v = c if w is None else c * w
+                    if v:
+                        out[base + off] = v
+            return out
+
+        A = self.rows()
+        if A is not None and all(w is None for _off, w in fills):
+            rows = [(embed(nums), den) for nums, den in A]
+            return LegTensor._of_rows(host, arity_out, rows)
+        return LegTensor(host, arity_out, embed(self.data), _checked=True)
 
     def coproduct_leg(self, leg):
         if not 0 <= leg < self.arity:
@@ -912,28 +994,30 @@ class LegTensor:
         dim = host.dim
         low = dim ** (self.arity - 1 - leg)
         cop = host.coproduct_pieces()
-        K = host.ring.hbar_order
-        A = None if cop is None else _series_numerators(self.data, K)
+        A = None if cop is None else self.rows()
         if A is not None:
             # degree v of the tensor times degree u of the coproduct
-            pieces = [[] for _ in range(K + 1)]
+            n = len(A)
+            pieces = [[] for _ in range(n)]
             for v, (nums, den) in enumerate(A):
                 split = []
-                for key, n in nums.items():
+                for key, x in nums.items():
                     head, tail = divmod(key, low)
                     head, d = divmod(head, dim)
-                    split.append((head * dim, d, tail, n))
-                for u in range(K + 1 - v):
+                    split.append((head * dim, d, tail, x))
+                for u in range(n - v):
                     cells, cden = cop[u]
+                    if cells is None:
+                        continue
                     piece = {}
-                    for head, d, tail, n in split:
+                    for head, d, tail, x in split:
                         for j, k, w in cells[d]:
                             nk = ((head + j) * dim + k) * low + tail
-                            piece[nk] = piece.get(nk, 0) + n * w
+                            piece[nk] = piece.get(nk, 0) + x * w
                     if piece:
                         pieces[v + u].append((piece, den * cden))
-            out = _series_from_pieces(pieces, K)
-            return LegTensor(host, self.arity + 1, out, _checked=True)
+            rows = [_row(p) for p in pieces]
+            return LegTensor._of_rows(host, self.arity + 1, rows)
         cells = host.leg_cells()[0]
         out = {}
         for key, c in self.data.items():
@@ -951,13 +1035,22 @@ class LegTensor:
         dim = host.dim
         cells = host.leg_cells()[1]
         low = dim ** (self.arity - 1 - leg)
-        out = {}
-        for key, c in self.data.items():
-            head, tail = divmod(key, low)
-            head, d = divmod(head, dim)
-            for e in cells[d]:
-                _accumulate(out, head * low + tail, c if e is None else c * e)
-        return LegTensor(host, self.arity - 1, out, _checked=True)
+
+        def contract(values):
+            out = {}
+            for key, c in values.items():
+                head, tail = divmod(key, low)
+                head, d = divmod(head, dim)
+                for e in cells[d]:
+                    _accumulate(out, head * low + tail, c if e is None else c * e)
+            return out
+
+        A = self.rows()
+        if A is not None and all(not e or e[0] is None for e in cells):
+            # counit values 0 and 1 only: a key remap that may merge keys
+            rows = [_row([(contract(nums), den)]) for nums, den in A]
+            return LegTensor._of_rows(host, self.arity - 1, rows)
+        return LegTensor(host, self.arity - 1, contract(self.data), _checked=True)
 
     def unit_like(self, arity):
         return LegTensor.unit(self.host, arity)
@@ -966,7 +1059,7 @@ class LegTensor:
         return "LegTensor(%s, arity=%d, %d terms)" % (
             getattr(self.host, "name", "host"),
             self.arity,
-            len(self.data),
+            self.term_count(),
         )
 
 
@@ -997,30 +1090,40 @@ def tensor_invert(t):
     if not ring.is_series:
         return _invert_exact(t, unit)
     K = ring.hbar_order
-    t0_entries = {}
-    for k, v in t.data.items():
-        c0 = v.coeffs[0]
-        if any(d != 0 for d in c0.terms):
-            raise NotInvertible("order-0 part involves tau")
-        q = c0.terms.get(0)
-        if q is not None:
-            t0_entries[k] = q
+    rows = t.rows()
+    if rows is None:
+        t0_entries = {}
+        for k, v in t.data.items():
+            c0 = v.coeffs[0]
+            if any(d != 0 for d in c0.terms):
+                raise NotInvertible("order-0 part involves tau")
+            q = c0.terms.get(0)
+            if q is not None:
+                t0_entries[k] = q
     host0 = host.order0_host()
-    t0 = LegTensor(host0, t.arity, dict(t0_entries), _checked=True)
+    if rows is None:
+        t0 = LegTensor(host0, t.arity, t0_entries, _checked=True)
+    else:
+        t0 = LegTensor._of_rows(host0, t.arity, rows[:1])
     unit0 = LegTensor.unit(host0, t.arity)
     if t0.eq(unit0):
         x0 = unit
     else:
         inv0 = _invert_exact(t0, unit0)
-        x0 = LegTensor(
-            host,
-            t.arity,
-            {k: ring.coerce(v) for k, v in inv0.data.items()},
-            _checked=True,
-        )
+        rows = inv0.rows()
+        if rows is not None:
+            x0 = LegTensor._of_rows(host, t.arity, rows + [_ZERO_ROW] * K)
+        else:
+            x0 = LegTensor(
+                host,
+                t.arity,
+                {k: ring.coerce(v) for k, v in inv0.data.items()},
+                _checked=True,
+            )
     # geometric lift: s = unit - t*x0 has positive hbar valuation
     s = unit.sub(t.mul(x0))
-    if any(v.coeffs[0] for v in s.data.values()):
+    rows = s.rows()
+    if rows[0][0] if rows is not None else any(v.coeffs[0] for v in s.data.values()):
         raise NotInvertible("order-0 inverse did not cancel")
     acc = unit
     term = unit

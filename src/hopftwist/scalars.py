@@ -366,6 +366,14 @@ class TauLaurent:
         self.terms = out
 
     @staticmethod
+    def _raw(terms):
+        """A TauLaurent over terms as they are: nonzero Fraction or
+        Cyclotomic values, no copy."""
+        t = TauLaurent.__new__(TauLaurent)
+        t.terms = terms
+        return t
+
+    @staticmethod
     def from_const(x):
         return TauLaurent({0: x})
 
@@ -400,16 +408,12 @@ class TauLaurent:
                 out[k] = r
             else:
                 out.pop(k, None)
-        t = TauLaurent.__new__(TauLaurent)
-        t.terms = out
-        return t
+        return TauLaurent._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        t = TauLaurent.__new__(TauLaurent)
-        t.terms = {k: -v for k, v in self.terms.items()}
-        return t
+        return TauLaurent._raw({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         o = TauLaurent._coerce(other)
@@ -436,9 +440,7 @@ class TauLaurent:
                     out[k] = r
                 else:
                     out.pop(k, None)
-        t = TauLaurent.__new__(TauLaurent)
-        t.terms = out
-        return t
+        return TauLaurent._raw(out)
 
     __rmul__ = __mul__
 

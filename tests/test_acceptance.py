@@ -5,6 +5,8 @@ per criterion.  Every comparison below is exact; a single nonzero residual
 anywhere fails the criterion.
 """
 
+import hashlib
+
 import pytest
 
 from hopftwist.constructors import elementary_abelian_2, group_algebra
@@ -201,3 +203,24 @@ def test_criterion_10_heis_torus(reports):
         and "pairing-balanced" in have
         and "pairing-bimodule" in have,
     )
+
+
+# SHA-256 of run_suite(name).to_json() at the default seed 1729.  A change
+# that alters a report on purpose records the new digest and says why.
+GOLDEN_DIGESTS = {
+    "hopf-axioms": "26819f68e795b136cd04fb06453341ccc5de058eb5d3d6af99c0ac7f665dd24e",
+    "group-cohomology": "4e554eca2aa20018ac3904c2661120c8e94df0ea573fdf7f167ea357570517e4",
+    "octonions": "e3a356045182e2a234f6598e17503ef140aef4f3b3a6167a15edfb2f7547f9c1",
+    "hopf-cochain": "de154b705bd12b2b4835eb1e3e6b908383c73ef7df235b5ba04bd38ea20dacdc",
+    "pbw-gcl": "512c8b08da96d7187739346705c49bd202a919f74dd6ef40a6f78560e5840e33",
+    "moyal": "39260195755912042626c6f311b8ecf3bb98a69dde0f6e7afb963ec336ee2925",
+    "graded-galois": "fa21d303fcd2079cb2ddeb714966a8528c2301ff767306a4c4449a4f26b937bd",
+    "sharp-map": "8d406e5c03e390570d6bd28b70ff6b6b6363996c3078d521e5a6d2835d759e80",
+    "heis-torus": "b4781189b0079bbc66b0d8eca1469146571ef716ee8846dbafc10c9e7a8035d8",
+}
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_golden_report_digest(reports, name):
+    got = hashlib.sha256(reports[name].to_json().encode()).hexdigest()
+    assert got == GOLDEN_DIGESTS[name], "report of %s changed" % name
