@@ -185,8 +185,9 @@ def vf_apply(field, f):
 
 def _pointwise(a, b, scalar, out):
     for (m1, n1, p1, c1), s1 in a.data.items():
+        s1 = s1 * scalar
         for (m2, n2, p2, c2), s2 in b.data.items():
-            _acc(out, (m1 + m2, n1 + n2, p1 + p2, c1 + c2), s1 * s2 * scalar)
+            _acc(out, (m1 + m2, n1 + n2, p1 + p2, c1 + c2), s1 * s2)
 
 
 def star(a, b, theta, convention="main"):

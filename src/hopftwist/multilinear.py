@@ -1199,12 +1199,18 @@ class ModuleAlgebra:
         if len(avecs) != n:
             raise ArityMismatch("%d vectors for arity %d" % (len(avecs), n))
         dim = self.host.dim
+        one = self.host.ring.one()
+        cells = {}  # (digit, leg) -> basis element digit acting on avecs[leg]
         out = {}
         for key, c in ht.data.items():
             digits = decode_key(key, dim, n)
             partial = [((), c)]
             for t in range(n):
-                cell_vec = self.act({digits[t]: self.host.ring.one()}, avecs[t])
+                cell_vec = cells.get((digits[t], t))
+                if cell_vec is None:
+                    cell_vec = cells[digits[t], t] = self.act(
+                        {digits[t]: one}, avecs[t]
+                    )
                 if not cell_vec:
                     partial = []
                     break

@@ -10,6 +10,15 @@ Products of reduced coordinates run through ``cyclo_mul``.
 TauLaurent is a Laurent polynomial in the formal symbol tau whose numeric
 meaning is 2*pi*i, so i/(2*pi) is -tau**-1.  Series is a power series in hbar
 truncated at a fixed order K; binary operations insist on equal K.
+
+A Series product is one loop over the hbar degree pairs (i, j) with
+i + j <= K.  It sums the tau-products of each pair into a plain dict, adds
+that into degree i + j, and builds each coefficient once at the end.  Each
+pair is summed before it is added because Cyclotomic sums keep the lcm of
+their conductors unless they cancel to zero: this order fixes the
+conductors of every result.  A plain number or tau-Laurent factor scales
+the coefficients without being made into a Series, and sums reuse a
+coefficient where the other side is zero.
 """
 
 from fractions import Fraction
@@ -348,11 +357,37 @@ def _cy(x):
     return Fraction(x)
 
 
+def _tau_product(a, b):
+    """Terms of the product of two TauLaurent term dicts, as a new dict.
+
+    A one-term b only shifts the powers of a, so no two products meet and
+    none is zero; otherwise products of equal power are summed and zeros
+    dropped.
+    """
+    if len(b) == 1:
+        (kb, vb), = b.items()
+        return {ka + kb: va * vb for ka, va in a.items()}
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            r = out.get(k, 0) + va * vb
+            if r:
+                out[k] = r
+            else:
+                out.pop(k, None)
+    return out
+
+
 class TauLaurent:
     """Laurent polynomial in tau with cyclotomic coefficients.
 
     tau stands for 2*pi*i, kept formal; tau**-1 carries the 1/(2*pi*i)
     factors that show up in deformation exponents.
+
+    terms is never changed in place once a TauLaurent holds it: Series
+    sums and products hand the same TauLaurent (and the same Fraction and
+    Cyclotomic values) to several results.
     """
 
     __slots__ = ("terms",)
@@ -431,16 +466,7 @@ class TauLaurent:
         o = TauLaurent._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in o.terms.items():
-                k = ka + kb
-                r = out.get(k, 0) + va * vb
-                if r:
-                    out[k] = r
-                else:
-                    out.pop(k, None)
-        return TauLaurent._raw(out)
+        return TauLaurent._raw(_tau_product(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -501,18 +527,27 @@ class TauLaurent:
 # truncated power series in hbar
 
 
+def _tau_sum(a, b):
+    """a + b for TauLaurent values, reusing one side when the other is zero."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b
+    return a + b
+
+
 class Series:
     """Power series in hbar truncated at order K, coefficients in TauLaurent.
 
     All binary operations require both operands truncated at the same K;
-    plain numbers and tau-Laurent values coerce by padding with zeros.
+    plain numbers and tau-Laurent values act as constant series.
     """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
         # coeffs: mapping degree -> coefficient, degrees 0..order
-        row = [TauLaurent({}) for _ in range(order + 1)]
+        row = [TauLaurent._raw({}) for _ in range(order + 1)]
         for k, v in coeffs.items():
             if not 0 <= k <= order:
                 raise ValueError("hbar degree out of range")
@@ -546,17 +581,22 @@ class Series:
     def hbar(order, power=1, coeff=1):
         return Series(order, {power: coeff}) if power <= order else Series(order, {})
 
-    def _coerce(self, x):
+    def _operand(self, x):
+        """x itself if it is a Series of the same order, a plain number or
+        tau-Laurent value as a TauLaurent, None for anything else."""
         if isinstance(x, Series):
             if x.order != self.order:
                 raise OrderMismatch(
                     "series orders differ: %d vs %d" % (self.order, x.order)
                 )
             return x
-        c = TauLaurent._coerce(x)
-        if c is None:
-            return None
-        return Series(self.order, {0: c})
+        return TauLaurent._coerce(x)
+
+    def _coerce(self, x):
+        o = self._operand(x)
+        if isinstance(o, TauLaurent):
+            return Series(self.order, {0: o})
+        return o
 
     def is_zero(self):
         return all(not c for c in self.coeffs)
@@ -575,11 +615,15 @@ class Series:
         return self.coeffs[0]
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
+        if isinstance(o, TauLaurent):
+            return Series._raw(
+                self.order, (_tau_sum(self.coeffs[0], o),) + self.coeffs[1:]
+            )
         return Series._raw(
-            self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)]
+            self.order, [_tau_sum(a, b) for a, b in zip(self.coeffs, o.coeffs)]
         )
 
     __radd__ = __add__
@@ -588,7 +632,7 @@ class Series:
         return Series._raw(self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -600,19 +644,44 @@ class Series:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        """Product truncated at order K: one loop over the degree pairs
+        i + j <= K, each pair's tau-products summed before they join degree
+        i + j, which fixes the Cyclotomic conductors of the result (see the
+        module docstring).  A plain number or tau-Laurent factor scales
+        each coefficient."""
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         K = self.order
-        row = [TauLaurent({}) for _ in range(K + 1)]
+        raw = TauLaurent._raw
+        if isinstance(o, TauLaurent):
+            c = o.terms
+            return Series._raw(
+                K,
+                [raw(_tau_product(a.terms, c)) if a else a for a in self.coeffs],
+            )
+        bs = [b.terms for b in o.coeffs]
+        row = [None] * (K + 1)
         for i, a in enumerate(self.coeffs):
+            a = a.terms
             if not a:
                 continue
             for j in range(K + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    row[i + j] = row[i + j] + a * b
-        return Series._raw(K, row)
+                b = bs[j]
+                if not b:
+                    continue
+                p = _tau_product(a, b)
+                acc = row[i + j]
+                if acc is None:
+                    row[i + j] = p
+                    continue
+                for k, v in p.items():
+                    r = acc.get(k, 0) + v
+                    if r:
+                        acc[k] = r
+                    else:
+                        del acc[k]
+        return Series._raw(K, [raw({} if t is None else t) for t in row])
 
     __rmul__ = __mul__
 
@@ -635,10 +704,8 @@ class Series:
         if not c0:
             raise NonUnit("series with zero constant term has no inverse")
         c0inv = c0.inverse()  # NonUnit propagates for non-monomial constants
-        u = self * Series(self.order, {0: c0inv})
-        n = Series._raw(
-            self.order, [TauLaurent({})] + list(u.coeffs[1:])
-        )
+        u = self * c0inv
+        n = Series._raw(self.order, (TauLaurent._raw({}),) + u.coeffs[1:])
         out = Series.one(self.order)
         term = Series.one(self.order)
         for _ in range(self.order):
@@ -646,7 +713,7 @@ class Series:
             if term.is_zero():
                 break
             out = out - term if _ % 2 == 0 else out + term
-        return out * Series(self.order, {0: c0inv})
+        return out * c0inv
 
     def __truediv__(self, other):
         o = self._coerce(other)

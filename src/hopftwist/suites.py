@@ -569,23 +569,28 @@ def _heis_torus(rng, order, theta):
             b = _rand_heis(order, rng, terms=2, degree=n)
             c = _rand_heis(order, rng, terms=2)
             good = alpha(th, n)
-            bad = 0
+            bad, witness = 0, None
             if not assoc_residual(a, b, c, th, good).is_zero():
                 bad += 1
+                witness = "assoc at alpha_%d(theta)" % n
             mono = HeisElement.monomial(order, 0, n)
             for j in (1, 2, order):
                 perturbed = good + Series.hbar(order, power=j)
                 if assoc_residual(U, mono, V, th, perturbed).is_zero():
                     bad += 1
-            checks.append(_aggregate("reparam-iff:n=%d:theta=%s" % (n, tag), bad))
+                    witness = witness or "perturbation h^%d unseen" % j
+            checks.append(
+                _aggregate("reparam-iff:n=%d:theta=%s" % (n, tag), bad, witness)
+            )
 
     t5 = Series(5, {1: 1, 2: Fraction(1, 3)})
-    bad = 0
+    bad, witness = 0, None
     for j in (-2, 1, 3):
         for k in (-1, 2):
             if alpha(alpha(t5, k), j) != alpha(t5, j + k):
                 bad += 1
-    checks.append(_aggregate("alpha-composition-order5", bad))
+                witness = witness or "j=%d,k=%d" % (j, k)
+    checks.append(_aggregate("alpha-composition-order5", bad, witness))
 
     for n in (1, 2):
         f = _rand_zak(order, n, rng)
@@ -603,38 +608,43 @@ def _heis_torus(rng, order, theta):
     h1 = _rand_zak(3, 1, rng)
     h2 = _rand_zak(3, 1, rng)
     that = alpha(t3, -1)
-    bad = 0
+    bad, witness = 0, None
     for w in ("U", "V", "UV", "VU"):
         L = zak_pair(zak_act_right(w, h1, t3), h2, t3)
         R = zak_pair(h1, zak_act_left(w, h2, that), t3)
         if L != R:
             bad += 1
-    checks.append(_aggregate("pairing-balanced", bad))
+            witness = witness or w
+    checks.append(_aggregate("pairing-balanced", bad, witness))
 
-    bad = 0
+    bad, witness = 0, None
     for w in ("U", "V", "UV"):
         if zak_act_left(w, zak_pair(h1, h2, t3), that) != zak_pair(
             zak_act_left(w, h1, t3), h2, t3
         ):
             bad += 1
+            witness = witness or "%s:left" % w
         if zak_act_right(w, zak_pair(h1, h2, t3), that) != zak_pair(
             h1, zak_act_right(w, h2, that), t3
         ):
             bad += 1
-    checks.append(_aggregate("pairing-bimodule", bad))
+            witness = witness or "%s:right" % w
+    checks.append(_aggregate("pairing-bimodule", bad, witness))
 
     thp = alpha(theta, 1)
     a = _rand_heis(order, rng, terms=2, degree=0)
     b = _rand_heis(order, rng, terms=2, degree=0)
     f = _rand_heis(order, rng, terms=2, degree=1)
-    bad = 0
-    if not assoc_residual(a, f, b, theta, thp).is_zero():
-        bad += 1
-    if not assoc_residual(a, b, f, thp, thp).is_zero():
-        bad += 1
-    if not assoc_residual(f, a, b, theta, theta).is_zero():
-        bad += 1
-    checks.append(_aggregate("monomial-bimodule", bad))
+    bad, witness = 0, None
+    for tag, x, y, z, t, tp in (
+        ("a*f*b", a, f, b, theta, thp),
+        ("a*b*f", a, b, f, thp, thp),
+        ("f*a*b", f, a, b, theta, theta),
+    ):
+        if not assoc_residual(x, y, z, t, tp).is_zero():
+            bad += 1
+            witness = witness or tag
+    checks.append(_aggregate("monomial-bimodule", bad, witness))
     return checks
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hopftwist import heis_torus, suites
 from hopftwist.errors import SchemaError, UnknownSuite
 from hopftwist.suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -104,3 +105,33 @@ def test_octonion_suite_records_the_census():
     assert by_id["coboundary-sign-census"].ok
     assert by_id["twist-not-closed"].ok
     assert by_id["norm-seeded-100"].ok
+
+
+def test_heis_torus_witnesses_a_wrong_reparametrization(monkeypatch):
+    real = heis_torus.alpha
+
+    def shifted(theta, k, convention="main"):
+        return real(theta, k + 1, convention)
+
+    # the suite body and the Zak left action both call alpha
+    monkeypatch.setattr(heis_torus, "alpha", shifted)
+    monkeypatch.setattr(suites, "alpha", shifted)
+    checks = {c.id: c for c in run_suite("heis-torus").checks}
+    assert checks["reparam-iff:n=1:theta=h"].witness == "assoc at alpha_1(theta)"
+    assert checks["alpha-composition-order5"].witness == "j=-2,k=-1"
+    assert checks["pairing-balanced"].witness == "U"
+    assert checks["pairing-bimodule"].witness == "U:left"
+    assert checks["monomial-bimodule"].witness == "a*f*b"
+    passing = [c for c in checks.values() if c.ok]
+    assert passing and all(c.witness is None for c in passing)
+
+
+def test_heis_torus_witnesses_an_unseen_perturbation(monkeypatch):
+    monkeypatch.setattr(
+        suites,
+        "assoc_residual",
+        lambda a, b, c, theta, theta_p: heis_torus.HeisElement.zero(a.order),
+    )
+    check = {c.id: c for c in run_suite("heis-torus").checks}["reparam-iff:n=2:theta=h"]
+    assert check.residual_term_count == 3
+    assert check.witness == "perturbation h^1 unseen"
