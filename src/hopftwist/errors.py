@@ -57,10 +57,6 @@ class NotPrimitiveRoot(HopftwistError):
     pass
 
 
-class LengthOverflow(HopftwistError):
-    pass
-
-
 class WindowOverflow(HopftwistError):
     pass
 

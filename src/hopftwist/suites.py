@@ -17,10 +17,8 @@ from .constructors import (
     dual_pairing_report,
     elementary_abelian_2,
     group_algebra,
-    pareigis_axiom_report,
     pareigis_window,
     pauli_8,
-    shuffle_axiom_report,
     shuffle_bialgebra,
     symmetric_3,
     taft,
@@ -137,10 +135,6 @@ def _prefix(label, checks):
     return [c.renamed("%s:%s" % (label, c.id)) for c in checks]
 
 
-def _aggregate(id, failures, witness=None):
-    return CheckOutcome.from_residual(id, failures, witness)
-
-
 # ---------------------------------------------------------------------------
 # suite bodies
 
@@ -162,9 +156,9 @@ def _hopf_axioms(rng, order, theta):
     for p in (2, 3, 5):
         checks.extend(_prefix("taft%d" % p, verify_hopf(taft(p))))
     B = shuffle_bialgebra(2, 4)
-    checks.extend(_prefix("shuffle", shuffle_axiom_report(B)))
+    checks.extend(_prefix("shuffle", verify_hopf(B)))
     checks.extend(_prefix("shuffle", word_pin_report(B)))
-    checks.extend(_prefix("pareigis4", pareigis_axiom_report(pareigis_window(4))))
+    checks.extend(_prefix("pareigis4", verify_hopf(pareigis_window(4))))
     for name, G in groups:
         checks.extend(_prefix("pairing[%s]" % name, dual_pairing_report(G)))
     checks.extend(_prefix("z2-dual-iso", z2_dual_iso_report()))
@@ -185,7 +179,7 @@ def _group_cohomology(rng, order, theta):
                 c = random_group_cochain(G, arity, rng)
                 if not is_constant_one(group_coboundary(group_coboundary(c))):
                     bad += 1
-            checks.append(_aggregate("ddelta-trivial:%s:arity%d" % (name, arity), bad))
+            checks.append(CheckOutcome.from_residual("ddelta-trivial:%s:arity%d" % (name, arity), bad))
         c1 = random_group_cochain(G, 1, rng)
         out = is_cocycle(group_coboundary(c1))
         checks.append(out.renamed("coboundary-closed:%s" % name))
@@ -214,7 +208,7 @@ def _group_cohomology(rng, order, theta):
         out = is_cocycle(F, window=W)
         outs = out if isinstance(out, list) else [out]
         checks.append(
-            _aggregate("%s:cocycle" % tag, sum(1 for o in outs if not o.ok))
+            CheckOutcome.from_residual("%s:cocycle" % tag, sum(1 for o in outs if not o.ok))
         )
         u = is_unital(F)
         checks.append(u.renamed("%s:unital" % tag))
@@ -235,12 +229,12 @@ def _octonions(rng, order, theta):
     one = Fraction(1)
     checks = []
 
-    bad = sum(
-        1
-        for i in range(8)
-        if O.basis_mul(0, i) != {i: one} or O.basis_mul(i, 0) != {i: one}
-    )
-    checks.append(_aggregate("unit-laws", bad))
+    bad, witness = 0, None
+    for i in range(8):
+        if O.basis_mul(0, i) != {i: one} or O.basis_mul(i, 0) != {i: one}:
+            bad += 1
+            witness = witness or O.labels[i]
+    checks.append(CheckOutcome.from_residual("unit-laws", bad, witness))
 
     dF = O.associator
     bad = 0
@@ -258,28 +252,30 @@ def _octonions(rng, order, theta):
                 if lhs != rhs:
                     bad += 1
                     witness = witness or repr((a, b, c))
-    checks.append(_aggregate("quasi-associativity-512", bad, witness))
+    checks.append(CheckOutcome.from_residual("quasi-associativity-512", bad, witness))
 
-    bad = 0
+    bad, witness = 0, None
     for a in range(8):
         x = {a: one}
         xx = O.elem_mul(x, x)
         for b in range(8):
             y = {b: one}
-            if O.elem_mul(x, O.elem_mul(x, y)) != O.elem_mul(xx, y):
-                bad += 1
-            if O.elem_mul(O.elem_mul(y, x), x) != O.elem_mul(y, xx):
-                bad += 1
-    checks.append(_aggregate("alternativity-basis", bad))
+            left = O.elem_mul(x, O.elem_mul(x, y)) != O.elem_mul(xx, y)
+            right = O.elem_mul(O.elem_mul(y, x), x) != O.elem_mul(y, xx)
+            if left or right:
+                bad += left + right
+                witness = witness or "(%s,%s)" % (O.labels[a], O.labels[b])
+    checks.append(CheckOutcome.from_residual("alternativity-basis", bad, witness))
 
-    bad = sum(
-        1
-        for a in range(8)
-        for b in range(8)
-        if octonion_norm(O, O.elem_mul({a: one}, {b: one}))
-        != octonion_norm(O, {a: one}) * octonion_norm(O, {b: one})
-    )
-    checks.append(_aggregate("norm-basis-pairs", bad))
+    bad, witness = 0, None
+    for a in range(8):
+        na = octonion_norm(O, {a: one})
+        for b in range(8):
+            ab = O.elem_mul({a: one}, {b: one})
+            if octonion_norm(O, ab) != na * octonion_norm(O, {b: one}):
+                bad += 1
+                witness = witness or "(%s,%s)" % (O.labels[a], O.labels[b])
+    checks.append(CheckOutcome.from_residual("norm-basis-pairs", bad, witness))
 
     bad = 0
     witness = None
@@ -292,7 +288,7 @@ def _octonions(rng, order, theta):
         if octonion_norm(O, w) != octonion_norm(O, u) * octonion_norm(O, v):
             bad += 1
             witness = witness or "trial %d" % t
-    checks.append(_aggregate("norm-seeded-100", bad, witness))
+    checks.append(CheckOutcome.from_residual("norm-seeded-100", bad, witness))
 
     dFc = group_coboundary(fano)
     neg = [k for k, v in dFc.table.items() if v == -1]
@@ -302,7 +298,7 @@ def _octonions(rng, order, theta):
     if any(v not in (1, -1) for v in dFc.table.values()):
         census_bad += 1
     checks.append(
-        _aggregate("coboundary-sign-census", census_bad, "m(1,2,4)")
+        CheckOutcome.from_residual("coboundary-sign-census", census_bad, "m(1,2,4)")
     )
 
     closed = is_cocycle(fano)
@@ -326,15 +322,18 @@ def _hopf_cochain(rng, order, theta):
     ]
     for label, H, kind in plain_hosts:
         unit3 = LegTensor.unit(H, 3)
-        bad = 0
-        for _ in range(20):
+        bad, witness = 0, None
+        for t in range(20):
             if kind == "element":
                 c = random_invertible_element_cochain(H, rng)
             else:
                 c = random_pointwise_cochain(H, rng, 1)
             if not dsquared(c).eq(unit3):
                 bad += 1
-        checks.append(_aggregate("dsquared-unit:%s" % label, bad))
+                witness = witness or "trial %d" % t
+        checks.append(
+            CheckOutcome.from_residual("dsquared-unit:%s" % label, bad, witness)
+        )
 
     series_pool = [
         ("k[Z2^3]+h", group_algebra(elementary_abelian_2(3)), None, 7),
@@ -344,12 +343,15 @@ def _hopf_cochain(rng, order, theta):
     for label, H0, grp, count in series_pool:
         H = with_series_ring(H0, 2)
         unit4 = LegTensor.unit(H, 4)
-        bad = 0
-        for _ in range(count):
+        bad, witness = 0, None
+        for t in range(count):
             c = random_invariant_two_cochain(H, rng, group=grp)
             if not dsquared(c).eq(unit4):
                 bad += 1
-        checks.append(_aggregate("dsquared-invariant:%s" % label, bad))
+                witness = witness or "trial %d" % t
+        checks.append(
+            CheckOutcome.from_residual("dsquared-invariant:%s" % label, bad, witness)
+        )
 
     # exact counterexample: d of a non-invariant cochain on the Pauli group
     P8 = pauli_8()
@@ -388,7 +390,7 @@ def _hopf_cochain(rng, order, theta):
                 if not ck.ok:
                     bad += 1
                     witness = witness or "%s trial %d" % (ck.id, t)
-        checks.append(_aggregate("twist-quasi:%s" % label, bad, witness))
+        checks.append(CheckOutcome.from_residual("twist-quasi:%s" % label, bad, witness))
 
     # the octonions as a module-algebra twist over the dual of (Z/2)^3
     G8, fano, Oct = fano_octonions()
@@ -404,7 +406,7 @@ def _hopf_cochain(rng, order, theta):
     bad += sum(1 for ck in verify_quasi(R) if not ck.ok)
     if not equivariant_twist_check(FF, R):
         bad += 1
-    checks.append(_aggregate("octonion-module-twist", bad))
+    checks.append(CheckOutcome.from_residual("octonion-module-twist", bad))
     return checks
 
 
@@ -422,7 +424,7 @@ def _pbw_gcl(rng, order, theta):
         except RuntimeError:
             bad += 1
             witness = witness or "pair %d" % t
-    checks.append(_aggregate("coassociator-seeded", bad, witness))
+    checks.append(CheckOutcome.from_residual("coassociator-seeded", bad, witness))
 
     th = Series(order, {1: Fraction(2, 3)})
     lam = th * TauLaurent.tau(-1)
@@ -489,20 +491,20 @@ def _graded_galois(rng, order, theta):
             all(c.ok for g in range(n) for c in smeb_check(ga, g)),
         ]
         bad = sum(1 for v in verdicts if v != expect)
-        checks.append(_aggregate("fourway:%s" % name, bad))
+        checks.append(CheckOutcome.from_residual("fourway:%s" % name, bad))
     for name, ga, expect in window_battery():
         verdicts = [
             strong_grading(ga).strong,
             all(c.ok for g in (1, -1) for c in smeb_check(ga, g)),
         ]
         bad = sum(1 for v in verdicts if v != expect)
-        checks.append(_aggregate("fourway-window:%s" % name, bad))
+        checks.append(CheckOutcome.from_residual("fourway-window:%s" % name, bad))
 
     crossed = [
         (name, ga) for name, ga, _ in battery() if name.endswith("crossed")
     ]
     bad = sum(1 for _, ga in crossed if not strong_grading(ga).strong)
-    checks.append(_aggregate("crossed-products-strong", bad))
+    checks.append(CheckOutcome.from_residual("crossed-products-strong", bad))
 
     for name, ga, _ in battery():
         rep = ideal_property_report(ga)
@@ -534,7 +536,7 @@ def _sharp_map(rng, order, theta):
                 if not ck.ok:
                     bad += 1
                     witness = witness or repr(entries)
-    checks.append(_aggregate("laws-exhaustive-%d-tuples" % total, bad, witness))
+    checks.append(CheckOutcome.from_residual("laws-exhaustive-%d-tuples" % total, bad, witness))
 
     frozen = [
         ((1, 2, 3), (6, 3, 2)),
@@ -544,7 +546,7 @@ def _sharp_map(rng, order, theta):
     from .graded import sharp
 
     bad = sum(1 for inp, out in frozen if sharp(inp) != out)
-    checks.append(_aggregate("frozen-examples", bad))
+    checks.append(CheckOutcome.from_residual("frozen-examples", bad))
     return checks
 
 
@@ -560,7 +562,7 @@ def _heis_torus(rng, order, theta):
     uv = star(U, V, theta)
     vu = star(V, U, theta)
     resid = uv.sub(vu.scale(series_exp(theta * tau)))
-    checks.append(_aggregate("uv-commutation", resid.term_count()))
+    checks.append(CheckOutcome.from_residual("uv-commutation", resid.term_count()))
 
     for n in (-2, -1, 1, 2):
         for tag, terms in (("h", {1: 1}), ("h+h^2", {1: 1, 2: 1})):
@@ -580,7 +582,7 @@ def _heis_torus(rng, order, theta):
                     bad += 1
                     witness = witness or "perturbation h^%d unseen" % j
             checks.append(
-                _aggregate("reparam-iff:n=%d:theta=%s" % (n, tag), bad, witness)
+                CheckOutcome.from_residual("reparam-iff:n=%d:theta=%s" % (n, tag), bad, witness)
             )
 
     t5 = Series(5, {1: 1, 2: Fraction(1, 3)})
@@ -590,19 +592,19 @@ def _heis_torus(rng, order, theta):
             if alpha(alpha(t5, k), j) != alpha(t5, j + k):
                 bad += 1
                 witness = witness or "j=%d,k=%d" % (j, k)
-    checks.append(_aggregate("alpha-composition-order5", bad, witness))
+    checks.append(CheckOutcome.from_residual("alpha-composition-order5", bad, witness))
 
     for n in (1, 2):
         f = _rand_zak(order, n, rng)
         lhs = zak_act_left("UV", f, theta)
         rhs = zak_act_left("VU", f, theta)
         resid = lhs.sub(rhs.scale(series_exp(alpha(theta, n) * tau)))
-        checks.append(_aggregate("zak-left-commutation:n=%d" % n, resid.term_count()))
+        checks.append(CheckOutcome.from_residual("zak-left-commutation:n=%d" % n, resid.term_count()))
         f2 = _rand_zak(order, n, rng)
         lhs = zak_act_right("UV", f2, theta)
         rhs = zak_act_right("VU", f2, theta)
         resid = lhs.sub(rhs.scale(series_exp(theta * tau)))
-        checks.append(_aggregate("zak-right-commutation:n=%d" % n, resid.term_count()))
+        checks.append(CheckOutcome.from_residual("zak-right-commutation:n=%d" % n, resid.term_count()))
 
     t3 = Series.hbar(3)
     h1 = _rand_zak(3, 1, rng)
@@ -615,7 +617,7 @@ def _heis_torus(rng, order, theta):
         if L != R:
             bad += 1
             witness = witness or w
-    checks.append(_aggregate("pairing-balanced", bad, witness))
+    checks.append(CheckOutcome.from_residual("pairing-balanced", bad, witness))
 
     bad, witness = 0, None
     for w in ("U", "V", "UV"):
@@ -629,7 +631,7 @@ def _heis_torus(rng, order, theta):
         ):
             bad += 1
             witness = witness or "%s:right" % w
-    checks.append(_aggregate("pairing-bimodule", bad, witness))
+    checks.append(CheckOutcome.from_residual("pairing-bimodule", bad, witness))
 
     thp = alpha(theta, 1)
     a = _rand_heis(order, rng, terms=2, degree=0)
@@ -644,7 +646,7 @@ def _heis_torus(rng, order, theta):
         if not assoc_residual(x, y, z, t, tp).is_zero():
             bad += 1
             witness = witness or tag
-    checks.append(_aggregate("monomial-bimodule", bad, witness))
+    checks.append(CheckOutcome.from_residual("monomial-bimodule", bad, witness))
     return checks
 
 
@@ -711,10 +713,10 @@ def run_suite(name, order=None, theta=None, seed=None):
     started = time.monotonic()
     if name == "all":
         checks = []
-        rng = random.Random(seed)
         theta_v = _check_theta(theta, order)
         for sub in SUITE_NAMES:
-            checks.extend(_prefix(sub, _BODIES[sub](rng, order, theta_v)))
+            body = _BODIES[sub](random.Random(seed), order, theta_v)
+            checks.extend(_prefix(sub, body))
     elif name in _BODIES:
         rng = random.Random(seed)
         theta_v = _check_theta(theta, order)

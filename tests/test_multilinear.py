@@ -22,12 +22,7 @@ from hopftwist.errors import (
 from hopftwist.multilinear import (
     LegTensor,
     ModuleAlgebra,
-    antipode_map,
-    convolution,
-    identity_map,
-    maps_equal,
     tensor_invert,
-    unit_counit_map,
     verify_hopf,
     with_series_ring,
 )
@@ -210,14 +205,6 @@ def test_act_tensor_legwise():
     out = mod.act_tensor(t, [{2: one}, {3: one}])
     assert out == {(2, 3): Fraction(5)}
     assert mod.act_tensor(t, [{0: one}, {3: one}]) == {}
-
-
-def test_antipode_convolution_gives_counit_unit():
-    s = antipode_map(KS3)
-    i = identity_map(KS3)
-    target = unit_counit_map(KS3)
-    assert maps_equal(convolution(KS3, s, i), target)
-    assert maps_equal(convolution(KS3, i, s), target)
 
 
 def test_verify_hopf_group_host():

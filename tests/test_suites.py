@@ -1,9 +1,16 @@
 """The named check suites: coverage, determinism, flag handling."""
 
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from hopftwist import heis_torus, suites
 from hopftwist.errors import SchemaError, UnknownSuite
+from hopftwist.group_cohomology import fano_octonions, octonion_norm
+from hopftwist.multilinear import LegTensor
+from hopftwist.reporting import CheckOutcome
 from hopftwist.suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 # the slow suite (hopf-cochain) is exercised by the acceptance gate;
@@ -135,3 +142,100 @@ def test_heis_torus_witnesses_an_unseen_perturbation(monkeypatch):
     check = {c.id: c for c in run_suite("heis-torus").checks}["reparam-iff:n=2:theta=h"]
     assert check.residual_term_count == 3
     assert check.witness == "perturbation h^1 unseen"
+
+
+def test_all_gives_each_suite_a_fresh_rng(monkeypatch):
+    def body(rng, order, theta):
+        return [CheckOutcome.passed("draw=%r" % rng.random())]
+
+    monkeypatch.setattr(suites, "_BODIES", {name: body for name in SUITE_NAMES})
+    every = run_suite("all", seed=7)
+    alone = [
+        "%s:%s" % (name, c.id)
+        for name in SUITE_NAMES
+        for c in run_suite(name, seed=7).checks
+    ]
+    assert [c.id for c in every.checks] == alone
+    assert alone[0] == "hopf-axioms:draw=%r" % random.Random(7).random()
+    assert len(set(c.id.split(":")[1] for c in every.checks)) == 1
+
+
+def test_dsquared_failures_name_their_trial(monkeypatch):
+    # d^2 is the unit on every trial but the fourth of the first host and
+    # the sixth of k[S3]+h (call 100 + 7 + 5); the twists are stubbed out
+    calls = []
+
+    def dsquared(c):
+        calls.append(c)
+        unit = LegTensor.unit(c.host, c.arity + 2)
+        return unit.scale(2) if len(calls) in (4, 113) else unit
+
+    monkeypatch.setattr(suites, "dsquared", dsquared)
+    monkeypatch.setattr(
+        suites,
+        "twist",
+        lambda host, F, module=None: SimpleNamespace(
+            twisted_algebra=SimpleNamespace(mult=None)
+        ),
+    )
+    monkeypatch.setattr(suites, "verify_quasi", lambda R: [])
+    monkeypatch.setattr(suites, "equivariant_twist_check", lambda F, R: True)
+    checks = {c.id: c for c in run_suite("hopf-cochain").checks}
+    failed = {
+        i: (c.residual_term_count, c.witness)
+        for i, c in checks.items()
+        if i.startswith("dsquared") and not c.ok
+    }
+    assert failed == {
+        "dsquared-unit:k[Z2^3]": (1, "trial 3"),
+        "dsquared-invariant:k[S3]+h": (1, "trial 5"),
+    }
+
+
+def _octonions_with(monkeypatch, attr, wrap):
+    """The octonions suite over an algebra whose attr is wrap(attr)."""
+
+    def build():
+        G, F, O = fano_octonions()
+        setattr(O, attr, wrap(getattr(O, attr)))
+        return G, F, O
+
+    monkeypatch.setattr(suites, "fano_octonions", build)
+    return {c.id: c for c in run_suite("octonions").checks}
+
+
+def test_octonion_unit_laws_name_the_label(monkeypatch):
+    def basis_mul(real):
+        return lambda i, j: {3: -Fraction(1)} if (i, j) == (3, 0) else real(i, j)
+
+    ck = _octonions_with(monkeypatch, "basis_mul", basis_mul)["unit-laws"]
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 1, "e3")
+
+
+def test_octonion_alternativity_names_the_pair(monkeypatch):
+    one = Fraction(1)
+
+    def elem_mul(real):
+        # e1 * e2 comes out negated; -x has the norm of x
+        def mul(u, v):
+            w = real(u, v)
+            if (u, v) == ({1: one}, {2: one}):
+                return {k: -c for k, c in w.items()}
+            return w
+
+        return mul
+
+    checks = _octonions_with(monkeypatch, "elem_mul", elem_mul)
+    ck = checks["alternativity-basis"]
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 2, "(e1,e2)")
+    assert checks["norm-basis-pairs"].ok
+
+
+def test_octonion_norm_pairs_name_the_pair(monkeypatch):
+    def norm(O, u):
+        # e5 alone gets norm 2, so N(e1 e4) = N(+-e5) != N(e1) N(e4)
+        return octonion_norm(O, u) + (1 if list(u) == [5] else 0)
+
+    monkeypatch.setattr(suites, "octonion_norm", norm)
+    ck = {c.id: c for c in run_suite("octonions").checks}["norm-basis-pairs"]
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 19, "(e1,e4)")
