@@ -17,7 +17,7 @@ emits text that parses back to an equal value.
 from fractions import Fraction
 
 from .errors import NonUnit, ParseError
-from .scalars import Cyclotomic, Series, TauLaurent
+from .scalars import Cyclotomic, Series, TauLaurent, root_of_unity
 
 
 class _Tok:
@@ -170,7 +170,7 @@ class _Parser:
             if N < 1:
                 raise ParseError("z conductor must be positive", ntok.line, ntok.col)
             k = -int(ktok.text) if neg else int(ktok.text)
-            return Cyclotomic(N, {k % N: 1})
+            return root_of_unity(k, N)
         if t.kind == "tau":
             self.take()
             return TauLaurent.tau()

@@ -262,6 +262,8 @@ class TorusCochain:
         return (self.p * (j * n - k * m)) % self.two_q
 
     def value(self, a, b):
+        """The cached root of unity, so products in the cyclotomic window
+        are exponent additions."""
         return root_of_unity(self.exponent(a, b), self.two_q)
 
     def cocycle_report(self, window):
@@ -309,9 +311,10 @@ class TorusCoboundary:
         self.base = c
 
     def exponent(self, a, b, c):
-        add = lambda u, v: (u[0] + v[0], u[1] + v[1])  # noqa: E731
         e = self.base.exponent
-        raw = e(b, c) - e(add(a, b), c) + e(a, add(b, c)) - e(a, b)
+        ab = (a[0] + b[0], a[1] + b[1])
+        bc = (b[0] + c[0], b[1] + c[1])
+        raw = e(b, c) - e(ab, c) + e(a, bc) - e(a, b)
         return raw % self.base.two_q
 
     def value(self, a, b, c):
@@ -371,6 +374,14 @@ class TorusWindowAlgebra:
             "uv-commutation", 0 if ok else 1,
             None if ok else "U*V vs V*U",
         )
+
+
+def normalized(c):
+    """c divided by its value at (e, ..., e).  The coboundary of a
+    normalized 1-cochain is unital: dF(e, g) = F(e)."""
+    e = (c.group.identity,) * c.arity
+    ce = c.table[e]
+    return GroupCochain(c.group, c.arity, {k: v / ce for k, v in c.table.items()})
 
 
 def random_group_cochain(G, arity, rng):

@@ -91,7 +91,8 @@ def tensor_convolve(a, b, dim, arity, base):
     read from key-product rows: the legs are split into one or two blocks
     of at most two legs, and a row of a block value x maps every block
     value y to stride * key(x*y).  Otherwise the cells are expanded leg by
-    leg.  The b keys are decoded once.
+    leg, and a pair of keys with an empty cell on any leg is skipped before
+    its product is formed.  The b keys are decoded once.
     """
     out = {}
     get = out.get
@@ -137,8 +138,11 @@ def tensor_convolve(a, b, dim, arity, base):
         for ka, va in a.items():
             row = ka * dim
             for kb, vb in b.items():
+                cell = base[row + kb]
+                if not cell:
+                    continue
                 c = va * vb
-                for k, w in base[row + kb]:
+                for k, w in cell:
                     v = c if w is None else c * w
                     r = get(k, 0) + v
                     if r:
@@ -147,7 +151,6 @@ def tensor_convolve(a, b, dim, arity, base):
                         out.pop(k, None)
         return out
     strides = [dim ** (arity - 1 - t) for t in range(arity)]
-    legs = list(enumerate(strides))
     bd = []
     for kb, vb in b.items():
         db = []
@@ -163,12 +166,11 @@ def tensor_convolve(a, b, dim, arity, base):
             da.append((r // s) * dim)
             r %= s
         for db, vb in bd:
+            cells = [base[x + y] for x, y in zip(da, db)]
+            if not all(cells):
+                continue
             partial = [(0, va * vb)]
-            for t, st in legs:
-                cell = base[da[t] + db[t]]
-                if not cell:
-                    partial = []
-                    break
+            for cell, st in zip(cells, strides):
                 nxt = []
                 for acc, cv in partial:
                     for k, w in cell:
@@ -1082,9 +1084,6 @@ class LegTensor:
             rows = [_row([(contract(nums), den)]) for nums, den in A]
             return LegTensor._of_rows(host, self.arity - 1, rows)
         return LegTensor(host, self.arity - 1, contract(self.data), _checked=True)
-
-    def unit_like(self, arity):
-        return LegTensor.unit(self.host, arity)
 
     def __repr__(self):
         return "LegTensor(%s, arity=%d, %d terms)" % (

@@ -5,7 +5,12 @@ Cyclotomic values live in the reduced power basis 1, z, ..., z^(phi(N)-1) of
 Q(z) with z = e^(2*pi*i/N); coordinates are Fractions keyed by exponent and
 zero coordinates are never stored.  Mixed-conductor arithmetic aligns both
 operands at the lcm conductor.  Conductors are never minimized automatically.
-Products of reduced coordinates run through ``cyclo_mul``.
+Products of reduced coordinates run through ``cyclo_mul``, except the one
+scalar fast path: ``root_of_unity`` hands out one cached value per exponent
+and conductor, tagged with its exponent, and the product of two tagged roots
+is the root whose exponent is the sum of theirs at the lcm conductor.  The
+reduced basis is a basis, so that root has the coordinates ``cyclo_mul``
+would give.
 
 TauLaurent is a Laurent polynomial in the formal symbol tau whose numeric
 meaning is 2*pi*i, so i/(2*pi) is -tau**-1.  Series is a power series in hbar
@@ -168,12 +173,19 @@ def _lcm(a, b):
 
 
 class Cyclotomic:
-    """Element of Q(e^(2*pi*i/N)) in the reduced power basis."""
+    """Element of Q(e^(2*pi*i/N)) in the reduced power basis.
 
-    __slots__ = ("conductor", "coords")
+    root is the exponent e of a value made by root_of_unity(e, N), and None
+    for every other value: only a product of two tagged roots, or a tagged
+    root times the rational 1, is tagged again.  Values are never changed
+    in place, so the cached roots can be shared.
+    """
+
+    __slots__ = ("conductor", "coords", "root")
 
     def __init__(self, conductor, coords, _reduced=False):
         self.conductor = conductor
+        self.root = None
         if _reduced:
             self.coords = coords
         else:
@@ -263,10 +275,17 @@ class Cyclotomic:
         o = Cyclotomic._coerce(other)
         if o is None:
             return NotImplemented
+        if self.root is not None and o.root is not None:
+            m = _lcm(self.conductor, o.conductor)
+            return root_of_unity(
+                self.root * (m // self.conductor) + o.root * (m // o.conductor), m
+            )
         if o.conductor == 1:
             q = o.coords.get(0)
             if q is None:
                 return Cyclotomic(self.conductor, {}, _reduced=True)
+            if q == 1:
+                return self
             return Cyclotomic(
                 self.conductor,
                 {e: v * q for e, v in self.coords.items()},
@@ -339,11 +358,22 @@ class Cyclotomic:
         return "Cyclotomic(%d, %r)" % (self.conductor, self.coords)
 
 
+_ROOTS = {}
+
+
 def root_of_unity(p, q):
-    """e^(2*pi*i*p/q) at conductor q.  No conductor minimization."""
+    """e^(2*pi*i*p/q) at conductor q.  No conductor minimization.
+
+    One cached value per (p % q, q), tagged with its exponent p % q, so that
+    products of roots are exponent additions (see Cyclotomic.__mul__)."""
     if q < 1:
         raise ValueError("conductor must be positive")
-    return Cyclotomic(q, {p % q: Fraction(1)})
+    e = p % q
+    r = _ROOTS.get((e, q))
+    if r is None:
+        r = _ROOTS[e, q] = Cyclotomic(q, {e: Fraction(1)})
+        r.root = e
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .group_cohomology import (
     is_cocycle,
     is_constant_one,
     is_unital,
+    normalized,
     octonion_norm,
     random_group_cochain,
     root_of_unity,
@@ -184,9 +185,10 @@ def _group_cohomology(rng, order, theta):
         out = is_cocycle(group_coboundary(c1))
         checks.append(out.renamed("coboundary-closed:%s" % name))
 
-    # a coboundary twist gives an associative algebra, the Fano cochain not
+    # a coboundary twist gives an associative algebra, the Fano cochain not;
+    # normalizing F(e) = 1 makes dF unital, so the twist exists on every seed
     S3 = symmetric_3()
-    dF = group_coboundary(random_group_cochain(S3, 1, rng))
+    dF = group_coboundary(normalized(random_group_cochain(S3, 1, rng)))
     A = twisted_group_algebra(S3, dF)
     checks.append(
         CheckOutcome.from_residual(

@@ -48,6 +48,14 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_verify_group_cohomology_on_a_seed_with_non_unital_draw(capsys):
+    # seed 1 draws a 1-cochain with F(e) != 1, whose coboundary is not unital
+    assert main(["verify", "group-cohomology", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "pass  twist-assoc-iff-cocycle:pos" in out
+    assert err == ""
+
+
 def test_verify_unknown_suite_exit_two(capsys):
     assert main(["verify", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -23,6 +23,7 @@ def test_parse_roots_of_unity():
     assert parse("z(4,1)^2") == -1
     assert parse("z(8,1)*z(8,7)") == 1
     assert parse("z(6,-1)") == root_of_unity(5, 6)
+    assert parse("z(6,-1)") is root_of_unity(5, 6)
     v = parse("2*z(8,1)^2 - 1/3")
     assert v == 2 * root_of_unity(2, 8) - Fraction(1, 3)
 

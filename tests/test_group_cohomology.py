@@ -16,6 +16,7 @@ from hopftwist.group_cohomology import (
     is_cocycle,
     is_constant_one,
     is_unital,
+    normalized,
     random_group_cochain,
     root_of_unity,
     torus_cochain,
@@ -139,6 +140,20 @@ def test_twisted_group_algebra_assoc_iff_cocycle():
     assert B.associator == {k: v for k, v in group_coboundary(FCOCHAIN).table.items()}
 
 
+def test_normalized_coboundary_twists_on_every_seed():
+    S3 = symmetric_3()
+    unital = 0
+    for seed in range(1, 201):
+        F = random_group_cochain(S3, 1, random.Random(seed))
+        unital += is_unital(group_coboundary(F)).ok
+        N = normalized(F)
+        assert N.table[(S3.identity,)] == 1
+        A = twisted_group_algebra(S3, group_coboundary(N))
+        assert A.assoc_flag == "associative"
+    # without the normalization most draws have no twist
+    assert unital < 50
+
+
 @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
 def test_torus_cochain_cocycle_and_unital(theta):
     F, W = torus_cochain(theta, 5)
@@ -170,6 +185,14 @@ class _NotACocycle(TorusCochain):
 def test_torus_exponent_window_fails_on_a_non_cocycle():
     checks = {c.id: c for c in is_cocycle(_NotACocycle(Fraction(1, 3)), window=5)}
     ck = checks["cocycle-exponent-window-3"]
+    assert not ck.ok
+    assert ck.residual_term_count > 0 and ck.witness
+
+
+def test_torus_cyclotomic_window_fails_on_a_non_cocycle():
+    # the window multiplies the cached roots that value() returns
+    checks = {c.id: c for c in is_cocycle(_NotACocycle(Fraction(1, 3)), window=5)}
+    ck = checks["cocycle-cyclotomic-window-2"]
     assert not ck.ok
     assert ck.residual_term_count > 0 and ck.witness
 

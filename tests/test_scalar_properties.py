@@ -1,13 +1,22 @@
 """Property tests of Fraction and Cyclotomic values: the render/parse round
-trip, the field axioms across conductors 1-12, and inverses."""
+trip, the field axioms across conductors 1-12, inverses, and the tagged
+root-of-unity fast path against the generic product."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftwist.grammar import parse, render
-from hopftwist.scalars import Cyclotomic
+from hopftwist.scalars import (
+    _ROOTS,
+    Cyclotomic,
+    _phi_deg,
+    _rows_list,
+    cyclo_mul,
+    root_of_unity,
+)
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -55,3 +64,80 @@ def test_cyclotomic_inverse(x):
     if x:
         assert x * x.inverse() == 1
         assert x.inverse() * x == 1
+
+
+roots = st.builds(root_of_unity, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _untagged(x):
+    """A value with the coordinates of x and no root tag."""
+    return Cyclotomic(x.conductor, dict(x.coords), _reduced=True)
+
+
+@SETTINGS
+@given(roots, roots)
+def test_tagged_product_is_the_generic_product(a, b):
+    got = a * b
+    m = lcm(a.conductor, b.conductor)
+    want = cyclo_mul(
+        a._embedded(m), b._embedded(m), m, _phi_deg(m), _rows_list(m)
+    )
+    assert (got.conductor, got.coords) == (m, want)
+    assert got is root_of_unity(got.root, m)
+    generic = _untagged(a) * _untagged(b)
+    assert generic.root is None
+    assert (generic.conductor, generic.coords) == (m, want)
+
+
+# at conductor 1 a root is the rational 1 itself, and a product of two ones
+# may return either factor
+nontrivial_roots = st.builds(root_of_unity, st.integers(-30, 30), st.integers(2, 12))
+
+
+@SETTINGS
+@given(nontrivial_roots, st.integers(1, 7))
+def test_tag_survives_the_rational_one(a, k):
+    one = Cyclotomic.from_rational(1)
+    assert a * one is a and one * a is a and a * 1 is a and Fraction(1) * a is a
+    assert a ** k is root_of_unity(a.root * k, a.conductor)
+
+
+@SETTINGS
+@given(roots)
+def test_other_operations_are_untagged(a):
+    for v in (-a, a + 0, a - 0, a * 2, Fraction(1, 3) * a, a.inverse()):
+        assert v.root is None
+
+
+# conductors whose lcm stays at most 60, so that chains of products stay small
+small_roots = st.builds(
+    root_of_unity, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12])
+)
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(["+", "-", "*", "**"]),
+        st.one_of(small_roots, fractions),
+        st.integers(-2, 3),
+    ),
+    max_size=6,
+)
+
+
+@SETTINGS
+@given(small_roots, steps)
+def test_cached_roots_are_never_changed(start, ops):
+    """Chains of +, -, * and ** through cached roots leave every cached
+    value as root_of_unity built it."""
+    acc = start
+    for op, x, k in ops:
+        if op == "+":
+            acc = x + (acc + x)
+        elif op == "-":
+            acc = x - (acc - x)
+        elif op == "*":
+            acc = x * (acc * x)
+        elif acc or k >= 0:
+            acc = acc ** k
+    for (e, q), r in _ROOTS.items():
+        assert (r.conductor, r.root) == (q, e)
+        assert r.coords == Cyclotomic(q, {e: 1}).coords
