@@ -172,6 +172,10 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
+_RATIONAL = (int, Fraction)
+_ZERO = Fraction(0)
+
+
 class Cyclotomic:
     """Element of Q(e^(2*pi*i/N)) in the reduced power basis.
 
@@ -237,12 +241,36 @@ class Cyclotomic:
         return self.coords.get(0, Fraction(0))
 
     # -- arithmetic
+    #
+    # An int or Fraction operand is used as it is: it lies on the exponent 0,
+    # which every reduced basis holds, so it never becomes a Cyclotomic.
+
+    def _plus_rational(self, q):
+        out = dict(self.coords)
+        r = out.get(0, _ZERO) + q
+        if r:
+            out[0] = r
+        else:
+            out.pop(0, None)
+        return Cyclotomic(self.conductor, out, _reduced=True)
+
+    def _times_rational(self, q):
+        if not q:
+            return Cyclotomic(self.conductor, {}, _reduced=True)
+        if q == 1:
+            return self
+        return Cyclotomic(
+            self.conductor,
+            {e: v * q for e, v in self.coords.items()},
+            _reduced=True,
+        )
 
     def __add__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
+        if not isinstance(other, Cyclotomic):
+            if isinstance(other, _RATIONAL):
+                return self._plus_rational(other)
             return NotImplemented
-        m, a, b = self.align(o)
+        m, a, b = self.align(other)
         out = dict(a)
         for e, v in b.items():
             r = out.get(e, 0) + v
@@ -260,40 +288,38 @@ class Cyclotomic:
         )
 
     def __sub__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
+        if not isinstance(other, Cyclotomic):
+            if isinstance(other, _RATIONAL):
+                return self._plus_rational(-other)
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
+        if not isinstance(other, Cyclotomic):
+            if isinstance(other, _RATIONAL):
+                return (-self)._plus_rational(other)
             return NotImplemented
-        return o + (-self)
+        return other + (-self)
 
     def __mul__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
+        if not isinstance(other, Cyclotomic):
+            if isinstance(other, _RATIONAL):
+                return self._times_rational(other)
             return NotImplemented
-        if self.root is not None and o.root is not None:
-            m = _lcm(self.conductor, o.conductor)
+        if self.root is not None and other.root is not None:
+            if self.conductor == other.conductor:
+                return root_of_unity(self.root + other.root, self.conductor)
+            m = _lcm(self.conductor, other.conductor)
             return root_of_unity(
-                self.root * (m // self.conductor) + o.root * (m // o.conductor), m
+                self.root * (m // self.conductor)
+                + other.root * (m // other.conductor),
+                m,
             )
-        if o.conductor == 1:
-            q = o.coords.get(0)
-            if q is None:
-                return Cyclotomic(self.conductor, {}, _reduced=True)
-            if q == 1:
-                return self
-            return Cyclotomic(
-                self.conductor,
-                {e: v * q for e, v in self.coords.items()},
-                _reduced=True,
-            )
+        if other.conductor == 1:
+            return self._times_rational(other.coords.get(0, 0))
         if self.conductor == 1:
-            return o * self.coords.get(0, Fraction(0))
-        m, a, b = self.align(o)
+            return other._times_rational(self.coords.get(0, 0))
+        m, a, b = self.align(other)
         out = cyclo_mul(a, b, m, _phi_deg(m), _rows_list(m))
         return Cyclotomic(m, out, _reduced=True)
 
@@ -344,12 +370,13 @@ class Cyclotomic:
         return out
 
     def __eq__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
+        if not isinstance(other, Cyclotomic):
+            if isinstance(other, _RATIONAL):
+                return self.coords == ({0: other} if other else {})
             return NotImplemented
-        if self.conductor == o.conductor:
-            return self.coords == o.coords
-        _, a, b = self.align(o)
+        if self.conductor == other.conductor:
+            return self.coords == other.coords
+        _, a, b = self.align(other)
         return a == b
 
     __hash__ = None

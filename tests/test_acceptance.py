@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from hopftwist.cli import main
 from hopftwist.constructors import elementary_abelian_2, group_algebra
 from hopftwist.hopf_cochain import random_counital_two_cochain, twist, verify_quasi
 from hopftwist.multilinear import with_series_ring
@@ -224,3 +225,17 @@ GOLDEN_DIGESTS = {
 def test_golden_report_digest(reports, name):
     got = hashlib.sha256(reports[name].to_json().encode()).hexdigest()
     assert got == GOLDEN_DIGESTS[name], "report of %s changed" % name
+
+
+# SHA-256 of the standard output of
+# `hopftwist verify group-cohomology --seed 3 --json -`: a second set of draws
+# for the suite, under the same rule as GOLDEN_DIGESTS.
+GROUP_COHOMOLOGY_SEED3_DIGEST = (
+    "ae831a2f244ab1d15cd38bf060cc57fb633dc85acfe66a36fc2b8dde54134dd3"
+)
+
+
+def test_group_cohomology_seed3_digest(capsys):
+    assert main(["verify", "group-cohomology", "--seed", "3", "--json", "-"]) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GROUP_COHOMOLOGY_SEED3_DIGEST, "seed-3 report changed"

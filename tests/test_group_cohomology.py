@@ -9,6 +9,7 @@ from hopftwist.constructors import cyclic_group, elementary_abelian_2, symmetric
 from hopftwist.errors import NotUnital, WindowOverflow
 from hopftwist.group_cohomology import (
     GroupCochain,
+    TorusCoboundary,
     TorusCochain,
     TorusWindowAlgebra,
     fano_octonions,
@@ -212,3 +213,100 @@ def test_torus_coboundary_trivial_on_window():
         for b in pts:
             for c in pts:
                 assert dF.value(a, b, c) == 1
+
+
+# Naive triple loops over the radius-w square, calling the cochain for
+# every triple: the oracle for the table-driven sweeps of cocycle_report.
+
+
+def _square(w):
+    return [(j, k) for j in range(-w, w + 1) for k in range(-w, w + 1)]
+
+
+def _naive_sweep(F, w, differs):
+    bad = 0
+    wit = None
+    pts = _square(w)
+    for a in pts:
+        for b in pts:
+            for c in pts:
+                ab = (a[0] + b[0], a[1] + b[1])
+                bc = (b[0] + c[0], b[1] + c[1])
+                if differs(F, a, b, c, ab, bc):
+                    bad += 1
+                    if wit is None:
+                        wit = "%r,%r,%r" % (a, b, c)
+    return bad, wit
+
+
+def _exponent_differs(F, a, b, c, ab, bc):
+    e = F.exponent
+    return (e(b, c) - e(ab, c) + e(a, bc) - e(a, b)) % F.two_q
+
+
+def _value_differs(F, a, b, c, ab, bc):
+    v = F.value
+    return v(a, b) * v(ab, c) != v(a, bc) * v(b, c)
+
+
+class _WrongValueOnOnePair(TorusCochain):
+    # value() alone disagrees with exponent(), on the pair (U, V)
+    def value(self, a, b):
+        if (a, b) == ((1, 0), (0, 1)):
+            return root_of_unity(self.exponent(a, b) + 1, self.two_q)
+        return super().value(a, b)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [TorusCochain(Fraction(1, 2)), TorusCochain(Fraction(1, 3)),
+     TorusCochain(Fraction(2, 5)), _NotACocycle(Fraction(1, 3)),
+     _WrongValueOnOnePair(Fraction(2, 5))],
+    ids=["1/2", "1/3", "2/5", "not-a-cocycle", "wrong-value"],
+)
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_torus_sweeps_match_naive_triple_loops(F, window):
+    checks = F.cocycle_report(window)
+    assert [c.id for c in checks] == [
+        "cocycle-exponent-window-%d" % window,
+        "cocycle-cyclotomic-window-%d" % min(window, 2),
+    ]
+    got = [(c.residual_term_count, c.witness) for c in checks]
+    assert got == [
+        _naive_sweep(F, window, _exponent_differs),
+        _naive_sweep(F, min(window, 2), _value_differs),
+    ]
+
+
+def test_cyclotomic_window_fails_on_a_wrong_value_alone():
+    checks = {c.id: c for c in is_cocycle(_WrongValueOnOnePair(Fraction(2, 5)), window=5)}
+    assert checks["cocycle-exponent-window-3"].ok
+    ck = checks["cocycle-cyclotomic-window-2"]
+    assert not ck.ok
+    assert ck.residual_term_count > 0 and ck.witness
+
+
+class _Counting(TorusCochain):
+    def __init__(self, theta):
+        super().__init__(theta)
+        self.calls = {"exponent": 0, "value": 0}
+
+    def exponent(self, a, b):
+        self.calls["exponent"] += 1
+        return super().exponent(a, b)
+
+    def value(self, a, b):
+        self.calls["value"] += 1
+        return super().value(a, b)
+
+
+def test_torus_sweeps_evaluate_each_pair_once():
+    # the radius-w sweeps read the cochain on a x (radius-2w square) and
+    # (radius-2w square) x c: 2 * (4w+1)^2 * (2w+1)^2 pairs, against
+    # 4 * (2w+1)^6 calls for one call per triple
+    F = _Counting(Fraction(2, 5))
+    assert TorusCoboundary(F).trivial_on_window(3).ok
+    assert F.calls["exponent"] <= 2 * 13**2 * 7**2
+    F.calls["value"] = 0
+    assert all(c.ok for c in F.cocycle_report(2))
+    assert F.calls["value"] <= 2 * 9**2 * 5**2

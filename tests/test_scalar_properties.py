@@ -141,3 +141,32 @@ def test_cached_roots_are_never_changed(start, ops):
     for (e, q), r in _ROOTS.items():
         assert (r.conductor, r.root) == (q, e)
         assert r.coords == Cyclotomic(q, {e: 1}).coords
+
+
+rationals = st.one_of(st.integers(-3, 3), fractions)
+
+
+@SETTINGS
+@given(st.one_of(cyclotomics(), roots), rationals)
+def test_rational_operand_matches_its_conductor_one_value(x, q):
+    """An int or Fraction operand, on either side of *, +, - and ==, gives
+    what Cyclotomic.from_rational(q) gives, down to the conductor, the
+    Fraction coordinates and the tag: x * 1 is x itself, and every other
+    result is a new untagged value."""
+    c = Cyclotomic.from_rational(q)
+    products = [(x * q, x * c), (q * x, c * x)]
+    sums = [(x + q, x + c), (q + x, c + x), (x - q, x - c), (q - x, c - x)]
+    for got, want in products + sums:
+        assert (got.conductor, got.coords) == (want.conductor, want.coords)
+        assert all(isinstance(v, Fraction) for v in got.coords.values())
+    # c * x may return c when x is the conductor-1 root 1, so the tag of a
+    # product with 1 is checked by the rule alone
+    for got, want in products:
+        if q == 1:
+            assert got is x
+        else:
+            assert got.root is None and want.root is None
+    for got, want in sums:
+        assert got is not x and got.root is None and want.root is None
+    assert (x == q) == (x == c) and (q == x) == (c == x)
+    assert (x != q) == (x != c)
