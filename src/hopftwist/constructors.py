@@ -393,6 +393,7 @@ def dual_pairing_report(G):
     kd = dual_group_hopf(G)
     n = G.order
     one = Fraction(1)
+    basis = [{i: one} for i in range(n)]
 
     def pair(u, f):
         # u sparse in k[G], f sparse in k^G
@@ -403,54 +404,59 @@ def dual_pairing_report(G):
                 acc = acc + c * w
         return acc
 
+    # each structure map and each basis pairing is formed once per run; the
+    # triples keep their order, so the first failing one is the witness
+    rows = [[pair(basis[a], basis[g]) for g in range(n)] for a in range(n)]
+    cols = [list(col) for col in zip(*rows)]
+
+    def paired(cop, left, right):
+        # sum of c <left, x> <right, y> over the terms c x (x) y of cop
+        acc = Fraction(0)
+        for (x, y), c in cop:
+            if left[x] and right[y]:
+                acc = acc + c * left[x] * right[y]
+        return acc
+
+    kd_cop = [kd.basis_coproduct(g).items() for g in range(n)]
     checks = []
     bad, wit = 0, None
     for a in range(n):
         for b in range(n):
+            ab = kg.elem_mul(basis[a], basis[b])
             for g in range(n):
-                lhs = pair(kg.elem_mul({a: one}, {b: one}), {g: one})
-                rhs = Fraction(0)
-                for (x, y), c in kd.basis_coproduct(g).items():
-                    rhs = rhs + c * pair({a: one}, {x: one}) * pair(
-                        {b: one}, {y: one}
-                    )
-                if lhs != rhs:
+                if pair(ab, basis[g]) != paired(kd_cop[g], rows[a], rows[b]):
                     bad += 1
                     wit = wit or "(%d,%d|%d)" % (a, b, g)
     checks.append(CheckOutcome.from_residual("pairing-mult-coproduct", bad, wit))
 
+    kd_mul = [[kd.elem_mul(basis[g], basis[h]) for h in range(n)] for g in range(n)]
     bad, wit = 0, None
     for a in range(n):
+        kg_cop = kg.basis_coproduct(a).items()
         for g in range(n):
             for h in range(n):
-                lhs = pair({a: one}, kd.elem_mul({g: one}, {h: one}))
-                rhs = Fraction(0)
-                for (x, y), c in kg.basis_coproduct(a).items():
-                    rhs = rhs + c * pair({x: one}, {g: one}) * pair(
-                        {y: one}, {h: one}
-                    )
-                if lhs != rhs:
+                if pair(basis[a], kd_mul[g][h]) != paired(kg_cop, cols[g], cols[h]):
                     bad += 1
                     wit = wit or "(%d|%d,%d)" % (a, g, h)
     checks.append(CheckOutcome.from_residual("pairing-coproduct-mult", bad, wit))
 
     bad, wit = 0, None
     for g in range(n):
-        if pair(kg.elem_unit(), {g: one}) != kd.counit[g]:
+        if pair(kg.elem_unit(), basis[g]) != kd.counit[g]:
             bad += 1
             wit = wit or "(1|%d)" % g
     for a in range(n):
-        if kg.counit[a] != pair({a: one}, kd.elem_unit()):
+        if kg.counit[a] != pair(basis[a], kd.elem_unit()):
             bad += 1
             wit = wit or "(%d|1)" % a
     checks.append(CheckOutcome.from_residual("pairing-unit-counit", bad, wit))
 
+    kg_s = [kg.apply_antipode(u) for u in basis]
+    kd_s = [kd.apply_antipode(f) for f in basis]
     bad, wit = 0, None
     for a in range(n):
         for g in range(n):
-            lhs = pair(kg.apply_antipode({a: one}), {g: one})
-            rhs = pair({a: one}, kd.apply_antipode({g: one}))
-            if lhs != rhs:
+            if pair(kg_s[a], basis[g]) != pair(basis[a], kd_s[g]):
                 bad += 1
                 wit = wit or "(%d,%d)" % (a, g)
     checks.append(CheckOutcome.from_residual("pairing-antipode", bad, wit))

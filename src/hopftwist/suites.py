@@ -58,6 +58,7 @@ from .hopf_cochain import (
     equivariant_twist_check,
     is_counital,
     is_invariant,
+    key_witness,
     random_counital_two_cochain,
     random_invariant_two_cochain,
     random_invertible_element_cochain,
@@ -84,6 +85,7 @@ from .pbw import (
     gcl_equivariance_report,
     gcl_twist_pair,
     heisenberg_counterexample,
+    key_repr,
     moyal_suite,
     pbw_exp,
 )
@@ -313,6 +315,47 @@ def _octonions(rng, order, theta):
     return checks
 
 
+def _counterexample(name, got, expect, unit, first_key):
+    """d^2 must equal its closed form and differ from the unit; a failure
+    names the side that broke."""
+    if got.eq(unit):
+        witness = "d^2 is the unit"
+    elif not got.eq(expect):
+        witness = first_key(got.sub(expect))
+    else:
+        witness = None
+    return CheckOutcome.from_residual(name, 0 if witness is None else 1, witness)
+
+
+def _pauli_counterexample():
+    """Exact counterexample: d^2 of a non-invariant cochain on the Pauli
+    group is -1 on the middle legs."""
+    P8 = pauli_8()
+    KP8 = group_algebra(P8)
+    lab = KP8.labels
+    iX, iZ, m1 = lab.index("[iX]"), lab.index("[iZ]"), lab.index("[-1]")
+    c = HopfCochain(
+        KP8,
+        2,
+        LegTensor(KP8, 2, {(iX, iZ): Fraction(1)}),
+        LegTensor(KP8, 2, {(P8.inv[iX], P8.inv[iZ]): Fraction(1)}),
+    )
+    return _counterexample(
+        "pauli-counterexample",
+        dsquared(c),
+        LegTensor(KP8, 4, {(0, m1, m1, 0): Fraction(1)}),
+        LegTensor.unit(KP8, 4),
+        key_witness,
+    )
+
+
+def _pbw_counterexample():
+    lhs, rhs = heisenberg_counterexample(4, 1)
+    return _counterexample(
+        "pbw-counterexample", lhs, rhs, PBWTensor.unit(1, 4, 4), key_repr
+    )
+
+
 def _hopf_cochain(rng, order, theta):
     checks = []
     plain_hosts = [
@@ -355,25 +398,8 @@ def _hopf_cochain(rng, order, theta):
             CheckOutcome.from_residual("dsquared-invariant:%s" % label, bad, witness)
         )
 
-    # exact counterexample: d of a non-invariant cochain on the Pauli group
-    P8 = pauli_8()
-    KP8 = group_algebra(P8)
-    lab = KP8.labels
-    iX, iZ, m1 = lab.index("[iX]"), lab.index("[iZ]"), lab.index("[-1]")
-    c = HopfCochain(
-        KP8,
-        2,
-        LegTensor(KP8, 2, {(iX, iZ): Fraction(1)}),
-        LegTensor(KP8, 2, {(P8.inv[iX], P8.inv[iZ]): Fraction(1)}),
-    )
-    got = dsquared(c)
-    expect = LegTensor(KP8, 4, {(0, m1, m1, 0): Fraction(1)})
-    ok = got.eq(expect) and not got.eq(LegTensor.unit(KP8, 4))
-    checks.append(CheckOutcome.from_residual("pauli-counterexample", 0 if ok else 1))
-
-    lhs, rhs = heisenberg_counterexample(4, 1)
-    ok = lhs.eq(rhs) and not lhs.eq(PBWTensor.unit(1, 4, 4))
-    checks.append(CheckOutcome.from_residual("pbw-counterexample", 0 if ok else 1))
+    checks.append(_pauli_counterexample())
+    checks.append(_pbw_counterexample())
 
     series_hosts = [
         ("k[Z2^3]", group_algebra(elementary_abelian_2(3))),
@@ -674,6 +700,13 @@ _MIN_ORDER = {"pbw-gcl": 2, "heis-torus": 2}
 # whether it is zero itself; beyond it the theta is rejected.
 _THETA_ORDER_CAP = 64
 
+# Largest order a suite accepts: the largest at which its CLI run took under
+# 15 s on a shared 2-core x86 machine (moyal 10.8 s at 11, 16.5 s at 12;
+# pbw-gcl 12.4 s at 13, 22.4 s at 14; heis-torus 12.7 s at 12, 17.8 s at
+# 13).  The other suites read the order only to parse --theta, so theirs is
+# the theta cap (sharp-map at order 64 with a theta: 0.15 s).
+_MAX_ORDER = {"moyal": 11, "pbw-gcl": 13, "heis-torus": 12}
+
 
 def _check_order(name, order):
     if order is None:
@@ -684,6 +717,15 @@ def _check_order(name, order):
     if order < least:
         raise SchemaError(
             "suite %s needs order at least %d" % (name, least), "order"
+        )
+    most = (
+        min(_MAX_ORDER.values())
+        if name == "all"
+        else _MAX_ORDER.get(name, _THETA_ORDER_CAP)
+    )
+    if order > most:
+        raise SchemaError(
+            "suite %s takes order at most %d" % (name, most), "order"
         )
     return order
 

@@ -5,7 +5,9 @@ from importlib import resources
 
 import pytest
 
+from hopftwist import suites
 from hopftwist.cli import main
+from hopftwist.suites import SUITE_NAMES
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -94,6 +96,17 @@ def test_verify_order_below_suite_minimum_exit_two(suite, capsys):
 def test_verify_order_one_allowed_where_no_check_needs_more(capsys):
     assert main(["verify", "sharp-map", "--order", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+def test_verify_order_above_suite_cap_exit_two(suite, capsys):
+    # the cap itself passes validation; cap + 1 is refused before any check
+    most = 11 if suite == "all" else suites._MAX_ORDER.get(suite, 64)
+    assert suites._check_order(suite, most) == most
+    for order in (most + 1, 9999999999999999999999):
+        assert main(["verify", suite, "--order", str(order)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "order at most %d" % most in err
 
 
 def test_verify_theta_truncating_to_zero_exit_two(capsys):

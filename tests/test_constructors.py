@@ -159,6 +159,34 @@ def test_pairing_unit_counit_failure_names_index(monkeypatch):
     assert (ck.residual_term_count, ck.witness) == (1, "(1|2)")
 
 
+def test_pairing_failures_keep_their_counts_and_first_witness(monkeypatch):
+    # the products, coproducts and antipodes are tabulated once per run;
+    # the triples keep their order, so counts and witnesses are those of
+    # the loop that formed them per triple
+    build = constructors.dual_group_hopf
+
+    def corrupted(G):
+        kd = build(G)
+        for g in (5, 3):
+            (x, y), w = next(iter(kd.coproduct[g].items()))
+            kd.coproduct[g][(x, y)] = w * 2
+        kd.mult[(4, 4)] = {4: Fraction(1), 1: Fraction(1)}
+        kd.antipode[5] = [Fraction(int(j == 5)) for j in range(G.order)]
+        return kd
+
+    monkeypatch.setattr(constructors, "dual_group_hopf", corrupted)
+    report = {
+        ck.id: (ck.status, ck.residual_term_count, ck.witness)
+        for ck in dual_pairing_report(GROUPS["S3"])
+    }
+    assert report == {
+        "pairing-mult-coproduct": ("fail", 2, "(0,3|3)"),
+        "pairing-coproduct-mult": ("fail", 1, "(1|4,4)"),
+        "pairing-unit-counit": ("pass", 0, None),
+        "pairing-antipode": ("fail", 2, "(4,5)"),
+    }
+
+
 def test_word_pins():
     B = shuffle_bialgebra(2, 4)
     for ck in word_pin_report(B):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopftwist import hopf_cochain
 from hopftwist.constructors import (
     cyclic_group,
     dihedral_4,
@@ -20,7 +21,9 @@ from hopftwist.group_cohomology import fano_octonions
 from hopftwist.hopf_cochain import (
     HopfCochain,
     QuasiHopfTwistResult,
+    coboundary,
     coboundary_pair,
+    cocycle_report,
     dsquared,
     equivariant_twist_check,
     gauge_act,
@@ -39,7 +42,8 @@ from hopftwist.hopf_cochain import (
     verify_quasi,
 )
 from hopftwist.multilinear import LegTensor
-from hopftwist.scalars import ScalarRing
+from hopftwist.pbw import PBWTensor, pbw_exp
+from hopftwist.scalars import ScalarRing, Series
 
 S3 = symmetric_3()
 KS3 = group_algebra(S3)
@@ -285,3 +289,115 @@ def test_gauge_battery():
     assert is_in_kernel(Fc)
     assert is_in_kernel(aF)
     assert equivariant_twist_check(Fc)
+
+
+def _pbw_pair(kappa):
+    h = Series.hbar(3)
+    expo = PBWTensor(
+        kappa, 3, 2, {((1, 0, 0), (0, 0, 0)): h, ((0, 0, 0), (0, 1, 0)): h}
+    )
+    return pbw_exp(expo), pbw_exp(expo.neg()), PBWTensor.unit(kappa, 3, 3)
+
+
+def _differential_cases():
+    rng = random.Random(43)
+    h = random_invertible_element_cochain(KS3, rng)
+    d1 = hopf_coboundary(h)
+    yield "k[S3] arity 1", h.value, h.inverse, LegTensor.unit(KS3, 2)
+    yield "k[S3] arity 2", d1.value, d1.inverse, LegTensor.unit(KS3, 3)
+    kZ23h = group_algebra(elementary_abelian_2(3), SER)
+    F = random_counital_two_cochain(kZ23h, rng)
+    yield "k[Z2^3]+h", F.value, F.inverse, LegTensor.unit(kZ23h, 3)
+    kdZ22 = dual_group_hopf(elementary_abelian_2(2))
+    c = random_pointwise_cochain(kdZ22, rng, 2)
+    yield "dual[Z2^2]", c.value, c.inverse, LegTensor.unit(kdZ22, 3)
+    for kappa in (1, -1):
+        yield ("pbw kappa=%d" % kappa,) + _pbw_pair(kappa)
+
+
+def test_value_only_coboundary_matches_the_pair():
+    for name, v, inv, unit in _differential_cases():
+        val, dinv = coboundary_pair(v, inv)
+        assert coboundary(v, inv).eq(val), name
+        assert val.mul(dinv).eq(unit) and dinv.mul(val).eq(unit), name
+
+
+def _count_muls(monkeypatch):
+    calls = []
+    mul = LegTensor.mul
+
+    def counted(self, other):
+        calls.append(self.arity)
+        return mul(self, other)
+
+    monkeypatch.setattr(LegTensor, "mul", counted)
+    return calls
+
+
+def test_dsquared_forms_no_inverse_it_throws_away(monkeypatch):
+    # d of a 1-cochain: 2 products for d(c), 2 for its inverse; d of that
+    # 2-cochain: 3 products, and no inverse of d^2(c)
+    KD4 = group_algebra(dihedral_4())
+    c = random_invertible_element_cochain(KD4, random.Random(5))
+    calls = _count_muls(monkeypatch)
+    assert dsquared(c).eq(LegTensor.unit(KD4, 3))
+    assert len(calls) == 7
+
+
+def test_twist_and_verify_quasi_product_count(monkeypatch):
+    # twist: F D(h) F^-1 for each of the 4 basis elements (8 products) and
+    # phi = d(F) with its inverse (3 + 3); verify_quasi: phi D(h) phi^-1 for
+    # each basis element (8) and the pentagon d(phi) alone (4)
+    rng = random.Random(37)
+    mod = dual_action_module(elementary_abelian_2(2), SER)
+    F = random_counital_two_cochain(mod.host, rng)
+    calls = _count_muls(monkeypatch)
+    R = twist(mod.host, F, mod)
+    assert len(calls) == 14
+    for ck in verify_quasi(R):
+        assert ck.ok, ck.id
+    assert len(calls) == 26
+
+
+def _coboundary_on_swapped_legs(monkeypatch):
+    """Fault: D_i applies the coproduct at leg n-i instead of leg i-1."""
+    delta_i = hopf_cochain._delta_i
+
+    def swapped(t, i):
+        n = t.arity
+        return t.coproduct_leg(n - i) if 1 <= i <= n else delta_i(t, i)
+
+    monkeypatch.setattr(hopf_cochain, "_delta_i", swapped)
+
+
+def test_cocycle_failure_names_first_residual_key(monkeypatch):
+    h1 = random_invertible_element_cochain(KS3, random.Random(41))
+    Fc = hopf_coboundary(h1)
+    ck = cocycle_report(Fc)
+    assert ck.ok and ck.witness is None
+    _coboundary_on_swapped_legs(monkeypatch)
+    ck = cocycle_report(Fc)
+    assert (ck.status, ck.residual_term_count) == ("fail", 216)
+    assert ck.witness == "([e],[e],[e])"
+
+
+def test_gauge_equivariance_failure_names_first_residual_key(monkeypatch):
+    rng = random.Random(41)
+    g = random_invertible_element_cochain(KS3, rng)
+    Fc = hopf_coboundary(random_invertible_element_cochain(KS3, rng))
+    ck = gauge_equivariance_report(g, Fc)
+    assert ck.ok and ck.witness is None
+
+    def without_coproduct_factor(g, F):
+        """Fault: (g x g) F, dropping the Delta(g^-1) factor."""
+        gv, gi = dict(g.value.data), dict(g.inverse.data)
+        gg = LegTensor.outer(F.host, [gv, gv])
+        gginv = LegTensor.outer(F.host, [gi, gi])
+        return HopfCochain(
+            F.host, 2, gg.mul(F.value), F.inverse.mul(gginv), _trusted=True
+        )
+
+    monkeypatch.setattr(hopf_cochain, "gauge_act", without_coproduct_factor)
+    ck = gauge_equivariance_report(g, Fc)
+    assert (ck.status, ck.residual_term_count) == ("fail", 201)
+    assert ck.witness == "([e],[e],[e])"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopftwist import heis_torus, suites
+from hopftwist import heis_torus, hopf_cochain, suites
 from hopftwist.errors import SchemaError, UnknownSuite
 from hopftwist.group_cohomology import fano_octonions, octonion_norm
 from hopftwist.multilinear import LegTensor
@@ -190,6 +190,49 @@ def test_dsquared_failures_name_their_trial(monkeypatch):
         "dsquared-unit:k[Z2^3]": (1, "trial 3"),
         "dsquared-invariant:k[S3]+h": (1, "trial 5"),
     }
+
+
+def _delta_i_fault(monkeypatch, fault):
+    """Run the coboundary engine with D_i replaced by fault(D_i)."""
+    monkeypatch.setattr(hopf_cochain, "_delta_i", fault(hopf_cochain._delta_i))
+
+
+def _swapped_coproduct_legs(delta_i):
+    """D_i applies the coproduct at leg n-i instead of leg i-1."""
+    def swapped(t, i):
+        n = t.arity
+        return t.coproduct_leg(n - i) if 1 <= i <= n else delta_i(t, i)
+    return swapped
+
+
+def _d0_on_the_right(delta_i):
+    """D_0 puts the unit on a new rightmost leg instead of the leftmost."""
+    def right(t, i):
+        if i == 0:
+            return t.leg_embed(tuple(range(t.arity)), t.arity + 1)
+        return delta_i(t, i)
+    return right
+
+
+def test_pauli_counterexample_names_a_unit_d_squared(monkeypatch):
+    _delta_i_fault(monkeypatch, _swapped_coproduct_legs)
+    ck = suites._pauli_counterexample()
+    assert (ck.status, ck.residual_term_count) == ("fail", 1)
+    assert ck.witness == "d^2 is the unit"
+
+
+def test_pauli_counterexample_names_the_first_differing_key(monkeypatch):
+    _delta_i_fault(monkeypatch, _d0_on_the_right)
+    ck = suites._pauli_counterexample()
+    assert (ck.status, ck.residual_term_count) == ("fail", 1)
+    assert ck.witness == "([1],[-1],[1],[1])"
+
+
+def test_pbw_counterexample_names_the_first_differing_key(monkeypatch):
+    _delta_i_fault(monkeypatch, _d0_on_the_right)
+    ck = suites._pbw_counterexample()
+    assert (ck.status, ck.residual_term_count) == ("fail", 1)
+    assert ck.witness == "((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0))"
 
 
 def _octonions_with(monkeypatch, attr, wrap):
