@@ -309,9 +309,7 @@ def dual_action_module(G, ring=None):
     H = dual_group_hopf(G, ring)
     ring = H.ring
     kg = group_algebra(G, ring)
-    A = AlgebraPresentation(
-        kg.dim, kg.labels, ring, kg.mult, kg.unit, assoc_flag="associative"
-    )
+    A = AlgebraPresentation(kg.dim, kg.labels, ring, kg.mult, kg.unit)
     action = {
         (g, g): {g: ring.one()} for g in range(G.order)
     }

@@ -366,9 +366,7 @@ def crossed_product(B, G, alpha):
     unit = [Fraction(0)] * dim
     for k, v in B.elem_unit().items():
         unit[flat(k, e)] = v
-    A = AlgebraPresentation(
-        dim, labels, B.ring, mult, unit, assoc_flag="associative"
-    )
+    A = AlgebraPresentation(dim, labels, B.ring, mult, unit)
     degree = [g for g in range(G.order) for _ in range(dB)]
     return GradedAlgebra(A, G, degree)
 
@@ -654,9 +652,7 @@ def matrix_algebra_2x2(ring=None):
                     if b == c:
                         mult[(a * 2 + b, c * 2 + d)] = {a * 2 + d: 1}
     unit = [1, 0, 0, 1]
-    return AlgebraPresentation(
-        4, labels, ring, mult, unit, assoc_flag="associative"
-    )
+    return AlgebraPresentation(4, labels, ring, mult, unit)
 
 
 def matrix_checkerboard_graded():
@@ -678,9 +674,7 @@ def truncated_poly_graded(p):
         (i, j): {i + j: 1} for i in range(p) for j in range(p) if i + j < p
     }
     unit = [1] + [0] * (p - 1)
-    A = AlgebraPresentation(
-        p, labels, ring, mult, unit, assoc_flag="associative"
-    )
+    A = AlgebraPresentation(p, labels, ring, mult, unit)
     return GradedAlgebra(A, cyclic_group(p), [i % p for i in range(p)])
 
 
@@ -701,12 +695,7 @@ def two_point_swap_crossed():
     """(k x k) crossed with the order-2 swap of the two factors."""
     ring = ScalarRing()
     B = AlgebraPresentation(
-        2,
-        ["p", "q"],
-        ring,
-        {(0, 0): {0: 1}, (1, 1): {1: 1}},
-        [1, 1],
-        assoc_flag="associative",
+        2, ["p", "q"], ring, {(0, 0): {0: 1}, (1, 1): {1: 1}}, [1, 1]
     )
     alpha = {0: [{0: 1}, {1: 1}], 1: [{1: 1}, {0: 1}]}
     return crossed_product(B, cyclic_group(2), alpha)

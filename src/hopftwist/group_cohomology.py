@@ -140,11 +140,11 @@ def is_unital(c):
 
 
 def twisted_group_algebra(G, F):
-    """k_F[G]: basis g with g*h = F(g,h) gh.
+    """k_F[G]: basis g with g*h = F(g,h) gh, and the associator dF under the
+    convention a*(b*c) = dF(a,b,c) (a*b)*c; dF is 1 everywhere exactly when
+    F is a cocycle.
 
-    Requires a unital cochain.  If F is a cocycle the result is flagged
-    associative; otherwise quasi, with associator dF under the convention
-    a*(b*c) = dF(a,b,c) (a*b)*c.
+    Requires a unital cochain.
     """
     if not is_unital(F).ok:
         raise NotUnital("twist cochain is not unital")
@@ -158,16 +158,9 @@ def twisted_group_algebra(G, F):
         ring.one() if g == G.identity else ring.zero()
         for g in range(G.order)
     ]
-    if is_cocycle(F).ok:
-        return AlgebraPresentation(
-            G.order, list(G.labels), ring, mult, unit,
-            assoc_flag="associative",
-        )
-    dF = group_coboundary(F)
-    associator = {k: v for k, v in dF.table.items()}
     return AlgebraPresentation(
         G.order, list(G.labels), ring, mult, unit,
-        assoc_flag="quasi", associator=associator,
+        associator=dict(group_coboundary(F).table),
     )
 
 

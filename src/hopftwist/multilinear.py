@@ -37,13 +37,21 @@ row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4; arity 5 and
 up keep the per-leg loop.  Rows are built lazily, one for each block value
 met, and kept on the host.
 
-verify_hopf is the one Hopf axiom battery.  It runs on any host that offers
-dim, labels, ring, elem_unit(), a counit list, basis_mul(i, j) and
-basis_coproduct(i) as sparse dicts, apply_antipode(vec), and axiom_ids, the
-check ids to run in report order: HopfPresentation derives them from its
-antipode and its commutative/cocommutative flags, the windowed hosts in
-constructors (ShuffleBialgebra, PareigisWindow) state them as class data.
-Every product goes through tensor_convolve, over host.base_table() when the
+verify_algebra is the one algebra axiom battery: unit laws, associativity
+or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
+module-algebra axioms of a ModuleAlgebra.  Its products are linear
+combinations of the basis products, each formed once through basis_mul; a
+host tensor Phi acts through the module by act_tensor, tabulated once per
+run.
+
+verify_hopf is the one Hopf axiom battery; it shares verify_algebra's unit
+and associativity checks.  It runs on any host that offers dim, labels,
+ring, elem_unit(), a counit list, basis_mul(i, j) and basis_coproduct(i)
+as sparse dicts, apply_antipode(vec), and axiom_ids, the check ids to run
+in report order: HopfPresentation derives them from its antipode and its
+commutative/cocommutative flags, the windowed hosts in constructors
+(ShuffleBialgebra, PareigisWindow) state them as class data.  A product in
+host (x) host goes through tensor_convolve, over host.base_table() when the
 host has one and otherwise over cells built once from basis_mul.  A
 windowed host raises WindowOverflow for a value outside its window; the
 instances that need such a value are skipped, not failed.
@@ -489,70 +497,13 @@ class _MulOps:
 
 
 class AlgebraPresentation(_MulOps):
-    """Finite-dimensional algebra with an optional scalar associator.
+    """Finite-dimensional algebra, with an optional scalar associator
+    {(i, j, k): phi} for a*(b*c) = phi(a,b,c) * (a*b)*c; verify_algebra
+    checks either law."""
 
-    assoc_flag is one of "associative", "quasi", "unchecked".  For "quasi"
-    the associator maps basis triples to nonzero scalars phi with
-    a*(b*c) = phi(a,b,c) * (a*b)*c.
-    """
-
-    def __init__(
-        self,
-        dim,
-        labels,
-        ring,
-        mult,
-        unit,
-        assoc_flag="unchecked",
-        associator=None,
-    ):
+    def __init__(self, dim, labels, ring, mult, unit, associator=None):
         self._init_mul(dim, labels, ring, mult, unit)
-        if assoc_flag not in ("associative", "quasi", "unchecked"):
-            raise ValueError("bad assoc_flag %r" % (assoc_flag,))
-        self.assoc_flag = assoc_flag
         self.associator = associator
-
-    def check_unit_laws(self):
-        bad = 0
-        witness = None
-        for i in range(self.dim):
-            target = {i: self.ring.one()}
-            left = self.elem_mul(self.elem_unit(), target)
-            right = self.elem_mul(target, self.elem_unit())
-            for got in (left, right):
-                if got != target:
-                    bad += 1
-                    witness = witness or self.labels[i]
-        return CheckOutcome.from_residual("unit-laws", bad, witness)
-
-    def check_associativity(self):
-        bad = 0
-        witness = None
-        one = self.ring.one()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.basis_mul(i, j)
-                for k in range(self.dim):
-                    jk = self.basis_mul(j, k)
-                    lhs = self.elem_mul({i: one}, jk)
-                    rhs = self.elem_mul(ij, {k: one})
-                    if self.assoc_flag == "quasi":
-                        phi = self.associator.get((i, j, k), one)
-                        rhs = {t: phi * v for t, v in rhs.items()}
-                    if lhs != rhs:
-                        bad += 1
-                        if witness is None:
-                            witness = "(%s,%s,%s)" % (
-                                self.labels[i],
-                                self.labels[j],
-                                self.labels[k],
-                            )
-        cid = (
-            "quasi-associativity"
-            if self.assoc_flag == "quasi"
-            else "associativity"
-        )
-        return CheckOutcome.from_residual(cid, bad, witness)
 
 
 class HopfPresentation(_MulOps):
@@ -1220,120 +1171,50 @@ class ModuleAlgebra:
                         out.pop(k, None)
         return out
 
-    def act_tensor(self, ht, avecs):
-        """Apply a rank-n host tensor legwise to a list of n A-vectors.
-
-        Returns a dict mapping tuples of A-indices to scalars.
-        """
+    def act_tensor(self, ht):
+        """The legwise action of a rank-n host tensor on every n-tuple of
+        basis elements of A: {(j1, .., jn): {(k1, .., kn): scalar}}, tuples
+        with a zero image left out.  Each key of ht is decoded once and
+        meets only the action cells of its digits."""
         n = ht.arity
-        if len(avecs) != n:
-            raise ArityMismatch("%d vectors for arity %d" % (len(avecs), n))
         dim = self.host.dim
-        one = self.host.ring.one()
-        cells = {}  # (digit, leg) -> basis element digit acting on avecs[leg]
+        cells = [[] for _ in range(dim)]  # digit -> [(j, image of basis j)]
+        for (i, j), vec in self.action.items():
+            cells[i].append((j, vec))
         out = {}
         for key, c in ht.data.items():
-            digits = decode_key(key, dim, n)
-            partial = [((), c)]
-            for t in range(n):
-                cell_vec = cells.get((digits[t], t))
-                if cell_vec is None:
-                    cell_vec = cells[digits[t], t] = self.act(
-                        {digits[t]: one}, avecs[t]
-                    )
-                if not cell_vec:
-                    partial = []
-                    break
+            partial = [((), (), c)]
+            for d in decode_key(key, dim, n):
                 partial = [
-                    (ks + (k,), cv * v)
-                    for ks, cv in partial
-                    for k, v in cell_vec.items()
+                    (js + (j,), ks + (k,), cv * w)
+                    for js, ks, cv in partial
+                    for j, vec in cells[d]
+                    for k, w in vec.items()
                 ]
-            for ks, cv in partial:
-                r = out.get(ks, 0) + cv
-                if r:
-                    out[ks] = r
-                else:
-                    out.pop(ks, None)
-        return out
-
-    def verify(self):
-        """Module-algebra axioms, exhaustively on basis elements."""
-        H, A = self.host, self.algebra
-        one = H.ring.one()
-        checks = []
-
-        bad, wit = 0, None
-        for j in range(A.dim):
-            x = {j: A.ring.one()}
-            if self.act(H.elem_unit(), x) != x:
-                bad += 1
-                wit = wit or A.labels[j]
-        checks.append(CheckOutcome.from_residual("module-unit", bad, wit))
-
-        bad, wit = 0, None
-        for i in range(H.dim):
-            hi = {i: one}
-            for k in range(H.dim):
-                prod = H.basis_mul(i, k)
-                for j in range(A.dim):
-                    x = {j: A.ring.one()}
-                    lhs = self.act(prod, x)
-                    rhs = self.act(hi, self.act({k: one}, x))
-                    if lhs != rhs:
-                        bad += 1
-                        if wit is None:
-                            wit = "(%s,%s,%s)" % (
-                                H.labels[i], H.labels[k], A.labels[j],
-                            )
-        checks.append(CheckOutcome.from_residual("module-action", bad, wit))
-
-        bad, wit = 0, None
-        for i in range(H.dim):
-            # h acting on the algebra unit gives counit(h) * 1
-            got = self.act({i: one}, A.elem_unit())
-            want = _clean(
-                {k: H.counit[i] * v for k, v in enumerate(A.unit)}
-            )
-            if got != want:
-                bad += 1
-                wit = wit or H.labels[i]
-        checks.append(
-            CheckOutcome.from_residual("module-algebra-unit", bad, wit)
-        )
-
-        bad, wit = 0, None
-        for i in range(H.dim):
-            dp = H.basis_coproduct(i)
-            for ja in range(A.dim):
-                for jb in range(A.dim):
-                    ab = A.basis_mul(ja, jb)
-                    lhs = self.act({i: one}, ab)
-                    rhs = {}
-                    for (h1, h2), w in dp.items():
-                        u = self.act({h1: one}, {ja: A.ring.one()})
-                        v = self.act({h2: one}, {jb: A.ring.one()})
-                        prod = A.elem_mul(u, v)
-                        for k, c in prod.items():
-                            r = rhs.get(k, 0) + w * c
-                            if r:
-                                rhs[k] = r
-                            else:
-                                rhs.pop(k, None)
-                    if lhs != rhs:
-                        bad += 1
-                        if wit is None:
-                            wit = "(%s;%s,%s)" % (
-                                H.labels[i], A.labels[ja], A.labels[jb],
-                            )
-        checks.append(
-            CheckOutcome.from_residual("module-algebra-mult", bad, wit)
-        )
-        return checks
+            for js, ks, cv in partial:
+                _accumulate(out.setdefault(js, {}), ks, cv)
+        return {js: image for js, image in out.items() if image}
 
 
 # ---------------------------------------------------------------------------
-# Hopf axiom verification
+# algebra and Hopf axiom verification
+
+
+def verify_algebra(algebra, associator=None, module=None):
+    """Exhaustive unit and associativity report for an algebra on a finite
+    basis, and the module-algebra axioms when a ModuleAlgebra acting on it
+    is given.
+
+    Without an associator the law is x(yz) = (xy)z.  With one it is
+    x(yz) = sum Phi(x,y,z)_abc (ab)c: Phi is a scalar table {(i, j, k):
+    phi} on every basis triple (its diagonal), or a host LegTensor of
+    arity 3 acting legwise through the module, tabulated once.  Residuals
+    count the failing instances; witnesses name them by label."""
+    run = _AlgebraBattery(algebra, associator, module)
+    ids = ["unit-laws", "associativity" if associator is None else "quasi-associativity"]
+    if module is not None:
+        ids += ["module-unit", "module-action", "module-algebra-unit", "module-algebra-mult"]
+    return [getattr(run, cid.replace("-", "_") + "_check")() for cid in ids]
 
 
 def verify_hopf(host):
@@ -1357,20 +1238,171 @@ def _differ(got, want):
     return got is not None and want is not None and got != want
 
 
-class _Battery:
-    """One verify_hopf run: the host's basis products, structure cells,
-    coproducts (flat keys) and antipode images, each formed once, None where
-    it leaves the window; one method <id>_check per check id."""
+class _AlgebraBattery:
+    """One verify_algebra run: the basis products, formed once through
+    host.basis_mul (None where one leaves the window), the associator as
+    {basis triple: {triple: coefficient}}, and one method <id>_check per
+    check id."""
 
-    def __init__(self, host):
+    def __init__(self, host, associator=None, module=None):
         self.host = host
         self.dim = dim = host.dim
-        self.one = one = host.ring.one()
+        self.one = host.ring.one()
         self.unit = host.elem_unit()
-        self.counit = host.counit
         self.prods = [
             _within(host.basis_mul, i, j) for i in range(dim) for j in range(dim)
         ]
+        self.phi = associator
+        if isinstance(associator, LegTensor):
+            self.phi = module.act_tensor(associator)
+        elif associator is not None:
+            self.phi = {t: {t: v} for t, v in associator.items()}
+        self.module = module
+
+    def at(self, *idx):
+        """Witness naming basis elements by label: "x" or "(x,y,...)"."""
+        labels = [self.host.labels[i] for i in idx]
+        return labels[0] if len(labels) == 1 else "(%s)" % ",".join(labels)
+
+    def prod(self, i, j):
+        return self.prods[i * self.dim + j]
+
+    def mul(self, a, b):
+        """a * b from the basis products; None when a or b is None or a
+        product it needs lies outside the window."""
+        if a is None or b is None:
+            return None
+        out = {}
+        for i, x in a.items():
+            row = i * self.dim
+            for j, y in b.items():
+                p = self.prods[row + j]
+                if p is None:
+                    return None
+                c = x * y
+                for k, w in p.items():
+                    _accumulate(out, k, c * w)
+        return out
+
+    # -- the checks
+
+    def unit_laws_check(self):
+        bad, wit = 0, None
+        for i in range(self.dim):
+            x = {i: self.one}
+            if _differ(self.mul(self.unit, x), x) or _differ(self.mul(x, self.unit), x):
+                bad += 1
+                wit = wit or self.at(i)
+        return CheckOutcome.from_residual("unit-laws", bad, wit)
+
+    def associativity_check(self):
+        """x(yz) against (xy)z, or against sum Phi(x,y,z)_abc (ab)c."""
+        bad, wit = 0, None
+        one, dim, phi = self.one, self.dim, self.phi
+        for i in range(dim):
+            xi = {i: one}
+            for j in range(dim):
+                ij = self.prod(i, j)
+                if ij is None:
+                    continue
+                for k in range(dim):
+                    lhs = self.mul(xi, self.prod(j, k))
+                    if lhs is None:
+                        continue
+                    if phi is None:
+                        rhs = self.mul(ij, {k: one})
+                    else:
+                        rhs = {}
+                        for (a, b, c), w in phi.get((i, j, k), {}).items():
+                            p = self.mul(self.prod(a, b), {c: one})
+                            if p is None:
+                                rhs = None
+                                break
+                            for t, v in p.items():
+                                _accumulate(rhs, t, w * v)
+                    if _differ(lhs, rhs):
+                        bad += 1
+                        wit = wit or self.at(i, j, k)
+        cid = "associativity" if phi is None else "quasi-associativity"
+        return CheckOutcome.from_residual(cid, bad, wit)
+
+    quasi_associativity_check = associativity_check
+
+    def module_unit_check(self):
+        M = self.module
+        unit = M.host.elem_unit()
+        bad, wit = 0, None
+        for j in range(self.dim):
+            x = {j: self.one}
+            if M.act(unit, x) != x:
+                bad += 1
+                wit = wit or self.at(j)
+        return CheckOutcome.from_residual("module-unit", bad, wit)
+
+    def module_action_check(self):
+        """(hk).x = h.(k.x) on basis elements."""
+        M = self.module
+        H = M.host
+        bad, wit = 0, None
+        for i in range(H.dim):
+            hi = {i: self.one}
+            for k in range(H.dim):
+                hk = H.basis_mul(i, k)
+                for j in range(self.dim):
+                    x = {j: self.one}
+                    if M.act(hk, x) != M.act(hi, M.act({k: self.one}, x)):
+                        bad += 1
+                        wit = wit or "(%s,%s,%s)" % (
+                            H.labels[i], H.labels[k], self.host.labels[j]
+                        )
+        return CheckOutcome.from_residual("module-action", bad, wit)
+
+    def module_algebra_unit_check(self):
+        """h.1 = counit(h) 1."""
+        M = self.module
+        H = M.host
+        bad, wit = 0, None
+        for i in range(H.dim):
+            want = _clean({k: H.counit[i] * v for k, v in self.unit.items()})
+            if M.act({i: self.one}, self.unit) != want:
+                bad += 1
+                wit = wit or H.labels[i]
+        return CheckOutcome.from_residual("module-algebra-unit", bad, wit)
+
+    def module_algebra_mult_check(self):
+        """h.(xy) = sum (h1.x)(h2.y) over Delta(h) = sum h1 (x) h2."""
+        M = self.module
+        H, cell = M.host, M.action.get
+        one, dim = self.one, self.dim
+        bad, wit = 0, None
+        for i in range(H.dim):
+            cop = H.basis_coproduct(i)
+            for a in range(dim):
+                for b in range(dim):
+                    lhs = M.act({i: one}, self.prod(a, b))
+                    rhs = {}
+                    for (h1, h2), w in cop.items():
+                        p = self.mul(cell((h1, a), {}), cell((h2, b), {}))
+                        for t, v in p.items():
+                            _accumulate(rhs, t, w * v)
+                    if lhs != rhs:
+                        bad += 1
+                        wit = wit or "(%s;%s,%s)" % (
+                            H.labels[i], self.host.labels[a], self.host.labels[b]
+                        )
+        return CheckOutcome.from_residual("module-algebra-mult", bad, wit)
+
+
+class _Battery(_AlgebraBattery):
+    """One verify_hopf run: the algebra battery's basis products, and the
+    host's structure cells, coproducts (flat keys) and antipode images,
+    each formed once, None where it leaves the window; one method
+    <id>_check per check id."""
+
+    def __init__(self, host):
+        super().__init__(host)
+        dim, one = self.dim, self.one
+        self.counit = host.counit
         self.over = {n for n, p in enumerate(self.prods) if p is None}
         if hasattr(host, "base_table"):
             self.cells = host.base_table()
@@ -1392,29 +1424,21 @@ class _Battery:
         except ValueError:  # a bialgebra, given without antipode
             self.images = None
 
-    def at(self, *idx):
-        """Witness naming basis elements by label: "x" or "(x,y,...)"."""
-        labels = [self.host.labels[i] for i in idx]
-        return labels[0] if len(labels) == 1 else "(%s)" % ",".join(labels)
-
-    def mul(self, a, b, arity=1):
-        """a * b in host^(tensor arity); None when a or b is None or the
-        product needs a basis product outside the window."""
+    def mul2(self, a, b):
+        """a * b in host (x) host; None when a or b is None or the product
+        needs a basis product outside the window."""
         if a is None or b is None:
             return None
         dim = self.dim
         if self.over:
-            da = [decode_key(k, dim, arity) for k in a]
-            db = [decode_key(k, dim, arity) for k in b]
+            da = [divmod(k, dim) for k in a]
+            db = [divmod(k, dim) for k in b]
             if any(
                 x * dim + y in self.over
                 for p in da for q in db for x, y in zip(p, q)
             ):
                 return None
-        return tensor_convolve(a, b, dim, arity, self.cells)
-
-    def prod(self, i, j):
-        return self.prods[i * self.dim + j]
+        return tensor_convolve(a, b, dim, 2, self.cells)
 
     def coproduct(self, vec):
         """Delta(vec) with flat keys, None outside the window."""
@@ -1442,31 +1466,6 @@ class _Battery:
         return None if vec is None else _within(self.host.apply_antipode, vec)
 
     # -- the checks
-
-    def unit_laws_check(self):
-        bad, wit = 0, None
-        for i in range(self.dim):
-            x = {i: self.one}
-            if _differ(self.mul(self.unit, x), x) or _differ(self.mul(x, self.unit), x):
-                bad += 1
-                wit = wit or self.at(i)
-        return CheckOutcome.from_residual("unit-laws", bad, wit)
-
-    def associativity_check(self):
-        bad, wit = 0, None
-        one, dim = self.one, self.dim
-        for i in range(dim):
-            xi = {i: one}
-            for j in range(dim):
-                ij = self.prod(i, j)
-                if ij is None:
-                    continue
-                for k in range(dim):
-                    lhs = self.mul(xi, self.prod(j, k))
-                    if lhs is not None and _differ(lhs, self.mul(ij, {k: one})):
-                        bad += 1
-                        wit = wit or self.at(i, j, k)
-        return CheckOutcome.from_residual("associativity", bad, wit)
 
     def commutativity_check(self):
         bad, wit = 0, None
@@ -1531,7 +1530,7 @@ class _Battery:
             wit = "coproduct(1)"
         for i in range(dim):
             for j in range(dim):
-                lhs = self.mul(self.cops[i], self.cops[j], 2)
+                lhs = self.mul2(self.cops[i], self.cops[j])
                 if _differ(lhs, self.coproduct(self.prod(i, j))):
                     bad += 1
                     wit = wit or self.at(i, j)

@@ -76,7 +76,7 @@ from .heis_torus import (
     zak_act_right,
     zak_pair,
 )
-from .multilinear import LegTensor, verify_hopf, with_series_ring
+from .multilinear import LegTensor, verify_algebra, verify_hopf, with_series_ring
 from .pbw import (
     PBWTensor,
     bch_report,
@@ -191,18 +191,13 @@ def _group_cohomology(rng, order, theta):
     # normalizing F(e) = 1 makes dF unital, so the twist exists on every seed
     S3 = symmetric_3()
     dF = group_coboundary(normalized(random_group_cochain(S3, 1, rng)))
-    A = twisted_group_algebra(S3, dF)
+    _, assoc = verify_algebra(twisted_group_algebra(S3, dF))
+    checks.append(assoc.renamed("twist-assoc-iff-cocycle:pos"))
+    _, _, oct_algebra = fano_octonions()
+    _, assoc = verify_algebra(oct_algebra)
     checks.append(
         CheckOutcome.from_residual(
-            "twist-assoc-iff-cocycle:pos",
-            0 if A.assoc_flag == "associative" else 1,
-        )
-    )
-    _, fano, oct_algebra = fano_octonions()
-    checks.append(
-        CheckOutcome.from_residual(
-            "twist-assoc-iff-cocycle:neg",
-            0 if oct_algebra.assoc_flag == "quasi" else 1,
+            "twist-assoc-iff-cocycle:neg", 0 if not assoc.ok else 1, "associative"
         )
     )
 
@@ -210,9 +205,13 @@ def _group_cohomology(rng, order, theta):
         tag = "torus-%d/%d" % (theta_q.numerator, theta_q.denominator)
         F, W = torus_cochain(theta_q, 5)
         out = is_cocycle(F, window=W)
-        outs = out if isinstance(out, list) else [out]
+        failed = [o for o in (out if isinstance(out, list) else [out]) if not o.ok]
         checks.append(
-            CheckOutcome.from_residual("%s:cocycle" % tag, sum(1 for o in outs if not o.ok))
+            CheckOutcome.from_residual(
+                "%s:cocycle" % tag,
+                len(failed),
+                "%s at %s" % (failed[0].id, failed[0].witness) if failed else None,
+            )
         )
         u = is_unital(F)
         checks.append(u.renamed("%s:unital" % tag))
@@ -231,32 +230,8 @@ def _group_cohomology(rng, order, theta):
 def _octonions(rng, order, theta):
     _, fano, O = fano_octonions()
     one = Fraction(1)
-    checks = []
-
-    bad, witness = 0, None
-    for i in range(8):
-        if O.basis_mul(0, i) != {i: one} or O.basis_mul(i, 0) != {i: one}:
-            bad += 1
-            witness = witness or O.labels[i]
-    checks.append(CheckOutcome.from_residual("unit-laws", bad, witness))
-
-    dF = O.associator
-    bad = 0
-    witness = None
-    for a in range(8):
-        for b in range(8):
-            ab = O.basis_mul(a, b)
-            for c in range(8):
-                lhs = O.elem_mul({a: one}, O.basis_mul(b, c))
-                rhs = {
-                    k: dF[(a, b, c)] * w * v
-                    for j, v in ab.items()
-                    for k, w in O.basis_mul(j, c).items()
-                }
-                if lhs != rhs:
-                    bad += 1
-                    witness = witness or repr((a, b, c))
-    checks.append(CheckOutcome.from_residual("quasi-associativity-512", bad, witness))
+    unit, quasi = verify_algebra(O, associator=O.associator)
+    checks = [unit, quasi.renamed("quasi-associativity-512")]
 
     bad, witness = 0, None
     for a in range(8):
@@ -420,22 +395,31 @@ def _hopf_cochain(rng, order, theta):
                     witness = witness or "%s trial %d" % (ck.id, t)
         checks.append(CheckOutcome.from_residual("twist-quasi:%s" % label, bad, witness))
 
-    # the octonions as a module-algebra twist over the dual of (Z/2)^3
+    checks.append(_octonion_module_twist())
+    return checks
+
+
+def _octonion_module_twist():
+    """The octonions as a module-algebra twist over the dual of (Z/2)^3: the
+    Fano cochain is counital and invariant, twists the table of k[(Z/2)^3]
+    into the octonions', passes verify_quasi and is equivariant.  A failure
+    names the first step that broke."""
     G8, fano, Oct = fano_octonions()
     mod = dual_action_module(G8)
     valF = LegTensor(mod.host, 2, dict(fano.table))
     FF = HopfCochain(mod.host, 2, valF, valF)
-    bad = 0
+    broken = []
     if not (is_counital(FF) and is_invariant(FF)):
-        bad += 1
+        broken.append("counital-invariant")
     R = twist(mod.host, FF, mod)
     if R.twisted_algebra.mult != Oct.mult:
-        bad += 1
-    bad += sum(1 for ck in verify_quasi(R) if not ck.ok)
+        broken.append("twisted-table")
+    broken += [ck.id for ck in verify_quasi(R) if not ck.ok]
     if not equivariant_twist_check(FF, R):
-        bad += 1
-    checks.append(CheckOutcome.from_residual("octonion-module-twist", bad))
-    return checks
+        broken.append("equivariance")
+    return CheckOutcome.from_residual(
+        "octonion-module-twist", len(broken), broken[0] if broken else None
+    )
 
 
 def _pbw_gcl(rng, order, theta):

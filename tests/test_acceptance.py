@@ -239,3 +239,20 @@ def test_group_cohomology_seed3_digest(capsys):
     assert main(["verify", "group-cohomology", "--seed", "3", "--json", "-"]) == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == GROUP_COHOMOLOGY_SEED3_DIGEST, "seed-3 report changed"
+
+
+# SHA-256 of the standard output of `hopftwist verify <suite> --seed 3 --json
+# -` for two more suites, under the same rule as GOLDEN_DIGESTS: hopf-cochain
+# runs verify_quasi with and without a module algebra, graded-galois builds
+# its algebras through AlgebraPresentation.
+SEED3_DIGESTS = {
+    "hopf-cochain": "8b50131906accc480c813154f5b724cf81cbef17d2475db26fe825ddbceb99d9",
+    "graded-galois": "58a2bcc80fb3bd040e279497f2e75f6356326330dfcaf307e09f50e807200464",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED3_DIGESTS))
+def test_seed3_digest(capsys, name):
+    assert main(["verify", name, "--seed", "3", "--json", "-"]) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == SEED3_DIGESTS[name], "seed-3 report of %s changed" % name

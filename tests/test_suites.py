@@ -8,9 +8,16 @@ import pytest
 
 from hopftwist import heis_torus, hopf_cochain, suites
 from hopftwist.errors import SchemaError, UnknownSuite
-from hopftwist.group_cohomology import fano_octonions, octonion_norm
-from hopftwist.multilinear import LegTensor
+from hopftwist.group_cohomology import (
+    GroupCochain,
+    TorusCochain,
+    fano_octonions,
+    octonion_norm,
+    twisted_group_algebra,
+)
+from hopftwist.multilinear import LegTensor, ModuleAlgebra
 from hopftwist.reporting import CheckOutcome
+from hopftwist.scalars import root_of_unity
 from hopftwist.suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 # the slow suite (hopf-cochain) is exercised by the acceptance gate;
@@ -282,3 +289,91 @@ def test_octonion_norm_pairs_name_the_pair(monkeypatch):
     monkeypatch.setattr(suites, "octonion_norm", norm)
     ck = {c.id: c for c in run_suite("octonions").checks}["norm-basis-pairs"]
     assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 19, "(e1,e4)")
+
+
+def _group_cohomology_checks(monkeypatch, name, value):
+    monkeypatch.setattr(suites, name, value)
+    return {c.id: c for c in run_suite("group-cohomology").checks}
+
+
+def test_twist_assoc_pos_multiplies_in_the_algebra(monkeypatch):
+    # the S3 coboundaries come out with F((12),(23)) doubled: still unital,
+    # no longer a cocycle, so k_F[S3] is not associative
+    real = suites.group_coboundary
+
+    def doubled(c):
+        d = real(c)
+        if c.arity == 1 and c.group.order == 6:
+            table = dict(d.table)
+            table[(1, 2)] *= 2
+            return GroupCochain(d.group, 2, table)
+        return d
+
+    ck = _group_cohomology_checks(monkeypatch, "group_coboundary", doubled)[
+        "twist-assoc-iff-cocycle:pos"
+    ]
+    # the 18 triples where d(F) is not 1
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 18, "((12),(12),(23))")
+
+
+def test_twist_assoc_pos_sees_a_corrupted_product(monkeypatch):
+    # F stays a cocycle, but the algebra built from it has (12)(23) doubled:
+    # only a check that multiplies in the algebra sees it
+    real = suites.twisted_group_algebra
+
+    def corrupted(G, F):
+        A = real(G, F)
+        if G.order == 6:
+            A.mult[(1, 2)] = {k: 2 * v for k, v in A.mult[(1, 2)].items()}
+        return A
+
+    ck = _group_cohomology_checks(monkeypatch, "twisted_group_algebra", corrupted)[
+        "twist-assoc-iff-cocycle:pos"
+    ]
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 18, "((12),(12),(23))")
+
+
+def test_twist_assoc_neg_multiplies_in_the_algebra(monkeypatch):
+    # the Fano cochain replaced by the trivial cocycle: k[(Z/2)^3] is
+    # associative, so the negative case fails
+    def fano_octonions_from_a_cocycle():
+        G, F, _ = fano_octonions()
+        one = GroupCochain(G, 2, {k: Fraction(1) for k in F.table})
+        return G, one, twisted_group_algebra(G, one)
+
+    checks = _group_cohomology_checks(
+        monkeypatch, "fano_octonions", fano_octonions_from_a_cocycle
+    )
+    ck = checks["twist-assoc-iff-cocycle:neg"]
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 1, "associative")
+    assert checks["twist-assoc-iff-cocycle:pos"].ok
+
+
+class _WrongValueOnOnePair(TorusCochain):
+    # value() alone disagrees with exponent(), on the pair (U, V)
+    def value(self, a, b):
+        if (a, b) == ((1, 0), (0, 1)):
+            return root_of_unity(self.exponent(a, b) + 1, self.two_q)
+        return super().value(a, b)
+
+
+def test_torus_cocycle_names_the_failing_window(monkeypatch):
+    checks = _group_cohomology_checks(
+        monkeypatch, "torus_cochain", lambda theta, w: (_WrongValueOnOnePair(theta), w)
+    )
+    ck = checks["torus-2/5:cocycle"]
+    assert (ck.status, ck.residual_term_count) == ("fail", 1)
+    assert ck.witness == "cocycle-cyclotomic-window-2 at (-2, -2),(1, 0),(0, 1)"
+
+
+def test_octonion_module_twist_names_the_first_broken_step(monkeypatch):
+    # the tabulated action negates every image: F^-1 twists the table into
+    # the opposite signs, and phi^-1 acts with the wrong sign
+    real = ModuleAlgebra.act_tensor
+
+    def negated(self, ht):
+        return {js: {ks: -c for ks, c in image.items()} for js, image in real(self, ht).items()}
+
+    monkeypatch.setattr(ModuleAlgebra, "act_tensor", negated)
+    ck = suites._octonion_module_twist()
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 2, "twisted-table")
