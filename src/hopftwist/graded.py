@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import linalg
-from .constructors import FiniteGroup, cyclic_group, group_algebra, symmetric_3
+from .constructors import cyclic_group, group_algebra, symmetric_3
 from .errors import NotAction, NotAutomorphism, NotHomogeneous
 from .multilinear import AlgebraPresentation
 from .reporting import CheckOutcome

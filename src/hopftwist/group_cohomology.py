@@ -6,7 +6,6 @@ twisted algebra is the noncommutative torus.
 
 from fractions import Fraction
 from functools import partial
-from math import gcd
 
 from .constructors import FiniteGroup
 from .errors import NotUnital, WindowOverflow
@@ -59,14 +58,20 @@ def _keys(order, arity):
 
 def group_coboundary(c):
     """Multiplicative coboundary: alternating product over dropped or merged
-    slots, the first factor dropping the leading argument."""
+    slots, the first factor dropping the leading argument.
+
+    Each entry is one quotient of two products.  A rational value enters as
+    its integer numerator and denominator, so a rational entry is one
+    Fraction of two integer products; any other value enters as itself over
+    1."""
     if isinstance(c, TorusCochain):
         return TorusCoboundary(c)
     G = c.group
     n = c.arity
+    parts = {key: _ratio(v) for key, v in c.table.items()}
     table = {}
     for key in _keys(G.order, n + 1):
-        acc = Fraction(1)
+        num = den = 1
         for i in range(n + 2):
             if i == 0:
                 sub = key[1:]
@@ -74,10 +79,24 @@ def group_coboundary(c):
                 sub = key[:-1]
             else:
                 sub = key[: i - 1] + (G.mul(key[i - 1], key[i]),) + key[i + 1 :]
-            v = c.table[sub]
-            acc = acc * v if i % 2 == 0 else acc / v
-        table[key] = acc
+            p, q = parts[sub]
+            if i % 2:
+                num, den = num * q, den * p
+            else:
+                num, den = num * p, den * q
+        if type(num) is int and type(den) is int:
+            table[key] = Fraction(num, den)
+        else:
+            table[key] = num / den
     return GroupCochain(G, n + 1, table)
+
+
+def _ratio(v):
+    """(numerator, denominator) of a cochain value: integers when it is
+    rational, (v, 1) otherwise."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
+    return v, 1
 
 
 def is_constant_one(c):

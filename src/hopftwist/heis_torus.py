@@ -7,6 +7,14 @@ product is the truncated exponential star product along the invariant
 vector fields X = d_x + y d_t and Y = d_y; the deformation parameter is
 a formal series with zero constant term, and tau = 2 pi i stays formal.
 
+The star product runs on term rows (see scalars): a monomial key becomes
+(m, n, p, c * D) with D the lcm of the frequency denominators of both
+factors, so row keys are integers.  The vector fields act on rows: X
+shifts the tau power and multiplies by m or n, Y multiplies by p * D or
+by c * D over the denominator times D.  Each term of the sum is the row
+of (theta/tau)^k / k! times X^k a, times Y^k b, and the terms are summed
+as rows; the result builds one Series per monomial.
+
 Generalized associativity mixes two parameters: (a *_t' b) *_t c equals
 a *_t' (b *_t c) exactly when t' = alpha_n(t) for n the degree of b,
 with alpha_k(t) = t / (1 + k t) the integer reparametrization action.
@@ -18,7 +26,7 @@ pairing given by exact affine substitutions in y.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     DegenerateDegrees,
@@ -29,9 +37,13 @@ from .errors import (
 from .scalars import (
     Series,
     TauLaurent,
+    _row,
     root_of_unity,
     series_exp,
     series_invert,
+    term_product,
+    term_rows,
+    term_values,
     theta_ok,
 )
 
@@ -159,55 +171,118 @@ class HeisElement:
         return "HeisElement(order=%d, %d terms)" % (self.order, len(self.data))
 
 
+def _freq_den(*elements):
+    """The lcm of the y-frequency denominators of the elements' keys."""
+    return lcm(*[k[3].denominator for f in elements for k in f.data])
+
+
+def _rows(f, D):
+    """Term row of f with each frequency c keyed as the integer c * D."""
+    return term_rows(
+        ((m, n, p, c.numerator * (D // c.denominator)), s)
+        for (m, n, p, c), s in f.data.items()
+    )
+
+
+def _element(order, row, D):
+    """The HeisElement of a canonical term row keyed as in _rows."""
+    freq = {}
+    out = {}
+    for (m, n, p, cd), s in term_values(row, order).items():
+        c = freq.get(cd)
+        if c is None:
+            c = freq[cd] = Fraction(cd, D)
+        out[m, n, p, c] = s
+    return HeisElement._raw(order, out)
+
+
+def _put(out, idx, x):
+    r = out.get(idx)
+    out[idx] = x if r is None else r + x
+
+
+def _field_x(row, D):
+    """X = d_x + y d_t: tau * (m + n y) on each monomial."""
+    nums, den = row
+    out = {}
+    for (key, v, t), x in nums.items():
+        m, n, p, c = key
+        if m:
+            _put(out, (key, v, t + 1), x * m)
+        if n:
+            _put(out, ((m, n, p + 1, c), v, t + 1), x * n)
+    return _row([(out, den)])
+
+
+def _field_y(row, D):
+    """Y = d_y: p y^(p-1) + tau * c y^p on each monomial, over den * D."""
+    nums, den = row
+    out = {}
+    for (key, v, t), x in nums.items():
+        m, n, p, c = key
+        if p:
+            _put(out, ((m, n, p - 1, c), v, t), x * (p * D))
+        if c:
+            _put(out, (key, v, t + 1), x * c)
+    return _row([(out, den * D)])
+
+
+def _field_t(row, D):
+    """T = d_t: tau * n on each monomial."""
+    nums, den = row
+    out = {}
+    for (key, v, t), x in nums.items():
+        n = key[1]
+        if n:
+            out[key, v, t + 1] = x * n
+    return _row([(out, den)])
+
+
+_FIELDS = {"X": _field_x, "Y": _field_y, "T": _field_t}
+
+
 def vf_apply(field, f):
     """Apply one of the invariant vector fields X, Y, T monomial-wise."""
-    out = {}
-    if field == "X":
-        for (m, n, p, c), s in f.data.items():
-            if m:
-                _acc(out, (m, n, p, c), s * (_TAU * m))
-            if n:
-                _acc(out, (m, n, p + 1, c), s * (_TAU * n))
-    elif field == "Y":
-        for (m, n, p, c), s in f.data.items():
-            if p:
-                _acc(out, (m, n, p - 1, c), s * p)
-            if c:
-                _acc(out, (m, n, p, c), s * (_TAU * c))
-    elif field == "T":
-        for (m, n, p, c), s in f.data.items():
-            if n:
-                _acc(out, (m, n, p, c), s * (_TAU * n))
-    else:
+    apply = _FIELDS.get(field)
+    if apply is None:
         raise ValueError("field must be one of X, Y, T")
-    return HeisElement._raw(f.order, out)
+    D = _freq_den(f)
+    return _element(f.order, apply(_rows(f, D), D), D)
 
 
-def _pointwise(a, b, scalar, out):
-    for (m1, n1, p1, c1), s1 in a.data.items():
-        s1 = s1 * scalar
-        for (m2, n2, p2, c2), s2 in b.data.items():
-            _acc(out, (m1 + m2, n1 + n2, p1 + p2, c1 + c2), s1 * s2)
+def _monomial_product(k1, k2):
+    return (((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3]), 1),)
+
+
+def _scalar_product(k1, k2):
+    return ((k2, 1),)
 
 
 def star(a, b, theta, convention="main"):
-    """Truncated star product  sum_k (1/k!) (theta/tau)^k (X^k a)(Y^k b)."""
+    """Truncated star product  sum_k (1/k!) (theta/tau)^k (X^k a)(Y^k b).
+
+    One pass on term rows (see the module docstring): X^k a, Y^k b and the
+    factor (theta/tau)^k / k! are rows, and each term of the sum is two
+    row products."""
     a._compat(b)
     order = a.order
     theta = _check_theta(theta, order, convention)
-    lam = theta * TauLaurent.tau(-1)
-    out = {}
-    xa, yb = a, b
-    coef = Series.one(order)
-    _pointwise(xa, yb, coef, out)
+    D = _freq_den(a, b)
+    xa, yb = _rows(a, D), _rows(b, D)
+    lnums, lden = term_rows([((), theta)])
+    lam = {(key, v, t - 1): x for (key, v, t), x in lnums.items()}, lden
+    pieces = [term_product(xa, yb, order, _monomial_product)]
+    coef = ({((), 0, 0): 1}, 1)
     for k in range(1, order + 1):
-        xa = vf_apply("X", xa)
-        yb = vf_apply("Y", yb)
-        coef = coef * lam * Fraction(1, k)
-        if coef.is_zero() or xa.is_zero() or yb.is_zero():
+        xa = _field_x(xa, D)
+        yb = _field_y(yb, D)
+        nums, den = term_product(coef, lam, order, _scalar_product)
+        coef = _row([(nums, den * k)])
+        if not (coef[0] and xa[0] and yb[0]):
             break
-        _pointwise(xa, yb, coef, out)
-    return HeisElement._raw(order, out)
+        scaled = term_product(coef, xa, order, _scalar_product)
+        pieces.append(term_product(scaled, yb, order, _monomial_product))
+    return _element(order, _row(pieces), D)
 
 
 def alpha(theta, k, convention="main"):

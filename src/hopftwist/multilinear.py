@@ -12,7 +12,8 @@ Conventions:
 A LegTensor stores rational, tau-free values as integer rows, FLINT's
 fmpq_poly layout (integer numerators over one shared denominator) lifted to
 one canonical (numerators, denominator) pair per hbar degree 0..K, or a
-single pair over an exact ring.  mul, add, sub, neg, scale, coproduct_leg,
+single pair over an exact ring: the degree rows of scalars, which converts
+them to and from values.  mul, add, sub, neg, scale, coproduct_leg,
 leg_embed, counit_leg and eq work on the rows and return rows, so a chain
 of products never leaves the integers.  A product of rows over a host with
 an integer structure table (host.rational_table(): every group algebra, its
@@ -58,7 +59,7 @@ instances that need such a value are skipped, not failed.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -69,7 +70,13 @@ from .errors import (
     WindowOverflow,
 )
 from .reporting import CheckOutcome
-from .scalars import ScalarRing, Series, TauLaurent
+from .scalars import (
+    ScalarRing,
+    _ZERO_ROW,
+    _pieces,
+    _row,
+    _values,
+)
 
 
 def encode_key(digits, dim):
@@ -260,65 +267,6 @@ def _fills(cells, dim, n):
 # integer rows
 
 
-def _numerators(data):
-    """(integer numerators, common denominator) of a dict of rational values,
-    or None when some value is not rational."""
-    try:
-        den = lcm(*[v.denominator for v in data.values()])
-    except AttributeError:
-        return None
-    if den == 1:
-        return {k: v.numerator for k, v in data.items()}, 1
-    return {k: v.numerator * (den // v.denominator) for k, v in data.items()}, den
-
-
-def _pieces(data, K):
-    """Integer rows of a dict of values: [_numerators(data)] over an exact
-    ring (K None), _numerators() of each hbar-degree piece of order-K
-    series otherwise.  None when some value is not rational or carries tau."""
-    if K is None:
-        parts = [data]
-    else:
-        parts = [{} for _ in range(K + 1)]
-        for k, s in data.items():
-            for v, tl in enumerate(s.coeffs):
-                terms = tl.terms
-                if terms:
-                    q = terms.get(0)
-                    if q is None or len(terms) != 1:
-                        return None
-                    parts[v][k] = q
-    out = [_numerators(part) for part in parts]
-    return None if None in out else out
-
-
-_ZERO_ROW = ({}, 1)
-
-
-def _row(pieces):
-    """The canonical (numerators, denominator) pair of a sum of such pairs:
-    no zero numerators, den > 0 and gcd(den, numerators) = 1, so equal
-    values give equal pairs; ({}, 1) for zero."""
-    if not pieces:
-        return _ZERO_ROW
-    if len(pieces) == 1:
-        nums, den = pieces[0]
-        if 0 in nums.values():
-            nums = {k: n for k, n in nums.items() if n}
-    else:
-        den = lcm(*[d for _, d in pieces])
-        nums = {}
-        for part, d in pieces:
-            f = den // d
-            for k, n in part.items():
-                nums[k] = nums.get(k, 0) + (n if f == 1 else n * f)
-        nums = {k: n for k, n in nums.items() if n}
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return nums, den
-    return {k: n // g for k, n in nums.items()}, den // g
-
-
 def _rows_product(A, B, product):
     """Rows of a product: product() of degree v of A and degree w of B,
     summed into degree v + w for each v + w below len(A)."""
@@ -344,30 +292,6 @@ def _scaled(a, c):
     """A (numerators, denominator) pair times the scalar pair c = ({0: n}, d)."""
     n = c[0][0]
     return {k: x * n for k, x in a[0].items()}, a[1] * c[1]
-
-
-def _fractions(nums, den):
-    if den == 1:
-        return {k: Fraction(n) for k, n in nums.items()}
-    return {k: Fraction(n, den) for k, n in nums.items()}
-
-
-def _values(rows, K):
-    """{key: value} of integer rows: Fractions over an exact ring (K None),
-    otherwise order-K Series built raw, each exactly as Series(K, {degree:
-    Fraction}) builds it: K + 1 TauLaurent coefficients, {} or {0: q}."""
-    if K is None:
-        return _fractions(*rows[0])
-    cmaps = {}
-    for v, row in enumerate(rows):
-        for k, q in _fractions(*row).items():
-            cmaps.setdefault(k, {})[v] = q
-    raw = TauLaurent._raw
-    degrees = range(K + 1)
-    return {
-        k: Series._raw(K, [raw({0: c[v]} if v in c else {}) for v in degrees])
-        for k, c in cmaps.items()
-    }
 
 
 def rational_convolve(host, arity, a, b):

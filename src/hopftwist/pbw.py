@@ -6,12 +6,21 @@ hbar-truncated Series coefficients.  Tensor powers carry the same leg
 calculus as LegTensor (legwise products, primitive coproducts, unit
 embeddings), so the coboundary engine applies unchanged.
 
+Products, scalings and exponentials run on term rows (see scalars): the
+factors become rows keyed by (monomial key, hbar degree, tau power), one
+row product forms every pair of keys, and the result builds one Series per
+key; pbw_exp keeps its powers as rows until the sum is done.  The product
+of two monomials is memoized per (kappa, t1, t2) as (triple, integer)
+pairs, and a tensor key product is the legwise product of those.
+
 Exponentials exist for arguments whose every coefficient has positive
 hbar valuation; each hbar-coefficient of the sum is then a finite sum.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import partial
+from itertools import product
+from math import comb, factorial, prod
 
 from .errors import (
     ArityMismatch,
@@ -23,23 +32,62 @@ from .errors import (
 )
 from .hopf_cochain import coboundary, coboundary_pair
 from .reporting import CheckOutcome
-from .scalars import Series, TauLaurent, root_of_unity, theta_ok
+from .scalars import (
+    Series,
+    TauLaurent,
+    _row,
+    root_of_unity,
+    term_product,
+    term_rows,
+    term_values,
+    theta_ok,
+)
 
 _ZERO3 = (0, 0, 0)
+
+
+_MONO = {}
 
 
 def _mono_mul(kappa, t1, t2):
     """(X^a1 Y^b1 T^c1)(X^a2 Y^b2 T^c2) in normal order.
 
-    Moving X^a2 through Y^b1 contracts k pairs via [X, Y] = kappa*T:
-    yields ((a, b, c), rational) pairs.
+    Moving X^a2 through Y^b1 contracts k pairs via [X, Y] = kappa*T: a
+    tuple of ((a, b, c), integer) pairs, memoized per (kappa, t1, t2).
     """
-    a1, b1, c1 = t1
-    a2, b2, c2 = t2
-    kmax = 0 if kappa == 0 else min(b1, a2)
-    for k in range(kmax + 1):
-        coeff = Fraction(factorial(k) * comb(a2, k) * comb(b1, k) * (-kappa) ** k)
-        yield (a1 + a2 - k, b1 + b2 - k, c1 + c2 + k), coeff
+    hit = _MONO.get((kappa, t1, t2))
+    if hit is None:
+        a1, b1, c1 = t1
+        a2, b2, c2 = t2
+        kmax = 0 if kappa == 0 else min(b1, a2)
+        hit = _MONO[kappa, t1, t2] = tuple(
+            (
+                (a1 + a2 - k, b1 + b2 - k, c1 + c2 + k),
+                factorial(k) * comb(a2, k) * comb(b1, k) * (-kappa) ** k,
+            )
+            for k in range(kmax + 1)
+        )
+    return hit
+
+
+def _tensor_mono_mul(kappa, k1, k2):
+    """Legwise product of two tensor keys as (key, integer) pairs."""
+    out = []
+    for terms in product(*map(_mono_mul, (kappa,) * len(k1), k1, k2)):
+        key, qs = zip(*terms)
+        out.append((key, prod(qs)))
+    return out
+
+
+def _left_key(k1, k2):
+    return ((k1, 1),)
+
+
+def _product(K, a, b, keymul):
+    """{key: Series} of the product of two {key: Series} dicts of order K
+    whose keys multiply by keymul, formed on term rows."""
+    rows = term_product(term_rows(a.items()), term_rows(b.items()), K, keymul)
+    return term_values(_row([rows]), K)
 
 
 def _coerce_series(order, v):
@@ -131,21 +179,17 @@ class PBWElement:
         return self._raw({k: -s for k, s in self.data.items()})
 
     def scale(self, c):
-        c = _coerce_series(self.order, c)
-        store = {}
-        for key, s in self.data.items():
-            _acc(store, key, s * c)
-        return self._raw(store)
+        c = {(): _coerce_series(self.order, c)}
+        return self._raw(_product(self.order, self.data, c, _left_key))
+
+    def _key_product(self):
+        return partial(_mono_mul, self.kappa)
 
     def mul(self, other):
         _check_compat(self, other)
-        store = {}
-        for k1, s1 in self.data.items():
-            for k2, s2 in other.data.items():
-                s12 = s1 * s2
-                for key, q in _mono_mul(self.kappa, k1, k2):
-                    _acc(store, key, s12 * q)
-        return self._raw(store)
+        return self._raw(
+            _product(self.order, self.data, other.data, self._key_product())
+        )
 
     def eq(self, other):
         _check_compat(self, other)
@@ -185,20 +229,27 @@ def pbw_mul(x, y):
 
 
 def _exp_generic(x):
+    """sum_n x^n / n! on term rows: each power is one row product with x,
+    over n times the denominator of the power before it."""
     for s in x.data.values():
         v = s.valuation()
         if v is not None and v < 1:
             raise NotFormallyNilpotent(
                 "exponent has an hbar-degree-0 part"
             )
-    out = x.unit_like()
-    term = x.unit_like()
-    for n in range(1, x.order + 1):
-        term = term.mul(x).scale(Fraction(1, n))
-        if term.is_zero():
+    K = x.order
+    keymul = x._key_product()
+    (unit,) = x.unit_like().data
+    step = term_rows(x.data.items())
+    term = ({(unit, 0, 0): 1}, 1)
+    pieces = [term]
+    for n in range(1, K + 1):
+        nums, den = term_product(term, step, K, keymul)
+        term = _row([(nums, den * n)])
+        if not term[0]:
             break
-        out = out.add(term)
-    return out
+        pieces.append(term)
+    return x._raw(term_values(_row(pieces), K))
 
 
 def pbw_exp(x):
@@ -279,11 +330,8 @@ class PBWTensor:
         return self._raw({k: -s for k, s in self.data.items()})
 
     def scale(self, c):
-        c = _coerce_series(self.order, c)
-        store = {}
-        for key, s in self.data.items():
-            _acc(store, key, s * c)
-        return self._raw(store)
+        c = {(): _coerce_series(self.order, c)}
+        return self._raw(_product(self.order, self.data, c, _left_key))
 
     def eq(self, other):
         self._compat(other)
@@ -296,23 +344,14 @@ class PBWTensor:
                 "arities differ: %d vs %d" % (self.arity, other.arity)
             )
 
+    def _key_product(self):
+        return partial(_tensor_mono_mul, self.kappa)
+
     def mul(self, other):
         self._compat(other)
-        kappa = self.kappa
-        store = {}
-        for k1, s1 in self.data.items():
-            for k2, s2 in other.data.items():
-                s12 = s1 * s2
-                partial = [(tuple(), Fraction(1))]
-                for i in range(self.arity):
-                    nxt = []
-                    for prefix, q in partial:
-                        for t, q2 in _mono_mul(kappa, k1[i], k2[i]):
-                            nxt.append((prefix + (t,), q * q2))
-                    partial = nxt
-                for key, q in partial:
-                    _acc(store, key, s12 * q)
-        return self._raw(store)
+        return self._raw(
+            _product(self.order, self.data, other.data, self._key_product())
+        )
 
     def leg_embed(self, positions, arity_out):
         positions = tuple(positions)

@@ -24,10 +24,24 @@ their conductors unless they cancel to zero: this order fixes the
 conductors of every result.  A plain number or tau-Laurent factor scales
 the coefficients without being made into a Series, and sums reuse a
 coefficient where the other side is zero.
+
+Integer rows hold sparse Series-valued data for products, in FLINT's
+fmpq_poly layout: integer numerators over one shared denominator.  There
+are two layouts, and this module converts both to and from Series.  A
+degree row (``_pieces``/``_values``), the layout LegTensor keeps, is one
+(numerators, denominator) pair per hbar degree 0..K of rational, tau-free
+values, keyed by tensor key.  A term row (``term_rows``/``term_values``)
+is one pair for any values: it maps (key, hbar degree, tau power) to an
+integer numerator when every value is rational, and otherwise to the value
+itself (a Fraction or Cyclotomic) over denominator 1.  ``term_product``
+multiplies two term rows with one loop for every kind of numerator, each
+pair of keys multiplied once by a caller's key product; ``_row`` sums rows
+into the canonical pair.  heis_torus.star and the PBW products run on term
+rows and build one Series per key of the result.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import NonNilpotent, NonUnit, OrderMismatch
@@ -84,7 +98,7 @@ def _phi_deg(n):
 _ROWS = {}
 
 
-def _row(n, e):
+def _power_row(n, e):
     """Coordinates of z^e (phi(n) <= e < n) in the reduced basis."""
     phi = _phi_deg(n)
     rows = _ROWS.setdefault(n, [])
@@ -117,7 +131,7 @@ def _reduce(n, coords):
             else:
                 out.pop(e, None)
         else:
-            for j, w in _row(n, e).items():
+            for j, w in _power_row(n, e).items():
                 r = out.get(j, 0) + v * w
                 if r:
                     out[j] = r
@@ -134,7 +148,7 @@ def _rows_list(n):
     if n not in _ROWLIST:
         phi = _phi_deg(n)
         _ROWLIST[n] = [
-            sorted(_row(n, e).items()) for e in range(phi, n)
+            sorted(_power_row(n, e).items()) for e in range(phi, n)
         ]
     return _ROWLIST[n]
 
@@ -166,10 +180,6 @@ def cyclo_mul(a, b, n, phi, rows):
                     else:
                         out.pop(j, None)
     return out
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 _RATIONAL = (int, Fraction)
@@ -221,7 +231,7 @@ class Cyclotomic:
 
     def align(self, other):
         """Return (m, coords_self, coords_other) at the lcm conductor."""
-        m = _lcm(self.conductor, other.conductor)
+        m = lcm(self.conductor, other.conductor)
         return m, self._embedded(m), other._embedded(m)
 
     # -- predicates
@@ -309,7 +319,7 @@ class Cyclotomic:
         if self.root is not None and other.root is not None:
             if self.conductor == other.conductor:
                 return root_of_unity(self.root + other.root, self.conductor)
-            m = _lcm(self.conductor, other.conductor)
+            m = lcm(self.conductor, other.conductor)
             return root_of_unity(
                 self.root * (m // self.conductor)
                 + other.root * (m // other.conductor),
@@ -827,6 +837,192 @@ def theta_ok(s):
     """True when s is an admissible deformation parameter: a series whose
     constant term vanishes."""
     return isinstance(s, Series) and not s.coeffs[0]
+
+
+# ---------------------------------------------------------------------------
+# integer rows
+
+
+def _numerators(data):
+    """(integer numerators, common denominator) of a dict of rational values,
+    or None when some value is not rational."""
+    try:
+        den = lcm(*[v.denominator for v in data.values()])
+    except AttributeError:
+        return None
+    if den == 1:
+        return {k: v.numerator for k, v in data.items()}, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in data.items()}, den
+
+
+def _pieces(data, K):
+    """Integer rows of a dict of values: [_numerators(data)] over an exact
+    ring (K None), _numerators() of each hbar-degree piece of order-K
+    series otherwise.  None when some value is not rational or carries tau."""
+    if K is None:
+        parts = [data]
+    else:
+        parts = [{} for _ in range(K + 1)]
+        for k, s in data.items():
+            for v, tl in enumerate(s.coeffs):
+                terms = tl.terms
+                if terms:
+                    q = terms.get(0)
+                    if q is None or len(terms) != 1:
+                        return None
+                    parts[v][k] = q
+    out = [_numerators(part) for part in parts]
+    return None if None in out else out
+
+
+_ZERO_ROW = ({}, 1)
+
+
+def _row(pieces):
+    """The canonical (numerators, denominator) pair of a sum of such pairs:
+    no zero numerators, den > 0 and gcd(den, numerators) = 1, so equal
+    values give equal pairs; ({}, 1) for zero.  Numerators that are ring
+    values (see term_rows) are summed the same way but not reduced."""
+    if not pieces:
+        return _ZERO_ROW
+    if len(pieces) == 1:
+        nums, den = pieces[0]
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
+    else:
+        den = lcm(*[d for _, d in pieces])
+        nums = {}
+        for part, d in pieces:
+            f = den // d
+            for k, n in part.items():
+                r = nums.get(k)
+                n = n if f == 1 else n * f
+                nums[k] = n if r is None else r + n
+        nums = {k: n for k, n in nums.items() if n}
+    if den == 1:
+        return nums, 1
+    try:
+        g = gcd(den, *nums.values())
+    except TypeError:
+        return nums, den
+    if g == 1:
+        return nums, den
+    return {k: n // g for k, n in nums.items()}, den // g
+
+
+def _fractions(nums, den):
+    if den == 1:
+        return {k: Fraction(n) for k, n in nums.items()}
+    return {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def _values(rows, K):
+    """{key: value} of integer rows: Fractions over an exact ring (K None),
+    otherwise order-K Series built raw, each exactly as Series(K, {degree:
+    Fraction}) builds it: K + 1 TauLaurent coefficients, {} or {0: q}."""
+    if K is None:
+        return _fractions(*rows[0])
+    cmaps = {}
+    for v, row in enumerate(rows):
+        for k, q in _fractions(*row).items():
+            cmaps.setdefault(k, {})[v] = q
+    raw = TauLaurent._raw
+    degrees = range(K + 1)
+    return {
+        k: Series._raw(K, [raw({0: c[v]} if v in c else {}) for v in degrees])
+        for k, c in cmaps.items()
+    }
+
+
+def term_rows(items):
+    """The term row of (key, Series) pairs: {(key, hbar degree, tau power):
+    numerator} over one denominator.  The numerators are integers over the
+    lcm of the denominators when every value is rational; otherwise they
+    are the values themselves (Fraction or Cyclotomic) over 1."""
+    flat = {}
+    for key, s in items:
+        for v, c in enumerate(s.coeffs):
+            for t, q in c.terms.items():
+                flat[key, v, t] = q
+    nd = _numerators(flat)
+    return (flat, 1) if nd is None else nd
+
+
+def term_product(A, B, K, keymul):
+    """Product of two term rows truncated at hbar order K, as a row that may
+    hold zero numerators (pass it through _row).
+
+    keymul(k1, k2) gives the product of two keys as (key, integer) pairs.
+    Each pair of keys is multiplied once, and not at all when the sum of
+    their lowest hbar degrees passes K; the numerator of a product term is
+    n1 * n2 * q whatever kind the numerators are, over the product of the
+    two denominators."""
+    ga = _by_key(A[0])
+    gb = _by_key(B[0])
+    out = {}
+    get = out.get
+    for k1, ta in ga.items():
+        reach = K - ta[0][0]
+        for k2, tb in gb.items():
+            if tb[0][0] > reach:
+                continue
+            prods = keymul(k1, k2)
+            for v1, t1, n1 in ta:
+                room = K - v1
+                for v2, t2, n2 in tb:
+                    if v2 > room:
+                        break
+                    x = n1 * n2
+                    v = v1 + v2
+                    t = t1 + t2
+                    for key, q in prods:
+                        idx = (key, v, t)
+                        y = x if q == 1 else x * q
+                        r = get(idx)
+                        out[idx] = y if r is None else r + y
+    return out, A[1] * B[1]
+
+
+def _by_key(nums):
+    """{key: [(degree, tau power, numerator)] in increasing degree}.  No
+    two terms of a key share (degree, tau power), so sorting never compares
+    numerators."""
+    g = {}
+    for (key, v, t), n in nums.items():
+        terms = g.get(key)
+        if terms is None:
+            g[key] = [(v, t, n)]
+        else:
+            terms.append((v, t, n))
+    for terms in g.values():
+        terms.sort()
+    return g
+
+
+def term_values(row, K):
+    """{key: order-K Series} of a canonical term row (see _row)."""
+    nums, den = row
+    inv = None if den == 1 else Fraction(1, den)
+    cmaps = {}
+    for (key, v, t), n in nums.items():
+        if type(n) is int:
+            q = Fraction(n, den)
+        else:
+            q = n if inv is None else n * inv
+        degs = cmaps.get(key)
+        if degs is None:
+            degs = cmaps[key] = {}
+        terms = degs.get(v)
+        if terms is None:
+            degs[v] = {t: q}
+        else:
+            terms[t] = q
+    raw = TauLaurent._raw
+    degrees = range(K + 1)
+    return {
+        key: Series._raw(K, [raw(d[v]) if v in d else raw({}) for v in degrees])
+        for key, d in cmaps.items()
+    }
 
 
 # ---------------------------------------------------------------------------

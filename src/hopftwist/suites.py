@@ -83,7 +83,6 @@ from .pbw import (
     gcl_coassociator,
     gcl_cocycle_report,
     gcl_equivariance_report,
-    gcl_twist_pair,
     heisenberg_counterexample,
     key_repr,
     moyal_suite,
@@ -574,7 +573,9 @@ def _heis_torus(rng, order, theta):
     uv = star(U, V, theta)
     vu = star(V, U, theta)
     resid = uv.sub(vu.scale(series_exp(theta * tau)))
-    checks.append(CheckOutcome.from_residual("uv-commutation", resid.term_count()))
+    checks.append(
+        CheckOutcome.from_residual("uv-commutation", resid.term_count(), key_repr(resid))
+    )
 
     for n in (-2, -1, 1, 2):
         for tag, terms in (("h", {1: 1}), ("h+h^2", {1: 1, 2: 1})):
@@ -611,12 +612,20 @@ def _heis_torus(rng, order, theta):
         lhs = zak_act_left("UV", f, theta)
         rhs = zak_act_left("VU", f, theta)
         resid = lhs.sub(rhs.scale(series_exp(alpha(theta, n) * tau)))
-        checks.append(CheckOutcome.from_residual("zak-left-commutation:n=%d" % n, resid.term_count()))
+        checks.append(
+            CheckOutcome.from_residual(
+                "zak-left-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
+            )
+        )
         f2 = _rand_zak(order, n, rng)
         lhs = zak_act_right("UV", f2, theta)
         rhs = zak_act_right("VU", f2, theta)
         resid = lhs.sub(rhs.scale(series_exp(theta * tau)))
-        checks.append(CheckOutcome.from_residual("zak-right-commutation:n=%d" % n, resid.term_count()))
+        checks.append(
+            CheckOutcome.from_residual(
+                "zak-right-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
+            )
+        )
 
     t3 = Series.hbar(3)
     h1 = _rand_zak(3, 1, rng)

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopftwist.errors import (
     DegenerateDegrees,
@@ -25,7 +27,7 @@ from hopftwist.heis_torus import (
     zak_act_right,
     zak_pair,
 )
-from hopftwist.scalars import Series, TauLaurent, series_exp
+from hopftwist.scalars import Series, TauLaurent, root_of_unity, series_exp
 
 TAU = TauLaurent.tau()
 
@@ -122,6 +124,55 @@ def test_star_matches_oracle_on_seeded_elements():
         a = rand_heis(K, rng)
         b = rand_heis(K, rng)
         assert star(a, b, theta) == oracle_star(a, b, theta)
+
+
+# coefficient series of three kinds: rational, rational with tau powers, and
+# cyclotomic (a rational times a root of unity of order 3 or 4) with tau powers
+KINDS = ("rational", "tau", "cyclotomic")
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+CYCLOTOMICS = st.builds(
+    lambda q, e, n: root_of_unity(e, n) * q,
+    RATIONALS,
+    st.integers(0, 3),
+    st.sampled_from([3, 4]),
+)
+
+
+def series_of(kind, order, lowest=0):
+    taus = st.just(0) if kind == "rational" else st.integers(-1, 1)
+    values = CYCLOTOMICS if kind == "cyclotomic" else RATIONALS
+    terms = st.dictionaries(taus, values, min_size=1, max_size=2)
+    degrees = st.integers(lowest, order)
+    return st.dictionaries(degrees, terms, min_size=1, max_size=3).map(
+        lambda d: Series(order, {v: TauLaurent(t) for v, t in d.items()})
+    )
+
+
+def heis_of(kind, order):
+    keys = st.tuples(
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.integers(0, 2),
+        st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+    )
+    return st.dictionaries(keys, series_of(kind, order), min_size=1, max_size=3).map(
+        lambda d: HeisElement(order, d)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.sampled_from(["rational", "cyclotomic"]),
+    st.data(),
+)
+def test_star_matches_oracle_over_every_value_kind(ka, kb, kt, data):
+    order = 3
+    a = data.draw(heis_of(ka, order))
+    b = data.draw(heis_of(kb, order))
+    theta = data.draw(series_of(kt, order, lowest=1))
+    assert star(a, b, theta) == oracle_star(a, b, theta)
 
 
 # --- vector fields ----------------------------------------------------------

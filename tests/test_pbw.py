@@ -3,8 +3,11 @@ truncated-exponential identities built on it."""
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopftwist.errors import NotFormallyNilpotent, NotInvertible, OrderMismatch
 from hopftwist.pbw import (
@@ -20,7 +23,7 @@ from hopftwist.pbw import (
     pbw_exp,
     pbw_mul,
 )
-from hopftwist.scalars import Series, TauLaurent
+from hopftwist.scalars import Series, TauLaurent, root_of_unity
 
 
 # Oracle: normal-order a word over letters X, Y, T by single swaps
@@ -80,6 +83,128 @@ def test_single_swap_against_closed_form():
             x = PBWElement(kappa, 0, {t1: 1})
             y = PBWElement(kappa, 0, {t2: 1})
             assert elem_to_plain(pbw_mul(x, y)) == oracle_mul(kappa, t1, t2)
+
+
+# Reference: the per-pair Series loop that PBWElement.mul and PBWTensor.mul
+# ran before they moved to term rows, one Series product per pair of keys.
+def reference_mono_mul(kappa, t1, t2):
+    a1, b1, c1 = t1
+    a2, b2, c2 = t2
+    kmax = 0 if kappa == 0 else min(b1, a2)
+    for k in range(kmax + 1):
+        coeff = Fraction(factorial(k) * comb(a2, k) * comb(b1, k) * (-kappa) ** k)
+        yield (a1 + a2 - k, b1 + b2 - k, c1 + c2 + k), coeff
+
+
+def reference_mul(x, y):
+    tensor = isinstance(x, PBWTensor)
+    store = {}
+    for k1, s1 in x.data.items():
+        for k2, s2 in y.data.items():
+            s12 = s1 * s2
+            partial = [((), Fraction(1))]
+            for t1, t2 in zip(k1, k2) if tensor else [(k1, k2)]:
+                partial = [
+                    (prefix + (t,), q * q2)
+                    for prefix, q in partial
+                    for t, q2 in reference_mono_mul(x.kappa, t1, t2)
+                ]
+            for key, q in partial:
+                key = key if tensor else key[0]
+                prev = store.get(key)
+                r = s12 * q if prev is None else prev + s12 * q
+                if r.is_zero():
+                    store.pop(key, None)
+                else:
+                    store[key] = r
+    return store
+
+
+# coefficient series: rational, rational with tau powers, or cyclotomic
+# (a rational times a root of unity of order 3 or 4) with tau powers
+KINDS = ("rational", "tau", "cyclotomic")
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+CYCLOTOMICS = st.builds(
+    lambda q, e, n: root_of_unity(e, n) * q,
+    RATIONALS,
+    st.integers(0, 3),
+    st.sampled_from([3, 4]),
+)
+TRIPLES = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def series_of(kind, order, lowest=0):
+    taus = st.just(0) if kind == "rational" else st.integers(-1, 1)
+    values = CYCLOTOMICS if kind == "cyclotomic" else RATIONALS
+    terms = st.dictionaries(taus, values, min_size=1, max_size=2)
+    degrees = st.integers(lowest, order)
+    return st.dictionaries(degrees, terms, min_size=1, max_size=3).map(
+        lambda d: Series(order, {v: TauLaurent(t) for v, t in d.items()})
+    )
+
+
+def data_of(keys, kind, order, lowest=0):
+    return st.dictionaries(
+        keys, series_of(kind, order, lowest), min_size=1, max_size=4
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([-1, 0, 1]),
+    st.integers(1, 3),
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.data(),
+)
+def test_tensor_mul_matches_the_per_pair_loop(kappa, arity, ka, kb, data):
+    order = 2
+    keys = st.tuples(*[TRIPLES] * arity)
+    x = PBWTensor(kappa, order, arity, data.draw(data_of(keys, ka, order)))
+    y = PBWTensor(kappa, order, arity, data.draw(data_of(keys, kb, order)))
+    assert x.mul(y).data == reference_mul(x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.data(),
+)
+def test_element_mul_matches_the_per_pair_loop(kappa, ka, kb, data):
+    order = 2
+    x = PBWElement(kappa, order, data.draw(data_of(TRIPLES, ka, order)))
+    y = PBWElement(kappa, order, data.draw(data_of(TRIPLES, kb, order)))
+    assert x.mul(y).data == reference_mul(x, y)
+
+
+def reference_exp(x):
+    """The Series loop pbw_exp ran before term rows: term = term x / n."""
+    out = term = x.unit_like()
+    for n in range(1, x.order + 1):
+        data = reference_mul(term, x)
+        term = x._raw({k: s * Fraction(1, n) for k, s in data.items()})
+        if term.is_zero():
+            break
+        out = out.add(term)
+    return out.data
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([-1, 0, 1]),
+    st.integers(1, 3),
+    st.sampled_from(KINDS),
+    st.data(),
+)
+def test_exp_matches_the_per_pair_loop(kappa, arity, kind, data):
+    order = 3
+    keys = st.tuples(*[TRIPLES] * arity)
+    x = PBWTensor(kappa, order, arity, data.draw(data_of(keys, kind, order, 1)))
+    assert pbw_exp(x).data == reference_exp(x)
+    e = PBWElement(kappa, order, data.draw(data_of(TRIPLES, kind, order, 1)))
+    assert pbw_exp(e).data == reference_exp(e)
 
 
 def test_basic_rewrites():

@@ -17,7 +17,7 @@ from hopftwist.group_cohomology import (
 )
 from hopftwist.multilinear import LegTensor, ModuleAlgebra
 from hopftwist.reporting import CheckOutcome
-from hopftwist.scalars import root_of_unity
+from hopftwist.scalars import Series, TauLaurent, root_of_unity
 from hopftwist.suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 # the slow suite (hopf-cochain) is exercised by the acceptance gate;
@@ -149,6 +149,53 @@ def test_heis_torus_witnesses_an_unseen_perturbation(monkeypatch):
     check = {c.id: c for c in run_suite("heis-torus").checks}["reparam-iff:n=2:theta=h"]
     assert check.residual_term_count == 3
     assert check.witness == "perturbation h^1 unseen"
+
+
+def test_uv_commutation_names_the_first_residual_key(monkeypatch):
+    assert report("heis-torus").checks[0].witness is None
+    real = heis_torus.star
+
+    def without_first_order(a, b, theta, convention="main"):
+        zero = Series.zero(a.order)
+        first = real(heis_torus.vf_apply("X", a), heis_torus.vf_apply("Y", b), zero)
+        return real(a, b, theta).sub(first.scale(theta * TauLaurent.tau(-1)))
+
+    monkeypatch.setattr(suites, "star", without_first_order)
+    checks = {c.id: c for c in run_suite("heis-torus").checks}
+    assert not checks["uv-commutation"].ok
+    assert checks["uv-commutation"].witness == "(1, 0, 0, Fraction(1, 1))"
+
+
+def test_zak_commutation_names_the_first_residual_key(monkeypatch):
+    passing = {c.id: c for c in report("heis-torus").checks}
+    for name in ("zak-left-commutation:n=2", "zak-right-commutation:n=2"):
+        assert passing[name].ok and passing[name].witness is None
+    real = heis_torus._act_once
+
+    def without_phase(letter, f, theta, side):
+        # V multiplies slot m by e^{-2 pi i m/n}; take that factor back off
+        out = real(letter, f, theta, side)
+        if letter != "V":
+            return out
+        n = out.degree
+        return heis_torus.ZakElement._raw(
+            out.order,
+            n,
+            {
+                (m, p, c): s * heis_torus._phase(Fraction(m, n))
+                for (m, p, c), s in out.data.items()
+            },
+        )
+
+    monkeypatch.setattr(heis_torus, "_act_once", without_phase)
+    checks = {c.id: c for c in run_suite("heis-torus").checks}
+    # the phase is 1 in degree 1, so only degree 2 can see it
+    assert checks["zak-left-commutation:n=1"].ok
+    assert checks["zak-right-commutation:n=1"].ok
+    left = checks["zak-left-commutation:n=2"]
+    right = checks["zak-right-commutation:n=2"]
+    assert (left.residual_term_count, left.witness) == (3, "(0, 0, Fraction(5, 3))")
+    assert (right.residual_term_count, right.witness) == (13, "(0, 0, Fraction(0, 1))")
 
 
 def test_all_gives_each_suite_a_fresh_rng(monkeypatch):
