@@ -362,13 +362,14 @@ def z2_dual_iso_report():
             wit = wit or str(i)
     checks.append(CheckOutcome.from_residual("z2-iso-coproduct", bad, wit))
 
-    bad = 0
+    bad, wit = 0, None
     for i in range(2):
         if H.counit[i] != K.elem_counit(images[i]):
             bad += 1
-    checks.append(CheckOutcome.from_residual("z2-iso-counit", bad, None))
+            wit = wit or str(i)
+    checks.append(CheckOutcome.from_residual("z2-iso-counit", bad, wit))
 
-    bad = 0
+    bad, wit = 0, None
     for i in range(2):
         lhs = {}
         for t, c in H.apply_antipode({i: Fraction(1)}).items():
@@ -380,7 +381,8 @@ def z2_dual_iso_report():
                     lhs.pop(k, None)
         if lhs != K.apply_antipode(images[i]):
             bad += 1
-    checks.append(CheckOutcome.from_residual("z2-iso-antipode", bad, None))
+            wit = wit or str(i)
+    checks.append(CheckOutcome.from_residual("z2-iso-antipode", bad, wit))
     return checks
 
 

@@ -22,11 +22,19 @@ with alpha_k(t) = t / (1 + k t) the integer reparametrization action.
 The Zak side models each nonzero degree as a module of sequences
 f(y; m) of y-monomials indexed by integer slots m, with generator
 actions U, V of the deformed torus on both sides and a degree-additive
-pairing given by exact affine substitutions in y.
+pairing given by exact affine substitutions in y.  One action or pairing
+call runs on phase rows (see scalars) at one conductor N: the lcm of the
+conductors of the values and theta and of the denominators of every
+phase e^{2 pi i c r} and e^{-2 pi i m/n} it meets.  Each substitution is
+a polynomial in y with phase-row coefficients, keyed by y-power and
+memoized per (y-power, frequency, shift) within the call; the output row
+is keyed by (slot, y-power, frequency * D) with D the lcm of the
+frequency denominators, and builds one Series per key of the result.
 """
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 
 from .errors import (
     DegenerateDegrees,
@@ -35,20 +43,20 @@ from .errors import (
     ZeroDegree,
 )
 from .scalars import (
+    _ZERO_ROW,
     Series,
-    TauLaurent,
     _row,
+    conductor,
+    phase_product,
+    phase_rows,
+    phase_values,
     root_of_unity,
-    series_exp,
     series_invert,
     term_product,
     term_rows,
     term_values,
     theta_ok,
 )
-
-_TAU = TauLaurent.tau()
-
 
 def _phase(c):
     """e^{2 pi i c} for rational c, as an exact root of unity."""
@@ -184,16 +192,23 @@ def _rows(f, D):
     )
 
 
-def _element(order, row, D):
-    """The HeisElement of a canonical term row keyed as in _rows."""
+def _freq_keys(values, D):
+    """values with the last entry of each key, a frequency c keyed as the
+    integer c * D, made the Fraction c again."""
     freq = {}
     out = {}
-    for (m, n, p, cd), s in term_values(row, order).items():
+    for key, s in values.items():
+        cd = key[-1]
         c = freq.get(cd)
         if c is None:
             c = freq[cd] = Fraction(cd, D)
-        out[m, n, p, c] = s
-    return HeisElement._raw(order, out)
+        out[key[:-1] + (c,)] = s
+    return out
+
+
+def _element(order, row, D):
+    """The HeisElement of a canonical term row keyed as in _rows."""
+    return HeisElement._raw(order, _freq_keys(term_values(row, order), D))
 
 
 def _put(out, idx, x):
@@ -406,80 +421,111 @@ class ZakElement:
         )
 
 
-def _subst(order, p, c, u, r, sigma):
-    """Substitute y -> u*y + r + sigma into y^p e^{2 pi i c y}.
+def _scaled(row, q, y=0, t=0):
+    """q * y^y * tau^t times a phase row keyed by y-power, for rational q."""
+    q = Fraction(q)
+    nums, den = row
+    moved = {
+        ((j + y, e), v, k + t): x * q.numerator
+        for ((j, e), v, k), x in nums.items()
+    }
+    return _row([(moved, den * q.denominator)])
 
-    u is a series with constant term 1, r is rational and sigma is a
-    series with zero constant term.  Frequencies stay fixed: the result
-    is a dict {new power: Series} against e^{2 pi i c y}.
+
+def _ymul(A, B, K, N):
+    """Product of two phase rows keyed by y-power: the powers add."""
+    return _row([phase_product(A, B, K, N, add)])
+
+
+def _root(e):
+    """The phase row of z_N^e at y-power 0."""
+    return {((0, e), 0, 0): 1}, 1
+
+
+def _exp(X, K, N):
+    """exp of a phase row with zero hbar constant term, truncated at K."""
+    terms = [_root(0)]
+    for k in range(1, K + 1):
+        nums, den = _ymul(terms[-1], X, K, N)
+        if not nums:
+            break
+        terms.append(_row([(nums, den * k)]))
+    return _row(terms)
+
+
+def _subst(K, N, p, c, du, r, sigma):
+    """Substitute y -> (1 + du) y + r + sigma into y^p e^{2 pi i c y}.
+
+    du and sigma are phase rows at conductor N with zero hbar constant
+    term, r is rational and N * c * r is an integer.  Frequencies stay
+    fixed: the result is the phase row, keyed by y-power, of the
+    polynomial in y that multiplies e^{2 pi i c y}, namely
+    e^{2 pi i c r} e^{tau c (du y + sigma)} ((1 + du) y + r + sigma)^p.
     """
-    c = Fraction(c)
-    efac = Series.one(order) * _phase(c * r)
-    if not sigma.is_zero():
-        efac = efac * series_exp(sigma * (_TAU * c))
-    shift = Series.const(r, order) + sigma
-    du = u - Series.one(order)
-    # e^{2 pi i c (u-1) y} brings extra y powers
-    freq = [Series.one(order)]
-    if c and not du.is_zero():
-        w = Series.one(order)
-        t = 1
-        while True:
-            w = w * du * (_TAU * c) * Fraction(1, t)
-            if w.is_zero():
-                break
-            freq.append(w)
-            t += 1
-    out = {}
-    for j in range(p + 1):
-        base = efac * comb(p, j) * (u ** j) * (shift ** (p - j))
-        if base.is_zero():
-            continue
-        for t, w in enumerate(freq):
-            s = base * w
-            if not s.is_zero():
-                cur = out.get(j + t)
-                cur = s if cur is None else cur + s
-                if cur.is_zero():
-                    out.pop(j + t, None)
-                else:
-                    out[j + t] = cur
+    x = c * r
+    out = _root(x.numerator * (N // x.denominator) % N)
+    if c:
+        # e^{2 pi i c (du y + sigma)}: du brings extra y powers
+        arg = _row([_scaled(du, c, y=1, t=1), _scaled(sigma, c, t=1)])
+        if arg[0]:
+            out = _ymul(out, _exp(arg, K, N), K, N)
+    if p:
+        one = _root(0)
+        lin = _row(
+            [_scaled(_row([one, du]), 1, y=1), _scaled(one, r), sigma]
+        )
+        for _ in range(p):
+            out = _ymul(out, lin, K, N)
     return out
 
 
 def _act_once(letter, f, theta, side):
     order, n = f.order, f.degree
-    out = {}
+    D = lcm(*[c.denominator for _, _, c in f.data])
+    pieces = []
     if letter == "U":
         # slot shifts by one; left actions also shift y by the
         # reparametrized angle alpha_n(theta)
         r = -Fraction(1, n)
-        sigma = (
-            alpha(theta, n) if side == "left" else Series.zero(order)
+        sigma = alpha(theta, n) if side == "left" else Series.zero(order)
+        N = lcm(
+            conductor(f.data.values()),
+            conductor([sigma]),
+            *[(c * r).denominator for _, _, c in f.data],
         )
-        u = Series.one(order)
+        sig = phase_rows([(0, sigma)], N)
+        memo = {}
         for (m, p, c), s in f.data.items():
-            for pnew, w in _subst(order, p, c, u, r, sigma).items():
-                _acc(out, (m + 1, pnew, c), s * w)
+            w = memo.get((p, c))
+            if w is None:
+                w = memo[p, c] = _subst(order, N, p, c, _ZERO_ROW, r, sig)
+            cd = c.numerator * (D // c.denominator)
+            pieces.append(
+                phase_product(
+                    phase_rows([(0, s)], N), w, order, N,
+                    lambda _, j: (m + 1, j, cd),
+                )
+            )
     elif letter == "V":
+        N = lcm(n, conductor(f.data.values()), conductor([theta]))
+        if side == "right":
+            # e^{2 pi i n theta y} expands into extra y powers
+            g = _exp(_scaled(phase_rows([(0, theta)], N), n, y=1, t=1), order, N)
+        else:
+            g = _root(0)
         for (m, p, c), s in f.data.items():
-            base = s * _phase(Fraction(-m, n))
-            if side == "right":
-                # e^{2 pi i n theta y} expands into extra y powers
-                w = Series.one(order)
-                t = 0
-                while True:
-                    if not w.is_zero():
-                        _acc(out, (m, p + t, c + 1), base * w)
-                    else:
-                        break
-                    t += 1
-                    w = w * theta * (_TAU * n) * Fraction(1, t)
-            else:
-                _acc(out, (m, p, c + 1), base)
+            rot = _root(-m * (N // n) % N)
+            cd = (c.numerator + c.denominator) * (D // c.denominator)
+            pieces.append(
+                phase_product(
+                    _ymul(phase_rows([(0, s)], N), rot, order, N), g, order, N,
+                    lambda _, t: (m, p + t, cd),
+                )
+            )
     else:
         raise ValueError("words are over the letters U and V")
-    return ZakElement._raw(order, n, out)
+    values = phase_values(_row(pieces), order, N)
+    return ZakElement._raw(order, n, _freq_keys(values, D))
 
 
 def zak_act_left(word, f, theta, convention="main"):
@@ -514,19 +560,42 @@ def zak_pair(f1, f2, theta, convention="main"):
     n, p = f1.degree, f2.degree
     if n == 0 or p == 0 or n + p == 0:
         raise DegenerateDegrees("degrees n, p, n+p must all be nonzero")
-    one = Series.one(order)
-    u2 = one + theta * n
-    out = {}
-    for (j, p1, c1), s1 in f1.data.items():
-        for (k, p2, c2), s2 in f2.data.items():
-            m = j + k
-            num = j * p - k * n
-            r1 = Fraction(num, n * (n + p))
-            q = Fraction(num, p * (n + p))
-            left = _subst(order, p1, c1, one, r1, Series.zero(order))
-            right = _subst(order, p2, c2, u2, -q, theta * (p * q))
-            base = s1 * s2
-            for pa, wa in left.items():
-                for pb, wb in right.items():
-                    _acc(out, (m, pa + pb, c1 + c2), base * wa * wb)
-    return ZakElement._raw(order, n + p, out)
+    pairs = []
+    for k1 in f1.data:
+        for k2 in f2.data:
+            num = k1[0] * p - k2[0] * n
+            pairs.append(
+                (k1, k2, Fraction(num, n * (n + p)), Fraction(num, p * (n + p)))
+            )
+    N = lcm(
+        conductor(f1.data.values()),
+        conductor(f2.data.values()),
+        conductor([theta]),
+        *[(k1[2] * r1).denominator for k1, _, r1, _ in pairs],
+        *[(k2[2] * q).denominator for _, k2, _, q in pairs],
+    )
+    D = lcm(*[c.denominator for f in (f1, f2) for _, _, c in f.data])
+    th = phase_rows([(0, theta)], N)
+    du = _scaled(th, n)
+    rows1 = {k: phase_rows([(0, s)], N) for k, s in f1.data.items()}
+    rows2 = {k: phase_rows([(0, s)], N) for k, s in f2.data.items()}
+    left, right = {}, {}
+    pieces = []
+    for (j, p1, c1), (k, p2, c2), r1, q in pairs:
+        wa = left.get((p1, c1, r1))
+        if wa is None:
+            wa = left[p1, c1, r1] = _subst(
+                order, N, p1, c1, _ZERO_ROW, r1, _ZERO_ROW
+            )
+        wb = right.get((p2, c2, q))
+        if wb is None:
+            wb = right[p2, c2, q] = _subst(
+                order, N, p2, c2, du, -q, _scaled(th, p * q)
+            )
+        a = _ymul(rows1[j, p1, c1], wa, order, N)
+        b = _ymul(rows2[k, p2, c2], wb, order, N)
+        m = j + k
+        cd = ((c1 + c2) * D).numerator
+        pieces.append(phase_product(a, b, order, N, lambda x, y: (m, x + y, cd)))
+    values = phase_values(_row(pieces), order, N)
+    return ZakElement._raw(order, n + p, _freq_keys(values, D))

@@ -971,10 +971,6 @@ class LegTensor:
 # -- module-level op aliases matching the published interface
 
 
-def tensor_mul(a, b):
-    return a.mul(b)
-
-
 def leg_embed(t, positions, arity_out):
     return t.leg_embed(positions, arity_out)
 

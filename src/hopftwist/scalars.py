@@ -38,6 +38,14 @@ multiplies two term rows with one loop for every kind of numerator, each
 pair of keys multiplied once by a caller's key product; ``_row`` sums rows
 into the canonical pair.  heis_torus.star and the PBW products run on term
 rows and build one Series per key of the result.
+
+A phase row (``phase_rows``/``phase_values``) is the term row of values in
+Q(z_N) at one conductor N, keyed by (key, e) for the exponent e of
+z_N^e: every cyclotomic coordinate becomes its own integer numerator over
+the shared denominator, so ``phase_product`` (``term_product`` with
+exponents that add mod N) multiplies integers whatever the values are.
+``phase_values`` reduces the coordinates of each (key, hbar degree, tau
+power) to the basis once.  The Zak side of heis_torus runs on them.
 """
 
 from fractions import Fraction
@@ -476,10 +484,6 @@ class TauLaurent:
         return t
 
     @staticmethod
-    def from_const(x):
-        return TauLaurent({0: x})
-
-    @staticmethod
     def tau(power=1):
         return TauLaurent({power: 1})
 
@@ -536,9 +540,6 @@ class TauLaurent:
         return TauLaurent._raw(_tau_product(self.terms, o.terms))
 
     __rmul__ = __mul__
-
-    def is_unit(self):
-        return len(self.terms) == 1
 
     def inverse(self):
         if len(self.terms) != 1:
@@ -677,9 +678,6 @@ class Series:
             if c:
                 return k
         return None
-
-    def constant_term(self):
-        return self.coeffs[0]
 
     def __add__(self, other):
         o = self._operand(other)
@@ -1003,26 +1001,113 @@ def term_values(row, K):
     """{key: order-K Series} of a canonical term row (see _row)."""
     nums, den = row
     inv = None if den == 1 else Fraction(1, den)
-    cmaps = {}
+    terms = []
     for (key, v, t), n in nums.items():
         if type(n) is int:
             q = Fraction(n, den)
         else:
             q = n if inv is None else n * inv
+        terms.append((key, v, t, q))
+    return _series_by_key(terms, K)
+
+
+def _series_by_key(terms, K):
+    """{key: order-K Series} of (key, hbar degree, tau power, nonzero value)
+    terms, no two with the same key, degree and power, built raw."""
+    cmaps = {}
+    for key, v, t, q in terms:
         degs = cmaps.get(key)
         if degs is None:
             degs = cmaps[key] = {}
-        terms = degs.get(v)
-        if terms is None:
+        powers = degs.get(v)
+        if powers is None:
             degs[v] = {t: q}
         else:
-            terms[t] = q
+            powers[t] = q
     raw = TauLaurent._raw
     degrees = range(K + 1)
     return {
         key: Series._raw(K, [raw(d[v]) if v in d else raw({}) for v in degrees])
         for key, d in cmaps.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# phase rows
+
+
+def conductor(values):
+    """The lcm of the conductors of the cyclotomic coefficients of Series
+    values: 1 when every coefficient is rational."""
+    return lcm(
+        1,
+        *[
+            q.conductor
+            for s in values
+            for c in s.coeffs
+            for q in c.terms.values()
+            if isinstance(q, Cyclotomic)
+        ],
+    )
+
+
+def phase_rows(items, N):
+    """The phase row at conductor N of (key, Series) pairs: the term row
+    keyed by (key, e) for the root exponent e of z = e^(2*pi*i/N), with
+    integer numerators over one shared denominator.  A rational value lies
+    on e = 0 and a Cyclotomic value of conductor M (M divides N) puts each
+    coordinate of z_M^e on e * N / M, not reduced to the basis at N."""
+    flat = {}
+    for key, s in items:
+        for v, c in enumerate(s.coeffs):
+            for t, q in c.terms.items():
+                if isinstance(q, Cyclotomic):
+                    k = N // q.conductor
+                    for e, x in q.coords.items():
+                        flat[(key, e * k), v, t] = x
+                else:
+                    flat[(key, 0), v, t] = q
+    return _numerators(flat)
+
+
+def phase_product(A, B, K, N, keymul):
+    """Product of two phase rows at conductor N truncated at hbar order K,
+    as a row that may hold zero numerators (pass it through _row).  It is
+    term_product with root exponents that add mod N; keymul(k1, k2) gives
+    the product of two keys (without their exponents) as one key."""
+
+    def mul(k1, k2):
+        return ((keymul(k1[0], k2[0]), (k1[1] + k2[1]) % N), 1),
+
+    return term_product(A, B, K, mul)
+
+
+def phase_values(row, K, N):
+    """{key: order-K Series} of a canonical phase row at conductor N, with
+    the keys whose value is zero left out.  The coordinates of each (key,
+    hbar degree, tau power) are reduced to the basis once (``_reduce``); a
+    rational result is a Fraction, any other a Cyclotomic of conductor N."""
+    nums, den = row
+    coords = {}
+    for ((key, e), v, t), n in nums.items():
+        c = coords.get((key, v, t))
+        if c is None:
+            coords[key, v, t] = {e: n}
+        else:
+            c[e] = n
+    terms = []
+    for (key, v, t), c in coords.items():
+        c = _reduce(N, c)
+        if not c:
+            continue
+        if len(c) == 1 and 0 in c:
+            q = Fraction(c[0], den)
+        else:
+            q = Cyclotomic(
+                N, {e: Fraction(n, den) for e, n in c.items()}, _reduced=True
+            )
+        terms.append((key, v, t, q))
+    return _series_by_key(terms, K)
 
 
 # ---------------------------------------------------------------------------

@@ -444,7 +444,11 @@ def _pbw_gcl(rng, order, theta):
         PBWTensor(-1, order, 3, {((1, 0, 0), (0, 0, 1), (0, 1, 0)): -(lam * lam)})
     )
     checks.append(
-        CheckOutcome.from_residual("equal-angle-closed-form", 0 if phi.eq(expected) else 1)
+        CheckOutcome.from_residual(
+            "equal-angle-closed-form",
+            0 if phi.eq(expected) else 1,
+            key_repr(phi.sub(expected)),
+        )
     )
 
     z = Series.zero(order)
@@ -495,27 +499,32 @@ def _graded_galois(rng, order, theta):
     checks = []
     for name, ga, expect in battery():
         n = ga.grading.order
-        verdicts = [
-            strong_grading(ga).strong,
-            all(resolution_of_unity(ga, g) is not None for g in range(n)),
-            canonical_map(ga).bijective,
-            all(c.ok for g in range(n) for c in smeb_check(ga, g)),
-        ]
-        bad = sum(1 for v in verdicts if v != expect)
-        checks.append(CheckOutcome.from_residual("fourway:%s" % name, bad))
+        verdicts = {
+            "strong-grading": strong_grading(ga).strong,
+            "resolution-of-unity": all(
+                resolution_of_unity(ga, g) is not None for g in range(n)
+            ),
+            "canonical-map": canonical_map(ga).bijective,
+            "smeb": all(c.ok for g in range(n) for c in smeb_check(ga, g)),
+        }
+        checks.append(_fourway("fourway:%s" % name, verdicts, expect))
     for name, ga, expect in window_battery():
-        verdicts = [
-            strong_grading(ga).strong,
-            all(c.ok for g in (1, -1) for c in smeb_check(ga, g)),
-        ]
-        bad = sum(1 for v in verdicts if v != expect)
-        checks.append(CheckOutcome.from_residual("fourway-window:%s" % name, bad))
+        verdicts = {
+            "strong-grading": strong_grading(ga).strong,
+            "smeb": all(c.ok for g in (1, -1) for c in smeb_check(ga, g)),
+        }
+        checks.append(_fourway("fourway-window:%s" % name, verdicts, expect))
 
-    crossed = [
-        (name, ga) for name, ga, _ in battery() if name.endswith("crossed")
+    weak = [
+        name
+        for name, ga, _ in battery()
+        if name.endswith("crossed") and not strong_grading(ga).strong
     ]
-    bad = sum(1 for _, ga in crossed if not strong_grading(ga).strong)
-    checks.append(CheckOutcome.from_residual("crossed-products-strong", bad))
+    checks.append(
+        CheckOutcome.from_residual(
+            "crossed-products-strong", len(weak), ",".join(weak)
+        )
+    )
 
     for name, ga, _ in battery():
         rep = ideal_property_report(ga)
@@ -531,6 +540,13 @@ def _graded_galois(rng, order, theta):
             )
         )
     return checks
+
+
+def _fourway(id, verdicts, expect):
+    """One outcome for verdicts that must all equal expect; the witness
+    names the ones that do not."""
+    wrong = [name for name, v in verdicts.items() if v != expect]
+    return CheckOutcome.from_residual(id, len(wrong), ",".join(wrong))
 
 
 def _sharp_map(rng, order, theta):
@@ -556,8 +572,12 @@ def _sharp_map(rng, order, theta):
     ]
     from .graded import sharp
 
-    bad = sum(1 for inp, out in frozen if sharp(inp) != out)
-    checks.append(CheckOutcome.from_residual("frozen-examples", bad))
+    wrong = [inp for inp, out in frozen if sharp(inp) != out]
+    checks.append(
+        CheckOutcome.from_residual(
+            "frozen-examples", len(wrong), repr(wrong[0]) if wrong else None
+        )
+    )
     return checks
 
 
@@ -694,10 +714,12 @@ _MIN_ORDER = {"pbw-gcl": 2, "heis-torus": 2}
 _THETA_ORDER_CAP = 64
 
 # Largest order a suite accepts: the largest at which its CLI run took under
-# 15 s on a shared 2-core x86 machine (moyal 10.8 s at 11, 16.5 s at 12;
-# pbw-gcl 12.4 s at 13, 22.4 s at 14; heis-torus 12.7 s at 12, 17.8 s at
-# 13).  The other suites read the order only to parse --theta, so theirs is
-# the theta cap (sharp-map at order 64 with a theta: 0.15 s).
+# 15 s on a shared 2-core x86 machine while the products ran on Series.  On
+# integer rows a CLI run at the cap takes 0.9-1.1 s (moyal at 11), 1.4-2.1 s
+# (pbw-gcl at 13) and 3.2-3.8 s (heis-torus at 12) on that machine, at a
+# peak RSS of 21.3, 27.9 and 25.5 MB.  The other suites read the order only
+# to parse --theta, so theirs is the theta cap (sharp-map at order 64 with a
+# theta: 0.15 s).
 _MAX_ORDER = {"moyal": 11, "pbw-gcl": 13, "heis-torus": 12}
 
 

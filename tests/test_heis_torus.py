@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopftwist.errors import (
@@ -17,6 +17,7 @@ from hopftwist.errors import (
 from hopftwist.heis_torus import (
     HeisElement,
     ZakElement,
+    _act_once,
     alpha,
     assoc_residual,
     m3_membership,
@@ -333,6 +334,121 @@ def test_periodicity_residual_is_reported():
 
 
 # --- Zak side ---------------------------------------------------------------
+# The Series forms of the affine substitution, of one letter of the torus
+# actions and of the pairing serve as the oracle for the phase-row code.
+
+
+def oracle_phase(c):
+    c = Fraction(c)
+    return root_of_unity(c.numerator % c.denominator, c.denominator)
+
+
+def oracle_subst(order, p, c, u, r, sigma):
+    """{new y-power: Series} of y^p e^{2 pi i c y} at y -> u*y + r + sigma."""
+    c = Fraction(c)
+    efac = Series.one(order) * oracle_phase(c * r)
+    if not sigma.is_zero():
+        efac = efac * series_exp(sigma * (TAU * c))
+    shift = Series.const(r, order) + sigma
+    du = u - Series.one(order)
+    freq = [Series.one(order)]
+    if c and not du.is_zero():
+        w = Series.one(order)
+        t = 1
+        while True:
+            w = w * du * (TAU * c) * Fraction(1, t)
+            if w.is_zero():
+                break
+            freq.append(w)
+            t += 1
+    out = {}
+    for j in range(p + 1):
+        base = efac * comb(p, j) * (u ** j) * (shift ** (p - j))
+        for t, w in enumerate(freq):
+            out[j + t] = out.get(j + t, Series.zero(order)) + base * w
+    return out
+
+
+def oracle_add(order, degree, parts):
+    out = ZakElement(order, degree, {})
+    for key, s in parts:
+        out = out.add(ZakElement(order, degree, {key: s}))
+    return out
+
+
+def oracle_act_once(letter, f, theta, side):
+    order, n = f.order, f.degree
+    parts = []
+    if letter == "U":
+        r = -Fraction(1, n)
+        sigma = alpha(theta, n) if side == "left" else Series.zero(order)
+        for (m, p, c), s in f.data.items():
+            for pnew, w in oracle_subst(order, p, c, Series.one(order), r, sigma).items():
+                parts.append(((m + 1, pnew, c), s * w))
+    else:
+        for (m, p, c), s in f.data.items():
+            base = s * oracle_phase(Fraction(-m, n))
+            w = Series.one(order)
+            t = 0
+            while not w.is_zero():
+                parts.append(((m, p + t, c + 1), base * w))
+                if side == "left":
+                    break
+                t += 1
+                w = w * theta * (TAU * n) * Fraction(1, t)
+    return oracle_add(order, n, parts)
+
+
+def oracle_pair(f1, f2, theta):
+    order = f1.order
+    n, p = f1.degree, f2.degree
+    one = Series.one(order)
+    parts = []
+    for (j, p1, c1), s1 in f1.data.items():
+        for (k, p2, c2), s2 in f2.data.items():
+            num = j * p - k * n
+            r1 = Fraction(num, n * (n + p))
+            q = Fraction(num, p * (n + p))
+            left = oracle_subst(order, p1, c1, one, r1, Series.zero(order))
+            right = oracle_subst(order, p2, c2, one + theta * n, -q, theta * (p * q))
+            for pa, wa in left.items():
+                for pb, wb in right.items():
+                    parts.append(((j + k, pa + pb, c1 + c2), s1 * s2 * wa * wb))
+    return oracle_add(order, n + p, parts)
+
+
+def zak_of(kind, order, degree):
+    keys = st.tuples(
+        st.integers(-2, 2),
+        st.integers(0, 3),
+        st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+    )
+    return st.dictionaries(keys, series_of(kind, order), min_size=1, max_size=3).map(
+        lambda d: ZakElement(order, degree, d)
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.integers(2, 5),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.sampled_from([-2, -1, 1, 2]),
+    st.data(),
+)
+def test_zak_side_matches_the_series_oracle(kf, kg, kt, order, n, p, data):
+    assume(n + p != 0)
+    f = data.draw(zak_of(kf, order, n))
+    g = data.draw(zak_of(kg, order, p))
+    theta = data.draw(series_of(kt, order, lowest=1))
+    for letter in "UV":
+        for side in ("left", "right"):
+            assert _act_once(letter, f, theta, side) == oracle_act_once(
+                letter, f, theta, side
+            ), (letter, side)
+    assert zak_pair(f, g, theta) == oracle_pair(f, g, theta)
 
 
 def test_zak_zero_degree_rejected():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopftwist import heis_torus, hopf_cochain, suites
+from hopftwist import constructors, graded, heis_torus, hopf_cochain, pbw, suites
 from hopftwist.errors import SchemaError, UnknownSuite
 from hopftwist.group_cohomology import (
     GroupCochain,
@@ -196,6 +196,105 @@ def test_zak_commutation_names_the_first_residual_key(monkeypatch):
     right = checks["zak-right-commutation:n=2"]
     assert (left.residual_term_count, left.witness) == (3, "(0, 0, Fraction(5, 3))")
     assert (right.residual_term_count, right.witness) == (13, "(0, 0, Fraction(0, 1))")
+
+
+def failing(checks):
+    return {
+        c.id: (c.residual_term_count, c.witness) for c in checks if not c.ok
+    }
+
+
+def test_equal_angle_closed_form_names_the_first_residual_key(monkeypatch):
+    assert failing(report("pbw-gcl").checks) == {}
+    real = pbw._lam
+
+    def doubled(theta, order):
+        # the twist angle theta / tau taken twice over
+        return real(theta, order) * 2
+
+    monkeypatch.setattr(pbw, "_lam", doubled)
+    assert failing(run_suite("pbw-gcl").checks) == {
+        "equal-angle-closed-form": (1, "((1, 0, 0), (0, 0, 1), (0, 1, 0))"),
+    }
+
+
+def test_graded_verdicts_name_a_weak_strong_grading(monkeypatch):
+    assert failing(report("graded-galois").checks) == {}
+
+    # a strong_grading that finds no grading strong
+    monkeypatch.setattr(
+        suites, "strong_grading", lambda ga: SimpleNamespace(strong=False)
+    )
+    bad = failing(run_suite("graded-galois").checks)
+    for name in (
+        "kZ2-self", "kZ3-self", "matrix-checkerboard", "kS3-parity",
+        "two-point-swap-crossed", "matrix-swap-crossed",
+    ):
+        assert bad.pop("fourway:%s" % name) == (1, "strong-grading")
+    assert bad.pop("fourway-window:laurent-window-2") == (1, "strong-grading")
+    assert bad == {
+        "crossed-products-strong": (
+            2, "two-point-swap-crossed,matrix-swap-crossed"
+        ),
+    }
+
+
+def test_fourway_names_each_disagreeing_verdict(monkeypatch):
+    # a canonical map that is never found bijective
+    monkeypatch.setattr(
+        suites, "canonical_map", lambda ga: SimpleNamespace(bijective=False)
+    )
+    # and a resolution of unity found for every grading but the Z3 ones
+    monkeypatch.setattr(
+        suites,
+        "resolution_of_unity",
+        lambda ga, g: None if ga.grading.order == 3 else object(),
+    )
+    bad = failing(run_suite("graded-galois").checks)
+    assert bad == {
+        "fourway:kZ2-self": (1, "canonical-map"),
+        "fourway:kZ3-self": (2, "resolution-of-unity,canonical-map"),
+        "fourway:dual-numbers-Z2": (1, "resolution-of-unity"),
+        "fourway:matrix-checkerboard": (1, "canonical-map"),
+        "fourway:kS3-parity": (1, "canonical-map"),
+        "fourway:two-point-swap-crossed": (1, "canonical-map"),
+        "fourway:matrix-swap-crossed": (1, "canonical-map"),
+    }
+
+
+def test_frozen_sharp_examples_name_the_first_wrong_input(monkeypatch):
+    assert failing(report("sharp-map").checks) == {}
+    real = graded.sharp
+    monkeypatch.setattr(graded, "sharp", lambda l: tuple(reversed(real(l))))
+    bad = failing(run_suite("sharp-map").checks)
+    assert bad["frozen-examples"] == (2, "(1, 2, 3)")
+
+
+def _z2_iso_with(monkeypatch, fault):
+    real = constructors.dual_group_hopf
+
+    def faulty(G, ring=None):
+        H = real(G, ring)
+        fault(H)
+        return H
+
+    monkeypatch.setattr(constructors, "dual_group_hopf", faulty)
+    return failing(constructors.z2_dual_iso_report())
+
+
+def test_z2_iso_counit_names_the_first_wrong_index(monkeypatch):
+    assert failing(constructors.z2_dual_iso_report()) == {}
+    # d(g) given counit 1 as well as d(e)
+    bad = _z2_iso_with(monkeypatch, lambda H: H.counit.__setitem__(1, Fraction(1)))
+    assert bad == {"z2-iso-counit": (1, "1")}
+
+
+def test_z2_iso_antipode_names_the_first_wrong_index(monkeypatch):
+    # S(d(g)) = -d(g) instead of d(g)
+    bad = _z2_iso_with(
+        monkeypatch, lambda H: H.antipode[1].__setitem__(1, Fraction(-1))
+    )
+    assert bad == {"z2-iso-antipode": (1, "1")}
 
 
 def test_all_gives_each_suite_a_fresh_rng(monkeypatch):
