@@ -3,8 +3,8 @@ quasi-Hopf associators, graded-algebra diagnostics, and the deformed torus
 function algebras they act on.
 
 Everything is exact: rationals, cyclotomics, Laurent polynomials in the
-formal 2*pi*i symbol, and truncated power series in hbar.  Floating point
-appears only in optional report rendering.
+formal 2*pi*i symbol, and truncated power series in hbar.  No floating
+point appears anywhere.
 """
 
 from .errors import HopftwistError

@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from .errors import ParseError, SchemaError, UnknownSuite
-from .io_json import describe_doc, load_json_file, octonion_table_csv, octonion_table_rows
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -67,6 +66,8 @@ def _cmd_verify(args):
 
 
 def _cmd_describe(args):
+    from .io_json import describe_doc, load_json_file
+
     doc = load_json_file(args.file)
     for line in describe_doc(doc):
         print(line)
@@ -74,6 +75,8 @@ def _cmd_describe(args):
 
 
 def _cmd_octonion_table(args):
+    from .io_json import octonion_table_csv, octonion_table_rows
+
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(octonion_table_csv())

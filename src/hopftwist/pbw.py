@@ -31,7 +31,7 @@ from .errors import (
     OrderMismatch,
 )
 from .hopf_cochain import coboundary, coboundary_pair
-from .reporting import CheckOutcome
+from .reporting import CheckOutcome, key_repr
 from .scalars import (
     Series,
     TauLaurent,
@@ -462,11 +462,6 @@ def _delta_mono(kappa, order, triple):
 
 # ---------------------------------------------------------------------------
 # shipped identities
-
-
-def key_repr(t):
-    """repr of the first key of a tensor, or None when the tensor is zero."""
-    return None if t.is_zero() else repr(min(t.data))
 
 
 def bch_report(kappa, order):

@@ -7,6 +7,11 @@ string, when present, pins down one offending input for debugging.
 import json
 
 
+def key_repr(t):
+    """repr of the first key of a tensor, or None when the tensor is zero."""
+    return None if t.is_zero() else repr(min(t.data))
+
+
 class CheckOutcome:
     __slots__ = ("id", "status", "residual_term_count", "witness")
 

@@ -1111,51 +1111,6 @@ def phase_values(row, K, N):
 
 
 # ---------------------------------------------------------------------------
-# numeric rendering
-
-
-def numeric_eval(x, hbar_value, precision):
-    """Evaluate an exact scalar to an mpmath complex number.
-
-    tau evaluates to 2*pi*i and hbar to the given rational.  Intended for
-    report rendering only; all verification stays exact.
-    """
-    import mpmath
-
-    with mpmath.workdps(precision):
-        return _num(x, Fraction(hbar_value))
-
-
-def _num(x, hv):
-    import mpmath
-
-    if isinstance(x, (int, Fraction)):
-        return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
-    if isinstance(x, Cyclotomic):
-        total = mpmath.mpc(0)
-        n = x.conductor
-        for e, v in x.coords.items():
-            total += mpmath.mpf(v.numerator) / v.denominator * mpmath.expjpi(
-                mpmath.mpf(2 * e) / n
-            )
-        return total
-    if isinstance(x, TauLaurent):
-        tau = 2j * mpmath.pi
-        total = mpmath.mpc(0)
-        for k, v in x.terms.items():
-            total += _num(v, hv) * tau ** k
-        return total
-    if isinstance(x, Series):
-        h = mpmath.mpf(hv.numerator) / hv.denominator
-        total = mpmath.mpc(0)
-        for k, c in enumerate(x.coeffs):
-            if c:
-                total += _num(c, hv) * h ** k
-        return total
-    raise TypeError("cannot evaluate %r" % (x,))
-
-
-# ---------------------------------------------------------------------------
 # ring descriptors used by presentations and the JSON layer
 
 

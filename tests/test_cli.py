@@ -1,6 +1,7 @@
 """Exit codes and output shapes of the command line interface."""
 
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -78,6 +79,15 @@ def test_verify_theta_without_inverse_exit_two(theta, capsys):
     assert main(["verify", "sharp-map", "--theta", theta]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "cannot evaluate" in err
+
+
+@pytest.mark.parametrize("theta", ["z(99999999,1)*h", "z(997,1)*z(991,1)*h"])
+def test_verify_theta_conductor_above_cap_exit_two(theta, capsys):
+    started = time.monotonic()
+    assert main(["verify", "sharp-map", "--theta", theta]) == 2
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "above the cap of 1000" in err
 
 
 @pytest.mark.parametrize("theta", ["h/(1-h)", "h*(1+h)^-1"])

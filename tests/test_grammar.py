@@ -39,6 +39,15 @@ def test_parse_tau_and_h():
     assert parse("h^5", hbar_order=3) == Series(3, {})
 
 
+def test_conductor_cap_is_an_error_at_the_z_token():
+    # the lcm of the conductors may reach the cap, not pass it
+    assert parse("z(8,1)*z(125,1)").conductor == 1000
+    for text, column in (("z(1001,1)", 1), ("2*z(997,1)*z(991,1)", 12)):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert e.value.column == column and "above the cap of 1000" in str(e.value)
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse("1 +\n* 2")

@@ -18,7 +18,6 @@ from hopftwist.scalars import (
     Series,
     TauLaurent,
     cyclotomic_polynomial,
-    numeric_eval,
     root_of_unity,
     series_exp,
     series_invert,
@@ -40,6 +39,40 @@ KNOWN_PHI = {
 def test_cyclotomic_polynomials():
     for n, poly in KNOWN_PHI.items():
         assert cyclotomic_polynomial(n) == poly
+
+
+def numeric_eval(x, hbar_value, precision):
+    """The numeric oracle: an exact scalar as an mpmath complex number, with
+    tau = 2*pi*i and hbar the given rational."""
+    with mpmath.workdps(precision):
+        return _num(x, Fraction(hbar_value))
+
+
+def _num(x, hv):
+    if isinstance(x, (int, Fraction)):
+        return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
+    if isinstance(x, Cyclotomic):
+        total = mpmath.mpc(0)
+        n = x.conductor
+        for e, v in x.coords.items():
+            total += mpmath.mpf(v.numerator) / v.denominator * mpmath.expjpi(
+                mpmath.mpf(2 * e) / n
+            )
+        return total
+    if isinstance(x, TauLaurent):
+        tau = 2j * mpmath.pi
+        total = mpmath.mpc(0)
+        for k, v in x.terms.items():
+            total += _num(v, hv) * tau ** k
+        return total
+    if isinstance(x, Series):
+        h = mpmath.mpf(hv.numerator) / hv.denominator
+        total = mpmath.mpc(0)
+        for k, c in enumerate(x.coeffs):
+            if c:
+                total += _num(c, hv) * h ** k
+        return total
+    raise TypeError("cannot evaluate %r" % (x,))
 
 
 def num(x):

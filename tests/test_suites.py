@@ -1,12 +1,21 @@
 """The named check suites: coverage, determinism, flag handling."""
 
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from hopftwist import constructors, graded, heis_torus, hopf_cochain, pbw, suites
+from hopftwist import (
+    constructors,
+    graded,
+    group_cohomology,
+    heis_torus,
+    hopf_cochain,
+    pbw,
+    suites,
+)
 from hopftwist.errors import SchemaError, UnknownSuite
 from hopftwist.group_cohomology import (
     GroupCochain,
@@ -30,6 +39,18 @@ def report(name):
     if name not in _CACHE:
         _CACHE[name] = run_suite(name)
     return _CACHE[name]
+
+
+def _patch_for_suites(monkeypatch, module, name, fake):
+    """Replace module.name by fake for the calls made from suites.py; the
+    library's own calls keep the real function."""
+    real = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        caller = sys._getframe(1).f_globals
+        return (fake if caller is vars(suites) else real)(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
 
 
 @pytest.mark.parametrize("name", FAST)
@@ -129,7 +150,6 @@ def test_heis_torus_witnesses_a_wrong_reparametrization(monkeypatch):
 
     # the suite body and the Zak left action both call alpha
     monkeypatch.setattr(heis_torus, "alpha", shifted)
-    monkeypatch.setattr(suites, "alpha", shifted)
     checks = {c.id: c for c in run_suite("heis-torus").checks}
     assert checks["reparam-iff:n=1:theta=h"].witness == "assoc at alpha_1(theta)"
     assert checks["alpha-composition-order5"].witness == "j=-2,k=-1"
@@ -142,7 +162,7 @@ def test_heis_torus_witnesses_a_wrong_reparametrization(monkeypatch):
 
 def test_heis_torus_witnesses_an_unseen_perturbation(monkeypatch):
     monkeypatch.setattr(
-        suites,
+        heis_torus,
         "assoc_residual",
         lambda a, b, c, theta, theta_p: heis_torus.HeisElement.zero(a.order),
     )
@@ -160,7 +180,8 @@ def test_uv_commutation_names_the_first_residual_key(monkeypatch):
         first = real(heis_torus.vf_apply("X", a), heis_torus.vf_apply("Y", b), zero)
         return real(a, b, theta).sub(first.scale(theta * TauLaurent.tau(-1)))
 
-    monkeypatch.setattr(suites, "star", without_first_order)
+    # assoc_residual's products keep the real star
+    _patch_for_suites(monkeypatch, heis_torus, "star", without_first_order)
     checks = {c.id: c for c in run_suite("heis-torus").checks}
     assert not checks["uv-commutation"].ok
     assert checks["uv-commutation"].witness == "(1, 0, 0, Fraction(1, 1))"
@@ -218,12 +239,27 @@ def test_equal_angle_closed_form_names_the_first_residual_key(monkeypatch):
     }
 
 
+def test_zero_angle_checks_name_the_first_residual_key(monkeypatch):
+    real = pbw._lam
+
+    def zero_read_as_h(theta, order):
+        return real(Series.hbar(order) if theta.is_zero() else theta, order)
+
+    monkeypatch.setattr(pbw, "_lam", zero_read_as_h)
+    key = "((1, 0, 0), (0, 0, 1), (0, 1, 0))"
+    assert failing(run_suite("pbw-gcl").checks) == {
+        "zero-angle-trivial": (2, key),
+        "zero-angle-is-cocycle": (1, "gcl-cocycle at " + key),
+    }
+
+
 def test_graded_verdicts_name_a_weak_strong_grading(monkeypatch):
     assert failing(report("graded-galois").checks) == {}
 
-    # a strong_grading that finds no grading strong
-    monkeypatch.setattr(
-        suites, "strong_grading", lambda ga: SimpleNamespace(strong=False)
+    # a strong_grading that finds no grading strong; canonical_map's own
+    # cross-check keeps the real one
+    _patch_for_suites(
+        monkeypatch, graded, "strong_grading", lambda ga: SimpleNamespace(strong=False)
     )
     bad = failing(run_suite("graded-galois").checks)
     for name in (
@@ -242,11 +278,13 @@ def test_graded_verdicts_name_a_weak_strong_grading(monkeypatch):
 def test_fourway_names_each_disagreeing_verdict(monkeypatch):
     # a canonical map that is never found bijective
     monkeypatch.setattr(
-        suites, "canonical_map", lambda ga: SimpleNamespace(bijective=False)
+        graded, "canonical_map", lambda ga: SimpleNamespace(bijective=False)
     )
-    # and a resolution of unity found for every grading but the Z3 ones
-    monkeypatch.setattr(
-        suites,
+    # and a resolution of unity found for every grading but the Z3 ones;
+    # strong_grading and smeb_check keep the real one
+    _patch_for_suites(
+        monkeypatch,
+        graded,
         "resolution_of_unity",
         lambda ga, g: None if ga.grading.order == 3 else object(),
     )
@@ -323,16 +361,16 @@ def test_dsquared_failures_name_their_trial(monkeypatch):
         unit = LegTensor.unit(c.host, c.arity + 2)
         return unit.scale(2) if len(calls) in (4, 113) else unit
 
-    monkeypatch.setattr(suites, "dsquared", dsquared)
+    monkeypatch.setattr(hopf_cochain, "dsquared", dsquared)
     monkeypatch.setattr(
-        suites,
+        hopf_cochain,
         "twist",
         lambda host, F, module=None: SimpleNamespace(
             twisted_algebra=SimpleNamespace(mult=None)
         ),
     )
-    monkeypatch.setattr(suites, "verify_quasi", lambda R: [])
-    monkeypatch.setattr(suites, "equivariant_twist_check", lambda F, R: True)
+    monkeypatch.setattr(hopf_cochain, "verify_quasi", lambda R: [])
+    monkeypatch.setattr(hopf_cochain, "equivariant_twist_check", lambda F, R: True)
     checks = {c.id: c for c in run_suite("hopf-cochain").checks}
     failed = {
         i: (c.residual_term_count, c.witness)
@@ -396,7 +434,7 @@ def _octonions_with(monkeypatch, attr, wrap):
         setattr(O, attr, wrap(getattr(O, attr)))
         return G, F, O
 
-    monkeypatch.setattr(suites, "fano_octonions", build)
+    monkeypatch.setattr(group_cohomology, "fano_octonions", build)
     return {c.id: c for c in run_suite("octonions").checks}
 
 
@@ -432,20 +470,45 @@ def test_octonion_norm_pairs_name_the_pair(monkeypatch):
         # e5 alone gets norm 2, so N(e1 e4) = N(+-e5) != N(e1) N(e4)
         return octonion_norm(O, u) + (1 if list(u) == [5] else 0)
 
-    monkeypatch.setattr(suites, "octonion_norm", norm)
+    monkeypatch.setattr(group_cohomology, "octonion_norm", norm)
     ck = {c.id: c for c in run_suite("octonions").checks}["norm-basis-pairs"]
     assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 19, "(e1,e4)")
 
 
+def test_twist_not_closed_names_what_broke(monkeypatch):
+    def suite_with(table):
+        # the octonions, with the Fano cochain's table replaced
+        def build():
+            G, F, O = fano_octonions()
+            return G, GroupCochain(G, 2, table(F.table)), O
+
+        monkeypatch.setattr(group_cohomology, "fano_octonions", build)
+        return failing(run_suite("octonions").checks)
+
+    census = (1, "m(1,2,4)")
+    # the trivial cocycle in place of the Fano cochain
+    closed = suite_with(lambda t: {k: Fraction(1) for k in t})
+    assert closed == {
+        "coboundary-sign-census": census,
+        "twist-not-closed": (1, "closed"),
+    }
+    # the Fano cochain with F(e, e3) negated: still not closed, not unital
+    negated = suite_with(lambda t: {**t, (0, 3): -t[(0, 3)]})
+    assert negated == {
+        "coboundary-sign-census": census,
+        "twist-not-closed": (1, "not unital at e3"),
+    }
+
+
 def _group_cohomology_checks(monkeypatch, name, value):
-    monkeypatch.setattr(suites, name, value)
+    monkeypatch.setattr(group_cohomology, name, value)
     return {c.id: c for c in run_suite("group-cohomology").checks}
 
 
 def test_twist_assoc_pos_multiplies_in_the_algebra(monkeypatch):
     # the S3 coboundaries come out with F((12),(23)) doubled: still unital,
     # no longer a cocycle, so k_F[S3] is not associative
-    real = suites.group_coboundary
+    real = group_cohomology.group_coboundary
 
     def doubled(c):
         d = real(c)
@@ -465,7 +528,7 @@ def test_twist_assoc_pos_multiplies_in_the_algebra(monkeypatch):
 def test_twist_assoc_pos_sees_a_corrupted_product(monkeypatch):
     # F stays a cocycle, but the algebra built from it has (12)(23) doubled:
     # only a check that multiplies in the algebra sees it
-    real = suites.twisted_group_algebra
+    real = group_cohomology.twisted_group_algebra
 
     def corrupted(G, F):
         A = real(G, F)
@@ -501,6 +564,41 @@ class _WrongValueOnOnePair(TorusCochain):
         if (a, b) == ((1, 0), (0, 1)):
             return root_of_unity(self.exponent(a, b) + 1, self.two_q)
         return super().value(a, b)
+
+
+def test_ddelta_trivial_names_the_first_failing_trial(monkeypatch):
+    assert failing(report("group-cohomology").checks) == {}
+    # d of the third 2-cochain over Z3 has its (g, g, g) entry doubled
+    real = group_cohomology.group_coboundary
+    seen = []
+
+    def faulty(c):
+        d = real(c)
+        if c.arity == 2 and c.group.order == 3:
+            seen.append(c)
+            if len(seen) == 3:
+                table = dict(d.table)
+                table[(1, 1, 1)] *= 2
+                return GroupCochain(d.group, 3, table)
+        return d
+
+    checks = _group_cohomology_checks(monkeypatch, "group_coboundary", faulty)
+    assert failing(checks.values()) == {
+        "ddelta-trivial:Z3:arity1": (1, "trial 2 at ('g', 'g', 'g')"),
+    }
+
+
+def test_torus_uv_phase_names_the_value_found(monkeypatch):
+    checks = _group_cohomology_checks(
+        monkeypatch, "torus_cochain", lambda theta, w: (_WrongValueOnOnePair(theta), w)
+    )
+    # F(U, V) is one power of the root of unity past e^{i pi theta}
+    bad = failing(checks.values())
+    assert {t: bad["torus-%s:uv-phase-exact" % t] for t in ("1/2", "1/3", "2/5")} == {
+        "1/2": (1, "-1"),
+        "1/3": (1, "-1 + z(6,1)"),
+        "2/5": (1, "z(10,3)"),
+    }
 
 
 def test_torus_cocycle_names_the_failing_window(monkeypatch):
