@@ -15,14 +15,16 @@ emits text that parses back to an equal value.
 
 Every value of an expression lives at a conductor dividing the lcm of the
 conductors N of its z tokens; a z token that takes that lcm above
-_MAX_CONDUCTOR is a ParseError.
+_MAX_CONDUCTOR is a ParseError, and so is a power whose estimated size
+passes a cap (see _power_cost), at its '^' before it is computed.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import NonUnit, ParseError
-from .scalars import Cyclotomic, Series, TauLaurent, root_of_unity
+from .scalars import Cyclotomic, Series, TauLaurent, _phi_deg, root_of_unity
+from .scalars import cyclotomic_polynomial
 
 # Largest conductor an expression may reach.  Building the reduced basis of
 # Q(z_N) costs time that grows with the divisors of N: as a CLI run
@@ -30,6 +32,12 @@ from .scalars import Cyclotomic, Series, TauLaurent, root_of_unity
 # N = 840, the slowest conductor up to the cap, takes 0.3-0.5 s, against
 # 0.7 s at 1260, 3.7 s at 2520 and 17 s at 5040.
 _MAX_CONDUCTOR = 1000
+
+# Caps on the estimated size of one power (see _power_cost).  As single CLI
+# runs on a shared 2-core x86 machine, powers just under them take 0.8-1.8 s;
+# (1+tau)^1000*h took 4.4 s and (1+z(840,1))^2000*h 11-13 s before the caps.
+_MAX_POWER_BITS = 10**7
+_MAX_POWER_WORK = 5 * 10**7
 
 
 class _Tok:
@@ -99,6 +107,52 @@ def _invertible(op, compute):
     raise ParseError("cannot evaluate '%s': %s" % (op.text, reason), op.line, op.col)
 
 
+def _power_cost(v, k, order):
+    """(bits, work) estimated for v^k from its base: the bits of one rational
+    coordinate, and T^2 * R * bits for the last squaring, with T the result's
+    hbar degrees times tau powers times exponents of z_N (at most phi(N)),
+    and R the terms of the row reducing an exponent of z_N past phi(N).  A
+    factor adds the bits of the l1 norm and denominator of the coordinates
+    (none for a tagged root).  Of a Series the lowest coefficient takes the
+    power; the others enter at most m = min(|k|, order - |k| * its degree)
+    times, each with a binomial."""
+    k = abs(k)
+    cs = v.coeffs if isinstance(v, Series) else [TauLaurent._coerce(v)]
+    terms = [
+        (j, t, q if isinstance(q, Cyclotomic) else Cyclotomic.from_rational(q))
+        for j, c in enumerate(cs)
+        for t, q in c.terms.items()
+    ]
+    N = lcm(*[q.conductor for _, _, q in terms])
+    coords = [  # (hbar degree, tau power, exponent of z_N, coordinate)
+        (j, t, e * N // q.conductor, x)
+        for j, t, q in terms
+        for e, x in (q.coords if q.root is None else {q.root: 1}).items()
+    ]
+    if k < 2 or not coords:
+        return 0, 0
+    extra = order - k * coords[0][0] if isinstance(v, Series) else 0
+    if extra < 0:
+        return 0, 0
+    m = min(k, extra)
+
+    def box(cs):
+        # (tau span, z_N exponent span, top z_N exponent, bits per factor)
+        ts, es = [c[1] for c in cs], [c[2] for c in cs]
+        den = lcm(*[c[3].denominator for c in cs])
+        l1 = sum(abs(c[3].numerator) * (den // c[3].denominator) for c in cs)
+        g = (l1 - 1).bit_length() + (den - 1).bit_length()
+        return max(ts) - min(ts), max(es) - min(es), max(es), g
+
+    ts, zs, _, g = box([c for c in coords if c[0] == coords[0][0]])
+    ts_all, zs_all, z_top, g_all = box(coords)
+    phi = _phi_deg(N)
+    T = (extra + 1) * (k * ts + m * ts_all + 1) * min(phi, k * zs + m * zs_all + 1)
+    R = len(cyclotomic_polynomial(N)) - 1 if k * z_top >= phi else 1
+    bits = max(1, k * g + m * (k.bit_length() + g_all))
+    return bits, T * T * R * bits
+
+
 class _Parser:
     def __init__(self, toks, hbar_order):
         self.toks = toks
@@ -147,8 +201,19 @@ class _Parser:
         if self.peek().kind == "^":
             op = self.take()
             k = self.intexp()
+            self.bound(op, v, k)
             v = _invertible(op, lambda: v**k)
         return v
+
+    def bound(self, op, v, k):
+        """ParseError at the '^' token op when v^k passes a power cap."""
+        bits, work = _power_cost(v, k, self.order)
+        if bits > _MAX_POWER_BITS or work > _MAX_POWER_WORK:
+            caps = (k, bits, work, _MAX_POWER_BITS, _MAX_POWER_WORK)
+            raise ParseError(
+                "power ^%d too large: about %d bits a coordinate and %d bit "
+                "operations, above the cap of %d or %d" % caps, op.line, op.col
+            )
 
     def intexp(self):
         t = self.peek()
@@ -252,6 +317,9 @@ class _Degrees:
 
 
 class _DegreeParser(_Parser):
+    def bound(self, op, v, k):
+        """Degree bounds take any power at no cost."""
+
     def atom(self):
         t = self.peek()
         if t.kind == "h":

@@ -7,13 +7,14 @@ product is the truncated exponential star product along the invariant
 vector fields X = d_x + y d_t and Y = d_y; the deformation parameter is
 a formal series with zero constant term, and tau = 2 pi i stays formal.
 
-The star product runs on term rows (see scalars): a monomial key becomes
-(m, n, p, c * D) with D the lcm of the frequency denominators of both
-factors, so row keys are integers.  The vector fields act on rows: X
-shifts the tau power and multiplies by m or n, Y multiplies by p * D or
-by c * D over the denominator times D.  Each term of the sum is the row
-of (theta/tau)^k / k! times X^k a, times Y^k b, and the terms are summed
-as rows; the result builds one Series per monomial.
+The star product runs on phase rows (see scalars) at the conductor of
+both factors and theta: a monomial key becomes (m, n, p, c * D) with D
+the lcm of the frequency denominators of both factors, so row keys are
+integers.  The vector fields act on rows: X shifts the tau power and
+multiplies by m or n, Y multiplies by p * D or by c * D over the
+denominator times D.  Each term of the sum is the row of (theta/tau)^k /
+k! times X^k a, times Y^k b, and the terms are summed as rows; the result
+builds one Series per monomial.
 
 Generalized associativity mixes two parameters: (a *_t' b) *_t c equals
 a *_t' (b *_t c) exactly when t' = alpha_n(t) for n the degree of b,
@@ -34,7 +35,6 @@ frequency denominators, and builds one Series per key of the result.
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
 
 from .errors import (
     DegenerateDegrees,
@@ -47,14 +47,11 @@ from .scalars import (
     Series,
     _row,
     conductor,
-    phase_product,
     phase_rows,
     phase_values,
     root_of_unity,
+    row_product,
     series_invert,
-    term_product,
-    term_rows,
-    term_values,
     theta_ok,
 )
 
@@ -184,12 +181,15 @@ def _freq_den(*elements):
     return lcm(*[k[3].denominator for f in elements for k in f.data])
 
 
-def _rows(f, D):
-    """Term row of f with each frequency c keyed as the integer c * D."""
-    return term_rows(
-        ((m, n, p, c.numerator * (D // c.denominator)), s)
-        for (m, n, p, c), s in f.data.items()
-    )
+def _rows(f, D, N):
+    """Phase row of f at conductor N, each frequency c keyed as c * D."""
+    return phase_rows(
+        (
+            ((m, n, p, c.numerator * (D // c.denominator)), s)
+            for (m, n, p, c), s in f.data.items()
+        ),
+        N,
+    )[0]
 
 
 def _freq_keys(values, D):
@@ -206,9 +206,9 @@ def _freq_keys(values, D):
     return out
 
 
-def _element(order, row, D):
-    """The HeisElement of a canonical term row keyed as in _rows."""
-    return HeisElement._raw(order, _freq_keys(term_values(row, order), D))
+def _element(order, row, D, N):
+    """The HeisElement of a canonical phase row keyed as in _rows."""
+    return HeisElement._raw(order, _freq_keys(phase_values(row, order, N), D))
 
 
 def _put(out, idx, x):
@@ -220,12 +220,12 @@ def _field_x(row, D):
     """X = d_x + y d_t: tau * (m + n y) on each monomial."""
     nums, den = row
     out = {}
-    for (key, v, t), x in nums.items():
+    for (key, v, t, e), x in nums.items():
         m, n, p, c = key
         if m:
-            _put(out, (key, v, t + 1), x * m)
+            _put(out, (key, v, t + 1, e), x * m)
         if n:
-            _put(out, ((m, n, p + 1, c), v, t + 1), x * n)
+            _put(out, ((m, n, p + 1, c), v, t + 1, e), x * n)
     return _row([(out, den)])
 
 
@@ -233,12 +233,12 @@ def _field_y(row, D):
     """Y = d_y: p y^(p-1) + tau * c y^p on each monomial, over den * D."""
     nums, den = row
     out = {}
-    for (key, v, t), x in nums.items():
+    for (key, v, t, e), x in nums.items():
         m, n, p, c = key
         if p:
-            _put(out, ((m, n, p - 1, c), v, t), x * (p * D))
+            _put(out, ((m, n, p - 1, c), v, t, e), x * (p * D))
         if c:
-            _put(out, (key, v, t + 1), x * c)
+            _put(out, (key, v, t + 1, e), x * c)
     return _row([(out, den * D)])
 
 
@@ -246,10 +246,10 @@ def _field_t(row, D):
     """T = d_t: tau * n on each monomial."""
     nums, den = row
     out = {}
-    for (key, v, t), x in nums.items():
+    for (key, v, t, e), x in nums.items():
         n = key[1]
         if n:
-            out[key, v, t + 1] = x * n
+            out[key, v, t + 1, e] = x * n
     return _row([(out, den)])
 
 
@@ -262,7 +262,8 @@ def vf_apply(field, f):
     if apply is None:
         raise ValueError("field must be one of X, Y, T")
     D = _freq_den(f)
-    return _element(f.order, apply(_rows(f, D), D), D)
+    N = conductor(f.data.values())
+    return _element(f.order, apply(_rows(f, D, N), D), D, N)
 
 
 def _monomial_product(k1, k2):
@@ -276,28 +277,29 @@ def _scalar_product(k1, k2):
 def star(a, b, theta, convention="main"):
     """Truncated star product  sum_k (1/k!) (theta/tau)^k (X^k a)(Y^k b).
 
-    One pass on term rows (see the module docstring): X^k a, Y^k b and the
-    factor (theta/tau)^k / k! are rows, and each term of the sum is two
+    One pass on phase rows (see the module docstring): X^k a, Y^k b and
+    the factor (theta/tau)^k / k! are rows, and each term of the sum is two
     row products."""
     a._compat(b)
     order = a.order
     theta = _check_theta(theta, order, convention)
     D = _freq_den(a, b)
-    xa, yb = _rows(a, D), _rows(b, D)
-    lnums, lden = term_rows([((), theta)])
-    lam = {(key, v, t - 1): x for (key, v, t), x in lnums.items()}, lden
-    pieces = [term_product(xa, yb, order, _monomial_product)]
-    coef = ({((), 0, 0): 1}, 1)
+    N = conductor([*a.data.values(), *b.data.values(), theta])
+    xa, yb = _rows(a, D, N), _rows(b, D, N)
+    (lnums, lden), _ = phase_rows([((), theta)], N)
+    lam = {(key, v, t - 1, e): x for (key, v, t, e), x in lnums.items()}, lden
+    pieces = [row_product(xa, yb, order, N, _monomial_product)]
+    coef = ({((), 0, 0, 0): 1}, 1)
     for k in range(1, order + 1):
         xa = _field_x(xa, D)
         yb = _field_y(yb, D)
-        nums, den = term_product(coef, lam, order, _scalar_product)
+        nums, den = row_product(coef, lam, order, N, _scalar_product)
         coef = _row([(nums, den * k)])
         if not (coef[0] and xa[0] and yb[0]):
             break
-        scaled = term_product(coef, xa, order, _scalar_product)
-        pieces.append(term_product(scaled, yb, order, _monomial_product))
-    return _element(order, _row(pieces), D)
+        scaled = row_product(coef, xa, order, N, _scalar_product)
+        pieces.append(row_product(scaled, yb, order, N, _monomial_product))
+    return _element(order, _row(pieces), D, N)
 
 
 def alpha(theta, k, convention="main"):
@@ -426,20 +428,20 @@ def _scaled(row, q, y=0, t=0):
     q = Fraction(q)
     nums, den = row
     moved = {
-        ((j + y, e), v, k + t): x * q.numerator
-        for ((j, e), v, k), x in nums.items()
+        (j + y, v, k + t, e): x * q.numerator
+        for (j, v, k, e), x in nums.items()
     }
     return _row([(moved, den * q.denominator)])
 
 
 def _ymul(A, B, K, N):
     """Product of two phase rows keyed by y-power: the powers add."""
-    return _row([phase_product(A, B, K, N, add)])
+    return _row([row_product(A, B, K, N, lambda i, j: ((i + j, 1),))])
 
 
 def _root(e):
     """The phase row of z_N^e at y-power 0."""
-    return {((0, e), 0, 0): 1}, 1
+    return {(0, 0, 0, e): 1}, 1
 
 
 def _exp(X, K, N):
@@ -489,11 +491,10 @@ def _act_once(letter, f, theta, side):
         r = -Fraction(1, n)
         sigma = alpha(theta, n) if side == "left" else Series.zero(order)
         N = lcm(
-            conductor(f.data.values()),
-            conductor([sigma]),
+            conductor([*f.data.values(), sigma]),
             *[(c * r).denominator for _, _, c in f.data],
         )
-        sig = phase_rows([(0, sigma)], N)
+        sig = phase_rows([(0, sigma)], N)[0]
         memo = {}
         for (m, p, c), s in f.data.items():
             w = memo.get((p, c))
@@ -501,25 +502,25 @@ def _act_once(letter, f, theta, side):
                 w = memo[p, c] = _subst(order, N, p, c, _ZERO_ROW, r, sig)
             cd = c.numerator * (D // c.denominator)
             pieces.append(
-                phase_product(
-                    phase_rows([(0, s)], N), w, order, N,
-                    lambda _, j: (m + 1, j, cd),
+                row_product(
+                    phase_rows([(0, s)], N)[0], w, order, N,
+                    lambda _, j: (((m + 1, j, cd), 1),),
                 )
             )
     elif letter == "V":
-        N = lcm(n, conductor(f.data.values()), conductor([theta]))
+        N = lcm(n, conductor([*f.data.values(), theta]))
         if side == "right":
             # e^{2 pi i n theta y} expands into extra y powers
-            g = _exp(_scaled(phase_rows([(0, theta)], N), n, y=1, t=1), order, N)
+            g = _exp(_scaled(phase_rows([(0, theta)], N)[0], n, y=1, t=1), order, N)
         else:
             g = _root(0)
         for (m, p, c), s in f.data.items():
             rot = _root(-m * (N // n) % N)
             cd = (c.numerator + c.denominator) * (D // c.denominator)
             pieces.append(
-                phase_product(
-                    _ymul(phase_rows([(0, s)], N), rot, order, N), g, order, N,
-                    lambda _, t: (m, p + t, cd),
+                row_product(
+                    _ymul(phase_rows([(0, s)], N)[0], rot, order, N), g, order, N,
+                    lambda _, t: (((m, p + t, cd), 1),),
                 )
             )
     else:
@@ -568,17 +569,15 @@ def zak_pair(f1, f2, theta, convention="main"):
                 (k1, k2, Fraction(num, n * (n + p)), Fraction(num, p * (n + p)))
             )
     N = lcm(
-        conductor(f1.data.values()),
-        conductor(f2.data.values()),
-        conductor([theta]),
+        conductor([*f1.data.values(), *f2.data.values(), theta]),
         *[(k1[2] * r1).denominator for k1, _, r1, _ in pairs],
         *[(k2[2] * q).denominator for _, k2, _, q in pairs],
     )
     D = lcm(*[c.denominator for f in (f1, f2) for _, _, c in f.data])
-    th = phase_rows([(0, theta)], N)
+    th = phase_rows([(0, theta)], N)[0]
     du = _scaled(th, n)
-    rows1 = {k: phase_rows([(0, s)], N) for k, s in f1.data.items()}
-    rows2 = {k: phase_rows([(0, s)], N) for k, s in f2.data.items()}
+    rows1 = {k: phase_rows([(0, s)], N)[0] for k, s in f1.data.items()}
+    rows2 = {k: phase_rows([(0, s)], N)[0] for k, s in f2.data.items()}
     left, right = {}, {}
     pieces = []
     for (j, p1, c1), (k, p2, c2), r1, q in pairs:
@@ -596,6 +595,8 @@ def zak_pair(f1, f2, theta, convention="main"):
         b = _ymul(rows2[k, p2, c2], wb, order, N)
         m = j + k
         cd = ((c1 + c2) * D).numerator
-        pieces.append(phase_product(a, b, order, N, lambda x, y: (m, x + y, cd)))
+        pieces.append(
+            row_product(a, b, order, N, lambda x, y: (((m, x + y, cd), 1),))
+        )
     values = phase_values(_row(pieces), order, N)
     return ZakElement._raw(order, n + p, _freq_keys(values, D))

@@ -71,18 +71,3 @@ def inverse(mat):
         return None
     return [row[n:] for row in red]
 
-
-def nullspace(mat):
-    """Basis of the right nullspace."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
-        basis.append(v)
-    return basis

@@ -329,7 +329,6 @@ class _MulOps:
         self._unit_support = None
         self._unit_cells = None
         self._pw = 0
-        self._ucoef = None
 
     def basis_mul(self, i, j):
         return self.mult.get((i, j), {})
@@ -348,8 +347,7 @@ class _MulOps:
                             for k, v in sorted(cell.items())
                         )
                     )
-            self._ucoef = all(c is None for cell in tbl for _k, c in cell)
-            perm = self._ucoef and all(len(cell) == 1 for cell in tbl)
+            perm = all(len(cell) == 1 and cell[0][1] is None for cell in tbl)
             self._base = _Cells(tbl, self._rows if perm else None)
         return self._base
 
@@ -412,11 +410,6 @@ class _MulOps:
             )
             self._pw = "one" if unit else None
         return self._pw
-
-    def unit_coeff_table(self):
-        """True when every structure coefficient equals 1."""
-        self.base_table()
-        return self._ucoef
 
 
 

@@ -6,9 +6,9 @@ hbar-truncated Series coefficients.  Tensor powers carry the same leg
 calculus as LegTensor (legwise products, primitive coproducts, unit
 embeddings), so the coboundary engine applies unchanged.
 
-Products, scalings and exponentials run on term rows (see scalars): the
-factors become rows keyed by (monomial key, hbar degree, tau power), one
-row product forms every pair of keys, and the result builds one Series per
+Products, scalings and exponentials run on phase rows (see scalars) at the
+conductor of their values, so Moyal's i*hbar is integers too: one row
+product forms every pair of keys, and the result builds one Series per
 key; pbw_exp keeps its powers as rows until the sum is done.  The product
 of two monomials is memoized per (kappa, t1, t2) as (triple, integer)
 pairs, and a tensor key product is the legwise product of those.
@@ -36,10 +36,10 @@ from .scalars import (
     Series,
     TauLaurent,
     _row,
+    phase_rows,
+    phase_values,
     root_of_unity,
-    term_product,
-    term_rows,
-    term_values,
+    row_product,
     theta_ok,
 )
 
@@ -85,9 +85,13 @@ def _left_key(k1, k2):
 
 def _product(K, a, b, keymul):
     """{key: Series} of the product of two {key: Series} dicts of order K
-    whose keys multiply by keymul, formed on term rows."""
-    rows = term_product(term_rows(a.items()), term_rows(b.items()), K, keymul)
-    return term_values(_row([rows]), K)
+    whose keys multiply by keymul, formed on phase rows at the conductor of
+    their values."""
+    A, N = phase_rows(a.items())
+    B, M = phase_rows(b.items(), N)
+    if M != N:
+        A, N = phase_rows(a.items(), M)
+    return phase_values(_row([row_product(A, B, K, N, keymul)]), K, N)
 
 
 def _coerce_series(order, v):
@@ -228,9 +232,10 @@ def pbw_mul(x, y):
     return x.mul(y)
 
 
-def _exp_generic(x):
-    """sum_n x^n / n! on term rows: each power is one row product with x,
-    over n times the denominator of the power before it."""
+def pbw_exp(x):
+    """Truncated exponential sum_n x^n / n!, every term of hbar valuation
+    >= 1: each power is one row product with x, over n times the
+    denominator of the power before it."""
     for s in x.data.values():
         v = s.valuation()
         if v is not None and v < 1:
@@ -240,21 +245,16 @@ def _exp_generic(x):
     K = x.order
     keymul = x._key_product()
     (unit,) = x.unit_like().data
-    step = term_rows(x.data.items())
-    term = ({(unit, 0, 0): 1}, 1)
+    step, N = phase_rows(x.data.items())
+    term = ({(unit, 0, 0, 0): 1}, 1)
     pieces = [term]
     for n in range(1, K + 1):
-        nums, den = term_product(term, step, K, keymul)
+        nums, den = row_product(term, step, K, N, keymul)
         term = _row([(nums, den * n)])
         if not term[0]:
             break
         pieces.append(term)
-    return x._raw(term_values(_row(pieces), K))
-
-
-def pbw_exp(x):
-    """Truncated exponential; every term needs hbar valuation >= 1."""
-    return _exp_generic(x)
+    return x._raw(phase_values(_row(pieces), K, N))
 
 
 class PBWTensor:

@@ -25,27 +25,20 @@ conductors of every result.  A plain number or tau-Laurent factor scales
 the coefficients without being made into a Series, and sums reuse a
 coefficient where the other side is zero.
 
-Integer rows hold sparse Series-valued data for products, in FLINT's
-fmpq_poly layout: integer numerators over one shared denominator.  There
-are two layouts, and this module converts both to and from Series.  A
+Integer rows hold sparse Series-valued data for products, in the layout of
+FLINT's fmpq_poly and nf_elem: integer numerators over one shared
+denominator.  There are two layouts, and this module converts both to and
+from Series; ``_row`` sums rows of either into the canonical pair.  A
 degree row (``_pieces``/``_values``), the layout LegTensor keeps, is one
 (numerators, denominator) pair per hbar degree 0..K of rational, tau-free
-values, keyed by tensor key.  A term row (``term_rows``/``term_values``)
-is one pair for any values: it maps (key, hbar degree, tau power) to an
-integer numerator when every value is rational, and otherwise to the value
-itself (a Fraction or Cyclotomic) over denominator 1.  ``term_product``
-multiplies two term rows with one loop for every kind of numerator, each
-pair of keys multiplied once by a caller's key product; ``_row`` sums rows
-into the canonical pair.  heis_torus.star and the PBW products run on term
-rows and build one Series per key of the result.
+values, keyed by tensor key.
 
-A phase row (``phase_rows``/``phase_values``) is the term row of values in
-Q(z_N) at one conductor N, keyed by (key, e) for the exponent e of
-z_N^e: every cyclotomic coordinate becomes its own integer numerator over
-the shared denominator, so ``phase_product`` (``term_product`` with
-exponents that add mod N) multiplies integers whatever the values are.
-``phase_values`` reduces the coordinates of each (key, hbar degree, tau
-power) to the basis once.  The Zak side of heis_torus runs on them.
+A phase row (``phase_rows``/``phase_values``), the layout of every other
+product, maps (key, hbar degree, tau power, e) to the integer numerator of
+z_N^e at one conductor N; a rational row is the case N = 1.  The one row
+product ``row_product`` adds root exponents mod N, so it never does
+Cyclotomic arithmetic, and ``phase_values`` reduces each (key, hbar
+degree, tau power) to the basis once.  heis_torus and pbw run on them.
 """
 
 from fractions import Fraction
@@ -879,8 +872,7 @@ _ZERO_ROW = ({}, 1)
 def _row(pieces):
     """The canonical (numerators, denominator) pair of a sum of such pairs:
     no zero numerators, den > 0 and gcd(den, numerators) = 1, so equal
-    values give equal pairs; ({}, 1) for zero.  Numerators that are ring
-    values (see term_rows) are summed the same way but not reduced."""
+    values give equal pairs; ({}, 1) for zero."""
     if not pieces:
         return _ZERO_ROW
     if len(pieces) == 1:
@@ -899,10 +891,7 @@ def _row(pieces):
         nums = {k: n for k, n in nums.items() if n}
     if den == 1:
         return nums, 1
-    try:
-        g = gcd(den, *nums.values())
-    except TypeError:
-        return nums, den
+    g = gcd(den, *nums.values())
     if g == 1:
         return nums, den
     return {k: n // g for k, n in nums.items()}, den // g
@@ -932,106 +921,6 @@ def _values(rows, K):
     }
 
 
-def term_rows(items):
-    """The term row of (key, Series) pairs: {(key, hbar degree, tau power):
-    numerator} over one denominator.  The numerators are integers over the
-    lcm of the denominators when every value is rational; otherwise they
-    are the values themselves (Fraction or Cyclotomic) over 1."""
-    flat = {}
-    for key, s in items:
-        for v, c in enumerate(s.coeffs):
-            for t, q in c.terms.items():
-                flat[key, v, t] = q
-    nd = _numerators(flat)
-    return (flat, 1) if nd is None else nd
-
-
-def term_product(A, B, K, keymul):
-    """Product of two term rows truncated at hbar order K, as a row that may
-    hold zero numerators (pass it through _row).
-
-    keymul(k1, k2) gives the product of two keys as (key, integer) pairs.
-    Each pair of keys is multiplied once, and not at all when the sum of
-    their lowest hbar degrees passes K; the numerator of a product term is
-    n1 * n2 * q whatever kind the numerators are, over the product of the
-    two denominators."""
-    ga = _by_key(A[0])
-    gb = _by_key(B[0])
-    out = {}
-    get = out.get
-    for k1, ta in ga.items():
-        reach = K - ta[0][0]
-        for k2, tb in gb.items():
-            if tb[0][0] > reach:
-                continue
-            prods = keymul(k1, k2)
-            for v1, t1, n1 in ta:
-                room = K - v1
-                for v2, t2, n2 in tb:
-                    if v2 > room:
-                        break
-                    x = n1 * n2
-                    v = v1 + v2
-                    t = t1 + t2
-                    for key, q in prods:
-                        idx = (key, v, t)
-                        y = x if q == 1 else x * q
-                        r = get(idx)
-                        out[idx] = y if r is None else r + y
-    return out, A[1] * B[1]
-
-
-def _by_key(nums):
-    """{key: [(degree, tau power, numerator)] in increasing degree}.  No
-    two terms of a key share (degree, tau power), so sorting never compares
-    numerators."""
-    g = {}
-    for (key, v, t), n in nums.items():
-        terms = g.get(key)
-        if terms is None:
-            g[key] = [(v, t, n)]
-        else:
-            terms.append((v, t, n))
-    for terms in g.values():
-        terms.sort()
-    return g
-
-
-def term_values(row, K):
-    """{key: order-K Series} of a canonical term row (see _row)."""
-    nums, den = row
-    inv = None if den == 1 else Fraction(1, den)
-    terms = []
-    for (key, v, t), n in nums.items():
-        if type(n) is int:
-            q = Fraction(n, den)
-        else:
-            q = n if inv is None else n * inv
-        terms.append((key, v, t, q))
-    return _series_by_key(terms, K)
-
-
-def _series_by_key(terms, K):
-    """{key: order-K Series} of (key, hbar degree, tau power, nonzero value)
-    terms, no two with the same key, degree and power, built raw."""
-    cmaps = {}
-    for key, v, t, q in terms:
-        degs = cmaps.get(key)
-        if degs is None:
-            degs = cmaps[key] = {}
-        powers = degs.get(v)
-        if powers is None:
-            degs[v] = {t: q}
-        else:
-            powers[t] = q
-    raw = TauLaurent._raw
-    degrees = range(K + 1)
-    return {
-        key: Series._raw(K, [raw(d[v]) if v in d else raw({}) for v in degrees])
-        for key, d in cmaps.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # phase rows
 
@@ -1051,63 +940,122 @@ def conductor(values):
     )
 
 
-def phase_rows(items, N):
-    """The phase row at conductor N of (key, Series) pairs: the term row
-    keyed by (key, e) for the root exponent e of z = e^(2*pi*i/N), with
-    integer numerators over one shared denominator.  A rational value lies
-    on e = 0 and a Cyclotomic value of conductor M (M divides N) puts each
-    coordinate of z_M^e on e * N / M, not reduced to the basis at N."""
+def phase_rows(items, N=1):
+    """(row, M): the phase row {(key, hbar degree, tau power, e): integer
+    numerator} of (key, Series) pairs over one denominator, at M the lcm of
+    N and the conductors of the values.  A rational value lies on e = 0, and
+    each coordinate of z_L^e in a Cyclotomic value on e * M / L."""
     flat = {}
     for key, s in items:
         for v, c in enumerate(s.coeffs):
             for t, q in c.terms.items():
-                if isinstance(q, Cyclotomic):
-                    k = N // q.conductor
-                    for e, x in q.coords.items():
-                        flat[(key, e * k), v, t] = x
-                else:
-                    flat[(key, 0), v, t] = q
-    return _numerators(flat)
+                flat[key, v, t, 0] = q
+    row = _numerators(flat)
+    if row is not None:
+        return row, N
+    cyc = [(i, q) for i, q in flat.items() if isinstance(q, Cyclotomic)]
+    N = lcm(N, *[q.conductor for _, q in cyc])
+    for (key, v, t, _), q in cyc:
+        del flat[key, v, t, 0]
+        for e, x in q.coords.items():
+            flat[key, v, t, e * (N // q.conductor)] = x
+    return _numerators(flat), N
 
 
-def phase_product(A, B, K, N, keymul):
+def row_product(A, B, K, N, keymul):
     """Product of two phase rows at conductor N truncated at hbar order K,
-    as a row that may hold zero numerators (pass it through _row).  It is
-    term_product with root exponents that add mod N; keymul(k1, k2) gives
-    the product of two keys (without their exponents) as one key."""
+    as a row that may hold zero numerators (pass it through _row).
 
-    def mul(k1, k2):
-        return ((keymul(k1[0], k2[0]), (k1[1] + k2[1]) % N), 1),
+    keymul(k1, k2) gives the product of two keys as (key, integer) pairs.
+    Each pair of keys is multiplied once, and not at all when the sum of
+    their lowest hbar degrees passes K; a pair of terms adds its hbar
+    degrees, tau powers and root exponents (mod N)."""
+    ga = _by_key(A[0])
+    gb = _by_key(B[0])
+    out = {}
+    get = out.get
+    for k1, ta in ga.items():
+        reach = K - ta[0][0]
+        for k2, tb in gb.items():
+            if tb[0][0] > reach:
+                continue
+            prods = keymul(k1, k2)
+            for v1, t1, e1, n1 in ta:
+                room = K - v1
+                for v2, t2, e2, n2 in tb:
+                    if v2 > room:
+                        break
+                    x = n1 * n2
+                    v = v1 + v2
+                    t = t1 + t2
+                    e = e1 + e2
+                    if e >= N:
+                        e -= N
+                    for key, q in prods:
+                        idx = (key, v, t, e)
+                        y = x if q == 1 else x * q
+                        r = get(idx)
+                        out[idx] = y if r is None else r + y
+    return out, A[1] * B[1]
 
-    return term_product(A, B, K, mul)
+
+def _by_key(nums):
+    """{key: [(degree, tau power, e, numerator)] in increasing degree}.  No
+    two terms of a key share (degree, tau power, e), so sorting never
+    compares numerators."""
+    g = {}
+    for (key, v, t, e), n in nums.items():
+        terms = g.get(key)
+        if terms is None:
+            g[key] = [(v, t, e, n)]
+        else:
+            terms.append((v, t, e, n))
+    for terms in g.values():
+        terms.sort()
+    return g
 
 
 def phase_values(row, K, N):
-    """{key: order-K Series} of a canonical phase row at conductor N, with
-    the keys whose value is zero left out.  The coordinates of each (key,
+    """{key: order-K Series} of a canonical phase row at conductor N (see
+    _row), built raw, with the keys whose value is zero left out.  At N = 1
+    each numerator is one Fraction.  Otherwise the coordinates of each (key,
     hbar degree, tau power) are reduced to the basis once (``_reduce``); a
     rational result is a Fraction, any other a Cyclotomic of conductor N."""
     nums, den = row
-    coords = {}
-    for ((key, e), v, t), n in nums.items():
-        c = coords.get((key, v, t))
-        if c is None:
-            coords[key, v, t] = {e: n}
+    if N == 1:
+        terms = [(k, v, t, Fraction(n, den)) for (k, v, t, _), n in nums.items()]
+    else:
+        coords = {}
+        for (key, v, t, e), n in nums.items():
+            c = coords.get((key, v, t))
+            if c is None:
+                coords[key, v, t] = {e: n}
+            else:
+                c[e] = n
+        terms = []
+        for (key, v, t), c in coords.items():
+            c = _reduce(N, c)
+            if len(c) == 1 and 0 in c:
+                terms.append((key, v, t, Fraction(c[0], den)))
+            elif c:
+                q = {e: Fraction(n, den) for e, n in c.items()}
+                terms.append((key, v, t, Cyclotomic(N, q, _reduced=True)))
+    cmaps = {}
+    for key, v, t, q in terms:
+        degs = cmaps.get(key)
+        if degs is None:
+            degs = cmaps[key] = {}
+        powers = degs.get(v)
+        if powers is None:
+            degs[v] = {t: q}
         else:
-            c[e] = n
-    terms = []
-    for (key, v, t), c in coords.items():
-        c = _reduce(N, c)
-        if not c:
-            continue
-        if len(c) == 1 and 0 in c:
-            q = Fraction(c[0], den)
-        else:
-            q = Cyclotomic(
-                N, {e: Fraction(n, den) for e, n in c.items()}, _reduced=True
-            )
-        terms.append((key, v, t, q))
-    return _series_by_key(terms, K)
+            powers[t] = q
+    raw = TauLaurent._raw
+    degrees = range(K + 1)
+    return {
+        key: Series._raw(K, [raw(d[v]) if v in d else raw({}) for v in degrees])
+        for key, d in cmaps.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,24 @@ def test_seed3_digest(capsys, name):
     assert main(["verify", name, "--seed", "3", "--json", "-"]) == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == SEED3_DIGESTS[name], "seed-3 report of %s changed" % name
+
+
+# SHA-256 of the standard output of `hopftwist verify <args> --json -` for
+# two non-default runs, under the same rule as GOLDEN_DIGESTS: a star product
+# and Zak side with a cyclotomic theta, and Moyal's i*hbar products at a
+# higher order.
+OPTION_DIGESTS = {
+    "heis-torus --theta z(4,1)*h+h^2": (
+        "a07343c09a8f59a000a3214bf1f74c0e3fc9b2e7355bd408c017aa627afb85a4"
+    ),
+    "moyal --order 6": (
+        "8c1cd2c9d34149d87365e88e669d91e21f367520d955eff4dd751c76850a1935"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(OPTION_DIGESTS))
+def test_option_digest(capsys, args):
+    assert main(["verify", *args.split(), "--json", "-"]) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == OPTION_DIGESTS[args], "report of verify %s changed" % args

@@ -1,6 +1,9 @@
 """Exit codes and output shapes of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 
@@ -88,6 +91,46 @@ def test_verify_theta_conductor_above_cap_exit_two(theta, capsys):
     assert time.monotonic() - started < 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "above the cap of 1000" in err
+
+
+def _verify_theta(theta):
+    """One CLI process running verify sharp-map with theta, on the imported
+    package."""
+    src = os.path.dirname(os.path.dirname(suites.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, "-m", "hopftwist.cli", "verify", "sharp-map", "--theta", theta],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        "(1+z(840,1))^2000*h",
+        "(1+tau)^3000*h",
+        "((1+tau)^60)^60*h",
+        "(1+z(840,1)+h)^2000*h",
+        "(3^1000000)^300*h",
+    ],
+)
+def test_verify_theta_power_above_cap_exit_two(theta):
+    done = _verify_theta(theta)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "above the cap of" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "theta", ["(1+z(8,1))^20000*h", "(1+h)^100000*h", "2^10000000*h", "tau^100000*h"]
+)
+def test_verify_theta_power_under_cap_runs(theta):
+    done = _verify_theta(theta)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("theta", ["h/(1-h)", "h*(1+h)^-1"])

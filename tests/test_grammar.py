@@ -1,6 +1,7 @@
 """Parser and serializer tests for the scalar text format."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,45 @@ def test_conductor_cap_is_an_error_at_the_z_token():
         with pytest.raises(ParseError) as e:
             parse(text)
         assert e.value.column == column and "above the cap of 1000" in str(e.value)
+
+
+# Powers past the size caps, with the column of their '^' token, and powers
+# under them; parse at the order a --theta gets by default.
+_REFUSED_POWERS = [
+    ("(1+z(840,1))^2000*h", 13),
+    ("(1+tau)^3000*h", 8),
+    ("((1+tau)^60)^60*h", 13),
+    ("(1+z(840,1)+h)^2000*h", 15),
+    ("(3^1000000)^300*h", 12),
+]
+_ALLOWED_POWERS = [
+    "(1+z(8,1))^20000*h",
+    "(1+h)^100000*h",
+    "2^10000000*h",
+    "tau^100000*h",
+]
+
+
+@pytest.mark.parametrize("text,column", _REFUSED_POWERS)
+def test_power_above_the_caps_is_an_error_at_the_caret(text, column):
+    started = time.monotonic()
+    with pytest.raises(ParseError) as e:
+        parse(text, hbar_order=4)
+    assert time.monotonic() - started < 1
+    assert e.value.column == column and "above the cap of" in str(e.value)
+
+
+@pytest.mark.parametrize("text", _ALLOWED_POWERS)
+def test_power_under_the_caps_parses(text):
+    assert not parse(text, hbar_order=4).is_zero()
+
+
+def test_power_cap_reads_the_value_not_the_exponent():
+    # a root of unity and a series that truncates to zero cost nothing
+    assert parse("z(3,2)^1000000000") == root_of_unity(2 * 10**9, 3)
+    assert parse("(1+h)*h^100000", hbar_order=4).is_zero()
+    # a sparse power at a large prime conductor is cheap
+    assert parse("(1+z(997,1))^2") == 1 + 2 * root_of_unity(1, 997) + root_of_unity(2, 997)
 
 
 def test_parse_error_positions():

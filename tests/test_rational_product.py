@@ -90,7 +90,6 @@ def test_integer_path_matches_generic_kernel(pair):
 
 def test_twisted_host_has_a_denominator():
     assert KF.rational_table()[1] > 1
-    assert not KF.unit_coeff_table()
 
 
 @SETTINGS
