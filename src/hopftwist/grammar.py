@@ -15,8 +15,9 @@ emits text that parses back to an equal value.
 
 Every value of an expression lives at a conductor dividing the lcm of the
 conductors N of its z tokens; a z token that takes that lcm above
-_MAX_CONDUCTOR is a ParseError, and so is a power whose estimated size
-passes a cap (see _power_cost), at its '^' before it is computed.
+_MAX_CONDUCTOR is a ParseError, and so is a power, product or quotient
+whose estimated size passes a cap (see _power_cost and _product_cost), at
+its '^', '*' or '/' before it is computed.
 """
 
 from fractions import Fraction
@@ -33,11 +34,13 @@ from .scalars import cyclotomic_polynomial
 # 0.7 s at 1260, 3.7 s at 2520 and 17 s at 5040.
 _MAX_CONDUCTOR = 1000
 
-# Caps on the estimated size of one power (see _power_cost).  As single CLI
-# runs on a shared 2-core x86 machine, powers just under them take 0.8-1.8 s;
-# (1+tau)^1000*h took 4.4 s and (1+z(840,1))^2000*h 11-13 s before the caps.
-_MAX_POWER_BITS = 10**7
-_MAX_POWER_WORK = 5 * 10**7
+# Caps on the estimated size of one power, product or quotient (see
+# _power_cost and _product_cost).  As single CLI runs on a shared 2-core x86
+# machine, powers just under them take 0.8-1.8 s; (1+tau)^1000*h took 4.4 s,
+# (1+z(840,1))^2000*h 11-13 s and twelve factors (1+tau)^360 multiplied
+# together 73 s before the caps.
+_MAX_BITS = 10**7
+_MAX_WORK = 5 * 10**7
 
 
 class _Tok:
@@ -107,6 +110,42 @@ def _invertible(op, compute):
     raise ParseError("cannot evaluate '%s': %s" % (op.text, reason), op.line, op.col)
 
 
+def _coords(v):
+    """(N, coordinates) of a value: N the lcm of its conductors, and one
+    (hbar degree, tau power, exponent of z_N, coordinate) per coordinate,
+    lowest hbar degree first.  A tagged root is one coordinate 1."""
+    cs = v.coeffs if isinstance(v, Series) else [TauLaurent._coerce(v)]
+    terms = [
+        (j, t, q if isinstance(q, Cyclotomic) else Cyclotomic.from_rational(q))
+        for j, c in enumerate(cs)
+        for t, q in c.terms.items()
+    ]
+    N = lcm(*[q.conductor for _, _, q in terms])
+    return N, [
+        (j, t, e * N // q.conductor, x)
+        for j, t, q in terms
+        for e, x in (q.coords if q.root is None else {q.root: 1}).items()
+    ]
+
+
+def _box(cs, scale):
+    """(hbar span, tau span, z exponent span, top z exponent, bits per
+    factor) of coordinates cs, their exponents of z_N times scale: the bits
+    of the l1 norm and the denominator of the coordinates."""
+    js, ts = [c[0] for c in cs], [c[1] for c in cs]
+    es = [c[2] * scale for c in cs]
+    den = lcm(*[c[3].denominator for c in cs])
+    l1 = sum(abs(c[3].numerator) * (den // c[3].denominator) for c in cs)
+    g = (l1 - 1).bit_length() + (den - 1).bit_length()
+    return max(js) - min(js), max(ts) - min(ts), max(es) - min(es), max(es), g
+
+
+def _reduction_terms(N, z_top):
+    """Terms of the row that reduces an exponent of z_N past phi(N), or 1
+    when no exponent of the result gets there."""
+    return len(cyclotomic_polynomial(N)) - 1 if z_top >= _phi_deg(N) else 1
+
+
 def _power_cost(v, k, order):
     """(bits, work) estimated for v^k from its base: the bits of one rational
     coordinate, and T^2 * R * bits for the last squaring, with T the result's
@@ -117,40 +156,36 @@ def _power_cost(v, k, order):
     power; the others enter at most m = min(|k|, order - |k| * its degree)
     times, each with a binomial."""
     k = abs(k)
-    cs = v.coeffs if isinstance(v, Series) else [TauLaurent._coerce(v)]
-    terms = [
-        (j, t, q if isinstance(q, Cyclotomic) else Cyclotomic.from_rational(q))
-        for j, c in enumerate(cs)
-        for t, q in c.terms.items()
-    ]
-    N = lcm(*[q.conductor for _, _, q in terms])
-    coords = [  # (hbar degree, tau power, exponent of z_N, coordinate)
-        (j, t, e * N // q.conductor, x)
-        for j, t, q in terms
-        for e, x in (q.coords if q.root is None else {q.root: 1}).items()
-    ]
+    N, coords = _coords(v)
     if k < 2 or not coords:
         return 0, 0
     extra = order - k * coords[0][0] if isinstance(v, Series) else 0
     if extra < 0:
         return 0, 0
     m = min(k, extra)
-
-    def box(cs):
-        # (tau span, z_N exponent span, top z_N exponent, bits per factor)
-        ts, es = [c[1] for c in cs], [c[2] for c in cs]
-        den = lcm(*[c[3].denominator for c in cs])
-        l1 = sum(abs(c[3].numerator) * (den // c[3].denominator) for c in cs)
-        g = (l1 - 1).bit_length() + (den - 1).bit_length()
-        return max(ts) - min(ts), max(es) - min(es), max(es), g
-
-    ts, zs, _, g = box([c for c in coords if c[0] == coords[0][0]])
-    ts_all, zs_all, z_top, g_all = box(coords)
-    phi = _phi_deg(N)
-    T = (extra + 1) * (k * ts + m * ts_all + 1) * min(phi, k * zs + m * zs_all + 1)
-    R = len(cyclotomic_polynomial(N)) - 1 if k * z_top >= phi else 1
+    _, ts, zs, _, g = _box([c for c in coords if c[0] == coords[0][0]], 1)
+    _, ts_all, zs_all, z_top, g_all = _box(coords, 1)
+    T = (extra + 1) * (k * ts + m * ts_all + 1) * min(_phi_deg(N), k * zs + m * zs_all + 1)
     bits = max(1, k * g + m * (k.bit_length() + g_all))
-    return bits, T * T * R * bits
+    return bits, T * T * _reduction_terms(N, k * z_top) * bits
+
+
+def _product_cost(v, w):
+    """(bits, work) estimated for v*w, and for v/w as if it were v*w: the
+    bits of one coordinate, the sum of the operands' bits per factor, and
+    Tv * Tw * R * bits, with Tv and Tw the hbar degrees times tau powers
+    times exponents of z_N (at most phi(N)) that each operand spans, N the
+    lcm of their conductors, and R as for a power."""
+    (Nv, cv), (Nw, cw) = _coords(v), _coords(w)
+    if not cv or not cw:
+        return 0, 0
+    N = lcm(Nv, Nw)
+    phi = _phi_deg(N)
+    (jv, tv, zv, topv, gv), (jw, tw, zw, topw, gw) = _box(cv, N // Nv), _box(cw, N // Nw)
+    Tv = (jv + 1) * (tv + 1) * min(phi, zv + 1)
+    Tw = (jw + 1) * (tw + 1) * min(phi, zw + 1)
+    bits = max(1, gv + gw)
+    return bits, Tv * Tw * _reduction_terms(N, topv + topw) * bits
 
 
 class _Parser:
@@ -187,6 +222,8 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.take()
             w = self.unary()
+            what = "product" if op.kind == "*" else "quotient"
+            self.bound(op, what, lambda: _product_cost(v, w))
             v = v * w if op.kind == "*" else _invertible(op, lambda: v / w)
         return v
 
@@ -201,17 +238,18 @@ class _Parser:
         if self.peek().kind == "^":
             op = self.take()
             k = self.intexp()
-            self.bound(op, v, k)
+            self.bound(op, "power ^%d" % k, lambda: _power_cost(v, k, self.order))
             v = _invertible(op, lambda: v**k)
         return v
 
-    def bound(self, op, v, k):
-        """ParseError at the '^' token op when v^k passes a power cap."""
-        bits, work = _power_cost(v, k, self.order)
-        if bits > _MAX_POWER_BITS or work > _MAX_POWER_WORK:
-            caps = (k, bits, work, _MAX_POWER_BITS, _MAX_POWER_WORK)
+    def bound(self, op, what, cost):
+        """ParseError at the operator token op when the (bits, work) that
+        cost() estimates for its result passes a cap."""
+        bits, work = cost()
+        if bits > _MAX_BITS or work > _MAX_WORK:
+            caps = (what, bits, work, _MAX_BITS, _MAX_WORK)
             raise ParseError(
-                "power ^%d too large: about %d bits a coordinate and %d bit "
+                "%s too large: about %d bits a coordinate and %d bit "
                 "operations, above the cap of %d or %d" % caps, op.line, op.col
             )
 
@@ -317,8 +355,8 @@ class _Degrees:
 
 
 class _DegreeParser(_Parser):
-    def bound(self, op, v, k):
-        """Degree bounds take any power at no cost."""
+    def bound(self, op, what, cost):
+        """Degree bounds take any product or power at no cost."""
 
     def atom(self):
         t = self.peek()

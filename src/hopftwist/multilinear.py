@@ -36,7 +36,15 @@ block first when the arity is odd; the row of a block value x is a flat list
 mapping each block value y to stride * key(x*y), so a product key is
 row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4; arity 5 and
 up keep the per-leg loop.  Rows are built lazily, one for each block value
-met, and kept on the host.
+met, and kept on the host.  When the operands are dense, len(a) * len(b)
+at least dim**arity, the products are summed into a plain list with one
+cell per output key, and its nonzero cells become the result; sparser
+operands, such as hopf-cochain's arity-3 cochains, keep the dict.
+
+An exact tensor inverse solves the left regular representation: over
+rational values (tensor_invert, _invert_exact) the columns go to
+linalg.solve as their integer numerators, each over its own denominator,
+and only over cyclotomic values does the solve take the generic rref.
 
 verify_algebra is the one algebra axiom battery: unit laws, associativity
 or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
@@ -105,13 +113,21 @@ def tensor_convolve(a, b, dim, arity, base):
     arity is at most 4, each pair of keys gives one key with coefficient 1,
     read from key-product rows: the legs are split into one or two blocks
     of at most two legs, and a row of a block value x maps every block
-    value y to stride * key(x*y).  Otherwise the cells are expanded leg by
-    leg, and a pair of keys with an empty cell on any leg is skipped before
-    its product is formed.  The b keys are decoded once.
+    value y to stride * key(x*y).  When len(a) * len(b) >= dim**arity the
+    products are added into a list acc = [0] * dim**arity, one cell per
+    output key (so a Cyclotomic or Series value starts from 0 + value), and
+    the nonzero cells are returned in key order; below that the sums are
+    kept in a dict, dropping a key whose sum cancels.  Otherwise the cells
+    are expanded leg by leg, and a pair of keys with an empty cell on any
+    leg is skipped before its product is formed.  The b keys are decoded
+    once.
     """
     out = {}
     get = out.get
     rows = getattr(base, "rows", None)
+    if rows is not None and arity <= 4:
+        size = dim ** arity
+        acc = [0] * size if len(a) * len(b) >= size else None
     if rows is not None and arity <= 2:
         # one block: the row of ka maps kb to key(ka*kb)
         cache = rows.setdefault((arity, 1), {})
@@ -119,6 +135,10 @@ def tensor_convolve(a, b, dim, arity, base):
             row = cache.get(ka)
             if row is None:
                 row = cache[ka] = _key_row(base, dim, arity, 1, ka)
+            if acc is not None:
+                for kb, vb in b.items():
+                    acc[row[kb]] += va * vb
+                continue
             for kb, vb in b.items():
                 idx = row[kb]
                 r = get(idx, 0) + va * vb
@@ -126,7 +146,7 @@ def tensor_convolve(a, b, dim, arity, base):
                     out[idx] = r
                 else:
                     out.pop(idx, None)
-        return out
+        return out if acc is None else {i: v for i, v in enumerate(acc) if v}
     if rows is not None and arity <= 4:
         # a block of arity - 2 legs over a block of the two last legs
         s0 = dim * dim
@@ -141,6 +161,10 @@ def tensor_convolve(a, b, dim, arity, base):
             r1 = c1.get(x1)
             if r1 is None:
                 r1 = c1[x1] = _key_row(base, dim, 2, 1, x1)
+            if acc is not None:
+                for y0, y1, vb in bd:
+                    acc[r0[y0] + r1[y1]] += va * vb
+                continue
             for y0, y1, vb in bd:
                 idx = r0[y0] + r1[y1]
                 r = get(idx, 0) + va * vb
@@ -148,7 +172,7 @@ def tensor_convolve(a, b, dim, arity, base):
                     out[idx] = r
                 else:
                     out.pop(idx, None)
-        return out
+        return out if acc is None else {i: v for i, v in enumerate(acc) if v}
     if arity == 1:
         for ka, va in a.items():
             row = ka * dim
@@ -1035,13 +1059,22 @@ def _invert_exact(t, unit):
     D = host.dim ** arity
     one = host.ring.one()
     cols = [
-        t.mul(LegTensor(host, arity, {j: one}, _checked=True)).data
-        for j in range(D)
+        t.mul(LegTensor(host, arity, {j: one}, _checked=True)) for j in range(D)
     ]
-    zero = host.ring.zero()
-    mat = [[cols[j].get(i, zero) for j in range(D)] for i in range(D)]
-    rhs = [unit.data.get(i, zero) for i in range(D)]
-    sol = linalg.solve(mat, rhs)
+    rows = [c.rows() for c in cols + [unit]]
+    if None not in rows:
+        # column j is nums_j / den_j and the unit u / du: solve
+        # sum_j nums_j z_j = u in integers, then x_j = z_j * den_j / du
+        nums, dens = zip(*[r[0] for r in rows])
+        mat = [[n.get(i, 0) for n in nums[:D]] for i in range(D)]
+        sol = linalg.solve(mat, [nums[D].get(i, 0) for i in range(D)])
+        if sol is not None:
+            sol = [z * Fraction(d, dens[D]) for z, d in zip(sol, dens)]
+    else:
+        zero = host.ring.zero()
+        mat = [[c.data.get(i, zero) for c in cols] for i in range(D)]
+        rhs = [unit.data.get(i, zero) for i in range(D)]
+        sol = linalg.solve(mat, rhs)
     if sol is None:
         raise NotInvertible("tensor has no inverse")
     inv = LegTensor(

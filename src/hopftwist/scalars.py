@@ -184,6 +184,20 @@ def cyclo_mul(a, b, n, phi, rows):
 
 
 _RATIONAL = (int, Fraction)
+
+
+def _power(out, base, k):
+    """out * base**k for an int k >= 0, by repeated squaring that stops at
+    the top bit of k."""
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 _ZERO = Fraction(0)
 
 
@@ -347,9 +361,8 @@ class Cyclotomic:
         for j in range(phi):
             shifted = _reduce(n, {e + j: v for e, v in self.coords.items()})
             cols.append(shifted)
-        mat = [[cols[j].get(i, Fraction(0)) for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-        sol = linalg.solve(mat, rhs)
+        mat = [[cols[j].get(i, 0) for j in range(phi)] for i in range(phi)]
+        sol = linalg.solve(mat, [1] + [0] * (phi - 1))
         return Cyclotomic(
             n, {j: v for j, v in enumerate(sol) if v}, _reduced=True
         )
@@ -371,14 +384,7 @@ class Cyclotomic:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyclotomic.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(Cyclotomic.from_rational(1), self, k)
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -430,21 +436,31 @@ def _tau_product(a, b):
 
     A one-term b only shifts the powers of a, so no two products meet and
     none is zero; otherwise products of equal power are summed and zeros
-    dropped.
+    dropped.  Rational terms are summed as integer numerators over the
+    product of the two common denominators, in the same order, so the
+    result keeps the order of the Fraction sums.
     """
     if len(b) == 1:
         (kb, vb), = b.items()
         return {ka + kb: va * vb for ka, va in a.items()}
+    ra = _numerators(a)
+    rb = None if ra is None else _numerators(b)
+    if rb is not None:
+        a, b = ra[0], rb[0]
     out = {}
+    get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb
-            r = out.get(k, 0) + va * vb
+            r = get(k, 0) + va * vb
             if r:
                 out[k] = r
             else:
                 out.pop(k, None)
-    return out
+    if rb is None:
+        return out
+    den = ra[1] * rb[1]
+    return {k: Fraction(n, den) for k, n in out.items()}
 
 
 class TauLaurent:
@@ -561,14 +577,7 @@ class TauLaurent:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = TauLaurent({0: 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(TauLaurent({0: 1}), self, k)
 
     def __eq__(self, other):
         o = TauLaurent._coerce(other)
@@ -748,14 +757,7 @@ class Series:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = Series.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(Series.one(self.order), self, k)
 
     def inverse(self):
         c0 = self.coeffs[0]

@@ -125,6 +125,18 @@ def test_verify_theta_power_above_cap_exit_two(theta):
     assert "Traceback" not in done.stderr
 
 
+def test_verify_theta_product_above_cap_exit_two():
+    # twelve factors each under the power cap; the product of the first two
+    # passes the cap, so the run stops at the first '*'
+    started = time.monotonic()
+    done = _verify_theta("*".join(["(1+tau)^360"] * 12) + "*h")
+    elapsed = time.monotonic() - started
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "product too large" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert elapsed < 1, elapsed
+
+
 @pytest.mark.parametrize(
     "theta", ["(1+z(8,1))^20000*h", "(1+h)^100000*h", "2^10000000*h", "tau^100000*h"]
 )

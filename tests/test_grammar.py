@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hopftwist.errors import ParseError
-from hopftwist.grammar import parse, render
+from hopftwist.grammar import hbar_valuation_bound, parse, render
 from hopftwist.scalars import Cyclotomic, Series, TauLaurent, root_of_unity
 
 
@@ -86,6 +86,45 @@ def test_power_cap_reads_the_value_not_the_exponent():
     assert parse("(1+h)*h^100000", hbar_order=4).is_zero()
     # a sparse power at a large prime conductor is cheap
     assert parse("(1+z(997,1))^2") == 1 + 2 * root_of_unity(1, 997) + root_of_unity(2, 997)
+
+
+# Products and quotients past the size caps, with the column of their '*' or
+# '/' token, and products under them; twelve factors (1+tau)^360, each under
+# the power cap, are refused at the first '*'.
+_TWELVE_FACTORS = "*".join(["(1+tau)^360"] * 12) + "*h"
+_REFUSED_PRODUCTS = [
+    (_TWELVE_FACTORS, 12, "product"),
+    ("(1+tau)^360*(1+tau)^300*h", 12, "product"),
+    ("2^5000000*2^5000001*h", 10, "product"),
+    ("(1+tau)^360/(1+(1+tau)^300*h)*h", 12, "quotient"),
+]
+_ALLOWED_PRODUCTS = [
+    "(1+tau)^360*h",
+    "(1+tau)^100*(1+tau)^100*h",
+    "2^5000000*2^5000000*h",
+    "(1+z(7,1))^5000*(1+z(7,1))^5000*h",
+    "(1+tau+h)^50*(1+tau+h)^50*h",
+]
+
+
+@pytest.mark.parametrize("text,column,what", _REFUSED_PRODUCTS)
+def test_product_above_the_caps_is_an_error_at_the_operator(text, column, what):
+    started = time.monotonic()
+    with pytest.raises(ParseError) as e:
+        parse(text, hbar_order=4)
+    assert time.monotonic() - started < 1
+    assert e.value.column == column
+    assert str(e.value).startswith(what + " too large") and "above the cap of" in str(e.value)
+
+
+@pytest.mark.parametrize("text", _ALLOWED_PRODUCTS)
+def test_product_under_the_caps_parses(text):
+    assert not parse(text, hbar_order=4).is_zero()
+
+
+def test_product_cap_leaves_the_degree_bound_alone():
+    # the hbar valuation bound evaluates degrees only, at no cost
+    assert hbar_valuation_bound(_TWELVE_FACTORS) == 1
 
 
 def test_parse_error_positions():

@@ -1,0 +1,148 @@
+"""linalg against sympy: rank, solve and inverse on random rational
+matrices, and the rational callers kept off the generic rref path."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopftwist import constructors as con
+from hopftwist import linalg
+from hopftwist.hopf_cochain import HopfCochain
+from hopftwist.multilinear import LegTensor
+from hopftwist.scalars import root_of_unity
+from hopftwist.suites import run_suite
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+# mostly small entries, a third of them zero, some with large parts
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """A rational matrix, often singular: some rows are combinations of
+    the others and some are zero, in a drawn order."""
+    m = draw(st.integers(1, 6)) if rows is None else rows
+    n = draw(st.integers(1, 6)) if cols is None else cols
+    free = draw(st.integers(1, m))
+    mat = [[draw(_entries) for _ in range(n)] for _ in range(free)]
+    for _ in range(m - free):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "free":
+            mat.append([draw(_entries) for _ in range(n)])
+        elif kind == "zero":
+            mat.append([Fraction(0)] * n)
+        else:
+            coeffs = [draw(_entries) for _ in mat]
+            mat.append([sum(c * row[j] for c, row in zip(coeffs, mat)) for j in range(n)])
+    return draw(st.permutations(mat))
+
+
+def _sym(mat):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in mat])
+
+
+def _fractions(vec):
+    return [Fraction(int(sympy.fraction(x)[0]), int(sympy.fraction(x)[1])) for x in vec]
+
+
+@SETTINGS
+@given(matrices())
+def test_rank_matches_sympy(mat):
+    assert linalg.rank(mat) == _sym(mat).rank()
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_solve_matches_sympy(mat, data):
+    n = len(mat[0])
+    if data.draw(st.booleans()):
+        # consistent: rhs in the column space
+        x = [data.draw(_entries) for _ in range(n)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in mat]
+    else:
+        # often inconsistent when mat is singular
+        rhs = [data.draw(_entries) for _ in mat]
+    got = linalg.solve(mat, rhs)
+    try:
+        sol, params = _sym(mat).gauss_jordan_solve(_sym([[v] for v in rhs]))
+    except ValueError:
+        assert got is None
+        return
+    want = _fractions(sol.subs({p: 0 for p in params}))
+    assert got == want
+    assert all(type(v) is Fraction for v in got)
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_inverse_matches_sympy(mat):
+    got = linalg.inverse(mat)
+    sm = _sym(mat)
+    if sm.det() == 0:
+        assert got is None
+        return
+    want = [_fractions(sm.inv().row(i)) for i in range(len(mat))]
+    assert got == want
+
+
+def test_empty_and_zero_systems():
+    assert linalg.rank([]) == 0
+    assert linalg.rank([[Fraction(0)] * 3] * 2) == 0
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[Fraction(0), Fraction(0)]], [Fraction(0)]) == [0, 0]
+    assert linalg.solve([[Fraction(0), Fraction(0)]], [Fraction(1)]) is None
+    assert linalg.inverse([]) == []
+
+
+def test_int_entries_give_fractions():
+    assert linalg.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert all(type(v) is Fraction for row in linalg.inverse([[2]]) for v in row)
+
+
+def test_cyclotomic_entries_take_the_generic_path():
+    i = root_of_unity(1, 4)
+    mat = [[i, Fraction(1)], [Fraction(1), i]]
+    rhs = [Fraction(1), Fraction(0)]
+    x = linalg.solve(mat, rhs)
+    assert [sum(a * b for a, b in zip(row, x)) for row in mat] == rhs
+    assert linalg.rank([[i, Fraction(1)], [Fraction(-1), i]]) == 1
+    inv = linalg.inverse(mat)
+    prod = [[sum(mat[r][k] * inv[k][c] for k in range(2)) for c in range(2)] for r in range(2)]
+    assert prod == [[1, 0], [0, 1]]
+
+
+def _no_rref(mat):
+    raise AssertionError("rational entries reached linalg.rref")
+
+
+def test_rational_callers_never_reach_rref(monkeypatch):
+    monkeypatch.setattr(linalg, "rref", _no_rref)
+    assert run_suite("graded-galois").ok
+    H = con.group_algebra(con.pauli_8())
+    for arity, keys in ((1, range(8)), (2, range(0, 64, 3))):
+        value = {k: Fraction((-1) ** k, 1 + k % 5) for k in keys}
+        value[0] = Fraction(100)
+        F = HopfCochain(H, arity, LegTensor(H, arity, value, _checked=True))
+        unit = LegTensor.unit(H, arity)
+        assert F.value.mul(F.inverse).eq(unit) and F.inverse.mul(F.value).eq(unit)
+    q = root_of_unity(1, 7) + 2
+    assert q * q.inverse() == 1
+
+
+def test_cyclotomic_host_inversion_still_reaches_rref(monkeypatch):
+    # the guard above can fail: a cyclotomic host's inverse still solves
+    # through rref
+    monkeypatch.setattr(linalg, "rref", _no_rref)
+    H = con.group_algebra(con.cyclic_group(2))
+    i = root_of_unity(1, 4)
+    with pytest.raises(AssertionError, match="reached linalg.rref"):
+        HopfCochain(H, 1, LegTensor(H, 1, {0: 2 * i, 1: Fraction(1)}))

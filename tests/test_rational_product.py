@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hopftwist import multilinear as kernel
 from hopftwist.constructors import (
+    dihedral_4,
     dual_group_hopf,
     elementary_abelian_2,
     group_algebra,
@@ -29,6 +30,7 @@ from hopftwist.group_cohomology import (
 )
 from hopftwist.hopf_cochain import HopfCochain, counital_projection, twist
 from hopftwist.multilinear import (
+    AlgebraPresentation,
     HopfPresentation,
     LegTensor,
     decode_key,
@@ -117,6 +119,32 @@ def test_exact_inverse_over_fractional_table(arity, data):
     unit = LegTensor.unit(KF, arity)
     assert t.mul(inv).eq(unit) and inv.mul(t).eq(unit)
     assert LegTensor(KF, arity, generic(t, inv)).eq(unit)
+
+
+# k[Z2] on the basis 2e, g: its unit e = (2e)/2 has the denominator 2, so
+# the exact inverse must divide by the unit's denominator
+KU = AlgebraPresentation(
+    2,
+    ["2e", "g"],
+    ScalarRing(),
+    {(0, 0): {0: 2}, (0, 1): {1: 2}, (1, 0): {1: 2}, (1, 1): {0: Fraction(1, 2)}},
+    [Fraction(1, 2), 0],
+)
+
+
+@SETTINGS
+@given(st.integers(1, 2), st.data())
+def test_exact_inverse_with_a_fractional_unit(arity, data):
+    unit = LegTensor.unit(KU, arity)
+    assert unit.rows()[0][1] == 2 ** arity
+    t = data.draw(tensors(KU, arity))
+    # as above, with 2 the largest |structure constant|; the unit's left
+    # regular matrix is the identity
+    lead = 1 + 2 ** arity * sum(abs(c) for c in t.data.values())
+    t = t.add(unit.scale(lead))
+    inv = tensor_invert(t)
+    assert t.mul(inv).eq(unit) and inv.mul(t).eq(unit)
+    assert LegTensor(KU, arity, generic(t, inv)).eq(unit)
 
 
 K = 2
@@ -413,6 +441,87 @@ def test_cyclotomic_values_over_permutation_table_match_per_leg_loop(arity, data
     assert got == want
     # a plain list carries no rows, so it takes the per-leg loop
     assert got == kernel.tensor_convolve(a, b, KS3.dim, arity, list(base))
+
+
+# ---------------------------------------------------------------------------
+# dense operands: the list accumulator of permutation tables
+
+DENSE_HOSTS = [(G, group_algebra(G)) for G in (S3, elementary_abelian_2(3), dihedral_4())]
+
+
+_Z3 = Cyclotomic(3, {1: 1})
+
+
+def _dense_value(rng, kind):
+    q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), 1 if kind == "int" else rng.randint(1, 6))
+    return q * _Z3 if kind == "cyclotomic" and rng.random() < 0.5 else q
+
+
+@st.composite
+def dense_operands(draw, kinds=("int", "rational"), hosts=DENSE_HOSTS):
+    """(G, host, arity, a, b) on digit-tuple keys with len(a) * len(b) at
+    least dim**arity, the products that tensor_convolve accumulates in a
+    list, and at most about twice that.  The key sets are drawn among all
+    dim**arity keys, and the values from one kind: small integers,
+    fractions, or fractions half of them times z(3,1); a seeded random
+    source draws them, since an operand can have thousands of keys."""
+    G, host = draw(st.sampled_from(hosts))
+    arity = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(kinds))
+    rng = draw(st.randoms(use_true_random=False))
+    size = host.dim ** arity
+    na = draw(st.integers(1, size))
+    least = -(-size // na)
+    nb = draw(st.integers(least, min(size, 2 * least)))
+    a, b = (
+        {decode_key(k, host.dim, arity): _dense_value(rng, kind) for k in rng.sample(range(size), n)}
+        for n in (na, nb)
+    )
+    return G, host, arity, a, b
+
+
+def _dense_product(host, arity, a, b):
+    a, b = flat(a, host.dim), flat(b, host.dim)
+    assert len(a) * len(b) >= host.dim ** arity
+    base = host.base_table()
+    got = kernel.tensor_convolve(a, b, host.dim, arity, base)
+    # a plain list carries no rows, so it takes the per-leg loop
+    assert got == kernel.tensor_convolve(a, b, host.dim, arity, list(base))
+    assert all(got.values())
+    return got
+
+
+@SETTINGS
+@given(dense_operands())
+def test_dense_products_match_group_multiplication(case):
+    G, host, arity, a, b = case
+    want = flat(group_product(G, a, b), host.dim)
+    assert _dense_product(host, arity, a, b) == want
+    prod = LegTensor(host, arity, a).mul(LegTensor(host, arity, b))
+    assert prod.data == want
+
+
+def test_dense_products_cancelling_to_zero_store_nothing():
+    # (sum of every key) * (1 - g) = 0, since multiplying by g permutes keys
+    for G, host in DENSE_HOSTS:
+        for arity in range(1, 5):
+            keys = [decode_key(k, host.dim, arity) for k in range(host.dim ** arity)]
+            ones = {x: Fraction(1, 3) for x in keys}
+            diff = {(G.identity,) * arity: 1, (1,) * arity: -1}
+            assert _dense_product(host, arity, ones, diff) == {}
+            assert _dense_product(host, arity, diff, ones) == {}
+
+
+@SETTINGS
+@given(dense_operands(kinds=("cyclotomic",), hosts=[(S3, KS3)]))
+def test_dense_cyclotomic_values_start_each_cell_from_zero(case):
+    G, host, arity, a, b = case
+    want = flat(group_product(G, a, b), host.dim)
+    got = _dense_product(host, arity, a, b)
+    assert got == want
+    keys = [decode_key(k, host.dim, arity) for k in range(host.dim ** arity)]
+    ones = {x: _Z3 for x in keys}
+    assert _dense_product(host, arity, ones, {(G.identity,) * arity: 1, (1,) * arity: -1}) == {}
 
 
 # ---------------------------------------------------------------------------
