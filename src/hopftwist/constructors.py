@@ -15,6 +15,7 @@ from .multilinear import (
     HopfPresentation,
     ModuleAlgebra,
     _clean,
+    tensor_convolve,
 )
 from .reporting import CheckOutcome
 from .scalars import Cyclotomic, ScalarRing, root_of_unity
@@ -500,68 +501,6 @@ def taft(p, lam=None):
                     else:
                         mult[(idx(a, b), idx(c, d))] = {}
 
-    def mul1(u, v):
-        out = {}
-        for iu, cu in u.items():
-            for iv, cv in v.items():
-                cell = mult.get((iu, iv))
-                if not cell:
-                    continue
-                ((k, w),) = tuple(cell.items())
-                r = out.get(k, 0) + cu * cv * w
-                if r:
-                    out[k] = r
-                else:
-                    out.pop(k, None)
-        return out
-
-    def mul2(u, v):
-        out = {}
-        for (i1, i2), cu in u.items():
-            for (j1, j2), cv in v.items():
-                c1 = mult.get((i1, j1))
-                c2 = mult.get((i2, j2))
-                if not c1 or not c2:
-                    continue
-                ((k1, w1),) = tuple(c1.items())
-                ((k2, w2),) = tuple(c2.items())
-                r = out.get((k1, k2), 0) + cu * cv * w1 * w2
-                if r:
-                    out[(k1, k2)] = r
-                else:
-                    out.pop((k1, k2), None)
-        return out
-
-    one2 = {(idx(0, 0), idx(0, 0)): Fraction(1)}
-    dg = {(idx(1, 0), idx(1, 0)): Fraction(1)}
-    dx = {(idx(0, 1), idx(1, 0)): Fraction(1), (idx(0, 0), idx(0, 1)): Fraction(1)}
-    coproduct = {}
-    for a in range(p):
-        for b in range(p):
-            t = one2
-            for _ in range(a):
-                t = mul2(t, dg)
-            for _ in range(b):
-                t = mul2(t, dx)
-            coproduct[idx(a, b)] = t
-
-    counit = [Fraction(1) if b == 0 else Fraction(0) for a in range(p) for b in range(p)]
-
-    sg = {idx((p - 1) % p, 0): Fraction(1)}
-    sx = mul1({idx(0, 1): Fraction(-1)}, sg)  # -x g^-1
-    antipode_rows = []
-    for a in range(p):
-        for b in range(p):
-            img = {idx(0, 0): Fraction(1)}
-            for _ in range(b):
-                img = mul1(img, sx)
-            for _ in range(a):
-                img = mul1(img, sg)
-            antipode_rows.append(img)
-    antipode = [
-        [row.get(j, Fraction(0)) for j in range(dim)] for row in antipode_rows
-    ]
-
     labels = []
     for a in range(p):
         for b in range(p):
@@ -571,13 +510,53 @@ def taft(p, lam=None):
             if b:
                 parts.append("x" if b == 1 else "x^%d" % b)
             labels.append("*".join(parts) if parts else "1")
+    unit = [Fraction(1) if t == 0 else Fraction(0) for t in range(dim)]
+    alg = AlgebraPresentation(dim, labels, ScalarRing(), mult, unit)
+    base = alg.base_table()
+
+    def mul2(u, v):
+        # u, v and the product on flat keys of the algebra's square
+        return tensor_convolve(u, v, dim, 2, base)
+
+    one2 = {idx(0, 0) * dim + idx(0, 0): Fraction(1)}
+    dg = {idx(1, 0) * dim + idx(1, 0): Fraction(1)}
+    dx = {
+        idx(0, 1) * dim + idx(1, 0): Fraction(1),
+        idx(0, 0) * dim + idx(0, 1): Fraction(1),
+    }
+    coproduct = {}
+    for a in range(p):
+        for b in range(p):
+            t = one2
+            for _ in range(a):
+                t = mul2(t, dg)
+            for _ in range(b):
+                t = mul2(t, dx)
+            coproduct[idx(a, b)] = {divmod(k, dim): v for k, v in t.items()}
+
+    counit = [Fraction(1) if b == 0 else Fraction(0) for a in range(p) for b in range(p)]
+
+    sg = {idx((p - 1) % p, 0): Fraction(1)}
+    sx = alg.elem_mul({idx(0, 1): Fraction(-1)}, sg)  # -x g^-1
+    antipode_rows = []
+    for a in range(p):
+        for b in range(p):
+            img = {idx(0, 0): Fraction(1)}
+            for _ in range(b):
+                img = alg.elem_mul(img, sx)
+            for _ in range(a):
+                img = alg.elem_mul(img, sg)
+            antipode_rows.append(img)
+    antipode = [
+        [row.get(j, Fraction(0)) for j in range(dim)] for row in antipode_rows
+    ]
 
     return HopfPresentation(
         dim,
         labels,
         ScalarRing(),
         mult,
-        [Fraction(1) if t == 0 else Fraction(0) for t in range(dim)],
+        unit,
         coproduct,
         counit,
         antipode,

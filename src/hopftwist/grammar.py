@@ -17,11 +17,13 @@ Every value of an expression lives at a conductor dividing the lcm of the
 conductors N of its z tokens; a z token that takes that lcm above
 _MAX_CONDUCTOR is a ParseError, and so is a power, product or quotient
 whose estimated size passes a cap (see _power_cost and _product_cost), at
-its '^', '*' or '/' before it is computed.
+its '^', '*' or '/' before it is computed.  A quotient or negative power
+whose divisor inverts a Cyclotomic that is not rational is bounded by the
+estimated cost of that inverse as well (see _inverse_cost).
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import NonUnit, ParseError
 from .scalars import Cyclotomic, Series, TauLaurent, _phi_deg, root_of_unity
@@ -41,6 +43,14 @@ _MAX_CONDUCTOR = 1000
 # together 73 s before the caps.
 _MAX_BITS = 10**7
 _MAX_WORK = 5 * 10**7
+
+# Cap on the estimated work of one cyclotomic inverse (see _inverse_cost),
+# on its own scale.  As single CLI runs (verify sharp-map --theta
+# '1/(<divisor>)*h') on a shared 2-core x86 machine, the divisors 1+z(997,1) (est.
+# 8.7e7), 2+z(211,1)+z(211,100) (1.3e9), 2+z(499,1)+z(499,30) (1.9e9) and
+# 2+z(997,1)+z(997,3)+z(997,7) (2.1e9) took 1.0, 2.3, 2.8 and 2.9 s, and
+# 3+z(997,1)-2*z(997,5)+z(997,20) (9.0e9) 10.4 s.
+_MAX_INVERSE_WORK = 3 * 10**9
 
 
 class _Tok:
@@ -171,7 +181,8 @@ def _power_cost(v, k, order):
 
 
 def _product_cost(v, w):
-    """(bits, work) estimated for v*w, and for v/w as if it were v*w: the
+    """(bits, work) estimated for v*w, and for v/w the same product with w
+    (its inverse is bounded apart, see _inverse_cost): the
     bits of one coordinate, the sum of the operands' bits per factor, and
     Tv * Tw * R * bits, with Tv and Tw the hbar degrees times tau powers
     times exponents of z_N (at most phi(N)) that each operand spans, N the
@@ -186,6 +197,30 @@ def _product_cost(v, w):
     Tw = (jw + 1) * (tw + 1) * min(phi, zw + 1)
     bits = max(1, gv + gw)
     return bits, Tv * Tw * _reduction_terms(N, topv + topw) * bits
+
+
+def _inverse_cost(w):
+    """(bits, work) estimated for inverting the divisor w: nothing unless
+    that inverts a Cyclotomic q that is not rational (w itself, or the one
+    coefficient of a tau monomial or of the constant term of a Series).
+    Cyclotomic.inverse eliminates the phi x phi matrix of multiplication by
+    q, phi = phi(N), whose columns span s = 1 + the spread of q's exponents
+    of z_N.  The time of that elimination, measured at phi from 210 to 996
+    and s from 8 to 151, grows as phi^2.5 * s^1.5; the estimate is that
+    times g, the bits of the l1 norm and denominator of q's coordinates, and
+    a coordinate of the inverse has about phi * g bits."""
+    if isinstance(w, Series):
+        w = w.coeffs[0]
+    if isinstance(w, TauLaurent):
+        if len(w.terms) != 1:
+            return 0, 0
+        (w,) = w.terms.values()
+    if not isinstance(w, Cyclotomic) or w.is_rational():
+        return 0, 0
+    N, cs = _coords(w)
+    _, _, zs, _, g = _box(cs, 1)
+    phi, s, g = _phi_deg(N), zs + 1, max(1, g)
+    return phi * g, phi * phi * s * isqrt(phi * s) * g
 
 
 class _Parser:
@@ -224,6 +259,8 @@ class _Parser:
             w = self.unary()
             what = "product" if op.kind == "*" else "quotient"
             self.bound(op, what, lambda: _product_cost(v, w))
+            if op.kind == "/":
+                self.bound(op, what, lambda: _inverse_cost(w), _MAX_INVERSE_WORK)
             v = v * w if op.kind == "*" else _invertible(op, lambda: v / w)
         return v
 
@@ -238,16 +275,19 @@ class _Parser:
         if self.peek().kind == "^":
             op = self.take()
             k = self.intexp()
-            self.bound(op, "power ^%d" % k, lambda: _power_cost(v, k, self.order))
+            what = "power ^%d" % k
+            if k < 0:
+                self.bound(op, what, lambda: _inverse_cost(v), _MAX_INVERSE_WORK)
+            self.bound(op, what, lambda: _power_cost(v, k, self.order))
             v = _invertible(op, lambda: v**k)
         return v
 
-    def bound(self, op, what, cost):
+    def bound(self, op, what, cost, max_work=_MAX_WORK):
         """ParseError at the operator token op when the (bits, work) that
         cost() estimates for its result passes a cap."""
         bits, work = cost()
-        if bits > _MAX_BITS or work > _MAX_WORK:
-            caps = (what, bits, work, _MAX_BITS, _MAX_WORK)
+        if bits > _MAX_BITS or work > max_work:
+            caps = (what, bits, work, _MAX_BITS, max_work)
             raise ParseError(
                 "%s too large: about %d bits a coordinate and %d bit "
                 "operations, above the cap of %d or %d" % caps, op.line, op.col
@@ -355,7 +395,7 @@ class _Degrees:
 
 
 class _DegreeParser(_Parser):
-    def bound(self, op, what, cost):
+    def bound(self, op, what, cost, max_work=_MAX_WORK):
         """Degree bounds take any product or power at no cost."""
 
     def atom(self):

@@ -9,23 +9,19 @@ Conventions:
   * multiplication and coproduct tables are sparse;
   * tensor legs are 0-based, leftmost leg most significant in flat keys.
 
-A LegTensor stores rational, tau-free values as integer rows, FLINT's
-fmpq_poly layout (integer numerators over one shared denominator) lifted to
-one canonical (numerators, denominator) pair per hbar degree 0..K, or a
-single pair over an exact ring: the degree rows of scalars, which converts
-them to and from values.  mul, add, sub, neg, scale, coproduct_leg,
-leg_embed, counit_leg and eq work on the rows and return rows, so a chain
-of products never leaves the integers.  A product of rows over a host with
-an integer structure table (host.rational_table(): every group algebra, its
-twists by a rational cocycle, and the dual hosts) is the key intersection of
-numerators on a pointwise host with unit coefficients (a dual host), and
-otherwise ``rational_convolve``: one convolution against the integer table,
-whose coefficients share one denominator D, over the two operand
-denominators times D**arity.  The {key: value} dict of Fractions or Series
-is built from the rows only when it is read (reports, JSON, witnesses, the
-generic path).  The generic path is one ``tensor_convolve`` over the values
-themselves: Cyclotomic values or structure constants, tau-carrying series,
-series structure constants other than 1.
+A LegTensor holds its values as phase pieces (scalars): for each phase
+(hbar degree v, tau power t, exponent e of z_N) at one conductor N, one
+canonical pair of integer numerators over one denominator, FLINT's nf_elem
+layout.  Every operation multiplies pieces phase by phase and returns
+pieces, so a chain of products never leaves the integers.  A product over a
+host with an integer structure table (host.rational_table(): every group
+algebra, its twists by a rational cocycle, and the dual hosts) is the key
+intersection of numerators on a pointwise host with unit coefficients (a
+dual host), and otherwise ``rational_convolve``: one convolution against
+the integer table, whose coefficients share one denominator D, over the two
+operand denominators times D**arity.  The coproduct, counit and unit come
+as pieces made once on the host.  The {key: value} view is built from the
+pieces only when it is read (reports, JSON, witnesses).
 
 Over a group algebra k[G], k[G]^(tensor n) = k[G^n]: the product of two
 basis keys is one basis key with coefficient 1.  A host detects such a
@@ -41,10 +37,10 @@ at least dim**arity, the products are summed into a plain list with one
 cell per output key, and its nonzero cells become the result; sparser
 operands, such as hopf-cochain's arity-3 cochains, keep the dict.
 
-An exact tensor inverse solves the left regular representation: over
-rational values (tensor_invert, _invert_exact) the columns go to
-linalg.solve as their integer numerators, each over its own denominator,
-and only over cyclotomic values does the solve take the generic rref.
+An exact tensor inverse solves the left regular representation: at N = 1
+(tensor_invert, _invert_exact) the columns go to linalg.solve as their
+integer numerators, each over its own denominator; at N > 1 the solve
+takes linalg's rref over Cyclotomic values.
 
 verify_algebra is the one algebra axiom battery: unit laws, associativity
 or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
@@ -81,9 +77,10 @@ from .reporting import CheckOutcome
 from .scalars import (
     ScalarRing,
     _ZERO_ROW,
-    _pieces,
-    _row,
-    _values,
+    _settle,
+    phase_pieces,
+    piece_product,
+    piece_values,
 )
 
 
@@ -274,34 +271,8 @@ def _accumulate(out, key, v):
             del out[key]
 
 
-def _fills(cells, dim, n):
-    """Every n-fold tensor product of (index, coeff) cells, as (flat key,
-    coeff) pairs; coeff None means 1."""
-    out = [(0, None)]
-    for _ in range(n):
-        out = [
-            (key * dim + k, w if c is None else (c if w is None else c * w))
-            for key, c in out
-            for k, w in cells
-        ]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # integer rows
-
-
-def _rows_product(A, B, product):
-    """Rows of a product: product() of degree v of A and degree w of B,
-    summed into degree v + w for each v + w below len(A)."""
-    n = len(A)
-    pieces = [[] for _ in range(n)]
-    for v, a in enumerate(A):
-        if a[0]:
-            for w in range(n - v):
-                if B[w][0]:
-                    pieces[v + w].append(product(a, B[w]))
-    return [_row(p) for p in pieces]
 
 
 def _common_keys(a, b):
@@ -350,8 +321,7 @@ class _MulOps:
         self._base = None
         self._rational = 0
         self._rows = {}
-        self._unit_support = None
-        self._unit_cells = None
+        self._units = {}
         self._pw = 0
 
     def basis_mul(self, i, j):
@@ -398,24 +368,22 @@ class _MulOps:
             self._rational = (_Cells(tbl, cells.rows), den)
         return self._rational
 
-    def unit_support(self):
-        if self._unit_support is None:
-            self._unit_support = tuple(
-                (k, v) for k, v in enumerate(self.unit) if v
-            )
-        return self._unit_support
-
-    def unit_cells(self):
-        """unit_support() with coefficients equal to 1 replaced by None."""
-        if self._unit_cells is None:
-            one = self.ring.one()
-            self._unit_cells = tuple(
-                (k, None if v == one else v) for k, v in self.unit_support()
-            )
-        return self._unit_cells
+    def unit_rows(self, arity):
+        """(pieces, N): the phase pieces of the unit of host^(tensor arity),
+        made once for each arity: the unit of arity - 1 embedded with the
+        unit on a new last leg."""
+        got = self._units.get(arity)
+        if got is None:
+            if arity < 2:
+                got = phase_pieces(self.elem_unit() if arity else {0: self.ring.one()})
+            else:
+                lower = LegTensor._of_rows(self, arity - 1, *self.unit_rows(arity - 1))
+                got = lower.leg_embed(range(arity - 1), arity)._phases()
+            self._units[arity] = got
+        return got
 
     def elem_unit(self):
-        return {k: v for k, v in self.unit_support()}
+        return {k: v for k, v in enumerate(self.unit) if v}
 
     def elem_mul(self, u, v):
         return tensor_convolve(u, v, self.dim, 1, self.base_table())
@@ -480,8 +448,8 @@ class HopfPresentation(_MulOps):
         self.cocommutative = cocommutative
         self.name = name or "hopf-%d" % dim
         self._order0 = None
-        self._leg_cells = None
-        self._cop_pieces = 0
+        self._cop_pieces = None
+        self._counit_pieces = None
 
     @property
     def axiom_ids(self):
@@ -507,48 +475,37 @@ class HopfPresentation(_MulOps):
     def basis_coproduct(self, i):
         return self.coproduct.get(i, {})
 
-    def leg_cells(self):
-        """(coproduct cells, counit cells) per basis index for the leg
-        calculus: tuples of (j, k, w) and of w, coefficient None = 1 and
-        zeros left out."""
-        if self._leg_cells is None:
-            one = self.ring.one()
-            cop = [
-                tuple(
-                    (j, k, None if w == one else w)
-                    for (j, k), w in self.basis_coproduct(i).items()
-                )
-                for i in range(self.dim)
-            ]
-            cou = [
-                (None,) if e == one else ((e,) if e else ())
-                for e in self.counit
-            ]
-            self._leg_cells = (cop, cou)
-        return self._leg_cells
-
     def coproduct_pieces(self):
-        """The coproduct as integer rows: one (cells, D) per hbar degree
-        0..K, or one over an exact ring, cells[i] a list of (j, k,
-        numerator) over the common denominator D and None for a degree
-        with no terms.  None when some coefficient carries tau or is not
-        rational."""
-        if self._cop_pieces == 0:
-            flat = {
-                (i, j, k): w
+        """The coproduct as leg cells (see _leg_cells), the block of basis j
+        (x) k as the code j * dim + k."""
+        if self._cop_pieces is None:
+            self._cop_pieces = self._leg_cells({
+                (i, j * self.dim + k): w
                 for i, cell in self.coproduct.items()
                 for (j, k), w in cell.items()
-            }
-            parts = _pieces(flat, self.ring.hbar_order)
-            self._cop_pieces = None
-            if parts is not None:
-                self._cop_pieces = []
-                for nums, den in parts:
-                    cells = [[] for _ in range(self.dim)] if nums else None
-                    for (i, j, k), n in nums.items():
-                        cells[i].append((j, k, n))
-                    self._cop_pieces.append((cells, den))
+            })
         return self._cop_pieces
+
+    def counit_pieces(self):
+        """The counit as leg cells (see _leg_cells), every code 0."""
+        if self._counit_pieces is None:
+            self._counit_pieces = self._leg_cells(
+                {(i, 0): e for i, e in enumerate(self.counit) if e}
+            )
+        return self._counit_pieces
+
+    def _leg_cells(self, flat):
+        """(pieces, N): the phase pieces of {(basis index i, code): value}
+        at one conductor N, (cells, D) per phase, cells[i] the (code,
+        numerator) pairs of i over the denominator D."""
+        pieces, N = phase_pieces(flat)
+        out = {}
+        for p, (nums, den) in pieces.items():
+            cells = [[] for _ in range(self.dim)]
+            for (i, code), n in nums.items():
+                cells[i].append((code, n))
+            out[p] = (cells, den)
+        return out, N
 
     def elem_coproduct(self, u):
         """Coproduct of a sparse vector as a sparse rank-2 dict {(j,k): c}."""
@@ -647,21 +604,23 @@ def with_series_ring(host, order):
 class LegTensor:
     """Sparse element of host^(tensor arity), keyed by flat key.
 
-    Rational, tau-free values are stored as integer rows: one canonical
-    (numerators, denominator) pair per hbar degree 0..K over a series ring,
-    a single pair over an exact ring (see _row).  data, {key: value} with
-    Fraction, Cyclotomic or Series values, is built from the rows on its
-    first read and then kept.  A tensor built from a dict gets its rows on
-    its first operation, or keeps None when some value is not rational or
-    carries tau; such tensors take the generic path over data.
+    The values are phase pieces at one conductor N (scalars.phase_pieces):
+    {(v, t, e): (numerators, denominator)}, canonical, e below phi(N), no
+    empty phase, N = 1 when every value is rational.  data, {key: value},
+    is a view made on its first read; a tensor built from a dict keeps it
+    as that view and makes its pieces on its first operation.  Two paths
+    work on values, chosen by the host or the field: mul over a host
+    without an integer structure table (cyclotomic structure constants,
+    series ones other than 1), and an exact inverse at N > 1, which solves
+    through linalg's rref (_invert_exact).
     """
 
-    __slots__ = ("host", "arity", "_data", "_rows")
+    __slots__ = ("host", "arity", "_data", "_rows", "_n")
 
     def __init__(self, host, arity, entries, _checked=False):
         self.host = host
         self.arity = arity
-        self._rows = 0  # not made yet: rows() makes them from data
+        self._rows = None  # made from data by the first operation
         if _checked:
             self._data = entries
             return
@@ -686,26 +645,20 @@ class LegTensor:
         self._data = data
 
     @staticmethod
-    def _of_rows(host, arity, rows):
+    def _of_rows(host, arity, rows, N=1):
         t = LegTensor.__new__(LegTensor)
         t.host = host
         t.arity = arity
         t._data = None
         t._rows = rows
+        t._n = N
         return t
 
     # -- construction
 
     @staticmethod
     def unit(host, arity):
-        fills = _fills(host.unit_cells(), host.dim, arity)
-        if all(w is None for _k, w in fills):
-            ones = {k: 1 for k, _w in fills}
-            rows = [(ones, 1)] + [_ZERO_ROW] * (host.ring.hbar_order or 0)
-            return LegTensor._of_rows(host, arity, rows)
-        one = host.ring.one()
-        out = {key: one if w is None else w for key, w in fills}
-        return LegTensor(host, arity, out, _checked=True)
+        return LegTensor._of_rows(host, arity, *host.unit_rows(arity))
 
     @staticmethod
     def from_element(host, vec):
@@ -736,17 +689,20 @@ class LegTensor:
 
     @property
     def data(self):
-        """{flat key: value}, built from the rows on first read."""
+        """{flat key: value}, built from the pieces on first read."""
         if self._data is None:
-            self._data = _values(self._rows, self.host.ring.hbar_order)
+            self._data = piece_values(self._rows, self.host.ring.hbar_order, self._n)
         return self._data
 
     def rows(self):
-        """The integer rows of the values, made from data on the first call;
-        None when some value is not rational or carries tau."""
-        if self._rows == 0:
-            self._rows = _pieces(self._data, self.host.ring.hbar_order)
-        return self._rows
+        """The phase pieces {(v, t, e): (numerators, den)}, made from data
+        on the first call."""
+        return self._phases()[0]
+
+    def _phases(self):
+        if self._rows is None:
+            self._rows, self._n = phase_pieces(self._data)
+        return self._rows, self._n
 
     def entries(self):
         """Sorted (digit tuple, scalar) pairs."""
@@ -758,36 +714,41 @@ class LegTensor:
 
     def term_count(self):
         if self._data is None:
-            return len(set().union(*[nums for nums, _ in self._rows]))
+            return len(set().union(*[nums for nums, _ in self._rows.values()]))
         return len(self._data)
 
     def is_zero(self):
         if self._data is None:
-            return not any(nums for nums, _ in self._rows)
+            return not self._rows
         return not self._data
 
     def over(self, host):
         """The same values over a host of the same dim, ring and product;
-        the rows move as they are."""
-        if self._rows:
-            return LegTensor._of_rows(host, self.arity, self._rows)
-        return LegTensor(host, self.arity, dict(self._data), _checked=True)
+        the pieces move as they are."""
+        return LegTensor._of_rows(host, self.arity, *self._phases())
 
     def copy(self):
         return self.over(self.host)
+
+    def _product(self, B, M, product, arity):
+        """The tensor of the given arity whose pieces are piece_product of
+        these pieces with pieces B at conductor M."""
+        A, N = self._phases()
+        K = self.host.ring.hbar_order or 0
+        rows, L = piece_product(A, N, B, M, K, product)
+        return LegTensor._of_rows(self.host, arity, rows, L)
 
     # -- algebra
 
     def mul(self, other):
         """Product in host^(tensor arity).
 
-        When both operands have rows and the host has an integer structure
-        table (host.rational_table(): every group algebra, its twists by a
-        rational cocycle, and the dual hosts), the product is formed on the
-        rows, hbar degree by hbar degree, and returned as rows: key
+        Over a host with an integer structure table (host.rational_table():
+        every group algebra, its twists by a rational cocycle, and the dual
+        hosts) each pair of phases multiplies its numerators: key
         intersection on a pointwise host with unit coefficients,
-        rational_convolve otherwise.  Everything else is one tensor_convolve
-        over the values themselves."""
+        rational_convolve otherwise.  Over any other host the product is one
+        tensor_convolve over the values themselves."""
         if other.host is not self.host:
             raise ValueError("tensors live over different hosts")
         if other.arity != self.arity:
@@ -795,20 +756,17 @@ class LegTensor:
                 "arity %d vs %d" % (self.arity, other.arity)
             )
         host, arity = self.host, self.arity
-        if host.rational_table() is not None:
-            A = self.rows()
-            B = None if A is None else other.rows()
-            if B is not None:
-                if host.pointwise_coeffs() is not None:
-                    product = _common_keys
-                else:
-                    def product(x, y):
-                        return rational_convolve(host, arity, x, y)
-                return LegTensor._of_rows(host, arity, _rows_product(A, B, product))
-        data = tensor_convolve(
-            self.data, other.data, host.dim, arity, host.base_table()
-        )
-        return LegTensor(host, arity, data, _checked=True)
+        if host.rational_table() is None:
+            data = tensor_convolve(
+                self.data, other.data, host.dim, arity, host.base_table()
+            )
+            return LegTensor(host, arity, data, _checked=True)
+        if host.pointwise_coeffs() is not None:
+            product = _common_keys
+        else:
+            def product(x, y):
+                return rational_convolve(host, arity, x, y)
+        return self._product(*other._phases(), product, arity)
 
     def add(self, other):
         return self._add(other, False)
@@ -819,43 +777,38 @@ class LegTensor:
     def _add(self, other, negate):
         if other.host is not self.host or other.arity != self.arity:
             raise ArityMismatch("cannot add tensors of different shape")
-        A = self.rows()
-        B = None if A is None else other.rows()
-        if B is not None:
-            if negate:
-                B = [({k: -n for k, n in nums.items()}, d) for nums, d in B]
-            rows = [_row([a, b]) for a, b in zip(A, B)]
-            return LegTensor._of_rows(self.host, self.arity, rows)
-        data = dict(self.data)
-        for k, v in other.data.items():
-            _accumulate(data, k, -v if negate else v)
-        return LegTensor(self.host, self.arity, data, _checked=True)
+        A, N = self._phases()
+        B, M = other._phases()
+        if negate:
+            B = {p: ({k: -n for k, n in nums.items()}, d) for p, (nums, d) in B.items()}
+        L = N if N == M else lcm(N, M)
+        groups = {}
+        for pieces, s in ((A, L // N), (B, L // M)):
+            for (v, t, e), piece in pieces.items():
+                p = (v, t, e * s)
+                g = groups.get(p)
+                if g is None:
+                    groups[p] = [piece]
+                else:
+                    g.append(piece)
+        return LegTensor._of_rows(self.host, self.arity, *_settle(groups, L))
 
     def neg(self):
         return self.scale(-1)
 
     def scale(self, c):
         host = self.host
-        c = host.ring.coerce(c)
-        A = self.rows()
-        C = None if A is None else _pieces({0: c}, host.ring.hbar_order)
-        if C is not None:
-            return LegTensor._of_rows(host, self.arity, _rows_product(A, C, _scaled))
-        return LegTensor(
-            host,
-            self.arity,
-            _clean({k: v * c for k, v in self.data.items()}),
-            _checked=True,
-        )
+        C, M = phase_pieces({0: host.ring.coerce(c)})
+        return self._product(C, M, _scaled, self.arity)
 
     def eq(self, other):
         if self.host is not other.host or self.arity != other.arity:
             return False
-        A = self.rows()
-        B = None if A is None else other.rows()
-        if B is not None:
+        A, N = self._phases()
+        B, M = other._phases()
+        if N == M:
             return A == B
-        return self.data == other.data
+        return self.sub(other).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LegTensor):
@@ -882,100 +835,65 @@ class LegTensor:
         dim = host.dim
         strides = [dim ** (arity_out - 1 - p) for p in range(arity_out)]
         missing = [p for p in range(arity_out) if p not in positions]
-        # every fill of the missing legs with unit terms: (key offset, coeff)
-        fills = []
-        for fill, w in _fills(host.unit_cells(), dim, len(missing)):
-            off = 0
-            for p in reversed(missing):
-                fill, d = divmod(fill, dim)
-                off += d * strides[p]
-            fills.append((off, w))
         kept = [strides[p] for p in reversed(positions)]
+        # the unit on the missing legs: (key offset, numerator) per phase
+        units, M = host.unit_rows(len(missing))
+        fills = {}
+        for p, (nums, den) in units.items():
+            cells = []
+            for fill, w in nums.items():
+                off = 0
+                for q in reversed(missing):
+                    fill, d = divmod(fill, dim)
+                    off += d * strides[q]
+                cells.append((off, w))
+            fills[p] = (cells, den)
 
-        def embed(values):
+        def product(a, f):
             # distinct (key, fill) pairs give distinct keys: nothing merges
+            cells, fden = f
             out = {}
-            for key, c in values.items():
+            for key, c in a[0].items():
                 base = 0
                 for st in kept:
                     key, d = divmod(key, dim)
                     base += d * st
-                for off, w in fills:
-                    v = c if w is None else c * w
-                    if v:
-                        out[base + off] = v
-            return out
+                for off, w in cells:
+                    out[base + off] = c * w
+            return out, a[1] * fden
 
-        A = self.rows()
-        if A is not None and all(w is None for _off, w in fills):
-            rows = [(embed(nums), den) for nums, den in A]
-            return LegTensor._of_rows(host, arity_out, rows)
-        return LegTensor(host, arity_out, embed(self.data), _checked=True)
+        return self._product(fills, M, product, arity_out)
 
     def coproduct_leg(self, leg):
-        if not 0 <= leg < self.arity:
-            raise BadLeg("leg %d of %d" % (leg, self.arity))
-        host = self.host
-        dim = host.dim
-        low = dim ** (self.arity - 1 - leg)
-        cop = host.coproduct_pieces()
-        A = None if cop is None else self.rows()
-        if A is not None:
-            # degree v of the tensor times degree u of the coproduct
-            n = len(A)
-            pieces = [[] for _ in range(n)]
-            for v, (nums, den) in enumerate(A):
-                split = []
-                for key, x in nums.items():
-                    head, tail = divmod(key, low)
-                    head, d = divmod(head, dim)
-                    split.append((head * dim, d, tail, x))
-                for u in range(n - v):
-                    cells, cden = cop[u]
-                    if cells is None:
-                        continue
-                    piece = {}
-                    for head, d, tail, x in split:
-                        for j, k, w in cells[d]:
-                            nk = ((head + j) * dim + k) * low + tail
-                            piece[nk] = piece.get(nk, 0) + x * w
-                    if piece:
-                        pieces[v + u].append((piece, den * cden))
-            rows = [_row(p) for p in pieces]
-            return LegTensor._of_rows(host, self.arity + 1, rows)
-        cells = host.leg_cells()[0]
-        out = {}
-        for key, c in self.data.items():
-            head, tail = divmod(key, low)
-            head, d = divmod(head, dim)
-            for j, k, w in cells[d]:
-                nk = ((head * dim + j) * dim + k) * low + tail
-                _accumulate(out, nk, c if w is None else c * w)
-        return LegTensor(host, self.arity + 1, out, _checked=True)
+        return self._leg_map(leg, self.host.coproduct_pieces(), 2)
 
     def counit_leg(self, leg):
+        return self._leg_map(leg, self.host.counit_pieces(), 0)
+
+    def _leg_map(self, leg, host_cells, width):
+        """The tensor with the digit d at leg replaced, for each (code, n)
+        of the host's cells[d], by the block of width digits code, the
+        coefficient times n."""
         if not 0 <= leg < self.arity:
             raise BadLeg("leg %d of %d" % (leg, self.arity))
-        host = self.host
-        dim = host.dim
-        cells = host.leg_cells()[1]
+        dim = self.host.dim
         low = dim ** (self.arity - 1 - leg)
+        wide = dim ** width
 
-        def contract(values):
+        def product(a, c):
+            cells, cden = c
             out = {}
-            for key, c in values.items():
+            get = out.get
+            for key, x in a[0].items():
                 head, tail = divmod(key, low)
                 head, d = divmod(head, dim)
-                for e in cells[d]:
-                    _accumulate(out, head * low + tail, c if e is None else c * e)
-            return out
+                head *= wide
+                for code, w in cells[d]:
+                    nk = (head + code) * low + tail
+                    out[nk] = get(nk, 0) + x * w
+            return out, a[1] * cden
 
-        A = self.rows()
-        if A is not None and all(not e or e[0] is None for e in cells):
-            # counit values 0 and 1 only: a key remap that may merge keys
-            rows = [_row([(contract(nums), den)]) for nums, den in A]
-            return LegTensor._of_rows(host, self.arity - 1, rows)
-        return LegTensor(host, self.arity - 1, contract(self.data), _checked=True)
+        return self._product(*host_cells, product, self.arity - 1 + width)
 
     def __repr__(self):
         return "LegTensor(%s, arity=%d, %d terms)" % (
@@ -1008,40 +926,21 @@ def tensor_invert(t):
     if not ring.is_series:
         return _invert_exact(t, unit)
     K = ring.hbar_order
-    rows = t.rows()
-    if rows is None:
-        t0_entries = {}
-        for k, v in t.data.items():
-            c0 = v.coeffs[0]
-            if any(d != 0 for d in c0.terms):
-                raise NotInvertible("order-0 part involves tau")
-            q = c0.terms.get(0)
-            if q is not None:
-                t0_entries[k] = q
+    rows, N = t._phases()
+    rows0 = {p: r for p, r in rows.items() if p[0] == 0}
+    if any(tau for _v, tau, _e in rows0):
+        raise NotInvertible("order-0 part involves tau")
     host0 = host.order0_host()
-    if rows is None:
-        t0 = LegTensor(host0, t.arity, t0_entries, _checked=True)
-    else:
-        t0 = LegTensor._of_rows(host0, t.arity, rows[:1])
+    N0 = N if any(e for _v, _t, e in rows0) else 1
+    t0 = LegTensor._of_rows(host0, t.arity, rows0, N0)
     unit0 = LegTensor.unit(host0, t.arity)
     if t0.eq(unit0):
         x0 = unit
     else:
-        inv0 = _invert_exact(t0, unit0)
-        rows = inv0.rows()
-        if rows is not None:
-            x0 = LegTensor._of_rows(host, t.arity, rows + [_ZERO_ROW] * K)
-        else:
-            x0 = LegTensor(
-                host,
-                t.arity,
-                {k: ring.coerce(v) for k, v in inv0.data.items()},
-                _checked=True,
-            )
+        x0 = LegTensor._of_rows(host, t.arity, *_invert_exact(t0, unit0)._phases())
     # geometric lift: s = unit - t*x0 has positive hbar valuation
     s = unit.sub(t.mul(x0))
-    rows = s.rows()
-    if rows[0][0] if rows is not None else any(v.coeffs[0] for v in s.data.values()):
+    if any(v == 0 for v, _t, _e in s.rows()):
         raise NotInvertible("order-0 inverse did not cancel")
     acc = unit
     term = unit
@@ -1057,24 +956,25 @@ def _invert_exact(t, unit):
     host = t.host
     arity = t.arity
     D = host.dim ** arity
-    one = host.ring.one()
     cols = [
-        t.mul(LegTensor(host, arity, {j: one}, _checked=True)) for j in range(D)
+        t.mul(LegTensor._of_rows(host, arity, {(0, 0, 0): ({j: 1}, 1)}))
+        for j in range(D)
     ]
-    rows = [c.rows() for c in cols + [unit]]
-    if None not in rows:
+    phases = [c._phases() for c in cols + [unit]]
+    if all(N == 1 for _rows, N in phases):
         # column j is nums_j / den_j and the unit u / du: solve
         # sum_j nums_j z_j = u in integers, then x_j = z_j * den_j / du
-        nums, dens = zip(*[r[0] for r in rows])
+        nums, dens = zip(*[rows.get((0, 0, 0), _ZERO_ROW) for rows, _N in phases])
         mat = [[n.get(i, 0) for n in nums[:D]] for i in range(D)]
         sol = linalg.solve(mat, [nums[D].get(i, 0) for i in range(D)])
         if sol is not None:
             sol = [z * Fraction(d, dens[D]) for z, d in zip(sol, dens)]
     else:
+        # cyclotomic values: the solve takes linalg's rref
+        values = [piece_values(rows, None, N) for rows, N in phases]
         zero = host.ring.zero()
-        mat = [[c.data.get(i, zero) for c in cols] for i in range(D)]
-        rhs = [unit.data.get(i, zero) for i in range(D)]
-        sol = linalg.solve(mat, rhs)
+        mat = [[c.get(i, zero) for c in values[:D]] for i in range(D)]
+        sol = linalg.solve(mat, [values[D].get(i, zero) for i in range(D)])
     if sol is None:
         raise NotInvertible("tensor has no inverse")
     inv = LegTensor(

@@ -25,20 +25,27 @@ conductors of every result.  A plain number or tau-Laurent factor scales
 the coefficients without being made into a Series, and sums reuse a
 coefficient where the other side is zero.
 
-Integer rows hold sparse Series-valued data for products, in the layout of
-FLINT's fmpq_poly and nf_elem: integer numerators over one shared
-denominator.  There are two layouts, and this module converts both to and
-from Series; ``_row`` sums rows of either into the canonical pair.  A
-degree row (``_pieces``/``_values``), the layout LegTensor keeps, is one
-(numerators, denominator) pair per hbar degree 0..K of rational, tau-free
-values, keyed by tensor key.
+Integer rows hold sparse values for products, in the layout of FLINT's
+fmpq_poly and nf_elem: integer numerators over one shared denominator.
+There is no degree row: every row is a phase row, at one conductor N, in
+one of two layouts, and this module converts both to and from values;
+``_row`` sums rows into the canonical pair.
 
-A phase row (``phase_rows``/``phase_values``), the layout of every other
-product, maps (key, hbar degree, tau power, e) to the integer numerator of
-z_N^e at one conductor N; a rational row is the case N = 1.  The one row
-product ``row_product`` adds root exponents mod N, so it never does
-Cyclotomic arithmetic, and ``phase_values`` reduces each (key, hbar
-degree, tau power) to the basis once.  heis_torus and pbw run on them.
+Phase pieces (``phase_pieces``/``piece_values``), the layout LegTensor
+keeps, hold one canonical (numerators keyed by tensor key, denominator)
+pair per phase (hbar degree v, tau power t, exponent e of z_N), with e
+reduced below phi(N), no empty phase and N = 1 for rational values.
+``piece_product`` multiplies two sets of pieces phase by phase: hbar
+degrees add (truncated at K), tau powers add, and the exponents add mod
+lcm(N, M), each operand's scaled to that conductor; ``_settle`` reduces
+each product once.
+
+A flat phase row (``phase_rows``/``phase_values``), the layout of the pbw
+and heis_torus products, maps (key, hbar degree, tau power, e) to the
+integer numerator of z_N^e over one denominator; a rational row is the
+case N = 1.  Its one product ``row_product`` adds root exponents mod N,
+so it never does Cyclotomic arithmetic, and ``phase_values`` reduces each
+(key, hbar degree, tau power) to the basis once.
 """
 
 from fractions import Fraction
@@ -848,26 +855,6 @@ def _numerators(data):
     return {k: v.numerator * (den // v.denominator) for k, v in data.items()}, den
 
 
-def _pieces(data, K):
-    """Integer rows of a dict of values: [_numerators(data)] over an exact
-    ring (K None), _numerators() of each hbar-degree piece of order-K
-    series otherwise.  None when some value is not rational or carries tau."""
-    if K is None:
-        parts = [data]
-    else:
-        parts = [{} for _ in range(K + 1)]
-        for k, s in data.items():
-            for v, tl in enumerate(s.coeffs):
-                terms = tl.terms
-                if terms:
-                    q = terms.get(0)
-                    if q is None or len(terms) != 1:
-                        return None
-                    parts[v][k] = q
-    out = [_numerators(part) for part in parts]
-    return None if None in out else out
-
-
 _ZERO_ROW = ({}, 1)
 
 
@@ -899,30 +886,6 @@ def _row(pieces):
     return {k: n // g for k, n in nums.items()}, den // g
 
 
-def _fractions(nums, den):
-    if den == 1:
-        return {k: Fraction(n) for k, n in nums.items()}
-    return {k: Fraction(n, den) for k, n in nums.items()}
-
-
-def _values(rows, K):
-    """{key: value} of integer rows: Fractions over an exact ring (K None),
-    otherwise order-K Series built raw, each exactly as Series(K, {degree:
-    Fraction}) builds it: K + 1 TauLaurent coefficients, {} or {0: q}."""
-    if K is None:
-        return _fractions(*rows[0])
-    cmaps = {}
-    for v, row in enumerate(rows):
-        for k, q in _fractions(*row).items():
-            cmaps.setdefault(k, {})[v] = q
-    raw = TauLaurent._raw
-    degrees = range(K + 1)
-    return {
-        k: Series._raw(K, [raw({0: c[v]} if v in c else {}) for v in degrees])
-        for k, c in cmaps.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # phase rows
 
@@ -944,11 +907,15 @@ def conductor(values):
 
 def phase_rows(items, N=1):
     """(row, M): the phase row {(key, hbar degree, tau power, e): integer
-    numerator} of (key, Series) pairs over one denominator, at M the lcm of
-    N and the conductors of the values.  A rational value lies on e = 0, and
-    each coordinate of z_L^e in a Cyclotomic value on e * M / L."""
+    numerator} of (key, value) pairs over one denominator, at M the lcm of
+    N and the conductors of the values.  A Series value lies on its hbar
+    degrees and tau powers, any other on (0, 0); a rational coefficient lies
+    on e = 0, and each coordinate of z_L^e in a Cyclotomic one on e * M / L."""
     flat = {}
     for key, s in items:
+        if not isinstance(s, Series):
+            flat[key, 0, 0, 0] = s
+            continue
         for v, c in enumerate(s.coeffs):
             for t, q in c.terms.items():
                 flat[key, v, t, 0] = q
@@ -1019,10 +986,12 @@ def _by_key(nums):
 
 def phase_values(row, K, N):
     """{key: order-K Series} of a canonical phase row at conductor N (see
-    _row), built raw, with the keys whose value is zero left out.  At N = 1
-    each numerator is one Fraction.  Otherwise the coordinates of each (key,
-    hbar degree, tau power) are reduced to the basis once (``_reduce``); a
-    rational result is a Fraction, any other a Cyclotomic of conductor N."""
+    _row), built raw, with the keys whose value is zero left out; over an
+    exact ring (K None) the values are the coefficients of hbar^0 tau^0.  At
+    N = 1 each numerator is one Fraction.  Otherwise the coordinates of each
+    (key, hbar degree, tau power) are reduced to the basis once
+    (``_reduce``); a rational result is a Fraction, any other a Cyclotomic
+    of conductor N."""
     nums, den = row
     if N == 1:
         terms = [(k, v, t, Fraction(n, den)) for (k, v, t, _), n in nums.items()]
@@ -1042,6 +1011,8 @@ def phase_values(row, K, N):
             elif c:
                 q = {e: Fraction(n, den) for e, n in c.items()}
                 terms.append((key, v, t, Cyclotomic(N, q, _reduced=True)))
+    if K is None:
+        return {key: q for key, _v, _t, q in terms}
     cmaps = {}
     for key, v, t, q in terms:
         degs = cmaps.get(key)
@@ -1058,6 +1029,94 @@ def phase_values(row, K, N):
         key: Series._raw(K, [raw(d[v]) if v in d else raw({}) for v in degrees])
         for key, d in cmaps.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# phase pieces
+
+
+def phase_pieces(data):
+    """(pieces, N): the canonical phase pieces {(v, t, e): (numerators,
+    den)} of {key: value} (see phase_rows), e reduced below phi(N)."""
+    row = _numerators(data)  # None unless every value is a plain rational
+    if row is not None:
+        return ({(0, 0, 0): row} if row[0] else {}), 1
+    (nums, den), N = phase_rows(data.items())
+    groups = {}
+    for (key, v, t, e), n in nums.items():
+        part = groups.get((v, t, e))
+        if part is None:
+            groups[v, t, e] = {key: n}
+        else:
+            part[key] = n
+    return _settle({p: [(part, den)] for p, part in groups.items()}, N)
+
+
+def _settle(groups, N):
+    """(pieces, N) of {(v, t, e): [(numerators, den)]} with 0 <= e < N: a
+    phase whose exponent is at or past phi(N) moves onto the basis, its
+    numerators times the integer coordinates of z_N^e; each phase is summed
+    by _row and dropped when it cancels, and N becomes 1 when no exponent
+    but 0 is left."""
+    if N > 1:
+        phi = _phi_deg(N)
+        for v, t, e in [p for p in groups if p[2] >= phi]:
+            parts = groups.pop((v, t, e))
+            for j, w in _power_row(N, e).items():
+                moved = [({k: n * w for k, n in nums.items()}, den) for nums, den in parts]
+                dest = groups.get((v, t, j))
+                if dest is None:
+                    groups[v, t, j] = moved
+                else:
+                    dest.extend(moved)
+    out = {}
+    for p, parts in groups.items():
+        row = _row(parts)
+        if row[0]:
+            out[p] = row
+    if N > 1 and not any(e for _, _, e in out):
+        N = 1
+    return out, N
+
+
+def piece_product(A, N, B, M, K, product):
+    """(pieces, L) of a product of phase pieces, A at conductor N and B at
+    M: each pair of phases gives product(a, b) at the sum of the phases,
+    with hbar degrees past K left out and the exponents of z added at L =
+    lcm(N, M), each operand's scaled by L over its own conductor; the sums
+    are settled once (see _settle)."""
+    L = N if N == M else lcm(N, M)
+    sa, sb = L // N, L // M
+    groups = {}
+    for (va, ta, ea), a in A.items():
+        room = K - va
+        ea *= sa
+        for (vb, tb, eb), b in B.items():
+            if vb > room:
+                continue
+            e = ea + eb * sb
+            if e >= L:
+                e -= L
+            p = (va + vb, ta + tb, e)
+            piece = product(a, b)
+            g = groups.get(p)
+            if g is None:
+                groups[p] = [piece]
+            else:
+                g.append(piece)
+    return _settle(groups, L)
+
+
+def piece_values(pieces, K, N):
+    """{key: value} of canonical phase pieces at conductor N, through
+    phase_values on one denominator."""
+    den = lcm(*[d for _nums, d in pieces.values()])
+    row = {
+        (key, v, t, e): n * (den // d)
+        for (v, t, e), (nums, d) in pieces.items()
+        for key, n in nums.items()
+    }
+    return phase_values((row, den), K, N)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ def _verify_theta(theta):
         "((1+tau)^60)^60*h",
         "(1+z(840,1)+h)^2000*h",
         "(3^1000000)^300*h",
+        "1/(3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400))*h",
+        "(3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400))^-1*h",
     ],
 )
 def test_verify_theta_power_above_cap_exit_two(theta):

@@ -57,6 +57,8 @@ _REFUSED_POWERS = [
     ("((1+tau)^60)^60*h", 13),
     ("(1+z(840,1)+h)^2000*h", 15),
     ("(3^1000000)^300*h", 12),
+    # the inverse of a divisor whose exponents spread over z(997,.)
+    ("(3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400))^-1*h", 46),
 ]
 _ALLOWED_POWERS = [
     "(1+z(8,1))^20000*h",
@@ -97,6 +99,8 @@ _REFUSED_PRODUCTS = [
     ("(1+tau)^360*(1+tau)^300*h", 12, "product"),
     ("2^5000000*2^5000001*h", 10, "product"),
     ("(1+tau)^360/(1+(1+tau)^300*h)*h", 12, "quotient"),
+    ("1/(3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400))*h", 2, "quotient"),
+    ("h/(3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400)+h)", 2, "quotient"),
 ]
 _ALLOWED_PRODUCTS = [
     "(1+tau)^360*h",
@@ -104,6 +108,7 @@ _ALLOWED_PRODUCTS = [
     "2^5000000*2^5000000*h",
     "(1+z(7,1))^5000*(1+z(7,1))^5000*h",
     "(1+tau+h)^50*(1+tau+h)^50*h",
+    "1/(1+z(840,1))*h",
 ]
 
 

@@ -1,16 +1,18 @@
-"""The integer row store of LegTensor against plain scalar arithmetic.
+"""The phase pieces of LegTensor against plain scalar arithmetic.
 
-Rational, tau-free tensors keep their values as one canonical (numerators,
-denominator) pair per hbar degree.  Every operation on such rows is checked
-here against the same operation done in Series arithmetic on the values,
-leg by leg from the host's own structure constants, and the views built
-from the rows (entries, data, JSON) against the eager build of the same
-values.
+A tensor keeps its values as one canonical (numerators, denominator) pair
+per phase: hbar degree, tau power and exponent of z_N at one conductor N.
+Every operation on such pieces is checked here against the same operation
+done in Series arithmetic on the values, leg by leg from the host's own
+structure constants, on rational values and on values with roots of unity
+and powers of tau; and the views built from the pieces (entries, data,
+JSON) against the eager build of the same values.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +24,8 @@ from hopftwist.constructors import (
     symmetric_3,
 )
 from hopftwist.group_cohomology import GroupCochain, group_coboundary, twisted_group_algebra
-from hopftwist.multilinear import HopfPresentation, LegTensor, with_series_ring
-from hopftwist.scalars import ScalarRing, Series, TauLaurent
+from hopftwist.multilinear import HopfPresentation, LegTensor, tensor_invert, with_series_ring
+from hopftwist.scalars import Cyclotomic, ScalarRing, Series, TauLaurent
 
 S3 = symmetric_3()
 Z22 = elementary_abelian_2(2)
@@ -63,16 +65,34 @@ def series_values(K, degrees=None):
     )
 
 
+Z3 = Cyclotomic(3, {1: 1})
+Z4 = Cyclotomic(4, {1: 1})
+TAU = TauLaurent.tau()
+# coefficients on roots of unity of orders 3, 4 and 12 and on powers of tau
+PHASES = [1, Z3, Z3 * Z3, Z4, Z3 * Z4, 1 + Z4, TAU, TAU * TAU * Z3, TauLaurent.tau(-1) * Z4]
+
+
+def phase_values(K):
+    """Series whose coefficients carry roots of unity and powers of tau,
+    each with a term on z3 and one on z4: a tensor of them lies at
+    conductor 12."""
+    coeffs = st.tuples(COEFFS, st.sampled_from(PHASES)).map(lambda cp: cp[1] * cp[0])
+    terms = st.dictionaries(st.integers(0, K), coeffs, max_size=2)
+    degree = st.integers(0, K)
+    return st.builds(
+        lambda d, i, j, q: Series(K, d) + Series(K, {i: Z3 * q}) + Series(K, {j: Z4}),
+        terms, degree, degree, COEFFS,
+    ).filter(bool)
+
+
 def digit_dicts(host, arity, values):
     keys = st.tuples(*[st.integers(0, host.dim - 1)] * arity)
     return st.dictionaries(keys, values, max_size=5)
 
 
 def stored(host, arity, values):
-    """A tensor holding rows only, made from a dict of rational values."""
-    rows = LegTensor(host, arity, values).rows()
-    assert rows is not None
-    return LegTensor._of_rows(host, arity, rows)
+    """A tensor holding pieces only, made from a dict of values."""
+    return LegTensor._of_rows(host, arity, *LegTensor(host, arity, values)._phases())
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +185,22 @@ def agrees(t, want, rows=True):
 
 @st.composite
 def cases(draw, max_arity=2):
+    """(host, K, arity, values): values draws rational series, or series
+    with roots of unity and powers of tau."""
     name = draw(st.sampled_from(["k[S3]", "k[Z2^2]", "kF[S3]", "dual[Z2^2]"]))
     K = draw(st.sampled_from(ORDERS))
     host = HOSTS[name, K]
     arity = draw(st.integers(1, max_arity))
-    return host, K, arity
+    values = draw(st.sampled_from([series_values, phase_values]))(K)
+    return host, K, arity, values
 
 
 @SETTINGS
 @given(cases(), st.data())
 def test_binary_row_operations_match_series_arithmetic(case, data):
-    host, K, arity = case
-    a = data.draw(digit_dicts(host, arity, series_values(K)))
-    b = data.draw(digit_dicts(host, arity, series_values(K)))
+    host, K, arity, values = case
+    a = data.draw(digit_dicts(host, arity, values))
+    b = data.draw(digit_dicts(host, arity, values))
     ta, tb = stored(host, arity, a), stored(host, arity, b)
     a, b = _clean(a), _clean(b)
     prod = ta.mul(tb)
@@ -192,8 +215,8 @@ def test_binary_row_operations_match_series_arithmetic(case, data):
 @SETTINGS
 @given(cases(max_arity=3), st.data())
 def test_unary_row_operations_match_series_arithmetic(case, data):
-    host, K, arity = case
-    a = data.draw(digit_dicts(host, arity, series_values(K)))
+    host, K, arity, values = case
+    a = data.draw(digit_dicts(host, arity, values))
     t = stored(host, arity, a)
     a = _clean(a)
     h = Series.hbar(K)
@@ -201,6 +224,8 @@ def test_unary_row_operations_match_series_arithmetic(case, data):
     agrees(t.scale(h * -2), {k: v * h * -2 for k, v in a.items() if v * h})
     third = Series(K, {0: Fraction(-1, 3), K: 2})
     agrees(t.scale(third), _clean({k: v * third for k, v in a.items()}))
+    root = Series(K, {0: Z4, K: TAU})
+    agrees(t.scale(root), _clean({k: v * root for k, v in a.items()}))
     leg = data.draw(st.integers(0, arity - 1))
     agrees(t.coproduct_leg(leg), ref_coproduct(host, a, leg))
     agrees(t.counit_leg(leg), ref_counit(host, a, leg))
@@ -212,13 +237,13 @@ def test_unary_row_operations_match_series_arithmetic(case, data):
 @SETTINGS
 @given(cases(), st.data())
 def test_row_operand_with_tau_operand_takes_generic_path(case, data):
-    host, K, arity = case
+    host, K, arity, values = case
     tau = Series(K, {0: 1, 1: TauLaurent.tau()})
-    a = _clean(data.draw(digit_dicts(host, arity, series_values(K))))
+    a = _clean(data.draw(digit_dicts(host, arity, values)))
     b = data.draw(digit_dicts(host, arity, st.one_of(series_values(K), st.just(tau))))
     b[(0,) * arity] = tau
     ta, tb = stored(host, arity, a), LegTensor(host, arity, b)
-    assert tb.rows() is None
+    assert (1, 1, 0) in tb.rows()
     agrees(ta.mul(tb), ref_mul(host, a, b), rows=False)
     agrees(tb.mul(ta), ref_mul(host, b, a), rows=False)
     agrees(ta.add(tb), ref_add(a, b), rows=False)
@@ -229,11 +254,17 @@ def test_row_operand_with_tau_operand_takes_generic_path(case, data):
 @SETTINGS
 @given(cases(), st.data())
 def test_cancellation_leaves_empty_rows(case, data):
-    host, K, arity = case
-    a = _clean(data.draw(digit_dicts(host, arity, series_values(K))))
+    host, K, arity, values = case
+    a = _clean(data.draw(digit_dicts(host, arity, values)))
     ta = stored(host, arity, a)
     agrees(ta.sub(ta), {})
     agrees(ta.add(ta.neg()), {})
+    # 1 + z3 + z3^2 = 0, and z3^3 = 1 leaves the conductor where it was
+    z3 = Series(K, {0: Z3})
+    agrees(ta.add(ta.scale(z3)).add(ta.scale(z3).scale(z3)), {})
+    back = ta.scale(z3).scale(z3).scale(z3)
+    agrees(back, a)
+    assert back._phases()[1] == ta._phases()[1]
     # remove every degree but d: the other degrees are empty rows
     d = data.draw(st.integers(0, K))
     rest = {k: Series(K, {v: -c for v, c in enumerate(s.coeffs) if v != d and c})
@@ -241,7 +272,7 @@ def test_cancellation_leaves_empty_rows(case, data):
     only = ta.add(stored(host, arity, rest))
     want = _clean({k: Series(K, {d: s.coeffs[d]}) for k, s in a.items()})
     agrees(only, want)
-    assert all(not nums for v, (nums, _) in enumerate(only.rows()) if v != d)
+    assert all(v == d for v, _t, _e in only.rows())
     # a product whose degrees add up past K truncates to nothing
     top = stored(host, arity, {k: Series(K, {K: c}) for k, c in
                                data.draw(digit_dicts(host, arity, COEFFS)).items()})
@@ -260,7 +291,7 @@ H2 = HOSTS["k[S3]", 2]
 def test_two_routes_with_different_denominators_are_equal():
     x = LegTensor(H2, 2, {(1, 2): Series(2, {0: Fraction(1, 3), 2: 2}), (0, 4): Fraction(5, 6)})
     doubled = x.scale(2)
-    assert doubled.rows()[0][1] == 3  # 2/3 and 5/3 over 3
+    assert doubled.rows()[0, 0, 0][1] == 3  # 2/3 and 5/3 over 3
     halved = doubled.scale(Fraction(1, 2))
     assert halved.eq(x) and halved == x and x == halved
     via_sum = x.add(x).scale(Fraction(1, 2))
@@ -325,3 +356,34 @@ def test_data_length_is_term_count():
     n = t.term_count()
     assert t._data is None
     assert len(t.data) == n
+
+
+def _no_data(t):
+    raise AssertionError("an operation read LegTensor.data")
+
+
+def test_operations_on_roots_of_unity_and_tau_never_read_data(monkeypatch):
+    # the values stay in the tensors' dicts; every operation, the inverse
+    # included, works on the phase pieces made from them
+    exact = [
+        LegTensor(KS3, 1, {(0,): 9, (1,): Z3, (2,): Z4 * 2, (4,): 1 + Z3}),
+        LegTensor(KS3, 2, {(0, 0): 7, (1, 2): Z3 * Z4, (3, 5): Fraction(-1, 2)}),
+    ]
+    series = [
+        LegTensor(H2, 1, {(0,): Series(2, {0: 5, 1: TAU, 2: Z3}), (3,): Series(2, {0: Z4})}),
+        LegTensor(H2, 2, {(0, 0): Series(2, {0: 3, 2: TAU * Z4}), (1, 4): Series(2, {1: Z3})}),
+    ]
+    monkeypatch.setattr(LegTensor, "data", property(_no_data))
+    for t in exact + series:
+        host, arity = t.host, t.arity
+        unit = LegTensor.unit(host, arity)
+        u = t.mul(t).add(unit).sub(t.scale(Z3)).neg()
+        u = u.scale(Series(2, {0: Z4, 1: TAU}) if host is H2 else Z4)
+        assert not u.eq(t) and u.eq(u.copy()) and not u.is_zero() and u.term_count()
+        assert t.coproduct_leg(0).counit_leg(1).eq(t)
+        assert t.leg_embed(range(arity), arity + 1).counit_leg(arity).eq(t)
+        inverse = tensor_invert(t)
+        assert t.mul(inverse).eq(unit) and inverse.mul(t).eq(unit)
+        assert t.mul(inverse).sub(unit).is_zero()
+    with pytest.raises(AssertionError, match="read LegTensor.data"):
+        u.entries()
