@@ -13,9 +13,9 @@ from .errors import (
 from .multilinear import (
     AlgebraPresentation,
     HopfPresentation,
+    LegTensor,
     ModuleAlgebra,
     _clean,
-    tensor_convolve,
 )
 from .reporting import CheckOutcome
 from .scalars import Cyclotomic, ScalarRing, root_of_unity
@@ -512,27 +512,18 @@ def taft(p, lam=None):
             labels.append("*".join(parts) if parts else "1")
     unit = [Fraction(1) if t == 0 else Fraction(0) for t in range(dim)]
     alg = AlgebraPresentation(dim, labels, ScalarRing(), mult, unit)
-    base = alg.base_table()
-
-    def mul2(u, v):
-        # u, v and the product on flat keys of the algebra's square
-        return tensor_convolve(u, v, dim, 2, base)
-
-    one2 = {idx(0, 0) * dim + idx(0, 0): Fraction(1)}
-    dg = {idx(1, 0) * dim + idx(1, 0): Fraction(1)}
-    dx = {
-        idx(0, 1) * dim + idx(1, 0): Fraction(1),
-        idx(0, 0) * dim + idx(0, 1): Fraction(1),
-    }
+    one2 = LegTensor.unit(alg, 2)
+    dg = LegTensor(alg, 2, {(idx(1, 0), idx(1, 0)): 1})
+    dx = LegTensor(alg, 2, {(idx(0, 1), idx(1, 0)): 1, (idx(0, 0), idx(0, 1)): 1})
     coproduct = {}
     for a in range(p):
         for b in range(p):
             t = one2
             for _ in range(a):
-                t = mul2(t, dg)
+                t = t.mul(dg)
             for _ in range(b):
-                t = mul2(t, dx)
-            coproduct[idx(a, b)] = {divmod(k, dim): v for k, v in t.items()}
+                t = t.mul(dx)
+            coproduct[idx(a, b)] = dict(t.entries())
 
     counit = [Fraction(1) if b == 0 else Fraction(0) for a in range(p) for b in range(p)]
 

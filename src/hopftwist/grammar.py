@@ -202,7 +202,8 @@ def _product_cost(v, w):
 def _inverse_cost(w):
     """(bits, work) estimated for inverting the divisor w: nothing unless
     that inverts a Cyclotomic q that is not rational (w itself, or the one
-    coefficient of a tau monomial or of the constant term of a Series).
+    coefficient of a tau monomial or of the constant term of a Series),
+    and nothing for a tagged root, whose inverse negates its exponent.
     Cyclotomic.inverse eliminates the phi x phi matrix of multiplication by
     q, phi = phi(N), whose columns span s = 1 + the spread of q's exponents
     of z_N.  The time of that elimination, measured at phi from 210 to 996
@@ -215,7 +216,7 @@ def _inverse_cost(w):
         if len(w.terms) != 1:
             return 0, 0
         (w,) = w.terms.values()
-    if not isinstance(w, Cyclotomic) or w.is_rational():
+    if not isinstance(w, Cyclotomic) or w.is_rational() or w.root is not None:
         return 0, 0
     N, cs = _coords(w)
     _, _, zs, _, g = _box(cs, 1)

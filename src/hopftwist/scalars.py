@@ -34,18 +34,25 @@ one of two layouts, and this module converts both to and from values;
 Phase pieces (``phase_pieces``/``piece_values``), the layout LegTensor
 keeps, hold one canonical (numerators keyed by tensor key, denominator)
 pair per phase (hbar degree v, tau power t, exponent e of z_N), with e
-reduced below phi(N), no empty phase and N = 1 for rational values.
+reduced below phi(N), no empty phase and N = 1 for rational values; their
+values are built phase by phase, each over its own denominator.
 ``piece_product`` multiplies two sets of pieces phase by phase: hbar
 degrees add (truncated at K), tau powers add, and the exponents add mod
 lcm(N, M), each operand's scaled to that conductor; ``_settle`` reduces
 each product once.
 
 A flat phase row (``phase_rows``/``phase_values``), the layout of the pbw
-and heis_torus products, maps (key, hbar degree, tau power, e) to the
-integer numerator of z_N^e over one denominator; a rational row is the
-case N = 1.  Its one product ``row_product`` adds root exponents mod N,
-so it never does Cyclotomic arithmetic, and ``phase_values`` reduces each
-(key, hbar degree, tau power) to the basis once.
+and heis_torus products, of multilinear's phase cells and axiom batteries,
+and of a LegTensor product over a host with roots of unity or series
+structure constants, maps (key, hbar degree, tau power, e) to the integer
+numerator of z_N^e over one denominator; a rational row is the case N = 1.
+Its exponents lie below N but not always below phi(N): in phase cells a
+tagged root is one numerator on its own exponent.  Its products (``row_product`` here,
+the phase cell products in multilinear) add root exponents mod N, so they
+never do Cyclotomic arithmetic; ``phase_values`` reduces each (key, hbar
+degree, tau power) to the basis once, ``row_pieces`` makes the row phase
+pieces (``pieces_row`` goes back), and ``reduced_row`` reduces every
+exponent, so that a row is zero exactly when it reduces to nothing.
 """
 
 from fractions import Fraction
@@ -212,9 +219,10 @@ class Cyclotomic:
     """Element of Q(e^(2*pi*i/N)) in the reduced power basis.
 
     root is the exponent e of a value made by root_of_unity(e, N), and None
-    for every other value: only a product of two tagged roots, or a tagged
-    root times the rational 1, is tagged again.  Values are never changed
-    in place, so the cached roots can be shared.
+    for every other value: only a product of two tagged roots, a tagged
+    root times the rational 1, or the inverse of a tagged root is tagged
+    again.  Values are never changed in place, so the cached roots can be
+    shared.
     """
 
     __slots__ = ("conductor", "coords", "root")
@@ -360,6 +368,8 @@ class Cyclotomic:
     def inverse(self):
         if not self.coords:
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        if self.root is not None:
+            return root_of_unity(-self.root, self.conductor)
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.coords[0])
         n = self.conductor
@@ -905,12 +915,16 @@ def conductor(values):
     )
 
 
-def phase_rows(items, N=1):
+def phase_rows(items, N=1, roots=False):
     """(row, M): the phase row {(key, hbar degree, tau power, e): integer
     numerator} of (key, value) pairs over one denominator, at M the lcm of
     N and the conductors of the values.  A Series value lies on its hbar
     degrees and tau powers, any other on (0, 0); a rational coefficient lies
-    on e = 0, and each coordinate of z_L^e in a Cyclotomic one on e * M / L."""
+    on e = 0, and each coordinate of z_L^e in a Cyclotomic one on e * M / L.
+    With roots, a tagged root z_L^r is the one numerator 1 on r * M / L,
+    which may lie at or past phi(M), so that products of roots stay single
+    terms; otherwise the exponents of the row lie below phi(M), and a sum
+    of roots keeps the fewer terms of the reduced basis."""
     flat = {}
     for key, s in items:
         if not isinstance(s, Series):
@@ -926,7 +940,7 @@ def phase_rows(items, N=1):
     N = lcm(N, *[q.conductor for _, q in cyc])
     for (key, v, t, _), q in cyc:
         del flat[key, v, t, 0]
-        for e, x in q.coords.items():
+        for e, x in (q.coords if q.root is None or not roots else {q.root: 1}).items():
             flat[key, v, t, e * (N // q.conductor)] = x
     return _numerators(flat), N
 
@@ -1011,6 +1025,13 @@ def phase_values(row, K, N):
             elif c:
                 q = {e: Fraction(n, den) for e, n in c.items()}
                 terms.append((key, v, t, Cyclotomic(N, q, _reduced=True)))
+    return _values(terms, K)
+
+
+def _values(terms, K):
+    """{key: value} of (key, hbar degree, tau power, coefficient) terms: the
+    coefficient itself over an exact ring (K None), else an order-K Series
+    built raw."""
     if K is None:
         return {key: q for key, _v, _t, q in terms}
     cmaps = {}
@@ -1041,7 +1062,13 @@ def phase_pieces(data):
     row = _numerators(data)  # None unless every value is a plain rational
     if row is not None:
         return ({(0, 0, 0): row} if row[0] else {}), 1
-    (nums, den), N = phase_rows(data.items())
+    return row_pieces(*phase_rows(data.items()))
+
+
+def row_pieces(row, N):
+    """(pieces, N) of a flat phase row at conductor N with its exponents
+    below N: the numerators of each phase, settled (see _settle)."""
+    nums, den = row
     groups = {}
     for (key, v, t, e), n in nums.items():
         part = groups.get((v, t, e))
@@ -1050,6 +1077,35 @@ def phase_pieces(data):
         else:
             part[key] = n
     return _settle({p: [(part, den)] for p, part in groups.items()}, N)
+
+
+def reduced_row(nums, N):
+    """The numerators of a flat phase row at conductor N with each exponent
+    (below N) reduced below phi(N) and the zero sums dropped: empty exactly
+    when the row's value is zero."""
+    phi = _phi_deg(N)
+    out = {}
+    get = out.get
+    for (key, v, t, e), n in nums.items():
+        if e < phi:
+            out[key, v, t, e] = get((key, v, t, e), 0) + n
+        else:
+            for j, w in _power_row(N, e).items():
+                out[key, v, t, j] = get((key, v, t, j), 0) + n * w
+    return {idx: n for idx, n in out.items() if n}
+
+
+def pieces_row(pieces, N, L):
+    """The flat phase row of phase pieces at conductor N over one
+    denominator, their exponents scaled to the conductor L, a multiple of
+    N."""
+    den = lcm(*[d for _nums, d in pieces.values()])
+    s = L // N
+    return {
+        (key, v, t, e * s): n * (den // d)
+        for (v, t, e), (nums, d) in pieces.items()
+        for key, n in nums.items()
+    }, den
 
 
 def _settle(groups, N):
@@ -1108,15 +1164,34 @@ def piece_product(A, N, B, M, K, product):
 
 
 def piece_values(pieces, K, N):
-    """{key: value} of canonical phase pieces at conductor N, through
-    phase_values on one denominator."""
-    den = lcm(*[d for _nums, d in pieces.values()])
-    row = {
-        (key, v, t, e): n * (den // d)
-        for (v, t, e), (nums, d) in pieces.items()
-        for key, n in nums.items()
-    }
-    return phase_values((row, den), K, N)
+    """{key: value} of canonical phase pieces at conductor N (see
+    phase_values), built phase by phase: each coordinate is one Fraction
+    over its own phase's denominator, and the exponents, already below
+    phi(N), need no reduction."""
+    if N == 1:
+        return _values(
+            [
+                (key, v, t, Fraction(n, d))
+                for (v, t, _e), (nums, d) in pieces.items()
+                for key, n in nums.items()
+            ],
+            K,
+        )
+    coords = {}
+    for (v, t, e), (nums, d) in pieces.items():
+        for key, n in nums.items():
+            c = coords.get((key, v, t))
+            if c is None:
+                coords[key, v, t] = {e: Fraction(n, d)}
+            else:
+                c[e] = Fraction(n, d)
+    return _values(
+        [
+            (key, v, t, c[0] if len(c) == 1 and 0 in c else Cyclotomic(N, c, _reduced=True))
+            for (key, v, t), c in coords.items()
+        ],
+        K,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1160,6 +1235,8 @@ class ScalarRing:
                     )
                 return x
             return Series(self.hbar_order, {0: x})
+        if isinstance(x, Fraction):
+            return x
         if isinstance(x, Series) or isinstance(x, TauLaurent):
             raise TypeError("series value in an exact ring")
         if isinstance(x, Cyclotomic):
