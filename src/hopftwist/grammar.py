@@ -46,10 +46,15 @@ _MAX_WORK = 5 * 10**7
 
 # Cap on the estimated work of one cyclotomic inverse (see _inverse_cost),
 # on its own scale.  As single CLI runs (verify sharp-map --theta
-# '1/(<divisor>)*h') on a shared 2-core x86 machine, the divisors 1+z(997,1) (est.
-# 8.7e7), 2+z(211,1)+z(211,100) (1.3e9), 2+z(499,1)+z(499,30) (1.9e9) and
-# 2+z(997,1)+z(997,3)+z(997,7) (2.1e9) took 1.0, 2.3, 2.8 and 2.9 s, and
-# 3+z(997,1)-2*z(997,5)+z(997,20) (9.0e9) 10.4 s.
+# '1/(<divisor>)*h') on a shared 2-core x86 machine, with l1 norms of the
+# divisor from 2 to 33 and at most 0.5 s of start-up: 1+z(997,1) (est.
+# 8.7e7) took 0.7 s; 2+z(211,1)+z(211,100) (1.3e9), 2+z(499,1)+z(499,30)
+# (1.9e9), 2+z(997,1)+z(997,3)+z(997,7) (1.4e9) and 1+z(997,1)+...+z(997,11)
+# (1.3e9) took 1.7, 2.0, 2.2 and 1.7 s; 2+z(997,1)+...+z(997,11) (2.6e9) and
+# 10+z(997,1)+z(997,3)+z(997,7) (2.8e9) 4.9 and 4.4 s; and
+# 30+z(997,1)+z(997,3)+z(997,7) (3.5e9) and 3+z(997,1)-2*z(997,5)+z(997,20)
+# (6.0e9) 7.4 and 8.2 s.  Over these, seconds past start-up per unit of the
+# estimate lie within 0.6-2.0e-9.
 _MAX_INVERSE_WORK = 3 * 10**9
 
 
@@ -207,9 +212,12 @@ def _inverse_cost(w):
     Cyclotomic.inverse eliminates the phi x phi matrix of multiplication by
     q, phi = phi(N), whose columns span s = 1 + the spread of q's exponents
     of z_N.  The time of that elimination, measured at phi from 210 to 996
-    and s from 8 to 151, grows as phi^2.5 * s^1.5; the estimate is that
-    times g, the bits of the l1 norm and denominator of q's coordinates, and
-    a coordinate of the inverse has about phi * g bits."""
+    and s from 2 to 151, grows as phi^2.5 * s^1.5; the estimate is that
+    times g, the bits of the largest numerator of q's coordinates over
+    their common denominator plus the bits of that denominator, and a
+    coordinate of the inverse has about phi * g bits.  The largest
+    numerator, not the l1 norm: many coordinates 1 cost no more than one
+    (see _MAX_INVERSE_WORK)."""
     if isinstance(w, Series):
         w = w.coeffs[0]
     if isinstance(w, TauLaurent):
@@ -219,8 +227,11 @@ def _inverse_cost(w):
     if not isinstance(w, Cyclotomic) or w.is_rational() or w.root is not None:
         return 0, 0
     N, cs = _coords(w)
-    _, _, zs, _, g = _box(cs, 1)
-    phi, s, g = _phi_deg(N), zs + 1, max(1, g)
+    _, _, zs, _, _ = _box(cs, 1)
+    den = lcm(*[c[3].denominator for c in cs])
+    top = max(abs(c[3].numerator) * (den // c[3].denominator) for c in cs)
+    phi, s = _phi_deg(N), zs + 1
+    g = max(1, top.bit_length() + (den - 1).bit_length())
     return phi * g, phi * phi * s * isqrt(phi * s) * g
 
 

@@ -19,13 +19,17 @@ terms.  rational_table() is the phase-0 case, as tensor_convolve reads it.
 A LegTensor holds its values as phase pieces (scalars): for each phase
 (hbar degree v, tau power t, exponent e of z_N) at one conductor N, one
 canonical pair of integer numerators over one denominator.  Every operation
-multiplies pieces phase by phase and returns pieces, so a chain of products
-never leaves the integers.  A product over a host whose cells all lie at
-phase 0 (every group algebra, its twists by a rational cocycle, and the
-dual hosts) is the key intersection of numerators on a pointwise host with
-unit coefficients (a dual host), and otherwise ``rational_convolve``: one
-convolution against the integer table over the two operand denominators
-times D**arity.  Over any other host (Taft, series structure constants)
+multiplies pieces and returns pieces, so a chain of products never leaves
+the integers.  A product over a host whose cells all lie at phase 0 (every
+group algebra, its twists by a rational cocycle, and the dual hosts), and
+every leg operation (leg_embed, coproduct_leg, counit_leg), is one
+scalars.piece_product: the pairs of phases are grouped by the phase they
+land on, and all the pairs of one output phase are summed into one integer
+accumulator over the lcm of their denominators, then settled once.  The
+kernel that multiplies one pair is key intersection on a pointwise host
+with unit coefficients (a dual host), tensor_convolve against the integer
+table otherwise (over the operand denominators times D**arity), or the
+leg map itself.  Over any other host (Taft, series structure constants)
 ``phase_convolve`` multiplies the two operands' flat phase rows against the
 phase cells, adding the cells' phases, and the product is settled once.
 elem_mul is one phase_convolve on flat phase rows.  The coproduct, counit
@@ -41,10 +45,14 @@ block first when the arity is odd; the row of a block value x is a flat list
 mapping each block value y to stride * key(x*y), so a product key is
 row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4; arity 5 and
 up keep the per-leg loop.  Rows are built lazily, one for each block value
-met, and kept on the host.  When the operands are dense, len(a) * len(b)
-at least dim**arity, the products are summed into a plain list with one
-cell per output key, and its nonzero cells become the result; sparser
-operands, such as hopf-cochain's arity-3 cochains, keep the dict.
+met, and kept on the host.  A group table (every row and column a
+permutation, with a unit) makes the product of one key with all the keys
+of a tensor a relabel, so a pair whose operand has a single key (the
+unit, a basis column of an inverse) skips the convolution; the unit's key
+keeps the keys as they are.  An accumulator is a plain list with one cell
+per output key when the pairs it sums have at least dim**arity term
+products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
+cochains; its nonzero cells become the product's piece.
 
 An exact tensor inverse solves the left regular representation: at N = 1
 (tensor_invert, _invert_exact) the columns go to linalg.solve as their
@@ -90,7 +98,10 @@ from .errors import (
 from .reporting import CheckOutcome
 from .scalars import (
     ScalarRing,
+    _RATIONAL,
     _ZERO_ROW,
+    _accumulator,
+    _nonzero,
     _numerators,
     _row,
     _settle,
@@ -119,127 +130,104 @@ def decode_key(key, dim, arity):
     return tuple(out)
 
 
-def tensor_convolve(a, b, dim, arity, base):
+def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
     """Multiply two sparse tensors over an algebra given by structure cells.
 
     a, b map flat indices (base-dim digits, leftmost leg most significant) to
     scalar coefficients.  base[i*dim + j] is a tuple of (k, coeff) pairs for
     the product of basis i with basis j; coeff None means 1 and skips a
-    multiplication.  Returns a dict with exact zeros dropped.
+    multiplication.  With acc None, returns the product as a new dict with
+    exact zeros dropped.  Otherwise adds f times the product into acc, a
+    list with one cell per output key or a dict (scalars._accumulator), and
+    returns acc: this is how piece_product sums every pair of phases that
+    lands on one output phase.  A new product is summed in such an
+    accumulator too, a list when len(a) * len(b) >= dim**arity; a
+    Cyclotomic or Series value starts from 0 + value.
 
     When base is a permutation table (a _Cells whose rows are set) and the
     arity is at most 4, each pair of keys gives one key with coefficient 1,
     read from key-product rows: the legs are split into one or two blocks
     of at most two legs, and a row of a block value x maps every block
-    value y to stride * key(x*y).  When len(a) * len(b) >= dim**arity the
-    products are added into a list acc = [0] * dim**arity, one cell per
-    output key (so a Cyclotomic or Series value starts from 0 + value), and
-    the nonzero cells are returned in key order; below that the sums are
-    kept in a dict, dropping a key whose sum cancels.  Otherwise the cells
-    are expanded leg by leg, and a pair of keys with an empty cell on any
-    leg is skipped before its product is formed.  The b keys are decoded
-    once.
+    value y to stride * key(x*y).  Otherwise the cells are expanded leg by
+    leg, and a pair of keys with an empty cell on any leg is skipped before
+    its product is formed.  The b keys are decoded once.
     """
-    out = {}
-    get = out.get
+    fresh = acc is None
+    if fresh:
+        acc = _accumulator(dim ** arity, len(a) * len(b))
+    dense = type(acc) is list
+    get = None if dense else acc.get
     rows = getattr(base, "rows", None)
-    if rows is not None and arity <= 4:
-        size = dim ** arity
-        acc = [0] * size if len(a) * len(b) >= size else None
     if rows is not None and arity <= 2:
         # one block: the row of ka maps kb to key(ka*kb)
-        cache = rows.setdefault((arity, 1), {})
+        cache = _key_rows(base, dim, arity, 1)
         for ka, va in a.items():
-            row = cache.get(ka)
-            if row is None:
-                row = cache[ka] = _key_row(base, dim, arity, 1, ka)
-            if acc is not None:
+            row = cache[ka]
+            if f != 1:
+                va *= f
+            if dense:
                 for kb, vb in b.items():
                     acc[row[kb]] += va * vb
                 continue
             for kb, vb in b.items():
                 idx = row[kb]
-                r = get(idx, 0) + va * vb
-                if r:
-                    out[idx] = r
-                else:
-                    out.pop(idx, None)
-        return out if acc is None else {i: v for i, v in enumerate(acc) if v}
-    if rows is not None and arity <= 4:
+                acc[idx] = get(idx, 0) + va * vb
+    elif rows is not None and arity <= 4:
         # a block of arity - 2 legs over a block of the two last legs
         s0 = dim * dim
-        c0 = rows.setdefault((arity - 2, s0), {})
-        c1 = rows.setdefault((2, 1), {})
+        c0 = _key_rows(base, dim, arity - 2, s0)
+        c1 = _key_rows(base, dim, 2, 1)
         bd = [divmod(kb, s0) + (vb,) for kb, vb in b.items()]
         for ka, va in a.items():
-            x0, x1 = divmod(ka, s0)
-            r0 = c0.get(x0)
-            if r0 is None:
-                r0 = c0[x0] = _key_row(base, dim, arity - 2, s0, x0)
-            r1 = c1.get(x1)
-            if r1 is None:
-                r1 = c1[x1] = _key_row(base, dim, 2, 1, x1)
-            if acc is not None:
+            r0, r1 = c0[ka // s0], c1[ka % s0]
+            if f != 1:
+                va *= f
+            if dense:
                 for y0, y1, vb in bd:
                     acc[r0[y0] + r1[y1]] += va * vb
                 continue
             for y0, y1, vb in bd:
                 idx = r0[y0] + r1[y1]
-                r = get(idx, 0) + va * vb
-                if r:
-                    out[idx] = r
-                else:
-                    out.pop(idx, None)
-        return out if acc is None else {i: v for i, v in enumerate(acc) if v}
-    if arity == 1:
+                acc[idx] = get(idx, 0) + va * vb
+    else:
+        # leg by leg; the terms go through a dict
+        out = {} if dense else acc
+        oget = out.get
+        strides = [dim ** (arity - 1 - t) for t in range(arity)]
+        bd = [([kb // s % dim for s in strides], vb) for kb, vb in b.items()]
         for ka, va in a.items():
-            row = ka * dim
-            for kb, vb in b.items():
-                cell = base[row + kb]
-                if not cell:
+            da = [ka // s % dim * dim for s in strides]
+            if f != 1:
+                va *= f
+            for db, vb in bd:
+                cells = [base[x + y] for x, y in zip(da, db)]
+                if not all(cells):
                     continue
-                c = va * vb
-                for k, w in cell:
-                    v = c if w is None else c * w
-                    r = get(k, 0) + v
-                    if r:
-                        out[k] = r
-                    else:
-                        out.pop(k, None)
-        return out
-    strides = [dim ** (arity - 1 - t) for t in range(arity)]
-    bd = []
-    for kb, vb in b.items():
-        db = []
-        r = kb
-        for s in strides:
-            db.append(r // s)
-            r %= s
-        bd.append((db, vb))
-    for ka, va in a.items():
-        da = []
-        r = ka
-        for s in strides:
-            da.append((r // s) * dim)
-            r %= s
-        for db, vb in bd:
-            cells = [base[x + y] for x, y in zip(da, db)]
-            if not all(cells):
-                continue
-            partial = [(0, va * vb)]
-            for cell, st in zip(cells, strides):
-                nxt = []
-                for acc, cv in partial:
-                    for k, w in cell:
-                        nxt.append((acc + k * st, cv if w is None else cv * w))
-                partial = nxt
-            for idx, cv in partial:
-                r = get(idx, 0) + cv
-                if r:
-                    out[idx] = r
-                else:
-                    out.pop(idx, None)
-    return out
+                partial = [(0, va * vb)]
+                for cell, st in zip(cells, strides):
+                    partial = [
+                        (idx + k * st, cv if w is None else cv * w)
+                        for idx, cv in partial
+                        for k, w in cell
+                    ]
+                for idx, cv in partial:
+                    out[idx] = oget(idx, 0) + cv
+        if dense:
+            _fold(acc, out.keys(), out.values(), 1)
+    return _nonzero(acc) if fresh else acc
+
+
+def _fold(acc, keys, values, c):
+    """Add c times each value at its key into acc, a list with one cell per
+    key or a dict, and return acc."""
+    if type(acc) is list:
+        for k, v in zip(keys, values):
+            acc[k] += c * v
+    else:
+        get = acc.get
+        for k, v in zip(keys, values):
+            acc[k] = get(k, 0) + c * v
+    return acc
 
 
 class _Cells(list):
@@ -247,17 +235,51 @@ class _Cells(list):
 
     rows is the host's cache of key-product rows when the table is a
     permutation table (every cell exactly one (k, None)), else None.  The
-    cache maps a block shape (width in legs, stride) to {block value: row}
-    and gets one row for each block value met, so that a host built only
-    to be checked once pays only for the products it forms.  A host's
-    base and integer tables share one cache: their cells have the same keys.
+    cache maps a block shape (width in legs, stride) to a _KeyRows, which
+    gets one row for each block value met, so that a host built only to be
+    checked once pays only for the products it forms.  A host's base and
+    integer tables share one cache: their cells have the same keys.  latin
+    is True on a permutation table whose every row and column is a
+    permutation of the basis and which has a unit, the basis index unit (a
+    group table): there one key times all the keys of a tensor gives
+    distinct keys (see _relabel).
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "latin", "unit")
 
-    def __init__(self, cells, rows):
+    def __init__(self, cells, rows, dim):
         super().__init__(cells)
         self.rows = rows
+        basis = list(range(dim))
+        keys = [c[0][0] for c in cells] if rows is not None else []
+        self.unit = next(
+            (i for i in basis if keys[i * dim:(i + 1) * dim] == keys[i::dim] == basis), None
+        )
+        self.latin = self.unit is not None and all(
+            sorted(keys[i * dim:(i + 1) * dim]) == basis
+            and sorted(keys[i::dim]) == basis
+            for i in range(dim)
+        )
+
+
+class _KeyRows(dict):
+    """{block value x: row of x} for one block shape (see _key_row), each
+    row made when x is first met."""
+
+    __slots__ = ("base", "dim", "width", "stride")
+
+    def __missing__(self, x):
+        row = self[x] = _key_row(self.base, self.dim, self.width, self.stride, x)
+        return row
+
+
+def _key_rows(base, dim, width, stride):
+    """The host's _KeyRows of base for one block shape."""
+    cache = base.rows.get((width, stride))
+    if cache is None:
+        cache = base.rows[width, stride] = _KeyRows()
+        cache.base, cache.dim, cache.width, cache.stride = base, dim, width, stride
+    return cache
 
 
 def _key_row(base, dim, width, stride, x):
@@ -272,6 +294,47 @@ def _key_row(base, dim, width, stride, x):
         for cell in base[x0 * dim:(x0 + 1) * dim]
         for k in low
     ]
+
+
+def _relabel(a, b, dim, arity, base, acc, f):
+    """The product of a and b, one of them with a single key, over a group
+    table (base.latin) at arity at most 4, as a piece_product kernel: the
+    single key moves every key of the other operand to a key of its own,
+    so the product is a relabel of the other operand's values times the
+    single value, {row[kb]: va * vb}, with nothing to sum and no zero.  The
+    unit's key (base.unit on every leg) leaves the keys as they are."""
+    e = base.unit
+    unit = e * (dim ** arity - 1) // (dim - 1) if e else 0
+    if len(a) == 1:
+        ((ka, c),) = a.items()
+        other = b
+        if ka == unit:
+            keys = b.keys()
+        elif arity <= 2:
+            row = _key_rows(base, dim, arity, 1)[ka]
+            keys = [row[kb] for kb in b]
+        else:
+            s0 = dim * dim
+            r0 = _key_rows(base, dim, arity - 2, s0)[ka // s0]
+            r1 = _key_rows(base, dim, 2, 1)[ka % s0]
+            keys = [r0[kb // s0] + r1[kb % s0] for kb in b]
+    else:
+        ((kb, c),) = b.items()
+        other = a
+        if kb == unit:
+            keys = a.keys()
+        elif arity <= 2:
+            cache = _key_rows(base, dim, arity, 1)
+            keys = [cache[ka][kb] for ka in a]
+        else:
+            s0 = dim * dim
+            y0, y1 = divmod(kb, s0)
+            c0 = _key_rows(base, dim, arity - 2, s0)
+            c1 = _key_rows(base, dim, 2, 1)
+            keys = [c0[ka // s0][y0] + c1[ka % s0][y1] for ka in a]
+    if acc is None:
+        return {k: c * v for k, v in zip(keys, other.values())}
+    return _fold(acc, keys, other.values(), c * f)
 
 
 def _clean(d):
@@ -296,32 +359,21 @@ def _accumulate(out, key, v):
 # integer rows
 
 
-def _common_keys(a, b):
-    """Pointwise product of two (numerators, denominator) pairs."""
-    na, nb = a[0], b[0]
-    if len(nb) < len(na):
-        na, nb = nb, na
-    return {k: n * nb[k] for k, n in na.items() if k in nb}, a[1] * b[1]
+def _common_keys(a, b, acc, f):
+    """Pointwise product of two numerator dicts, a piece_product kernel."""
+    if len(b) < len(a):
+        a, b = b, a
+    out = {k: n * b[k] for k, n in a.items() if k in b}
+    return out if acc is None else _fold(acc, out.keys(), out.values(), f)
 
 
-def _scaled(a, c):
-    """A (numerators, denominator) pair times the scalar pair c = ({0: n}, d)."""
-    n = c[0][0]
-    return {k: x * n for k, x in a[0].items()}, a[1] * c[1]
-
-
-def rational_convolve(host, arity, a, b):
-    """Product of two rational tensors of the given arity over host.
-
-    a and b are (integer numerators, denominator) pairs as made by
-    _numerators().  The numerators are convolved once, in integers, against
-    host.rational_table(); the product's denominator is a's times b's times
-    the table's denominator to the power arity, one factor per leg.
-    Returns the product as such a pair, exact zeros dropped.
-    """
-    tbl, tden = host.rational_table()
-    nums = tensor_convolve(a[0], b[0], host.dim, arity, tbl)
-    return nums, a[1] * b[1] * tden ** arity
+def _scaled(a, c, acc, f):
+    """Numerators a times the scalar's numerators c = {0: n}, a
+    piece_product kernel."""
+    n = c[0]
+    if acc is None:
+        return {k: x * n for k, x in a.items()}
+    return _fold(acc, a.keys(), a.values(), n * f)
 
 
 _PHASE0 = (0, 0, 0)
@@ -539,7 +591,7 @@ class _MulOps:
                         )
                     )
             perm = all(len(cell) == 1 and cell[0][1] is None for cell in tbl)
-            self._base = _Cells(tbl, self._rows if perm else None)
+            self._base = _Cells(tbl, self._rows if perm else None, self.dim)
         return self._base
 
     def phase_table(self):
@@ -568,7 +620,7 @@ class _MulOps:
                 for cell in table.cells
             ]
             perm = all(len(cell) == 1 and cell[0][1] is None for cell in tbl)
-            self._rational = (_Cells(tbl, self._rows if perm else None), table.den)
+            self._rational = (_Cells(tbl, self._rows if perm else None, self.dim), table.den)
         return self._rational
 
     def unit_rows(self, arity):
@@ -590,7 +642,25 @@ class _MulOps:
 
     def elem_mul(self, u, v):
         """u * v for sparse vectors {basis index: value}: one
-        phase_convolve of their flat phase rows against the phase cells."""
+        phase_convolve of their flat phase rows against the phase cells.
+        An empty factor gives {}, and two single rational terms over a
+        rational cell give the cell of basis_mul scaled, in key order, each
+        value one Fraction of integer products."""
+        if not u or not v:
+            return {}
+        if len(u) == 1 == len(v):
+            ((i, a),), ((j, b),) = u.items(), v.items()
+            cell = self.basis_mul(i, j)
+            if type(a) in _RATIONAL and type(b) in _RATIONAL and all(
+                type(w) is Fraction for w in cell.values()
+            ):
+                n, d = a.numerator * b.numerator, a.denominator * b.denominator
+                if not n:
+                    return {}
+                return {
+                    k: Fraction(n * w.numerator, d * w.denominator)
+                    for k, w in sorted(cell.items())
+                }
         K = self.ring.hbar_order
         rows = (_vec_row(u), _vec_row(v))
         row, N = _on_rows(phase_convolve, rows, self.phase_table(), K or 0, self.dim, 1)
@@ -926,13 +996,16 @@ class LegTensor:
     def copy(self):
         return self.over(self.host)
 
-    def _product(self, B, M, product, arity):
+    def _product(self, B, M, kernel, arity, den=1):
         """The tensor of the given arity whose pieces are piece_product of
-        these pieces with pieces B at conductor M."""
+        these pieces with pieces B at conductor M, through kernel, over den
+        times the operands' denominators."""
         A, N = self._phases()
-        K = self.host.ring.hbar_order or 0
-        rows, L = piece_product(A, N, B, M, K, product)
-        return LegTensor._of_rows(self.host, arity, rows, L)
+        host = self.host
+        rows, L = piece_product(
+            A, N, B, M, host.ring.hbar_order or 0, kernel, host.dim ** arity, den
+        )
+        return LegTensor._of_rows(host, arity, rows, L)
 
     # -- algebra
 
@@ -941,13 +1014,17 @@ class LegTensor:
 
         Over a host whose phase cells all lie at phase 0
         (host.rational_table(): every group algebra, its twists by a
-        rational cocycle, and the dual hosts) each pair of phases multiplies
-        its numerators: key intersection on a pointwise host with unit
-        coefficients, rational_convolve otherwise.  Over any other host
-        (Taft's roots of unity, series structure constants) both operands
-        become one flat phase row at the lcm L of their conductors and the
-        table's, phase_convolve multiplies them against the host's phase
-        cells, and the product is settled once."""
+        rational cocycle, and the dual hosts) piece_product sums every pair
+        of phases that lands on one output phase into one accumulator: by
+        key intersection on a pointwise host with unit coefficients, by
+        tensor_convolve against the integer table otherwise, over the two
+        operand denominators times D**arity.  Over a group table a phase
+        met by one pair whose operands include a single key (the unit, a
+        basis column of an inverse) is a relabel (_relabel).  Over any other
+        host (Taft's roots of unity, series structure constants) both
+        operands become one flat phase row at the lcm L of their conductors
+        and the table's, phase_convolve multiplies them against the host's
+        phase cells, and the product is settled once."""
         if other.host is not self.host:
             raise ValueError("tensors live over different hosts")
         if other.arity != self.arity:
@@ -966,11 +1043,17 @@ class LegTensor:
             )
             return LegTensor._of_rows(host, arity, *row_pieces(row, L))
         if host.pointwise_coeffs() is not None:
-            product = _common_keys
-        else:
-            def product(x, y):
-                return rational_convolve(host, arity, x, y)
-        return self._product(*other._phases(), product, arity)
+            return self._product(*other._phases(), _common_keys, arity)
+        dim = host.dim
+        tbl, tden = host.rational_table()
+        relabel = tbl.latin and arity <= 4
+
+        def kernel(x, y, acc, f):
+            if relabel and (len(x) == 1 or len(y) == 1):
+                return _relabel(x, y, dim, arity, tbl, acc, f)
+            return tensor_convolve(x, y, dim, arity, tbl, acc, f)
+
+        return self._product(*other._phases(), kernel, arity, tden ** arity)
 
     def add(self, other):
         return self._add(other, False)
@@ -1053,20 +1136,20 @@ class LegTensor:
                 cells.append((off, w))
             fills[p] = (cells, den)
 
-        def product(a, f):
+        def kernel(a, cells, acc, f):
             # distinct (key, fill) pairs give distinct keys: nothing merges
-            cells, fden = f
+            # within one pair of phases
             out = {}
-            for key, c in a[0].items():
+            for key, c in a.items():
                 base = 0
                 for st in kept:
                     key, d = divmod(key, dim)
                     base += d * st
                 for off, w in cells:
                     out[base + off] = c * w
-            return out, a[1] * fden
+            return out if acc is None else _fold(acc, out.keys(), out.values(), f)
 
-        return self._product(fills, M, product, arity_out)
+        return self._product(fills, M, kernel, arity_out)
 
     def coproduct_leg(self, leg):
         return self._leg_map(leg, self.host.coproduct_pieces(), 2)
@@ -1077,27 +1160,27 @@ class LegTensor:
     def _leg_map(self, leg, host_cells, width):
         """The tensor with the digit d at leg replaced, for each (code, n)
         of the host's cells[d], by the block of width digits code, the
-        coefficient times n."""
+        coefficient times n; the pieces of the host's cells are summed per
+        output phase like a product's (piece_product)."""
         if not 0 <= leg < self.arity:
             raise BadLeg("leg %d of %d" % (leg, self.arity))
         dim = self.host.dim
         low = dim ** (self.arity - 1 - leg)
         wide = dim ** width
 
-        def product(a, c):
-            cells, cden = c
+        def kernel(a, cells, acc, f):
             out = {}
             get = out.get
-            for key, x in a[0].items():
+            for key, x in a.items():
                 head, tail = divmod(key, low)
                 head, d = divmod(head, dim)
                 head *= wide
                 for code, w in cells[d]:
                     nk = (head + code) * low + tail
                     out[nk] = get(nk, 0) + x * w
-            return out, a[1] * cden
+            return out if acc is None else _fold(acc, out.keys(), out.values(), f)
 
-        return self._product(*host_cells, product, self.arity - 1 + width)
+        return self._product(*host_cells, kernel, self.arity - 1 + width)
 
     def __repr__(self):
         return "LegTensor(%s, arity=%d, %d terms)" % (

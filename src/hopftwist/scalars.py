@@ -36,10 +36,12 @@ keeps, hold one canonical (numerators keyed by tensor key, denominator)
 pair per phase (hbar degree v, tau power t, exponent e of z_N), with e
 reduced below phi(N), no empty phase and N = 1 for rational values; their
 values are built phase by phase, each over its own denominator.
-``piece_product`` multiplies two sets of pieces phase by phase: hbar
-degrees add (truncated at K), tau powers add, and the exponents add mod
-lcm(N, M), each operand's scaled to that conductor; ``_settle`` reduces
-each product once.
+``piece_product`` multiplies two sets of pieces with one accumulator per
+output phase: hbar degrees add (truncated at K), tau powers add, and the
+exponents add mod lcm(N, M), each operand's scaled to that conductor; the
+pairs of phases that land on one phase are summed into one integer list
+or dict over the lcm of their denominators, and ``_settle`` makes each
+phase canonical once.
 
 A flat phase row (``phase_rows``/``phase_values``), the layout of the pbw
 and heis_torus products, of multilinear's phase cells and axiom batteries,
@@ -1111,9 +1113,11 @@ def pieces_row(pieces, N, L):
 def _settle(groups, N):
     """(pieces, N) of {(v, t, e): [(numerators, den)]} with 0 <= e < N: a
     phase whose exponent is at or past phi(N) moves onto the basis, its
-    numerators times the integer coordinates of z_N^e; each phase is summed
-    by _row and dropped when it cancels, and N becomes 1 when no exponent
-    but 0 is left."""
+    numerators times the integer coordinates of z_N^e; each phase is made
+    canonical by _row (its zeros dropped and its content removed; a phase
+    that several moved parts land on is summed there) and dropped when it
+    cancels, and N becomes 1 when no exponent but 0 is left.  A product
+    (piece_product) hands it one part per phase."""
     if N > 1:
         phi = _phi_deg(N)
         for v, t, e in [p for p in groups if p[2] >= phi]:
@@ -1135,12 +1139,25 @@ def _settle(groups, N):
     return out, N
 
 
-def piece_product(A, N, B, M, K, product):
+def piece_product(A, N, B, M, K, kernel, size, den=1):
     """(pieces, L) of a product of phase pieces, A at conductor N and B at
-    M: each pair of phases gives product(a, b) at the sum of the phases,
-    with hbar degrees past K left out and the exponents of z added at L =
-    lcm(N, M), each operand's scaled by L over its own conductor; the sums
-    are settled once (see _settle)."""
+    M, with one integer accumulator per output phase.
+
+    The pairs of phases are grouped by the phase they land on: hbar degrees
+    add (a degree past K is left out), tau powers add, and the exponents of
+    z add at L = lcm(N, M), each operand's scaled by L over its own
+    conductor.  kernel(x, y, acc, f) multiplies the numerators x and y of
+    one pair (y may be a leg map's cells): with acc None it returns x*y as
+    a new dict, which may hold zeros, otherwise it adds f times x*y into acc
+    and returns it.  A phase met by one pair takes the kernel's own dict
+    over the two denominators.  The pairs of any other phase all go into
+    one accumulator (see _accumulator) over D, the lcm of their denominator
+    products, each pair scaled by D over its own product; the accumulator
+    is a list of size cells (size is the number of output keys) when the
+    sum of len(x) * len(y) over the pairs reaches size, else a dict.  Every
+    phase is over den times its operands' denominators (den is the
+    kernel's own, such as a structure table's); its zeros go and its
+    content is removed once, when the phases are settled (see _settle)."""
     L = N if N == M else lcm(N, M)
     sa, sb = L // N, L // M
     groups = {}
@@ -1154,13 +1171,35 @@ def piece_product(A, N, B, M, K, product):
             if e >= L:
                 e -= L
             p = (va + vb, ta + tb, e)
-            piece = product(a, b)
             g = groups.get(p)
             if g is None:
-                groups[p] = [piece]
+                groups[p] = [(a, b)]
             else:
-                g.append(piece)
+                g.append((a, b))
+    for p, pairs in groups.items():
+        if len(pairs) == 1:
+            (x, dx), (y, dy) = pairs[0]
+            groups[p] = [(kernel(x, y, None, 1), dx * dy * den)]
+            continue
+        D = lcm(*[dx * dy for (_x, dx), (_y, dy) in pairs])
+        acc = _accumulator(size, sum(len(x) * len(y) for (x, _dx), (y, _dy) in pairs))
+        for (x, dx), (y, dy) in pairs:
+            kernel(x, y, acc, D // (dx * dy))
+        groups[p] = [(_nonzero(acc), D * den)]
     return _settle(groups, L)
+
+
+def _accumulator(size, count):
+    """An accumulator for count term products over size output keys: a
+    list with one cell per key when count reaches size, else a dict."""
+    return [0] * size if count >= size else {}
+
+
+def _nonzero(acc):
+    """The nonzero cells of an accumulator as a new dict."""
+    if type(acc) is list:
+        return {k: n for k, n in enumerate(acc) if n}
+    return {k: n for k, n in acc.items() if n}
 
 
 def piece_values(pieces, K, N):

@@ -127,6 +127,24 @@ def test_verify_theta_power_above_cap_exit_two(theta):
     assert "Traceback" not in done.stderr
 
 
+# eleven unit coefficients on consecutive exponents of z(997,.): an inverse
+# of l1 norm 12 that the bound accepts, and a divisor whose exponents spread
+# over z(997,.), which it still refuses before any elimination
+_UNIT_DIVISOR = "1+" + "+".join("z(997,%d)" % k for k in range(1, 12))
+_SPREAD_DIVISOR = "3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400)"
+
+
+def test_verify_theta_inverse_bound_reads_the_largest_coefficient():
+    done = _verify_theta("1/(%s)*h" % _UNIT_DIVISOR)
+    assert done.returncode == 0, done.stderr
+    started = time.monotonic()
+    done = _verify_theta("1/(%s)*h" % _SPREAD_DIVISOR)
+    elapsed = time.monotonic() - started
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "quotient too large" in done.stderr
+    assert elapsed < 1, elapsed
+
+
 def test_verify_theta_product_above_cap_exit_two():
     # twelve factors each under the power cap; the product of the first two
     # passes the cap, so the run stops at the first '*'

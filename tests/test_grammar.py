@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hopftwist.errors import ParseError
-from hopftwist.grammar import hbar_valuation_bound, parse, render
+from hopftwist.grammar import _MAX_INVERSE_WORK, _inverse_cost, hbar_valuation_bound, parse, render
 from hopftwist.scalars import Cyclotomic, Series, TauLaurent, root_of_unity
 
 
@@ -125,6 +125,15 @@ def test_product_above_the_caps_is_an_error_at_the_operator(text, column, what):
 @pytest.mark.parametrize("text", _ALLOWED_PRODUCTS)
 def test_product_under_the_caps_parses(text):
     assert not parse(text, hbar_order=4).is_zero()
+
+
+def test_inverse_cost_reads_the_largest_numerator():
+    # many unit coefficients cost no more than one: the divisor of l1 norm
+    # 12 is estimated under the cap, the spread divisor far above it
+    unit = parse("1+" + "+".join("z(997,%d)" % k for k in range(1, 12)))
+    spread = parse("3+z(997,1)-2*z(997,5)+z(997,100)+z(997,400)")
+    assert _inverse_cost(unit)[1] < _MAX_INVERSE_WORK < _inverse_cost(spread)[1]
+    assert _inverse_cost(unit) == _inverse_cost(parse("1+z(997,11)")) == (996, 996**2 * 12 * 109)
 
 
 def test_product_cap_leaves_the_degree_bound_alone():
