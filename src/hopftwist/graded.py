@@ -19,7 +19,7 @@ from .constructors import cyclic_group, group_algebra, symmetric_3
 from .errors import NotAction, NotAutomorphism, NotHomogeneous
 from .multilinear import AlgebraPresentation
 from .reporting import CheckOutcome
-from .scalars import ScalarRing
+from .scalars import ScalarRing, field_rank, field_solve
 
 
 class ZWindow:
@@ -162,7 +162,7 @@ def resolution_of_unity(graded, g):
         for k, c in A.basis_mul(i, j).items():
             mat[k][col] += c
     rhs = [Fraction(v) for v in A.unit]
-    x = linalg.solve(mat, rhs)
+    x = field_solve(mat, rhs)
     if x is None:
         return None
     chosen = [
@@ -250,7 +250,7 @@ def canonical_map(graded):
                     vec[x * n + k] -= c
                 if any(vec):
                     relations.append(vec)
-    rk_rel = linalg.rank(relations) if relations else 0
+    rk_rel = field_rank(relations) if relations else 0
     dim_source = n * n - rk_rel
 
     def psi_row(i, j):
@@ -272,7 +272,7 @@ def canonical_map(graded):
                         img[t] += c * w
         if any(img):
             raise RuntimeError("canonical map is not balanced")
-    rk = linalg.rank(psi) if psi else 0
+    rk = field_rank(psi) if psi else 0
     bijective = dim_source == n * order == rk
     if bijective != strong_grading(graded).strong:
         raise RuntimeError(
@@ -400,7 +400,7 @@ def smeb_check(graded, g):
                     vec[pidx[(x, k)]] -= c
                 if any(vec):
                     relations.append(vec)
-    rk_rel = linalg.rank(relations) if relations else 0
+    rk_rel = field_rank(relations) if relations else 0
     qdim = len(pairs) - rk_rel
 
     mult_rows = []
@@ -409,7 +409,7 @@ def smeb_check(graded, g):
         for k, c in A.basis_mul(i, j).items():
             vec[eidx[k]] += c
         mult_rows.append(vec)
-    rk_mult = linalg.rank(mult_rows) if mult_rows else 0
+    rk_mult = field_rank(mult_rows) if mult_rows else 0
     bij = qdim == len(E) == rk_mult
     checks.append(
         CheckOutcome.from_residual(
@@ -444,7 +444,7 @@ def smeb_check(graded, g):
             diff[pidx[(i, j)]] -= Fraction(1)
             if any(diff):
                 stack = relations + [diff]
-                if linalg.rank(stack) != rk_rel:
+                if field_rank(stack) != rk_rel:
                     bad += 1
                     if wit is None:
                         wit = "(%s,%s)" % (A.labels[i], A.labels[j])
@@ -508,7 +508,7 @@ def ideal_property_report(graded):
                     vec[eidx[k]] += c
                 if any(vec):
                     span.append(vec)
-        base_rank = linalg.rank(span) if span else 0
+        base_rank = field_rank(span) if span else 0
         for b in E:
             for vec in list(span):
                 elem = {E[t]: c for t, c in enumerate(vec) if c}
@@ -519,7 +519,7 @@ def ideal_property_report(graded):
                     new = [Fraction(0)] * len(E)
                     for k, c in prod_.items():
                         new[eidx[k]] += c
-                    if any(new) and linalg.rank(span + [new]) != base_rank:
+                    if any(new) and field_rank(span + [new]) != base_rank:
                         bad += 1
                         if wit is None:
                             wit = "degree %r via %s" % (g, A.labels[b])
@@ -549,7 +549,7 @@ def window_products_report(graded):
                         vec[tidx[t]] += c
                     if any(vec):
                         span.append(vec)
-            rk = linalg.rank(span) if span else 0
+            rk = field_rank(span) if span else 0
             if rk != len(target):
                 bad += 1
                 if wit is None:

@@ -19,7 +19,9 @@ _MAX_CONDUCTOR is a ParseError, and so is a power, product or quotient
 whose estimated size passes a cap (see _power_cost and _product_cost), at
 its '^', '*' or '/' before it is computed.  A quotient or negative power
 whose divisor inverts a Cyclotomic that is not rational is bounded by the
-estimated cost of that inverse as well (see _inverse_cost).
+estimated cost of that inverse as well (see _inverse_cost).  Parentheses
+and unary minus signs nest at most _MAX_DEPTH levels deep, counted
+together; the token that opens one more level is a ParseError.
 """
 
 from fractions import Fraction
@@ -56,6 +58,14 @@ _MAX_WORK = 5 * 10**7
 # (6.0e9) 7.4 and 8.2 s.  Over these, seconds past start-up per unit of the
 # estimate lie within 0.6-2.0e-9.
 _MAX_INVERSE_WORK = 3 * 10**9
+
+# Deepest nesting of '(' and unary '-' an expression may have.  The parser
+# descends recursively, five interpreter frames for each level of
+# parentheses, so 150 levels take at most 750 of the 1000 frames of
+# Python's default recursion limit and leave the rest to the callers.  The
+# cap does not hold for a caller already more than about 250 frames deep:
+# there a deep expression still ends in Python's RecursionError.
+_MAX_DEPTH = 150
 
 
 class _Tok:
@@ -241,6 +251,7 @@ class _Parser:
         self.pos = 0
         self.order = hbar_order
         self.conductor = 1
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -255,6 +266,16 @@ class _Parser:
             )
         self.pos += 1
         return t
+
+    def enter(self, tok):
+        """One level deeper at tok, an opening '(' or unary '-': a
+        ParseError there past _MAX_DEPTH levels.  The caller leaves the
+        level by lowering depth again."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(
+                "nesting deeper than %d levels" % _MAX_DEPTH, tok.line, tok.col
+            )
+        self.depth += 1
 
     def expr(self):
         v = self.term()
@@ -278,8 +299,10 @@ class _Parser:
 
     def unary(self):
         if self.peek().kind == "-":
-            self.take()
-            return -self.unary()
+            self.enter(self.take())
+            v = -self.unary()
+            self.depth -= 1
+            return v
         return self.power()
 
     def power(self):
@@ -308,17 +331,31 @@ class _Parser:
     def intexp(self):
         t = self.peek()
         if t.kind == "-":
-            self.take()
-            return -self.intexp()
+            self.enter(self.take())
+            k = -self.intexp()
+            self.depth -= 1
+            return k
         if t.kind == "(":
-            self.take()
+            self.enter(self.take())
             k = self.intexp()
             self.take(")")
+            self.depth -= 1
             return k
         tok = self.take("INT")
         return int(tok.text)
 
     def atom(self):
+        t = self.peek()
+        if t.kind == "(":
+            self.enter(self.take())
+            v = self.expr()
+            self.take(")")
+            self.depth -= 1
+            return v
+        return self.leaf()
+
+    def leaf(self):
+        """A value that is not parenthesized."""
         t = self.peek()
         if t.kind == "INT":
             self.take()
@@ -355,11 +392,6 @@ class _Parser:
                 raise ParseError("h used without a series order", t.line, t.col)
             self.take()
             return Series.hbar(self.order)
-        if t.kind == "(":
-            self.take()
-            v = self.expr()
-            self.take(")")
-            return v
         raise ParseError(
             "expected a value, found %r" % (t.text or "end of input"), t.line, t.col
         )
@@ -410,17 +442,11 @@ class _DegreeParser(_Parser):
     def bound(self, op, what, cost, max_work=_MAX_WORK):
         """Degree bounds take any product or power at no cost."""
 
-    def atom(self):
-        t = self.peek()
-        if t.kind == "h":
+    def leaf(self):
+        if self.peek().kind == "h":
             self.take()
             return _Degrees(1)
-        if t.kind == "(":
-            self.take()
-            v = self.expr()
-            self.take(")")
-            return v
-        super().atom()
+        super().leaf()
         return _Degrees(0)
 
 

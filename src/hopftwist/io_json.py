@@ -12,7 +12,6 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from . import linalg
 from .constructors import ChainComplexWindow, FiniteGroup
 from .errors import NotAComplex, NotHomogeneous, ParseError, SchemaError
 from .graded import GradedAlgebra, ZWindow
@@ -20,7 +19,7 @@ from .grammar import parse, render
 from .group_cohomology import GroupCochain, fano_octonions
 from .heis_torus import HeisElement
 from .multilinear import AlgebraPresentation, HopfPresentation, LegTensor
-from .scalars import Cyclotomic, ScalarRing, Series, TauLaurent
+from .scalars import Cyclotomic, ScalarRing, Series, TauLaurent, _phi_deg, field_rank
 
 
 def _scalar(v, hbar_order, field):
@@ -31,13 +30,18 @@ def _scalar(v, hbar_order, field):
     if not isinstance(v, str):
         raise SchemaError("coefficients must be grammar strings", field)
     try:
-        return parse(v, hbar_order)
+        x = parse(v, hbar_order)
     except ParseError as e:
         # the position is inside the string, not inside the file
         where = "column %d" % e.column
         if e.line > 1:
             where = "line %d, %s" % (e.line, where)
         raise SchemaError("%s at %s of %r" % (e.message, where, v), field)
+    if hbar_order is None and isinstance(x, TauLaurent):
+        if any(x.terms):  # a power of tau other than tau^0
+            raise SchemaError("power of tau in an exact ring: %r" % v, field)
+        return x.terms.get(0, Fraction(0))
+    return x
 
 
 def _field(doc, name, kinds=None):
@@ -76,6 +80,94 @@ def _conductor_of(values):
     for v in values:
         _conductors(v, found)
     return lcm(*found) if found else None
+
+
+# Cap on the estimated work of the antipode check over a cyclotomic field
+# (see _invertible): m^3 * g for the m = n * phi(N) rows of the expansion, g
+# the bits of the largest numerator of an entry's coordinates over their
+# common denominator plus the bits of that denominator.  As single field_rank
+# calls on a shared 2-core x86 host, dense expansions of m from 32 to 384 took
+# 0.6-4.5e-7 s per unit of the estimate (m = 192 at N = 420: 1.3 s), so the
+# cap allows about 2-4 s.  A rational matrix is not priced: it is no larger
+# than the document that writes it.
+_MAX_EXPANSION_WORK = 10**7
+
+
+def _coordinate_bits(q):
+    if not q.coords:
+        return 1
+    den = lcm(*[c.denominator for c in q.coords.values()])
+    top = max(abs(c.numerator) * (den // c.denominator) for c in q.coords.values())
+    return max(1, top.bit_length() + (den - 1).bit_length())
+
+
+def _components(mat):
+    """(rows, columns) of each connected part of a square matrix's nonzero
+    pattern, the graph joining row i to column j where mat[i][j] != 0.  The
+    matrix is nonsingular exactly when every part is square and
+    nonsingular."""
+    n = len(mat)
+    parent = list(range(2 * n))  # row i is node i, column j is node n + j
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, row in enumerate(mat):
+        for j, v in enumerate(row):
+            if v:
+                parent[find(i)] = find(n + j)
+    parts = {}
+    for x in range(2 * n):
+        parts.setdefault(find(x), ([], []))[x >= n].append(x % n)
+    return parts.values()
+
+
+def _invertible(rows):
+    """Whether the square matrix of an antipode is invertible, decided as:
+    its h^0 part, with tau set to 1, is nonsingular over Q(z_N), N the lcm
+    of its conductors.  A matrix invertible over the Laurent series ring has
+    determinant c * tau^m with c != 0 at h^0, so it passes; one that passes
+    has a determinant that is not the zero polynomial in tau.  The rule is
+    "nonzero at tau = 1", not formal invertibility: [[1+tau]] passes,
+    [[tau-1]] does not.
+
+    Each connected part of the nonzero pattern (_components) is decided on
+    its own: a single entry is nonzero, and a larger square part goes to
+    scalars.field_rank, the integer rank of its expansion into rational
+    multiplication blocks (scalars.expansion), unless the estimated work of
+    that expansion passes _MAX_EXPANSION_WORK (a SchemaError)."""
+    mat = []
+    for row in rows:
+        out = []
+        for v in row:
+            if isinstance(v, Series):
+                v = v.coeffs[0]
+            if isinstance(v, TauLaurent):
+                v = sum(v.terms.values(), Fraction(0))
+            out.append(v)
+        mat.append(out)
+    for part_rows, part_cols in _components(mat):
+        if len(part_rows) != len(part_cols):
+            return False
+        if len(part_rows) == 1:
+            continue
+        part = [[mat[i][j] for j in part_cols] for i in part_rows]
+        values = [Cyclotomic._coerce(v) for row in part for v in row]
+        N = lcm(*[q.conductor for q in values])
+        if N > 1:
+            m = len(part) * _phi_deg(N)
+            work = m**3 * max(_coordinate_bits(q) for q in values)
+            if work > _MAX_EXPANSION_WORK:
+                raise SchemaError(
+                    "antipode check too costly: %d x %d rational expansion "
+                    "over Q(z_%d), estimated work %.1e" % (m, m, N, work),
+                    "antipode",
+                )
+        if field_rank(part) != len(part):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +243,7 @@ def presentation_from_dict(doc):
             if not (isinstance(row, list) and len(row) == dim):
                 raise SchemaError("antipode must be a dim x dim matrix", "antipode")
             rows.append([_scalar(v, hbar, "antipode") for v in row])
-        try:
-            inv = linalg.inverse([row[:] for row in rows])
-        except Exception:
-            inv = None
-        if inv is None:
+        if not _invertible(rows):
             raise SchemaError("antipode matrix is not invertible", "antipode")
         antipode = rows
 
@@ -436,6 +524,8 @@ def load_json_file(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode", 1, 1)
 
 
 def dump_json(doc):

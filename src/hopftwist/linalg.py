@@ -1,20 +1,21 @@
-"""Exact dense linear algebra.  Matrices are lists of row lists.
+"""Exact dense linear algebra over the rationals.  Matrices are lists of
+row lists of int or Fraction entries.
 
-Rational entries (int or Fraction) go through one fraction-free integer
-elimination, the body of rank, solve and inverse, after FLINT's
-fmpz_mat_rref (https://flintlib.org/doc/fmpz_mat.html): each row is
-cleared of its denominators once; a row is combined with the pivot row as
-a*r_i - b*r_p, where (a, b) is the pivot pair divided by its gcd; and each
-new row is divided by its content.  Each column takes as pivot the first
-nonzero row at or below the current one, as rref does.  solve and inverse
-run Gauss-Jordan and build a Fraction only in the solution.  The reduced row
-echelon form is unique, so the pivots, the solution (free variables set to
-zero) and the inverse equal those of rref.
+rank, solve and inverse run one fraction-free integer Gauss-Jordan
+elimination, after the reduced row echelon form of FLINT's fmpz_mat
+(https://flintlib.org/doc/fmpz_mat.html): each row is cleared of its
+denominators once; a row is combined with the pivot row as a*r_i - b*r_p,
+where (a, b) is the pivot pair divided by its gcd; and each new row is
+divided by its content.  Each column takes as pivot the first
+nonzero row at or below the current one.  solve and inverse build a
+Fraction only in the solution.  The reduced row echelon form is unique, so
+the pivots, the solution (free variables set to zero) and the inverse are
+those of any exact Gauss-Jordan elimination.
 
-rref stays for entries that are not rational: Cyclotomic or Series values,
-as in io_json's antipode check and the inverse of a tensor over a
-cyclotomic host.  Its entries only need +, -, *, /, bool, and it divides by
-pivots only.  Nothing here touches floats.
+A system over a cyclotomic field Q(z_N) comes here as its rational
+expansion, each entry a phi(N) x phi(N) block of multiplication
+(scalars.expansion), through scalars.field_rank and field_solve.  Nothing
+here touches floats.
 """
 
 from fractions import Fraction
@@ -23,44 +24,13 @@ from math import gcd, lcm
 _RATIONAL = (int, Fraction)
 
 
-def identity(n, one=None, zero=None):
-    one = Fraction(1) if one is None else one
-    zero = Fraction(0) if zero is None else zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
 def _integer_rows(mat):
     """Each row of a rational matrix times the lcm of its denominators, as
-    int lists; None when some entry is not rational."""
+    int lists; TypeError on an entry that is not an int or a Fraction."""
     out = []
     for row in mat:
         if not all(isinstance(x, _RATIONAL) for x in row):
-            return None
+            raise TypeError("linalg takes int or Fraction entries only")
         den = lcm(*[x.denominator for x in row])
         out.append([x.numerator * (den // x.denominator) for x in row])
     return out
@@ -103,30 +73,7 @@ def _gauss_jordan(m, cols):
 def rank(mat):
     if not mat:
         return 0
-    m = _integer_rows(mat)
-    if m is None:
-        return len(rref(mat)[1])
-    # forward elimination only: a pivot row leaves the set once it has
-    # cleared its column from the rows still in it
-    m = [row for row in m if any(row)]
-    rk = 0
-    for c in range(len(mat[0])):
-        piv = next((i for i, row in enumerate(m) if row[c]), None)
-        if piv is None:
-            continue
-        prow = m.pop(piv)
-        rk += 1
-        rest = []
-        for row in m:
-            if row[c]:
-                row = _combine(row, prow, c)
-                if not any(row):
-                    continue
-            rest.append(row)
-        m = rest
-        if not m:
-            break
-    return rk
+    return len(_gauss_jordan(_integer_rows(mat), len(mat[0])))
 
 
 def solve(mat, rhs):
@@ -134,18 +81,8 @@ def solve(mat, rhs):
 
     Works for rectangular systems; free variables are set to zero.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [mat[i] + [rhs[i]] for i in range(rows)]
-    m = _integer_rows(aug)
-    if m is None:
-        red, pivots = rref(aug)
-        if cols in pivots:
-            return None
-        x = [Fraction(0)] * cols
-        for r, c in enumerate(pivots):
-            x[c] = red[r][cols]
-        return x
+    cols = len(mat[0]) if mat else 0
+    m = _integer_rows([row + [b] for row, b in zip(mat, rhs)])
     pivots = _gauss_jordan(m, cols + 1)
     if cols in pivots:
         return None
@@ -158,13 +95,7 @@ def solve(mat, rhs):
 def inverse(mat):
     """Matrix inverse, or None if singular."""
     n = len(mat)
-    aug = [row + unit for row, unit in zip(mat, identity(n))]
-    m = _integer_rows(aug)
-    if m is None:
-        red, pivots = rref(aug)
-        if pivots != list(range(n)):
-            return None
-        return [row[n:] for row in red]
+    m = _integer_rows([row + [int(i == r) for i in range(n)] for r, row in enumerate(mat)])
     if _gauss_jordan(m, n) != list(range(n)):
         return None
     return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]

@@ -22,10 +22,11 @@ canonical pair of integer numerators over one denominator.  Every operation
 multiplies pieces and returns pieces, so a chain of products never leaves
 the integers.  A product over a host whose cells all lie at phase 0 (every
 group algebra, its twists by a rational cocycle, and the dual hosts), and
-every leg operation (leg_embed, coproduct_leg, counit_leg), is one
-scalars.piece_product: the pairs of phases are grouped by the phase they
-land on, and all the pairs of one output phase are summed into one integer
-accumulator over the lcm of their denominators, then settled once.  The
+every leg map (coproduct_leg, counit_leg, and leg_embed, one leg map per
+unit leg it inserts), is one scalars.piece_product: the pairs of phases
+are grouped by the phase they land on, and all the pairs of one output
+phase are summed into one integer accumulator over the lcm of their
+denominators, then settled once.  The
 kernel that multiplies one pair is key intersection on a pointwise host
 with unit coefficients (a dual host), tensor_convolve against the integer
 table otherwise (over the operand denominators times D**arity), or the
@@ -54,10 +55,11 @@ per output key when the pairs it sums have at least dim**arity term
 products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
 cochains; its nonzero cells become the product's piece.
 
-An exact tensor inverse solves the left regular representation: at N = 1
-(tensor_invert, _invert_exact) the columns go to linalg.solve as their
-integer numerators, each over its own denominator; at N > 1 the solve
-takes linalg's rref over Cyclotomic values.
+An exact tensor inverse (tensor_invert, _invert_exact) is one integer
+solve of the left regular representation at every conductor N: each
+unknown is a coordinate of the inverse on a key and a power of z_N, and
+each column is over its own denominator.  No step does Cyclotomic
+arithmetic.
 
 verify_algebra is the one algebra axiom battery: unit laws, associativity
 or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
@@ -99,11 +101,11 @@ from .reporting import CheckOutcome
 from .scalars import (
     ScalarRing,
     _RATIONAL,
-    _ZERO_ROW,
     _accumulator,
     _nonzero,
     _numerators,
     _row,
+    _phi_deg,
     _settle,
     phase_pieces,
     phase_rows,
@@ -570,6 +572,7 @@ class _MulOps:
         self._rational = 0
         self._rows = {}
         self._units = {}
+        self._unit_cells = {}
         self._pw = 0
 
     def basis_mul(self, i, j):
@@ -636,6 +639,33 @@ class _MulOps:
                 got = lower.leg_embed(range(arity - 1), arity)._phases()
             self._units[arity] = got
         return got
+
+    def unit_cells(self, first):
+        """The leg cells (see _leg_cells) that put the unit beside a leg,
+        made once for each side: digit d becomes 1 (x) d when first, else
+        d (x) 1."""
+        got = self._unit_cells.get(first)
+        if got is None:
+            dim = self.dim
+            got = self._unit_cells[first] = self._leg_cells({
+                (d, k * dim + d if first else d * dim + k): u
+                for d in range(dim)
+                for k, u in self.elem_unit().items()
+            })
+        return got
+
+    def _leg_cells(self, flat):
+        """(pieces, N): the phase pieces of {(basis index i, code): value}
+        at one conductor N, (cells, D) per phase, cells[i] the (code,
+        numerator) pairs of i over the denominator D."""
+        pieces, N = phase_pieces(flat)
+        out = {}
+        for p, (nums, den) in pieces.items():
+            cells = [[] for _ in range(self.dim)]
+            for (i, code), n in nums.items():
+                cells[i].append((code, n))
+            out[p] = (cells, den)
+        return out, N
 
     def elem_unit(self):
         return {k: v for k, v in enumerate(self.unit) if v}
@@ -773,19 +803,6 @@ class HopfPresentation(_MulOps):
             )
         return self._counit_pieces
 
-    def _leg_cells(self, flat):
-        """(pieces, N): the phase pieces of {(basis index i, code): value}
-        at one conductor N, (cells, D) per phase, cells[i] the (code,
-        numerator) pairs of i over the denominator D."""
-        pieces, N = phase_pieces(flat)
-        out = {}
-        for p, (nums, den) in pieces.items():
-            cells = [[] for _ in range(self.dim)]
-            for (i, code), n in nums.items():
-                cells[i].append((code, n))
-            out[p] = (cells, den)
-        return out, N
-
     def elem_coproduct(self, u):
         """Coproduct of a sparse vector as a sparse rank-2 dict {(j,k): c}."""
         return dict(LegTensor.from_element(self, u).coproduct_leg(0).entries())
@@ -876,9 +893,8 @@ class LegTensor:
     empty phase, N = 1 when every value is rational.  data, {key: value},
     is a view made on its first read, phase by phase; a tensor built from a
     dict keeps it as that view and makes its pieces on its first operation.
-    Every product runs on integers (see mul).  The one path left on values
-    is an exact inverse at N > 1, which solves through linalg's rref
-    (_invert_exact).
+    Every product, leg map and exact inverse runs on integers (see mul,
+    _leg_map and _invert_exact).
     """
 
     __slots__ = ("host", "arity", "_data", "_rows", "_n")
@@ -1107,6 +1123,11 @@ class LegTensor:
     # -- leg calculus
 
     def leg_embed(self, positions, arity_out):
+        """The tensor of arity_out with this tensor's legs at positions and
+        the unit on every other leg: one _leg_map per missing leg p, in
+        increasing order, over the host's unit cells (digit d of leg p - 1
+        becomes d (x) 1, or for p = 0 digit d of leg 0 becomes 1 (x) d).
+        An arity-0 tensor is a scalar, and gives the unit scaled by it."""
         positions = tuple(positions)
         if len(positions) != self.arity:
             raise BadPositions(
@@ -1119,37 +1140,13 @@ class LegTensor:
         if positions and (positions[0] < 0 or positions[-1] >= arity_out):
             raise BadPositions("positions out of range")
         host = self.host
-        dim = host.dim
-        strides = [dim ** (arity_out - 1 - p) for p in range(arity_out)]
-        missing = [p for p in range(arity_out) if p not in positions]
-        kept = [strides[p] for p in reversed(positions)]
-        # the unit on the missing legs: (key offset, numerator) per phase
-        units, M = host.unit_rows(len(missing))
-        fills = {}
-        for p, (nums, den) in units.items():
-            cells = []
-            for fill, w in nums.items():
-                off = 0
-                for q in reversed(missing):
-                    fill, d = divmod(fill, dim)
-                    off += d * strides[q]
-                cells.append((off, w))
-            fills[p] = (cells, den)
-
-        def kernel(a, cells, acc, f):
-            # distinct (key, fill) pairs give distinct keys: nothing merges
-            # within one pair of phases
-            out = {}
-            for key, c in a.items():
-                base = 0
-                for st in kept:
-                    key, d = divmod(key, dim)
-                    base += d * st
-                for off, w in cells:
-                    out[base + off] = c * w
-            return out if acc is None else _fold(acc, out.keys(), out.values(), f)
-
-        return self._product(fills, M, kernel, arity_out)
+        if not self.arity:
+            return LegTensor.unit(host, arity_out)._product(*self._phases(), _scaled, arity_out)
+        t = self
+        for p in range(arity_out):
+            if p not in positions:
+                t = t._leg_map(max(p - 1, 0), host.unit_cells(p == 0), 2)
+        return t
 
     def coproduct_leg(self, leg):
         return self._leg_map(leg, self.host.coproduct_pieces(), 2)
@@ -1240,6 +1237,13 @@ def tensor_invert(t):
 
 
 def _invert_exact(t, unit):
+    """The two-sided inverse of t over an exact ring, by one rational solve
+    of the left regular representation.  The columns t * b_j and the unit
+    are flat rows at L, the lcm of their conductors.  The unknowns are the
+    coordinates x_(j,f) of the inverse's value at key j on z_L^f, f <
+    phi(L); z_L is central, so the column of x_(j,f) is the column t * b_j
+    with its exponents shifted by f and reduced below phi(L), over that
+    column's denominator.  At L = 1 this is the one column per key."""
     host = t.host
     arity = t.arity
     D = host.dim ** arity
@@ -1248,25 +1252,30 @@ def _invert_exact(t, unit):
         for j in range(D)
     ]
     phases = [c._phases() for c in cols + [unit]]
-    if all(N == 1 for _rows, N in phases):
-        # column j is nums_j / den_j and the unit u / du: solve
-        # sum_j nums_j z_j = u in integers, then x_j = z_j * den_j / du
-        nums, dens = zip(*[rows.get((0, 0, 0), _ZERO_ROW) for rows, _N in phases])
-        mat = [[n.get(i, 0) for n in nums[:D]] for i in range(D)]
-        sol = linalg.solve(mat, [nums[D].get(i, 0) for i in range(D)])
-        if sol is not None:
-            sol = [z * Fraction(d, dens[D]) for z, d in zip(sol, dens)]
-    else:
-        # cyclotomic values: the solve takes linalg's rref
-        values = [piece_values(rows, None, N) for rows, N in phases]
-        zero = host.ring.zero()
-        mat = [[c.get(i, zero) for c in values[:D]] for i in range(D)]
-        sol = linalg.solve(mat, [values[D].get(i, zero) for i in range(D)])
+    L = lcm(*[N for _rows, N in phases])
+    phi = _phi_deg(L)
+    rows = [pieces_row(pieces, N, L) for pieces, N in phases]
+    size = D * phi
+    mat = [[0] * size for _ in range(size)]
+    for j, (nums, _den) in enumerate(rows[:D]):
+        for f in range(phi):
+            shifted = {(k, v, tau, (e + f) % L): n for (k, v, tau, e), n in nums.items()}
+            for (k, _v, _t, e), n in reduced_row(shifted, L).items():
+                mat[k * phi + e][j * phi + f] = n
+    unit_nums, unit_den = rows[D]
+    rhs = [0] * size
+    for (k, _v, _t, e), n in unit_nums.items():
+        rhs[k * phi + e] = n
+    sol = linalg.solve(mat, rhs)
     if sol is None:
         raise NotInvertible("tensor has no inverse")
-    inv = LegTensor(
-        host, arity, {i: v for i, v in enumerate(sol) if v}, _checked=True
-    )
+    # x_(j,f) = z_(j,f) * den_j / unit_den, on the phase (0, 0, f)
+    flat = {}
+    for c, z in enumerate(sol):
+        if z:
+            j, f = divmod(c, phi)
+            flat[j, 0, 0, f] = z * Fraction(rows[j][1], unit_den)
+    inv = LegTensor._of_rows(host, arity, *row_pieces(_numerators(flat), L))
     if not t.mul(inv).eq(unit) or not inv.mul(t).eq(unit):
         raise NotInvertible("one-sided inverse only")
     return inv
@@ -1711,10 +1720,8 @@ class _Battery(_AlgebraBattery):
     host, None where it leaves the window.  The coproduct and the counit
     act on rows through phase_map over their cells, products in host (x)
     host through phase_convolve; the antipode acts through
-    host.apply_antipode on values.  No check multiplies values: the one
-    value-level path left in this module is an exact tensor inverse at
-    N > 1, through rref (_invert_exact).  One method <id>_check per check
-    id."""
+    host.apply_antipode on values.  No check multiplies values.  One
+    method <id>_check per check id."""
 
     def __init__(self, host):
         super().__init__(host)

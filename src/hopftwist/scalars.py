@@ -374,17 +374,7 @@ class Cyclotomic:
             return root_of_unity(-self.root, self.conductor)
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.coords[0])
-        n = self.conductor
-        phi = _phi_deg(n)
-        cols = []
-        for j in range(phi):
-            shifted = _reduce(n, {e + j: v for e, v in self.coords.items()})
-            cols.append(shifted)
-        mat = [[cols[j].get(i, 0) for j in range(phi)] for i in range(phi)]
-        sol = linalg.solve(mat, [1] + [0] * (phi - 1))
-        return Cyclotomic(
-            n, {j: v for j, v in enumerate(sol) if v}, _reduced=True
-        )
+        return field_solve([[self]], [1])[0]
 
     def __truediv__(self, other):
         o = Cyclotomic._coerce(other)
@@ -437,6 +427,58 @@ def root_of_unity(p, q):
         r = _ROOTS[e, q] = Cyclotomic(q, {e: Fraction(1)})
         r.root = e
     return r
+
+
+# ---------------------------------------------------------------------------
+# linear systems over Q(z_N)
+
+
+def expansion(mat):
+    """(rows, N) for a matrix of int, Fraction and Cyclotomic entries, N the
+    lcm of their conductors: the rational matrix in which entry (i, j) is the
+    phi(N) x phi(N) block of multiplication by it on the reduced basis, at
+    rows i*phi + r and columns j*phi + s, the coordinate at z_N^r of the
+    entry times z_N^s.  Column j*phi + s thus acts on the coordinate at
+    z_N^s of unknown j, and the rank is phi(N) times the rank over Q(z_N).
+    A rational matrix comes back as it is, with N = 1."""
+    if all(isinstance(x, _RATIONAL) for row in mat for x in row):
+        return mat, 1
+    values = [[Cyclotomic._coerce(x) for x in row] for row in mat]
+    N = lcm(*[x.conductor for row in values for x in row])
+    phi = _phi_deg(N)
+    rows = []
+    for row in values:
+        cols = [
+            _reduce(N, {e + s: v for e, v in x._embedded(N).items()})
+            for x in row
+            for s in range(phi)
+        ]
+        rows.extend([col.get(r, 0) for col in cols] for r in range(phi))
+    return rows, N
+
+
+def field_rank(mat):
+    """Rank over Q(z_N) of a matrix of rational and Cyclotomic entries: the
+    integer rank of its expansion over phi(N)."""
+    rows, N = expansion(mat)
+    return linalg.rank(rows) // _phi_deg(N)
+
+
+def field_solve(mat, rhs):
+    """A solution x of mat x = rhs over Q(z_N), free coordinates zero, or
+    None if the system is inconsistent: one rational solve of the expansion.
+    The entries of x are Fractions when every entry of mat and rhs is
+    rational, and Cyclotomic values at N otherwise."""
+    aug, N = expansion([row + [b] for row, b in zip(mat, rhs)])
+    phi = _phi_deg(N)
+    cols = len(aug[0]) - phi
+    x = linalg.solve([row[:cols] for row in aug], [row[cols] for row in aug])
+    if x is None or N == 1:
+        return x
+    return [
+        Cyclotomic(N, {s: v for s, v in enumerate(x[j : j + phi]) if v}, _reduced=True)
+        for j in range(0, cols, phi)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -93,19 +93,23 @@ def test_verify_theta_conductor_above_cap_exit_two(theta, capsys):
     assert err.startswith("error:") and "above the cap of 1000" in err
 
 
-def _verify_theta(theta):
-    """One CLI process running verify sharp-map with theta, on the imported
+def _cli(*args):
+    """One CLI process running hopftwist with args, on the imported
     package."""
     src = os.path.dirname(os.path.dirname(suites.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-m", "hopftwist.cli", "verify", "sharp-map", "--theta", theta],
+        [sys.executable, "-m", "hopftwist.cli", *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def _verify_theta(theta):
+    return _cli("verify", "sharp-map", "--theta", theta)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +238,71 @@ def test_describe_antipode_dividing_by_zero_exit_two(tmp_path, capsys):
     assert main(["describe", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "division by zero" in err
+
+
+def test_describe_costly_antipode_expansion_exit_two(tmp_path):
+    # kS3's antipode is a permutation matrix; z(997,1) beside the unit's 1
+    # joins two rows into one part over Q(z_997), too costly to expand
+    path = resources.files("hopftwist").joinpath("data/ks3_hopf.json")
+    doc = json.loads(path.read_text())
+    doc["antipode"][0][1] = "z(997,1)"
+    p = tmp_path / "root_antipode.json"
+    p.write_text(json.dumps(doc))
+    started = time.monotonic()
+    done = _cli("describe", str(p))
+    elapsed = time.monotonic() - started
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "antipode check too costly" in done.stderr
+    assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize(
+    "theta",
+    ["(" * 200 + "h" + ")" * 200, "-" * 5000 + "h"],
+    ids=["200-parentheses", "5000-unary-minus"],
+)
+def test_verify_theta_nested_too_deeply_exit_two(theta):
+    started = time.monotonic()
+    done = _cli("verify", "sharp-map", "--theta=" + theta)
+    elapsed = time.monotonic() - started
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "nesting deeper than 150" in done.stderr
+    assert "column 151" in done.stderr
+    assert elapsed < 1, elapsed
+
+
+def test_verify_theta_nested_150_deep_runs():
+    done = _verify_theta("(" * 150 + "h" + ")" * 150)
+    assert done.returncode == 0, done.stderr
+
+
+def test_describe_deeply_nested_json_exit_two(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    started = time.monotonic()
+    done = _cli("describe", str(p))
+    elapsed = time.monotonic() - started
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "nested too deeply" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize("where", ["mult", "antipode"])
+def test_describe_tau_in_an_exact_ring_exit_two(where, tmp_path, capsys):
+    path = resources.files("hopftwist").joinpath("data/ks3_hopf.json")
+    doc = json.loads(path.read_text())
+    doc["scalar"]["hbar_order"] = None
+    if where == "mult":
+        doc["mult"]["1,1"] = [[0, "tau"]]
+    else:
+        doc["antipode"][0][0] = "tau"
+    p = tmp_path / "tau.json"
+    p.write_text(json.dumps(doc))
+    assert main(["describe", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "power of tau in an exact ring" in err
+    assert "field: %s" % where in err
 
 
 def test_describe_unrecognized_shape_exit_two(tmp_path, capsys):

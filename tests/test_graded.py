@@ -31,7 +31,7 @@ from hopftwist.graded import (
     window_products_report,
 )
 from hopftwist.multilinear import AlgebraPresentation, verify_algebra
-from hopftwist.scalars import ScalarRing
+from hopftwist.scalars import Cyclotomic, ScalarRing, root_of_unity
 
 BATTERY = battery()
 WINDOWS = window_battery()
@@ -108,6 +108,66 @@ def test_resolution_validates_pairs():
 def test_resolution_none_for_empty_component():
     _, ga, _ = WINDOWS[1]  # poly window, no negative degrees
     assert resolution_of_unity(ga, -1) is None
+
+
+def _cyclotomic_graded(doc_mult, dim, group, degree):
+    from hopftwist.io_json import graded_from_dict, group_to_dict
+
+    return graded_from_dict(
+        {
+            "dim": dim,
+            "basis": ["u%d" % i for i in range(dim)],
+            "unit": ["1"] + ["0"] * (dim - 1),
+            "mult": doc_mult,
+            "grading": {"group": group_to_dict(group)},
+            "degree": degree,
+        }
+    )
+
+
+def _twisted_z3xz3():
+    # k^alpha[Z3 x Z3], u_(a,b) u_(c,d) = z3^(b*c) u_(a+c, b+d), graded by
+    # the group itself; basis index a*3 + b is the group's own index
+    from hopftwist.constructors import direct_product
+
+    mult = {}
+    for a, b, c, d in product(range(3), repeat=4):
+        coeff = "z(3,%d)" % (b * c % 3) if b * c % 3 else "1"
+        mult["%d,%d" % (a * 3 + b, c * 3 + d)] = [[(a + c) % 3 * 3 + (b + d) % 3, coeff]]
+    G = direct_product(cyclic_group(3), cyclic_group(3))
+    return _cyclotomic_graded(mult, 9, G, list(range(9)))
+
+
+def test_cyclotomic_twisted_group_algebra_is_strong():
+    # every u_g of a twisted group algebra is a unit, so the grading is
+    # strong and the canonical map bijective; A_(g^-1) and A_g are lines,
+    # so the resolution of unity is u_(g^-1) u_g scaled by
+    # alpha(g^-1, g)^-1 = z3^(a*b)
+    ga = _twisted_z3xz3()
+    assert isinstance(ga.algebra.basis_mul(1, 3)[4], Cyclotomic)
+    assert strong_grading(ga).strong
+    cm = canonical_map(ga)
+    assert (cm.dim_source, cm.dim_target, cm.rank, cm.bijective) == (81, 81, 81, True)
+    for a, b in product(range(3), repeat=2):
+        g, ginv = a * 3 + b, (-a % 3) * 3 + (-b % 3)
+        res = resolution_of_unity(ga, g)
+        assert len(res) == 1
+        xi, eta = res.pairs[0]
+        assert xi == {ginv: root_of_unity(a * b, 3)} and eta == {g: 1}
+        assert all(c.ok for c in smeb_check(ga, g))
+    assert ideal_property_report(ga).ok
+
+
+def test_cyclotomic_truncated_polynomial_is_not_strong():
+    # k[x]/(x^3), x * x = z3 x^2, graded by Z3: x is nilpotent, so no
+    # degree-1 element has an inverse and the grading is not strong
+    mult = {"0,0": [[0, "1"]], "0,1": [[1, "1"]], "1,0": [[1, "1"]],
+            "0,2": [[2, "1"]], "2,0": [[2, "1"]], "1,1": [[2, "z(3,1)"]]}
+    ga = _cyclotomic_graded(mult, 3, cyclic_group(3), [0, 1, 2])
+    res = strong_grading(ga)
+    assert not res.strong and res.failing == 1
+    assert not canonical_map(ga).bijective
+    assert not all(c.ok for c in smeb_check(ga, 1))
 
 
 def test_canonical_map_dimensions_for_group_algebra():

@@ -161,6 +161,35 @@ def test_parse_error_positions():
         parse("1 + #")
 
 
+@pytest.mark.parametrize(
+    "text,column",
+    [
+        ("(" * 151 + "1" + ")" * 151, 151),
+        ("-" * 151 + "1", 151),
+        ("-(" * 75 + "-1" + ")" * 75, 151),
+        ("2^" + "(" * 151 + "1" + ")" * 151, 153),
+        ("2^" + "-" * 151 + "1", 153),
+    ],
+    ids=["parentheses", "unary-minus", "mixed", "exponent-parentheses", "exponent-minus"],
+)
+def test_nesting_past_the_cap_is_an_error_at_the_opening_token(text, column):
+    for parser in (parse, hbar_valuation_bound):
+        with pytest.raises(ParseError, match="nesting deeper than 150 levels") as e:
+            parser(text)
+        assert e.value.line == 1 and e.value.column == column
+
+
+def test_nesting_up_to_the_cap_parses():
+    assert parse("(" * 150 + "h" + ")" * 150, hbar_order=1) == Series.hbar(1)
+    assert parse("-" * 150 + "1") == 1
+    assert parse("2^" + "(" * 75 + "-" * 75 + "3" + ")" * 75) == Fraction(1, 8)
+    # levels are left again: sibling groups do not add up
+    deep = "(" * 150 + "1" + ")" * 150
+    assert parse("+".join([deep] * 3)) == 3
+    assert parse("-" + "(" * 149 + "1" + ")" * 149 + "*" + "-" * 150 + "1") == -1
+    assert hbar_valuation_bound("*".join(["(" * 150 + "h" + ")" * 150] * 2)) == 2
+
+
 def test_render_basics():
     assert render(Fraction(-3, 4)) == "-3/4"
     assert render(Fraction(0)) == "0"

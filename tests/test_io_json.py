@@ -93,6 +93,104 @@ def test_noninvertible_antipode_rejected():
     assert err.value.field == "antipode"
 
 
+def _z2_doc(hbar_order=None):
+    doc = io.presentation_to_dict(group_algebra(cyclic_group(2)))
+    doc["scalar"]["hbar_order"] = hbar_order
+    return doc
+
+
+def _with_antipode(antipode, hbar_order):
+    if antipode is None:
+        return io.presentation_to_dict(taft(3))
+    doc = io.presentation_to_dict(group_algebra(cyclic_group(len(antipode))))
+    doc["scalar"]["hbar_order"] = hbar_order
+    doc["antipode"] = antipode
+    return doc
+
+
+# (antipode, hbar_order, accepted) over k[Z_n]; None stands for taft3's own
+# antipode.  The rule is "nonzero at tau = 1": 1 + tau is no unit of the
+# Laurent series ring but passes, tau - 1 is not zero at tau = 2*pi*i but
+# fails.
+_ANTIPODES = [
+    ([["h", "1"], ["1", "0"]], 2, True),
+    ([["1+tau", "1"], ["tau", "1"]], 2, True),
+    ([["tau", "0"], ["0", "tau^-1"]], 2, True),
+    ([["1+h", "h"], ["0", "1"]], 2, True),
+    ([["1+tau"]], 1, True),
+    (None, None, True),
+    ([["1+h", "1+h"], ["1", "1"]], 2, False),
+    ([["h", "1+h"], ["0", "h"]], 2, False),
+    ([["z(3,1)", "1"], ["z(3,2)", "z(3,1)"]], None, False),
+    ([["tau", "tau"], ["1", "1"]], 2, False),
+    ([["1", "1"], ["1", "1"]], None, False),
+    ([["tau-1"]], 1, False),
+    ([["z(997,1)", "0"], ["0", "1"]], None, True),
+    ([["0", "z(997,5)"], ["1+z(997,1)", "0"]], 2, True),
+    ([["0", "z(997,5)"], ["0", "1"]], 2, False),
+]
+
+
+@pytest.mark.parametrize("antipode,hbar_order,accepted", _ANTIPODES)
+def test_antipode_invertibility_decisions(antipode, hbar_order, accepted):
+    # decided on the h^0 part with tau set to 1, over the blocks of Q(z_N)
+    doc = _with_antipode(antipode, hbar_order)
+    if accepted:
+        assert io.presentation_from_dict(doc).antipode is not None
+        return
+    with pytest.raises(SchemaError, match="not invertible") as err:
+        io.presentation_from_dict(doc)
+    assert err.value.field == "antipode"
+
+
+def test_antipode_expansion_above_the_cap_is_a_schema_error():
+    # a connected 2 x 2 part over Q(z_997) expands to 1992 rational rows,
+    # estimated at 1992^3 units: refused before the expansion is built
+    ap = [["z(997,1)", "1", "0", "0"], ["1", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    doc = _with_antipode(ap, None)
+    with pytest.raises(SchemaError, match="antipode check too costly") as err:
+        io.presentation_from_dict(doc)
+    assert err.value.field == "antipode"
+    # at conductor 3 the same pattern is decided: det = z3 - 1 != 0
+    ap[0][0] = "z(3,1)"
+    assert io.presentation_from_dict(_with_antipode(ap, None)).antipode is not None
+
+
+@pytest.mark.parametrize(
+    "field,mutate",
+    [
+        ("mult", lambda d: d["mult"].__setitem__("1,1", [[0, "tau"]])),
+        ("antipode", lambda d: d.__setitem__("antipode", [["tau", "0"], ["0", "1"]])),
+        ("unit", lambda d: d.__setitem__("unit", ["2*tau^-1", "0"])),
+    ],
+)
+def test_tau_power_in_an_exact_ring_names_its_field(field, mutate):
+    doc = _z2_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError, match="power of tau in an exact ring") as err:
+        io.presentation_from_dict(doc)
+    assert err.value.field == field
+
+
+def test_tau_power_in_exact_tensor_entries_names_its_field():
+    host = group_algebra(cyclic_group(2))
+    doc = io.leg_tensor_to_dict(LegTensor(host, 1, {(0,): Fraction(1)}))
+    doc["entries"] = {"1": "1+tau"}
+    with pytest.raises(SchemaError, match="power of tau") as err:
+        io.leg_tensor_from_dict(doc)
+    assert err.value.field == "entries"
+
+
+def test_tau_to_the_zero_in_an_exact_ring_is_its_coefficient():
+    doc = _z2_doc()
+    doc["unit"] = ["tau^0", "(1+tau)-tau-1"]
+    doc["mult"]["0,0"] = [[0, "3*tau*tau^-1/3"]]
+    pres = io.presentation_from_dict(doc)
+    assert pres.unit == [1, 0]
+    assert all(type(v) is Fraction for v in pres.unit)
+    assert pres.mult[(0, 0)] == {0: 1}
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [

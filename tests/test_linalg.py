@@ -1,5 +1,5 @@
 """linalg against sympy: rank, solve and inverse on random rational
-matrices, and the rational callers kept off the generic rref path."""
+matrices; cyclotomic systems as their rational block expansion."""
 
 from fractions import Fraction
 
@@ -12,7 +12,7 @@ from hopftwist import constructors as con
 from hopftwist import linalg
 from hopftwist.hopf_cochain import HopfCochain
 from hopftwist.multilinear import LegTensor
-from hopftwist.scalars import root_of_unity
+from hopftwist.scalars import Cyclotomic, expansion, field_rank, field_solve, root_of_unity
 from hopftwist.suites import run_suite
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -108,24 +108,30 @@ def test_int_entries_give_fractions():
     assert all(type(v) is Fraction for row in linalg.inverse([[2]]) for v in row)
 
 
-def test_cyclotomic_entries_take_the_generic_path():
+def test_cyclotomic_entries_solve_through_blocks():
+    # linalg takes rational entries only; a system over Q(i) is solved as
+    # its rational expansion into multiplication blocks (scalars.expansion)
     i = root_of_unity(1, 4)
     mat = [[i, Fraction(1)], [Fraction(1), i]]
     rhs = [Fraction(1), Fraction(0)]
-    x = linalg.solve(mat, rhs)
+    with pytest.raises(TypeError):
+        linalg.solve(mat, rhs)
+    with pytest.raises(TypeError):
+        linalg.rank(mat)
+    with pytest.raises(TypeError):
+        linalg.inverse(mat)
+
+    rows, N = expansion(mat)
+    assert N == 4 and rows == [[0, -1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0]]
+    x = field_solve(mat, rhs)
     assert [sum(a * b for a, b in zip(row, x)) for row in mat] == rhs
-    assert linalg.rank([[i, Fraction(1)], [Fraction(-1), i]]) == 1
-    inv = linalg.inverse(mat)
-    prod = [[sum(mat[r][k] * inv[k][c] for k in range(2)) for c in range(2)] for r in range(2)]
-    assert prod == [[1, 0], [0, 1]]
+    assert linalg.rank(rows) == 4 and field_rank(mat) == 2
+    # [[i, 1], [-1, i]] has rank 1 over Q(i), 2 = 1 * phi(4) over Q
+    assert field_rank([[i, Fraction(1)], [Fraction(-1), i]]) == 1
+    assert linalg.rank(expansion([[i, Fraction(1)], [Fraction(-1), i]])[0]) == 2
 
 
-def _no_rref(mat):
-    raise AssertionError("rational entries reached linalg.rref")
-
-
-def test_rational_callers_never_reach_rref(monkeypatch):
-    monkeypatch.setattr(linalg, "rref", _no_rref)
+def test_rational_callers_never_reach_rref():
     assert run_suite("graded-galois").ok
     H = con.group_algebra(con.pauli_8())
     for arity, keys in ((1, range(8)), (2, range(0, 64, 3))):
@@ -138,11 +144,21 @@ def test_rational_callers_never_reach_rref(monkeypatch):
     assert q * q.inverse() == 1
 
 
-def test_cyclotomic_host_inversion_still_reaches_rref(monkeypatch):
-    # the guard above can fail: a cyclotomic host's inverse still solves
-    # through rref
-    monkeypatch.setattr(linalg, "rref", _no_rref)
+def _no_value_arithmetic(*args):
+    raise AssertionError("Cyclotomic arithmetic in an exact inverse")
+
+
+def test_cyclotomic_host_inversion_is_integer(monkeypatch):
+    # the inverse over Q(i) is one integer solve on the blocks' coordinates:
+    # no Cyclotomic product, quotient or inverse
     H = con.group_algebra(con.cyclic_group(2))
     i = root_of_unity(1, 4)
-    with pytest.raises(AssertionError, match="reached linalg.rref"):
-        HopfCochain(H, 1, LegTensor(H, 1, {0: 2 * i, 1: Fraction(1)}))
+    value = LegTensor(H, 1, {0: 2 * i, 1: Fraction(1)})
+    for name in ("__mul__", "__truediv__", "inverse"):
+        monkeypatch.setattr(Cyclotomic, name, _no_value_arithmetic)
+    F = HopfCochain(H, 1, value)
+    unit = LegTensor.unit(H, 1)
+    assert F.value.mul(F.inverse).eq(unit) and F.inverse.mul(F.value).eq(unit)
+    monkeypatch.undo()
+    # (2i + g)^-1 = (2i - g) / ((2i)^2 - 1)
+    assert F.inverse.data == {0: Fraction(-2, 5) * i, 1: Fraction(1, 5)}
