@@ -53,6 +53,11 @@ class NotInvertible(HopftwistError):
     pass
 
 
+class InverseTooCostly(HopftwistError):
+    """An exact tensor inverse whose estimated work passes the cap
+    (multilinear._MAX_INVERSE_WORK); refused before it is solved."""
+
+
 class NotPrimitiveRoot(HopftwistError):
     pass
 

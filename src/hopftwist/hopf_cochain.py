@@ -261,7 +261,8 @@ def _twisted_module_algebra(module, F):
 
 
 def _conjugated_host(host, F):
-    """Same algebra, coproduct replaced by F Delta(.) F^-1, no antipode."""
+    """Same algebra, coproduct replaced by F Delta(.) F^-1, no antipode;
+    the product side, with its tables and caches, is host's own."""
     cop = {}
     for i in range(host.dim):
         cell = host.basis_coproduct(i)
@@ -270,7 +271,7 @@ def _conjugated_host(host, F):
         di = LegTensor(host, 2, dict(cell))
         ti = F.value.mul(di).mul(F.inverse)
         cop[i] = {jk: v for jk, v in ti.entries()}
-    return HopfPresentation(
+    twisted = HopfPresentation(
         host.dim,
         host.labels,
         host.ring,
@@ -283,6 +284,8 @@ def _conjugated_host(host, F):
         cocommutative=False,
         name=host.name + "-twist",
     )
+    twisted.share_product(host)
+    return twisted
 
 
 def twist(host, F, module=None):

@@ -55,6 +55,18 @@ per output key when the pairs it sums have at least dim**arity term
 products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
 cochains; its nonzero cells become the product's piece.
 
+A dense product of integer tensors over a group table whose group is in
+group_fourier's catalogue (Z2^k, S3, D4, Q8) runs through the exact group
+Fourier transform instead: leg by leg into the rational Wedderburn blocks,
+one block product, back, and one exact division by |G|**arity.  The table
+derives its plan once, checks it, and keeps it in its plan slot (None for
+any other group); the plan takes a product with more than
+plan.switch(arity) key pairs, a measured switch past its break-even against
+the pair loop.  group_fourier is imported on the first product with more
+than _SWITCH * dim**arity pairs, so a process whose products are all
+sparser never compiles it.  Every other table, and every sparser product,
+keeps the pair loop.
+
 An exact tensor inverse (tensor_invert, _invert_exact) is one integer
 solve of the left regular representation at every conductor N: each
 unknown is a coordinate of the inverse on a key and a power of z_N, and
@@ -94,6 +106,7 @@ from .errors import (
     ArityMismatch,
     BadLeg,
     BadPositions,
+    InverseTooCostly,
     NotInvertible,
     WindowOverflow,
 )
@@ -116,6 +129,13 @@ from .scalars import (
     reduced_row,
     row_pieces,
 )
+
+
+# group_fourier is imported, and a group table's plan derived, only for a
+# product with more than _SWITCH * dim**arity key pairs: up to arity 5 no
+# plan takes one with fewer (plan.switch(arity) is 32 times dim**arity for
+# Z2 at arity 5 and Z2^2 at arity 4, and more everywhere else).
+_SWITCH = 32
 
 
 def encode_key(digits, dim):
@@ -153,13 +173,29 @@ def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
     value y to stride * key(x*y).  Otherwise the cells are expanded leg by
     leg, and a pair of keys with an empty cell on any leg is skipped before
     its product is formed.  The b keys are decoded once.
+
+    Over a group table (base.latin) whose plan exists (group_fourier), a
+    product of integer tensors with more than plan.switch(arity) key pairs
+    is the plan's transform product instead, with the same result.
     """
+    rows = getattr(base, "rows", None)
+    if rows is not None and base.latin and len(a) * len(b) > _SWITCH * dim ** arity:
+        plan = base.plan
+        if plan == 0:
+            from . import group_fourier
+
+            plan = base.plan = group_fourier.plan(base, dim)
+        if (
+            plan is not None
+            and len(a) * len(b) > plan.switch(arity)
+            and all(type(v) is int for t in (a, b) for v in t.values())
+        ):
+            return plan.product(a, b, arity, acc, f)
     fresh = acc is None
     if fresh:
         acc = _accumulator(dim ** arity, len(a) * len(b))
     dense = type(acc) is list
     get = None if dense else acc.get
-    rows = getattr(base, "rows", None)
     if rows is not None and arity <= 2:
         # one block: the row of ka maps kb to key(ka*kb)
         cache = _key_rows(base, dim, arity, 1)
@@ -244,14 +280,17 @@ class _Cells(list):
     is True on a permutation table whose every row and column is a
     permutation of the basis and which has a unit, the basis index unit (a
     group table): there one key times all the keys of a tensor gives
-    distinct keys (see _relabel).
+    distinct keys (see _relabel).  plan is 0 until a dense product first
+    asks for the group Fourier plan of a group table, then that
+    group_fourier.Plan, or None when the group has none.
     """
 
-    __slots__ = ("rows", "latin", "unit")
+    __slots__ = ("rows", "latin", "unit", "plan")
 
     def __init__(self, cells, rows, dim):
         super().__init__(cells)
         self.rows = rows
+        self.plan = 0
         basis = list(range(dim))
         keys = [c[0][0] for c in cells] if rows is not None else []
         self.unit = next(
@@ -574,6 +613,18 @@ class _MulOps:
         self._units = {}
         self._unit_cells = {}
         self._pw = 0
+
+    def share_product(self, other):
+        """Use other's product and its caches (the phase, rational and base
+        tables, the key rows, the unit pieces and cells): other has the same
+        dim, ring, mult and unit, as the host a twist conjugates.  other's
+        rational table is made first, so that both hosts hold the one
+        table and with it the one group Fourier plan."""
+        other.rational_table()
+        for name in (
+            "mult", "_base", "_phase", "_rational", "_rows", "_units", "_unit_cells", "_pw"
+        ):
+            setattr(self, name, getattr(other, name))
 
     def basis_mul(self, i, j):
         return self.mult.get((i, j), {})
@@ -1236,6 +1287,42 @@ def tensor_invert(t):
     return x0.mul(acc)
 
 
+# Cap on the estimated work of one exact inverse (see _inverse_work): m^3 * g
+# for its m = D * phi(L) unknowns, g the bits of t's largest numerator and
+# denominator and of the table's, the estimate of io_json's antipode check.
+# As single _invert_exact calls on one CPU of a shared 2-core x86 machine,
+# dense tensors over k[Z2], k[Z2^2] and k[Z2^3] took 4-8e-8 s per unit of
+# the estimate for m = 32-96, and more as m grows: k[Z2] at arity 2 over
+# N = 105 (m = 192, 4.9e7) 9.0 s and k[Z2^2] at arity 2 over N = 60
+# (m = 256, 1.5e8) 51 s.  A sparse tensor runs far under its estimate: the
+# three-term 2-leg tensor over k[S3] at N = 12 of test_row_store (1.8e7)
+# takes 0.13 s.  So the cap refuses what would run for about a minute or
+# more, such as k[Z2] over N = 997 (m = 1992), and keeps every inverse the
+# tests form; the hopf-cochain suite and the cochain benchmarks price theirs
+# under 10^4.
+_MAX_INVERSE_WORK = 10**8
+
+
+def _inverse_work(t, unit):
+    """The estimated work of _invert_exact(t, unit), from t's pieces and
+    the host's table alone, before a column is formed: m^3 * g as for the
+    antipode check of io_json, with L the lcm of the conductors of t, the
+    unit and the table."""
+    pieces, N = t._phases()
+    table = t.host.phase_table()
+    L = lcm(N, unit._phases()[1], table.N)
+    m = t.host.dim ** t.arity * _phi_deg(L)
+    bits = max(
+        (
+            max(map(abs, nums.values())).bit_length() + (den - 1).bit_length()
+            for nums, den in pieces.values()
+        ),
+        default=1,
+    )
+    top = max((abs(n) for cell in table.cells if cell for _k, _p, n in cell), default=1)
+    return m**3 * (bits + top.bit_length() + (table.den - 1).bit_length())
+
+
 def _invert_exact(t, unit):
     """The two-sided inverse of t over an exact ring, by one rational solve
     of the left regular representation.  The columns t * b_j and the unit
@@ -1243,7 +1330,14 @@ def _invert_exact(t, unit):
     coordinates x_(j,f) of the inverse's value at key j on z_L^f, f <
     phi(L); z_L is central, so the column of x_(j,f) is the column t * b_j
     with its exponents shifted by f and reduced below phi(L), over that
-    column's denominator.  At L = 1 this is the one column per key."""
+    column's denominator.  At L = 1 this is the one column per key.  An
+    inverse whose estimated work passes _MAX_INVERSE_WORK is refused
+    (InverseTooCostly) before a column is formed."""
+    work = _inverse_work(t, unit)
+    if work > _MAX_INVERSE_WORK:
+        raise InverseTooCostly(
+            "exact inverse priced at %.1e, past the cap of %.0e" % (work, _MAX_INVERSE_WORK)
+        )
     host = t.host
     arity = t.arity
     D = host.dim ** arity

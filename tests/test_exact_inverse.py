@@ -8,6 +8,9 @@ characters are found by brute force from the group table, and the sums are
 formed in Cyclotomic value arithmetic, apart from the integer solve under
 test.  k[G]^(tensor 2) is k[G x G], whose characters are products."""
 
+import importlib
+import os
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -16,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopftwist import constructors as con
-from hopftwist.errors import NotInvertible
+from hopftwist import multilinear
+from hopftwist.errors import InverseTooCostly, NotInvertible
 from hopftwist.multilinear import LegTensor, decode_key, tensor_invert
 from hopftwist.scalars import root_of_unity
+from hopftwist.suites import run_suite
 
 GROUPS = {
     "Z3": (con.cyclic_group(3), 3),
@@ -100,3 +105,36 @@ def test_inverse_exists_exactly_when_no_character_vanishes(case):
     inv = tensor_invert(t)
     for s, s_inv in zip(sums, _character_sums(inv, name)):
         assert s * s_inv == 1
+
+
+def test_costly_inverse_is_refused_before_it_is_solved():
+    # r + c z(997, k) over k[Z2]: 2 * 996 unknowns, refused at once
+    H = con.group_algebra(con.cyclic_group(2))
+    t = LegTensor(H, 1, {0: 3 + root_of_unity(1, 997), 1: 2 * root_of_unity(5, 997)})
+    start = time.perf_counter()
+    with pytest.raises(InverseTooCostly):
+        tensor_invert(t)
+    assert time.perf_counter() - start < 1
+
+
+def test_benchmark_and_suite_inverses_are_priced_under_the_cap(monkeypatch):
+    # every inverse that the hopf-cochain suite and a round of the
+    # cochain-exact benchmark form, with its price
+    prices = []
+    work = multilinear._inverse_work
+
+    def recorded(t, unit):
+        prices.append(work(t, unit))
+        return prices[-1]
+
+    monkeypatch.setattr(multilinear, "_inverse_work", recorded)
+    run_suite("hopf-cochain", seed=1729)
+    suite_count = len(prices)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for cases in workloads.build_cochain_exact(3, 1):
+        for case in cases:
+            assert case.run() == case.expected, case.label
+    assert suite_count > 50 and len(prices) > suite_count
+    assert max(prices) < multilinear._MAX_INVERSE_WORK // 1000

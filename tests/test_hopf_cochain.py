@@ -41,7 +41,7 @@ from hopftwist.hopf_cochain import (
     unit_cochain,
     verify_quasi,
 )
-from hopftwist.multilinear import LegTensor
+from hopftwist.multilinear import HopfPresentation, LegTensor
 from hopftwist.pbw import PBWTensor, pbw_exp
 from hopftwist.scalars import ScalarRing, Series
 
@@ -218,6 +218,35 @@ def test_random_counital_twists_verify():
         assert is_counital(F)
         for ck in verify_quasi(twist(H, F)):
             assert ck.ok, (H.name, ck.id)
+
+
+def test_twisted_host_shares_the_product_side():
+    # the twisted host takes its base host's tables and caches; a twisted
+    # host built with its own product side gives the same outcomes
+    rng = random.Random(43)
+    for H in (
+        group_algebra(dihedral_4(), SER),
+        group_algebra(S3, SER),
+        dual_group_hopf(elementary_abelian_2(2), SER),
+    ):
+        F = random_counital_two_cochain(H, rng)
+        R = twist(H, F)
+        tw = R.twisted
+        assert tw.rational_table() is H.rational_table()
+        assert tw.phase_table() is H.phase_table()
+        assert tw.unit_rows(3) is H.unit_rows(3)
+        own = HopfPresentation(
+            H.dim, H.labels, H.ring, H.mult, H.unit, tw.coproduct, H.counit,
+            commutative=H.commutative, name="own",
+        )
+        assert own.rational_table() is not H.rational_table()
+        alone = QuasiHopfTwistResult(H, own, R.cochain, R.phi, None, None)
+        got, want = (
+            [(ck.id, ck.status, ck.residual_term_count, ck.witness) for ck in verify_quasi(res)]
+            for res in (R, alone)
+        )
+        assert got == want
+        assert all(status == "pass" for _id, status, _n, _w in got)
 
 
 def test_twist_with_module_runs_all_five_checks():

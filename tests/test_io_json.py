@@ -1,26 +1,39 @@
 """Round trips and failure modes for the JSON/CSV layer."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopftwist import io_json as io
 from hopftwist.constructors import (
     ChainComplexWindow,
+    FiniteGroup,
     cyclic_group,
     dual_group_hopf,
+    elementary_abelian_2,
     group_algebra,
     symmetric_3,
     taft,
 )
 from hopftwist.errors import ParseError, SchemaError
 from hopftwist.graded import group_graded, laurent_window_graded
-from hopftwist.group_cohomology import fano_octonions
+from hopftwist.group_cohomology import GroupCochain, fano_octonions
 from hopftwist.heis_torus import HeisElement
-from hopftwist.multilinear import LegTensor, verify_hopf, with_series_ring
-from hopftwist.scalars import Cyclotomic
+from hopftwist.multilinear import (
+    AlgebraPresentation,
+    HopfPresentation,
+    LegTensor,
+    verify_hopf,
+    with_series_ring,
+)
+from hopftwist.scalars import Cyclotomic, ScalarRing, Series, TauLaurent, root_of_unity
 
 
 def reload_presentation(pres):
@@ -378,3 +391,136 @@ def test_load_json_file_reports_position(tmp_path):
     with pytest.raises(ParseError) as err:
         io.load_json_file(str(p))
     assert err.value.line >= 1 and err.value.column >= 1
+
+
+# ---------------------------------------------------------------------------
+# dump(load(x)) == x for every document kind, x a document the layer wrote
+
+
+ROUND_TRIP = settings(max_examples=15, deadline=None)
+
+
+def _scalars(rng, order, roots=True):
+    """A seeded scalar: rational, or q + c z(N, k) with N in 3, 4, 12 and k
+    prime to N, so that N is the value's own conductor (a document records
+    the conductor its values are held at); over a series ring a polynomial
+    in h whose coefficients may carry tau."""
+    def exact():
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if roots and rng.random() < 0.4:
+            N = rng.choice((3, 4, 12))
+            k = rng.choice([k for k in range(1, N) if gcd(k, N) == 1])
+            q = q + rng.randint(1, 3) * root_of_unity(k, N)
+        return q
+
+    if order is None:
+        return exact()
+    h = Series.hbar(order)
+    value = exact()
+    for k in range(1, order + 1):
+        c = exact()
+        if rng.random() < 0.3:
+            c = c * TauLaurent.tau(rng.choice((-1, 1, 2)))
+        value = value + h ** k * c
+    return value
+
+
+def _group(rng):
+    G = rng.choice([cyclic_group(3), cyclic_group(4), symmetric_3(), elementary_abelian_2(2)])
+    perm = list(range(G.order))
+    rng.shuffle(perm)
+    back = {p: i for i, p in enumerate(perm)}
+    table = [[perm[G.mul(back[x], back[y])] for y in range(G.order)] for x in range(G.order)]
+    return FiniteGroup(G.order, table, ["g%d" % perm.index(i) for i in range(G.order)])
+
+
+def _presentation(rng):
+    order = rng.choice((None, 1, 2, 3))
+    ring = ScalarRing(hbar_order=order)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return (group_algebra if rng.random() < 0.5 else dual_group_hopf)(_group(rng), ring)
+    dim = rng.randint(1, 3)
+    mult = {
+        (i, j): {k: _scalars(rng, order) for k in rng.sample(range(dim), rng.randint(0, dim))}
+        for i in range(dim)
+        for j in range(dim)
+        if rng.random() < 0.7
+    }
+    unit = [_scalars(rng, order) if rng.random() < 0.5 else 0 for _ in range(dim)]
+    if kind == 1:
+        return AlgebraPresentation(dim, ["b%d" % i for i in range(dim)], ring, mult, unit)
+    cop = {i: {(i, i): _scalars(rng, order)} for i in range(dim) if rng.random() < 0.8}
+    # unitriangular, so invertible
+    antipode = [
+        [int(i == j) + (rng.randint(-2, 2) if i < j else 0) for j in range(dim)] for i in range(dim)
+    ]
+    return HopfPresentation(
+        dim, ["b%d" % i for i in range(dim)], ring, mult, unit, cop,
+        [_scalars(rng, order) for _ in range(dim)], antipode,
+        commutative=rng.random() < 0.5, name=rng.choice((None, "h%d" % dim)),
+    )
+
+
+def _document(kind, rng):
+    """(to_dict, from_dict, a document written by to_dict) of one kind."""
+    if kind == "presentation":
+        doc = io.presentation_to_dict(_presentation(rng))
+        return io.presentation_to_dict, io.presentation_from_dict, doc
+    if kind == "group":
+        return io.group_to_dict, io.group_from_dict, io.group_to_dict(_group(rng))
+    if kind == "group-cochain":
+        G = _group(rng)
+        arity = rng.randint(1, 2)
+        table = {key: _scalars(rng, None) or Fraction(1) for key in _keys(G.order, arity)}
+        doc = io.group_cochain_to_dict(GroupCochain(G, arity, table))
+        return io.group_cochain_to_dict, io.group_cochain_from_dict, doc
+    if kind == "chain":
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        d = {1: [[_scalars(rng, None, roots=False) for _ in range(b)] for _ in range(a)]}
+        doc = io.chain_to_dict(ChainComplexWindow({0: a, 1: b}, d))
+        return io.chain_to_dict, io.chain_from_dict, doc
+    if kind == "leg-tensor":
+        host = _presentation(rng)
+        arity = rng.randint(1, 3)
+        entries = {
+            key: _scalars(rng, host.ring.hbar_order)
+            for key in rng.sample(_keys(host.dim, arity), min(5, host.dim**arity))
+        }
+        tensor = LegTensor(host, arity, entries)
+        return io.leg_tensor_to_dict, io.leg_tensor_from_dict, io.leg_tensor_to_dict(tensor)
+    if kind == "graded":
+        if rng.random() < 0.5:
+            graded = group_graded(_group(rng))
+        else:
+            graded = laurent_window_graded(rng.randint(1, 3))
+        return io.graded_to_dict, io.graded_from_dict, io.graded_to_dict(graded)
+    order = rng.randint(1, 3)
+    elem = HeisElement.zero(order)
+    for _ in range(rng.randint(0, 4)):
+        m, n, p = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 2)
+        c = Fraction(rng.randint(-3, 3), 2)
+        elem = elem.add(HeisElement(order, {(m, n, p, c): _scalars(rng, order)}))
+    return (
+        io.heis_to_list,
+        lambda items: io.heis_from_list(items, order),
+        io.heis_to_list(elem),
+    )
+
+
+def _keys(dim, arity):
+    return list(product(range(dim), repeat=arity))
+
+
+KINDS = ["presentation", "group", "group-cochain", "chain", "leg-tensor", "graded", "heis"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@ROUND_TRIP
+@given(seed=st.integers(0, 2**32))
+def test_dump_of_load_is_the_document(kind, seed):
+    to_dict, from_dict, doc = _document(kind, random.Random(seed))
+    text = io.dump_json(doc)
+    back = to_dict(from_dict(json.loads(text)))
+    assert back == doc
+    assert io.dump_json(back) == text

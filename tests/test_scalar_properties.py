@@ -1,6 +1,7 @@
 """Property tests of Fraction and Cyclotomic values: the render/parse round
 trip, the field axioms across conductors 1-12, inverses, and the tagged
-root-of-unity fast path against the generic product."""
+root-of-unity fast path against the generic product; and the ring axioms of
+TauLaurent with rational and cyclotomic coefficients."""
 
 from fractions import Fraction
 from math import lcm
@@ -12,6 +13,7 @@ from hopftwist.grammar import parse, render
 from hopftwist.scalars import (
     _ROOTS,
     Cyclotomic,
+    TauLaurent,
     _phi_deg,
     _rows_list,
     cyclo_mul,
@@ -172,3 +174,49 @@ def test_rational_operand_matches_its_conductor_one_value(x, q):
         assert got is not x and got.root is None and want.root is None
     assert (x == q) == (x == c) and (q == x) == (c == x)
     assert (x != q) == (x != c)
+
+
+@st.composite
+def tau_laurents(draw):
+    """A Laurent polynomial in tau, powers -3..3, with rational or
+    cyclotomic coefficients at conductors dividing 12, so that products stay
+    at conductor 12 at most."""
+    terms = {}
+    for power in draw(st.lists(st.integers(-3, 3), max_size=4, unique=True)):
+        n = draw(st.sampled_from([1, 3, 4, 6, 12]))
+        kind = draw(st.sampled_from(["rational", "cyclotomic", "root"]))
+        if kind == "rational":
+            terms[power] = draw(fractions)
+        elif kind == "root":
+            terms[power] = root_of_unity(draw(st.integers(-30, 30)), n)
+        else:
+            coords = draw(st.dictionaries(st.integers(0, n - 1), fractions, max_size=3))
+            terms[power] = Cyclotomic(n, coords)
+    return TauLaurent(terms)
+
+
+@SETTINGS
+@given(tau_laurents(), tau_laurents(), tau_laurents())
+def test_tau_laurent_ring_axioms(a, b, c):
+    one, zero = TauLaurent({0: 1}), TauLaurent({})
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * one == a and one * a == a and a * 1 == a
+    assert a + zero == a and a + 0 == a
+    assert (a * zero).is_zero()
+    assert (a + (-a)).is_zero() and -(-a) == a
+    assert a - b == a + (-b) and (a - b) + b == a
+
+
+@SETTINGS
+@given(tau_laurents(), st.one_of(fractions, st.builds(root_of_unity, st.integers(0, 11), st.just(12))),
+       st.integers(-3, 3))
+def test_tau_laurent_scalars_and_powers_of_tau(a, q, k):
+    # a scalar is a constant polynomial; tau^k shifts every power by k
+    assert a * q == a * TauLaurent({0: q}) and q * a == a * q
+    shifted = a * TauLaurent.tau(k)
+    assert shifted == TauLaurent({p + k: v for p, v in a.terms.items()})
+    assert shifted * TauLaurent.tau(-k) == a
