@@ -18,7 +18,7 @@ from .multilinear import (
     _clean,
 )
 from .reporting import CheckOutcome
-from .scalars import Cyclotomic, ScalarRing, root_of_unity
+from .scalars import Cyclotomic, ScalarRing, accumulate, root_of_unity
 
 # ---------------------------------------------------------------------------
 # finite groups
@@ -333,11 +333,7 @@ def z2_dual_iso_report():
             lhs = {}
             for t, c in lhs_vec.items():
                 for k, v in images[t].items():
-                    r = lhs.get(k, 0) + c * v
-                    if r:
-                        lhs[k] = r
-                    else:
-                        lhs.pop(k, None)
+                    accumulate(lhs, k, c * v)
             rhs = K.elem_mul(images[i], images[j])
             if lhs != rhs:
                 bad += 1
@@ -351,12 +347,7 @@ def z2_dual_iso_report():
         for (a, b), c in H.basis_coproduct(i).items():
             for ka, va in images[a].items():
                 for kb, vb in images[b].items():
-                    key = (ka, kb)
-                    r = lhs.get(key, 0) + c * va * vb
-                    if r:
-                        lhs[key] = r
-                    else:
-                        lhs.pop(key, None)
+                    accumulate(lhs, (ka, kb), c * va * vb)
         rhs = K.elem_coproduct(images[i])
         if lhs != rhs:
             bad += 1
@@ -375,11 +366,7 @@ def z2_dual_iso_report():
         lhs = {}
         for t, c in H.apply_antipode({i: Fraction(1)}).items():
             for k, v in images[t].items():
-                r = lhs.get(k, 0) + c * v
-                if r:
-                    lhs[k] = r
-                else:
-                    lhs.pop(k, None)
+                accumulate(lhs, k, c * v)
         if lhs != K.apply_antipode(images[i]):
             bad += 1
             wit = wit or str(i)
@@ -644,11 +631,7 @@ class ShuffleBialgebra:
         out = {}
         for i, c in vec.items():
             s, j = self.antipode_index(i)
-            r = out.get(j, 0) + c * s
-            if r:
-                out[j] = r
-            else:
-                out.pop(j, None)
+            accumulate(out, j, c * s)
         return out
 
 

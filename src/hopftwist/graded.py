@@ -19,7 +19,7 @@ from .constructors import cyclic_group, group_algebra, symmetric_3
 from .errors import NotAction, NotAutomorphism, NotHomogeneous
 from .multilinear import AlgebraPresentation
 from .reporting import CheckOutcome
-from .scalars import ScalarRing, field_rank, field_solve
+from .scalars import ScalarRing, accumulate, field_rank, field_solve
 
 
 class ZWindow:
@@ -133,11 +133,7 @@ class UnityResolution:
             acc = {}
             for xi, eta in self.pairs:
                 for k, v in algebra.elem_mul(xi, eta).items():
-                    r = acc.get(k, 0) + v
-                    if r:
-                        acc[k] = r
-                    else:
-                        acc.pop(k, None)
+                    accumulate(acc, k, v)
             if acc != algebra.elem_unit():
                 raise ValueError("pairs do not resolve the unit")
 
@@ -285,11 +281,7 @@ def _apply_map(rows, vec):
     out = {}
     for i, c in vec.items():
         for k, w in rows[i].items():
-            r = out.get(k, 0) + c * w
-            if r:
-                out[k] = r
-            else:
-                out.pop(k, None)
+            accumulate(out, k, c * w)
     return out
 
 

@@ -46,10 +46,12 @@ from .scalars import (
     _ZERO_ROW,
     Series,
     _row,
+    accumulate,
     conductor,
     phase_rows,
     phase_values,
     root_of_unity,
+    row_exp,
     row_product,
     series_invert,
     theta_ok,
@@ -87,15 +89,6 @@ def _check_theta(theta, order, convention):
     return -theta if convention == "alt" else theta
 
 
-def _acc(store, key, s):
-    cur = store.get(key)
-    cur = s if cur is None else cur + s
-    if cur.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = cur
-
-
 class HeisElement:
     """Finite monomial sum at a fixed truncation order."""
 
@@ -107,9 +100,7 @@ class HeisElement:
         for (m, n, p, c), s in data.items():
             if p < 0:
                 raise ValueError("negative y-power")
-            s = _as_series(order, s)
-            if not s.is_zero():
-                _acc(norm, (int(m), int(n), int(p), Fraction(c)), s)
+            accumulate(norm, (int(m), int(n), int(p), Fraction(c)), _as_series(order, s))
         self.data = norm
 
     @staticmethod
@@ -140,7 +131,7 @@ class HeisElement:
         self._compat(other)
         out = dict(self.data)
         for k, s in other.data.items():
-            _acc(out, k, s)
+            accumulate(out, k, s)
         return HeisElement._raw(self.order, out)
 
     def sub(self, other):
@@ -149,7 +140,7 @@ class HeisElement:
     def scale(self, x):
         out = {}
         for k, s in self.data.items():
-            _acc(out, k, s * x)
+            accumulate(out, k, s * x)
         return HeisElement._raw(self.order, out)
 
     def _compat(self, other):
@@ -327,7 +318,7 @@ def m3_residual(f):
     for (m, n, p, c), s in f.data.items():
         scaled = s * _phase(c)
         for j in range(p + 1):
-            _acc(out, (m + n, n, j, c), scaled * (-comb(p, j)))
+            accumulate(out, (m + n, n, j, c), scaled * (-comb(p, j)))
     return HeisElement._raw(f.order, out)
 
 
@@ -357,9 +348,7 @@ class ZakElement:
         for (m, p, c), s in data.items():
             if p < 0:
                 raise ValueError("negative y-power")
-            s = _as_series(order, s)
-            if not s.is_zero():
-                _acc(norm, (int(m), int(p), Fraction(c)), s)
+            accumulate(norm, (int(m), int(p), Fraction(c)), _as_series(order, s))
         self.data = norm
 
     @staticmethod
@@ -376,7 +365,7 @@ class ZakElement:
         self._compat(other)
         out = dict(self.data)
         for k, s in other.data.items():
-            _acc(out, k, s)
+            accumulate(out, k, s)
         return ZakElement._raw(self.order, self.degree, out)
 
     def sub(self, other):
@@ -385,7 +374,7 @@ class ZakElement:
     def scale(self, x):
         out = {}
         for k, s in self.data.items():
-            _acc(out, k, s * x)
+            accumulate(out, k, s * x)
         return ZakElement._raw(self.order, self.degree, out)
 
     def _compat(self, other):
@@ -434,25 +423,19 @@ def _scaled(row, q, y=0, t=0):
     return _row([(moved, den * q.denominator)])
 
 
+def _ypow(i, j):
+    """The product of y^i and y^j as (key, integer) pairs."""
+    return ((i + j, 1),)
+
+
 def _ymul(A, B, K, N):
     """Product of two phase rows keyed by y-power: the powers add."""
-    return _row([row_product(A, B, K, N, lambda i, j: ((i + j, 1),))])
+    return _row([row_product(A, B, K, N, _ypow)])
 
 
 def _root(e):
     """The phase row of z_N^e at y-power 0."""
     return {(0, 0, 0, e): 1}, 1
-
-
-def _exp(X, K, N):
-    """exp of a phase row with zero hbar constant term, truncated at K."""
-    terms = [_root(0)]
-    for k in range(1, K + 1):
-        nums, den = _ymul(terms[-1], X, K, N)
-        if not nums:
-            break
-        terms.append(_row([(nums, den * k)]))
-    return _row(terms)
 
 
 def _subst(K, N, p, c, du, r, sigma):
@@ -470,7 +453,7 @@ def _subst(K, N, p, c, du, r, sigma):
         # e^{2 pi i c (du y + sigma)}: du brings extra y powers
         arg = _row([_scaled(du, c, y=1, t=1), _scaled(sigma, c, t=1)])
         if arg[0]:
-            out = _ymul(out, _exp(arg, K, N), K, N)
+            out = _ymul(out, row_exp(arg, _root(0), K, N, _ypow), K, N)
     if p:
         one = _root(0)
         lin = _row(
@@ -511,7 +494,8 @@ def _act_once(letter, f, theta, side):
         N = lcm(n, conductor([*f.data.values(), theta]))
         if side == "right":
             # e^{2 pi i n theta y} expands into extra y powers
-            g = _exp(_scaled(phase_rows([(0, theta)], N)[0], n, y=1, t=1), order, N)
+            arg = _scaled(phase_rows([(0, theta)], N)[0], n, y=1, t=1)
+            g = row_exp(arg, _root(0), order, N, _ypow)
         else:
             g = _root(0)
         for (m, p, c), s in f.data.items():

@@ -31,7 +31,7 @@ from .multilinear import (
     verify_algebra,
 )
 from .reporting import CheckOutcome
-from .scalars import Series
+from .scalars import Series, accumulate
 
 
 class HopfCochain:
@@ -250,11 +250,7 @@ def _twisted_module_algebra(module, F):
         cell = {}
         for (a, b), c in image.items():
             for k, w in A.basis_mul(a, b).items():
-                r = cell.get(k, 0) + c * w
-                if r:
-                    cell[k] = r
-                else:
-                    cell.pop(k, None)
+                accumulate(cell, k, c * w)
         if cell:
             mult[ij] = cell
     return AlgebraPresentation(A.dim, A.labels, A.ring, mult, A.unit)
@@ -520,11 +516,7 @@ def random_invariant_two_cochain(host, rng, group=None, terms=3):
             blk = blocks[rng.randrange(len(blocks))]
             c = rng.randint(1, 3) * (1 if rng.random() < 0.5 else -1)
             for k, v in blk.items():
-                r = pairs.get(k, 0) + c * v
-                if r:
-                    pairs[k] = r
-                else:
-                    pairs.pop(k, None)
+                accumulate(pairs, k, c * v)
     u = LegTensor(host, 2, pairs)
     F = LegTensor.unit(host, 2).add(u.scale(Series.hbar(order)))
     return HopfCochain(host, 2, F)

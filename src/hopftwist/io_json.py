@@ -64,8 +64,11 @@ def _index_key(text, count, field, dim):
 
 
 def _conductors(value, out):
+    """Append the conductors of the non-rational cyclotomic values within
+    value: a rational value held at a conductor is written as a rational,
+    so its conductor is not the document's."""
     if isinstance(value, Cyclotomic):
-        if value.conductor > 1:
+        if not value.is_rational():
             out.append(value.conductor)
     elif isinstance(value, TauLaurent):
         for v in value.terms.values():

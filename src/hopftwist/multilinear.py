@@ -35,7 +35,9 @@ leg map itself.  Over any other host (Taft, series structure constants)
 phase cells, adding the cells' phases, and the product is settled once.
 elem_mul is one phase_convolve on flat phase rows.  The coproduct, counit
 and unit come as pieces made once on the host.  The {key: value} view is
-built from the pieces only when it is read (reports, JSON, witnesses).
+built from the pieces only when it is read (reports, JSON, witnesses), by
+scalars.phase_values; a tensor built from a dict and a module action sum
+their values through scalars.accumulate.
 
 Over a group algebra k[G], k[G]^(tensor n) = k[G^n]: the product of two
 basis keys is one basis key with coefficient 1.  A host detects such a
@@ -78,10 +80,13 @@ or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
 module-algebra axioms of a ModuleAlgebra.  It forms the basis products once
 through basis_mul and makes them into phase cells; every product a check
 forms is one phase_convolve against those cells, on flat phase rows at one
-conductor (the battery's rows).  Two rows are compared as they are when
-their conductors agree, and otherwise, or when they differ, through their
-difference with every exponent reduced below phi(N): a row's exponents are
-kept below N, not below phi(N), so that a product of roots stays one term.
+conductor (the battery's rows).  A vector's row is scalars.phase_rows
+and every row is made canonical by scalars._row, so the batteries have no
+canonical form or rational fast path of their own.  Two rows are compared
+as they are when their conductors agree, and otherwise, or when they
+differ, through their difference with every exponent reduced below
+phi(N): a row's exponents are kept below N, not below phi(N), so that a
+product of roots stays one term.
 A host tensor Phi acts through the module by act_tensor, tabulated once per
 run.
 
@@ -99,7 +104,7 @@ instances that need it are skipped, not failed.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -120,11 +125,11 @@ from .scalars import (
     _row,
     _phi_deg,
     _settle,
+    accumulate,
     phase_pieces,
     phase_rows,
     phase_values,
     piece_product,
-    piece_values,
     pieces_row,
     reduced_row,
     row_pieces,
@@ -380,20 +385,6 @@ def _relabel(a, b, dim, arity, base, acc, f):
 
 def _clean(d):
     return {k: v for k, v in d.items() if v}
-
-
-def _accumulate(out, key, v):
-    """out[key] += v, keeping no zero entries."""
-    r = out.get(key)
-    if r is None:
-        if v:
-            out[key] = v
-    else:
-        r = r + v
-        if r:
-            out[key] = r
-        else:
-            del out[key]
 
 
 # ---------------------------------------------------------------------------
@@ -942,8 +933,9 @@ class LegTensor:
     The values are phase pieces at one conductor N (scalars.phase_pieces):
     {(v, t, e): (numerators, denominator)}, canonical, e below phi(N), no
     empty phase, N = 1 when every value is rational.  data, {key: value},
-    is a view made on its first read, phase by phase; a tensor built from a
-    dict keeps it as that view and makes its pieces on its first operation.
+    is a view made on its first read, scalars.phase_values of the pieces'
+    flat row; a tensor built from a dict keeps it as that view and makes
+    its pieces on its first operation.
     Every product, leg map and exact inverse runs on integers (see mul,
     _leg_map and _invert_exact).
     """
@@ -969,12 +961,7 @@ class LegTensor:
                 if not all(0 <= d < dim for d in key):
                     raise ValueError("basis index out of range in %r" % (key,))
                 key = encode_key(key, dim)
-            v = host.ring.coerce(v)
-            if v:
-                r = data.get(key)
-                data[key] = v if r is None else r + v
-                if not data[key]:
-                    del data[key]
+            accumulate(data, key, host.ring.coerce(v))
         self._data = data
 
     @staticmethod
@@ -1011,11 +998,7 @@ class LegTensor:
             items = nxt
         data = {}
         for key, c in items:
-            if c:
-                r = data.get(key)
-                data[key] = c if r is None else r + c
-                if not data[key]:
-                    del data[key]
+            accumulate(data, key, c)
         return LegTensor(host, arity, data, _checked=True)
 
     # -- views
@@ -1024,7 +1007,10 @@ class LegTensor:
     def data(self):
         """{flat key: value}, built from the pieces on first read."""
         if self._data is None:
-            self._data = piece_values(self._rows, self.host.ring.hbar_order, self._n)
+            N = self._n
+            self._data = phase_values(
+                pieces_row(self._rows, N, N), self.host.ring.hbar_order, N
+            )
         return self._data
 
     def rows(self):
@@ -1400,11 +1386,7 @@ class ModuleAlgebra:
                     continue
                 c = ch * ca
                 for k, w in cell.items():
-                    r = out.get(k, 0) + c * w
-                    if r:
-                        out[k] = r
-                    else:
-                        out.pop(k, None)
+                    accumulate(out, k, c * w)
         return out
 
     def act_tensor(self, ht):
@@ -1428,7 +1410,7 @@ class ModuleAlgebra:
                     for k, w in vec.items()
                 ]
             for js, ks, cv in partial:
-                _accumulate(out.setdefault(js, {}), ks, cv)
+                accumulate(out.setdefault(js, {}), ks, cv)
         return {js: image for js, image in out.items() if image}
 
 
@@ -1482,27 +1464,10 @@ _ONE = (({(0, 0, 0, 0): 1}, 1), 1)
 _ZERO = (({}, 1), 1)
 
 
-def _canonical(row):
-    """scalars._row of one (numerators, den) pair that holds no zero, the
-    kernels' output: gcd(den, numerators) made 1.  It costs nothing when
-    den is 1, which the batteries' inner loops meet on every integer
-    host."""
-    nums, den = row
-    if den == 1:
-        return row
-    g = gcd(den, *nums.values())
-    if g == 1:
-        return row
-    return {k: n // g for k, n in nums.items()}, den // g
-
-
 def _vec_row(vec):
     """The row of a sparse vector of values, None for None."""
     if vec is None:
         return None
-    row = _numerators(vec)  # None unless every value is a plain rational
-    if row is not None:  # over the lcm of reduced denominators: canonical
-        return ({(k, 0, 0, 0): n for k, n in row[0].items() if n}, row[1]), 1
     row, N = phase_rows(vec.items())
     return _row([row]), N
 
@@ -1512,7 +1477,7 @@ def _cell_rows(table):
     den, N = table.den, table.N
     return [
         None if c is None
-        else (_canonical(({(k, v, t, e): x for k, (v, t, e), x in c}, den)), N)
+        else (_row([({(k, v, t, e): x for k, (v, t, e), x in c}, den)]), N)
         for c in table.cells
     ]
 
@@ -1541,7 +1506,7 @@ def _on_rows(kernel, rows, table, K, *args):
     else:
         L, parts = _align(rows, L)
     try:
-        return _canonical(kernel(*parts, *args, table, K, L)), L
+        return _row([kernel(*parts, *args, table, K, L)]), L
     except WindowOverflow:
         return None
 
@@ -1622,7 +1587,7 @@ def _by_basis(row, regular, dim, K):
         else:
             part[k, v, t, e] = n
     off = set().union(*[over[key] for key, _v, _t, _e in row[0][0]])
-    return {i: (_canonical((part, den)), N) for i, part in parts.items()}, off
+    return {i: (_row([(part, den)]), N) for i, part in parts.items()}, off
 
 
 def _differ(got, want):

@@ -9,7 +9,8 @@ embeddings), so the coboundary engine applies unchanged.
 Products, scalings and exponentials run on phase rows (see scalars) at the
 conductor of their values, so Moyal's i*hbar is integers too: one row
 product forms every pair of keys, and the result builds one Series per
-key; pbw_exp keeps its powers as rows until the sum is done.  The product
+key; pbw_exp is one row_exp, its powers kept as rows until the sum is
+done, and sums go through scalars.accumulate.  The product
 of two monomials is memoized per (kappa, t1, t2) as (triple, integer)
 pairs, and a tensor key product is the legwise product of those.
 
@@ -36,9 +37,11 @@ from .scalars import (
     Series,
     TauLaurent,
     _row,
+    accumulate,
     phase_rows,
     phase_values,
     root_of_unity,
+    row_exp,
     row_product,
     theta_ok,
 )
@@ -104,15 +107,6 @@ def _coerce_series(order, v):
     return Series(order, {0: v})
 
 
-def _acc(store, key, s):
-    prev = store.get(key)
-    r = s if prev is None else prev + s
-    if r.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = r
-
-
 def _check_compat(x, y):
     if x.kappa != y.kappa:
         raise ValueError("bracket constants differ: %r vs %r" % (x.kappa, y.kappa))
@@ -138,7 +132,7 @@ class PBWElement:
             key = (int(a), int(b), int(c))
             if min(key) < 0:
                 raise ValueError("negative exponent in %r" % (key,))
-            _acc(store, key, _coerce_series(order, v))
+            accumulate(store, key, _coerce_series(order, v))
         self.data = store
 
     @staticmethod
@@ -173,7 +167,7 @@ class PBWElement:
         _check_compat(self, other)
         store = dict(self.data)
         for key, s in other.data.items():
-            _acc(store, key, s)
+            accumulate(store, key, s)
         return self._raw(store)
 
     def sub(self, other):
@@ -213,7 +207,7 @@ class PBWElement:
                 PBWElement(self.kappa, self.order, {(a, 0, 0): 1})
             )
             for key, v in flipped.data.items():
-                _acc(store, key, s * v * sign)
+                accumulate(store, key, s * v * sign)
         return self._raw(store)
 
     def entries(self):
@@ -234,8 +228,7 @@ def pbw_mul(x, y):
 
 def pbw_exp(x):
     """Truncated exponential sum_n x^n / n!, every term of hbar valuation
-    >= 1: each power is one row product with x, over n times the
-    denominator of the power before it."""
+    >= 1: one scalars.row_exp of the row of x."""
     for s in x.data.values():
         v = s.valuation()
         if v is not None and v < 1:
@@ -243,18 +236,10 @@ def pbw_exp(x):
                 "exponent has an hbar-degree-0 part"
             )
     K = x.order
-    keymul = x._key_product()
     (unit,) = x.unit_like().data
     step, N = phase_rows(x.data.items())
-    term = ({(unit, 0, 0, 0): 1}, 1)
-    pieces = [term]
-    for n in range(1, K + 1):
-        nums, den = row_product(term, step, K, N, keymul)
-        term = _row([(nums, den * n)])
-        if not term[0]:
-            break
-        pieces.append(term)
-    return x._raw(phase_values(_row(pieces), K, N))
+    one = ({(unit, 0, 0, 0): 1}, 1)
+    return x._raw(phase_values(row_exp(step, one, K, N, x._key_product()), K, N))
 
 
 class PBWTensor:
@@ -280,7 +265,7 @@ class PBWTensor:
             for t in key:
                 if len(t) != 3 or min(t) < 0:
                     raise ValueError("bad exponent triple %r" % (t,))
-            _acc(store, key, _coerce_series(order, v))
+            accumulate(store, key, _coerce_series(order, v))
         self.data = store
 
     @staticmethod
@@ -320,7 +305,7 @@ class PBWTensor:
         self._compat(other)
         store = dict(self.data)
         for key, s in other.data.items():
-            _acc(store, key, s)
+            accumulate(store, key, s)
         return self._raw(store)
 
     def sub(self, other):
@@ -368,7 +353,7 @@ class PBWTensor:
             new = [_ZERO3] * arity_out
             for src, dst in enumerate(positions):
                 new[dst] = key[src]
-            _acc(store, tuple(new), s)
+            accumulate(store, tuple(new), s)
         return self._raw(store, arity_out)
 
     def coproduct_leg(self, leg):
@@ -378,7 +363,7 @@ class PBWTensor:
         for key, s in self.data.items():
             for (tl, tr), q in _delta_mono(self.kappa, self.order, key[leg]):
                 new = key[:leg] + (tl, tr) + key[leg + 1 :]
-                _acc(store, new, s * q)
+                accumulate(store, new, s * q)
         return self._raw(store, self.arity + 1)
 
     def counit_leg(self, leg):
@@ -389,7 +374,7 @@ class PBWTensor:
         store = {}
         for key, s in self.data.items():
             if key[leg] == _ZERO3:
-                _acc(store, key[:leg] + key[leg + 1 :], s)
+                accumulate(store, key[:leg] + key[leg + 1 :], s)
         return self._raw(store, self.arity - 1)
 
     def invert(self):

@@ -25,17 +25,21 @@ conductors of every result.  A plain number or tau-Laurent factor scales
 the coefficients without being made into a Series, and sums reuse a
 coefficient where the other side is zero.
 
+``accumulate`` is the one sparse sum of values: out[key] += v, with a key
+whose sum is zero dropped.
+
 Integer rows hold sparse values for products, in the layout of FLINT's
 fmpq_poly and nf_elem: integer numerators over one shared denominator.
 There is no degree row: every row is a phase row, at one conductor N, in
-one of two layouts, and this module converts both to and from values;
-``_row`` sums rows into the canonical pair.
+one of two layouts, and this module is the one place that converts both
+to and from values.  ``_row`` is the one canonical row: it sums rows into
+the canonical pair, and every kernel's output is made canonical by it.
 
-Phase pieces (``phase_pieces``/``piece_values``), the layout LegTensor
-keeps, hold one canonical (numerators keyed by tensor key, denominator)
-pair per phase (hbar degree v, tau power t, exponent e of z_N), with e
-reduced below phi(N), no empty phase and N = 1 for rational values; their
-values are built phase by phase, each over its own denominator.
+Phase pieces (``phase_pieces``), the layout LegTensor keeps, hold one
+canonical (numerators keyed by tensor key, denominator) pair per phase
+(hbar degree v, tau power t, exponent e of z_N), with e reduced below
+phi(N), no empty phase and N = 1 for rational values; their values are
+``phase_values`` of their flat row (``pieces_row``), the one value view.
 ``piece_product`` multiplies two sets of pieces with one accumulator per
 output phase: hbar degrees add (truncated at K), tau powers add, and the
 exponents add mod lcm(N, M), each operand's scaled to that conductor; the
@@ -49,11 +53,13 @@ and of a LegTensor product over a host with roots of unity or series
 structure constants, maps (key, hbar degree, tau power, e) to the integer
 numerator of z_N^e over one denominator; a rational row is the case N = 1.
 Its exponents lie below N but not always below phi(N): in phase cells a
-tagged root is one numerator on its own exponent.  Its products (``row_product`` here,
-the phase cell products in multilinear) add root exponents mod N, so they
-never do Cyclotomic arithmetic; ``phase_values`` reduces each (key, hbar
-degree, tau power) to the basis once, ``row_pieces`` makes the row phase
-pieces (``pieces_row`` goes back), and ``reduced_row`` reduces every
+tagged root is one numerator on its own exponent.  Its products
+(``row_product`` here, the phase cell products in multilinear) add root
+exponents mod N, so they never do Cyclotomic arithmetic; ``row_exp`` is
+the one truncated exponential, a sum of row products, which pbw_exp,
+heis_torus and ``series_exp`` share.  ``phase_values`` reduces each (key,
+hbar degree, tau power) to the basis once, ``row_pieces`` makes the row
+phase pieces (``pieces_row`` goes back), and ``reduced_row`` reduces every
 exponent, so that a row is zero exactly when it reduces to nothing.
 """
 
@@ -870,27 +876,33 @@ def series_invert(s):
 
 
 def series_exp(s):
-    """exp of a series with zero constant term, truncated at its order."""
+    """exp of a series with zero constant term, truncated at its order: one
+    row_exp of the row of s on a single key."""
     if not isinstance(s, Series):
         raise TypeError("series_exp needs a Series")
     if s.coeffs[0]:
         raise NonNilpotent("exp needs a zero constant term")
-    out = Series.one(s.order)
-    term = Series.one(s.order)
-    fact = 1
-    for k in range(1, s.order + 1):
-        term = term * s
-        if term.is_zero():
-            break
-        fact *= k
-        out = out + term * Fraction(1, fact)
-    return out
+    K = s.order
+    row, N = phase_rows([(0, s)])
+    one = ({(0, 0, 0, 0): 1}, 1)
+    return phase_values(row_exp(row, one, K, N, lambda _a, _b: ((0, 1),)), K, N)[0]
 
 
 def theta_ok(s):
     """True when s is an admissible deformation parameter: a series whose
     constant term vanishes."""
     return isinstance(s, Series) and not s.coeffs[0]
+
+
+def accumulate(out, key, v):
+    """out[key] += v in a sparse dict that stores no zero value."""
+    r = out.get(key)
+    if r is not None:
+        v = r + v
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +928,14 @@ def _row(pieces):
     """The canonical (numerators, denominator) pair of a sum of such pairs:
     no zero numerators, den > 0 and gcd(den, numerators) = 1, so equal
     values give equal pairs; ({}, 1) for zero."""
-    if not pieces:
-        return _ZERO_ROW
     if len(pieces) == 1:
         nums, den = pieces[0]
-        if 0 in nums.values():
+        if not all(nums.values()):
             nums = {k: n for k, n in nums.items() if n}
+        elif den == 1:
+            return pieces[0]
+    elif not pieces:
+        return _ZERO_ROW
     else:
         den = lcm(*[d for _, d in pieces])
         nums = {}
@@ -1024,6 +1038,22 @@ def row_product(A, B, K, N, keymul):
                         r = get(idx)
                         out[idx] = y if r is None else r + y
     return out, A[1] * B[1]
+
+
+def row_exp(X, one, K, N, keymul):
+    """exp of a phase row X with zero hbar constant term, truncated at hbar
+    order K, as a canonical row: the sum of the term rows one, X, X^2/2!,
+    ..., X^n/n! the row_product (see there for keymul) of X^(n-1)/(n-1)!
+    with X over n times its denominator; one is the row of the unit key.
+    The sum stops at the first term that is zero."""
+    terms = [one]
+    for n in range(1, K + 1):
+        nums, den = row_product(terms[-1], X, K, N, keymul)
+        term = _row([(nums, den * n)])
+        if not term[0]:
+            break
+        terms.append(term)
+    return _row(terms)
 
 
 def _by_key(nums):
@@ -1242,37 +1272,6 @@ def _nonzero(acc):
     if type(acc) is list:
         return {k: n for k, n in enumerate(acc) if n}
     return {k: n for k, n in acc.items() if n}
-
-
-def piece_values(pieces, K, N):
-    """{key: value} of canonical phase pieces at conductor N (see
-    phase_values), built phase by phase: each coordinate is one Fraction
-    over its own phase's denominator, and the exponents, already below
-    phi(N), need no reduction."""
-    if N == 1:
-        return _values(
-            [
-                (key, v, t, Fraction(n, d))
-                for (v, t, _e), (nums, d) in pieces.items()
-                for key, n in nums.items()
-            ],
-            K,
-        )
-    coords = {}
-    for (v, t, e), (nums, d) in pieces.items():
-        for key, n in nums.items():
-            c = coords.get((key, v, t))
-            if c is None:
-                coords[key, v, t] = {e: Fraction(n, d)}
-            else:
-                c[e] = Fraction(n, d)
-    return _values(
-        [
-            (key, v, t, c[0] if len(c) == 1 and 0 in c else Cyclotomic(N, c, _reduced=True))
-            for (key, v, t), c in coords.items()
-        ],
-        K,
-    )
 
 
 # ---------------------------------------------------------------------------

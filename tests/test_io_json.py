@@ -4,7 +4,6 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
 from importlib import resources
 
 import pytest
@@ -401,15 +400,14 @@ ROUND_TRIP = settings(max_examples=15, deadline=None)
 
 
 def _scalars(rng, order, roots=True):
-    """A seeded scalar: rational, or q + c z(N, k) with N in 3, 4, 12 and k
-    prime to N, so that N is the value's own conductor (a document records
-    the conductor its values are held at); over a series ring a polynomial
-    in h whose coefficients may carry tau."""
+    """A seeded scalar: rational, or q + c z(N, k) with N in 3, 4, 12 and
+    0 < k < N; over a series ring a polynomial in h whose coefficients may
+    carry tau."""
     def exact():
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         if roots and rng.random() < 0.4:
             N = rng.choice((3, 4, 12))
-            k = rng.choice([k for k in range(1, N) if gcd(k, N) == 1])
+            k = rng.randint(1, N - 1)
             q = q + rng.randint(1, 3) * root_of_unity(k, N)
         return q
 
@@ -513,6 +511,21 @@ def _keys(dim, arity):
 
 
 KINDS = ["presentation", "group", "group-cochain", "chain", "leg-tensor", "graded", "heis"]
+
+
+def test_rational_value_held_at_a_conductor_records_none():
+    """h * (3 + z(4, 2)) + 1 has the rational coefficient 2 held at
+    conductor 4: it is written as a rational, so the document records no
+    conductor, and dump(load(x)) is x."""
+    h = Series.hbar(2)
+    value = h * (3 + root_of_unity(2, 4)) + 1
+    pres = AlgebraPresentation(1, ["b0"], ScalarRing(hbar_order=2), {(0, 0): {0: value}}, [value])
+    doc = io.presentation_to_dict(pres)
+    assert doc["scalar"] == {"conductor": None, "hbar_order": 2}
+    text = io.dump_json(doc)
+    back = io.presentation_to_dict(io.presentation_from_dict(json.loads(text)))
+    assert back == doc
+    assert io.dump_json(back) == text
 
 
 @pytest.mark.parametrize("kind", KINDS)
