@@ -823,16 +823,14 @@ class WindowComodule:
                 for ((n1, i1), h), c in cell.items():
                     inner = self.coaction.get((n1, i1), {})
                     for ((n2, i2), h2), c2 in inner.items():
-                        key = ((n2, i2), h2, h)
-                        lhs[key] = lhs.get(key, 0) + c * c2
+                        accumulate(lhs, ((n2, i2), h2, h), c * c2)
                     for (h1, h2), cc in P.basis_coproduct(h).items():
-                        key = ((n1, i1), h1, h2)
-                        rhs[key] = rhs.get(key, 0) + c * cc
+                        accumulate(rhs, ((n1, i1), h1, h2), c * cc)
             except WindowOverflow:
                 overflow = True
             if overflow:
                 continue
-            if _clean(lhs) != _clean(rhs):
+            if lhs != rhs:
                 bad += 1
                 if wit is None:
                     wit = "degree %d basis %d" % (n, i)
@@ -846,9 +844,8 @@ class WindowComodule:
             for ((n1, i1), h), c in cell.items():
                 e = P.counit[h]
                 if e:
-                    key = (n1, i1)
-                    got[key] = got.get(key, 0) + c * e
-            if _clean(got) != {(n, i): 1}:
+                    accumulate(got, (n1, i1), c * e)
+            if got != {(n, i): 1}:
                 bad += 1
                 if wit is None:
                     wit = "degree %d basis %d" % (n, i)

@@ -932,7 +932,8 @@ class LegTensor:
 
     The values are phase pieces at one conductor N (scalars.phase_pieces):
     {(v, t, e): (numerators, denominator)}, canonical, e below phi(N), no
-    empty phase, N = 1 when every value is rational.  data, {key: value},
+    empty phase, N sharing no factor with every exponent (N = 1 when every
+    value is rational).  data, {key: value},
     is a view made on its first read, scalars.phase_values of the pieces'
     flat row; a tensor built from a dict keeps it as that view and makes
     its pieces on its first operation.
@@ -1587,7 +1588,11 @@ def _by_basis(row, regular, dim, K):
         else:
             part[k, v, t, e] = n
     off = set().union(*[over[key] for key, _v, _t, _e in row[0][0]])
-    return {i: (_row([(part, den)]), N) for i, part in parts.items()}, off
+    # a part of a canonical row over 1 is canonical as it is
+    return {
+        i: ((part, 1) if den == 1 else _row([(part, den)]), N)
+        for i, part in parts.items()
+    }, off
 
 
 def _differ(got, want):

@@ -38,7 +38,8 @@ the canonical pair, and every kernel's output is made canonical by it.
 Phase pieces (``phase_pieces``), the layout LegTensor keeps, hold one
 canonical (numerators keyed by tensor key, denominator) pair per phase
 (hbar degree v, tau power t, exponent e of z_N), with e reduced below
-phi(N), no empty phase and N = 1 for rational values; their values are
+phi(N), no empty phase and no factor of N common to every exponent (so
+N = 1 for rational values); their values are
 ``phase_values`` of their flat row (``pieces_row``), the one value view.
 ``piece_product`` multiplies two sets of pieces with one accumulator per
 output phase: hbar degrees add (truncated at K), tau powers add, and the
@@ -1188,8 +1189,11 @@ def _settle(groups, N):
     numerators times the integer coordinates of z_N^e; each phase is made
     canonical by _row (its zeros dropped and its content removed; a phase
     that several moved parts land on is summed there) and dropped when it
-    cancels, and N becomes 1 when no exponent but 0 is left.  A product
-    (piece_product) hands it one part per phase."""
+    cancels.  Then N and every exponent are divided by their gcd s, as
+    z_N^e = z_(N/s)^(e/s) and e/s stays below phi(N/s): N becomes 1 when
+    no exponent but 0 is left, and a value of Q(z_4) brought to N = 12 by
+    a product goes back to 4.  A product (piece_product) hands it one part
+    per phase."""
     if N > 1:
         phi = _phi_deg(N)
         for v, t, e in [p for p in groups if p[2] >= phi]:
@@ -1206,8 +1210,11 @@ def _settle(groups, N):
         row = _row(parts)
         if row[0]:
             out[p] = row
-    if N > 1 and not any(e for _, _, e in out):
-        N = 1
+    if N > 1:
+        s = gcd(N, *[e for _, _, e in out])
+        if s > 1:
+            out = {(v, t, e // s): row for (v, t, e), row in out.items()}
+            N //= s
     return out, N
 
 

@@ -11,7 +11,6 @@ JSON) against the eager build of the same values.
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -252,23 +251,20 @@ def test_row_operand_with_tau_operand_takes_generic_path(case, data):
     assert not ta.eq(tb) and not tb.eq(ta)
 
 
-def _cube_root_conductor(N):
-    """The conductor of a tensor at conductor N after it is scaled by z3
-    three times: conductors are never minimized, so it is lcm(N, 3), but a
-    rational tensor (N = 1) settles back to 1."""
-    return 1 if N == 1 else lcm(N, 3)
-
-
-def test_scaling_by_z3_cubed_keeps_the_lcm_conductor():
+def test_scaling_by_z3_cubed_gives_back_the_conductor():
+    """The product with z3 lies at lcm(N, 3); z3^3 = 1 brings the pieces
+    back to N, Q(z_4) at 12 included (its exponents are multiples of 3)."""
     host = HOSTS["k[S3]", 1]
     z3 = Series(1, {0: Z3})
-    for value, before, after in [(Fraction(2, 3), 1, 1), (Z3, 3, 3), (Z4, 4, 12), (Z3 * Z4, 12, 12)]:
+    for value, N in [(Fraction(2, 3), 1), (Z3, 3), (Z4, 4), (1 + Z4, 4), (Z3 * Z4, 12)]:
         a = {(0,): Series(1, {0: value})}
         ta = stored(host, 1, a)
-        back = ta.scale(z3).scale(z3).scale(z3)
+        once = ta.scale(z3)
+        back = once.scale(z3).scale(z3)
         agrees(back, a)
-        assert ta._phases()[1] == before
-        assert back._phases()[1] == after == _cube_root_conductor(before)
+        assert ta._phases()[1] == back._phases()[1] == N
+        assert once._phases()[1] == (3 if N == 1 else 12 if N == 4 else N)
+        assert back._phases() == ta._phases()
 
 
 @SETTINGS
@@ -279,12 +275,12 @@ def test_cancellation_leaves_empty_rows(case, data):
     ta = stored(host, arity, a)
     agrees(ta.sub(ta), {})
     agrees(ta.add(ta.neg()), {})
-    # 1 + z3 + z3^2 = 0, and z3^3 = 1 brings the values back
+    # 1 + z3 + z3^2 = 0, and z3^3 = 1 leaves the conductor where it was
     z3 = Series(K, {0: Z3})
     agrees(ta.add(ta.scale(z3)).add(ta.scale(z3).scale(z3)), {})
     back = ta.scale(z3).scale(z3).scale(z3)
     agrees(back, a)
-    assert back._phases()[1] == _cube_root_conductor(ta._phases()[1])
+    assert back._phases()[1] == ta._phases()[1]
     # remove every degree but d: the other degrees are empty rows
     d = data.draw(st.integers(0, K))
     rest = {k: Series(K, {v: -c for v, c in enumerate(s.coeffs) if v != d and c})
