@@ -58,6 +58,12 @@ class InverseTooCostly(HopftwistError):
     (multilinear._MAX_INVERSE_WORK); refused before it is solved."""
 
 
+class SolveTooCostly(HopftwistError):
+    """A linear system over a cyclotomic field whose rational expansion's
+    estimated work passes the cap (scalars._MAX_SOLVE_WORK); refused before
+    the expansion is built."""
+
+
 class NotPrimitiveRoot(HopftwistError):
     pass
 

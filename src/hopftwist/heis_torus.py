@@ -175,10 +175,7 @@ def _freq_den(*elements):
 def _rows(f, D, N):
     """Phase row of f at conductor N, each frequency c keyed as c * D."""
     return phase_rows(
-        (
-            ((m, n, p, c.numerator * (D // c.denominator)), s)
-            for (m, n, p, c), s in f.data.items()
-        ),
+        {(m, n, p, c.numerator * (D // c.denominator)): s for (m, n, p, c), s in f.data.items()},
         N,
     )[0]
 
@@ -277,7 +274,7 @@ def star(a, b, theta, convention="main"):
     D = _freq_den(a, b)
     N = conductor([*a.data.values(), *b.data.values(), theta])
     xa, yb = _rows(a, D, N), _rows(b, D, N)
-    (lnums, lden), _ = phase_rows([((), theta)], N)
+    (lnums, lden), _ = phase_rows({(): theta}, N)
     lam = {(key, v, t - 1, e): x for (key, v, t, e), x in lnums.items()}, lden
     pieces = [row_product(xa, yb, order, N, _monomial_product)]
     coef = ({((), 0, 0, 0): 1}, 1)
@@ -477,7 +474,7 @@ def _act_once(letter, f, theta, side):
             conductor([*f.data.values(), sigma]),
             *[(c * r).denominator for _, _, c in f.data],
         )
-        sig = phase_rows([(0, sigma)], N)[0]
+        sig = phase_rows({0: sigma}, N)[0]
         memo = {}
         for (m, p, c), s in f.data.items():
             w = memo.get((p, c))
@@ -486,7 +483,7 @@ def _act_once(letter, f, theta, side):
             cd = c.numerator * (D // c.denominator)
             pieces.append(
                 row_product(
-                    phase_rows([(0, s)], N)[0], w, order, N,
+                    phase_rows({0: s}, N)[0], w, order, N,
                     lambda _, j: (((m + 1, j, cd), 1),),
                 )
             )
@@ -494,7 +491,7 @@ def _act_once(letter, f, theta, side):
         N = lcm(n, conductor([*f.data.values(), theta]))
         if side == "right":
             # e^{2 pi i n theta y} expands into extra y powers
-            arg = _scaled(phase_rows([(0, theta)], N)[0], n, y=1, t=1)
+            arg = _scaled(phase_rows({0: theta}, N)[0], n, y=1, t=1)
             g = row_exp(arg, _root(0), order, N, _ypow)
         else:
             g = _root(0)
@@ -503,7 +500,7 @@ def _act_once(letter, f, theta, side):
             cd = (c.numerator + c.denominator) * (D // c.denominator)
             pieces.append(
                 row_product(
-                    _ymul(phase_rows([(0, s)], N)[0], rot, order, N), g, order, N,
+                    _ymul(phase_rows({0: s}, N)[0], rot, order, N), g, order, N,
                     lambda _, t: (((m, p + t, cd), 1),),
                 )
             )
@@ -558,10 +555,10 @@ def zak_pair(f1, f2, theta, convention="main"):
         *[(k2[2] * q).denominator for _, k2, _, q in pairs],
     )
     D = lcm(*[c.denominator for f in (f1, f2) for _, _, c in f.data])
-    th = phase_rows([(0, theta)], N)[0]
+    th = phase_rows({0: theta}, N)[0]
     du = _scaled(th, n)
-    rows1 = {k: phase_rows([(0, s)], N)[0] for k, s in f1.data.items()}
-    rows2 = {k: phase_rows([(0, s)], N)[0] for k, s in f2.data.items()}
+    rows1 = {k: phase_rows({0: s}, N)[0] for k, s in f1.data.items()}
+    rows2 = {k: phase_rows({0: s}, N)[0] for k, s in f2.data.items()}
     left, right = {}, {}
     pieces = []
     for (j, p1, c1), (k, p2, c2), r1, q in pairs:

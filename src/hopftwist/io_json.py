@@ -19,7 +19,15 @@ from .grammar import parse, render
 from .group_cohomology import GroupCochain, fano_octonions
 from .heis_torus import HeisElement
 from .multilinear import AlgebraPresentation, HopfPresentation, LegTensor
-from .scalars import Cyclotomic, ScalarRing, Series, TauLaurent, _phi_deg, field_rank
+from .scalars import (
+    Cyclotomic,
+    ScalarRing,
+    Series,
+    TauLaurent,
+    _phi_deg,
+    expansion_work,
+    field_rank,
+)
 
 
 def _scalar(v, hbar_order, field):
@@ -86,22 +94,15 @@ def _conductor_of(values):
 
 
 # Cap on the estimated work of the antipode check over a cyclotomic field
-# (see _invertible): m^3 * g for the m = n * phi(N) rows of the expansion, g
-# the bits of the largest numerator of an entry's coordinates over their
-# common denominator plus the bits of that denominator.  As single field_rank
-# calls on a shared 2-core x86 host, dense expansions of m from 32 to 384 took
-# 0.6-4.5e-7 s per unit of the estimate (m = 192 at N = 420: 1.3 s), so the
-# cap allows about 2-4 s.  A rational matrix is not priced: it is no larger
-# than the document that writes it.
+# (see _invertible): m^3 * g for the m = n * phi(N) rows of the expansion
+# (scalars.expansion_work), g the bits of the largest numerator of an
+# entry's coordinates over their common denominator plus the bits of that
+# denominator.  As single field_rank calls on a shared 2-core x86 host,
+# dense expansions of m from 32 to 384 took 0.6-4.5e-7 s per unit of the
+# estimate (m = 192 at N = 420: 1.3 s), so the cap allows about 2-4 s.  A
+# rational matrix is not priced: it is no larger than the document that
+# writes it.
 _MAX_EXPANSION_WORK = 10**7
-
-
-def _coordinate_bits(q):
-    if not q.coords:
-        return 1
-    den = lcm(*[c.denominator for c in q.coords.values()])
-    top = max(abs(c.numerator) * (den // c.denominator) for c in q.coords.values())
-    return max(1, top.bit_length() + (den - 1).bit_length())
 
 
 def _components(mat):
@@ -157,11 +158,11 @@ def _invertible(rows):
         if len(part_rows) == 1:
             continue
         part = [[mat[i][j] for j in part_cols] for i in part_rows]
-        values = [Cyclotomic._coerce(v) for row in part for v in row]
-        N = lcm(*[q.conductor for q in values])
+        values = [[Cyclotomic._coerce(v) for v in row] for row in part]
+        N = lcm(*[q.conductor for row in values for q in row])
         if N > 1:
             m = len(part) * _phi_deg(N)
-            work = m**3 * max(_coordinate_bits(q) for q in values)
+            work = expansion_work(values, N)
             if work > _MAX_EXPANSION_WORK:
                 raise SchemaError(
                     "antipode check too costly: %d x %d rational expansion "

@@ -23,14 +23,16 @@ multiplies pieces and returns pieces, so a chain of products never leaves
 the integers.  A product over a host whose cells all lie at phase 0 (every
 group algebra, its twists by a rational cocycle, and the dual hosts), and
 every leg map (coproduct_leg, counit_leg, and leg_embed, one leg map per
-unit leg it inserts), is one scalars.piece_product: the pairs of phases
-are grouped by the phase they land on, and all the pairs of one output
-phase are summed into one integer accumulator over the lcm of their
-denominators, then settled once.  The
-kernel that multiplies one pair is key intersection on a pointwise host
-with unit coefficients (a dual host), tensor_convolve against the integer
-table otherwise (over the operand denominators times D**arity), or the
-leg map itself.  Over any other host (Taft, series structure constants)
+unit leg it inserts) that sums, is one scalars.piece_product: the pairs
+of phases are grouped by the phase they land on, and all the pairs of one
+output phase are summed into one integer accumulator over the lcm of
+their denominators, then settled once.  The kernel that multiplies one
+pair is key intersection on a pointwise host with unit coefficients (a
+dual host), tensor_convolve against the integer table otherwise (over
+the operand denominators times D**arity), or the leg map itself.  A leg
+map whose cells send each digit to its own block with weight 1 (a
+group-like coproduct, a unit that is one basis element) only relabels
+the keys of each piece.  Over any other host (Taft, series structure constants)
 ``phase_convolve`` multiplies the two operands' flat phase rows against the
 phase cells, adding the cells' phases, and the product is settled once.
 elem_mul is one phase_convolve on flat phase rows.  The coproduct, counit
@@ -51,7 +53,7 @@ up keep the per-leg loop.  Rows are built lazily, one for each block value
 met, and kept on the host.  A group table (every row and column a
 permutation, with a unit) makes the product of one key with all the keys
 of a tensor a relabel, so a pair whose operand has a single key (the
-unit, a basis column of an inverse) skips the convolution; the unit's key
+unit, a monomial, a basis column) skips the convolution; the unit's key
 keeps the keys as they are.  An accumulator is a plain list with one cell
 per output key when the pairs it sums have at least dim**arity term
 products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
@@ -72,8 +74,9 @@ keeps the pair loop.
 An exact tensor inverse (tensor_invert, _invert_exact) is one integer
 solve of the left regular representation at every conductor N: each
 unknown is a coordinate of the inverse on a key and a power of z_N, and
-each column is over its own denominator.  No step does Cyclotomic
-arithmetic.
+each column is over its own denominator; at N = 1 over a phase-0 table
+the columns come straight from the product kernel.  No step does
+Cyclotomic arithmetic.
 
 verify_algebra is the one algebra axiom battery: unit laws, associativity
 or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
@@ -448,7 +451,7 @@ def phase_cells(values):
     phase_rows), so a product of roots stays one term.  values[n] None
     stays None."""
     (nums, den), N = phase_rows(
-        (((n, k), w) for n, vec in enumerate(values) if vec for k, w in vec.items()),
+        {(n, k): w for n, vec in enumerate(values) if vec for k, w in vec.items()},
         roots=True,
     )
     cells = [None if vec is None else [] for vec in values]
@@ -668,6 +671,24 @@ class _MulOps:
             self._rational = (_Cells(tbl, self._rows if perm else None, self.dim), table.den)
         return self._rational
 
+    def rational_kernel(self, arity):
+        """(kernel, den) of a product at arity over a phase-0 table: key
+        intersection on a pointwise host with unit coefficients (den 1),
+        else tensor_convolve against the integer table (den D**arity), a
+        pair with a single-key operand over a group table a _relabel."""
+        if self.pointwise_coeffs() is not None:
+            return _common_keys, 1
+        dim = self.dim
+        tbl, tden = self.rational_table()
+        relabel = tbl.latin and arity <= 4
+
+        def kernel(x, y, acc, f):
+            if relabel and (len(x) == 1 or len(y) == 1):
+                return _relabel(x, y, dim, arity, tbl, acc, f)
+            return tensor_convolve(x, y, dim, arity, tbl, acc, f)
+
+        return kernel, tden ** arity
+
     def unit_rows(self, arity):
         """(pieces, N): the phase pieces of the unit of host^(tensor arity),
         made once for each arity: the unit of arity - 1 embedded with the
@@ -684,8 +705,8 @@ class _MulOps:
 
     def unit_cells(self, first):
         """The leg cells (see _leg_cells) that put the unit beside a leg,
-        made once for each side: digit d becomes 1 (x) d when first, else
-        d (x) 1."""
+        made once for each side: digit d becomes 1 (x) d when first, else d
+        (x) 1; a relabel (codes) when the unit is one basis element."""
         got = self._unit_cells.get(first)
         if got is None:
             dim = self.dim
@@ -697,9 +718,11 @@ class _MulOps:
         return got
 
     def _leg_cells(self, flat):
-        """(pieces, N): the phase pieces of {(basis index i, code): value}
-        at one conductor N, (cells, D) per phase, cells[i] the (code,
-        numerator) pairs of i over the denominator D."""
+        """(pieces, N, codes): the phase pieces of {(basis index i, code):
+        value} at one conductor N, (cells, D) per phase, cells[i] the (code,
+        numerator) pairs of i over the denominator D.  codes, the code of
+        each i, only when every cells[i] is one distinct (code, 1) at phase
+        0, N = 1 and D = 1: a one-to-one map of weight 1 (see _leg_map)."""
         pieces, N = phase_pieces(flat)
         out = {}
         for p, (nums, den) in pieces.items():
@@ -707,7 +730,10 @@ class _MulOps:
             for (i, code), n in nums.items():
                 cells[i].append((code, n))
             out[p] = (cells, den)
-        return out, N
+        cells, den = out.get(_PHASE0, ((), 0))
+        codes = [c[0][0] for c in cells if len(c) == 1 and c[0][1] == 1]
+        one_to_one = N == 1 and len(out) == den == 1 and len(set(codes)) == self.dim
+        return out, N, codes if one_to_one else None
 
     def elem_unit(self):
         return {k: v for k, v in enumerate(self.unit) if v}
@@ -828,7 +854,7 @@ class HopfPresentation(_MulOps):
 
     def coproduct_pieces(self):
         """The coproduct as leg cells (see _leg_cells), the block of basis j
-        (x) k as the code j * dim + k."""
+        (x) k as the code j * dim + k; a relabel when it is group-like."""
         if self._cop_pieces is None:
             self._cop_pieces = self._leg_cells({
                 (i, j * self.dim + k): w
@@ -1069,12 +1095,8 @@ class LegTensor:
         Over a host whose phase cells all lie at phase 0
         (host.rational_table(): every group algebra, its twists by a
         rational cocycle, and the dual hosts) piece_product sums every pair
-        of phases that lands on one output phase into one accumulator: by
-        key intersection on a pointwise host with unit coefficients, by
-        tensor_convolve against the integer table otherwise, over the two
-        operand denominators times D**arity.  Over a group table a phase
-        met by one pair whose operands include a single key (the unit, a
-        basis column of an inverse) is a relabel (_relabel).  Over any other
+        of phases that lands on one output phase into one accumulator,
+        through the host's rational_kernel.  Over any other
         host (Taft's roots of unity, series structure constants) both
         operands become one flat phase row at the lcm L of their conductors
         and the table's, phase_convolve multiplies them against the host's
@@ -1096,18 +1118,8 @@ class LegTensor:
                 table, host.ring.hbar_order or 0, L,
             )
             return LegTensor._of_rows(host, arity, *row_pieces(row, L))
-        if host.pointwise_coeffs() is not None:
-            return self._product(*other._phases(), _common_keys, arity)
-        dim = host.dim
-        tbl, tden = host.rational_table()
-        relabel = tbl.latin and arity <= 4
-
-        def kernel(x, y, acc, f):
-            if relabel and (len(x) == 1 or len(y) == 1):
-                return _relabel(x, y, dim, arity, tbl, acc, f)
-            return tensor_convolve(x, y, dim, arity, tbl, acc, f)
-
-        return self._product(*other._phases(), kernel, arity, tden ** arity)
+        kernel, den = host.rational_kernel(arity)
+        return self._product(*other._phases(), kernel, arity, den)
 
     def add(self, other):
         return self._add(other, False)
@@ -1196,12 +1208,21 @@ class LegTensor:
         """The tensor with the digit d at leg replaced, for each (code, n)
         of the host's cells[d], by the block of width digits code, the
         coefficient times n; the pieces of the host's cells are summed per
-        output phase like a product's (piece_product)."""
+        output phase like a product's (piece_product).  Cells with codes
+        are a relabel of each piece's keys: a one-to-one map of weight 1
+        sums nothing, makes no zero and changes no content."""
         if not 0 <= leg < self.arity:
             raise BadLeg("leg %d of %d" % (leg, self.arity))
         dim = self.host.dim
         low = dim ** (self.arity - 1 - leg)
         wide = dim ** width
+        pieces, M, codes = host_cells
+        if codes is not None:
+            step, top, at = dim * low, wide * low, [c * low for c in codes]
+            A, N = self._phases()
+            moved = {p: ({k // step * top + at[k % step // low] + k % low: n for k, n in nums.items()}, d)
+                     for p, (nums, d) in A.items()}
+            return LegTensor._of_rows(self.host, self.arity - 1 + width, moved, N)
 
         def kernel(a, cells, acc, f):
             out = {}
@@ -1215,7 +1236,7 @@ class LegTensor:
                     out[nk] = get(nk, 0) + x * w
             return out if acc is None else _fold(acc, out.keys(), out.values(), f)
 
-        return self._product(*host_cells, kernel, self.arity - 1 + width)
+        return self._product(pieces, M, kernel, self.arity - 1 + width)
 
     def __repr__(self):
         return "LegTensor(%s, arity=%d, %d terms)" % (
@@ -1312,14 +1333,15 @@ def _inverse_work(t, unit):
 
 def _invert_exact(t, unit):
     """The two-sided inverse of t over an exact ring, by one rational solve
-    of the left regular representation.  The columns t * b_j and the unit
-    are flat rows at L, the lcm of their conductors.  The unknowns are the
-    coordinates x_(j,f) of the inverse's value at key j on z_L^f, f <
-    phi(L); z_L is central, so the column of x_(j,f) is the column t * b_j
-    with its exponents shifted by f and reduced below phi(L), over that
-    column's denominator.  At L = 1 this is the one column per key.  An
-    inverse whose estimated work passes _MAX_INVERSE_WORK is refused
-    (InverseTooCostly) before a column is formed."""
+    of the left regular representation.  With t and the unit at conductor 1
+    over a phase-0 table, column j is t's numerators through the kernel of
+    LegTensor.mul (rational_kernel) times {j: 1}.  Otherwise the columns t *
+    b_j and the unit are flat rows at L, the lcm of their conductors, and
+    the column of x_(j,f), the inverse's coordinate at key j on z_L^f, f <
+    phi(L), is t * b_j with its exponents shifted by f and reduced below
+    phi(L) (z_L is central).  An inverse whose estimated work passes
+    _MAX_INVERSE_WORK is refused (InverseTooCostly) before a column is
+    formed."""
     work = _inverse_work(t, unit)
     if work > _MAX_INVERSE_WORK:
         raise InverseTooCostly(
@@ -1328,34 +1350,42 @@ def _invert_exact(t, unit):
     host = t.host
     arity = t.arity
     D = host.dim ** arity
-    cols = [
-        t.mul(LegTensor._of_rows(host, arity, {(0, 0, 0): ({j: 1}, 1)}))
-        for j in range(D)
-    ]
-    phases = [c._phases() for c in cols + [unit]]
-    L = lcm(*[N for _rows, N in phases])
-    phi = _phi_deg(L)
-    rows = [pieces_row(pieces, N, L) for pieces, N in phases]
-    size = D * phi
-    mat = [[0] * size for _ in range(size)]
-    for j, (nums, _den) in enumerate(rows[:D]):
-        for f in range(phi):
-            shifted = {(k, v, tau, (e + f) % L): n for (k, v, tau, e), n in nums.items()}
-            for (k, _v, _t, e), n in reduced_row(shifted, L).items():
-                mat[k * phi + e][j * phi + f] = n
-    unit_nums, unit_den = rows[D]
-    rhs = [0] * size
-    for (k, _v, _t, e), n in unit_nums.items():
-        rhs[k * phi + e] = n
-    sol = linalg.solve(mat, rhs)
+    A, N = t._phases()
+    U, M = unit._phases()
+    if N == M == 1 and set(A) | set(U) <= {_PHASE0} and host.rational_table():
+        kernel, tden = host.rational_kernel(arity)
+        nums, den = A.get(_PHASE0, ({}, 1))
+        L = phi = 1
+        cols = [(kernel(nums, {j: 1}, None, 1), den * tden) for j in range(D)]
+        unit_nums, unit_den = U.get(_PHASE0, ({}, 1))
+    else:
+        prods = [t.mul(LegTensor._of_rows(host, arity, {_PHASE0: ({j: 1}, 1)})) for j in range(D)]
+        phases = [c._phases() for c in prods + [unit]]
+        L = lcm(*[N for _rows, N in phases])
+        phi = _phi_deg(L)
+        rows = [pieces_row(pieces, N, L) for pieces, N in phases]
+        cols = [
+            ({k * phi + e: n for (k, _v, _t, e), n in reduced_row(
+                {(k, v, tau, (e + f) % L): n for (k, v, tau, e), n in nums.items()}, L
+            ).items()}, den)
+            for nums, den in rows[:D]
+            for f in range(phi)
+        ]
+        unit_nums = {k * phi + e: n for (k, _v, _t, e), n in rows[D][0].items()}
+        unit_den = rows[D][1]
+    mat = [[0] * len(cols) for _ in cols]
+    for c, (col, _den) in enumerate(cols):
+        for r, n in col.items():
+            mat[r][c] = n
+    sol = linalg.solve(mat, [unit_nums.get(r, 0) for r in range(len(cols))])
     if sol is None:
         raise NotInvertible("tensor has no inverse")
-    # x_(j,f) = z_(j,f) * den_j / unit_den, on the phase (0, 0, f)
+    # x_(j,f) = z_(j,f) * den_(j,f) / unit_den, on the phase (0, 0, f)
     flat = {}
     for c, z in enumerate(sol):
         if z:
             j, f = divmod(c, phi)
-            flat[j, 0, 0, f] = z * Fraction(rows[j][1], unit_den)
+            flat[j, 0, 0, f] = z * Fraction(cols[c][1], unit_den)
     inv = LegTensor._of_rows(host, arity, *row_pieces(_numerators(flat), L))
     if not t.mul(inv).eq(unit) or not inv.mul(t).eq(unit):
         raise NotInvertible("one-sided inverse only")
@@ -1466,11 +1496,11 @@ _ZERO = (({}, 1), 1)
 
 
 def _vec_row(vec):
-    """The row of a sparse vector of values, None for None."""
+    """The canonical row of a sparse vector (no zero), None for None."""
     if vec is None:
         return None
-    row, N = phase_rows(vec.items())
-    return _row([row]), N
+    row, N = phase_rows(vec)
+    return (row if N == 1 else _row([row])), N
 
 
 def _cell_rows(table):

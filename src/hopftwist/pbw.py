@@ -90,10 +90,10 @@ def _product(K, a, b, keymul):
     """{key: Series} of the product of two {key: Series} dicts of order K
     whose keys multiply by keymul, formed on phase rows at the conductor of
     their values."""
-    A, N = phase_rows(a.items())
-    B, M = phase_rows(b.items(), N)
+    A, N = phase_rows(a)
+    B, M = phase_rows(b, N)
     if M != N:
-        A, N = phase_rows(a.items(), M)
+        A, N = phase_rows(a, M)
     return phase_values(_row([row_product(A, B, K, N, keymul)]), K, N)
 
 
@@ -237,7 +237,7 @@ def pbw_exp(x):
             )
     K = x.order
     (unit,) = x.unit_like().data
-    step, N = phase_rows(x.data.items())
+    step, N = phase_rows(x.data)
     one = ({(unit, 0, 0, 0): 1}, 1)
     return x._raw(phase_values(row_exp(step, one, K, N, x._key_product()), K, N))
 

@@ -68,7 +68,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .errors import NonNilpotent, NonUnit, OrderMismatch
+from .errors import NonNilpotent, NonUnit, OrderMismatch, SolveTooCostly
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power-basis reduction
@@ -381,7 +381,9 @@ class Cyclotomic:
             return root_of_unity(-self.root, self.conductor)
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.coords[0])
-        return field_solve([[self]], [1])[0]
+        # unpriced: grammar prices a divisor before it is formed
+        N = self.conductor
+        return _solved(_blocks([[self, Cyclotomic._coerce(1)]], N), N)[0]
 
     def __truediv__(self, other):
         o = Cyclotomic._coerce(other)
@@ -440,6 +442,35 @@ def root_of_unity(p, q):
 # linear systems over Q(z_N)
 
 
+# Cap on the estimated work of one rational solve of the expansion of a
+# system with a Cyclotomic entry (field_rank, field_solve): m^3 * g, the
+# estimate and the cap of multilinear._invert_exact (see expansion_work).  The graded decisions
+# over Q(z_3) of the tests price theirs under 10^7; twisted k^a[Z3 x Z3]
+# with a = z(997, b*c), whose 81 x 81 map expands to 80,676 columns, is
+# refused at once.
+_MAX_SOLVE_WORK = 10**8
+
+
+def _coordinate_bits(q):
+    """The bits of the largest coordinate numerator of a Cyclotomic over
+    their common denominator plus the bits of that denominator, at least 1."""
+    if not q.coords:
+        return 1
+    den = lcm(*[c.denominator for c in q.coords.values()])
+    top = max(abs(c.numerator) * (den // c.denominator) for c in q.coords.values())
+    return max(1, top.bit_length() + (den - 1).bit_length())
+
+
+def expansion_work(values, N):
+    """The estimated work of a rational solve of the expansion of a matrix
+    of Cyclotomic values at conductor N, from the entries alone: R * C *
+    min(R, C) * g for its R x C rational matrix (m^3 * g when square, as
+    multilinear._inverse_work), g the largest _coordinate_bits of an entry."""
+    phi = _phi_deg(N)
+    R, C = len(values) * phi, len(values[0]) * phi
+    return R * C * min(R, C) * max(_coordinate_bits(q) for row in values for q in row)
+
+
 def expansion(mat):
     """(rows, N) for a matrix of int, Fraction and Cyclotomic entries, N the
     lcm of their conductors: the rational matrix in which entry (i, j) is the
@@ -447,11 +478,25 @@ def expansion(mat):
     rows i*phi + r and columns j*phi + s, the coordinate at z_N^r of the
     entry times z_N^s.  Column j*phi + s thus acts on the coordinate at
     z_N^s of unknown j, and the rank is phi(N) times the rank over Q(z_N).
-    A rational matrix comes back as it is, with N = 1."""
+    A rational matrix comes back as it is, with N = 1.  Any other is priced
+    first (expansion_work) and refused past _MAX_SOLVE_WORK with
+    SolveTooCostly, before a block is built."""
     if all(isinstance(x, _RATIONAL) for row in mat for x in row):
         return mat, 1
     values = [[Cyclotomic._coerce(x) for x in row] for row in mat]
     N = lcm(*[x.conductor for row in values for x in row])
+    work = expansion_work(values, N)
+    if work > _MAX_SOLVE_WORK:
+        raise SolveTooCostly(
+            "%d x %d system over Q(z_%d) priced at %.1e, past the cap of %.0e"
+            % (len(values), len(values[0]), N, work, _MAX_SOLVE_WORK)
+        )
+    return _blocks(values, N), N
+
+
+def _blocks(values, N):
+    """The rational expansion (see expansion) of a matrix of Cyclotomic
+    values at conductor N, unpriced."""
     phi = _phi_deg(N)
     rows = []
     for row in values:
@@ -461,7 +506,7 @@ def expansion(mat):
             for s in range(phi)
         ]
         rows.extend([col.get(r, 0) for col in cols] for r in range(phi))
-    return rows, N
+    return rows
 
 
 def field_rank(mat):
@@ -476,7 +521,11 @@ def field_solve(mat, rhs):
     None if the system is inconsistent: one rational solve of the expansion.
     The entries of x are Fractions when every entry of mat and rhs is
     rational, and Cyclotomic values at N otherwise."""
-    aug, N = expansion([row + [b] for row, b in zip(mat, rhs)])
+    return _solved(*expansion([row + [b] for row, b in zip(mat, rhs)]))
+
+
+def _solved(aug, N):
+    """field_solve of the expansion aug of an augmented system at N."""
     phi = _phi_deg(N)
     cols = len(aug[0]) - phi
     x = linalg.solve([row[:cols] for row in aug], [row[cols] for row in aug])
@@ -884,7 +933,7 @@ def series_exp(s):
     if s.coeffs[0]:
         raise NonNilpotent("exp needs a zero constant term")
     K = s.order
-    row, N = phase_rows([(0, s)])
+    row, N = phase_rows({0: s})
     one = ({(0, 0, 0, 0): 1}, 1)
     return phase_values(row_exp(row, one, K, N, lambda _a, _b: ((0, 1),)), K, N)[0]
 
@@ -910,15 +959,20 @@ def accumulate(out, key, v):
 # integer rows
 
 
-def _numerators(data):
+def _numerators(data, phase=False):
     """(integer numerators, common denominator) of a dict of rational values,
-    or None when some value is not rational."""
+    or None when some value is not rational; with phase, each key k is the
+    phase row key (k, 0, 0, 0)."""
     try:
         den = lcm(*[v.denominator for v in data.values()])
     except AttributeError:
         return None
     if den == 1:
+        if phase:
+            return {(k, 0, 0, 0): v.numerator for k, v in data.items()}, 1
         return {k: v.numerator for k, v in data.items()}, 1
+    if phase:
+        return {(k, 0, 0, 0): v.numerator * (den // v.denominator) for k, v in data.items()}, den
     return {k: v.numerator * (den // v.denominator) for k, v in data.items()}, den
 
 
@@ -974,18 +1028,25 @@ def conductor(values):
     )
 
 
-def phase_rows(items, N=1, roots=False):
+def phase_rows(data, N=1, roots=False):
     """(row, M): the phase row {(key, hbar degree, tau power, e): integer
-    numerator} of (key, value) pairs over one denominator, at M the lcm of
+    numerator} of a dict {key: value} over one denominator, at M the lcm of
     N and the conductors of the values.  A Series value lies on its hbar
     degrees and tau powers, any other on (0, 0); a rational coefficient lies
     on e = 0, and each coordinate of z_L^e in a Cyclotomic one on e * M / L.
     With roots, a tagged root z_L^r is the one numerator 1 on r * M / L,
     which may lie at or past phi(M), so that products of roots stay single
     terms; otherwise the exponents of the row lie below phi(M), and a sum
-    of roots keeps the fewer terms of the reduced basis."""
+    of roots keeps the fewer terms of the reduced basis.  When the first
+    value is rational the row is first tried as one _numerators pass; a
+    row of nonzero values at M = 1 is canonical (see _row): its
+    denominator is the lcm of reduced ones."""
+    if type(next(iter(data.values()), None)) in _RATIONAL:
+        row = _numerators(data, True)
+        if row is not None:
+            return row, N
     flat = {}
-    for key, s in items:
+    for key, s in data.items():
         if not isinstance(s, Series):
             flat[key, 0, 0, 0] = s
             continue
@@ -1137,7 +1198,7 @@ def phase_pieces(data):
     row = _numerators(data)  # None unless every value is a plain rational
     if row is not None:
         return ({(0, 0, 0): row} if row[0] else {}), 1
-    return row_pieces(*phase_rows(data.items()))
+    return row_pieces(*phase_rows(data))
 
 
 def row_pieces(row, N):

@@ -1,13 +1,20 @@
 """Graded algebras: strong grading, canonical map, crossed products,
 component checks, weight-vector laws."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hopftwist.constructors import cyclic_group
-from hopftwist.errors import NotAction, NotAutomorphism, NotHomogeneous
+from hopftwist.errors import (
+    HopftwistError,
+    NotAction,
+    NotAutomorphism,
+    NotHomogeneous,
+    SolveTooCostly,
+)
 from hopftwist.graded import (
     GradedAlgebra,
     UnityResolution,
@@ -156,6 +163,26 @@ def test_cyclotomic_twisted_group_algebra_is_strong():
         assert xi == {ginv: root_of_unity(a * b, 3)} and eta == {g: 1}
         assert all(c.ok for c in smeb_check(ga, g))
     assert ideal_property_report(ga).ok
+
+
+def test_decisions_over_a_large_conductor_are_refused_at_once():
+    # k^alpha[Z3 x Z3] with alpha = z(997, b*c): a system over Q(z_997)
+    # expands each entry into a 996 x 996 block, priced past the cap
+    # before a block is built
+    from hopftwist.constructors import direct_product
+
+    mult = {}
+    for a, b, c, d in product(range(3), repeat=4):
+        coeff = "z(997,%d)" % (b * c) if b * c else "1"
+        mult["%d,%d" % (a * 3 + b, c * 3 + d)] = [[(a + c) % 3 * 3 + (b + d) % 3, coeff]]
+    G = direct_product(cyclic_group(3), cyclic_group(3))
+    ga = _cyclotomic_graded(mult, 9, G, list(range(9)))
+    for decide in (strong_grading, canonical_map, lambda g: smeb_check(g, 4)):
+        start = time.perf_counter()
+        with pytest.raises(SolveTooCostly, match="Q\\(z_997\\) priced at .* past the cap"):
+            decide(ga)
+        assert time.perf_counter() - start < 1
+    assert issubclass(SolveTooCostly, HopftwistError)
 
 
 def test_cyclotomic_truncated_polynomial_is_not_strong():
