@@ -9,14 +9,24 @@ with i running 0..n+1 in increasing order inside each product, D_0 = unit
 on a new leftmost leg, D_{n+1} = unit on a new rightmost leg, and D_i for
 1 <= i <= n the coproduct applied at leg i-1.  Cochains carry their
 inverses so coboundaries never solve linear systems: the inverse of d(h)
-is the reversed product of the leg-inserted inverses.  That inverse costs
-as many products as d(h) itself, so it is formed only when a caller needs
-it (coboundary_pair, for a new cochain); the checks that compare d(h)
-against a target call coboundary, which forms d(h) alone.
+is the reversed product of the leg-inserted inverses (coboundary_inverse).
+That inverse costs as many products as d(h) itself, so it is formed only
+when a caller needs it: coboundary_pair forms both, for a new cochain; the
+checks that compare d(h) against a target call coboundary, which forms
+d(h) alone; and a cochain made with HopfCochain.deferred forms its inverse
+on the first read.
 
-Twisting replaces the coproduct by F Delta(.) F^-1 and the module-algebra
-product by m(F^-1 acting legwise); the associator d(F) measures the
-failure of coassociativity and associativity after the twist.
+Twisting replaces the coproduct by Delta_F = F Delta(.) F^-1 and the
+module-algebra product by m(F^-1 acting legwise); the associator
+Phi = d(F) measures the failure of coassociativity and associativity after
+the twist.  verify_quasi checks Drinfeld's two identities in the forms
+without Phi^-1, which hold exactly because Phi is invertible and each D_i
+is an algebra map:
+
+    (id (x) Delta_F) Delta_F(x) Phi = Phi (Delta_F (x) id) Delta_F(x)
+    D_0(Phi) D_2(Phi) D_4(Phi) = D_3(Phi) D_1(Phi)   (the pentagon)
+
+so Phi^-1 is formed only when the twisted module law reads it.
 """
 
 from fractions import Fraction
@@ -37,7 +47,7 @@ from .scalars import Series, accumulate
 class HopfCochain:
     """Invertible tensor with a cached two-sided inverse."""
 
-    __slots__ = ("host", "arity", "value", "inverse")
+    __slots__ = ("host", "arity", "value", "_inverse", "_make_inverse")
 
     def __init__(self, host, arity, value, inverse=None, _trusted=False):
         self.host = host
@@ -49,6 +59,7 @@ class HopfCochain:
                 "value has arity %d, expected %d" % (value.arity, arity)
             )
         self.value = value
+        self._make_inverse = None
         if inverse is None:
             inverse = tensor_invert(value)
         else:
@@ -63,7 +74,27 @@ class HopfCochain:
                     raise NotInvertible(
                         "supplied inverse is not a two-sided inverse"
                     )
-        self.inverse = inverse
+        self._inverse = inverse
+
+    @staticmethod
+    def deferred(host, arity, value, make_inverse):
+        """A cochain whose inverse is known to exist and is formed by
+        make_inverse() on the first read of .inverse, unchecked."""
+        c = HopfCochain.__new__(HopfCochain)
+        c.host = host
+        c.arity = arity
+        c.value = value
+        c._inverse = None
+        c._make_inverse = make_inverse
+        return c
+
+    @property
+    def inverse(self):
+        """The two-sided inverse, a deferred one formed on this first read."""
+        if self._inverse is None:
+            self._inverse = self._make_inverse()
+            self._make_inverse = None
+        return self._inverse
 
     @staticmethod
     def from_element(host, vec):
@@ -109,17 +140,23 @@ def coboundary(value, inverse):
     return out
 
 
-def coboundary_pair(value, inverse):
-    """(d(value), d(value)^-1) without linear solves."""
+def coboundary_inverse(value, inverse):
+    """d(value)^-1 without linear solves: the reversed product, the odd
+    leg insertions of value in decreasing order, then the even ones of its
+    inverse."""
     n = value.arity
-    out = coboundary(value, inverse)
-    inv = None
+    out = None
     for i in reversed(range(1, n + 2, 2)):
         f = _delta_i(value, i)
-        inv = f if inv is None else inv.mul(f)
+        out = f if out is None else out.mul(f)
     for i in reversed(range(0, n + 2, 2)):
-        inv = inv.mul(_delta_i(inverse, i))
-    return out, inv
+        out = out.mul(_delta_i(inverse, i))
+    return out
+
+
+def coboundary_pair(value, inverse):
+    """(d(value), d(value)^-1) without linear solves."""
+    return coboundary(value, inverse), coboundary_inverse(value, inverse)
 
 
 def hopf_coboundary(c):
@@ -229,15 +266,12 @@ class QuasiHopfTwistResult:
         self._phi_twisted = None
 
     def phi_twisted(self):
-        """The associator rewrapped over the twisted host."""
+        """The associator rewrapped over the twisted host; its inverse is
+        phi's, formed on the first read of either."""
         if self._phi_twisted is None:
-            tw = self.twisted
-            self._phi_twisted = HopfCochain(
-                tw,
-                3,
-                self.phi.value.over(tw),
-                self.phi.inverse.over(tw),
-                _trusted=True,
+            tw, phi = self.twisted, self.phi
+            self._phi_twisted = HopfCochain.deferred(
+                tw, 3, phi.value.over(tw), lambda: phi.inverse.over(tw)
             )
         return self._phi_twisted
 
@@ -287,9 +321,11 @@ def _conjugated_host(host, F):
 def twist(host, F, module=None):
     """Twist the coproduct by a counital invertible 2-cochain.
 
-    Returns the twisted host (same product, conjugated coproduct, no
-    antipode), the associator d(F), and the twisted module algebra when a
-    module is supplied."""
+    Returns the twisted host (same product, conjugated coproduct
+    F Delta(.) F^-1, no antipode), the associator Phi = d(F), and the
+    twisted module algebra when a module is supplied.  Phi is formed by
+    coboundary alone; Phi^-1 (coboundary_inverse) is formed on the first
+    read of phi.inverse or phi_twisted().inverse."""
     if F.arity != 2:
         raise ArityMismatch("twisting needs an arity-2 cochain")
     if F.host is not host:
@@ -298,8 +334,10 @@ def twist(host, F, module=None):
     if not rep.ok:
         raise NotCounital("twisting cochain fails counitality at " + str(rep.witness))
     twisted = _conjugated_host(host, F)
-    phi_val, phi_inv = coboundary_pair(F.value, F.inverse)
-    phi = HopfCochain(host, 3, phi_val, phi_inv, _trusted=True)
+    phi = HopfCochain.deferred(
+        host, 3, coboundary(F.value, F.inverse),
+        lambda: coboundary_inverse(F.value, F.inverse),
+    )
     twisted_algebra = None
     if module is not None:
         if module.host is not host:
@@ -308,21 +346,36 @@ def twist(host, F, module=None):
     return QuasiHopfTwistResult(host, twisted, F, phi, module, twisted_algebra)
 
 
+def conjugation_residual(phi, i):
+    """(id (x) Delta) Delta(b_i) Phi - Phi (Delta (x) id) Delta(b_i) over
+    phi's host, for the associator value phi: quasi-coassociativity at
+    basis i, written without Phi^-1."""
+    d = LegTensor.from_element(phi.host, {i: phi.host.ring.one()}).coproduct_leg(0)
+    return d.coproduct_leg(1).mul(phi).sub(phi.mul(d.coproduct_leg(0)))
+
+
+def pentagon_residual(phi):
+    """D_0(Phi) D_2(Phi) D_4(Phi) - D_3(Phi) D_1(Phi) for the associator
+    value phi: d(Phi) = 1 with the inverted factors moved to the right
+    side, as each D_i is an algebra map."""
+    D = [_delta_i(phi, i) for i in range(5)]
+    return D[0].mul(D[2]).mul(D[4]).sub(D[3].mul(D[1]))
+
+
 def verify_quasi(result):
-    """Coassociator identities for a twist: conjugated coassociativity,
-    counitality of the associator, its twisted-coboundary closure, and
-    (when an algebra is attached) quasi-associativity and the module law."""
+    """Coassociator identities for a twist: conjugated coassociativity
+    (conjugation_residual at each basis element), counitality of the
+    associator, the pentagon (pentagon_residual) and, when an algebra is
+    attached, quasi-associativity and the module law.  A failing check's
+    residual counts the terms of those differences.  Only the module law
+    reads Phi^-1, and forms it then (see twist)."""
     checks = []
     tw = result.twisted
-    one = tw.ring.one()
     phi_t = result.phi_twisted()
 
     bad, wit = 0, None
     for i in range(tw.dim):
-        d = LegTensor.from_element(tw, {i: one}).coproduct_leg(0)
-        lhs = d.coproduct_leg(1)
-        rhs = phi_t.value.mul(d.coproduct_leg(0)).mul(phi_t.inverse)
-        r = lhs.sub(rhs).term_count()
+        r = conjugation_residual(phi_t.value, i).term_count()
         if r:
             bad += r
             if wit is None:
@@ -334,8 +387,7 @@ def verify_quasi(result):
     rep = counital_report(phi_t)
     checks.append(rep.renamed("associator-counital"))
 
-    pent = coboundary(phi_t.value, phi_t.inverse)
-    res = pent.sub(LegTensor.unit(tw, 4))
+    res = pentagon_residual(phi_t.value)
     checks.append(
         CheckOutcome.from_residual(
             "associator-pentagon", res.term_count(), key_witness(res)

@@ -418,15 +418,17 @@ class PhaseCells:
     """A table of integer phase cells, FLINT's nf_elem layout: cells[n] is a
     tuple of (k, (v, t, e), numerator) over the common denominator den at
     the conductor N, or None for a value outside a window (see
-    phase_cells).  at(L) gives the cells with their exponents scaled to a
+    phase_cells).  top is the largest absolute numerator, 1 for a table of
+    no cell.  at(L) gives the cells with their exponents scaled to a
     multiple L of N, made once for each L."""
 
-    __slots__ = ("cells", "den", "N", "_at")
+    __slots__ = ("cells", "den", "N", "top", "_at")
 
     def __init__(self, cells, den, N):
         self.cells = cells
         self.den = den
         self.N = N
+        self.top = max((abs(n) for cell in cells if cell for _k, _p, n in cell), default=1)
         self._at = {}
 
     def at(self, L):
@@ -1327,8 +1329,7 @@ def _inverse_work(t, unit):
         ),
         default=1,
     )
-    top = max((abs(n) for cell in table.cells if cell for _k, _p, n in cell), default=1)
-    return m**3 * (bits + top.bit_length() + (table.den - 1).bit_length())
+    return m**3 * (bits + table.top.bit_length() + (table.den - 1).bit_length())
 
 
 def _invert_exact(t, unit):

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from hopftwist import constructors as con
 from hopftwist import multilinear
 from hopftwist.errors import InverseTooCostly, NotInvertible
-from hopftwist.multilinear import LegTensor, decode_key, tensor_invert
-from hopftwist.scalars import root_of_unity
+from hopftwist.multilinear import AlgebraPresentation, LegTensor, decode_key, tensor_invert
+from hopftwist.scalars import ScalarRing, root_of_unity
 from hopftwist.suites import run_suite
 
 GROUPS = {
@@ -138,3 +138,29 @@ def test_benchmark_and_suite_inverses_are_priced_under_the_cap(monkeypatch):
             assert case.run() == case.expected, case.label
     assert suite_count > 50 and len(prices) > suite_count
     assert max(prices) < multilinear._MAX_INVERSE_WORK // 1000
+
+
+def test_dense_price_reads_the_top_numerator_kept_on_the_table():
+    # the table keeps its largest numerator when it is made, so a price is
+    # unchanged: a dense arity-3 tensor over k[D4] with numerators up to 3
+    # (2 bits) over 1, against cells of numerator 1 over 1, has
+    # m = 8**3 unknowns and the price m**3 * (2 + 1), refused at once
+    H = con.group_algebra(con.dihedral_4())
+    # k[x]/(x^2 - 3/2): cells 2, 2, 2, 3 over 2, so a price of 2**3 * (1 + 2 + 1)
+    root = AlgebraPresentation(
+        2, ["1", "x"], ScalarRing(),
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: Fraction(3, 2)}},
+        [1, 0],
+    )
+    for host in (H, root, con.taft(3), con.dual_group_hopf(con.symmetric_3())):
+        table = host.phase_table()
+        assert table.top == max(abs(n) for cell in table.cells if cell for _k, _p, n in cell)
+    assert (H.phase_table().top, root.phase_table().top) == (1, 3)
+    x = LegTensor(root, 1, {0: Fraction(1), 1: Fraction(1)})
+    assert multilinear._inverse_work(x, LegTensor.unit(root, 1)) == 32
+    t = LegTensor(H, 3, {k: Fraction(k % 7 - 3) for k in range(8**3)})
+    assert multilinear._inverse_work(t, LegTensor.unit(H, 3)) == 512**3 * 3
+    start = time.perf_counter()
+    with pytest.raises(InverseTooCostly):
+        tensor_invert(t)
+    assert time.perf_counter() - start < 1

@@ -24,6 +24,7 @@ from hopftwist.hopf_cochain import (
     coboundary,
     coboundary_pair,
     cocycle_report,
+    conjugation_residual,
     dsquared,
     equivariant_twist_check,
     gauge_act,
@@ -33,6 +34,7 @@ from hopftwist.hopf_cochain import (
     is_counital,
     is_in_kernel,
     is_invariant,
+    pentagon_residual,
     random_counital_two_cochain,
     random_invariant_two_cochain,
     random_invertible_element_cochain,
@@ -43,7 +45,7 @@ from hopftwist.hopf_cochain import (
 )
 from hopftwist.multilinear import HopfPresentation, LegTensor
 from hopftwist.pbw import PBWTensor, pbw_exp
-from hopftwist.scalars import ScalarRing, Series
+from hopftwist.scalars import ScalarRing, Series, accumulate
 
 S3 = symmetric_3()
 KS3 = group_algebra(S3)
@@ -260,10 +262,109 @@ def test_twist_with_module_runs_all_five_checks():
         assert ck.ok, ck.id
 
 
+def _with_coproduct_fault(tw, i):
+    """tw with the term b_0 (x) b_i added to the coproduct of basis i."""
+    cop = {j: dict(cell) for j, cell in tw.coproduct.items()}
+    accumulate(cop.setdefault(i, {}), (0, i), tw.ring.one())
+    faulted = HopfPresentation(
+        tw.dim, tw.labels, tw.ring, tw.mult, tw.unit, cop, tw.counit,
+        commutative=tw.commutative, name=tw.name + "-fault",
+    )
+    faulted.share_product(tw)
+    return faulted
+
+
+def _with_phi_fault(R):
+    """R with phi replaced by phi (x (x) 1 (x) 1), x = 1 + 2 b_1, its inverse
+    given as (x^-1 (x) 1 (x) 1) phi^-1."""
+    tw = R.twisted
+    x = tw.elem_unit()
+    accumulate(x, 1, 2 * tw.ring.one())
+    xc = HopfCochain.from_element(tw, x)
+    unit = tw.elem_unit()
+    x3 = LegTensor.outer(tw, [dict(xc.value.data), unit, unit])
+    x3inv = LegTensor.outer(tw, [dict(xc.inverse.data), unit, unit])
+    phi = R.phi_twisted()
+    bad = HopfCochain(tw, 3, phi.value.mul(x3), x3inv.mul(phi.inverse), _trusted=True)
+    return QuasiHopfTwistResult(R.original, tw, R.cochain, bad, None, None)
+
+
+def _checks(R):
+    return {ck.id: ck for ck in verify_quasi(R)}
+
+
+def test_conjugation_failure_names_the_faulted_basis_label():
+    # over a commutative host the twisted coproduct of b_i is b_i (x) b_i,
+    # so a fault in the coproduct of b_2 shows at b_2 alone
+    H = group_algebra(cyclic_group(3), SER)
+    R = twist(H, random_counital_two_cochain(H, random.Random(7)))
+    assert _checks(R)["twisted-coproduct-conjugation"].witness is None
+    faulted = _with_coproduct_fault(R.twisted, 2)
+    bad = QuasiHopfTwistResult(H, faulted, R.cochain, R.phi, None, None)
+    ck = _checks(bad)["twisted-coproduct-conjugation"]
+    assert ck.status == "fail" and ck.residual_term_count > 0
+    assert ck.witness == H.labels[2]
+
+
+def _conjugations_with_inverse(R):
+    """Pass or fail of Phi (Delta (x) id) Delta(b_i) Phi^-1 against
+    (id (x) Delta) Delta(b_i) at each basis element, and of d(Phi) = 1."""
+    tw = R.twisted
+    phi = R.phi_twisted()
+    one = tw.ring.one()
+    out = []
+    for i in range(tw.dim):
+        d = LegTensor.from_element(tw, {i: one}).coproduct_leg(0)
+        rhs = phi.value.mul(d.coproduct_leg(0)).mul(phi.inverse)
+        out.append(d.coproduct_leg(1).eq(rhs))
+    return out, coboundary(phi.value, phi.inverse).eq(LegTensor.unit(tw, 4))
+
+
+def _conjugations_without_inverse(R):
+    phi = R.phi_twisted().value
+    out = [conjugation_residual(phi, i).is_zero() for i in range(R.twisted.dim)]
+    return out, pentagon_residual(phi).is_zero()
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_checks_without_phi_inverse_agree_with_the_inverse_forms(K):
+    # the pentagon forms agree where each D_i is an algebra map, so they are
+    # compared with a fault in phi and not with one in the coproduct
+    rng = random.Random(2600 + K)
+    ring = ScalarRing(hbar_order=K)
+    for H in (
+        group_algebra(cyclic_group(3), ring),
+        group_algebra(elementary_abelian_2(2), ring),
+        group_algebra(S3, ring),
+        group_algebra(elementary_abelian_2(3), ring),
+        dual_group_hopf(elementary_abelian_2(2), ring),
+    ):
+        R = twist(H, random_counital_two_cochain(H, rng))
+        faulted = _with_coproduct_fault(R.twisted, 1)
+        cases = [
+            ("clean", R, True),
+            ("coproduct", QuasiHopfTwistResult(H, faulted, R.cochain, R.phi, None, None), False),
+            ("phi", _with_phi_fault(R), True),
+        ]
+        for name, res, pentagon_too in cases:
+            old, old_pent = _conjugations_with_inverse(res)
+            new, new_pent = _conjugations_without_inverse(res)
+            assert new == old, (H.name, K, name)
+            if pentagon_too:
+                assert new_pent == old_pent, (H.name, K, name)
+            cks = _checks(res)
+            ck = cks["twisted-coproduct-conjugation"]
+            assert ck.ok == all(new), (H.name, K, name)
+            assert ck.witness == (None if all(new) else H.labels[new.index(False)])
+            assert cks["associator-pentagon"].ok == new_pent
+            assert (name == "clean") == (all(new) and new_pent), (H.name, K, name)
+
+
 def test_pentagon_failure_names_first_residual_key():
-    # phi = 1 corrupted to x (x) 1 (x) 1 with x = 1 + 2g in k[Z2]: d(phi) is
-    # (x (x) x) D(x)^-1 (x) 1 (x) 1 = (7 + 2 g(x)1 + 2 1(x)g - 2 g(x)g)/3 on the
-    # first two legs, so d(phi) - 1 has 4 terms, the first at e(x)e(x)e(x)e
+    # phi = 1 corrupted to x (x) 1 (x) 1 with x = 1 + 2g in k[Z2]: on the
+    # first two legs D0 D2 D4 is x^2 (x) x and D3 D1 is (x (x) 1) D(x), so
+    # the residual 4 + 2 g(x)1 + 6 1(x)g + 6 g(x)g has 4 terms, the first at
+    # e(x)e(x)e(x)e
     H = group_algebra(cyclic_group(2))
     R = twist(H, unit_cochain(H, 2))
     x = LegTensor(H, 3, {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(2)})
@@ -375,17 +476,28 @@ def test_dsquared_forms_no_inverse_it_throws_away(monkeypatch):
 
 def test_twist_and_verify_quasi_product_count(monkeypatch):
     # twist: F D(h) F^-1 for each of the 4 basis elements (8 products) and
-    # phi = d(F) with its inverse (3 + 3); verify_quasi: phi D(h) phi^-1 for
-    # each basis element (8) and the pentagon d(phi) alone (4)
+    # phi = d(F) alone (3); verify_quasi: lhs phi and phi D(h) for each basis
+    # element (8) and the pentagon D0 D2 D4 against D3 D1 (3); the module law
+    # reads phi^-1, which is formed then (3)
     rng = random.Random(37)
     mod = dual_action_module(elementary_abelian_2(2), SER)
     F = random_counital_two_cochain(mod.host, rng)
     calls = _count_muls(monkeypatch)
     R = twist(mod.host, F, mod)
-    assert len(calls) == 14
+    assert len(calls) == 11
     for ck in verify_quasi(R):
         assert ck.ok, ck.id
-    assert len(calls) == 26
+    assert len(calls) == 25
+    del calls[:]
+    R = twist(mod.host, F)
+    assert len(calls) == 11
+    for ck in verify_quasi(R):
+        assert ck.ok, ck.id
+    assert len(calls) == 22
+    # phi^-1 was never formed: reading it now forms it, once for both hosts
+    inv = R.phi_twisted().inverse
+    assert len(calls) == 25
+    assert R.phi.inverse.over(R.twisted).eq(inv) and len(calls) == 25
 
 
 def _coboundary_on_swapped_legs(monkeypatch):
