@@ -6,13 +6,20 @@ hopftwist describe <file.json>
 hopftwist octonion-table [--csv PATH]
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 malformed input
-(unknown suite, unparsable scalar, schema violation, unreadable file).
+(unknown suite, unparsable scalar, schema violation, unreadable file) or
+a computation refused as too costly (InverseTooCostly, SolveTooCostly).
 """
 
 import argparse
 import sys
 
-from .errors import ParseError, SchemaError, UnknownSuite
+from .errors import (
+    InverseTooCostly,
+    ParseError,
+    SchemaError,
+    SolveTooCostly,
+    UnknownSuite,
+)
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -104,10 +111,9 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (UnknownSuite, ParseError, SchemaError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (
+        UnknownSuite, ParseError, SchemaError, InverseTooCostly, SolveTooCostly, OSError
+    ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -26,7 +26,11 @@ is an algebra map:
     (id (x) Delta_F) Delta_F(x) Phi = Phi (Delta_F (x) id) Delta_F(x)
     D_0(Phi) D_2(Phi) D_4(Phi) = D_3(Phi) D_1(Phi)   (the pentagon)
 
-so Phi^-1 is formed only when the twisted module law reads it.
+so Phi^-1 is formed only when the twisted module law reads it.  Over a
+commuting product (read from the structure table, product_commutes) F
+commutes with every Delta(b), so the twisted coproduct is the host's own,
+formed with no product, and the first identity is checked as
+((id (x) Delta) Delta(x) - (Delta (x) id) Delta(x)) Phi, one product.
 """
 
 from fractions import Fraction
@@ -292,15 +296,22 @@ def _twisted_module_algebra(module, F):
 
 def _conjugated_host(host, F):
     """Same algebra, coproduct replaced by F Delta(.) F^-1, no antipode;
-    the product side, with its tables and caches, is host's own."""
-    cop = {}
-    for i in range(host.dim):
-        cell = host.basis_coproduct(i)
-        if not cell:
-            continue
-        di = LegTensor(host, 2, dict(cell))
-        ti = F.value.mul(di).mul(F.inverse)
-        cop[i] = {jk: v for jk, v in ti.entries()}
+    the product side, with its tables and caches, and the counit's leg
+    cells are host's own.  Over a commuting product (read from the table,
+    product_commutes) F commutes with every Delta(b_i), so the coproduct
+    is host's too, copied with no product, and so are its leg cells."""
+    commutes = host.product_commutes()
+    if commutes:
+        cop = host.coproduct
+    else:
+        cop = {}
+        for i in range(host.dim):
+            cell = host.basis_coproduct(i)
+            if not cell:
+                continue
+            di = LegTensor(host, 2, dict(cell))
+            ti = F.value.mul(di).mul(F.inverse)
+            cop[i] = {jk: v for jk, v in ti.entries()}
     twisted = HopfPresentation(
         host.dim,
         host.labels,
@@ -315,6 +326,7 @@ def _conjugated_host(host, F):
         name=host.name + "-twist",
     )
     twisted.share_product(host)
+    twisted.share_leg_cells(host, commutes)
     return twisted
 
 
@@ -349,9 +361,15 @@ def twist(host, F, module=None):
 def conjugation_residual(phi, i):
     """(id (x) Delta) Delta(b_i) Phi - Phi (Delta (x) id) Delta(b_i) over
     phi's host, for the associator value phi: quasi-coassociativity at
-    basis i, written without Phi^-1."""
-    d = LegTensor.from_element(phi.host, {i: phi.host.ring.one()}).coproduct_leg(0)
-    return d.coproduct_leg(1).mul(phi).sub(phi.mul(d.coproduct_leg(0)))
+    basis i, written without Phi^-1.  Over a commuting product that is
+    the same tensor as ((id (x) Delta) Delta(b_i) - (Delta (x) id)
+    Delta(b_i)) Phi, one product, of an empty tensor when the two agree."""
+    host = phi.host
+    d = LegTensor.from_element(host, {i: host.ring.one()}).coproduct_leg(0)
+    lhs, d0 = d.coproduct_leg(1), d.coproduct_leg(0)
+    if host.product_commutes():
+        return lhs.sub(d0).mul(phi)
+    return lhs.mul(phi).sub(phi.mul(d0))
 
 
 def pentagon_residual(phi):

@@ -609,16 +609,19 @@ class _MulOps:
         self._units = {}
         self._unit_cells = {}
         self._pw = 0
+        self._comm = None
 
     def share_product(self, other):
         """Use other's product and its caches (the phase, rational and base
-        tables, the key rows, the unit pieces and cells): other has the same
+        tables, the key rows, the unit pieces and cells, the pointwise and
+        commutativity tests): other has the same
         dim, ring, mult and unit, as the host a twist conjugates.  other's
         rational table is made first, so that both hosts hold the one
         table and with it the one group Fourier plan."""
         other.rational_table()
         for name in (
-            "mult", "_base", "_phase", "_rational", "_rows", "_units", "_unit_cells", "_pw"
+            "mult", "_base", "_phase", "_rational", "_rows", "_units", "_unit_cells",
+            "_pw", "_comm",
         ):
             setattr(self, name, getattr(other, name))
 
@@ -781,6 +784,16 @@ class _MulOps:
             self._pw = "one" if unit else None
         return self._pw
 
+    def product_commutes(self):
+        """True when basis i times basis j equals basis j times basis i for
+        every i and j, read from the structure table once; a declared
+        commutative flag is not consulted.  A cell on one side only is a
+        product that does not commute."""
+        if self._comm is None:
+            mult = self.mult
+            self._comm = all(mult.get((j, i)) == cell for (i, j), cell in mult.items())
+        return self._comm
+
 
 
 class AlgebraPresentation(_MulOps):
@@ -872,6 +885,14 @@ class HopfPresentation(_MulOps):
                 {(i, 0): e for i, e in enumerate(self.counit) if e}
             )
         return self._counit_pieces
+
+    def share_leg_cells(self, other, coproduct):
+        """Use other's counit leg cells, and its coproduct's when
+        coproduct: other has the same dim and counit, and then the same
+        coproduct, as the host a twist conjugates."""
+        self._counit_pieces = other.counit_pieces()
+        if coproduct:
+            self._cop_pieces = other.coproduct_pieces()
 
     def elem_coproduct(self, u):
         """Coproduct of a sparse vector as a sparse rank-2 dict {(j,k): c}."""

@@ -381,6 +381,10 @@ class Cyclotomic:
             return root_of_unity(-self.root, self.conductor)
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.coords[0])
+        if len(self.coords) == 1:
+            # c z^e, untagged: its inverse is c^-1 z^-e
+            ((e, c),) = self.coords.items()
+            return Cyclotomic(self.conductor, {-e % self.conductor: 1 / c})
         # unpriced: grammar prices a divisor before it is formed
         N = self.conductor
         return _solved(_blocks([[self, Cyclotomic._coerce(1)]], N), N)[0]
@@ -511,7 +515,10 @@ def _blocks(values, N):
 
 def field_rank(mat):
     """Rank over Q(z_N) of a matrix of rational and Cyclotomic entries: the
-    integer rank of its expansion over phi(N)."""
+    integer rank of its expansion over phi(N).  A 1 x 1 matrix is decided
+    by a zero test, unpriced."""
+    if len(mat) == 1 and len(mat[0]) == 1:
+        return 1 if mat[0][0] else 0
     rows, N = expansion(mat)
     return linalg.rank(rows) // _phi_deg(N)
 
@@ -520,8 +527,20 @@ def field_solve(mat, rhs):
     """A solution x of mat x = rhs over Q(z_N), free coordinates zero, or
     None if the system is inconsistent: one rational solve of the expansion.
     The entries of x are Fractions when every entry of mat and rhs is
-    rational, and Cyclotomic values at N otherwise."""
-    return _solved(*expansion([row + [b] for row, b in zip(mat, rhs)]))
+    rational, and Cyclotomic values at N otherwise.  A 1 x 1 system with a
+    Cyclotomic entry whose coefficient has an immediate inverse (zero, a
+    root of unity or one term c z^e) is decided unpriced, by a zero test
+    and Cyclotomic.inverse; any other coefficient's inverse is itself a
+    dense elimination, and goes through the priced expansion."""
+    aug = [row + [b] for row, b in zip(mat, rhs)]
+    if len(aug) == 1 and len(aug[0]) == 2 and not all(isinstance(x, _RATIONAL) for x in aug[0]):
+        a, b = (Cyclotomic._coerce(x) for x in aug[0])
+        if len(a.coords) <= 1 or a.root is not None:
+            N = lcm(a.conductor, b.conductor)
+            if not a:
+                return None if b else [Cyclotomic(N, {}, _reduced=True)]
+            return [Cyclotomic(N, (b * a.inverse())._embedded(N), _reduced=True)]
+    return _solved(*expansion(aug))
 
 
 def _solved(aug, N):

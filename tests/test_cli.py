@@ -11,6 +11,7 @@ import pytest
 
 from hopftwist import suites
 from hopftwist.cli import main
+from hopftwist.errors import InverseTooCostly, SolveTooCostly
 from hopftwist.suites import SUITE_NAMES
 
 
@@ -326,3 +327,17 @@ def test_octonion_table_csv(tmp_path, capsys):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "i,j,k,sign"
     assert len(lines) == 65
+
+
+@pytest.mark.parametrize("error", [InverseTooCostly, SolveTooCostly])
+def test_verify_refused_computation_exit_two(monkeypatch, capsys, error):
+    # a suite body that meets a refused inverse or solve ends in one
+    # error line and exit 2, not a traceback
+    def refused(rng, order, theta):
+        raise error("priced past the cap")
+
+    monkeypatch.setitem(suites._BODIES, "sharp-map", refused)
+    assert main(["verify", "sharp-map"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: priced past the cap\n"
+    assert captured.out == ""

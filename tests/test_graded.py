@@ -38,7 +38,7 @@ from hopftwist.graded import (
     window_products_report,
 )
 from hopftwist.multilinear import AlgebraPresentation, verify_algebra
-from hopftwist.scalars import Cyclotomic, ScalarRing, root_of_unity
+from hopftwist.scalars import Cyclotomic, ScalarRing, field_rank, field_solve, root_of_unity
 
 BATTERY = battery()
 WINDOWS = window_battery()
@@ -183,6 +183,33 @@ def test_decisions_over_a_large_conductor_are_refused_at_once():
             decide(ga)
         assert time.perf_counter() - start < 1
     assert issubclass(SolveTooCostly, HopftwistError)
+
+
+def test_one_by_one_system_over_a_large_conductor_is_decided(monkeypatch):
+    # smeb_check at degree (1,1) of the algebra above ranks the 1 x 1
+    # product system u_(2,2) u_(1,1) = z(997, 2) u_0: one zero test, not a
+    # 996 x 996 expansion priced past the cap; solving it inverts the one
+    # term z(997, 2) as z(997, 995), with no elimination
+    from hopftwist import scalars
+    from hopftwist.constructors import direct_product
+
+    mult = {}
+    for a, b, c, d in product(range(3), repeat=4):
+        coeff = "z(997,%d)" % (b * c) if b * c else "1"
+        mult["%d,%d" % (a * 3 + b, c * 3 + d)] = [[(a + c) % 3 * 3 + (b + d) % 3, coeff]]
+    G = direct_product(cyclic_group(3), cyclic_group(3))
+    A = _cyclotomic_graded(mult, 9, G, list(range(9))).algebra
+    row = [Fraction(0)]
+    for _k, c in A.basis_mul(8, 4).items():
+        row[0] += c
+    assert row[0].root is None and len(row[0].coords) == 1
+    monkeypatch.setattr(scalars, "_solved", None)
+    start = time.perf_counter()
+    assert field_rank([row]) == 1
+    (x,) = field_solve([row], [Fraction(1)])
+    assert time.perf_counter() - start < 1
+    assert x * row[0] == 1 and x == root_of_unity(995, 997)
+    assert field_solve([[Cyclotomic(997, {})]], [row[0]]) is None
 
 
 def test_cyclotomic_truncated_polynomial_is_not_strong():

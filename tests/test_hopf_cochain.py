@@ -43,7 +43,13 @@ from hopftwist.hopf_cochain import (
     unit_cochain,
     verify_quasi,
 )
-from hopftwist.multilinear import HopfPresentation, LegTensor
+from hopftwist.io_json import presentation_from_dict, presentation_to_dict
+from hopftwist.multilinear import (
+    AlgebraPresentation,
+    HopfPresentation,
+    LegTensor,
+    with_series_ring,
+)
 from hopftwist.pbw import PBWTensor, pbw_exp
 from hopftwist.scalars import ScalarRing, Series, accumulate
 
@@ -360,6 +366,118 @@ def test_checks_without_phi_inverse_agree_with_the_inverse_forms(K):
             assert (name == "clean") == (all(new) and new_pent), (H.name, K, name)
 
 
+def _two_product_conjugation(phi, i):
+    """lhs Phi - Phi d0 at basis i on every host, commuting or not."""
+    host = phi.host
+    d = LegTensor.from_element(host, {i: host.ring.one()}).coproduct_leg(0)
+    return d.coproduct_leg(1).mul(phi).sub(phi.mul(d.coproduct_leg(0)))
+
+
+def _outcomes(R):
+    return [(ck.id, ck.status, ck.residual_term_count, ck.witness) for ck in verify_quasi(R)]
+
+
+def _conjugated_coproduct(H, F):
+    """{i: F D(b_i) F^-1}, formed here by two products per basis element."""
+    out = {}
+    for i, cell in H.coproduct.items():
+        ti = F.value.mul(LegTensor(H, 2, dict(cell))).mul(F.inverse)
+        out[i] = dict(ti.entries())
+    return out
+
+
+def test_commuting_twists_keep_the_coproduct_and_agree_with_two_products(monkeypatch):
+    # dual[S3] commutes and does not cocommute; each outcome of verify_quasi
+    # (id, status, residual, witness) equals the one of lhs Phi - Phi d0,
+    # clean, with a term added to a twisted coproduct cell and with a fault
+    # in phi
+    rng = random.Random(2700)
+    ring2, ring3 = ScalarRing(hbar_order=2), ScalarRing(hbar_order=3)
+    for H in (
+        group_algebra(cyclic_group(3), ring2),
+        group_algebra(elementary_abelian_2(3), ring2),
+        dual_group_hopf(elementary_abelian_2(2), ring3),
+        dual_group_hopf(S3, ring2),
+    ):
+        assert H.product_commutes()
+        F = random_counital_two_cochain(H, rng)
+        R = twist(H, F)
+        assert R.twisted.coproduct == _conjugated_coproduct(H, F), H.name
+        assert R.twisted.coproduct_pieces() is H.coproduct_pieces()
+        assert R.twisted.coproduct is not H.coproduct
+        faulted = _with_coproduct_fault(R.twisted, 1)
+        cases = [
+            ("clean", R),
+            ("coproduct", QuasiHopfTwistResult(H, faulted, R.cochain, R.phi, None, None)),
+            ("phi", _with_phi_fault(R)),
+        ]
+        for name, res in cases:
+            got = _outcomes(res)
+            with monkeypatch.context() as m:
+                m.setattr(hopf_cochain, "conjugation_residual", _two_product_conjugation)
+                want = _outcomes(res)
+            assert got == want, (H.name, name)
+            assert all(o[1] == "pass" for o in got) == (name == "clean"), (H.name, name)
+
+
+def test_product_commutes_reads_the_table():
+    assert not KS3.product_commutes() and not KP8.product_commutes()
+    assert group_algebra(cyclic_group(3)).product_commutes()
+    # upper triangular 2 x 2 matrices on 1, E11, E12: E11 E12 = E12 and
+    # E12 E11 = 0, a cell on one side only
+    one = Fraction(1)
+    T2 = AlgebraPresentation(
+        3, ["1", "E11", "E12"], ScalarRing(),
+        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (0, 2): {2: one},
+         (2, 0): {2: one}, (1, 1): {1: one}, (1, 2): {2: one}},
+        [one, 0, 0],
+    )
+    assert not T2.product_commutes()
+
+
+def test_declared_commutative_flag_is_not_trusted(monkeypatch):
+    # k[S3] declared commutative, built directly and read from a document:
+    # the table says otherwise, so the twist still conjugates and verify_quasi
+    # reads as on the honest host
+    honest = with_series_ring(KS3, 2)
+    doc = presentation_to_dict(honest)
+    doc["commutative"] = True
+    lying = [
+        HopfPresentation(
+            honest.dim, honest.labels, honest.ring, honest.mult, honest.unit,
+            honest.coproduct, honest.counit, honest.antipode, commutative=True,
+        ),
+        presentation_from_dict(doc),
+    ]
+    F = random_counital_two_cochain(honest, random.Random(11))
+    R = twist(honest, F)
+    want = [_outcomes(R)]
+    want.append(_outcomes(QuasiHopfTwistResult(
+        honest, _with_coproduct_fault(R.twisted, 1), F, R.phi, None, None)))
+    for H in lying:
+        assert H.commutative and not H.product_commutes()
+        FH = HopfCochain(H, 2, F.value.over(H), F.inverse.over(H), _trusted=True)
+        RH = twist(H, FH)
+        assert RH.twisted.coproduct == R.twisted.coproduct != H.coproduct
+        got = [_outcomes(RH)]
+        got.append(_outcomes(QuasiHopfTwistResult(
+            H, _with_coproduct_fault(RH.twisted, 1), FH, RH.phi, None, None)))
+        assert got == want
+    # a commuting table declared noncommutative still keeps its coproduct
+    KZ3 = group_algebra(cyclic_group(3), SER)
+    plain = HopfPresentation(
+        KZ3.dim, KZ3.labels, KZ3.ring, KZ3.mult, KZ3.unit, KZ3.coproduct,
+        KZ3.counit, KZ3.antipode, commutative=False,
+    )
+    assert plain.product_commutes()
+    F = random_counital_two_cochain(plain, random.Random(11))
+    calls = _count_muls(monkeypatch)
+    R = twist(plain, F)
+    assert len(calls) == 3
+    assert R.twisted.coproduct == plain.coproduct
+    assert R.twisted.coproduct_pieces() is plain.coproduct_pieces()
+
+
 def test_pentagon_failure_names_first_residual_key():
     # phi = 1 corrupted to x (x) 1 (x) 1 with x = 1 + 2g in k[Z2]: on the
     # first two legs D0 D2 D4 is x^2 (x) x and D3 D1 is (x (x) 1) D(x), so
@@ -475,29 +593,44 @@ def test_dsquared_forms_no_inverse_it_throws_away(monkeypatch):
 
 
 def test_twist_and_verify_quasi_product_count(monkeypatch):
-    # twist: F D(h) F^-1 for each of the 4 basis elements (8 products) and
-    # phi = d(F) alone (3); verify_quasi: lhs phi and phi D(h) for each basis
-    # element (8) and the pentagon D0 D2 D4 against D3 D1 (3); the module law
-    # reads phi^-1, which is formed then (3)
+    # dual[Z2^2] has a commuting product, so F commutes with every D(h):
+    # twist keeps the host's coproduct (no product) and forms phi = d(F)
+    # alone (3); verify_quasi: (lhs - d0) phi for each of the 4 basis
+    # elements (4) and the pentagon D0 D2 D4 against D3 D1 (3); the module
+    # law reads phi^-1, which is formed then (3)
     rng = random.Random(37)
     mod = dual_action_module(elementary_abelian_2(2), SER)
     F = random_counital_two_cochain(mod.host, rng)
     calls = _count_muls(monkeypatch)
     R = twist(mod.host, F, mod)
-    assert len(calls) == 11
+    assert len(calls) == 3
     for ck in verify_quasi(R):
         assert ck.ok, ck.id
-    assert len(calls) == 25
+    assert len(calls) == 13
     del calls[:]
     R = twist(mod.host, F)
-    assert len(calls) == 11
+    assert len(calls) == 3
     for ck in verify_quasi(R):
         assert ck.ok, ck.id
-    assert len(calls) == 22
+    assert len(calls) == 10
     # phi^-1 was never formed: reading it now forms it, once for both hosts
     inv = R.phi_twisted().inverse
-    assert len(calls) == 25
-    assert R.phi.inverse.over(R.twisted).eq(inv) and len(calls) == 25
+    assert len(calls) == 13
+    assert R.phi.inverse.over(R.twisted).eq(inv) and len(calls) == 13
+
+
+def test_noncommutative_twist_still_conjugates_product_count(monkeypatch):
+    # k[S3] does not commute: twist forms F D(h) F^-1 for each of the 6
+    # basis elements (12) and phi = d(F) (3); verify_quasi forms lhs phi
+    # and phi d0 for each basis element (12) and the pentagon (3)
+    H = with_series_ring(KS3, 2)
+    F = random_counital_two_cochain(H, random.Random(37))
+    calls = _count_muls(monkeypatch)
+    R = twist(H, F)
+    assert len(calls) == 15
+    for ck in verify_quasi(R):
+        assert ck.ok, ck.id
+    assert len(calls) == 30
 
 
 def _coboundary_on_swapped_legs(monkeypatch):

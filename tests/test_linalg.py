@@ -1,6 +1,7 @@
 """linalg against sympy: rank, solve and inverse on random rational
 matrices; cyclotomic systems as their rational block expansion."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hopftwist import constructors as con
 from hopftwist import linalg
+from hopftwist.errors import SolveTooCostly
 from hopftwist.hopf_cochain import HopfCochain
 from hopftwist.multilinear import LegTensor
 from hopftwist.scalars import Cyclotomic, expansion, field_rank, field_solve, root_of_unity
@@ -129,6 +131,39 @@ def test_cyclotomic_entries_solve_through_blocks():
     # [[i, 1], [-1, i]] has rank 1 over Q(i), 2 = 1 * phi(4) over Q
     assert field_rank([[i, Fraction(1)], [Fraction(-1), i]]) == 1
     assert linalg.rank(expansion([[i, Fraction(1)], [Fraction(-1), i]])[0]) == 2
+
+
+def test_one_by_one_cyclotomic_systems_match_the_expansion():
+    # a 1 x 1 system is ranked by a zero test, and solved by
+    # Cyclotomic.inverse when that is immediate (a root, one term c z^e);
+    # its rank and solution are those of the priced block expansion
+    from hopftwist.scalars import _phi_deg, _solved
+
+    z5, z12 = root_of_unity(1, 5), root_of_unity(1, 12)
+    values = [
+        Fraction(0), Fraction(-3, 2), Cyclotomic(5, {}), Cyclotomic(5, {0: Fraction(2)}),
+        z5, z5 + 0, 3 * z5 * z5, root_of_unity(4, 5), z5 + 2, z12 - z5,
+        Fraction(1, 3) * z12 + z12 * z12,
+    ]
+    for a in values:
+        rows, N = expansion([[a]])
+        assert field_rank([[a]]) == linalg.rank(rows) // _phi_deg(N), a
+        for b in values:
+            if all(isinstance(x, Fraction) for x in (a, b)):
+                continue
+            got = field_solve([[a]], [b])
+            want = _solved(*expansion([[a, b]]))
+            assert got == want, (a, b)
+            if got is not None:
+                assert got[0].conductor == want[0].conductor, (a, b)
+    # an entry of two terms over Q(z_997) is ranked at once; its inverse
+    # is a dense elimination, so solving it is priced, and refused at once
+    q = root_of_unity(1, 997) + 2
+    start = time.perf_counter()
+    assert field_rank([[q]]) == 1
+    with pytest.raises(SolveTooCostly):
+        field_solve([[q]], [Fraction(1)])
+    assert time.perf_counter() - start < 1
 
 
 def test_rational_callers_never_reach_rref():
