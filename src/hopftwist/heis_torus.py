@@ -6,6 +6,8 @@ y-frequency c.  The t-winding n is the grading degree.  The deformed
 product is the truncated exponential star product along the invariant
 vector fields X = d_x + y d_t and Y = d_y; the deformation parameter is
 a formal series with zero constant term, and tau = 2 pi i stays formal.
+Sums and scalings, here and on the Zak side, are those of
+scalars.SeriesSum.
 
 The star product runs on phase rows (see scalars) at the conductor of
 both factors and theta: a monomial key becomes (m, n, p, c * D) with D
@@ -44,7 +46,9 @@ from .errors import (
 )
 from .scalars import (
     _ZERO_ROW,
+    ScalarRing,
     Series,
+    SeriesSum,
     _row,
     accumulate,
     conductor,
@@ -65,16 +69,6 @@ def _phase(c):
     return root_of_unity(c.numerator % c.denominator, c.denominator)
 
 
-def _as_series(order, x):
-    if isinstance(x, Series):
-        if x.order != order:
-            raise OrderMismatch(
-                "series orders differ: %d vs %d" % (order, x.order)
-            )
-        return x
-    return Series.const(x, order)
-
-
 def _check_theta(theta, order, convention):
     if convention not in ("main", "alt"):
         raise ValueError("convention must be 'main' or 'alt'")
@@ -89,18 +83,19 @@ def _check_theta(theta, order, convention):
     return -theta if convention == "alt" else theta
 
 
-class HeisElement:
+class HeisElement(SeriesSum):
     """Finite monomial sum at a fixed truncation order."""
 
-    __slots__ = ("order", "data")
+    __slots__ = ()
 
     def __init__(self, order, data):
         self.order = order
+        coerce = ScalarRing(order).coerce
         norm = {}
         for (m, n, p, c), s in data.items():
             if p < 0:
                 raise ValueError("negative y-power")
-            accumulate(norm, (int(m), int(n), int(p), Fraction(c)), _as_series(order, s))
+            accumulate(norm, (int(m), int(n), int(p), Fraction(c)), coerce(s))
         self.data = norm
 
     @staticmethod
@@ -115,33 +110,11 @@ class HeisElement:
     def one(order):
         return HeisElement(order, {(0, 0, 0, 0): 1})
 
-    def is_zero(self):
-        return not self.data
-
-    def term_count(self):
-        return len(self.data)
-
     def degrees(self):
         return sorted({k[1] for k in self.data})
 
     def is_homogeneous(self):
         return len(self.degrees()) <= 1
-
-    def add(self, other):
-        self._compat(other)
-        out = dict(self.data)
-        for k, s in other.data.items():
-            accumulate(out, k, s)
-        return HeisElement._raw(self.order, out)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, x):
-        out = {}
-        for k, s in self.data.items():
-            accumulate(out, k, s * x)
-        return HeisElement._raw(self.order, out)
 
     def _compat(self, other):
         if not isinstance(other, HeisElement):
@@ -150,13 +123,6 @@ class HeisElement:
             raise OrderMismatch(
                 "series orders differ: %d vs %d" % (self.order, other.order)
             )
-
-    @staticmethod
-    def _raw(order, data):
-        e = HeisElement.__new__(HeisElement)
-        e.order = order
-        e.data = data
-        return e
 
     def __eq__(self, other):
         if not isinstance(other, HeisElement):
@@ -194,9 +160,10 @@ def _freq_keys(values, D):
     return out
 
 
-def _element(order, row, D, N):
-    """The HeisElement of a canonical phase row keyed as in _rows."""
-    return HeisElement._raw(order, _freq_keys(phase_values(row, order, N), D))
+def _element(f, row, D, N):
+    """The HeisElement at f's order of a canonical phase row keyed as in
+    _rows."""
+    return f._raw(_freq_keys(phase_values(row, f.order, N), D))
 
 
 def _put(out, idx, x):
@@ -251,7 +218,7 @@ def vf_apply(field, f):
         raise ValueError("field must be one of X, Y, T")
     D = _freq_den(f)
     N = conductor(f.data.values())
-    return _element(f.order, apply(_rows(f, D, N), D), D, N)
+    return _element(f, apply(_rows(f, D, N), D), D, N)
 
 
 def _monomial_product(k1, k2):
@@ -287,7 +254,7 @@ def star(a, b, theta, convention="main"):
             break
         scaled = row_product(coef, xa, order, N, _scalar_product)
         pieces.append(row_product(scaled, yb, order, N, _monomial_product))
-    return _element(order, _row(pieces), D, N)
+    return _element(a, _row(pieces), D, N)
 
 
 def alpha(theta, k, convention="main"):
@@ -316,7 +283,7 @@ def m3_residual(f):
         scaled = s * _phase(c)
         for j in range(p + 1):
             accumulate(out, (m + n, n, j, c), scaled * (-comb(p, j)))
-    return HeisElement._raw(f.order, out)
+    return f._raw(out)
 
 
 def m3_membership(f):
@@ -328,51 +295,30 @@ def m3_membership(f):
 # Zak side
 
 
-class ZakElement:
+class ZakElement(SeriesSum):
     """Degree-n sequence of y-monomials indexed by integer slots.
 
     data maps (slot m, y-power p, y-frequency c) to a Series coefficient.
     """
 
-    __slots__ = ("order", "degree", "data")
+    __slots__ = ("degree",)
 
     def __init__(self, order, degree, data):
         if degree == 0:
             raise ZeroDegree("Zak elements need a nonzero degree")
         self.order = order
         self.degree = int(degree)
+        coerce = ScalarRing(order).coerce
         norm = {}
         for (m, p, c), s in data.items():
             if p < 0:
                 raise ValueError("negative y-power")
-            accumulate(norm, (int(m), int(p), Fraction(c)), _as_series(order, s))
+            accumulate(norm, (int(m), int(p), Fraction(c)), coerce(s))
         self.data = norm
 
     @staticmethod
     def monomial(order, degree, m=0, p=0, c=0, coeff=1):
         return ZakElement(order, degree, {(m, p, c): coeff})
-
-    def is_zero(self):
-        return not self.data
-
-    def term_count(self):
-        return len(self.data)
-
-    def add(self, other):
-        self._compat(other)
-        out = dict(self.data)
-        for k, s in other.data.items():
-            accumulate(out, k, s)
-        return ZakElement._raw(self.order, self.degree, out)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, x):
-        out = {}
-        for k, s in self.data.items():
-            accumulate(out, k, s * x)
-        return ZakElement._raw(self.order, self.degree, out)
 
     def _compat(self, other):
         if not isinstance(other, ZakElement):
@@ -383,14 +329,6 @@ class ZakElement:
             )
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-
-    @staticmethod
-    def _raw(order, degree, data):
-        e = ZakElement.__new__(ZakElement)
-        e.order = order
-        e.degree = degree
-        e.data = data
-        return e
 
     def __eq__(self, other):
         if not isinstance(other, ZakElement):
@@ -507,7 +445,7 @@ def _act_once(letter, f, theta, side):
     else:
         raise ValueError("words are over the letters U and V")
     values = phase_values(_row(pieces), order, N)
-    return ZakElement._raw(order, n, _freq_keys(values, D))
+    return f._raw(_freq_keys(values, D))
 
 
 def zak_act_left(word, f, theta, convention="main"):
@@ -580,4 +518,4 @@ def zak_pair(f1, f2, theta, convention="main"):
             row_product(a, b, order, N, lambda x, y: (((m, x + y, cd), 1),))
         )
     values = phase_values(_row(pieces), order, N)
-    return ZakElement._raw(order, n + p, _freq_keys(values, D))
+    return f1._raw(_freq_keys(values, D), degree=n + p)

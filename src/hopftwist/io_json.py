@@ -15,7 +15,7 @@ from math import lcm
 from .constructors import ChainComplexWindow, FiniteGroup
 from .errors import NotAComplex, NotHomogeneous, ParseError, SchemaError
 from .graded import GradedAlgebra, ZWindow
-from .grammar import parse, render
+from .grammar import hbar_valuation_bound, parse, render
 from .group_cohomology import GroupCochain, fano_octonions
 from .heis_torus import HeisElement
 from .multilinear import AlgebraPresentation, HopfPresentation, LegTensor
@@ -28,6 +28,7 @@ from .scalars import (
     expansion_work,
     field_rank,
 )
+from .suites import _THETA_ORDER_CAP
 
 
 def _scalar(v, hbar_order, field):
@@ -56,7 +57,8 @@ def _field(doc, name, kinds=None):
     if not isinstance(doc, dict) or name not in doc:
         raise SchemaError("missing field", name)
     v = doc[name]
-    if kinds is not None and not isinstance(v, kinds):
+    # JSON true and false are bools, which Python counts as ints
+    if kinds is not None and (isinstance(v, bool) or not isinstance(v, kinds)):
         raise SchemaError("wrong type", name)
     return v
 
@@ -482,6 +484,28 @@ def heis_from_list(items, order):
     return out
 
 
+def _heis_order(items):
+    """The order at which the coefficients of a nilmanifold list are told
+    from zero: the largest hbar_valuation_bound of its coefficient strings,
+    0 when there are none.  A text the bound cannot read is left to
+    heis_from_list to reject; a bound past _THETA_ORDER_CAP is a
+    SchemaError."""
+    order = 0
+    for item in items:
+        if isinstance(item, dict) and isinstance(item.get("coeff"), str):
+            try:
+                order = max(order, hbar_valuation_bound(item["coeff"]))
+            except ParseError:
+                pass
+    if order > _THETA_ORDER_CAP:
+        raise SchemaError(
+            "coefficient needs hbar order %d, past the cap of %d"
+            % (order, _THETA_ORDER_CAP),
+            "coeff",
+        )
+    return order
+
+
 def heis_to_list(elem):
     return [
         {
@@ -539,10 +563,10 @@ def dump_json(doc):
 def describe_doc(doc):
     """Human-readable summary lines for any recognized document."""
     if isinstance(doc, list):
-        degrees = sorted({item.get("n") for item in doc if isinstance(item, dict)})
+        elem = heis_from_list(doc, _heis_order(doc))
         return [
-            "nilmanifold element: %d monomials" % len(doc),
-            "degrees: %s" % (degrees,),
+            "nilmanifold element: %d monomials" % elem.term_count(),
+            "degrees: %s" % (elem.degrees(),),
         ]
     if not isinstance(doc, dict):
         raise SchemaError("unrecognized document shape", "")

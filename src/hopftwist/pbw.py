@@ -6,13 +6,14 @@ hbar-truncated Series coefficients.  Tensor powers carry the same leg
 calculus as LegTensor (legwise products, primitive coproducts, unit
 embeddings), so the coboundary engine applies unchanged.
 
-Products, scalings and exponentials run on phase rows (see scalars) at the
+Products and exponentials run on phase rows (see scalars) at the
 conductor of their values, so Moyal's i*hbar is integers too: one row
 product forms every pair of keys, and the result builds one Series per
 key; pbw_exp is one row_exp, its powers kept as rows until the sum is
-done, and sums go through scalars.accumulate.  The product
-of two monomials is memoized per (kappa, t1, t2) as (triple, integer)
-pairs, and a tensor key product is the legwise product of those.
+done.  Sums, negations and scalings are those of scalars.SeriesSum, on
+the Series values.  The product of two monomials is memoized per (kappa,
+t1, t2) as (triple, integer) pairs, and a tensor key product is the
+legwise product of those.
 
 Exponentials exist for arguments whose every coefficient has positive
 hbar valuation; each hbar-coefficient of the sum is then a finite sum.
@@ -34,7 +35,9 @@ from .errors import (
 from .hopf_cochain import coboundary, coboundary_pair
 from .reporting import CheckOutcome, key_repr
 from .scalars import (
+    ScalarRing,
     Series,
+    SeriesSum,
     TauLaurent,
     _row,
     accumulate,
@@ -82,10 +85,6 @@ def _tensor_mono_mul(kappa, k1, k2):
     return out
 
 
-def _left_key(k1, k2):
-    return ((k1, 1),)
-
-
 def _product(K, a, b, keymul):
     """{key: Series} of the product of two {key: Series} dicts of order K
     whose keys multiply by keymul, formed on phase rows at the conductor of
@@ -97,16 +96,6 @@ def _product(K, a, b, keymul):
     return phase_values(_row([row_product(A, B, K, N, keymul)]), K, N)
 
 
-def _coerce_series(order, v):
-    if isinstance(v, Series):
-        if v.order != order:
-            raise OrderMismatch(
-                "series order %d does not match truncation %d" % (v.order, order)
-            )
-        return v
-    return Series(order, {0: v})
-
-
 def _check_compat(x, y):
     if x.kappa != y.kappa:
         raise ValueError("bracket constants differ: %r vs %r" % (x.kappa, y.kappa))
@@ -116,23 +105,24 @@ def _check_compat(x, y):
         )
 
 
-class PBWElement:
+class PBWElement(SeriesSum):
     """Sparse normal-form element keyed by exponent triples (a, b, c)."""
 
-    __slots__ = ("kappa", "order", "data")
+    __slots__ = ("kappa",)
 
     def __init__(self, kappa, order, data):
         if kappa not in (1, -1, 0):
             raise ValueError("bracket constant must be +1, -1 or 0")
         self.kappa = kappa
         self.order = order
+        coerce = ScalarRing(order).coerce
         store = {}
         for key, v in data.items():
             a, b, c = key
             key = (int(a), int(b), int(c))
             if min(key) < 0:
                 raise ValueError("negative exponent in %r" % (key,))
-            accumulate(store, key, _coerce_series(order, v))
+            accumulate(store, key, coerce(v))
         self.data = store
 
     @staticmethod
@@ -144,41 +134,10 @@ class PBWElement:
         triple = {"X": (1, 0, 0), "Y": (0, 1, 0), "T": (0, 0, 1)}[name]
         return PBWElement(kappa, order, {triple: coeff})
 
-    def _raw(self, data):
-        out = PBWElement.__new__(PBWElement)
-        out.kappa = self.kappa
-        out.order = self.order
-        out.data = data
-        return out
-
     def unit_like(self):
         return PBWElement.unit(self.kappa, self.order)
 
-    def is_zero(self):
-        return not self.data
-
-    def term_count(self):
-        return len(self.data)
-
-    def copy(self):
-        return self._raw(dict(self.data))
-
-    def add(self, other):
-        _check_compat(self, other)
-        store = dict(self.data)
-        for key, s in other.data.items():
-            accumulate(store, key, s)
-        return self._raw(store)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def neg(self):
-        return self._raw({k: -s for k, s in self.data.items()})
-
-    def scale(self, c):
-        c = {(): _coerce_series(self.order, c)}
-        return self._raw(_product(self.order, self.data, c, _left_key))
+    _compat = _check_compat
 
     def _key_product(self):
         return partial(_mono_mul, self.kappa)
@@ -188,10 +147,6 @@ class PBWElement:
         return self._raw(
             _product(self.order, self.data, other.data, self._key_product())
         )
-
-    def eq(self, other):
-        _check_compat(self, other)
-        return self.sub(other).is_zero()
 
     def counit(self):
         s = self.data.get(_ZERO3)
@@ -209,9 +164,6 @@ class PBWElement:
             for key, v in flipped.data.items():
                 accumulate(store, key, s * v * sign)
         return self._raw(store)
-
-    def entries(self):
-        return sorted(self.data.items())
 
     def __repr__(self):
         return "PBWElement(kappa=%d, order=%d, %d terms)" % (
@@ -242,10 +194,10 @@ def pbw_exp(x):
     return x._raw(phase_values(row_exp(step, one, K, N, x._key_product()), K, N))
 
 
-class PBWTensor:
+class PBWTensor(SeriesSum):
     """Tensor power keyed by tuples of exponent triples, one per leg."""
 
-    __slots__ = ("kappa", "order", "arity", "data")
+    __slots__ = ("kappa", "arity")
 
     def __init__(self, kappa, order, arity, data):
         if kappa not in (1, -1, 0):
@@ -255,6 +207,7 @@ class PBWTensor:
         self.kappa = kappa
         self.order = order
         self.arity = arity
+        coerce = ScalarRing(order).coerce
         store = {}
         for key, v in data.items():
             key = tuple(tuple(int(e) for e in t) for t in key)
@@ -265,7 +218,7 @@ class PBWTensor:
             for t in key:
                 if len(t) != 3 or min(t) < 0:
                     raise ValueError("bad exponent triple %r" % (t,))
-            accumulate(store, key, _coerce_series(order, v))
+            accumulate(store, key, coerce(v))
         self.data = store
 
     @staticmethod
@@ -278,49 +231,8 @@ class PBWTensor:
             x.kappa, x.order, arity, {(k,) + (_ZERO3,) * (arity - 1): s for k, s in x.data.items()}
         )
 
-    def _raw(self, data, arity=None):
-        out = PBWTensor.__new__(PBWTensor)
-        out.kappa = self.kappa
-        out.order = self.order
-        out.arity = self.arity if arity is None else arity
-        out.data = data
-        return out
-
     def unit_like(self):
         return PBWTensor.unit(self.kappa, self.order, self.arity)
-
-    def is_zero(self):
-        return not self.data
-
-    def term_count(self):
-        return len(self.data)
-
-    def copy(self):
-        return self._raw(dict(self.data))
-
-    def entries(self):
-        return sorted(self.data.items())
-
-    def add(self, other):
-        self._compat(other)
-        store = dict(self.data)
-        for key, s in other.data.items():
-            accumulate(store, key, s)
-        return self._raw(store)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def neg(self):
-        return self._raw({k: -s for k, s in self.data.items()})
-
-    def scale(self, c):
-        c = {(): _coerce_series(self.order, c)}
-        return self._raw(_product(self.order, self.data, c, _left_key))
-
-    def eq(self, other):
-        self._compat(other)
-        return self.sub(other).is_zero()
 
     def _compat(self, other):
         _check_compat(self, other)
@@ -354,7 +266,7 @@ class PBWTensor:
             for src, dst in enumerate(positions):
                 new[dst] = key[src]
             accumulate(store, tuple(new), s)
-        return self._raw(store, arity_out)
+        return self._raw(store, arity=arity_out)
 
     def coproduct_leg(self, leg):
         if not 0 <= leg < self.arity:
@@ -364,7 +276,7 @@ class PBWTensor:
             for (tl, tr), q in _delta_mono(self.kappa, self.order, key[leg]):
                 new = key[:leg] + (tl, tr) + key[leg + 1 :]
                 accumulate(store, new, s * q)
-        return self._raw(store, self.arity + 1)
+        return self._raw(store, arity=self.arity + 1)
 
     def counit_leg(self, leg):
         if not 0 <= leg < self.arity:
@@ -375,7 +287,7 @@ class PBWTensor:
         for key, s in self.data.items():
             if key[leg] == _ZERO3:
                 accumulate(store, key[:leg] + key[leg + 1 :], s)
-        return self._raw(store, self.arity - 1)
+        return self._raw(store, arity=self.arity - 1)
 
     def invert(self):
         """Inverse when the tensor is a unit multiple plus hbar-positive rest."""

@@ -25,8 +25,14 @@ conductors of every result.  A plain number or tau-Laurent factor scales
 the coefficients without being made into a Series, and sums reuse a
 coefficient where the other side is zero.
 
+Cyclotomic, TauLaurent and Series derive -, / and ** once (``_Ring``),
+from their own +, negation, *, inverse and operand coercion.
+
 ``accumulate`` is the one sparse sum of values: out[key] += v, with a key
-whose sum is zero dropped.
+whose sum is zero dropped.  ``SeriesSum``, the base of the pbw and
+heis_torus elements, is the one sum of monomials with Series
+coefficients: its sums, negations and scalings go through accumulate on
+the values.
 
 Integer rows hold sparse values for products, in the layout of FLINT's
 fmpq_poly and nf_elem: integer numerators over one shared denominator.
@@ -221,10 +227,49 @@ def _power(out, base, k):
     return out
 
 
+class _Ring:
+    """-, / and ** of a value class, derived once from its +, negation, *
+    and inverse: _coerce(x) makes an operand a value of the class (None
+    when it cannot, which is NotImplemented), _one() is its unit."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        return _power(self._one(), self, k)
+
+
 _ZERO = Fraction(0)
 
 
-class Cyclotomic:
+class Cyclotomic(_Ring):
     """Element of Q(e^(2*pi*i/N)) in the reduced power basis.
 
     root is the exponent e of a value made by root_of_unity(e, N), and None
@@ -267,6 +312,10 @@ class Cyclotomic:
         if isinstance(x, (int, Fraction)):
             return Cyclotomic.from_rational(x)
         return None
+
+    @staticmethod
+    def _one():
+        return Cyclotomic.from_rational(1)
 
     def align(self, other):
         """Return (m, coords_self, coords_other) at the lcm conductor."""
@@ -336,20 +385,6 @@ class Cyclotomic:
             self.conductor, {e: -v for e, v in self.coords.items()}, _reduced=True
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, Cyclotomic):
-            if isinstance(other, _RATIONAL):
-                return self._plus_rational(-other)
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if not isinstance(other, Cyclotomic):
-            if isinstance(other, _RATIONAL):
-                return (-self)._plus_rational(other)
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
             if isinstance(other, _RATIONAL):
@@ -388,25 +423,6 @@ class Cyclotomic:
         # unpriced: grammar prices a divisor before it is formed
         N = self.conductor
         return _solved(_blocks([[self, Cyclotomic._coerce(1)]], N), N)[0]
-
-    def __truediv__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = Cyclotomic._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(Cyclotomic.from_rational(1), self, k)
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -599,7 +615,7 @@ def _tau_product(a, b):
     return {k: Fraction(n, den) for k, n in out.items()}
 
 
-class TauLaurent:
+class TauLaurent(_Ring):
     """Laurent polynomial in tau with cyclotomic coefficients.
 
     tau stands for 2*pi*i, kept formal; tau**-1 carries the 1/(2*pi*i)
@@ -640,6 +656,10 @@ class TauLaurent:
             return TauLaurent({0: x})
         return None
 
+    @staticmethod
+    def _one():
+        return TauLaurent({0: 1})
+
     def is_zero(self):
         return not self.terms
 
@@ -666,18 +686,6 @@ class TauLaurent:
     def __neg__(self):
         return TauLaurent._raw({k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other):
-        o = TauLaurent._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = TauLaurent._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = TauLaurent._coerce(other)
         if o is None:
@@ -695,25 +703,6 @@ class TauLaurent:
         else:
             w = 1 / v
         return TauLaurent({-k: w})
-
-    def __truediv__(self, other):
-        o = TauLaurent._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = TauLaurent._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(TauLaurent({0: 1}), self, k)
 
     def __eq__(self, other):
         o = TauLaurent._coerce(other)
@@ -742,7 +731,7 @@ def _tau_sum(a, b):
     return a + b
 
 
-class Series:
+class Series(_Ring):
     """Power series in hbar truncated at order K, coefficients in TauLaurent.
 
     All binary operations require both operands truncated at the same K;
@@ -804,6 +793,9 @@ class Series:
             return Series(self.order, {0: o})
         return o
 
+    def _one(self):
+        return Series.one(self.order)
+
     def is_zero(self):
         return all(not c for c in self.coeffs)
 
@@ -833,18 +825,6 @@ class Series:
 
     def __neg__(self):
         return Series._raw(self.order, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         """Product truncated at order K: one loop over the degree pairs
@@ -888,13 +868,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(Series.one(self.order), self, k)
-
     def inverse(self):
         c0 = self.coeffs[0]
         if not c0:
@@ -910,18 +883,6 @@ class Series:
                 break
             out = out - term if _ % 2 == 0 else out + term
         return out * c0inv
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -972,6 +933,62 @@ def accumulate(out, key, v):
         out[key] = v
     else:
         out.pop(key, None)
+
+
+class SeriesSum:
+    """A finite sum of monomial keys with Series coefficients of one order:
+    data maps each key to its nonzero coefficient.  A subclass checks its
+    keys when it is built, lists its own fields in __slots__ and defines
+    _compat(other), which raises when other cannot be added to self."""
+
+    __slots__ = ("order", "data")
+
+    def _raw(self, data, **fields):
+        """A value of self's class over data as it is, with self's order
+        and fields, those named in fields replaced."""
+        out = object.__new__(type(self))
+        out.order = self.order
+        for name in type(self).__slots__:
+            setattr(out, name, fields.get(name, getattr(self, name)))
+        out.data = data
+        return out
+
+    def is_zero(self):
+        return not self.data
+
+    def term_count(self):
+        return len(self.data)
+
+    def copy(self):
+        return self._raw(dict(self.data))
+
+    def entries(self):
+        return sorted(self.data.items())
+
+    def add(self, other):
+        self._compat(other)
+        out = dict(self.data)
+        for key, s in other.data.items():
+            accumulate(out, key, s)
+        return self._raw(out)
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def neg(self):
+        return self._raw({k: -s for k, s in self.data.items()})
+
+    def scale(self, c):
+        out = {}
+        for k, s in self.data.items():
+            accumulate(out, k, s * c)
+        return self._raw(out)
+
+    def eq(self, other):
+        """self == other as sums; no zero coefficient is stored, so equal
+        sums hold equal data."""
+        self._compat(other)
+        return self.data == other.data
 
 
 # ---------------------------------------------------------------------------

@@ -763,8 +763,10 @@ _BODIES = {
 # heis-torus builds theta = h + h^2.
 _MIN_ORDER = {"pbw-gcl": 2, "heis-torus": 2}
 
-# Largest order at which a theta that truncates to zero is expanded to tell
-# whether it is zero itself; beyond it the theta is rejected.
+# Largest order at which a scalar text is expanded only to tell its value
+# from zero: a theta that truncates to zero, and the coefficients of a
+# nilmanifold document, which stores no order (io_json._heis_order); beyond
+# it the text is rejected.
 _THETA_ORDER_CAP = 64
 
 # Largest order a suite accepts: the largest at which its CLI run took under

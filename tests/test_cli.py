@@ -306,6 +306,28 @@ def test_describe_tau_in_an_exact_ring_exit_two(where, tmp_path, capsys):
     assert "field: %s" % where in err
 
 
+# Malformed nilmanifold lists, and JSON true where an integer belongs
+MALFORMED = {
+    "mixed-degrees": [{"n": 1}, {"n": "x"}],
+    "float-winding": [{"m": 1.5, "n": 1, "p": 0, "coeff": "1"}, 7],
+    "non-object-item": [{"m": 1, "n": 1, "p": 0, "coeff": "h"}, 7],
+    "bool-dim": {"dim": True, "basis": ["e"], "unit": ["1"], "mult": {"0,0": [[0, "1"]]}},
+    "bool-arity": {"group": {"order": 1, "table": [[0]]}, "arity": True, "table": {"0": "1"}},
+    "bool-group-order": {"order": True, "table": [[0]]},
+    "bool-monomial-m": [{"m": True, "n": 0, "p": 0, "coeff": "1"}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_describe_malformed_document_exit_two(name, tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(MALFORMED[name]))
+    done = _cli("describe", str(p))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 def test_describe_unrecognized_shape_exit_two(tmp_path, capsys):
     p = tmp_path / "odd.json"
     p.write_text('{"mystery": true}')

@@ -379,6 +379,38 @@ def test_describe_shapes():
         assert lines and lines[0].startswith(prefix)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"dim": True, "basis": ["e"], "unit": ["1"], "mult": {"0,0": [[0, "1"]]}}, "dim"),
+        ({"group": {"order": 1, "table": [[0]]}, "arity": True, "table": {"0": "1"}}, "arity"),
+        ({"order": True, "table": [[0]]}, "order"),
+        ([{"m": True, "n": 0, "p": 0, "coeff": "1"}], "m"),
+    ],
+    ids=["dim", "arity", "group-order", "monomial-m"],
+)
+def test_a_bool_is_not_an_integer(doc, field):
+    with pytest.raises(SchemaError) as err:
+        io.describe_doc(doc)
+    assert err.value.field == field
+
+
+def test_describe_parses_a_nilmanifold_list():
+    # the order is the largest hbar valuation bound of the coefficients,
+    # so a coefficient is never truncated away
+    elem = HeisElement(4, {(1, 2, 0, 0): Series.hbar(4, 4), (0, -1, 1, Fraction(1, 2)): 3})
+    doc = io.heis_to_list(elem)
+    assert io.describe_doc(doc) == ["nilmanifold element: 2 monomials", "degrees: [-1, 2]"]
+    doc.append({"m": 1, "n": 2, "p": 0, "c": "0", "coeff": "-h^4"})
+    assert io.describe_doc(doc) == ["nilmanifold element: 1 monomials", "degrees: [-1]"]
+    with pytest.raises(SchemaError) as err:
+        io.describe_doc([{"m": 0, "n": 0, "p": 0, "coeff": "h^65"}])
+    assert err.value.field == "coeff"
+    with pytest.raises(SchemaError) as err:
+        io.describe_doc([{"m": 0, "n": 0, "p": 0, "coeff": "h+"}])
+    assert err.value.field == "coeff"
+
+
 def test_describe_unrecognized():
     with pytest.raises(SchemaError):
         io.describe_doc({"mystery": 1})

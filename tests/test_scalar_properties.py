@@ -153,10 +153,11 @@ rationals = st.one_of(st.integers(-3, 3), fractions)
 @SETTINGS
 @given(st.one_of(cyclotomics(), roots), rationals)
 def test_rational_operand_matches_its_conductor_one_value(x, q):
-    """An int or Fraction operand, on either side of *, +, - and ==, gives
-    what Cyclotomic.from_rational(q) gives, down to the conductor, the
-    Fraction coordinates and the tag: x * 1 is x itself, and every other
-    result is a new untagged value."""
+    """An int or Fraction operand, on either side of *, +, - and ==, and
+    over x in q / x, gives what Cyclotomic.from_rational(q) gives, down to
+    the conductor, the Fraction coordinates and the tag: x * 1 is x itself,
+    1 / x of a tagged root is the tagged inverse, and every other result is
+    a new untagged value."""
     c = Cyclotomic.from_rational(q)
     products = [(x * q, x * c), (q * x, c * x)]
     sums = [(x + q, x + c), (q + x, c + x), (x - q, x - c), (q - x, c - x)]
@@ -174,6 +175,13 @@ def test_rational_operand_matches_its_conductor_one_value(x, q):
         assert got is not x and got.root is None and want.root is None
     assert (x == q) == (x == c) and (q == x) == (c == x)
     assert (x != q) == (x != c)
+    # q / x is the conductor-1 value over x, tagged only as 1 / x
+    if x:
+        got, want = q / x, c / x
+        assert (got.conductor, got.coords, got.root) == (want.conductor, want.coords, want.root)
+        assert all(isinstance(v, Fraction) for v in got.coords.values())
+        tagged = q == 1 and x.root is not None and x.conductor > 1
+        assert got.root == (x.inverse().root if tagged else None)
 
 
 @st.composite

@@ -57,6 +57,8 @@ scalars = st.one_of(
     values,
     tau_values,
 )
+# a unit of TauLaurent: one nonzero term
+tau_monomials = st.builds(lambda p, v: TauLaurent({p: v}), st.integers(-2, 2), values)
 
 
 # --- the model ---------------------------------------------------------------
@@ -91,6 +93,38 @@ def model_add(A, B):
     out = dict(A)
     for key, v in B.items():
         _add_into(out, key, v)
+    return out
+
+
+def model_neg(A):
+    return {key: -v for key, v in A.items()}
+
+
+def model_inverse(A, K):
+    """Series.inverse on the model, for A whose constant term is a tau
+    monomial c: c^-1 (1 - n + n^2 - ...) for n the part of A c^-1 of
+    positive hbar degree, the geometric sum taken term by term."""
+    ((p, v),) = [(p, v) for (d, p), v in A.items() if d == 0]
+    c = {(0, -p): v.inverse() if isinstance(v, Cyclotomic) else 1 / v}
+    n = {key: w for key, w in model_mul(A, c, K).items() if key[0]}
+    out = term = {(0, 0): Fraction(1)}
+    for i in range(K):
+        term = model_mul(term, n, K)
+        if not term:
+            break
+        out = model_add(out, model_neg(term) if i % 2 == 0 else term)
+    return model_mul(out, c, K)
+
+
+def model_pow(A, k, K):
+    """A**k on the model, k >= 0, squared as Series squares it."""
+    out = {(0, 0): Fraction(1)}
+    while k:
+        if k & 1:
+            out = model_mul(out, A, K)
+        k >>= 1
+        if k:
+            A = model_mul(A, A, K)
     return out
 
 
@@ -130,23 +164,32 @@ def test_product_matches_model(pair):
 
 
 @SETTINGS
-@given(series_pairs())
-def test_sum_difference_and_negation_match_model(pair):
+@given(series_pairs(), st.one_of(scalars, tau_monomials))
+def test_sum_difference_and_negation_match_model(pair, x):
     a, b = pair
-    neg_b = {key: -v for key, v in flat(b).items()}
+    neg_b = model_neg(flat(b))
     assert_matches(a + b, model_add(flat(a), flat(b)))
     assert_matches(a - b, model_add(flat(a), neg_b))
     assert_matches(-b, neg_b)
+    # a constant on either side of -
+    assert_matches(a - x, model_add(flat(a), model_neg(model_scalar(x))))
+    assert_matches(x - a, model_add(model_scalar(x), model_neg(flat(a))))
 
 
 @SETTINGS
-@given(series_pairs(), scalars)
-@example((_GROUPING[0], _GROUPING[0]), TauLaurent({0: Z4, 1: -Z4}))
-def test_scalar_product_matches_model(pair, x):
+@given(series_pairs(), scalars, tau_monomials, st.integers(1, 3))
+@example((_GROUPING[0], _GROUPING[0]), TauLaurent({0: Z4, 1: -Z4}), TauLaurent({1: Z4}), 2)
+def test_scalar_product_matches_model(pair, x, u, k):
     a, _ = pair
-    want = model_mul(flat(a), model_scalar(x), a.order)
+    K = a.order
+    want = model_mul(flat(a), model_scalar(x), K)
     assert_matches(a * x, want)
     assert_matches(x * a, want)
+    # a tau monomial u is a unit: a / u, and a ** -k with u for a's
+    # constant term
+    assert_matches(a / u, model_mul(flat(a), model_inverse(model_scalar(u), K), K))
+    unit = Series(K, {0: u, **{d: c for d, c in enumerate(a.coeffs) if d}})
+    assert_matches(unit ** -k, model_pow(model_inverse(flat(unit), K), k, K))
 
 
 @SETTINGS

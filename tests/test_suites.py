@@ -199,9 +199,7 @@ def test_zak_commutation_names_the_first_residual_key(monkeypatch):
         if letter != "V":
             return out
         n = out.degree
-        return heis_torus.ZakElement._raw(
-            out.order,
-            n,
+        return out._raw(
             {
                 (m, p, c): s * heis_torus._phase(Fraction(m, n))
                 for (m, p, c), s in out.data.items()
