@@ -57,18 +57,10 @@ def _g_elements(grading):
     return range(grading.order)
 
 
-def _g_mul(grading, a, b):
-    return grading.mul(a, b)
-
-
 def _g_inv(grading, a):
     if _is_window(grading):
         return -a
     return grading.inv[a]
-
-
-def _g_id(grading):
-    return grading.identity
 
 
 class GradedAlgebra:
@@ -92,14 +84,14 @@ class GradedAlgebra:
 
     def check_homogeneous(self):
         A = self.algebra
-        e = _g_id(self.grading)
+        e = self.grading.identity
         for k, v in enumerate(A.unit):
             if v and self.degree[k] != e:
                 raise NotHomogeneous(
                     "unit has a component in degree %r" % (self.degree[k],)
                 )
         for (i, j), cell in A.mult.items():
-            target = _g_mul(self.grading, self.degree[i], self.degree[j])
+            target = self.grading.mul(self.degree[i], self.degree[j])
             escaped = _is_window(self.grading) and not self.grading.contains(
                 target
             )
@@ -375,7 +367,7 @@ def smeb_check(graded, g):
     ginv = _g_inv(graded.grading, g)
     I = graded.component(ginv)
     J = graded.component(g)
-    E = graded.component(_g_id(graded.grading))
+    E = graded.component(graded.grading.identity)
     eidx = {k: t for t, k in enumerate(E)}
     pairs = [(i, j) for i in I for j in J]
     pidx = {p: t for t, p in enumerate(pairs)}
@@ -481,7 +473,7 @@ def smeb_check(graded, g):
 def ideal_property_report(graded):
     """span(A_g A_{g^-1}) must be a two-sided ideal of A_e, per degree."""
     A = graded.algebra
-    E = graded.component(_g_id(graded.grading))
+    E = graded.component(graded.grading.identity)
     eidx = {k: t for t, k in enumerate(E)}
     if _is_window(graded.grading):
         degrees = (1, -1)

@@ -4,7 +4,6 @@ Over Q the group algebra of each group below splits into small blocks (its
 rational Wedderburn decomposition):
 
   * Z2^k (every element an involution): 2^k characters of +-1;
-  * S3: Q + Q + M2(Q);
   * D4: Q^4 + M2(Q);
   * Q8: Q^4 + the rational quaternions H, kept as a 4-dim algebra with the
     signed table of 1, i, j, k.
@@ -24,21 +23,20 @@ by |G|^r at the end (Diaconis and Rockmore, "Efficient computation of the
 Fourier transform on finite groups", J. AMS 3, 1990; Clausen and Baum, Fast
 Fourier Transforms, 1993).
 
-The transform is applied as stages of sparse integer rows along each leg.
-For Z2^k, D4 and Q8 a stage is a set of butterflies (x, y) -> (x + y,
-x - y) between basis positions: Z2^k has one stage per generator
+The transform is applied as stages of butterflies (x, y) -> (x + y, x - y)
+between basis positions along each leg: Z2^k has one stage per generator
 (Walsh-Hadamard); D4 and Q8 fold each element with its product by the
 central involution z, then run Walsh-Hadamard on G/<z> = Z2^2 over the sums,
-and D4 two butterflies over the differences for its M2 block.  Each
-butterfly stage, with its unpaired positions doubled, undoes itself up to 2,
-so the reversed stages give T_inv.  S3 applies the rows of T and T_inv
-themselves.  A stage's output at a position is one block coordinate up to
-sign, and the block product is carried over to those positions.
+and D4 two butterflies over the differences for its M2 block.  Each stage,
+with its unpaired positions doubled, undoes itself up to 2, so the reversed
+stages give T_inv.  A stage's output at a position is one block coordinate
+up to sign, and the block product is carried over to those positions.
 
 A plan is checked once, when it is made: the block images multiply as the
 group does on every pair, the stages compute T up to a signed permutation of
 the coordinates, and the inverse stages times the stages are |G| I.  A group
-outside this list, or a table whose check fails, gets no plan.
+outside this list, S3 among them, or a table whose check fails, gets no
+plan.
 
 One pass along a leg takes the strided slices of the flat list by the last
 leg's digit, runs the stages on them as whole lists with C-level maps, and
@@ -52,7 +50,6 @@ so processes whose products are all sparser never compile it.
 
 from operator import add, mul, sub
 
-from . import linalg
 from .multilinear import _fold
 
 # the blocks: (triples, unit), triples (u, v, w, s) for e_u e_v = s e_w
@@ -85,13 +82,15 @@ _H = (
 class Plan:
     """A checked transform for one group table of order n.
 
-    stages and inverse are tuples of stages, each a tuple of n sparse rows
-    ((position, weight), ...) giving the stage's output at every position;
-    triples is the block product of one leg over the output positions, and
-    pointwise is True when it is the pointwise product.  ops counts the
-    list operations of one pass along a leg, over the two forward
-    transforms and the inverse one.  heads caches, per arity, the
-    block-product triples of every leg but the last."""
+    stages and inverse are tuples of stages, each (pairs, doubled): the
+    position pairs of its butterflies (x, y) -> (x + y, x - y) and the
+    positions it doubles, which only the inverse stages have; every other
+    position is kept.  triples is the block product of one leg over the
+    output positions, and pointwise is True when it is the pointwise
+    product.  ops counts the list operations of one pass along a leg, over
+    the two forward transforms and the inverse one: two per butterfly and
+    one per doubled position.  heads caches, per arity, the block-product
+    triples of every leg but the last."""
 
     __slots__ = ("n", "stages", "inverse", "triples", "pointwise", "ops", "heads")
 
@@ -102,21 +101,20 @@ class Plan:
         self.triples = triples
         self.pointwise = all(u == v == w and s == 1 for u, v, w, s in triples)
         self.ops = sum(
-            len(row) - (row[0][1] == 1) for stage in stages + stages + inverse for row in stage
+            2 * len(pairs) + len(doubled) for pairs, doubled in stages + stages + inverse
         )
         self.heads = {}
 
     def switch(self, arity):
         """The key pairs past which product() takes a product from the pair
         loop of tensor_convolve.  Measured on integer tensors over
-        k[Z2^2], k[Z2^3], k[S3], k[D4] and k[P8] at arity 2-4, on one CPU of
+        k[Z2^2], k[Z2^3], k[D4] and k[P8] at arity 2-4, on one CPU of
         a shared 2-core x86 machine, a list operation of the transforms
         costs about as many key pairs as it has elements plus 16, and a
         block-product term about one key pair; both are counted in full and
         the block product twice, which puts the switch at about 1.4-2 times
-        the measured break-even (at arity 3: 36, 37, 57 and 57 times
-        dim**arity for Z2^3, D4, Q8 and S3, against break-evens near 18,
-        23, 36 and 40)."""
+        the measured break-even (at arity 3: 36, 37 and 57 times dim**arity
+        for Z2^3, D4 and Q8, against break-evens near 18, 23 and 36)."""
         return self.ops * arity * (self.n ** (arity - 1) + 16) + 2 * len(self.triples) ** arity
 
     def product(self, a, b, arity, acc, f):
@@ -172,27 +170,16 @@ def _along(X, stages, n, legs):
     """The stages applied along each of legs legs of the flat list X."""
     for _ in range(legs):
         parts = [X[j::n] for j in range(n)]
-        for stage in stages:
-            parts = [_combine(parts, row) for row in stage]
+        for pairs, doubled in stages:
+            for p, q in pairs:
+                x, y = parts[p], parts[q]
+                parts[p], parts[q] = list(map(add, x, y)), list(map(sub, x, y))
+            for p in doubled:
+                parts[p] = [2 * x for x in parts[p]]
         X = []
         for part in parts:
             X += part
     return X
-
-
-def _combine(parts, row):
-    """The sum of weight times part over the (position, weight) pairs of a
-    row, as a list; a lone part of weight 1 is returned as it is."""
-    (j, w), *rest = row
-    acc = parts[j] if w == 1 else [w * x for x in parts[j]]
-    for j, w in rest:
-        if w == 1:
-            acc = list(map(add, acc, parts[j]))
-        elif w == -1:
-            acc = list(map(sub, acc, parts[j]))
-        else:
-            acc = [x + w * y for x, y in zip(acc, parts[j])]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +218,10 @@ def plan(base, dim):
     ):
         return None
     T = [[img[x][c] for x in range(n)] for c in range(n)]
-    if pairs is None:
-        inv = linalg.inverse(T)
-        if inv is None or any((n * v).denominator != 1 for row in inv for v in row):
-            return None
-        stages = (_sparse(T),)
-        inverse = (_sparse([[int(n * v) for v in row] for row in inv]),)
-    else:
-        stages = tuple(_butterflies(p, n, 1) for p in pairs)
-        inverse = tuple(_butterflies(p, n, 2) for p in reversed(pairs))
+    stages = tuple((tuple(p), ()) for p in pairs)
+    inverse = tuple(
+        (tuple(p), tuple(sorted(set(range(n)).difference(*p)))) for p in reversed(pairs)
+    )
     F, G = _columns(stages, n), _columns(inverse, n)
     if any(
         sum(G[k][i] * F[j][k] for k in range(n)) != (n if i == j else 0)
@@ -267,20 +249,6 @@ def _columns(stages, n):
     return [_along([int(y == x) for y in range(n)], stages, n, 1) for x in range(n)]
 
 
-def _butterflies(pairs, n, lone):
-    """A stage of butterflies (x, y) -> (x + y, x - y) over the position
-    pairs; every other position is kept, times lone."""
-    rows = [((p, lone),) for p in range(n)]
-    for p, q in pairs:
-        rows[p] = ((p, 1), (q, 1))
-        rows[q] = ((p, 1), (q, -1))
-    return tuple(rows)
-
-
-def _sparse(M):
-    return tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in M)
-
-
 def _times(x, y, triples, n):
     out = [0] * n
     for u, v, w, s in triples:
@@ -291,7 +259,7 @@ def _times(x, y, triples, n):
 def _recognise(table, e, n):
     """(generators, blocks, images, pairs) for a group in the list: images[b]
     [g] is the image of generator g in block b as that block's coordinates,
-    and pairs are the position pairs of each butterfly stage, None for S3."""
+    and pairs are the position pairs of each butterfly stage."""
     elems = range(n)
 
     def power(x, k):
@@ -313,44 +281,35 @@ def _recognise(table, e, n):
             for g in range(len(gens))
         ]
         return gens, [_SCALAR] * n, chars, pairs
+    if n != 8:
+        return None
     order = {x: next(k for k in range(1, n + 1) if power(x, k) == e) for x in elems}
-    if n == 6:
-        # S3 = <a, b | a^3, b^2, b a b = a^-1>
-        for a in elems:
-            for b in elems:
-                if order[a] == 3 and order[b] == 2 and table[table[b][a]][b] == power(a, 2):
-                    return [a, b], [_SCALAR, _SCALAR, _M2], [
-                        [(1,), (1,)],
-                        [(1,), (-1,)],
-                        [(0, -1, 1, -1), (0, 1, 1, 0)],
-                    ], None
-    if n == 8:
-        # D4 = <r, s | r^4, s^2, s r s = r^-1> and Q8 = <i, j | i^4, i^2 =
-        # j^2, j i j^-1 = i^-1>; the characters send each generator to +-1
-        for a in elems:
-            if order[a] != 4:
+    # D4 = <r, s | r^4, s^2, s r s = r^-1> and Q8 = <i, j | i^4, i^2 =
+    # j^2, j i j^-1 = i^-1>; the characters send each generator to +-1
+    for a in elems:
+        if order[a] != 4:
+            continue
+        z = power(a, 2)
+        for b in elems:
+            if b in (e, a, z, power(a, 3)):
                 continue
-            z = power(a, 2)
-            for b in elems:
-                if b in (e, a, z, power(a, 3)):
-                    continue
-                if table[table[b][a]][power(b, order[b] - 1)] != power(a, 3):
-                    continue
-                chars = [[(x,), (y,)] for x in (1, -1) for y in (1, -1)]
-                reps = [e, a, b, table[a][b]]
-                pairs = [
-                    [(q, table[z][q]) for q in reps],
-                    [(e, a), (b, reps[3])],
-                    [(e, b), (a, reps[3])],
-                ]
-                if order[b] == 2:
-                    # M2: r -> [[0, -1], [1, 0]], s -> diag(1, -1)
-                    zr, zs, zrs = (table[z][q] for q in reps[1:])
-                    pairs[1] += [(z, zs), (zrs, zr)]
-                    m2 = [(0, -1, 1, 0), (1, 0, 0, -1)]
-                    return [a, b], [_SCALAR] * 4 + [_M2], chars + [m2], pairs
-                if order[b] == 4 and power(b, 2) == z:
-                    # H: i -> i, j -> j
-                    h = [(0, 1, 0, 0), (0, 0, 1, 0)]
-                    return [a, b], [_SCALAR] * 4 + [_H], chars + [h], pairs
+            if table[table[b][a]][power(b, order[b] - 1)] != power(a, 3):
+                continue
+            chars = [[(x,), (y,)] for x in (1, -1) for y in (1, -1)]
+            reps = [e, a, b, table[a][b]]
+            pairs = [
+                [(q, table[z][q]) for q in reps],
+                [(e, a), (b, reps[3])],
+                [(e, b), (a, reps[3])],
+            ]
+            if order[b] == 2:
+                # M2: r -> [[0, -1], [1, 0]], s -> diag(1, -1)
+                zr, zs, zrs = (table[z][q] for q in reps[1:])
+                pairs[1] += [(z, zs), (zrs, zr)]
+                m2 = [(0, -1, 1, 0), (1, 0, 0, -1)]
+                return [a, b], [_SCALAR] * 4 + [_M2], chars + [m2], pairs
+            if order[b] == 4 and power(b, 2) == z:
+                # H: i -> i, j -> j
+                h = [(0, 1, 0, 0), (0, 0, 1, 0)]
+                return [a, b], [_SCALAR] * 4 + [_H], chars + [h], pairs
     return None

@@ -189,8 +189,12 @@ def presentation_from_dict(doc):
     if not isinstance(scalar, dict):
         raise SchemaError("wrong type", "scalar")
     hbar = scalar.get("hbar_order")
-    if hbar is not None and (isinstance(hbar, bool) or not isinstance(hbar, int)):
-        raise SchemaError("hbar_order must be an integer or null", "scalar")
+    if hbar is not None and (
+        isinstance(hbar, bool) or not isinstance(hbar, int) or not 0 <= hbar <= _THETA_ORDER_CAP
+    ):
+        raise SchemaError(
+            "hbar_order must be an integer from 0 to %d, or null" % _THETA_ORDER_CAP, "scalar"
+        )
     ring = ScalarRing(hbar_order=hbar)
 
     basis = _field(doc, "basis", list)
@@ -369,8 +373,13 @@ def chain_from_dict(doc):
             n = int(key)
         except ValueError:
             raise SchemaError("degrees must be integers", "d")
-        if not isinstance(mat, list):
-            raise SchemaError("differentials must be dense matrices", "d")
+        rows, cols = dims.get(n, 0), dims.get(n - 1, 0)
+        if not (
+            isinstance(mat, list)
+            and len(mat) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in mat)
+        ):
+            raise SchemaError("d[%d] must be a dense %d x %d matrix" % (n, rows, cols), "d")
         d[n] = [[_scalar(v, None, "d") for v in row] for row in mat]
     try:
         return ChainComplexWindow(dims, d)
@@ -546,8 +555,13 @@ def octonion_table_csv():
 
 
 def load_json_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError("file is not UTF-8 text", line, e.start - raw.rfind(b"\n", 0, e.start))
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -573,7 +587,7 @@ def describe_doc(doc):
     if "entries" in doc:
         t = leg_tensor_from_dict(doc)
         return [
-            "tensor over %s" % t.host.name,
+            "tensor over %s" % getattr(t.host, "name", None),
             "arity: %d" % t.arity,
             "terms: %d" % t.term_count(),
         ]

@@ -1,16 +1,16 @@
 """Exact dense linear algebra over the rationals.  Matrices are lists of
 row lists of int or Fraction entries.
 
-rank, solve and inverse run one fraction-free integer Gauss-Jordan
-elimination, after the reduced row echelon form of FLINT's fmpz_mat
+rank and solve run one fraction-free integer Gauss-Jordan elimination,
+after the reduced row echelon form of FLINT's fmpz_mat
 (https://flintlib.org/doc/fmpz_mat.html): each row is cleared of its
 denominators once; a row is combined with the pivot row as a*r_i - b*r_p,
 where (a, b) is the pivot pair divided by its gcd; and each new row is
-divided by its content.  Each column takes as pivot the first
-nonzero row at or below the current one.  solve and inverse build a
-Fraction only in the solution.  The reduced row echelon form is unique, so
-the pivots, the solution (free variables set to zero) and the inverse are
-those of any exact Gauss-Jordan elimination.
+divided by its content.  Each column takes as pivot the first nonzero row
+at or below the current one.  solve builds a Fraction only
+in the solution.  The reduced row echelon form is unique, so the pivots
+and the solution (free variables set to zero) are those of any exact
+Gauss-Jordan elimination.
 
 A system over a cyclotomic field Q(z_N) comes here as its rational
 expansion, each entry a phi(N) x phi(N) block of multiplication
@@ -90,12 +90,3 @@ def solve(mat, rhs):
     for row, c in zip(m, pivots):
         x[c] = Fraction(row[cols], row[c])
     return x
-
-
-def inverse(mat):
-    """Matrix inverse, or None if singular."""
-    n = len(mat)
-    m = _integer_rows([row + [int(i == r) for i in range(n)] for r, row in enumerate(mat)])
-    if _gauss_jordan(m, n) != list(range(n)):
-        return None
-    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]

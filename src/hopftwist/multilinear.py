@@ -60,11 +60,11 @@ products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
 cochains; its nonzero cells become the product's piece.
 
 A dense product of integer tensors over a group table whose group is in
-group_fourier's catalogue (Z2^k, S3, D4, Q8) runs through the exact group
+group_fourier's catalogue (Z2^k, D4, Q8) runs through the exact group
 Fourier transform instead: leg by leg into the rational Wedderburn blocks,
 one block product, back, and one exact division by |G|**arity.  The table
 derives its plan once, checks it, and keeps it in its plan slot (None for
-any other group); the plan takes a product with more than
+any other group, S3 among them); the plan takes a product with more than
 plan.switch(arity) key pairs, a measured switch past its break-even against
 the pair loop.  group_fourier is imported on the first product with more
 than _SWITCH * dim**arity pairs, so a process whose products are all
@@ -182,8 +182,8 @@ def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
     leg, and a pair of keys with an empty cell on any leg is skipped before
     its product is formed.  The b keys are decoded once.
 
-    Over a group table (base.latin) whose plan exists (group_fourier), a
-    product of integer tensors with more than plan.switch(arity) key pairs
+    Over a group table (base.latin) whose plan exists (group_fourier: Z2^k,
+    D4 or Q8), a product of integer tensors with more than plan.switch(arity) key pairs
     is the plan's transform product instead, with the same result.
     """
     rows = getattr(base, "rows", None)

@@ -464,10 +464,12 @@ def root_of_unity(p, q):
 
 # Cap on the estimated work of one rational solve of the expansion of a
 # system with a Cyclotomic entry (field_rank, field_solve): m^3 * g, the
-# estimate and the cap of multilinear._invert_exact (see expansion_work).  The graded decisions
-# over Q(z_3) of the tests price theirs under 10^7; twisted k^a[Z3 x Z3]
-# with a = z(997, b*c), whose 81 x 81 map expands to 80,676 columns, is
-# refused at once.
+# estimate and the cap of multilinear._invert_exact (see expansion_work).
+# Zero rows are dropped before the price.  The graded decisions over Q(z_3)
+# of the tests price theirs under 10^7.  Over twisted k^a[Z3 x Z3] with a =
+# z(997, b*c), the 9 x 1 systems of strong_grading and smeb_check keep one
+# nonzero row and are decided unpriced; canonical_map's 81 x 81 system,
+# which expands to 80,676 columns, is priced at 5.3e14 and refused at once.
 _MAX_SOLVE_WORK = 10**8
 
 
@@ -503,15 +505,25 @@ def expansion(mat):
     SolveTooCostly, before a block is built."""
     if all(isinstance(x, _RATIONAL) for row in mat for x in row):
         return mat, 1
+    values, N = _as_cyclotomic(mat)
+    return _priced(values, N), N
+
+
+def _as_cyclotomic(mat):
+    """(values, N): a matrix as Cyclotomic values, N their lcm conductor."""
     values = [[Cyclotomic._coerce(x) for x in row] for row in mat]
-    N = lcm(*[x.conductor for row in values for x in row])
+    return values, lcm(*[x.conductor for row in values for x in row])
+
+
+def _priced(values, N):
+    """The expansion of a matrix of Cyclotomic values at N, priced first."""
     work = expansion_work(values, N)
     if work > _MAX_SOLVE_WORK:
         raise SolveTooCostly(
             "%d x %d system over Q(z_%d) priced at %.1e, past the cap of %.0e"
             % (len(values), len(values[0]), N, work, _MAX_SOLVE_WORK)
         )
-    return _blocks(values, N), N
+    return _blocks(values, N)
 
 
 def _blocks(values, N):
@@ -531,10 +543,11 @@ def _blocks(values, N):
 
 def field_rank(mat):
     """Rank over Q(z_N) of a matrix of rational and Cyclotomic entries: the
-    integer rank of its expansion over phi(N).  A 1 x 1 matrix is decided
-    by a zero test, unpriced."""
-    if len(mat) == 1 and len(mat[0]) == 1:
-        return 1 if mat[0][0] else 0
+    integer rank of its expansion over phi(N).  Zero rows are dropped first,
+    so a matrix with at most one nonzero row is ranked unpriced."""
+    mat = [row for row in mat if any(row)]
+    if len(mat) < 2:
+        return len(mat)
     rows, N = expansion(mat)
     return linalg.rank(rows) // _phi_deg(N)
 
@@ -543,20 +556,26 @@ def field_solve(mat, rhs):
     """A solution x of mat x = rhs over Q(z_N), free coordinates zero, or
     None if the system is inconsistent: one rational solve of the expansion.
     The entries of x are Fractions when every entry of mat and rhs is
-    rational, and Cyclotomic values at N otherwise.  A 1 x 1 system with a
-    Cyclotomic entry whose coefficient has an immediate inverse (zero, a
-    root of unity or one term c z^e) is decided unpriced, by a zero test
-    and Cyclotomic.inverse; any other coefficient's inverse is itself a
-    dense elimination, and goes through the priced expansion."""
+    rational, and Cyclotomic values at N otherwise.  A zero row of mat
+    with a nonzero right side is None at once, and the other zero rows are
+    dropped before anything is priced; N is still the lcm over every
+    entry.  One equation left in one unknown, with a coefficient whose
+    inverse is immediate (a root of unity or one term c z^e), is decided
+    unpriced by Cyclotomic.inverse; any other coefficient's inverse is
+    itself a dense elimination, and goes through the priced expansion."""
     aug = [row + [b] for row, b in zip(mat, rhs)]
-    if len(aug) == 1 and len(aug[0]) == 2 and not all(isinstance(x, _RATIONAL) for x in aug[0]):
-        a, b = (Cyclotomic._coerce(x) for x in aug[0])
-        if len(a.coords) <= 1 or a.root is not None:
-            N = lcm(a.conductor, b.conductor)
-            if not a:
-                return None if b else [Cyclotomic(N, {}, _reduced=True)]
+    if any(row[-1] and not any(row[:-1]) for row in aug):
+        return None
+    if all(isinstance(x, _RATIONAL) for row in aug for x in row):
+        return _solved(aug, 1)
+    values, N = _as_cyclotomic(aug)
+    # a system of zero rows keeps one, solved by zeros
+    values = [row for row in values if any(row)] or values[:1]
+    if len(values) == 1 and len(values[0]) == 2:
+        a, b = values[0]
+        if len(a.coords) == 1 or a.root is not None:
             return [Cyclotomic(N, (b * a.inverse())._embedded(N), _reduced=True)]
-    return _solved(*expansion(aug))
+    return _solved(_priced(values, N), N)
 
 
 def _solved(aug, N):

@@ -328,6 +328,34 @@ def test_describe_malformed_document_exit_two(name, tmp_path):
     assert "Traceback" not in done.stderr and done.stdout == ""
 
 
+def _ks3_with_hbar_order(order):
+    doc = json.loads(resources.files("hopftwist").joinpath("data/ks3_hopf.json").read_text())
+    doc["scalar"]["hbar_order"] = order
+    return json.dumps(doc).encode()
+
+
+# Inputs that raised from describe; the last chain was accepted, though d[1]
+# has two columns where degree 0 has no basis
+REFUSED = {
+    "negative-hbar-order": (_ks3_with_hbar_order(-1), "field: scalar"),
+    "hbar-order-past-the-cap": (_ks3_with_hbar_order(20000), "field: scalar"),
+    "not-utf8": (b'{"order": 1, "table": [[0]], "labels": ["\xe9"]}', "not UTF-8"),
+    "chain-rows-not-lists": (b'{"dims": {"0": 1, "1": 1}, "d": {"1": [0, 1]}}', "field: d"),
+    "chain-row-too-long": (b'{"dims": {"0": 1}, "d": {"1": [["1", "2"]]}}', "field: d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_describe_refused_input_exit_two(name, tmp_path):
+    data, where = REFUSED[name]
+    p = tmp_path / "doc.json"
+    p.write_bytes(data)
+    done = _cli("describe", str(p))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert where in done.stderr and done.stdout == ""
+
+
 def test_describe_unrecognized_shape_exit_two(tmp_path, capsys):
     p = tmp_path / "odd.json"
     p.write_text('{"mystery": true}')

@@ -507,7 +507,8 @@ def _document(kind, rng):
         return io.group_cochain_to_dict, io.group_cochain_from_dict, doc
     if kind == "chain":
         a, b = rng.randint(0, 3), rng.randint(0, 3)
-        d = {1: [[_scalars(rng, None, roots=False) for _ in range(b)] for _ in range(a)]}
+        # d[1] maps degree 1 to degree 0: b rows of a entries
+        d = {1: [[_scalars(rng, None, roots=False) for _ in range(a)] for _ in range(b)]}
         doc = io.chain_to_dict(ChainComplexWindow({0: a, 1: b}, d))
         return io.chain_to_dict, io.chain_from_dict, doc
     if kind == "leg-tensor":

@@ -1,4 +1,4 @@
-"""linalg against sympy: rank, solve and inverse on random rational
+"""linalg against sympy: rank and solve on random rational
 matrices; cyclotomic systems as their rational block expansion."""
 
 import time
@@ -83,31 +83,16 @@ def test_solve_matches_sympy(mat, data):
     assert all(type(v) is Fraction for v in got)
 
 
-@SETTINGS
-@given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
-def test_inverse_matches_sympy(mat):
-    got = linalg.inverse(mat)
-    sm = _sym(mat)
-    if sm.det() == 0:
-        assert got is None
-        return
-    want = [_fractions(sm.inv().row(i)) for i in range(len(mat))]
-    assert got == want
-
-
 def test_empty_and_zero_systems():
     assert linalg.rank([]) == 0
     assert linalg.rank([[Fraction(0)] * 3] * 2) == 0
     assert linalg.solve([], []) == []
     assert linalg.solve([[Fraction(0), Fraction(0)]], [Fraction(0)]) == [0, 0]
     assert linalg.solve([[Fraction(0), Fraction(0)]], [Fraction(1)]) is None
-    assert linalg.inverse([]) == []
 
 
 def test_int_entries_give_fractions():
     assert linalg.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-    assert linalg.inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-    assert all(type(v) is Fraction for row in linalg.inverse([[2]]) for v in row)
 
 
 def test_cyclotomic_entries_solve_through_blocks():
@@ -120,8 +105,6 @@ def test_cyclotomic_entries_solve_through_blocks():
         linalg.solve(mat, rhs)
     with pytest.raises(TypeError):
         linalg.rank(mat)
-    with pytest.raises(TypeError):
-        linalg.inverse(mat)
 
     rows, N = expansion(mat)
     assert N == 4 and rows == [[0, -1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0]]
