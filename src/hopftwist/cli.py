@@ -101,6 +101,15 @@ def _cmd_octonion_table(args):
     return 0
 
 
+def _one_value_each(args):
+    """argparse turns an option value of exactly '--' (--theta=--) into an
+    empty list; every option here takes one value, so that is malformed
+    input."""
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise SchemaError("%s needs one value, not '--'" % name, name)
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -110,6 +119,7 @@ def main(argv=None):
         "octonion-table": _cmd_octonion_table,
     }
     try:
+        _one_value_each(args)
         return handlers[args.command](args)
     except (
         UnknownSuite, ParseError, SchemaError, InverseTooCostly, SolveTooCostly, OSError

@@ -28,11 +28,16 @@ of phases are grouped by the phase they land on, and all the pairs of one
 output phase are summed into one integer accumulator over the lcm of
 their denominators, then settled once.  The kernel that multiplies one
 pair is key intersection on a pointwise host with unit coefficients (a
-dual host), tensor_convolve against the integer table otherwise (over
-the operand denominators times D**arity), or the leg map itself.  A leg
-map whose cells send each digit to its own block with weight 1 (a
-group-like coproduct, a unit that is one basis element) only relabels
-the keys of each piece.  Over any other host (Taft, series structure constants)
+dual host), where the table makes the all-ones row the unit and a product
+with it is the other operand, tensor_convolve against the integer table
+otherwise (over the operand denominators times D**arity), or the leg map
+itself.  A leg map whose cells send each digit to blocks of its own with
+weight 1, no block reached from two digits (a group-like coproduct, a
+unit that is one basis element, and on a dual host the coproduct
+d(g) -> sum over xy = g of d(x) (x) d(y) and the unit sum of every d(g))
+only relabels the keys of each piece; when the blocks fill the block
+space the all-ones row goes to the all-ones row.  Over any other host
+(Taft, series structure constants)
 ``phase_convolve`` multiplies the two operands' flat phase rows against the
 phase cells, adding the cells' phases, and the product is settled once.
 elem_mul is one phase_convolve on flat phase rows.  The coproduct, counit
@@ -394,12 +399,75 @@ def _clean(d):
 # integer rows
 
 
-def _common_keys(a, b, acc, f):
-    """Pointwise product of two numerator dicts, a piece_product kernel."""
-    if len(b) < len(a):
-        a, b = b, a
-    out = {k: n * b[k] for k, n in a.items() if k in b}
-    return out if acc is None else _fold(acc, out.keys(), out.values(), f)
+def _common_keys(ones):
+    """The piece_product kernel of a pointwise host with unit coefficients
+    at one arity: the pointwise product of two numerator dicts, their key
+    intersection.  ones is the all-ones row of that arity (_AllOnes), the
+    unit of such a table, so a product with it is the other operand's
+    numerators, the dict itself: it is found by identity, or by a dict
+    comparison after a length check.  Piece dicts are never changed in
+    place, so a product may share one with its operand."""
+    size = len(ones)
+
+    def kernel(a, b, acc, f):
+        if len(a) == size and (a is ones or a == ones):
+            out = b
+        elif len(b) == size and (b is ones or b == ones):
+            out = a
+        else:
+            if len(b) < len(a):
+                a, b = b, a
+            out = {k: n * b[k] for k, n in a.items() if k in b}
+        return out if acc is None else _fold(acc, out.keys(), out.values(), f)
+
+    return kernel
+
+
+class _AllOnes(dict):
+    """{arity: the all-ones row {key: 1} of host^(tensor arity)}, each
+    made when first asked for.  One object per arity, so that the leg maps
+    that make it (_leg_map) and the products that read it (_common_keys)
+    mostly meet it by identity."""
+
+    __slots__ = ("dim",)
+
+    def __init__(self, dim):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, arity):
+        row = self[arity] = dict.fromkeys(range(self.dim ** arity), 1)
+        return row
+
+
+class _Relabel(dict):
+    """Leg cells that send each digit d to the blocks codes[d], each with
+    weight 1 and none reached from two digits (see _leg_cells).  _leg_map
+    moves each key to one key per block, with its numerator as it is: no
+    key is dropped or merged, so each piece stays canonical.  full when the
+    blocks fill the block space of width digits: then the all-ones row goes
+    to the all-ones row.  one when every digit has one block.
+
+    The dict maps low, the place value of the leg (dim ** the number of
+    legs right of it), to the offsets of each digit's blocks at that leg,
+    codes[d] times low: an int when one, else a tuple, made once for each
+    low."""
+
+    __slots__ = ("codes", "one", "full")
+
+    def __init__(self, codes, width, dim):
+        super().__init__()
+        self.codes = codes
+        self.one = all(len(c) == 1 for c in codes)
+        self.full = sorted(c for cs in codes for c in cs) == list(range(dim ** width))
+
+    def __missing__(self, low):
+        if self.one:
+            at = [c * low for (c,) in self.codes]
+        else:
+            at = [tuple(c * low for c in cs) for cs in self.codes]
+        self[low] = at
+        return at
 
 
 def _scaled(a, c, acc, f):
@@ -608,20 +676,21 @@ class _MulOps:
         self._rows = {}
         self._units = {}
         self._unit_cells = {}
+        self._ones = _AllOnes(dim)
         self._pw = 0
         self._comm = None
 
     def share_product(self, other):
         """Use other's product and its caches (the phase, rational and base
-        tables, the key rows, the unit pieces and cells, the pointwise and
-        commutativity tests): other has the same
+        tables, the key rows, the unit pieces and cells, the all-ones rows,
+        the pointwise and commutativity tests): other has the same
         dim, ring, mult and unit, as the host a twist conjugates.  other's
         rational table is made first, so that both hosts hold the one
         table and with it the one group Fourier plan."""
         other.rational_table()
         for name in (
             "mult", "_base", "_phase", "_rational", "_rows", "_units", "_unit_cells",
-            "_pw", "_comm",
+            "_ones", "_pw", "_comm",
         ):
             setattr(self, name, getattr(other, name))
 
@@ -678,11 +747,14 @@ class _MulOps:
 
     def rational_kernel(self, arity):
         """(kernel, den) of a product at arity over a phase-0 table: key
-        intersection on a pointwise host with unit coefficients (den 1),
-        else tensor_convolve against the integer table (den D**arity), a
-        pair with a single-key operand over a group table a _relabel."""
+        intersection on a pointwise host with unit coefficients (den 1), a
+        product with the all-ones row the other operand (_common_keys; the
+        rule is read from the table by pointwise_coeffs, never from the
+        declared unit), else tensor_convolve against the integer table (den
+        D**arity), a pair with a single-key operand over a group table a
+        _relabel."""
         if self.pointwise_coeffs() is not None:
-            return _common_keys, 1
+            return _common_keys(self._ones[arity]), 1
         dim = self.dim
         tbl, tden = self.rational_table()
         relabel = tbl.latin and arity <= 4
@@ -711,7 +783,9 @@ class _MulOps:
     def unit_cells(self, first):
         """The leg cells (see _leg_cells) that put the unit beside a leg,
         made once for each side: digit d becomes 1 (x) d when first, else d
-        (x) 1; a relabel (codes) when the unit is one basis element."""
+        (x) 1; a relabel (_Relabel) when every unit coefficient is 1, such
+        as a unit that is one basis element or the sum of every basis
+        element of a dual host."""
         got = self._unit_cells.get(first)
         if got is None:
             dim = self.dim
@@ -719,15 +793,20 @@ class _MulOps:
                 (d, k * dim + d if first else d * dim + k): u
                 for d in range(dim)
                 for k, u in self.elem_unit().items()
-            })
+            }, 2)
         return got
 
-    def _leg_cells(self, flat):
-        """(pieces, N, codes): the phase pieces of {(basis index i, code):
-        value} at one conductor N, (cells, D) per phase, cells[i] the (code,
-        numerator) pairs of i over the denominator D.  codes, the code of
-        each i, only when every cells[i] is one distinct (code, 1) at phase
-        0, N = 1 and D = 1: a one-to-one map of weight 1 (see _leg_map)."""
+    def _leg_cells(self, flat, width):
+        """(pieces, N, relabel): the phase pieces of {(basis index i,
+        code): value}, each code a block of width digits, at one conductor
+        N, (cells, D) per phase, cells[i] the (code, numerator) pairs of i
+        over the denominator D.  relabel, a _Relabel of the codes of each
+        i, only when the map is a fan-out of weight 1: one phase, phase 0,
+        N = 1, D = 1, every numerator 1, every i with at least one code and
+        no code reached from two i.  A map that merges keys (the counit of a
+        group algebra sends every i to code 0) or drops them (a dual host's
+        counit gives the digits other than e no code) is summed by
+        _leg_map."""
         pieces, N = phase_pieces(flat)
         out = {}
         for p, (nums, den) in pieces.items():
@@ -736,9 +815,15 @@ class _MulOps:
                 cells[i].append((code, n))
             out[p] = (cells, den)
         cells, den = out.get(_PHASE0, ((), 0))
-        codes = [c[0][0] for c in cells if len(c) == 1 and c[0][1] == 1]
-        one_to_one = N == 1 and len(out) == den == 1 and len(set(codes)) == self.dim
-        return out, N, codes if one_to_one else None
+        codes = [tuple(c for c, _n in cell) for cell in cells]
+        reached = [c for cs in codes for c in cs]
+        if (
+            N == 1 and len(out) == den == 1 and all(codes)
+            and all(n == 1 for cell in cells for _c, n in cell)
+            and len(reached) == len(set(reached))
+        ):
+            return out, N, _Relabel(codes, width, self.dim)
+        return out, N, None
 
     def elem_unit(self):
         return {k: v for k, v in enumerate(self.unit) if v}
@@ -875,14 +960,14 @@ class HopfPresentation(_MulOps):
                 (i, j * self.dim + k): w
                 for i, cell in self.coproduct.items()
                 for (j, k), w in cell.items()
-            })
+            }, 2)
         return self._cop_pieces
 
     def counit_pieces(self):
         """The counit as leg cells (see _leg_cells), every code 0."""
         if self._counit_pieces is None:
             self._counit_pieces = self._leg_cells(
-                {(i, 0): e for i, e in enumerate(self.counit) if e}
+                {(i, 0): e for i, e in enumerate(self.counit) if e}, 0
             )
         return self._counit_pieces
 
@@ -1231,21 +1316,43 @@ class LegTensor:
         """The tensor with the digit d at leg replaced, for each (code, n)
         of the host's cells[d], by the block of width digits code, the
         coefficient times n; the pieces of the host's cells are summed per
-        output phase like a product's (piece_product).  Cells with codes
-        are a relabel of each piece's keys: a one-to-one map of weight 1
-        sums nothing, makes no zero and changes no content."""
+        output phase like a product's (piece_product).  Cells with a
+        _Relabel are a relabel of each piece's keys, one new key per code of
+        the digit with the numerator as it is: a fan-out of weight 1 sums
+        nothing, drops or merges no key and changes no content, so no
+        piece_product is formed.  When the codes fill the block space, a
+        piece that is the all-ones row (by identity, or by a dict comparison
+        after a length check) becomes the host's all-ones row of the output
+        arity, the object that _common_keys meets by identity.  The moved
+        pieces may be shared: piece dicts are never changed in place."""
         if not 0 <= leg < self.arity:
             raise BadLeg("leg %d of %d" % (leg, self.arity))
         dim = self.host.dim
         low = dim ** (self.arity - 1 - leg)
         wide = dim ** width
-        pieces, M, codes = host_cells
-        if codes is not None:
-            step, top, at = dim * low, wide * low, [c * low for c in codes]
+        arity = self.arity - 1 + width
+        pieces, M, relabel = host_cells
+        if relabel is not None:
+            step, top, at = dim * low, wide * low, relabel[low]
             A, N = self._phases()
-            moved = {p: ({k // step * top + at[k % step // low] + k % low: n for k, n in nums.items()}, d)
-                     for p, (nums, d) in A.items()}
-            return LegTensor._of_rows(self.host, self.arity - 1 + width, moved, N)
+            if relabel.one:
+                moved = {p: ({k // step * top + at[k % step // low] + k % low: n for k, n in nums.items()}, d)
+                         for p, (nums, d) in A.items()}
+                return LegTensor._of_rows(self.host, arity, moved, N)
+            ones = self.host._ones
+            size = dim ** self.arity if relabel.full else -1
+            moved = {}
+            for p, (nums, d) in A.items():
+                if len(nums) == size and (nums is ones[self.arity] or nums == ones[self.arity]):
+                    moved[p] = ones[arity], d
+                    continue
+                moved[p] = {
+                    h + o: n
+                    for k, n in nums.items()
+                    for h in (k // step * top + k % low,)
+                    for o in at[k % step // low]
+                }, d
+            return LegTensor._of_rows(self.host, arity, moved, N)
 
         def kernel(a, cells, acc, f):
             out = {}
@@ -1259,7 +1366,7 @@ class LegTensor:
                     out[nk] = get(nk, 0) + x * w
             return out if acc is None else _fold(acc, out.keys(), out.values(), f)
 
-        return self._product(pieces, M, kernel, self.arity - 1 + width)
+        return self._product(pieces, M, kernel, arity)
 
     def __repr__(self):
         return "LegTensor(%s, arity=%d, %d terms)" % (

@@ -78,6 +78,14 @@ def test_verify_unparsable_theta_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--theta=--", "--seed=--", "--order=--", "--json=--"])
+def test_verify_option_value_double_dash_exit_two(flag, capsys):
+    # argparse hands an option whose value is exactly '--' an empty list
+    assert main(["verify", "sharp-map", flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not '--'" in err
+
+
 @pytest.mark.parametrize("theta", ["h^-1", "1/0", "h/(h-h)"])
 def test_verify_theta_without_inverse_exit_two(theta, capsys):
     assert main(["verify", "sharp-map", "--theta", theta]) == 2
