@@ -639,27 +639,24 @@ def shuffle_bialgebra(dim_v, max_len):
     return ShuffleBialgebra(dim_v, max_len)
 
 
+def _pin(S, cid, got, want):
+    """The outcome of a pinned shuffle value: the residual counts the words
+    whose coefficients in got and want differ, and the witness is the label
+    of the first of them in basis order."""
+    bad = [k for k in sorted(set(got) | set(want)) if got.get(k, 0) != want.get(k, 0)]
+    return CheckOutcome.from_residual(cid, len(bad), S.labels[bad[0]] if bad else None)
+
+
 def word_pin_report(S):
     """Two small shuffle values pinned by hand: single letters x, y give
     xy + yx; a letter against a 2-word gives the three interleavings."""
     checks = []
     if S.dim_v >= 2 and S.max_len >= 2:
-        x, y = (0,), (1,)
-        got = S.shuffle_words(x, y)
         want = {S.index[(0, 1)]: 1, S.index[(1, 0)]: 1}
-        checks.append(
-            CheckOutcome.from_residual(
-                "pin-two-letters", 0 if got == want else 1
-            )
-        )
+        checks.append(_pin(S, "pin-two-letters", S.shuffle_words((0,), (1,)), want))
     if S.dim_v >= 2 and S.max_len >= 3:
-        got = S.shuffle_words((0,), (1, 1))
         want = {S.index[(0, 1, 1)]: 1, S.index[(1, 0, 1)]: 1, S.index[(1, 1, 0)]: 1}
-        checks.append(
-            CheckOutcome.from_residual(
-                "pin-letter-vs-pair", 0 if got == want else 1
-            )
-        )
+        checks.append(_pin(S, "pin-letter-vs-pair", S.shuffle_words((0,), (1, 1)), want))
     return checks
 
 

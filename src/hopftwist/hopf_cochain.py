@@ -30,7 +30,17 @@ so Phi^-1 is formed only when the twisted module law reads it.  Over a
 commuting product (read from the structure table, product_commutes) F
 commutes with every Delta(b), so the twisted coproduct is the host's own,
 formed with no product, and the first identity is checked as
-((id (x) Delta) Delta(x) - (Delta (x) id) Delta(x)) Phi, one product.
+((id (x) Delta) Delta(x) - (Delta (x) id) Delta(x)) Phi, one product,
+formed only when the two coproducts differ.  Over any other product the twisted
+coproduct F Delta(b_i) F^-1 stays integer pieces: the products' pieces are
+merged into the twisted host's leg cells (set_coproduct_tensors), and its
+{key: value} coproduct is built only when something reads it.
+
+Every residual check compares before it subtracts: the two sides are
+tested with LegTensor.eq, which compares canonical pieces, and their
+difference is formed only when they differ, the same tensor as before, so
+the residual count and the witness are unchanged.  A passing check at
+conductor 1 forms no difference at all.
 """
 
 from fractions import Fraction
@@ -178,13 +188,22 @@ def dsquared(c):
 # predicates
 
 
+def _difference(lhs, rhs):
+    """lhs - rhs, formed only when the two differ: LegTensor.eq compares
+    their canonical pieces first, and two equal sides give the empty
+    tensor with no subtraction."""
+    if lhs.eq(rhs):
+        return LegTensor(lhs.host, lhs.arity, {})
+    return lhs.sub(rhs)
+
+
 def counital_report(c):
     """Each leg contracted with the counit must give the unit tensor."""
     unit = LegTensor.unit(c.host, c.arity - 1)
     bad = 0
     wit = None
     for leg in range(c.arity):
-        r = c.value.counit_leg(leg).sub(unit).term_count()
+        r = _difference(c.value.counit_leg(leg), unit).term_count()
         if r:
             bad += r
             if wit is None:
@@ -212,7 +231,7 @@ def invariant_report(c):
     wit = None
     for i in range(host.dim):
         d = iterated_coproduct(host, {i: one}, c.arity)
-        r = c.value.mul(d).sub(d.mul(c.value)).term_count()
+        r = _difference(c.value.mul(d), d.mul(c.value)).term_count()
         if r:
             bad += r
             if wit is None:
@@ -235,7 +254,7 @@ def key_witness(t):
 
 def cocycle_report(F):
     """Residual of d(F) against the unit tensor."""
-    res = coboundary(F.value, F.inverse).sub(LegTensor.unit(F.host, F.arity + 1))
+    res = _difference(coboundary(F.value, F.inverse), LegTensor.unit(F.host, F.arity + 1))
     return CheckOutcome.from_residual("cocycle", res.term_count(), key_witness(res))
 
 
@@ -299,26 +318,18 @@ def _conjugated_host(host, F):
     the product side, with its tables and caches, and the counit's leg
     cells are host's own.  Over a commuting product (read from the table,
     product_commutes) F commutes with every Delta(b_i), so the coproduct
-    is host's too, copied with no product, and so are its leg cells."""
+    is host's too, copied with no product, and so are its leg cells.
+    Otherwise the products F Delta(b_i) F^-1 go to the twisted host as
+    tensors (set_coproduct_tensors): their integer pieces become its leg
+    cells, and its coproduct values are built only on a first read."""
     commutes = host.product_commutes()
-    if commutes:
-        cop = host.coproduct
-    else:
-        cop = {}
-        for i in range(host.dim):
-            cell = host.basis_coproduct(i)
-            if not cell:
-                continue
-            di = LegTensor(host, 2, dict(cell))
-            ti = F.value.mul(di).mul(F.inverse)
-            cop[i] = {jk: v for jk, v in ti.entries()}
     twisted = HopfPresentation(
         host.dim,
         host.labels,
         host.ring,
         host.mult,
         host.unit,
-        cop,
+        host.coproduct if commutes else {},
         host.counit,
         antipode=None,
         commutative=host.commutative,
@@ -327,6 +338,11 @@ def _conjugated_host(host, F):
     )
     twisted.share_product(host)
     twisted.share_leg_cells(host, commutes)
+    if not commutes:
+        twisted.set_coproduct_tensors({
+            i: F.value.mul(LegTensor(host, 2, dict(cell))).mul(F.inverse)
+            for i, cell in host.coproduct.items()
+        })
     return twisted
 
 
@@ -361,23 +377,27 @@ def twist(host, F, module=None):
 def conjugation_residual(phi, i):
     """(id (x) Delta) Delta(b_i) Phi - Phi (Delta (x) id) Delta(b_i) over
     phi's host, for the associator value phi: quasi-coassociativity at
-    basis i, written without Phi^-1.  Over a commuting product that is
-    the same tensor as ((id (x) Delta) Delta(b_i) - (Delta (x) id)
-    Delta(b_i)) Phi, one product, of an empty tensor when the two agree."""
+    basis i, written without Phi^-1; the empty tensor when the two sides
+    are equal (see _difference).  Over a commuting product that is the
+    same tensor as ((id (x) Delta) Delta(b_i) - (Delta (x) id)
+    Delta(b_i)) Phi, one product, formed only when the two coproducts
+    differ."""
     host = phi.host
     d = LegTensor.from_element(host, {i: host.ring.one()}).coproduct_leg(0)
     lhs, d0 = d.coproduct_leg(1), d.coproduct_leg(0)
     if host.product_commutes():
-        return lhs.sub(d0).mul(phi)
-    return lhs.mul(phi).sub(phi.mul(d0))
+        res = _difference(lhs, d0)
+        return res if res.is_zero() else res.mul(phi)
+    return _difference(lhs.mul(phi), phi.mul(d0))
 
 
 def pentagon_residual(phi):
     """D_0(Phi) D_2(Phi) D_4(Phi) - D_3(Phi) D_1(Phi) for the associator
     value phi: d(Phi) = 1 with the inverted factors moved to the right
-    side, as each D_i is an algebra map."""
+    side, as each D_i is an algebra map; the empty tensor when the two
+    sides are equal (see _difference)."""
     D = [_delta_i(phi, i) for i in range(5)]
-    return D[0].mul(D[2]).mul(D[4]).sub(D[3].mul(D[1]))
+    return _difference(D[0].mul(D[2]).mul(D[4]), D[3].mul(D[1]))
 
 
 def verify_quasi(result):
@@ -479,7 +499,7 @@ def gauge_equivariance_report(g, F):
     dF = coboundary(F.value, F.inverse)
     g3 = LegTensor.outer(host, [gv, gv, gv])
     g3inv = LegTensor.outer(host, [gi, gi, gi])
-    res = lhs.sub(g3.mul(dF).mul(g3inv))
+    res = _difference(lhs, g3.mul(dF).mul(g3inv))
     return CheckOutcome.from_residual(
         "gauge-equivariance", res.term_count(), key_witness(res)
     )
@@ -565,13 +585,14 @@ def random_counital_two_cochain(host, rng, terms=4):
 
 
 def random_invariant_two_cochain(host, rng, group=None, terms=3):
-    """1 + hbar * (invariant perturbation): free over commutative hosts,
-    spanned by class sums sum(g x g) and central pairs otherwise."""
+    """1 + hbar * (invariant perturbation): free over a host whose product
+    commutes (read from the table, product_commutes), spanned by class sums
+    sum(g x g) and central pairs otherwise."""
     order = host.ring.hbar_order
     if order is None:
         raise ValueError("sampler needs a series-ring host")
     if group is None:
-        if not host.commutative:
+        if not host.product_commutes():
             raise ValueError("noncommutative host needs its group")
         pairs = _sparse_pairs(host, rng, terms)
     else:

@@ -41,7 +41,9 @@ space the all-ones row goes to the all-ones row.  Over any other host
 ``phase_convolve`` multiplies the two operands' flat phase rows against the
 phase cells, adding the cells' phases, and the product is settled once.
 elem_mul is one phase_convolve on flat phase rows.  The coproduct, counit
-and unit come as pieces made once on the host.  The {key: value} view is
+and unit come as pieces made once on the host; a twisted host takes its
+coproduct as tensors, and builds its {key: value} coproduct from their
+pieces only when it is read.  The {key: value} view is
 built from the pieces only when it is read (reports, JSON, witnesses), by
 scalars.phase_values; a tensor built from a dict and a module action sum
 their values through scalars.accumulate.
@@ -59,7 +61,8 @@ met, and kept on the host.  A group table (every row and column a
 permutation, with a unit) makes the product of one key with all the keys
 of a tensor a relabel, so a pair whose operand has a single key (the
 unit, a monomial, a basis column) skips the convolution; the unit's key
-keeps the keys as they are.  An accumulator is a plain list with one cell
+keeps the keys as they are, and with the numerator 1 the product is the
+operand's own dict.  An accumulator is a plain list with one cell
 per output key when the pairs it sums have at least dim**arity term
 products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
 cochains; its nonzero cells become the product's piece.
@@ -356,14 +359,18 @@ def _relabel(a, b, dim, arity, base, acc, f):
     single key moves every key of the other operand to a key of its own,
     so the product is a relabel of the other operand's values times the
     single value, {row[kb]: va * vb}, with nothing to sum and no zero.  The
-    unit's key (base.unit on every leg) leaves the keys as they are."""
+    unit's key (base.unit on every leg) leaves the keys as they are; with
+    the numerator 1 and no accumulator the product is the other operand's
+    dict itself, shared as piece dicts are never changed in place.  The
+    unit case is read from the key: a dict's keys() is a new view on every
+    call, so it cannot be told by identity."""
     e = base.unit
     unit = e * (dim ** arity - 1) // (dim - 1) if e else 0
     if len(a) == 1:
         ((ka, c),) = a.items()
         other = b
         if ka == unit:
-            keys = b.keys()
+            keys = None
         elif arity <= 2:
             row = _key_rows(base, dim, arity, 1)[ka]
             keys = [row[kb] for kb in b]
@@ -376,7 +383,7 @@ def _relabel(a, b, dim, arity, base, acc, f):
         ((kb, c),) = b.items()
         other = a
         if kb == unit:
-            keys = a.keys()
+            keys = None
         elif arity <= 2:
             cache = _key_rows(base, dim, arity, 1)
             keys = [cache[ka][kb] for ka in a]
@@ -386,6 +393,10 @@ def _relabel(a, b, dim, arity, base, acc, f):
             c0 = _key_rows(base, dim, arity - 2, s0)
             c1 = _key_rows(base, dim, 2, 1)
             keys = [c0[ka // s0][y0] + c1[ka % s0][y1] for ka in a]
+    if keys is None:
+        if c == 1 and acc is None:
+            return other
+        keys = other.keys()
     if acc is None:
         return {k: c * v for k, v in zip(keys, other.values())}
     return _fold(acc, keys, other.values(), c * f)
@@ -807,12 +818,18 @@ class _MulOps:
         group algebra sends every i to code 0) or drops them (a dual host's
         counit gives the digits other than e no code) is summed by
         _leg_map."""
-        pieces, N = phase_pieces(flat)
+        return self._piece_cells(*phase_pieces(flat), width)
+
+    def _piece_cells(self, pieces, N, width):
+        """_leg_cells of canonical phase pieces at conductor N whose
+        numerators are keyed (basis index i, code)."""
         out = {}
         for p, (nums, den) in pieces.items():
             cells = [[] for _ in range(self.dim)]
             for (i, code), n in nums.items():
                 cells[i].append((code, n))
+            for cell in cells:
+                cell.sort()
             out[p] = (cells, den)
         cells, den = out.get(_PHASE0, ((), 0))
         codes = [tuple(c for c, _n in cell) for cell in cells]
@@ -909,11 +926,12 @@ class HopfPresentation(_MulOps):
         name=None,
     ):
         self._init_mul(dim, labels, ring, mult, unit)
-        self.coproduct = {}
+        self._coproduct = {}
         for i, cell in coproduct.items():
             cc = _clean({jk: ring.coerce(v) for jk, v in cell.items()})
             if cc:
-                self.coproduct[i] = cc
+                self._coproduct[i] = cc
+        self._cop_flat = None
         self.counit = [ring.coerce(v) for v in counit]
         self.antipode = None
         if antipode is not None:
@@ -927,11 +945,62 @@ class HopfPresentation(_MulOps):
         self._cop_pieces = None
         self._counit_pieces = None
         self._antipode_cells = None
+        self._cocomm = None
+
+    @property
+    def coproduct(self):
+        """{i: {(j, k): value}}, the coproduct of basis i.  A host whose
+        coproduct was handed over as tensors (set_coproduct_tensors, a
+        twist over a noncommuting product) builds these values from their
+        pieces on the first read, with scalars.phase_values; the pieces
+        stay as they are."""
+        if self._coproduct is None:
+            pieces, N = self._cop_flat
+            dim = self.dim
+            cop = {}
+            values = phase_values(pieces_row(pieces, N, N), self.ring.hbar_order, N)
+            for (i, code), v in sorted(values.items()):
+                cop.setdefault(i, {})[divmod(code, dim)] = v
+            self._coproduct = cop
+        return self._coproduct
+
+    def set_coproduct_tensors(self, tensors):
+        """Take the coproduct of basis i as the arity-2 tensor tensors[i],
+        on integers: the pieces of every tensor, keyed (i, code of j (x)
+        k), are merged at the lcm of their conductors into one canonical
+        set (scalars._settle), the pieces that coproduct_pieces() builds
+        from values, and its leg cells are made from them by the same
+        builder.  The values (coproduct) are built only when read."""
+        parts = [(i, *t._phases()) for i, t in tensors.items()]
+        L = lcm(1, *[N for _i, _pieces, N in parts])
+        groups = {}
+        for i, pieces, N in parts:
+            s = L // N
+            for (v, t, e), (nums, den) in pieces.items():
+                groups.setdefault((v, t, e * s), []).append(
+                    ({(i, k): n for k, n in nums.items()}, den)
+                )
+        self._cop_flat = _settle(groups, L)
+        self._cop_pieces = self._piece_cells(*self._cop_flat, 2)
+        self._coproduct = None
+
+    def coproduct_cocommutes(self):
+        """True when the coproduct of every basis element is unchanged by
+        swapping its two legs, read from the table once; a declared
+        cocommutative flag is not consulted."""
+        if self._cocomm is None:
+            self._cocomm = all(
+                {(k, j): w for (j, k), w in cell.items()} == cell
+                for cell in self.coproduct.values()
+            )
+        return self._cocomm
 
     @property
     def axiom_ids(self):
         """verify_hopf's check ids: the bialgebra axioms and the antipode's,
-        S^2 = id only on a commutative or cocommutative host."""
+        S^2 = id only on a host whose product commutes or whose coproduct
+        cocommutes, as read from its tables (product_commutes,
+        coproduct_cocommutes), not from the declared flags."""
         ids = [
             "unit-laws",
             "associativity",
@@ -943,7 +1012,7 @@ class HopfPresentation(_MulOps):
         ]
         if self.antipode is not None:
             ids += ["antipode-unit", "antipode-antihomomorphism"]
-            if self.commutative or self.cocommutative:
+            if self.product_commutes() or self.coproduct_cocommutes():
                 ids.append("antipode-square")
         return ids
 
@@ -1316,7 +1385,10 @@ class LegTensor:
         """The tensor with the digit d at leg replaced, for each (code, n)
         of the host's cells[d], by the block of width digits code, the
         coefficient times n; the pieces of the host's cells are summed per
-        output phase like a product's (piece_product).  Cells with a
+        output phase like a product's (piece_product), the kernel adding
+        each term, times the pair's scale f, straight into piece_product's
+        accumulator, a list or a dict, or into a new dict for a phase met
+        by one pair.  Cells with a
         _Relabel are a relabel of each piece's keys, one new key per code of
         the digit with the numerator as it is: a fan-out of weight 1 sums
         nothing, drops or merges no key and changes no content, so no
@@ -1355,16 +1427,23 @@ class LegTensor:
             return LegTensor._of_rows(self.host, arity, moved, N)
 
         def kernel(a, cells, acc, f):
-            out = {}
-            get = out.get
+            out = {} if acc is None else acc
+            dense = type(out) is list
+            get = out.get if not dense else None
             for key, x in a.items():
                 head, tail = divmod(key, low)
                 head, d = divmod(head, dim)
-                head *= wide
+                base = head * wide * low + tail
+                if f != 1:
+                    x *= f
+                if dense:
+                    for code, w in cells[d]:
+                        out[base + code * low] += x * w
+                    continue
                 for code, w in cells[d]:
-                    nk = (head + code) * low + tail
+                    nk = base + code * low
                     out[nk] = get(nk, 0) + x * w
-            return out if acc is None else _fold(acc, out.keys(), out.values(), f)
+            return out
 
         return self._product(pieces, M, kernel, arity)
 

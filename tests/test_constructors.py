@@ -191,6 +191,26 @@ def test_word_pins():
     B = shuffle_bialgebra(2, 4)
     for ck in word_pin_report(B):
         assert ck.ok, ck.id
+        assert ck.witness is None, ck.id
+
+
+def test_word_pins_name_the_first_differing_word(monkeypatch):
+    # a shuffle that drops the last interleaving: x sh y = xy, and
+    # x sh yy = xyy + yxy, so each pin misses one word
+    B = shuffle_bialgebra(2, 4)
+    shuffle = B.shuffle_words
+
+    def dropped(u, v):
+        out = shuffle(u, v)
+        del out[max(out)]
+        return out
+
+    monkeypatch.setattr(B, "shuffle_words", dropped)
+    got = {ck.id: (ck.status, ck.residual_term_count, ck.witness) for ck in word_pin_report(B)}
+    assert got == {
+        "pin-two-letters": ("fail", 1, "21"),
+        "pin-letter-vs-pair": ("fail", 1, "221"),
+    }
 
 
 def test_pareigis_dimension():

@@ -14,9 +14,12 @@ from hopftwist.constructors import (
     group_algebra,
     pareigis_window,
     shuffle_bialgebra,
+    symmetric_3,
     taft,
 )
 from hopftwist.errors import WindowOverflow
+from hopftwist.io_json import presentation_from_dict, presentation_to_dict
+from hopftwist.linalg import solve
 from hopftwist.multilinear import HopfPresentation, verify_hopf
 from hopftwist.scalars import ScalarRing
 
@@ -131,14 +134,55 @@ def dual_numbers_grouplike():
     )
 
 
-def taft2_claimed_cocommutative():
-    # Sweedler's algebra flagged cocommutative: S^2 = id is then checked,
-    # and S^2(x) = -x
-    T = taft(2)
+def rebased(H, new, labels):
+    """H in the basis new[i], each a sparse vector over H's basis, which
+    must be invertible; the tables are carried over exactly."""
+    dim = H.dim
+    cols = [[Fraction(new[i].get(k, 0)) for i in range(dim)] for k in range(dim)]
+    # old[k]: basis k of H as a sparse vector over the new basis
+    old = []
+    for k in range(dim):
+        x = solve(cols, [Fraction(int(r == k)) for r in range(dim)])
+        old.append({i: c for i, c in enumerate(x) if c})
+
+    def to_new(vec):
+        out = {}
+        for k, c in vec.items():
+            for i, w in old[k].items():
+                out[i] = out.get(i, 0) + c * w
+        return {i: c for i, c in out.items() if c}
+
+    mult = {(i, j): to_new(H.elem_mul(new[i], new[j])) for i in range(dim) for j in range(dim)}
+    cop = {}
+    for i in range(dim):
+        cell = {}
+        for k, c in new[i].items():
+            for (a, b), w in H.basis_coproduct(k).items():
+                for x, u in old[a].items():
+                    for y, v in old[b].items():
+                        cell[x, y] = cell.get((x, y), 0) + c * w * u * v
+        cop[i] = {xy: c for xy, c in cell.items() if c}
+    counit = [sum(c * H.counit[k] for k, c in new[i].items()) for i in range(dim)]
+    unit = to_new(H.elem_unit())
+    images = [to_new(H.apply_antipode(new[i])) for i in range(dim)]
     return HopfPresentation(
-        T.dim, T.labels, T.ring, T.mult, T.unit, T.coproduct, T.counit,
-        T.antipode, cocommutative=True,
+        dim, labels, H.ring, mult, [unit.get(i, 0) for i in range(dim)], cop, counit,
+        [[s.get(j, 0) for j in range(dim)] for s in images],
     )
+
+
+def dual_z3_square_fault():
+    # k^Z3 on the basis 1 = d0 + d1 + d2, d1, d1 + d2: every basis product
+    # and the unit are single terms, and S(d1) = d2 = (d1 + d2) - d1 is
+    # two, so an antipode that maps only the first term of a vector is
+    # right wherever the battery applies it except on S(d1); the product
+    # commutes, read from the table (no flag is declared), so S^2 = id is
+    # checked and fails at d1 alone
+    one = Fraction(1)
+    H = dual_group_hopf(cyclic_group(3))
+    host = rebased(H, [{0: one, 1: one, 2: one}, {1: one}, {1: one, 2: one}], ["1", "d1", "d12"])
+    assert not host.commutative and host.product_commutes()
+    return first_term_antipode(host)
 
 
 CONTROLS = [
@@ -162,7 +206,7 @@ CONTROLS = [
         14,
         "(1,2)",
     ),
-    ("antipode-square", taft2_claimed_cocommutative, 2, "x"),
+    ("antipode-square", dual_z3_square_fault, 1, "d1"),
 ]
 
 
@@ -185,6 +229,35 @@ def test_each_check_fails_alone(target, build, residual, witness):
         assert others == {("antipode-convolution", "error")}
     else:
         assert others == set()
+
+
+def test_declared_flags_pick_no_check():
+    # antipode-square is run on a host whose product commutes or whose
+    # coproduct cocommutes, read from the tables: Sweedler's algebra
+    # declared cocommutative does neither, and k[Z3] read from a document
+    # that declares neither does both
+    T = taft(2)
+    claimed = HopfPresentation(
+        T.dim, T.labels, T.ring, T.mult, T.unit, T.coproduct, T.counit,
+        T.antipode, commutative=True, cocommutative=True,
+    )
+    assert not claimed.product_commutes() and not claimed.coproduct_cocommutes()
+    assert "antipode-square" not in claimed.axiom_ids
+    assert all(ck.ok for ck in verify_hopf(claimed))
+    doc = presentation_to_dict(group_algebra(cyclic_group(3)))
+    doc["commutative"] = doc["cocommutative"] = False
+    kz3 = presentation_from_dict(doc)
+    assert not kz3.commutative and not kz3.cocommutative
+    assert kz3.product_commutes() and kz3.coproduct_cocommutes()
+    assert "antipode-square" in kz3.axiom_ids
+    report = {ck.id: ck for ck in verify_hopf(kz3)}
+    assert report["antipode-square"].ok and all(ck.ok for ck in report.values())
+    # each table test alone picks the check
+    dual = dual_group_hopf(symmetric_3())
+    assert dual.product_commutes() and not dual.coproduct_cocommutes()
+    kS3 = group_algebra(symmetric_3())
+    assert not kS3.product_commutes() and kS3.coproduct_cocommutes()
+    assert "antipode-square" in dual.axiom_ids and "antipode-square" in kS3.axiom_ids
 
 
 def test_every_check_id_has_a_control():

@@ -25,6 +25,7 @@ from hopftwist.hopf_cochain import (
     coboundary_pair,
     cocycle_report,
     conjugation_residual,
+    counital_projection,
     dsquared,
     equivariant_twist_check,
     gauge_act,
@@ -34,6 +35,7 @@ from hopftwist.hopf_cochain import (
     is_counital,
     is_in_kernel,
     is_invariant,
+    key_witness,
     pentagon_residual,
     random_counital_two_cochain,
     random_invariant_two_cochain,
@@ -51,7 +53,7 @@ from hopftwist.multilinear import (
     with_series_ring,
 )
 from hopftwist.pbw import PBWTensor, pbw_exp
-from hopftwist.scalars import ScalarRing, Series, accumulate
+from hopftwist.scalars import ScalarRing, Series, accumulate, root_of_unity
 
 S3 = symmetric_3()
 KS3 = group_algebra(S3)
@@ -595,9 +597,10 @@ def test_dsquared_forms_no_inverse_it_throws_away(monkeypatch):
 def test_twist_and_verify_quasi_product_count(monkeypatch):
     # dual[Z2^2] has a commuting product, so F commutes with every D(h):
     # twist keeps the host's coproduct (no product) and forms phi = d(F)
-    # alone (3); verify_quasi: (lhs - d0) phi for each of the 4 basis
-    # elements (4) and the pentagon D0 D2 D4 against D3 D1 (3); the module
-    # law reads phi^-1, which is formed then (3)
+    # alone (3); verify_quasi: lhs equals d0 at each of the 4 basis
+    # elements, the coproduct being coassociative, so (lhs - d0) phi is
+    # never formed (0), and the pentagon D0 D2 D4 against D3 D1 (3); the
+    # module law reads phi^-1, which is formed then (3)
     rng = random.Random(37)
     mod = dual_action_module(elementary_abelian_2(2), SER)
     F = random_counital_two_cochain(mod.host, rng)
@@ -606,17 +609,17 @@ def test_twist_and_verify_quasi_product_count(monkeypatch):
     assert len(calls) == 3
     for ck in verify_quasi(R):
         assert ck.ok, ck.id
-    assert len(calls) == 13
+    assert len(calls) == 9
     del calls[:]
     R = twist(mod.host, F)
     assert len(calls) == 3
     for ck in verify_quasi(R):
         assert ck.ok, ck.id
-    assert len(calls) == 10
+    assert len(calls) == 6
     # phi^-1 was never formed: reading it now forms it, once for both hosts
     inv = R.phi_twisted().inverse
-    assert len(calls) == 13
-    assert R.phi.inverse.over(R.twisted).eq(inv) and len(calls) == 13
+    assert len(calls) == 9
+    assert R.phi.inverse.over(R.twisted).eq(inv) and len(calls) == 9
 
 
 def test_noncommutative_twist_still_conjugates_product_count(monkeypatch):
@@ -675,3 +678,278 @@ def test_gauge_equivariance_failure_names_first_residual_key(monkeypatch):
     ck = gauge_equivariance_report(g, Fc)
     assert (ck.status, ck.residual_term_count) == ("fail", 201)
     assert ck.witness == "([e],[e],[e])"
+
+
+# ---------------------------------------------------------------------------
+# compare first, subtract only on a difference: each residual check against
+# the subtract-first form it replaced
+
+Z3 = root_of_unity(1, 3)
+
+
+def _cochain_hosts(K):
+    """The hopf-cochain suite's hosts, exact at K = 0, else over the order-K
+    series ring."""
+    for H in (
+        group_algebra(cyclic_group(3)),
+        group_algebra(elementary_abelian_2(2)),
+        KS3,
+        group_algebra(dihedral_4()),
+        dual_group_hopf(elementary_abelian_2(2)),
+    ):
+        yield H if K == 0 else with_series_ring(H, K)
+
+
+def _unit_plus(H, s, i, c):
+    """s times the unit plus c times basis i, as a sparse vector."""
+    vec = {k: s * v for k, v in H.elem_unit().items()}
+    accumulate(vec, i, H.ring.coerce(c))
+    return vec
+
+
+def _counital_cochain(H, rng, root=False):
+    """A counital invertible 2-cochain: random_counital_two_cochain over a
+    series host; over an exact one the coboundary of a 1-cochain h scaled to
+    counit 1, so that d(h) is counital.  With root, a z_3 coefficient enters
+    h or the perturbation, so the cochain lies at conductor 3."""
+    if H.ring.is_series:
+        if not root:
+            return random_counital_two_cochain(H, rng)
+        u = LegTensor(H, 2, {(1, 2): Z3, (2, 1): Fraction(rng.randint(1, 3))})
+        F = LegTensor.unit(H, 2).add(counital_projection(u).scale(Series.hbar(H.ring.hbar_order)))
+        return HopfCochain(H, 2, F)
+    h = HopfCochain.from_element(H, _unit_plus(H, 3, 1, Z3 if root else rng.randint(1, 2)))
+    eps = H.elem_counit(dict(h.value.data))
+    h = HopfCochain(H, 1, h.value.scale(1 / eps), h.inverse.scale(eps), _trusted=True)
+    return hopf_coboundary(h)
+
+
+def _ref_counital(c):
+    unit = LegTensor.unit(c.host, c.arity - 1)
+    bad, wit = 0, None
+    for leg in range(c.arity):
+        r = c.value.counit_leg(leg).sub(unit).term_count()
+        if r:
+            bad += r
+            wit = wit or "leg %d" % leg
+    return bad, wit
+
+
+def _ref_invariant(c):
+    host = c.host
+    bad, wit = 0, None
+    for i in range(host.dim):
+        d = hopf_cochain.iterated_coproduct(host, {i: host.ring.one()}, c.arity)
+        r = c.value.mul(d).sub(d.mul(c.value)).term_count()
+        if r:
+            bad += r
+            wit = wit or host.labels[i]
+    return bad, wit
+
+
+def _ref_cocycle(F):
+    res = coboundary(F.value, F.inverse).sub(LegTensor.unit(F.host, F.arity + 1))
+    return res.term_count(), key_witness(res)
+
+
+def _ref_conjugation(phi, i):
+    host = phi.host
+    d = LegTensor.from_element(host, {i: host.ring.one()}).coproduct_leg(0)
+    lhs, d0 = d.coproduct_leg(1), d.coproduct_leg(0)
+    if host.product_commutes():
+        return lhs.sub(d0).mul(phi)
+    return lhs.mul(phi).sub(phi.mul(d0))
+
+
+def _ref_pentagon(phi):
+    D = [hopf_cochain._delta_i(phi, i) for i in range(5)]
+    return D[0].mul(D[2]).mul(D[4]).sub(D[3].mul(D[1]))
+
+
+def _ref_gauge(g, F):
+    gv, gi = dict(g.value.data), dict(g.inverse.data)
+    aF = gauge_act(g, F)
+    lhs = coboundary(aF.value, aF.inverse)
+    g3 = LegTensor.outer(F.host, [gv, gv, gv])
+    g3inv = LegTensor.outer(F.host, [gi, gi, gi])
+    res = lhs.sub(g3.mul(coboundary(F.value, F.inverse)).mul(g3inv))
+    return res.term_count(), key_witness(res)
+
+
+def _seen(t):
+    """A tensor as it reads: its term count, its first key's labels and its
+    values."""
+    return t.term_count(), key_witness(t), sorted(t.data.items())
+
+
+def _report(ck):
+    return ck.residual_term_count, ck.witness
+
+
+def _with_term(t, key, c):
+    """t plus c on the basis key, formed without touching t's pieces."""
+    return t.add(LegTensor(t.host, t.arity, {key: c}))
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_compare_first_checks_agree_with_subtract_first(K):
+    rng = random.Random(3100 + K)
+    for H in _cochain_hosts(K):
+        one = H.ring.one()
+        last = H.dim - 1
+        for root in (False, True):
+            F = _counital_cochain(H, rng, root)
+            R = twist(H, F)
+            phi = R.phi_twisted().value
+            coefficient = H.ring.coerce(Z3 if root else Fraction(2))
+            # phi with one extra term, at a key of its own or over one it
+            # has, and phi over the twisted host with a term added to the
+            # coproduct of b_1, which makes the two sides differ over a
+            # commuting product too
+            faulted = _with_coproduct_fault(R.twisted, 1)
+            phis = [
+                phi,
+                _with_term(phi, (0, 1, last), coefficient),
+                _with_term(phi, (0, 0, 0), one),
+                phi.over(faulted),
+            ]
+            for p in phis:
+                for i in range(H.dim):
+                    got, want = conjugation_residual(p, i), _ref_conjugation(p, i)
+                    assert _seen(got) == _seen(want), (H.name, K, root, i)
+                assert _seen(pentagon_residual(p)) == _seen(_ref_pentagon(p)), (H.name, K, root)
+            # counital and invariant: F, F off the counit, a noncommuting pair
+            cochains = [
+                F,
+                HopfCochain.deferred(H, 2, _with_term(F.value, (0, last), coefficient), None),
+                HopfCochain.deferred(H, 2, LegTensor(H, 2, {(1, last): coefficient}), None),
+            ]
+            for c in cochains:
+                assert _report(hopf_cochain.counital_report(c)) == _ref_counital(c), (H.name, K)
+                assert _report(hopf_cochain.invariant_report(c)) == _ref_invariant(c), (H.name, K)
+            # cocycle: d(h) is one, a twisting cochain is one only over an
+            # exact host, and F (x (x) 1) is not
+            x = HopfCochain.from_element(H, _unit_plus(H, 1, 1, coefficient))
+            unit = H.elem_unit()
+            x2 = LegTensor.outer(H, [dict(x.value.data), unit])
+            x2inv = LegTensor.outer(H, [dict(x.inverse.data), unit])
+            bad = HopfCochain(H, 2, F.value.mul(x2), x2inv.mul(F.inverse), _trusted=True)
+            for c in (F, bad):
+                assert _report(cocycle_report(c)) == _ref_cocycle(c), (H.name, K, root)
+            # gauge: a 1-cochain and one whose supplied inverse is wrong
+            g = HopfCochain.from_element(H, _unit_plus(H, 1, last, coefficient))
+            wrong = HopfCochain(H, 1, g.value, g.value, _trusted=True)
+            for gg in (g, wrong):
+                assert _report(gauge_equivariance_report(gg, F)) == _ref_gauge(gg, F), (H.name, K)
+
+
+def test_passing_checks_subtract_nothing_and_read_no_values(monkeypatch):
+    # at conductor 1 a passing check compares pieces and forms no
+    # difference; over a noncommuting product the twisted coproduct stays
+    # integer pieces, so twist and verify_quasi build no value (the gauge
+    # action reads the values of g, as it always has)
+    from hopftwist import multilinear
+
+    subs, values = [], []
+    sub, phase_values = LegTensor.sub, multilinear.phase_values
+    rng = random.Random(3200)
+    for K in (0, 2):
+        for H in _cochain_hosts(K):
+            F = _counital_cochain(H, rng)
+            g = HopfCochain.from_element(H, _unit_plus(H, 2, 1, 1))
+            del subs[:], values[:]
+            with monkeypatch.context() as m:
+                m.setattr(LegTensor, "sub", lambda s, o: subs.append(H.name) or sub(s, o))
+                m.setattr(multilinear, "phase_values", lambda *a: values.append(H.name) or phase_values(*a))
+                R = twist(H, F)
+                outcomes = verify_quasi(R)
+                if not H.product_commutes():
+                    assert values == [], H.name
+                outcomes.append(hopf_cochain.counital_report(F))
+                outcomes.append(cocycle_report(hopf_coboundary(g)))
+                outcomes.append(gauge_equivariance_report(g, F))
+                if H.product_commutes():
+                    outcomes.append(hopf_cochain.invariant_report(F))
+            assert all(ck.ok for ck in outcomes), (H.name, [ck.id for ck in outcomes if not ck.ok])
+            assert subs == [], H.name
+
+
+def _value_route(H, F):
+    """The twisted coproduct as it was formed before: the entries of F D(b_i)
+    F^-1 as values, loaded into a presentation that makes its pieces from
+    them."""
+    cop = {}
+    for i, cell in H.coproduct.items():
+        ti = F.value.mul(LegTensor(H, 2, dict(cell))).mul(F.inverse)
+        cop[i] = dict(ti.entries())
+    return HopfPresentation(H.dim, H.labels, H.ring, H.mult, H.unit, cop, H.counit)
+
+
+def _cells(cells):
+    pieces, N, relabel = cells
+    slot = None if relabel is None else (relabel.codes, relabel.one, relabel.full)
+    return pieces, N, slot
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_twisted_coproduct_pieces_agree_with_the_value_route(K):
+    rng = random.Random(3300 + K)
+    for H0 in (KS3, group_algebra(dihedral_4()), KP8):
+        H = H0 if K == 0 else with_series_ring(H0, K)
+        assert not H.product_commutes()
+        cochains = [unit_cochain(H, 2), _counital_cochain(H, rng), _counital_cochain(H, rng, root=True)]
+        for F in cochains:
+            tw = twist(H, F).twisted
+            want = _value_route(H, F)
+            pieces = _cells(tw.coproduct_pieces())
+            assert pieces == _cells(want.coproduct_pieces()), (H.name, K)
+            if F.value.eq(LegTensor.unit(H, 2)):
+                assert pieces[2] is not None and pieces[2] == _cells(H.coproduct_pieces())[2]
+            assert tw.coproduct == want.coproduct, (H.name, K)
+            assert _cells(tw.coproduct_pieces()) == pieces, (H.name, K)
+            assert tw.coproduct_cocommutes() == want.coproduct_cocommutes()
+
+
+def test_coproduct_tensors_merge_at_the_lcm_of_their_conductors():
+    # tensors at conductors 3, 4 and 1 meet at 12, each exponent scaled
+    z4 = root_of_unity(1, 4)
+    tensors = {
+        0: LegTensor(KS3, 2, {(0, 0): Fraction(1), (1, 2): Z3}),
+        1: LegTensor(KS3, 2, {(1, 0): z4, (2, 1): Z3 * z4 + Fraction(1, 2)}),
+        2: LegTensor(KS3, 2, {(2, 2): Fraction(1, 2)}),
+    }
+    host = HopfPresentation(KS3.dim, KS3.labels, KS3.ring, KS3.mult, KS3.unit, {}, KS3.counit)
+    host.set_coproduct_tensors(tensors)
+    cop = {i: dict(t.entries()) for i, t in tensors.items()}
+    want = HopfPresentation(KS3.dim, KS3.labels, KS3.ring, KS3.mult, KS3.unit, cop, KS3.counit)
+    assert _cells(host.coproduct_pieces()) == _cells(want.coproduct_pieces())
+    assert host.coproduct_pieces()[1] == 12
+    assert host.coproduct == want.coproduct == cop
+
+
+def _snapshot(t):
+    pieces, N = t._phases()
+    return {p: (dict(nums), den) for p, (nums, den) in pieces.items()}, N
+
+
+def test_unit_products_and_leg_maps_leave_their_operands_alone():
+    # a product with the unit may hand back its operand's piece dict, and a
+    # leg map shares or moves pieces: no operand piece changes, even after
+    # further products and sums of the results
+    rng = random.Random(3400)
+    for H in (KS3, with_series_ring(KS3, 2), dual_group_hopf(elementary_abelian_2(2))):
+        for arity in (1, 2, 3):
+            unit = LegTensor.unit(H, arity)
+            keys = [tuple(rng.randrange(H.dim) for _ in range(arity)) for _ in range(5)]
+            t = LegTensor(H, arity, {k: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for k in keys})
+            before = [_snapshot(t), _snapshot(unit)]
+            outs = [t.mul(unit), unit.mul(t), t.coproduct_leg(0), t.counit_leg(arity - 1)]
+            outs.append(t.leg_embed(range(1, arity + 1), arity + 1))
+            for o in outs:
+                o.mul(o).add(o).sub(o.scale(Fraction(1, 3)))
+            assert [_snapshot(t), _snapshot(unit)] == before, (H.name, arity)
+            assert outs[0].eq(t) and outs[1].eq(t)
+    # over a group table the unit's product is the operand's dict itself
+    t = LegTensor(KS3, 2, {(1, 2): Fraction(3), (4, 5): Fraction(-1)})
+    prod = LegTensor.unit(KS3, 2).mul(t)
+    assert prod._phases()[0][0, 0, 0][0] is t._phases()[0][0, 0, 0][0]
