@@ -325,53 +325,40 @@ def z2_dual_iso_report():
     half = Fraction(1, 2)
     # images of the delta basis in k[Z2]
     images = [{0: half, 1: half}, {0: half, 1: -half}]
-    checks = []
-    bad, wit = 0, None
-    for i in range(2):
-        for j in range(2):
-            lhs_vec = H.basis_mul(i, j)
-            lhs = {}
-            for t, c in lhs_vec.items():
-                for k, v in images[t].items():
-                    accumulate(lhs, k, c * v)
-            rhs = K.elem_mul(images[i], images[j])
-            if lhs != rhs:
-                bad += 1
-                wit = wit or "(%d,%d)" % (i, j)
-    checks.append(CheckOutcome.from_residual("z2-iso-mult", bad, wit))
 
-    bad, wit = 0, None
-    for i in range(2):
-        # push the coproduct through the isomorphism on both sides
-        lhs = {}
-        for (a, b), c in H.basis_coproduct(i).items():
+    def image(vec):
+        out = {}
+        for t, c in vec.items():
+            for k, v in images[t].items():
+                accumulate(out, k, c * v)
+        return out
+
+    def image2(cell):
+        # a coproduct pushed through the isomorphism on both sides
+        out = {}
+        for (a, b), c in cell.items():
             for ka, va in images[a].items():
                 for kb, vb in images[b].items():
-                    accumulate(lhs, (ka, kb), c * va * vb)
-        rhs = K.elem_coproduct(images[i])
-        if lhs != rhs:
-            bad += 1
-            wit = wit or str(i)
-    checks.append(CheckOutcome.from_residual("z2-iso-coproduct", bad, wit))
+                    accumulate(out, (ka, kb), c * va * vb)
+        return out
 
-    bad, wit = 0, None
-    for i in range(2):
-        if H.counit[i] != K.elem_counit(images[i]):
-            bad += 1
-            wit = wit or str(i)
-    checks.append(CheckOutcome.from_residual("z2-iso-counit", bad, wit))
-
-    bad, wit = 0, None
-    for i in range(2):
-        lhs = {}
-        for t, c in H.apply_antipode({i: Fraction(1)}).items():
-            for k, v in images[t].items():
-                accumulate(lhs, k, c * v)
-        if lhs != K.apply_antipode(images[i]):
-            bad += 1
-            wit = wit or str(i)
-    checks.append(CheckOutcome.from_residual("z2-iso-antipode", bad, wit))
-    return checks
+    return [
+        CheckOutcome.tally("z2-iso-mult", (
+            (1, "(%d,%d)" % (i, j)) for i in range(2) for j in range(2)
+            if image(H.basis_mul(i, j)) != K.elem_mul(images[i], images[j])
+        )),
+        CheckOutcome.tally("z2-iso-coproduct", (
+            (1, str(i)) for i in range(2)
+            if image2(H.basis_coproduct(i)) != K.elem_coproduct(images[i])
+        )),
+        CheckOutcome.tally("z2-iso-counit", (
+            (1, str(i)) for i in range(2) if H.counit[i] != K.elem_counit(images[i])
+        )),
+        CheckOutcome.tally("z2-iso-antipode", (
+            (1, str(i)) for i in range(2)
+            if image(H.apply_antipode({i: Fraction(1)})) != K.apply_antipode(images[i])
+        )),
+    ]
 
 
 def dual_pairing_report(G):
@@ -406,49 +393,43 @@ def dual_pairing_report(G):
         return acc
 
     kd_cop = [kd.basis_coproduct(g).items() for g in range(n)]
-    checks = []
-    bad, wit = 0, None
-    for a in range(n):
-        for b in range(n):
-            ab = kg.elem_mul(basis[a], basis[b])
-            for g in range(n):
-                if pair(ab, basis[g]) != paired(kd_cop[g], rows[a], rows[b]):
-                    bad += 1
-                    wit = wit or "(%d,%d|%d)" % (a, b, g)
-    checks.append(CheckOutcome.from_residual("pairing-mult-coproduct", bad, wit))
-
     kd_mul = [[kd.elem_mul(basis[g], basis[h]) for h in range(n)] for g in range(n)]
-    bad, wit = 0, None
-    for a in range(n):
-        kg_cop = kg.basis_coproduct(a).items()
-        for g in range(n):
-            for h in range(n):
-                if pair(basis[a], kd_mul[g][h]) != paired(kg_cop, cols[g], cols[h]):
-                    bad += 1
-                    wit = wit or "(%d|%d,%d)" % (a, g, h)
-    checks.append(CheckOutcome.from_residual("pairing-coproduct-mult", bad, wit))
-
-    bad, wit = 0, None
-    for g in range(n):
-        if pair(kg.elem_unit(), basis[g]) != kd.counit[g]:
-            bad += 1
-            wit = wit or "(1|%d)" % g
-    for a in range(n):
-        if kg.counit[a] != pair(basis[a], kd.elem_unit()):
-            bad += 1
-            wit = wit or "(%d|1)" % a
-    checks.append(CheckOutcome.from_residual("pairing-unit-counit", bad, wit))
-
     kg_s = [kg.apply_antipode(u) for u in basis]
     kd_s = [kd.apply_antipode(f) for f in basis]
-    bad, wit = 0, None
-    for a in range(n):
+
+    def mult_coproduct():
+        for a in range(n):
+            for b in range(n):
+                ab = kg.elem_mul(basis[a], basis[b])
+                for g in range(n):
+                    if pair(ab, basis[g]) != paired(kd_cop[g], rows[a], rows[b]):
+                        yield 1, "(%d,%d|%d)" % (a, b, g)
+
+    def coproduct_mult():
+        for a in range(n):
+            kg_cop = kg.basis_coproduct(a).items()
+            for g in range(n):
+                for h in range(n):
+                    if pair(basis[a], kd_mul[g][h]) != paired(kg_cop, cols[g], cols[h]):
+                        yield 1, "(%d|%d,%d)" % (a, g, h)
+
+    def unit_counit():
         for g in range(n):
-            if pair(kg_s[a], basis[g]) != pair(basis[a], kd_s[g]):
-                bad += 1
-                wit = wit or "(%d,%d)" % (a, g)
-    checks.append(CheckOutcome.from_residual("pairing-antipode", bad, wit))
-    return checks
+            if pair(kg.elem_unit(), basis[g]) != kd.counit[g]:
+                yield 1, "(1|%d)" % g
+        for a in range(n):
+            if kg.counit[a] != pair(basis[a], kd.elem_unit()):
+                yield 1, "(%d|1)" % a
+
+    return [
+        CheckOutcome.tally("pairing-mult-coproduct", mult_coproduct()),
+        CheckOutcome.tally("pairing-coproduct-mult", coproduct_mult()),
+        CheckOutcome.tally("pairing-unit-counit", unit_counit()),
+        CheckOutcome.tally("pairing-antipode", (
+            (1, "(%d,%d)" % (a, g)) for a in range(n) for g in range(n)
+            if pair(kg_s[a], basis[g]) != pair(basis[a], kd_s[g])
+        )),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -810,44 +791,37 @@ class WindowComodule:
     def report(self):
         """Coassociativity and counit axioms of the coaction, with witnesses."""
         P = self.host
-        checks = []
-        bad, wit = 0, None
-        for (n, i), cell in self.coaction.items():
-            lhs = {}
-            rhs = {}
-            overflow = False
-            try:
-                for ((n1, i1), h), c in cell.items():
-                    inner = self.coaction.get((n1, i1), {})
-                    for ((n2, i2), h2), c2 in inner.items():
-                        accumulate(lhs, ((n2, i2), h2, h), c * c2)
-                    for (h1, h2), cc in P.basis_coproduct(h).items():
-                        accumulate(rhs, ((n1, i1), h1, h2), c * cc)
-            except WindowOverflow:
-                overflow = True
-            if overflow:
-                continue
-            if lhs != rhs:
-                bad += 1
-                if wit is None:
-                    wit = "degree %d basis %d" % (n, i)
-        checks.append(
-            CheckOutcome.from_residual("coaction-coassociativity", bad, wit)
-        )
 
-        bad, wit = 0, None
-        for (n, i), cell in self.coaction.items():
-            got = {}
-            for ((n1, i1), h), c in cell.items():
-                e = P.counit[h]
-                if e:
-                    accumulate(got, (n1, i1), c * e)
-            if got != {(n, i): 1}:
-                bad += 1
-                if wit is None:
-                    wit = "degree %d basis %d" % (n, i)
-        checks.append(CheckOutcome.from_residual("coaction-counit", bad, wit))
-        return checks
+        def coassociativity():
+            for (n, i), cell in self.coaction.items():
+                lhs = {}
+                rhs = {}
+                try:
+                    for ((n1, i1), h), c in cell.items():
+                        inner = self.coaction.get((n1, i1), {})
+                        for ((n2, i2), h2), c2 in inner.items():
+                            accumulate(lhs, ((n2, i2), h2, h), c * c2)
+                        for (h1, h2), cc in P.basis_coproduct(h).items():
+                            accumulate(rhs, ((n1, i1), h1, h2), c * cc)
+                except WindowOverflow:
+                    continue
+                if lhs != rhs:
+                    yield 1, "degree %d basis %d" % (n, i)
+
+        def counit():
+            for (n, i), cell in self.coaction.items():
+                got = {}
+                for ((n1, i1), h), c in cell.items():
+                    e = P.counit[h]
+                    if e:
+                        accumulate(got, (n1, i1), c * e)
+                if got != {(n, i): 1}:
+                    yield 1, "degree %d basis %d" % (n, i)
+
+        return [
+            CheckOutcome.tally("coaction-coassociativity", coassociativity()),
+            CheckOutcome.tally("coaction-counit", counit()),
+        ]
 
 
 def chain_to_comodule(C, P):

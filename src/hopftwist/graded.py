@@ -406,15 +406,11 @@ def smeb_check(graded, g):
     )
 
     res = resolution_of_unity(graded, g)
-    if res is None:
-        checks.append(
-            CheckOutcome.failed(
-                "smeb-inverse-roundtrip", 1, "no unity resolution"
-            )
-        )
-    else:
-        bad = 0
-        wit = None
+
+    def roundtrip():
+        if res is None:
+            yield 1, "no unity resolution"
+            return
         for i, j in pairs:
             # phi(x (x) y) = xy, then back through a |-> sum a xi (x) eta
             a = A.basis_mul(i, j)
@@ -426,47 +422,27 @@ def smeb_check(graded, g):
                         back[pidx[(k, t)]] += c * w
             diff = list(back)
             diff[pidx[(i, j)]] -= Fraction(1)
-            if any(diff):
-                stack = relations + [diff]
-                if field_rank(stack) != rk_rel:
-                    bad += 1
-                    if wit is None:
-                        wit = "(%s,%s)" % (A.labels[i], A.labels[j])
-        checks.append(
-            CheckOutcome.from_residual("smeb-inverse-roundtrip", bad, wit)
-        )
+            if any(diff) and field_rank(relations + [diff]) != rk_rel:
+                yield 1, "(%s,%s)" % (A.labels[i], A.labels[j])
 
-    bad = 0
-    wit = None
-    for x in I:
-        for y in J:
-            xy = A.basis_mul(x, y)
-            for z in I:
-                lhs = A.elem_mul(xy, {z: A.ring.one()})
-                rhs = A.elem_mul({x: A.ring.one()}, A.basis_mul(y, z))
-                if lhs != rhs:
-                    bad += 1
-                    if wit is None:
-                        wit = "(%s,%s,%s)" % (
-                            A.labels[x],
-                            A.labels[y],
-                            A.labels[z],
-                        )
-    for y in J:
+    checks.append(CheckOutcome.tally("smeb-inverse-roundtrip", roundtrip()))
+
+    def compat():
+        one = A.ring.one()
         for x in I:
-            yx = A.basis_mul(y, x)
-            for y2 in J:
-                lhs = A.elem_mul(yx, {y2: A.ring.one()})
-                rhs = A.elem_mul({y: A.ring.one()}, A.basis_mul(x, y2))
-                if lhs != rhs:
-                    bad += 1
-                    if wit is None:
-                        wit = "(%s,%s,%s)" % (
-                            A.labels[y],
-                            A.labels[x],
-                            A.labels[y2],
-                        )
-    checks.append(CheckOutcome.from_residual("smeb-compat", bad, wit))
+            for y in J:
+                xy = A.basis_mul(x, y)
+                for z in I:
+                    if A.elem_mul(xy, {z: one}) != A.elem_mul({x: one}, A.basis_mul(y, z)):
+                        yield 1, "(%s,%s,%s)" % (A.labels[x], A.labels[y], A.labels[z])
+        for y in J:
+            for x in I:
+                yx = A.basis_mul(y, x)
+                for y2 in J:
+                    if A.elem_mul(yx, {y2: one}) != A.elem_mul({y: one}, A.basis_mul(x, y2)):
+                        yield 1, "(%s,%s,%s)" % (A.labels[y], A.labels[x], A.labels[y2])
+
+    checks.append(CheckOutcome.tally("smeb-compat", compat()))
     return checks
 
 
@@ -479,35 +455,34 @@ def ideal_property_report(graded):
         degrees = (1, -1)
     else:
         degrees = tuple(_g_elements(graded.grading))
-    bad = 0
-    wit = None
     one = A.ring.one()
-    for g in degrees:
-        ginv = _g_inv(graded.grading, g)
-        span = []
-        for i in graded.component(g):
-            for j in graded.component(ginv):
-                vec = [Fraction(0)] * len(E)
-                for k, c in A.basis_mul(i, j).items():
-                    vec[eidx[k]] += c
-                if any(vec):
-                    span.append(vec)
-        base_rank = field_rank(span) if span else 0
-        for b in E:
-            for vec in list(span):
-                elem = {E[t]: c for t, c in enumerate(vec) if c}
-                for prod_ in (
-                    A.elem_mul({b: one}, elem),
-                    A.elem_mul(elem, {b: one}),
-                ):
-                    new = [Fraction(0)] * len(E)
-                    for k, c in prod_.items():
-                        new[eidx[k]] += c
-                    if any(new) and field_rank(span + [new]) != base_rank:
-                        bad += 1
-                        if wit is None:
-                            wit = "degree %r via %s" % (g, A.labels[b])
-    return CheckOutcome.from_residual("component-products-ideal", bad, wit)
+
+    def failures():
+        for g in degrees:
+            ginv = _g_inv(graded.grading, g)
+            span = []
+            for i in graded.component(g):
+                for j in graded.component(ginv):
+                    vec = [Fraction(0)] * len(E)
+                    for k, c in A.basis_mul(i, j).items():
+                        vec[eidx[k]] += c
+                    if any(vec):
+                        span.append(vec)
+            base_rank = field_rank(span) if span else 0
+            for b in E:
+                for vec in list(span):
+                    elem = {E[t]: c for t, c in enumerate(vec) if c}
+                    for prod_ in (
+                        A.elem_mul({b: one}, elem),
+                        A.elem_mul(elem, {b: one}),
+                    ):
+                        new = [Fraction(0)] * len(E)
+                        for k, c in prod_.items():
+                            new[eidx[k]] += c
+                        if any(new) and field_rank(span + [new]) != base_rank:
+                            yield 1, "degree %r via %s" % (g, A.labels[b])
+
+    return CheckOutcome.tally("component-products-ideal", failures())
 
 
 def window_products_report(graded):
@@ -517,28 +492,26 @@ def window_products_report(graded):
         raise ValueError("window gradings only")
     A = graded.algebra
     r = graded.grading.radius
-    bad = 0
-    wit = None
-    for h in range(-r, r + 1):
-        for k in range(-r, r + 1):
-            if abs(h + k) > r:
-                continue
-            target = graded.component(h + k)
-            tidx = {t: s for s, t in enumerate(target)}
-            span = []
-            for i in graded.component(h):
-                for j in graded.component(k):
-                    vec = [Fraction(0)] * len(target)
-                    for t, c in A.basis_mul(i, j).items():
-                        vec[tidx[t]] += c
-                    if any(vec):
-                        span.append(vec)
-            rk = field_rank(span) if span else 0
-            if rk != len(target):
-                bad += 1
-                if wit is None:
-                    wit = "degrees (%d,%d)" % (h, k)
-    return CheckOutcome.from_residual("window-component-products", bad, wit)
+
+    def failures():
+        for h in range(-r, r + 1):
+            for k in range(-r, r + 1):
+                if abs(h + k) > r:
+                    continue
+                target = graded.component(h + k)
+                tidx = {t: s for s, t in enumerate(target)}
+                span = []
+                for i in graded.component(h):
+                    for j in graded.component(k):
+                        vec = [Fraction(0)] * len(target)
+                        for t, c in A.basis_mul(i, j).items():
+                            vec[tidx[t]] += c
+                        if any(vec):
+                            span.append(vec)
+                if (field_rank(span) if span else 0) != len(target):
+                    yield 1, "degrees (%d,%d)" % (h, k)
+
+    return CheckOutcome.tally("window-component-products", failures())
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,10 @@ def _ratio(v):
 
 
 def is_constant_one(c):
-    bad = 0
-    wit = None
-    for k, v in c.table.items():
-        if v != 1:
-            bad += 1
-            if wit is None:
-                wit = str(tuple(c.group.labels[g] for g in k))
-    return CheckOutcome.from_residual("coboundary-trivial", bad, wit)
+    labels = c.group.labels
+    return CheckOutcome.tally("coboundary-trivial", (
+        (1, str(tuple(labels[g] for g in k))) for k, v in c.table.items() if v != 1
+    ))
 
 
 def is_cocycle(c, window=None):
@@ -121,41 +117,31 @@ def is_cocycle(c, window=None):
         return c.cocycle_report(window)
     if c.arity != 2:
         raise ValueError("is_cocycle applies to 2-cochains")
-    G = c.group
-    bad = 0
-    wit = None
-    for a in range(G.order):
-        for b in range(G.order):
-            fab = c.table[(a, b)]
-            ab = G.mul(a, b)
-            for d in range(G.order):
-                lhs = fab * c.table[(ab, d)]
-                rhs = c.table[(a, G.mul(b, d))] * c.table[(b, d)]
-                if lhs != rhs:
-                    bad += 1
-                    if wit is None:
-                        wit = "(%s,%s,%s)" % (
-                            G.labels[a], G.labels[b], G.labels[d],
-                        )
-    return CheckOutcome.from_residual("cocycle", bad, wit)
+    G, t = c.group, c.table
+
+    def failures():
+        for a in range(G.order):
+            for b in range(G.order):
+                fab, ab = t[(a, b)], G.mul(a, b)
+                for d in range(G.order):
+                    if fab * t[(ab, d)] != t[(a, G.mul(b, d))] * t[(b, d)]:
+                        yield 1, "(%s,%s,%s)" % (G.labels[a], G.labels[b], G.labels[d])
+
+    return CheckOutcome.tally("cocycle", failures())
 
 
 def is_unital(c):
     if isinstance(c, TorusCochain):
         # exponent form vanishes whenever either argument is the origin
-        return CheckOutcome.passed("unital")
+        return CheckOutcome.from_residual("unital", 0)
     if c.arity != 2:
         raise ValueError("is_unital applies to 2-cochains")
     G = c.group
     e = G.identity
-    bad = 0
-    wit = None
-    for g in range(G.order):
-        if c.table[(e, g)] != 1 or c.table[(g, e)] != 1:
-            bad += 1
-            if wit is None:
-                wit = G.labels[g]
-    return CheckOutcome.from_residual("unital", bad, wit)
+    return CheckOutcome.tally("unital", (
+        (1, G.labels[g]) for g in range(G.order)
+        if c.table[(e, g)] != 1 or c.table[(g, e)] != 1
+    ))
 
 
 def twisted_group_algebra(G, F):
@@ -291,12 +277,9 @@ class TorusCochain:
             )
         ]
         w2 = min(window, 2)
-        bad, wit = _sweep(self.value, w2, _cocycle_differs)
-        checks.append(
-            CheckOutcome.from_residual(
-                "cocycle-cyclotomic-window-%d" % w2, bad, wit
-            )
-        )
+        checks.append(CheckOutcome.tally(
+            "cocycle-cyclotomic-window-%d" % w2, _sweep(self.value, w2, _cocycle_differs)
+        ))
         return checks
 
 
@@ -308,9 +291,9 @@ def _square(radius):
 
 
 def _sweep(f, window, residual):
-    """Count the triples a, b, c of the radius-`window` square, in order,
-    where residual(f(b, c), f(ab, c), f(a, bc), f(a, b)) is nonzero, and
-    name the first.
+    """(1, witness) for each triple a, b, c of the radius-`window` square,
+    in order, where residual(f(b, c), f(ab, c), f(a, bc), f(a, b)) is
+    nonzero: the failures of CheckOutcome.tally.
 
     f is evaluated once per pair, into two tables over the points of the
     square of twice the radius, where ab and bc lie, numbered in the order
@@ -324,17 +307,12 @@ def _sweep(f, window, residual):
     plus = [[number[(a[0] + b[0], a[1] + b[1])] for b in pts] for a in pts]
     left = [[f(x, c) for c in pts] for x in wide]
     right = [[f(a, y) for y in wide] for a in pts]
-    bad = 0
-    wit = None
     for a, ra, a_plus in zip(pts, right, plus):
         for b, b_at, b_plus, ab in zip(pts, at, plus, a_plus):
             f_ab = ra[b_at]
             for c, f_bc, f_ab_c, bc in zip(pts, left[b_at], left[ab], b_plus):
                 if residual(f_bc, f_ab_c, ra[bc], f_ab):
-                    bad += 1
-                    if wit is None:
-                        wit = "%r,%r,%r" % (a, b, c)
-    return bad, wit
+                    yield 1, "%r,%r,%r" % (a, b, c)
 
 
 def _coboundary_exponent(two_q, e_bc, e_ab_c, e_a_bc, e_ab):
@@ -371,13 +349,9 @@ class TorusCoboundary:
         """Count the triples of the radius-`window` square where exponent()
         is nonzero; the first one is the witness.  base.exponent is called
         once per pair of points, not four times per triple (see _sweep)."""
-        bad, wit = _sweep(
-            self.base.exponent, window,
-            partial(_coboundary_exponent, self.base.two_q),
-        )
-        return CheckOutcome.from_residual(
-            "coboundary-trivial-window-%d" % window, bad, wit
-        )
+        return CheckOutcome.tally("coboundary-trivial-window-%d" % window, _sweep(
+            self.base.exponent, window, partial(_coboundary_exponent, self.base.two_q)
+        ))
 
 
 def torus_cochain(theta, window):

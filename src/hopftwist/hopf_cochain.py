@@ -189,10 +189,13 @@ def dsquared(c):
 
 
 def _difference(lhs, rhs):
-    """lhs - rhs, formed only when the two differ: LegTensor.eq compares
-    their canonical pieces first, and two equal sides give the empty
-    tensor with no subtraction."""
-    if lhs.eq(rhs):
+    """lhs - rhs, formed at most once and only when the two differ: at one
+    conductor their canonical pieces are compared first (as LegTensor.eq
+    does), and two equal sides give the empty tensor with no subtraction;
+    at two conductors the difference is the comparison."""
+    A, N = lhs._phases()
+    B, M = rhs._phases()
+    if lhs.host is rhs.host and lhs.arity == rhs.arity and N == M and A == B:
         return LegTensor(lhs.host, lhs.arity, {})
     return lhs.sub(rhs)
 
@@ -200,15 +203,14 @@ def _difference(lhs, rhs):
 def counital_report(c):
     """Each leg contracted with the counit must give the unit tensor."""
     unit = LegTensor.unit(c.host, c.arity - 1)
-    bad = 0
-    wit = None
-    for leg in range(c.arity):
-        r = _difference(c.value.counit_leg(leg), unit).term_count()
-        if r:
-            bad += r
-            if wit is None:
-                wit = "leg %d" % leg
-    return CheckOutcome.from_residual("counital", bad, wit)
+
+    def failures():
+        for leg in range(c.arity):
+            r = _difference(c.value.counit_leg(leg), unit).term_count()
+            if r:
+                yield r, "leg %d" % leg
+
+    return CheckOutcome.tally("counital", failures())
 
 
 def is_counital(c):
@@ -227,16 +229,15 @@ def invariant_report(c):
     """Commutation with every iterated-coproduct image of a basis element."""
     host = c.host
     one = host.ring.one()
-    bad = 0
-    wit = None
-    for i in range(host.dim):
-        d = iterated_coproduct(host, {i: one}, c.arity)
-        r = _difference(c.value.mul(d), d.mul(c.value)).term_count()
-        if r:
-            bad += r
-            if wit is None:
-                wit = host.labels[i]
-    return CheckOutcome.from_residual("invariant", bad, wit)
+
+    def failures():
+        for i in range(host.dim):
+            d = iterated_coproduct(host, {i: one}, c.arity)
+            r = _difference(c.value.mul(d), d.mul(c.value)).term_count()
+            if r:
+                yield r, host.labels[i]
+
+    return CheckOutcome.tally("invariant", failures())
 
 
 def is_invariant(c):
@@ -411,16 +412,11 @@ def verify_quasi(result):
     tw = result.twisted
     phi_t = result.phi_twisted()
 
-    bad, wit = 0, None
-    for i in range(tw.dim):
-        r = conjugation_residual(phi_t.value, i).term_count()
-        if r:
-            bad += r
-            if wit is None:
-                wit = tw.labels[i]
-    checks.append(
-        CheckOutcome.from_residual("twisted-coproduct-conjugation", bad, wit)
-    )
+    residuals = (conjugation_residual(phi_t.value, i).term_count() for i in range(tw.dim))
+    checks.append(CheckOutcome.tally(
+        "twisted-coproduct-conjugation",
+        ((r, label) for r, label in zip(residuals, tw.labels) if r),
+    ))
 
     rep = counital_report(phi_t)
     checks.append(rep.renamed("associator-counital"))

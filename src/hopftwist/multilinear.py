@@ -1898,93 +1898,91 @@ class _AlgebraBattery:
     # -- the checks
 
     def unit_laws_check(self):
-        bad, wit = 0, None
         u = self.unit_row
-        for i, x in enumerate(self.basis):
-            if _differ(self.mul(u, x), x) or _differ(self.mul(x, u), x):
-                bad += 1
-                wit = wit or self.at(i)
-        return CheckOutcome.from_residual("unit-laws", bad, wit)
+        return CheckOutcome.tally("unit-laws", (
+            (1, self.at(i)) for i, x in enumerate(self.basis)
+            if _differ(self.mul(u, x), x) or _differ(self.mul(x, u), x)
+        ))
 
     def associativity_check(self):
         """x(yz) against (xy)z, or against sum Phi(x,y,z)_abc (ab)c.  Each
         yz times every x, and each xy times every z, is one _by_basis; y
         runs outermost, so that only the products of one y are kept, and
-        the witness is the least failing triple."""
-        bad, first = 0, None
+        the failing triples are tallied sorted, so that the witness is the
+        least one."""
         dim, phi, rows, K = self.dim, self.phi, self.rows, self.K
         left = _regular(self.table, dim, 0)
         right = _regular(self.table, dim, 1) if phi is None else None
-        for j in range(dim):
-            lefts = [
-                None if yz is None else _by_basis(yz, left, dim, K)
-                for yz in rows[j * dim:(j + 1) * dim]
-            ]
-            for i in range(dim):
-                ij = rows[i * dim + j]
-                if ij is None:
-                    continue
-                if phi is None:
-                    rights, roff = _by_basis(ij, right, dim, K)
-                for k, got in enumerate(lefts):
-                    if got is None or i in got[1]:
+
+        def failures():
+            for j in range(dim):
+                lefts = [
+                    None if yz is None else _by_basis(yz, left, dim, K)
+                    for yz in rows[j * dim:(j + 1) * dim]
+                ]
+                for i in range(dim):
+                    ij = rows[i * dim + j]
+                    if ij is None:
                         continue
-                    lhs = got[0].get(i, _ZERO)
-                    if phi is not None:
-                        terms = phi.get((i, j, k), ())
-                        rhs = _sum([self.mul(rows[ab], wc) for ab, wc in terms])
-                    elif k in roff:
-                        rhs = None
-                    else:
-                        rhs = rights.get(k, _ZERO)
-                    if _differ(lhs, rhs):
-                        bad += 1
-                        first = min(first or (i, j, k), (i, j, k))
+                    if phi is None:
+                        rights, roff = _by_basis(ij, right, dim, K)
+                    for k, got in enumerate(lefts):
+                        if got is None or i in got[1]:
+                            continue
+                        lhs = got[0].get(i, _ZERO)
+                        if phi is not None:
+                            terms = phi.get((i, j, k), ())
+                            rhs = _sum([self.mul(rows[ab], wc) for ab, wc in terms])
+                        elif k in roff:
+                            rhs = None
+                        else:
+                            rhs = rights.get(k, _ZERO)
+                        if _differ(lhs, rhs):
+                            yield i, j, k
+
         cid = "associativity" if phi is None else "quasi-associativity"
-        return CheckOutcome.from_residual(cid, bad, first and self.at(*first))
+        return CheckOutcome.tally(cid, ((1, self.at(*t)) for t in sorted(failures())))
 
     quasi_associativity_check = associativity_check
 
     def module_unit_check(self):
         M = self.module
         unit = M.host.elem_unit()
-        bad, wit = 0, None
-        for j in range(self.dim):
-            x = {j: self.one}
-            if M.act(unit, x) != x:
-                bad += 1
-                wit = wit or self.at(j)
-        return CheckOutcome.from_residual("module-unit", bad, wit)
+        basis = [{j: self.one} for j in range(self.dim)]
+        return CheckOutcome.tally("module-unit", (
+            (1, self.at(j)) for j, x in enumerate(basis) if M.act(unit, x) != x
+        ))
 
     def module_action_check(self):
         """(hk).x = h.(k.x) on basis elements."""
         M = self.module
         H = M.host
-        bad, wit = 0, None
-        for i in range(H.dim):
-            hi = {i: self.one}
-            for k in range(H.dim):
-                hk = H.basis_mul(i, k)
-                for j in range(self.dim):
-                    x = {j: self.one}
-                    if M.act(hk, x) != M.act(hi, M.act({k: self.one}, x)):
-                        bad += 1
-                        wit = wit or "(%s,%s,%s)" % (
-                            H.labels[i], H.labels[k], self.host.labels[j]
-                        )
-        return CheckOutcome.from_residual("module-action", bad, wit)
+
+        def failures():
+            for i in range(H.dim):
+                hi = {i: self.one}
+                for k in range(H.dim):
+                    hk = H.basis_mul(i, k)
+                    for j in range(self.dim):
+                        x = {j: self.one}
+                        if M.act(hk, x) != M.act(hi, M.act({k: self.one}, x)):
+                            yield 1, "(%s,%s,%s)" % (
+                                H.labels[i], H.labels[k], self.host.labels[j]
+                            )
+
+        return CheckOutcome.tally("module-action", failures())
 
     def module_algebra_unit_check(self):
         """h.1 = counit(h) 1."""
         M = self.module
         H = M.host
-        bad, wit = 0, None
-        for i in range(H.dim):
-            want = _outer(self.unit_row, _vec_row({0: H.counit[i]}), 1, self.K)
-            if _differ(_vec_row(M.act({i: self.one}, self.unit)), want):
-                bad += 1
-                wit = wit or H.labels[i]
-        return CheckOutcome.from_residual("module-algebra-unit", bad, wit)
+        return CheckOutcome.tally("module-algebra-unit", (
+            (1, H.labels[i]) for i in range(H.dim)
+            if _differ(
+                _vec_row(M.act({i: self.one}, self.unit)),
+                _outer(self.unit_row, _vec_row({0: H.counit[i]}), 1, self.K),
+            )
+        ))
 
     def module_algebra_mult_check(self):
         """h.(xy) = sum (h1.x)(h2.y) over Delta(h) = sum h1 (x) h2."""
@@ -1996,23 +1994,26 @@ class _AlgebraBattery:
             for h in range(H.dim)
             for a in range(dim)
         }
-        bad, wit = 0, None
-        for i in range(H.dim):
-            cop = [
-                (h1, h2, _vec_row({0: w}))
-                for (h1, h2), w in H.basis_coproduct(i).items()
-            ]
-            for a in range(dim):
-                for b in range(dim):
-                    lhs = _vec_row(M.act({i: one}, self.prods[a * dim + b]))
-                    prods = [(self.mul(image[h1, a], image[h2, b]), w) for h1, h2, w in cop]
-                    rhs = _sum([p if w == _ONE else _outer(p, w, 1, K) for p, w in prods])
-                    if _differ(lhs, rhs):
-                        bad += 1
-                        wit = wit or "(%s;%s,%s)" % (
-                            H.labels[i], self.host.labels[a], self.host.labels[b]
-                        )
-        return CheckOutcome.from_residual("module-algebra-mult", bad, wit)
+
+        def failures():
+            for i in range(H.dim):
+                cop = [
+                    (h1, h2, _vec_row({0: w}))
+                    for (h1, h2), w in H.basis_coproduct(i).items()
+                ]
+                for a in range(dim):
+                    for b in range(dim):
+                        lhs = _vec_row(M.act({i: one}, self.prods[a * dim + b]))
+                        prods = [
+                            (self.mul(image[h1, a], image[h2, b]), w) for h1, h2, w in cop
+                        ]
+                        rhs = _sum([p if w == _ONE else _outer(p, w, 1, K) for p, w in prods])
+                        if _differ(lhs, rhs):
+                            yield 1, "(%s;%s,%s)" % (
+                                H.labels[i], self.host.labels[a], self.host.labels[b]
+                            )
+
+        return CheckOutcome.tally("module-algebra-mult", failures())
 
 
 class _Battery(_AlgebraBattery):
@@ -2057,72 +2058,64 @@ class _Battery(_AlgebraBattery):
     # -- the checks
 
     def commutativity_check(self):
-        bad, wit = 0, None
         dim, rows = self.dim, self.rows
-        for i in range(dim):
-            for j in range(dim):
-                if _differ(rows[i * dim + j], rows[j * dim + i]):
-                    bad += 1
-                    wit = wit or self.at(i, j)
-        return CheckOutcome.from_residual("commutativity", bad, wit)
+        return CheckOutcome.tally("commutativity", (
+            (1, self.at(i, j)) for i in range(dim) for j in range(dim)
+            if _differ(rows[i * dim + j], rows[j * dim + i])
+        ))
 
     def coassociativity_check(self):
         """(Delta (x) id) Delta(i) - (id (x) Delta) Delta(i); the residual
         counts its terms."""
-        bad, wit = 0, None
-        dim, K = self.dim, self.K
-        for i, d in enumerate(self.cops):
-            left = self.mapped(d, self.cop, 2, 0, 2)
-            right = self.mapped(d, self.cop, 2, 1, 2)
-            if left is None or right is None:
-                continue
-            res = _residual(left, right)
-            if res:
-                bad += len({key for key, _v, _t, _e in res})
-                wit = wit or self.at(i)
-        return CheckOutcome.from_residual("coassociativity", bad, wit)
+
+        def failures():
+            for i, d in enumerate(self.cops):
+                left = self.mapped(d, self.cop, 2, 0, 2)
+                right = self.mapped(d, self.cop, 2, 1, 2)
+                if left is None or right is None:
+                    continue
+                res = _residual(left, right)
+                if res:
+                    yield len({key for key, _v, _t, _e in res}), self.at(i)
+
+        return CheckOutcome.tally("coassociativity", failures())
 
     def counit_laws_check(self):
-        bad, wit = 0, None
-        dim, K = self.dim, self.K
-        for i, d in enumerate(self.cops):
-            if d is None:
-                continue
-            x = self.basis[i]
-            left = self.mapped(d, self.eps, 2, 0, 0)
-            right = self.mapped(d, self.eps, 2, 1, 0)
-            if _differ(left, x) or _differ(right, x):
-                bad += 1
-                wit = wit or self.at(i)
-        return CheckOutcome.from_residual("counit-laws", bad, wit)
+        return CheckOutcome.tally("counit-laws", (
+            (1, self.at(i)) for i, (d, x) in enumerate(zip(self.cops, self.basis))
+            if d is not None and (
+                _differ(self.mapped(d, self.eps, 2, 0, 0), x)
+                or _differ(self.mapped(d, self.eps, 2, 1, 0), x)
+            )
+        ))
 
     def coproduct_morphism_check(self):
-        bad, wit = 0, None
         dim, unit, cops = self.dim, self.unit_row, self.cops
-        if _differ(self.coproduct(unit), _outer(unit, unit, dim, self.K)):
-            bad += 1
-            wit = "coproduct(1)"
-        for i in range(dim):
-            for j in range(dim):
-                lhs = self.mul(cops[i], cops[j], 2)
-                if _differ(lhs, self.coproduct(self.rows[i * dim + j])):
-                    bad += 1
-                    wit = wit or self.at(i, j)
-        return CheckOutcome.from_residual("coproduct-morphism", bad, wit)
+
+        def failures():
+            if _differ(self.coproduct(unit), _outer(unit, unit, dim, self.K)):
+                yield 1, "coproduct(1)"
+            for i in range(dim):
+                for j in range(dim):
+                    lhs = self.mul(cops[i], cops[j], 2)
+                    if _differ(lhs, self.coproduct(self.rows[i * dim + j])):
+                        yield 1, self.at(i, j)
+
+        return CheckOutcome.tally("coproduct-morphism", failures())
 
     def counit_morphism_check(self):
-        bad, wit = 0, None
-        e, K = self.counits, self.K
-        if _differ(self.counit_of(self.unit_row), _ONE):
-            bad += 1
-            wit = "counit(1)"
-        for i in range(self.dim):
-            for j in range(self.dim):
-                got = self.counit_of(self.rows[i * self.dim + j])
-                if _differ(got, _outer(e[i], e[j], 1, K)):
-                    bad += 1
-                    wit = wit or self.at(i, j)
-        return CheckOutcome.from_residual("counit-morphism", bad, wit)
+        dim, e, K = self.dim, self.counits, self.K
+
+        def failures():
+            if _differ(self.counit_of(self.unit_row), _ONE):
+                yield 1, "counit(1)"
+            for i in range(dim):
+                for j in range(dim):
+                    got = self.counit_of(self.rows[i * dim + j])
+                    if _differ(got, _outer(e[i], e[j], 1, K)):
+                        yield 1, self.at(i, j)
+
+        return CheckOutcome.tally("counit-morphism", failures())
 
     def antipode_convolution_check(self):
         """id * S = S * id = unit.counit, one instance per (basis element,
@@ -2130,32 +2123,28 @@ class _Battery(_AlgebraBattery):
         if self.images is None:
             return CheckOutcome.error("antipode-convolution", "no antipode given")
         S, basis = self.srows, self.basis
-        bad, wit = 0, None
         dim, K = self.dim, self.K
-        for b, d in enumerate(self.cops):
-            if d is None:
-                continue
-            want = _outer(self.unit_row, self.counits[b], 1, K)
-            # the coefficient of each key x * dim + y of Delta(b), a scalar row
-            coeffs = {}
-            for (key, v, t, e), n in d[0][0].items():
-                coeffs.setdefault(key, {})[0, v, t, e] = n
-            coeffs = [
-                (divmod(key, dim), ((c, d[0][1]), d[1])) for key, c in coeffs.items()
-            ]
-            for side in ("id*S", "S*id"):
-                if side == "id*S":
-                    parts = [
-                        self.mul(_outer(c, basis[x], dim, K), S[y]) for (x, y), c in coeffs
-                    ]
-                else:
-                    parts = [
-                        self.mul(S[x], _outer(c, basis[y], dim, K)) for (x, y), c in coeffs
-                    ]
-                if _differ(_sum(parts), want):
-                    bad += 1
-                    wit = wit or "%s at %s" % (side, self.at(b))
-        return CheckOutcome.from_residual("antipode-convolution", bad, wit)
+
+        def failures():
+            for b, d in enumerate(self.cops):
+                if d is None:
+                    continue
+                want = _outer(self.unit_row, self.counits[b], 1, K)
+                # the coefficient of each key x * dim + y of Delta(b), a scalar row
+                coeffs = {}
+                for (key, v, t, e), n in d[0][0].items():
+                    coeffs.setdefault(key, {})[0, v, t, e] = n
+                coeffs = [
+                    (divmod(key, dim), ((c, d[0][1]), d[1])) for key, c in coeffs.items()
+                ]
+                id_s = [self.mul(_outer(c, basis[x], dim, K), S[y]) for (x, y), c in coeffs]
+                if _differ(_sum(id_s), want):
+                    yield 1, "id*S at %s" % self.at(b)
+                s_id = [self.mul(S[x], _outer(c, basis[y], dim, K)) for (x, y), c in coeffs]
+                if _differ(_sum(s_id), want):
+                    yield 1, "S*id at %s" % self.at(b)
+
+        return CheckOutcome.tally("antipode-convolution", failures())
 
     def antipode_unit_check(self):
         got = _vec_row(self.antipode(self.unit))
@@ -2163,20 +2152,14 @@ class _Battery(_AlgebraBattery):
         return CheckOutcome.from_residual("antipode-unit", bad, "S(1)")
 
     def antipode_antihomomorphism_check(self):
-        bad, wit = 0, None
         S, dim = self.srows, self.dim
-        for i in range(dim):
-            for j in range(dim):
-                lhs = _vec_row(self.antipode(self.prods[i * dim + j]))
-                if _differ(lhs, self.mul(S[j], S[i])):
-                    bad += 1
-                    wit = wit or self.at(i, j)
-        return CheckOutcome.from_residual("antipode-antihomomorphism", bad, wit)
+        return CheckOutcome.tally("antipode-antihomomorphism", (
+            (1, self.at(i, j)) for i in range(dim) for j in range(dim)
+            if _differ(_vec_row(self.antipode(self.prods[i * dim + j])), self.mul(S[j], S[i]))
+        ))
 
     def antipode_square_check(self):
-        bad, wit = 0, None
-        for i, s in enumerate(self.images):
-            if _differ(_vec_row(self.antipode(s)), self.basis[i]):
-                bad += 1
-                wit = wit or self.at(i)
-        return CheckOutcome.from_residual("antipode-square", bad, wit)
+        return CheckOutcome.tally("antipode-square", (
+            (1, self.at(i)) for i, s in enumerate(self.images)
+            if _differ(_vec_row(self.antipode(s)), self.basis[i])
+        ))

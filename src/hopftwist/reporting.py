@@ -1,7 +1,12 @@
 """Check outcomes and suite reports.
 
 A check passes exactly when its residual term count is zero; the witness
-string, when present, pins down one offending input for debugging.
+string, when present, pins down one offending input for debugging.  A
+check over many inputs forms its verdict with CheckOutcome.tally: the
+residual is the sum over the failing inputs, and the witness is the first
+failing input's, in the order the check visits them.  The associativity
+and quasi-associativity checks visit their triples out of order and tally
+them sorted, so that they name the least failing triple.
 """
 
 import json
@@ -28,12 +33,16 @@ class CheckOutcome:
         return CheckOutcome(id, "fail", residual_count, witness)
 
     @staticmethod
-    def passed(id):
-        return CheckOutcome(id, "pass", 0)
-
-    @staticmethod
-    def failed(id, residual_count=1, witness=None):
-        return CheckOutcome(id, "fail", residual_count, witness)
+    def tally(id, failures):
+        """The verdict over (residual, witness) pairs, one per failing
+        input: the residuals add up, the first witness that is not None
+        names the check, and no pair at all is a pass."""
+        total, witness = 0, None
+        for residual, w in failures:
+            total += residual
+            if witness is None:
+                witness = w
+        return CheckOutcome.from_residual(id, total, witness)
 
     @staticmethod
     def error(id, witness):

@@ -137,20 +137,19 @@ def _group_cohomology(rng, order, theta):
         ("S3", symmetric_3()),
         ("Z2^2", elementary_abelian_2(2)),
     ]
+
+    def ddelta(G, arity):
+        for t in range(5):
+            c = random_group_cochain(G, arity, rng)
+            ck = is_constant_one(group_coboundary(group_coboundary(c)))
+            if not ck.ok:
+                yield 1, "trial %d at %s" % (t, ck.witness)
+
     for name, G in hosts:
         for arity in (1, 2):
-            bad, witness = 0, None
-            for t in range(5):
-                c = random_group_cochain(G, arity, rng)
-                ck = is_constant_one(group_coboundary(group_coboundary(c)))
-                if not ck.ok:
-                    bad += 1
-                    witness = witness or "trial %d at %s" % (t, ck.witness)
-            checks.append(
-                CheckOutcome.from_residual(
-                    "ddelta-trivial:%s:arity%d" % (name, arity), bad, witness
-                )
-            )
+            checks.append(CheckOutcome.tally(
+                "ddelta-trivial:%s:arity%d" % (name, arity), ddelta(G, arity)
+            ))
         c1 = random_group_cochain(G, 1, rng)
         out = is_cocycle(group_coboundary(c1))
         checks.append(out.renamed("coboundary-closed:%s" % name))
@@ -210,52 +209,51 @@ def _octonions(rng, order, theta):
     unit, quasi = verify_algebra(O, associator=O.associator)
     checks = [unit, quasi.renamed("quasi-associativity-512")]
 
-    bad, witness = 0, None
-    for a in range(8):
-        x = {a: one}
-        xx = O.elem_mul(x, x)
-        for b in range(8):
-            y = {b: one}
-            left = O.elem_mul(x, O.elem_mul(x, y)) != O.elem_mul(xx, y)
-            right = O.elem_mul(O.elem_mul(y, x), x) != O.elem_mul(y, xx)
-            if left or right:
-                bad += left + right
-                witness = witness or "(%s,%s)" % (O.labels[a], O.labels[b])
-    checks.append(CheckOutcome.from_residual("alternativity-basis", bad, witness))
+    def alternativity():
+        for a in range(8):
+            x = {a: one}
+            xx = O.elem_mul(x, x)
+            for b in range(8):
+                y = {b: one}
+                left = O.elem_mul(x, O.elem_mul(x, y)) != O.elem_mul(xx, y)
+                right = O.elem_mul(O.elem_mul(y, x), x) != O.elem_mul(y, xx)
+                if left or right:
+                    yield left + right, "(%s,%s)" % (O.labels[a], O.labels[b])
 
-    bad, witness = 0, None
-    for a in range(8):
-        na = octonion_norm(O, {a: one})
-        for b in range(8):
-            ab = O.elem_mul({a: one}, {b: one})
-            if octonion_norm(O, ab) != na * octonion_norm(O, {b: one}):
-                bad += 1
-                witness = witness or "(%s,%s)" % (O.labels[a], O.labels[b])
-    checks.append(CheckOutcome.from_residual("norm-basis-pairs", bad, witness))
+    def norm_pairs():
+        for a in range(8):
+            na = octonion_norm(O, {a: one})
+            for b in range(8):
+                ab = O.elem_mul({a: one}, {b: one})
+                if octonion_norm(O, ab) != na * octonion_norm(O, {b: one}):
+                    yield 1, "(%s,%s)" % (O.labels[a], O.labels[b])
 
-    bad = 0
-    witness = None
-    for t in range(100):
-        u = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
-        v = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
-        u = {i: c for i, c in u.items() if c}
-        v = {i: c for i, c in v.items() if c}
-        w = O.elem_mul(u, v)
-        if octonion_norm(O, w) != octonion_norm(O, u) * octonion_norm(O, v):
-            bad += 1
-            witness = witness or "trial %d" % t
-    checks.append(CheckOutcome.from_residual("norm-seeded-100", bad, witness))
+    def norm_seeded():
+        for t in range(100):
+            u = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
+            v = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
+            u = {i: c for i, c in u.items() if c}
+            v = {i: c for i, c in v.items() if c}
+            w = O.elem_mul(u, v)
+            if octonion_norm(O, w) != octonion_norm(O, u) * octonion_norm(O, v):
+                yield 1, "trial %d" % t
 
-    dFc = group_coboundary(fano)
-    neg = [k for k, v in dFc.table.items() if v == -1]
-    census_bad = 0
-    if len(neg) != 168 or dFc.table[(1, 2, 4)] != -1:
-        census_bad = 1
-    if any(v not in (1, -1) for v in dFc.table.values()):
-        census_bad += 1
-    checks.append(
-        CheckOutcome.from_residual("coboundary-sign-census", census_bad, "m(1,2,4)")
-    )
+    def sign_census():
+        # 168 of the 512 signs are -1, among them m(1,2,4), and no other value
+        table = group_coboundary(fano).table
+        neg = sum(1 for v in table.values() if v == -1)
+        if neg != 168:
+            yield 1, "%d signs -1, not 168" % neg
+        if table[(1, 2, 4)] != -1:
+            yield 1, "m(1,2,4) = %s" % render(table[(1, 2, 4)])
+        other = next((k for k, v in table.items() if v not in (1, -1)), None)
+        if other is not None:
+            yield 1, "m(%d,%d,%d) = %s" % (*other, render(table[other]))
+
+    checks.append(CheckOutcome.tally("alternativity-basis", alternativity()))
+    checks.append(CheckOutcome.tally("norm-basis-pairs", norm_pairs()))
+    checks.append(CheckOutcome.tally("norm-seeded-100", norm_seeded()))
+    checks.append(CheckOutcome.tally("coboundary-sign-census", sign_census()))
 
     # the Fano cochain must be unital and not closed; a failure names which
     unital = is_unital(fano)
@@ -338,69 +336,56 @@ def _hopf_cochain(rng, order, theta):
     )
     from .multilinear import LegTensor, with_series_ring
 
-    checks = []
-    plain_hosts = [
-        ("k[Z2^3]", group_algebra(elementary_abelian_2(3)), "element"),
-        ("k[S3]", group_algebra(symmetric_3()), "element"),
-        ("k[D4]", group_algebra(dihedral_4()), "element"),
-        ("k[P8]", group_algebra(pauli_8()), "element"),
-        ("dual[Z2^2]", dual_group_hopf(elementary_abelian_2(2)), "pointwise"),
+    S3 = symmetric_3()
+    # each host with its group for the invariant cochains, and their trials
+    hosts = [
+        ("k[Z2^3]", group_algebra(elementary_abelian_2(3)), None, 7),
+        ("k[S3]", group_algebra(S3), S3, 7),
+        ("k[D4]", group_algebra(dihedral_4()), None, 0),
+        ("k[P8]", group_algebra(pauli_8()), None, 0),
+        ("dual[Z2^2]", dual_group_hopf(elementary_abelian_2(2)), None, 6),
     ]
-    for label, H, kind in plain_hosts:
-        unit3 = LegTensor.unit(H, 3)
-        bad, witness = 0, None
-        for t in range(20):
-            if kind == "element":
-                c = random_invertible_element_cochain(H, rng)
-            else:
-                c = random_pointwise_cochain(H, rng, 1)
-            if not dsquared(c).eq(unit3):
-                bad += 1
-                witness = witness or "trial %d" % t
-        checks.append(
-            CheckOutcome.from_residual("dsquared-unit:%s" % label, bad, witness)
-        )
+    series = [with_series_ring(H, 2) for _, H, _, _ in hosts]
 
-    series_pool = [
-        ("k[Z2^3]+h", group_algebra(elementary_abelian_2(3)), None, 7),
-        ("k[S3]+h", group_algebra(symmetric_3()), symmetric_3(), 7),
-        ("dual[Z2^2]+h", dual_group_hopf(elementary_abelian_2(2)), None, 6),
-    ]
-    for label, H0, grp, count in series_pool:
-        H = with_series_ring(H0, 2)
+    def unit_trials(H, pointwise):
+        unit3 = LegTensor.unit(H, 3)
+        for t in range(20):
+            if pointwise:
+                c = random_pointwise_cochain(H, rng, 1)
+            else:
+                c = random_invertible_element_cochain(H, rng)
+            if not dsquared(c).eq(unit3):
+                yield 1, "trial %d" % t
+
+    def invariant_trials(H, grp, count):
         unit4 = LegTensor.unit(H, 4)
-        bad, witness = 0, None
         for t in range(count):
             c = random_invariant_two_cochain(H, rng, group=grp)
             if not dsquared(c).eq(unit4):
-                bad += 1
-                witness = witness or "trial %d" % t
-        checks.append(
-            CheckOutcome.from_residual("dsquared-invariant:%s" % label, bad, witness)
-        )
+                yield 1, "trial %d" % t
 
-    checks.append(_pauli_counterexample())
-    checks.append(_pbw_counterexample())
-
-    series_hosts = [
-        ("k[Z2^3]", group_algebra(elementary_abelian_2(3))),
-        ("k[S3]", group_algebra(symmetric_3())),
-        ("k[D4]", group_algebra(dihedral_4())),
-        ("k[P8]", group_algebra(pauli_8())),
-        ("dual[Z2^2]", dual_group_hopf(elementary_abelian_2(2))),
-    ]
-    for label, H0 in series_hosts:
-        H = with_series_ring(H0, 2)
-        bad = 0
-        witness = None
+    def twist_trials(H):
         for t in range(20):
             F = random_counital_two_cochain(H, rng)
             for ck in verify_quasi(twist(H, F)):
                 if not ck.ok:
-                    bad += 1
-                    witness = witness or "%s trial %d" % (ck.id, t)
-        checks.append(CheckOutcome.from_residual("twist-quasi:%s" % label, bad, witness))
+                    yield 1, "%s trial %d" % (ck.id, t)
 
+    checks = [
+        CheckOutcome.tally("dsquared-unit:%s" % label, unit_trials(H, label.startswith("dual")))
+        for label, H, _, _ in hosts
+    ]
+    checks += [
+        CheckOutcome.tally("dsquared-invariant:%s+h" % label, invariant_trials(H, grp, count))
+        for (label, _, grp, count), H in zip(hosts, series)
+        if count
+    ]
+    checks.append(_pauli_counterexample())
+    checks.append(_pbw_counterexample())
+    checks += [
+        CheckOutcome.tally("twist-quasi:%s" % label, twist_trials(H))
+        for (label, _, _, _), H in zip(hosts, series)
+    ]
     checks.append(_octonion_module_twist())
     return checks
 
@@ -452,17 +437,16 @@ def _pbw_gcl(rng, order, theta):
     order = 4 if order is None else order
     checks = []
 
-    bad = 0
-    witness = None
-    for t in range(5):
-        th = Series(order, {k: rng.randint(-2, 2) for k in range(1, order + 1)})
-        tp = Series(order, {k: rng.randint(-2, 2) for k in range(1, order + 1)})
-        try:
-            gcl_coassociator(th, tp, order)
-        except RuntimeError:
-            bad += 1
-            witness = witness or "pair %d" % t
-    checks.append(CheckOutcome.from_residual("coassociator-seeded", bad, witness))
+    def seeded():
+        for t in range(5):
+            th = Series(order, {k: rng.randint(-2, 2) for k in range(1, order + 1)})
+            tp = Series(order, {k: rng.randint(-2, 2) for k in range(1, order + 1)})
+            try:
+                gcl_coassociator(th, tp, order)
+            except RuntimeError:
+                yield 1, "pair %d" % t
+
+    checks.append(CheckOutcome.tally("coassociator-seeded", seeded()))
 
     th = Series(order, {1: Fraction(2, 3)})
     lam = th * TauLaurent.tau(-1)
@@ -598,18 +582,10 @@ def _sharp_map(rng, order, theta):
 
     from .graded import sharp, sharp_laws
 
-    checks = []
-    bad = 0
-    total = 0
-    witness = None
-    for n in range(1, 5):
-        for entries in product(range(1, 5), repeat=n):
-            total += 1
-            for ck in sharp_laws(entries):
-                if not ck.ok:
-                    bad += 1
-                    witness = witness or repr(entries)
-    checks.append(CheckOutcome.from_residual("laws-exhaustive-%d-tuples" % total, bad, witness))
+    tuples = [entries for n in range(1, 5) for entries in product(range(1, 5), repeat=n)]
+    checks = [CheckOutcome.tally("laws-exhaustive-%d-tuples" % len(tuples), (
+        (1, repr(entries)) for entries in tuples for ck in sharp_laws(entries) if not ck.ok
+    ))]
 
     frozen = [
         ((1, 2, 3), (6, 3, 2)),
@@ -651,35 +627,33 @@ def _heis_torus(rng, order, theta):
         CheckOutcome.from_residual("uv-commutation", resid.term_count(), key_repr(resid))
     )
 
+    def reparam(n, th, a, b, c):
+        # alpha_n(theta) makes (a, b, c) associative; no perturbation of it
+        # keeps (U, t^n, V) so
+        good = alpha(th, n)
+        if not assoc_residual(a, b, c, th, good).is_zero():
+            yield 1, "assoc at alpha_%d(theta)" % n
+        mono = HeisElement.monomial(order, 0, n)
+        for j in (1, 2, order):
+            perturbed = good + Series.hbar(order, power=j)
+            if assoc_residual(U, mono, V, th, perturbed).is_zero():
+                yield 1, "perturbation h^%d unseen" % j
+
     for n in (-2, -1, 1, 2):
         for tag, terms in (("h", {1: 1}), ("h+h^2", {1: 1, 2: 1})):
             th = Series(order, terms)
             a = _rand_heis(order, rng, terms=2)
             b = _rand_heis(order, rng, terms=2, degree=n)
             c = _rand_heis(order, rng, terms=2)
-            good = alpha(th, n)
-            bad, witness = 0, None
-            if not assoc_residual(a, b, c, th, good).is_zero():
-                bad += 1
-                witness = "assoc at alpha_%d(theta)" % n
-            mono = HeisElement.monomial(order, 0, n)
-            for j in (1, 2, order):
-                perturbed = good + Series.hbar(order, power=j)
-                if assoc_residual(U, mono, V, th, perturbed).is_zero():
-                    bad += 1
-                    witness = witness or "perturbation h^%d unseen" % j
-            checks.append(
-                CheckOutcome.from_residual("reparam-iff:n=%d:theta=%s" % (n, tag), bad, witness)
-            )
+            checks.append(CheckOutcome.tally(
+                "reparam-iff:n=%d:theta=%s" % (n, tag), reparam(n, th, a, b, c)
+            ))
 
     t5 = Series(5, {1: 1, 2: Fraction(1, 3)})
-    bad, witness = 0, None
-    for j in (-2, 1, 3):
-        for k in (-1, 2):
-            if alpha(alpha(t5, k), j) != alpha(t5, j + k):
-                bad += 1
-                witness = witness or "j=%d,k=%d" % (j, k)
-    checks.append(CheckOutcome.from_residual("alpha-composition-order5", bad, witness))
+    checks.append(CheckOutcome.tally("alpha-composition-order5", (
+        (1, "j=%d,k=%d" % (j, k)) for j in (-2, 1, 3) for k in (-1, 2)
+        if alpha(alpha(t5, k), j) != alpha(t5, j + k)
+    )))
 
     for n in (1, 2):
         f = _rand_zak(order, n, rng)
@@ -705,43 +679,37 @@ def _heis_torus(rng, order, theta):
     h1 = _rand_zak(3, 1, rng)
     h2 = _rand_zak(3, 1, rng)
     that = alpha(t3, -1)
-    bad, witness = 0, None
-    for w in ("U", "V", "UV", "VU"):
-        L = zak_pair(zak_act_right(w, h1, t3), h2, t3)
-        R = zak_pair(h1, zak_act_left(w, h2, that), t3)
-        if L != R:
-            bad += 1
-            witness = witness or w
-    checks.append(CheckOutcome.from_residual("pairing-balanced", bad, witness))
+    checks.append(CheckOutcome.tally("pairing-balanced", (
+        (1, w) for w in ("U", "V", "UV", "VU")
+        if zak_pair(zak_act_right(w, h1, t3), h2, t3)
+        != zak_pair(h1, zak_act_left(w, h2, that), t3)
+    )))
 
-    bad, witness = 0, None
-    for w in ("U", "V", "UV"):
-        if zak_act_left(w, zak_pair(h1, h2, t3), that) != zak_pair(
-            zak_act_left(w, h1, t3), h2, t3
-        ):
-            bad += 1
-            witness = witness or "%s:left" % w
-        if zak_act_right(w, zak_pair(h1, h2, t3), that) != zak_pair(
-            h1, zak_act_right(w, h2, that), t3
-        ):
-            bad += 1
-            witness = witness or "%s:right" % w
-    checks.append(CheckOutcome.from_residual("pairing-bimodule", bad, witness))
+    def bimodule():
+        for w in ("U", "V", "UV"):
+            if zak_act_left(w, zak_pair(h1, h2, t3), that) != zak_pair(
+                zak_act_left(w, h1, t3), h2, t3
+            ):
+                yield 1, "%s:left" % w
+            if zak_act_right(w, zak_pair(h1, h2, t3), that) != zak_pair(
+                h1, zak_act_right(w, h2, that), t3
+            ):
+                yield 1, "%s:right" % w
+
+    checks.append(CheckOutcome.tally("pairing-bimodule", bimodule()))
 
     thp = alpha(theta, 1)
     a = _rand_heis(order, rng, terms=2, degree=0)
     b = _rand_heis(order, rng, terms=2, degree=0)
     f = _rand_heis(order, rng, terms=2, degree=1)
-    bad, witness = 0, None
-    for tag, x, y, z, t, tp in (
-        ("a*f*b", a, f, b, theta, thp),
-        ("a*b*f", a, b, f, thp, thp),
-        ("f*a*b", f, a, b, theta, theta),
-    ):
-        if not assoc_residual(x, y, z, t, tp).is_zero():
-            bad += 1
-            witness = witness or tag
-    checks.append(CheckOutcome.from_residual("monomial-bimodule", bad, witness))
+    checks.append(CheckOutcome.tally("monomial-bimodule", (
+        (1, tag) for tag, x, y, z, t, tp in (
+            ("a*f*b", a, f, b, theta, thp),
+            ("a*b*f", a, b, f, thp, thp),
+            ("f*a*b", f, a, b, theta, theta),
+        )
+        if not assoc_residual(x, y, z, t, tp).is_zero()
+    )))
     return checks
 
 

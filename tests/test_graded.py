@@ -86,6 +86,18 @@ def test_component_products_are_ideals(name, graded, expect):
     assert ideal_property_report(graded).ok
 
 
+def test_component_products_ideal_counts_each_side_and_names_the_first():
+    # k[y]/(y^4) graded by the parity of the degree, with y^2 y^2 = 1: the
+    # degree-1 products span y^2 alone, and 1 . y^2 stays in that span
+    # while y^2 . y^2 leaves it on both sides
+    labels = ["1", "y", "y^2", "y^3"]
+    mult = {(i, j): {i + j: 1} for i in range(4) for j in range(4) if i + j < 4}
+    mult[(2, 2)] = {0: 1}
+    A = AlgebraPresentation(4, labels, ScalarRing(), mult, [1, 0, 0, 0])
+    ck = ideal_property_report(GradedAlgebra(A, cyclic_group(2), [0, 1, 0, 1]))
+    assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 2, "degree 1 via y^2")
+
+
 def test_smeb_reports_carry_witnesses():
     _, ga, _ = BATTERY[2]  # dual numbers, not strong
     checks = smeb_check(ga, 1)

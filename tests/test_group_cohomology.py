@@ -26,6 +26,7 @@ from hopftwist.group_cohomology import (
 from hopftwist.multilinear import verify_algebra
 
 G8, FCOCHAIN, OCT = fano_octonions()
+S3 = symmetric_3()
 
 
 def oct_mul(u, v):
@@ -50,6 +51,26 @@ def test_coboundary_sign_census():
     assert len(neg) == 168
     assert all(v in (1, -1) for v in dF.table.values())
     assert dF.table[(1, 2, 4)] == -1
+
+
+def test_group_cochain_failures_count_every_triple_and_name_the_first():
+    # a normalized coboundary of S3 (a unital cocycle) with the sign of
+    # F((12),(23)) flipped and F((13),e) doubled
+    F = group_coboundary(normalized(random_group_cochain(S3, 1, random.Random(5))))
+    assert is_cocycle(F).ok and is_unital(F).ok
+    table = dict(F.table)
+    table[(1, 2)] = -table[(1, 2)]
+    table[(3, 0)] = 2 * table[(3, 0)]
+    bad = GroupCochain(S3, 2, table)
+    got = [
+        (ck.id, ck.residual_term_count, ck.witness)
+        for ck in (is_cocycle(bad), is_unital(bad), is_constant_one(group_coboundary(bad)))
+    ]
+    assert got == [
+        ("cocycle", 38, "((12),(12),(23))"),
+        ("unital", 1, "(13)"),
+        ("coboundary-trivial", 38, "('(12)', '(12)', '(23)')"),
+    ]
 
 
 def test_twist_cochain_is_not_closed():
@@ -187,7 +208,7 @@ def test_torus_exponent_window_fails_on_a_non_cocycle():
     checks = {c.id: c for c in is_cocycle(_NotACocycle(Fraction(1, 3)), window=5)}
     ck = checks["cocycle-exponent-window-3"]
     assert not ck.ok
-    assert ck.residual_term_count > 0 and ck.witness
+    assert (ck.residual_term_count, ck.witness) == (21952, "(-2, -3),(-3, -2),(-3, -2)")
 
 
 def test_torus_cyclotomic_window_fails_on_a_non_cocycle():
@@ -195,7 +216,7 @@ def test_torus_cyclotomic_window_fails_on_a_non_cocycle():
     checks = {c.id: c for c in is_cocycle(_NotACocycle(Fraction(1, 3)), window=5)}
     ck = checks["cocycle-cyclotomic-window-2"]
     assert not ck.ok
-    assert ck.residual_term_count > 0 and ck.witness
+    assert (ck.residual_term_count, ck.witness) == (8000, "(-2, -2),(-2, -2),(-2, -2)")
 
 
 def test_torus_window_overflow():
@@ -283,7 +304,7 @@ def test_cyclotomic_window_fails_on_a_wrong_value_alone():
     assert checks["cocycle-exponent-window-3"].ok
     ck = checks["cocycle-cyclotomic-window-2"]
     assert not ck.ok
-    assert ck.residual_term_count > 0 and ck.witness
+    assert (ck.residual_term_count, ck.witness) == (84, "(-2, -2),(1, 0),(0, 1)")
 
 
 class _Counting(TorusCochain):

@@ -310,8 +310,20 @@ def test_conjugation_failure_names_the_faulted_basis_label():
     faulted = _with_coproduct_fault(R.twisted, 2)
     bad = QuasiHopfTwistResult(H, faulted, R.cochain, R.phi, None, None)
     ck = _checks(bad)["twisted-coproduct-conjugation"]
-    assert ck.status == "fail" and ck.residual_term_count > 0
+    assert (ck.status, ck.residual_term_count) == ("fail", 13)
     assert ck.witness == H.labels[2]
+
+
+def test_counital_and_invariant_failures_sum_their_residuals():
+    # 1 (x) 1 + 2 (12) (x) (23) + (13) (x) 1 on k[S3]: off the counit on both
+    # legs, and commuting with the iterated coproduct of the unit alone
+    F = LegTensor(KS3, 2, {(0, 0): Fraction(1), (1, 2): Fraction(2), (3, 0): Fraction(1)})
+    c = HopfCochain.deferred(KS3, 2, F, None)
+    got = [
+        (ck.id, ck.residual_term_count, ck.witness)
+        for ck in (hopf_cochain.counital_report(c), hopf_cochain.invariant_report(c))
+    ]
+    assert got == [("counital", 4, "leg 0"), ("invariant", 18, "[(12)]")]
 
 
 def _conjugations_with_inverse(R):
@@ -792,7 +804,24 @@ def _with_term(t, key, c):
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 3])
-def test_compare_first_checks_agree_with_subtract_first(K):
+def test_compare_first_checks_agree_with_subtract_first(K, monkeypatch):
+    # each comparison of two sides subtracts at most once, whether they lie
+    # at one conductor or at two
+    subs, per_comparison = [0], []
+    sub, difference = LegTensor.sub, hopf_cochain._difference
+
+    def counting_sub(self, other):
+        subs[0] += 1
+        return sub(self, other)
+
+    def counted(lhs, rhs):
+        before = subs[0]
+        out = difference(lhs, rhs)
+        per_comparison.append(subs[0] - before)
+        return out
+
+    monkeypatch.setattr(LegTensor, "sub", counting_sub)
+    monkeypatch.setattr(hopf_cochain, "_difference", counted)
     rng = random.Random(3100 + K)
     for H in _cochain_hosts(K):
         one = H.ring.one()
@@ -841,6 +870,7 @@ def test_compare_first_checks_agree_with_subtract_first(K):
             wrong = HopfCochain(H, 1, g.value, g.value, _trusted=True)
             for gg in (g, wrong):
                 assert _report(gauge_equivariance_report(gg, F)) == _ref_gauge(gg, F), (H.name, K)
+    assert per_comparison and max(per_comparison) == 1
 
 
 def test_passing_checks_subtract_nothing_and_read_no_values(monkeypatch):

@@ -1,0 +1,83 @@
+"""CheckOutcome.tally, the one rule for a check over many inputs, and a
+scan that keeps it the only one."""
+
+import re
+from pathlib import Path
+
+from hopftwist.reporting import CheckOutcome
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hopftwist"
+
+
+def _verdict(ck):
+    return ck.id, ck.status, ck.residual_term_count, ck.witness
+
+
+def test_tally_of_no_failures_passes():
+    assert _verdict(CheckOutcome.tally("c", ())) == ("c", "pass", 0, None)
+    assert _verdict(CheckOutcome.tally("c", iter([]))) == ("c", "pass", 0, None)
+
+
+def test_tally_adds_the_residuals():
+    ck = CheckOutcome.tally("c", [(1, "a"), (3, "b"), (2, "c")])
+    assert (ck.status, ck.residual_term_count) == ("fail", 6)
+
+
+def test_tally_keeps_the_first_witness():
+    ck = CheckOutcome.tally("c", ((1, w) for w in ("x", "y", "z")))
+    assert ck.witness == "x"
+
+
+def test_tally_skips_a_witness_of_none():
+    ck = CheckOutcome.tally("c", [(2, None), (1, "later"), (1, "last")])
+    assert (ck.residual_term_count, ck.witness) == (4, "later")
+    assert CheckOutcome.tally("c", [(1, None)]).to_dict() == {
+        "id": "c",
+        "status": "fail",
+        "residual_term_count": 1,
+    }
+
+
+# A check that counts its failures and keeps a witness by hand instead of
+# calling CheckOutcome.tally.
+HAND_ROLLED = [
+    re.compile(r"\bbad\s*\+="),
+    re.compile(r"\b(wit|witness)\s*=\s*\1\s+or\b"),
+    re.compile(r"\bif\s+(wit|witness)\s+is\s+None:\s*\n\s*\1\s*="),
+]
+
+
+def hand_rolled_counters(source):
+    """The 1-based lines of source where a hand-kept counter or witness
+    starts."""
+    return sorted(
+        source.count("\n", 0, m.start()) + 1
+        for pattern in HAND_ROLLED
+        for m in pattern.finditer(source)
+    )
+
+
+def test_the_scan_sees_each_hand_rolled_form():
+    source = (
+        "bad += 1\n"
+        "witness = witness or 'x'\n"
+        "if wit is None:\n"
+        "    wit = 'y'\n"
+        "ring = ring or default\n"
+        "if lam is None:\n"
+        "    lam = 1\n"
+        "if witness is None:\n"
+        "    return 0\n"
+    )
+    assert hand_rolled_counters(source) == [1, 2, 3]
+
+
+def test_no_module_but_reporting_keeps_a_counter_by_hand():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "reporting.py"
+        for lines in [hand_rolled_counters(path.read_text())]
+        if lines
+    }
+    assert found == {}

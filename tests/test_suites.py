@@ -333,9 +333,62 @@ def test_z2_iso_antipode_names_the_first_wrong_index(monkeypatch):
     assert bad == {"z2-iso-antipode": (1, "1")}
 
 
+def test_z2_iso_mult_and_coproduct_count_every_failure(monkeypatch):
+    # d(e) d(g) = d(g) d(e) = d(e) instead of 0, and Delta(d(g)) = d(g) (x) d(g)
+    def fault(H):
+        H.mult[(0, 1)] = H.mult[(1, 0)] = {0: Fraction(1)}
+        H.coproduct[1] = {(1, 1): Fraction(1)}
+
+    bad = _z2_iso_with(monkeypatch, fault)
+    assert bad == {"z2-iso-mult": (2, "(0,1)"), "z2-iso-coproduct": (1, "1")}
+
+
+def test_octonion_checks_count_every_failure(monkeypatch):
+    # e3 e5 and e5 e3 negated: the norm stays real, and alternativity
+    # counts its left and right laws apiece
+    real = group_cohomology.fano_octonions
+
+    def faulty():
+        G8, fano, O = real()
+        for pair in ((3, 5), (5, 3)):
+            O.mult[pair] = {k: -v for k, v in O.mult[pair].items()}
+        return G8, fano, O
+
+    monkeypatch.setattr(group_cohomology, "fano_octonions", faulty)
+    assert failing(run_suite("octonions").checks) == {
+        "quasi-associativity-512": (44, "(e1,e2,e5)"),
+        "alternativity-basis": (8, "(e3,e5)"),
+        "norm-seeded-100": (92, "trial 0"),
+    }
+
+
+@pytest.mark.parametrize(
+    "key,value,expect",
+    [
+        ((1, 2, 4), 1, (2, "167 signs -1, not 168")),
+        ((0, 1, 2), -1, (1, "169 signs -1, not 168")),
+        ((0, 0, 0), 2, (1, "m(0,0,0) = 2")),
+    ],
+    ids=["sign-at-124", "extra-minus", "outside"],
+)
+def test_sign_census_names_the_condition_that_failed(monkeypatch, key, value, expect):
+    # one entry of the octonion associator dF changed: the census counts
+    # each of its three conditions that fails and names the first
+    real = group_cohomology.group_coboundary
+
+    def changed(c):
+        d = real(c)
+        if d.arity == 3:
+            d.table[key] = value
+        return d
+
+    monkeypatch.setattr(group_cohomology, "group_coboundary", changed)
+    assert failing(run_suite("octonions").checks)["coboundary-sign-census"] == expect
+
+
 def test_all_gives_each_suite_a_fresh_rng(monkeypatch):
     def body(rng, order, theta):
-        return [CheckOutcome.passed("draw=%r" % rng.random())]
+        return [CheckOutcome.from_residual("draw=%r" % rng.random(), 0)]
 
     monkeypatch.setattr(suites, "_BODIES", {name: body for name in SUITE_NAMES})
     every = run_suite("all", seed=7)
@@ -351,7 +404,8 @@ def test_all_gives_each_suite_a_fresh_rng(monkeypatch):
 
 def test_dsquared_failures_name_their_trial(monkeypatch):
     # d^2 is the unit on every trial but the fourth of the first host and
-    # the sixth of k[S3]+h (call 100 + 7 + 5); the twists are stubbed out
+    # the sixth of k[S3]+h (call 100 + 7 + 5); the twists are stubbed out,
+    # and so is verify_quasi, which names the checks it fails
     calls = []
 
     def dsquared(c):
@@ -367,17 +421,29 @@ def test_dsquared_failures_name_their_trial(monkeypatch):
             twisted_algebra=SimpleNamespace(mult=None)
         ),
     )
-    monkeypatch.setattr(hopf_cochain, "verify_quasi", lambda R: [])
+    # verify_quasi fails once on the fifth k[S3] twist (call 20 + 5) and
+    # twice on the seventh, and the checks ahead of a failure pass
+    twists = []
+
+    def verify_quasi(R):
+        twists.append(R)
+        fails = {25: ["pentagon"], 27: ["conjugation", "counital"]}.get(len(twists), [])
+        return [CheckOutcome("fine", "pass", 0)] + [
+            CheckOutcome(name, "fail", 1, "x") for name in fails
+        ]
+
+    monkeypatch.setattr(hopf_cochain, "verify_quasi", verify_quasi)
     monkeypatch.setattr(hopf_cochain, "equivariant_twist_check", lambda F, R: True)
     checks = {c.id: c for c in run_suite("hopf-cochain").checks}
     failed = {
         i: (c.residual_term_count, c.witness)
         for i, c in checks.items()
-        if i.startswith("dsquared") and not c.ok
+        if i.startswith(("dsquared", "twist-quasi")) and not c.ok
     }
     assert failed == {
         "dsquared-unit:k[Z2^3]": (1, "trial 3"),
         "dsquared-invariant:k[S3]+h": (1, "trial 5"),
+        "twist-quasi:k[S3]": (3, "pentagon trial 4"),
     }
 
 
@@ -483,17 +549,17 @@ def test_twist_not_closed_names_what_broke(monkeypatch):
         monkeypatch.setattr(group_cohomology, "fano_octonions", build)
         return failing(run_suite("octonions").checks)
 
-    census = (1, "m(1,2,4)")
-    # the trivial cocycle in place of the Fano cochain
+    # the trivial cocycle in place of the Fano cochain: no sign of dF is -1,
+    # m(1,2,4) included
     closed = suite_with(lambda t: {k: Fraction(1) for k in t})
     assert closed == {
-        "coboundary-sign-census": census,
+        "coboundary-sign-census": (2, "0 signs -1, not 168"),
         "twist-not-closed": (1, "closed"),
     }
     # the Fano cochain with F(e, e3) negated: still not closed, not unital
     negated = suite_with(lambda t: {**t, (0, 3): -t[(0, 3)]})
     assert negated == {
-        "coboundary-sign-census": census,
+        "coboundary-sign-census": (1, "196 signs -1, not 168"),
         "twist-not-closed": (1, "not unital at e3"),
     }
 
