@@ -220,12 +220,17 @@ def _octonions(rng, order, theta):
                 if left or right:
                     yield left + right, "(%s,%s)" % (O.labels[a], O.labels[b])
 
+    def multiplicative(u, v):
+        """N(uv) = N(u) N(v); a norm that is not real fails it."""
+        try:
+            return octonion_norm(O, O.elem_mul(u, v)) == octonion_norm(O, u) * octonion_norm(O, v)
+        except ValueError:
+            return False
+
     def norm_pairs():
         for a in range(8):
-            na = octonion_norm(O, {a: one})
             for b in range(8):
-                ab = O.elem_mul({a: one}, {b: one})
-                if octonion_norm(O, ab) != na * octonion_norm(O, {b: one}):
+                if not multiplicative({a: one}, {b: one}):
                     yield 1, "(%s,%s)" % (O.labels[a], O.labels[b])
 
     def norm_seeded():
@@ -234,8 +239,7 @@ def _octonions(rng, order, theta):
             v = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
             u = {i: c for i, c in u.items() if c}
             v = {i: c for i, c in v.items() if c}
-            w = O.elem_mul(u, v)
-            if octonion_norm(O, w) != octonion_norm(O, u) * octonion_norm(O, v):
+            if not multiplicative(u, v):
                 yield 1, "trial %d" % t
 
     def sign_census():

@@ -597,13 +597,168 @@ def _count_muls(monkeypatch):
 
 
 def test_dsquared_forms_no_inverse_it_throws_away(monkeypatch):
-    # d of a 1-cochain: 2 products for d(c), 2 for its inverse; d of that
-    # 2-cochain: 3 products, and no inverse of d^2(c)
+    # a passing 1-cochain: 2 products for X = d(c) alone, then its even
+    # faces D0 D2 (1) against its odd faces D3 D1 (1), and no inverse of X
     KD4 = group_algebra(dihedral_4())
     c = random_invertible_element_cochain(KD4, random.Random(5))
     calls = _count_muls(monkeypatch)
     assert dsquared(c).eq(LegTensor.unit(KD4, 3))
-    assert len(calls) == 7
+    assert calls == [2, 2, 3, 3]
+    # a passing invariant 2-cochain over a series host: X = d(c) (3), even
+    # faces D0 D2 D4 (2) against odd faces D3 D1 (1)
+    kS3h = group_algebra(S3, SER)
+    c = random_invariant_two_cochain(kS3h, random.Random(23), group=S3)
+    del calls[:]
+    assert dsquared(c).eq(LegTensor.unit(kS3h, 4))
+    assert calls == [3, 3, 3, 4, 4, 4]
+    # the Pauli cochain fails: X (3) and its faces (3), then X^-1 (3) and
+    # the even faces times D1(X^-1) D3(X^-1) (2), one product more than
+    # forming d(c) and its inverse before d(X)
+    lab = KP8.labels
+    iX, iZ = lab.index("[iX]"), lab.index("[iZ]")
+    c = HopfCochain(
+        KP8, 2,
+        LegTensor(KP8, 2, {(iX, iZ): Fraction(1)}),
+        LegTensor(KP8, 2, {(P8.inv[iX], P8.inv[iZ]): Fraction(1)}),
+    )
+    del calls[:]
+    assert not dsquared(c).eq(LegTensor.unit(KP8, 4))
+    assert len(calls) == 11
+
+
+# ---------------------------------------------------------------------------
+# d^2 decided on faces, against the formula it replaced: d(X) for X = d(c),
+# formed with the inverse of X
+
+
+def _old_dsquared(c):
+    return coboundary(*coboundary_pair(c.value, c.inverse))
+
+
+def _grouplike_d(G, t):
+    """d of a group-like cochain t = t_1 (x) ... (x) t_n over k[G], worked out
+    in the group: each face D_i is a tuple (the identity on a new first or
+    last leg, or leg i-1 doubled), and d(t) is the legwise product of the
+    even faces of t in increasing order, then the odd faces of t^-1."""
+    e = G.identity
+    n = len(t)
+
+    def face(u, i):
+        if i == 0:
+            return (e,) + u
+        if i == n + 1:
+            return u + (e,)
+        return u[:i] + u[i - 1:]
+
+    t_inv = tuple(G.inv[x] for x in t)
+    out = (e,) * (n + 1)
+    for u, parity in ((t, 0), (t_inv, 1)):
+        for i in range(parity, n + 2, 2):
+            out = tuple(G.mul(x, y) for x, y in zip(out, face(u, i)))
+    return out
+
+
+def _monomials(G, rng, count):
+    """Seeded monomials a (x) b whose d^2, re-derived in the group, is not
+    the unit, with that closed form."""
+    pairs = [(a, b) for a in range(G.order) for b in range(G.order)]
+    rng.shuffle(pairs)
+    unit = (G.identity,) * 4
+    for a, b in pairs:
+        key = _grouplike_d(G, _grouplike_d(G, (a, b)))
+        if key != unit:
+            yield a, b, key
+            count -= 1
+            if not count:
+                return
+
+
+def _dsquared_cases(K, rng):
+    """(name, cochain) pairs: over each of the hopf-cochain suite's hosts,
+    exact at K = 0 and over the order-K series ring otherwise, two
+    1-cochains and two 2-cochains; over a group algebra a product of
+    1-cochains, legwise, and over a series host a counital and an invariant
+    2-cochain; pointwise ones over the duals."""
+    hosts = [
+        ("k[Z2^3]", group_algebra(elementary_abelian_2(3)), None),
+        ("k[S3]", KS3, S3),
+        ("k[D4]", group_algebra(dihedral_4()), None),
+        ("k[P8]", KP8, None),
+        ("dual[Z2^2]", dual_group_hopf(elementary_abelian_2(2)), None),
+    ]
+    if K == 0:
+        hosts += [("dual[S3]", dual_group_hopf(S3), None), ("dual[D4]", dual_group_hopf(dihedral_4()), None)]
+    for label, H0, grp in hosts:
+        H = H0 if K == 0 else with_series_ring(H0, K)
+        pointwise = label.startswith("dual")
+        name = "%s K=%d" % (label, K)
+        for arity in (1, 2):
+            for t in range(2):
+                if pointwise and K == 0:
+                    c = random_pointwise_cochain(H, rng, arity)
+                elif arity == 1:
+                    c = random_invertible_element_cochain(H, rng)
+                elif K == 0:
+                    a, b = (random_invertible_element_cochain(H, rng) for _ in "ab")
+                    c = HopfCochain(
+                        H, 2,
+                        LegTensor.outer(H, [dict(a.value.data), dict(b.value.data)]),
+                        LegTensor.outer(H, [dict(a.inverse.data), dict(b.inverse.data)]),
+                        _trusted=True,
+                    )
+                elif t == 0:
+                    c = random_counital_two_cochain(H, rng)
+                elif grp is not None or H.product_commutes():
+                    c = random_invariant_two_cochain(H, rng, group=grp)
+                else:
+                    continue
+                yield "%s arity %d #%d" % (name, arity, t), c
+
+
+def _assert_dsquared_agrees(name, c):
+    unit = LegTensor.unit(c.host, c.arity + 2)
+    got, want = dsquared(c), _old_dsquared(c)
+    assert got.eq(want), name
+    rg, rw = got.sub(unit), want.sub(unit)
+    assert (rg.term_count(), key_witness(rg)) == (rw.term_count(), key_witness(rw)), name
+    # the faces decide d^2 as the inverse form does
+    even, odd = hopf_cochain._faces(coboundary(c.value, c.inverse))
+    assert even.eq(odd) == want.eq(unit), name
+    return want.eq(unit)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_dsquared_on_faces_agrees_with_the_inverse_form(K):
+    rng = random.Random(3500 + K)
+    verdicts = set()
+    for name, c in _dsquared_cases(K, rng):
+        verdicts.add(_assert_dsquared_agrees(name, c))
+    # some of the cochains are not invariant, and their d^2 is not the unit
+    # unless K = 1: the hbar term of d^2(1 + hbar u) is the linear d^2 of u
+    assert verdicts == ({True} if K == 1 else {True, False})
+
+
+def test_dsquared_on_faces_agrees_on_counterexamples():
+    lab = KP8.labels
+    iX, iZ = lab.index("[iX]"), lab.index("[iZ]")
+    pauli = HopfCochain(
+        KP8, 2,
+        LegTensor(KP8, 2, {(iX, iZ): Fraction(1)}),
+        LegTensor(KP8, 2, {(P8.inv[iX], P8.inv[iZ]): Fraction(1)}),
+    )
+    assert not _assert_dsquared_agrees("pauli", pauli)
+    rng = random.Random(3600)
+    D4 = dihedral_4()
+    for G, H in ((S3, KS3), (D4, group_algebra(D4)), (P8, KP8)):
+        for a, b, key in _monomials(G, rng, 4):
+            c = HopfCochain(
+                H, 2,
+                LegTensor(H, 2, {(a, b): Fraction(1)}),
+                LegTensor(H, 2, {(G.inv[a], G.inv[b]): Fraction(1)}),
+            )
+            name = "%s %s (x) %s" % (H.name, G.labels[a], G.labels[b])
+            assert not _assert_dsquared_agrees(name, c)
+            assert dsquared(c).eq(LegTensor(H, 4, {key: Fraction(1)})), name
 
 
 def test_twist_and_verify_quasi_product_count(monkeypatch):
@@ -876,8 +1031,8 @@ def test_compare_first_checks_agree_with_subtract_first(K, monkeypatch):
 def test_passing_checks_subtract_nothing_and_read_no_values(monkeypatch):
     # at conductor 1 a passing check compares pieces and forms no
     # difference; over a noncommuting product the twisted coproduct stays
-    # integer pieces, so twist and verify_quasi build no value (the gauge
-    # action reads the values of g, as it always has)
+    # integer pieces, so twist and verify_quasi build no value; the gauge
+    # action forms Delta(g) and g (x) g on pieces, and reads no value either
     from hopftwist import multilinear
 
     subs, values = [], []
@@ -897,7 +1052,9 @@ def test_passing_checks_subtract_nothing_and_read_no_values(monkeypatch):
                     assert values == [], H.name
                 outcomes.append(hopf_cochain.counital_report(F))
                 outcomes.append(cocycle_report(hopf_coboundary(g)))
+                before = len(values)
                 outcomes.append(gauge_equivariance_report(g, F))
+                assert len(values) == before, H.name
                 if H.product_commutes():
                     outcomes.append(hopf_cochain.invariant_report(F))
             assert all(ck.ok for ck in outcomes), (H.name, [ck.id for ck in outcomes if not ck.ok])

@@ -362,6 +362,32 @@ def test_octonion_checks_count_every_failure(monkeypatch):
     }
 
 
+def test_octonion_norm_off_the_real_line_fails_its_input(monkeypatch, capsys):
+    # e3 e5 alone negated: u u-bar leaves the real line for every seeded
+    # pair, each such pair is a failing input, and the suite still reports
+    # and exits 1
+    from hopftwist.cli import main
+
+    real = group_cohomology.fano_octonions
+
+    def faulty():
+        G8, fano, O = real()
+        O.mult[(3, 5)] = {k: -v for k, v in O.mult[(3, 5)].items()}
+        return G8, fano, O
+
+    monkeypatch.setattr(group_cohomology, "fano_octonions", faulty)
+    with pytest.raises(ValueError):
+        group_cohomology.octonion_norm(faulty()[2], {3: Fraction(1), 5: Fraction(1)})
+    assert main(["verify", "octonions"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert failing(run_suite("octonions").checks) == {
+        "quasi-associativity-512": (26, "(e1,e2,e5)"),
+        "alternativity-basis": (4, "(e3,e5)"),
+        "norm-seeded-100": (100, "trial 0"),
+    }
+
+
 @pytest.mark.parametrize(
     "key,value,expect",
     [
