@@ -5,9 +5,10 @@ hopftwist verify <suite> [--order K] [--theta EXPR] [--seed N]
 hopftwist describe <file.json>
 hopftwist octonion-table [--csv PATH]
 
-Exit codes: 0 all checks passed, 1 at least one failed, 2 malformed input
-(unknown suite, unparsable scalar, schema violation, unreadable file) or
-a computation refused as too costly (InverseTooCostly, SolveTooCostly).
+Exit codes: 0 all checks passed, 1 at least one failed or raised, 2
+malformed input (unknown suite, unparsable scalar, schema violation,
+unreadable file) or a computation refused as too costly
+(InverseTooCostly, SolveTooCostly).
 """
 
 import argparse
@@ -39,7 +40,7 @@ def _build_parser():
     v.add_argument("--theta", default=None, help="deformation parameter expression")
     v.add_argument("--seed", type=int, default=None, help="seed for sampled inputs")
     v.add_argument("--json", dest="json_path", default=None, help="write the JSON report here ('-' for stdout)")
-    v.add_argument("--timings", action="store_true", help="include elapsed time in the report")
+    v.add_argument("--timings", action="store_true", help="time each check and print the five slowest")
 
     d = sub.add_parser("describe", help="summarize a JSON document")
     d.add_argument("file", help="path to the document")
@@ -62,6 +63,9 @@ def _cmd_verify(args):
             )
     passed = sum(1 for c in rep.checks if c.ok)
     print("%d/%d checks passed (seed %d)" % (passed, len(rep.checks), rep.seed))
+    if args.timings:
+        for c in sorted(rep.checks, key=lambda c: c.elapsed_ms, reverse=True)[:5]:
+            print("slow  %10.3f ms  %s" % (c.elapsed_ms, c.id))
     if args.json_path:
         text = rep.to_json(timings=args.timings)
         if args.json_path == "-":

@@ -7,6 +7,10 @@ residual is the sum over the failing inputs, and the witness is the first
 failing input's, in the order the check visits them.  The associativity
 and quasi-associativity checks visit their triples out of order and tally
 them sorted, so that they name the least failing triple.
+
+suites.run_suite sets each check's elapsed_ms, the time in milliseconds
+from the check before it; a report carries it, and the suite's own
+elapsed_ms, only under to_dict(timings=True).
 """
 
 import json
@@ -18,13 +22,14 @@ def key_repr(t):
 
 
 class CheckOutcome:
-    __slots__ = ("id", "status", "residual_term_count", "witness")
+    __slots__ = ("id", "status", "residual_term_count", "witness", "elapsed_ms")
 
     def __init__(self, id, status, residual_term_count, witness=None):
         self.id = id
         self.status = status
         self.residual_term_count = residual_term_count
         self.witness = witness
+        self.elapsed_ms = None
 
     @staticmethod
     def from_residual(id, residual_count, witness=None):
@@ -56,7 +61,7 @@ class CheckOutcome:
     def ok(self):
         return self.status == "pass"
 
-    def to_dict(self):
+    def to_dict(self, timings=False):
         d = {
             "id": self.id,
             "status": self.status,
@@ -64,6 +69,8 @@ class CheckOutcome:
         }
         if self.witness is not None:
             d["witness"] = self.witness
+        if timings and self.elapsed_ms is not None:
+            d["elapsed_ms"] = self.elapsed_ms
         return d
 
     def __repr__(self):
@@ -88,7 +95,7 @@ class SuiteReport:
     def to_dict(self, timings=False):
         d = {
             "suite": self.suite,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c.to_dict(timings) for c in self.checks],
             "seed": self.seed,
         }
         if timings and self.elapsed_ms is not None:

@@ -1,8 +1,20 @@
 """Named verification suites behind the command line interface.
 
-Each suite builds its objects from scratch, runs a fixed battery of exact
-checks, and returns a SuiteReport.  Reports are deterministic: the same
-seed yields byte-identical JSON (timing is only attached on request).
+Each suite body is a generator: it builds its objects from scratch and
+yields each CheckOutcome where the check is decided, in report order.
+run_suite, for one suite and for 'all' alike, gives each body a fresh
+random.Random(seed), prefixes ids with the suite's name under 'all', and
+is the one exception boundary: InverseTooCostly and SolveTooCostly end
+the run (the CLI exits 2), and any other exception ends that suite with
+one 'error' outcome, id 'raised', witness '<ExceptionClass>: <message>',
+after the checks it yielded; under 'all' the later suites still run.
+
+A check's elapsed_ms is the time from the previous yield of the run (or
+its start) to its own, set-up included.  A battery that returns its
+checks as a list (multilinear.verify_hopf and verify_algebra,
+pbw.moyal_suite) bills all of its time to its first check.  Reports are
+deterministic: the same seed yields byte-identical JSON, and timing is
+only attached on request.
 
 Each body imports the modules it uses inside the function, so one
 ``verify <suite>`` process loads, and without bytecode compiles, only the
@@ -13,7 +25,7 @@ import random
 import time
 from fractions import Fraction
 
-from .errors import SchemaError, UnknownSuite
+from .errors import InverseTooCostly, SchemaError, SolveTooCostly, UnknownSuite
 from .grammar import hbar_valuation_bound, parse, render
 from .reporting import CheckOutcome, SuiteReport, key_repr
 from .scalars import Series, TauLaurent, root_of_unity, series_exp, theta_ok
@@ -65,7 +77,7 @@ def _rand_zak(order, degree, rng, terms=2):
 
 
 def _prefix(label, checks):
-    return [c.renamed("%s:%s" % (label, c.id)) for c in checks]
+    return (c.renamed("%s:%s" % (label, c.id)) for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +110,19 @@ def _hopf_axioms(rng, order, theta):
         ("D4", dihedral_4()),
         ("P8", pauli_8()),
     ]
-    checks = []
     for name, G in groups:
-        checks.extend(_prefix("k[%s]" % name, verify_hopf(group_algebra(G))))
+        yield from _prefix("k[%s]" % name, verify_hopf(group_algebra(G)))
     for name, G in groups:
-        checks.extend(_prefix("dual[%s]" % name, verify_hopf(dual_group_hopf(G))))
+        yield from _prefix("dual[%s]" % name, verify_hopf(dual_group_hopf(G)))
     for p in (2, 3, 5):
-        checks.extend(_prefix("taft%d" % p, verify_hopf(taft(p))))
+        yield from _prefix("taft%d" % p, verify_hopf(taft(p)))
     B = shuffle_bialgebra(2, 4)
-    checks.extend(_prefix("shuffle", verify_hopf(B)))
-    checks.extend(_prefix("shuffle", word_pin_report(B)))
-    checks.extend(_prefix("pareigis4", verify_hopf(pareigis_window(4))))
+    yield from _prefix("shuffle", verify_hopf(B))
+    yield from _prefix("shuffle", word_pin_report(B))
+    yield from _prefix("pareigis4", verify_hopf(pareigis_window(4)))
     for name, G in groups:
-        checks.extend(_prefix("pairing[%s]" % name, dual_pairing_report(G)))
-    checks.extend(_prefix("z2-dual-iso", z2_dual_iso_report()))
-    return checks
+        yield from _prefix("pairing[%s]" % name, dual_pairing_report(G))
+    yield from _prefix("z2-dual-iso", z2_dual_iso_report())
 
 
 def _group_cohomology(rng, order, theta):
@@ -131,7 +141,6 @@ def _group_cohomology(rng, order, theta):
     )
     from .multilinear import verify_algebra
 
-    checks = []
     hosts = [
         ("Z3", cyclic_group(3)),
         ("S3", symmetric_3()),
@@ -147,25 +156,23 @@ def _group_cohomology(rng, order, theta):
 
     for name, G in hosts:
         for arity in (1, 2):
-            checks.append(CheckOutcome.tally(
+            yield CheckOutcome.tally(
                 "ddelta-trivial:%s:arity%d" % (name, arity), ddelta(G, arity)
-            ))
+            )
         c1 = random_group_cochain(G, 1, rng)
         out = is_cocycle(group_coboundary(c1))
-        checks.append(out.renamed("coboundary-closed:%s" % name))
+        yield out.renamed("coboundary-closed:%s" % name)
 
     # a coboundary twist gives an associative algebra, the Fano cochain not;
     # normalizing F(e) = 1 makes dF unital, so the twist exists on every seed
     S3 = symmetric_3()
     dF = group_coboundary(normalized(random_group_cochain(S3, 1, rng)))
     _, assoc = verify_algebra(twisted_group_algebra(S3, dF))
-    checks.append(assoc.renamed("twist-assoc-iff-cocycle:pos"))
+    yield assoc.renamed("twist-assoc-iff-cocycle:pos")
     _, _, oct_algebra = fano_octonions()
     _, assoc = verify_algebra(oct_algebra)
-    checks.append(
-        CheckOutcome.from_residual(
-            "twist-assoc-iff-cocycle:neg", 0 if not assoc.ok else 1, "associative"
-        )
+    yield CheckOutcome.from_residual(
+        "twist-assoc-iff-cocycle:neg", 0 if not assoc.ok else 1, "associative"
     )
 
     for theta_q in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
@@ -173,25 +180,20 @@ def _group_cohomology(rng, order, theta):
         F, W = torus_cochain(theta_q, 5)
         out = is_cocycle(F, window=W)
         failed = [o for o in (out if isinstance(out, list) else [out]) if not o.ok]
-        checks.append(
-            CheckOutcome.from_residual(
-                "%s:cocycle" % tag,
-                len(failed),
-                "%s at %s" % (failed[0].id, failed[0].witness) if failed else None,
-            )
+        yield CheckOutcome.from_residual(
+            "%s:cocycle" % tag,
+            len(failed),
+            "%s at %s" % (failed[0].id, failed[0].witness) if failed else None,
         )
         u = is_unital(F)
-        checks.append(u.renamed("%s:unital" % tag))
+        yield u.renamed("%s:unital" % tag)
         rep = TorusWindowAlgebra(F, W).commutation_report()
-        checks.append(rep.renamed("%s:commutation" % tag))
+        yield rep.renamed("%s:commutation" % tag)
         want = root_of_unity(theta_q.numerator, 2 * theta_q.denominator)
         found = F.value((1, 0), (0, 1))
-        checks.append(
-            CheckOutcome.from_residual(
-                "%s:uv-phase-exact" % tag, 0 if found == want else 1, render(found)
-            )
+        yield CheckOutcome.from_residual(
+            "%s:uv-phase-exact" % tag, 0 if found == want else 1, render(found)
         )
-    return checks
 
 
 def _octonions(rng, order, theta):
@@ -207,7 +209,8 @@ def _octonions(rng, order, theta):
     _, fano, O = fano_octonions()
     one = Fraction(1)
     unit, quasi = verify_algebra(O, associator=O.associator)
-    checks = [unit, quasi.renamed("quasi-associativity-512")]
+    yield unit
+    yield quasi.renamed("quasi-associativity-512")
 
     def alternativity():
         for a in range(8):
@@ -254,10 +257,10 @@ def _octonions(rng, order, theta):
         if other is not None:
             yield 1, "m(%d,%d,%d) = %s" % (*other, render(table[other]))
 
-    checks.append(CheckOutcome.tally("alternativity-basis", alternativity()))
-    checks.append(CheckOutcome.tally("norm-basis-pairs", norm_pairs()))
-    checks.append(CheckOutcome.tally("norm-seeded-100", norm_seeded()))
-    checks.append(CheckOutcome.tally("coboundary-sign-census", sign_census()))
+    yield CheckOutcome.tally("alternativity-basis", alternativity())
+    yield CheckOutcome.tally("norm-basis-pairs", norm_pairs())
+    yield CheckOutcome.tally("norm-seeded-100", norm_seeded())
+    yield CheckOutcome.tally("coboundary-sign-census", sign_census())
 
     # the Fano cochain must be unital and not closed; a failure names which
     unital = is_unital(fano)
@@ -265,12 +268,9 @@ def _octonions(rng, order, theta):
         witness = "closed"
     else:
         witness = None if unital.ok else "not unital at %s" % unital.witness
-    checks.append(
-        CheckOutcome.from_residual(
-            "twist-not-closed", 0 if witness is None else 1, witness
-        )
+    yield CheckOutcome.from_residual(
+        "twist-not-closed", 0 if witness is None else 1, witness
     )
-    return checks
 
 
 def _counterexample(name, got, expect, unit, first_key):
@@ -375,23 +375,20 @@ def _hopf_cochain(rng, order, theta):
                 if not ck.ok:
                     yield 1, "%s trial %d" % (ck.id, t)
 
-    checks = [
-        CheckOutcome.tally("dsquared-unit:%s" % label, unit_trials(H, label.startswith("dual")))
-        for label, H, _, _ in hosts
-    ]
-    checks += [
-        CheckOutcome.tally("dsquared-invariant:%s+h" % label, invariant_trials(H, grp, count))
-        for (label, _, grp, count), H in zip(hosts, series)
-        if count
-    ]
-    checks.append(_pauli_counterexample())
-    checks.append(_pbw_counterexample())
-    checks += [
-        CheckOutcome.tally("twist-quasi:%s" % label, twist_trials(H))
-        for (label, _, _, _), H in zip(hosts, series)
-    ]
-    checks.append(_octonion_module_twist())
-    return checks
+    for label, H, _, _ in hosts:
+        yield CheckOutcome.tally(
+            "dsquared-unit:%s" % label, unit_trials(H, label.startswith("dual"))
+        )
+    for (label, _, grp, count), H in zip(hosts, series):
+        if count:
+            yield CheckOutcome.tally(
+                "dsquared-invariant:%s+h" % label, invariant_trials(H, grp, count)
+            )
+    yield _pauli_counterexample()
+    yield _pbw_counterexample()
+    for (label, _, _, _), H in zip(hosts, series):
+        yield CheckOutcome.tally("twist-quasi:%s" % label, twist_trials(H))
+    yield _octonion_module_twist()
 
 
 def _octonion_module_twist():
@@ -439,7 +436,6 @@ def _pbw_gcl(rng, order, theta):
     )
 
     order = 4 if order is None else order
-    checks = []
 
     def seeded():
         for t in range(5):
@@ -450,7 +446,7 @@ def _pbw_gcl(rng, order, theta):
             except RuntimeError:
                 yield 1, "pair %d" % t
 
-    checks.append(CheckOutcome.tally("coassociator-seeded", seeded()))
+    yield CheckOutcome.tally("coassociator-seeded", seeded())
 
     th = Series(order, {1: Fraction(2, 3)})
     lam = th * TauLaurent.tau(-1)
@@ -458,62 +454,50 @@ def _pbw_gcl(rng, order, theta):
     expected = pbw_exp(
         PBWTensor(-1, order, 3, {((1, 0, 0), (0, 0, 1), (0, 1, 0)): -(lam * lam)})
     )
-    checks.append(
-        CheckOutcome.from_residual(
-            "equal-angle-closed-form",
-            0 if phi.eq(expected) else 1,
-            key_repr(phi.sub(expected)),
-        )
+    yield CheckOutcome.from_residual(
+        "equal-angle-closed-form",
+        0 if phi.eq(expected) else 1,
+        key_repr(phi.sub(expected)),
     )
 
     z = Series.zero(order)
     resid = gcl_coassociator(z, z, order).sub(PBWTensor.unit(-1, order, 3))
-    checks.append(
-        CheckOutcome.from_residual(
-            "zero-angle-trivial", resid.term_count(), key_repr(resid)
-        )
+    yield CheckOutcome.from_residual(
+        "zero-angle-trivial", resid.term_count(), key_repr(resid)
     )
 
     th1 = Series(order, {1: 1})
     ck = gcl_cocycle_report(th1, order)
-    checks.append(
-        CheckOutcome.from_residual(
-            "twist-not-cocycle",
-            0 if (not ck.ok and ck.residual_term_count > 0) else 1,
-            ck.witness,
-        )
+    yield CheckOutcome.from_residual(
+        "twist-not-cocycle",
+        0 if (not ck.ok and ck.residual_term_count > 0) else 1,
+        ck.witness,
     )
     ck2 = gcl_equivariance_report(th1, order)
-    checks.append(
-        CheckOutcome.from_residual(
-            "twist-not-equivariant",
-            0 if (not ck2.ok and ck2.witness) else 1,
-            ck2.witness,
-        )
+    yield CheckOutcome.from_residual(
+        "twist-not-equivariant",
+        0 if (not ck2.ok and ck2.witness) else 1,
+        ck2.witness,
     )
     ck = gcl_cocycle_report(z, order)
     if ck.ok:
         ck = gcl_equivariance_report(z, order)
-    checks.append(
-        CheckOutcome.from_residual(
-            "zero-angle-is-cocycle",
-            0 if ck.ok else 1,
-            None if ck.ok else "%s at %s" % (ck.id, ck.witness),
-        )
+    yield CheckOutcome.from_residual(
+        "zero-angle-is-cocycle",
+        0 if ck.ok else 1,
+        None if ck.ok else "%s at %s" % (ck.id, ck.witness),
     )
-    return checks
 
 
 def _moyal(rng, order, theta):
     from .pbw import bch_report, moyal_suite
 
     order = 5 if order is None else order
-    checks = list(moyal_suite(order))
+    yield from moyal_suite(order)
     for kappa in (1, -1):
         for o in range(2, 7):
             ck = bch_report(kappa, o)
-            checks.append(ck.renamed("kappa%+d:%s" % (kappa, ck.id)))
-    return checks
+            yield ck.renamed("kappa%+d:%s" % (kappa, ck.id))
 
 
 def _graded_galois(rng, order, theta):
@@ -528,7 +512,6 @@ def _graded_galois(rng, order, theta):
         window_products_report,
     )
 
-    checks = []
     for name, ga, expect in battery():
         n = ga.grading.order
         verdicts = {
@@ -539,39 +522,34 @@ def _graded_galois(rng, order, theta):
             "canonical-map": canonical_map(ga).bijective,
             "smeb": all(c.ok for g in range(n) for c in smeb_check(ga, g)),
         }
-        checks.append(_fourway("fourway:%s" % name, verdicts, expect))
+        yield _fourway("fourway:%s" % name, verdicts, expect)
     for name, ga, expect in window_battery():
         verdicts = {
             "strong-grading": strong_grading(ga).strong,
             "smeb": all(c.ok for g in (1, -1) for c in smeb_check(ga, g)),
         }
-        checks.append(_fourway("fourway-window:%s" % name, verdicts, expect))
+        yield _fourway("fourway-window:%s" % name, verdicts, expect)
 
     weak = [
         name
         for name, ga, _ in battery()
         if name.endswith("crossed") and not strong_grading(ga).strong
     ]
-    checks.append(
-        CheckOutcome.from_residual(
-            "crossed-products-strong", len(weak), ",".join(weak)
-        )
+    yield CheckOutcome.from_residual(
+        "crossed-products-strong", len(weak), ",".join(weak)
     )
 
     for name, ga, _ in battery():
         rep = ideal_property_report(ga)
-        checks.append(rep.renamed("ideal:%s:%s" % (name, rep.id)))
+        yield rep.renamed("ideal:%s:%s" % (name, rep.id))
     # component products span iff the window grading is strong
     for name, ga, expect in window_battery():
         rep = window_products_report(ga)
-        checks.append(
-            CheckOutcome.from_residual(
-                "window-products-iff-strong:%s" % name,
-                0 if rep.ok == expect else 1,
-                rep.witness,
-            )
+        yield CheckOutcome.from_residual(
+            "window-products-iff-strong:%s" % name,
+            0 if rep.ok == expect else 1,
+            rep.witness,
         )
-    return checks
 
 
 def _fourway(id, verdicts, expect):
@@ -587,9 +565,9 @@ def _sharp_map(rng, order, theta):
     from .graded import sharp, sharp_laws
 
     tuples = [entries for n in range(1, 5) for entries in product(range(1, 5), repeat=n)]
-    checks = [CheckOutcome.tally("laws-exhaustive-%d-tuples" % len(tuples), (
+    yield CheckOutcome.tally("laws-exhaustive-%d-tuples" % len(tuples), (
         (1, repr(entries)) for entries in tuples for ck in sharp_laws(entries) if not ck.ok
-    ))]
+    ))
 
     frozen = [
         ((1, 2, 3), (6, 3, 2)),
@@ -597,12 +575,9 @@ def _sharp_map(rng, order, theta):
         ((4,), (1,)),
     ]
     wrong = [inp for inp, out in frozen if sharp(inp) != out]
-    checks.append(
-        CheckOutcome.from_residual(
-            "frozen-examples", len(wrong), repr(wrong[0]) if wrong else None
-        )
+    yield CheckOutcome.from_residual(
+        "frozen-examples", len(wrong), repr(wrong[0]) if wrong else None
     )
-    return checks
 
 
 def _heis_torus(rng, order, theta):
@@ -619,7 +594,6 @@ def _heis_torus(rng, order, theta):
     order = 4 if order is None else order
     if theta is None:
         theta = Series.hbar(order)
-    checks = []
     tau = TauLaurent.tau()
 
     U = HeisElement.monomial(order, m=1)
@@ -627,9 +601,7 @@ def _heis_torus(rng, order, theta):
     uv = star(U, V, theta)
     vu = star(V, U, theta)
     resid = uv.sub(vu.scale(series_exp(theta * tau)))
-    checks.append(
-        CheckOutcome.from_residual("uv-commutation", resid.term_count(), key_repr(resid))
-    )
+    yield CheckOutcome.from_residual("uv-commutation", resid.term_count(), key_repr(resid))
 
     def reparam(n, th, a, b, c):
         # alpha_n(theta) makes (a, b, c) associative; no perturbation of it
@@ -649,45 +621,41 @@ def _heis_torus(rng, order, theta):
             a = _rand_heis(order, rng, terms=2)
             b = _rand_heis(order, rng, terms=2, degree=n)
             c = _rand_heis(order, rng, terms=2)
-            checks.append(CheckOutcome.tally(
+            yield CheckOutcome.tally(
                 "reparam-iff:n=%d:theta=%s" % (n, tag), reparam(n, th, a, b, c)
-            ))
+            )
 
     t5 = Series(5, {1: 1, 2: Fraction(1, 3)})
-    checks.append(CheckOutcome.tally("alpha-composition-order5", (
+    yield CheckOutcome.tally("alpha-composition-order5", (
         (1, "j=%d,k=%d" % (j, k)) for j in (-2, 1, 3) for k in (-1, 2)
         if alpha(alpha(t5, k), j) != alpha(t5, j + k)
-    )))
+    ))
 
     for n in (1, 2):
         f = _rand_zak(order, n, rng)
         lhs = zak_act_left("UV", f, theta)
         rhs = zak_act_left("VU", f, theta)
         resid = lhs.sub(rhs.scale(series_exp(alpha(theta, n) * tau)))
-        checks.append(
-            CheckOutcome.from_residual(
-                "zak-left-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
-            )
+        yield CheckOutcome.from_residual(
+            "zak-left-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
         )
         f2 = _rand_zak(order, n, rng)
         lhs = zak_act_right("UV", f2, theta)
         rhs = zak_act_right("VU", f2, theta)
         resid = lhs.sub(rhs.scale(series_exp(theta * tau)))
-        checks.append(
-            CheckOutcome.from_residual(
-                "zak-right-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
-            )
+        yield CheckOutcome.from_residual(
+            "zak-right-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
         )
 
     t3 = Series.hbar(3)
     h1 = _rand_zak(3, 1, rng)
     h2 = _rand_zak(3, 1, rng)
     that = alpha(t3, -1)
-    checks.append(CheckOutcome.tally("pairing-balanced", (
+    yield CheckOutcome.tally("pairing-balanced", (
         (1, w) for w in ("U", "V", "UV", "VU")
         if zak_pair(zak_act_right(w, h1, t3), h2, t3)
         != zak_pair(h1, zak_act_left(w, h2, that), t3)
-    )))
+    ))
 
     def bimodule():
         for w in ("U", "V", "UV"):
@@ -700,21 +668,20 @@ def _heis_torus(rng, order, theta):
             ):
                 yield 1, "%s:right" % w
 
-    checks.append(CheckOutcome.tally("pairing-bimodule", bimodule()))
+    yield CheckOutcome.tally("pairing-bimodule", bimodule())
 
     thp = alpha(theta, 1)
     a = _rand_heis(order, rng, terms=2, degree=0)
     b = _rand_heis(order, rng, terms=2, degree=0)
     f = _rand_heis(order, rng, terms=2, degree=1)
-    checks.append(CheckOutcome.tally("monomial-bimodule", (
+    yield CheckOutcome.tally("monomial-bimodule", (
         (1, tag) for tag, x, y, z, t, tp in (
             ("a*f*b", a, f, b, theta, thp),
             ("a*b*f", a, b, f, thp, thp),
             ("f*a*b", f, a, b, theta, theta),
         )
         if not assoc_residual(x, y, z, t, tp).is_zero()
-    )))
-    return checks
+    ))
 
 
 _BODIES = {
@@ -793,25 +760,37 @@ def _check_theta(theta, order):
     return value
 
 
+def _contained(body, rng, order, theta):
+    """The checks body yields, then one error outcome if it raises; a
+    computation refused as too costly still ends the run."""
+    try:
+        yield from body(rng, order, theta)
+    except (InverseTooCostly, SolveTooCostly):
+        raise
+    except Exception as e:
+        yield CheckOutcome.error("raised", "%s: %s" % (type(e).__name__, e))
+
+
 def run_suite(name, order=None, theta=None, seed=None):
-    """Run one named suite (or 'all') and return its SuiteReport."""
-    order = _check_order(name, order)
-    seed = DEFAULT_SEED if seed is None else seed
-    started = time.monotonic()
-    if name == "all":
-        checks = []
-        theta_v = _check_theta(theta, order)
-        for sub in SUITE_NAMES:
-            body = _BODIES[sub](random.Random(seed), order, theta_v)
-            checks.extend(_prefix(sub, body))
-    elif name in _BODIES:
-        rng = random.Random(seed)
-        theta_v = _check_theta(theta, order)
-        checks = _BODIES[name](rng, order, theta_v)
-    else:
+    """Run one named suite (or 'all') and return its SuiteReport, each check
+    timed from the one before it."""
+    if name != "all" and name not in SUITE_NAMES:
         raise UnknownSuite(
             "unknown suite %r; choose from %s or 'all'"
             % (name, ", ".join(SUITE_NAMES))
         )
+    order = _check_order(name, order)
+    theta = _check_theta(theta, order)
+    seed = DEFAULT_SEED if seed is None else seed
+    outcomes = []
+    started = last = time.monotonic()
+    for sub in SUITE_NAMES if name == "all" else (name,):
+        label = sub + ":" if name == "all" else ""
+        for ck in _contained(_BODIES[sub], random.Random(seed), order, theta):
+            now = time.monotonic()
+            ck = ck.renamed(label + ck.id)
+            ck.elapsed_ms = round((now - last) * 1000, 3)
+            outcomes.append(ck)
+            last = now
     elapsed = int((time.monotonic() - started) * 1000)
-    return SuiteReport(name, checks, seed, elapsed_ms=elapsed)
+    return SuiteReport(name, outcomes, seed, elapsed_ms=elapsed)

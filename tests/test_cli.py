@@ -12,6 +12,7 @@ import pytest
 from hopftwist import suites
 from hopftwist.cli import main
 from hopftwist.errors import InverseTooCostly, SolveTooCostly
+from hopftwist.reporting import CheckOutcome
 from hopftwist.suites import SUITE_NAMES
 
 
@@ -31,6 +32,7 @@ def test_verify_writes_json_report(tmp_path, capsys):
     assert doc["seed"] == 1729
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert "elapsed_ms" not in doc
+    assert not any("elapsed_ms" in c for c in doc["checks"])
 
 
 def test_verify_json_to_stdout_and_seed(capsys):
@@ -42,9 +44,51 @@ def test_verify_json_to_stdout_and_seed(capsys):
 
 def test_verify_timings_flag(tmp_path, capsys):
     path = tmp_path / "report.json"
-    assert main(["verify", "sharp-map", "--json", str(path), "--timings"]) == 0
-    capsys.readouterr()
-    assert "elapsed_ms" in json.loads(path.read_text())
+    assert main(["verify", "octonions", "--json", str(path), "--timings"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    assert "elapsed_ms" in doc
+    times = {c["id"]: c["elapsed_ms"] for c in doc["checks"]}
+    assert len(times) == 7
+    assert all(isinstance(t, float) and t >= 0 for t in times.values())
+    # the five slowest checks follow the summary line, slowest first
+    lines = out.splitlines()
+    slow = lines[lines.index("7/7 checks passed (seed 1729)") + 1:]
+    assert len(slow) == 5
+    listed = [line.split() for line in slow]
+    assert all(word == "slow" and unit == "ms" for word, _, unit, _ in listed)
+    assert [float(ms) for _, ms, _, _ in listed] == sorted(times.values(), reverse=True)[:5]
+    assert all(times[id] == float(ms) for _, ms, _, id in listed)
+
+
+def test_verify_prints_no_timings_unless_asked(capsys):
+    assert main(["verify", "octonions"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "7/7 checks passed (seed 1729)"
+    assert " ms " not in out
+
+
+def test_verify_a_check_that_raises_exits_one_without_traceback(monkeypatch, capsys):
+    def boom(rng, order, theta):
+        yield CheckOutcome.from_residual("before", 0)
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(suites._BODIES, "sharp-map", boom)
+    assert main(["verify", "sharp-map"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "pass  before",
+        "ERROR raised  residual=-1  [RuntimeError: boom]",
+        "1/2 checks passed (seed 1729)",
+    ]
+    assert captured.err == ""
+
+
+def test_verify_unknown_suite_is_named_before_its_order(capsys):
+    assert main(["verify", "bogus", "--order", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown suite 'bogus'")
+    assert captured.out == ""
 
 
 def test_verify_reports_are_byte_identical(tmp_path, capsys):

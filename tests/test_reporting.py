@@ -1,5 +1,6 @@
-"""CheckOutcome.tally, the one rule for a check over many inputs, and a
-scan that keeps it the only one."""
+"""CheckOutcome.tally, the one rule for a check over many inputs, a scan
+that keeps it the only one, and a scan that keeps each suite body yielding
+its checks to run_suite."""
 
 import re
 from pathlib import Path
@@ -47,14 +48,34 @@ HAND_ROLLED = [
 ]
 
 
+# A suite body that builds its list of checks by hand instead of yielding
+# each one to run_suite.
+LIST_BUILDERS = [
+    re.compile(r"\bchecks\s*=\s*\["),
+    re.compile(r"\bchecks\s*\+="),
+    re.compile(r"\bchecks\.(append|extend)\("),
+    re.compile(r"\breturn\s+checks\b"),
+]
+
+
+def _lines(patterns, source):
+    return sorted(
+        source.count("\n", 0, m.start()) + 1
+        for pattern in patterns
+        for m in pattern.finditer(source)
+    )
+
+
 def hand_rolled_counters(source):
     """The 1-based lines of source where a hand-kept counter or witness
     starts."""
-    return sorted(
-        source.count("\n", 0, m.start()) + 1
-        for pattern in HAND_ROLLED
-        for m in pattern.finditer(source)
-    )
+    return _lines(HAND_ROLLED, source)
+
+
+def list_builders(source):
+    """The 1-based lines of source that start or return a list of checks
+    built by hand."""
+    return _lines(LIST_BUILDERS, source)
 
 
 def test_the_scan_sees_each_hand_rolled_form():
@@ -81,3 +102,24 @@ def test_no_module_but_reporting_keeps_a_counter_by_hand():
         if lines
     }
     assert found == {}
+
+
+def test_the_scan_sees_each_list_builder():
+    source = (
+        "checks = []\n"
+        "checks.append(ck)\n"
+        "checks = [unit, quasi]\n"
+        "checks.extend(more)\n"
+        "checks += more\n"
+        "return checks\n"
+        "yield ck\n"
+        "for c in checks:\n"
+        "yield from _prefix(label, checks)\n"
+        "return checks_of(x)\n"
+        "checks == []\n"
+    )
+    assert list_builders(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_no_suite_body_builds_its_list_of_checks():
+    assert list_builders((SRC / "suites.py").read_text()) == []

@@ -428,6 +428,67 @@ def test_all_gives_each_suite_a_fresh_rng(monkeypatch):
     assert len(set(c.id.split(":")[1] for c in every.checks)) == 1
 
 
+def _before_boom(rng, order, theta):
+    yield CheckOutcome.from_residual("before", 0)
+    raise RuntimeError("boom")
+
+
+def _boom_at_call(rng, order, theta):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize(
+    "body, kept", [(_before_boom, ["before"]), (_boom_at_call, [])]
+)
+def test_a_body_that_raises_keeps_its_checks_and_ends_in_one_error(
+    monkeypatch, body, kept
+):
+    monkeypatch.setitem(suites._BODIES, "sharp-map", body)
+    rep = run_suite("sharp-map")
+    assert [c.id for c in rep.checks] == kept + ["raised"]
+    assert all(c.ok for c in rep.checks[:-1])
+    assert rep.checks[-1].to_dict() == {
+        "id": "raised",
+        "status": "error",
+        "residual_term_count": -1,
+        "witness": "RuntimeError: boom",
+    }
+    assert not rep.ok
+
+
+def test_under_all_the_other_suites_report_past_a_body_that_raises(monkeypatch):
+    monkeypatch.setitem(suites._BODIES, "octonions", _before_boom)
+    every = run_suite("all")
+    by_suite = {}
+    for c in every.checks:
+        name, _, id = c.id.partition(":")
+        by_suite.setdefault(name, []).append(id)
+    assert list(by_suite) == list(SUITE_NAMES)
+    assert by_suite.pop("octonions") == ["before", "raised"]
+    for name, ids in by_suite.items():
+        assert ids == [c.id for c in report(name).checks], name
+    assert not every.ok
+
+
+def test_each_check_is_timed_from_the_one_before(monkeypatch):
+    clock = iter([10.0, 10.5, 12.0, 12.25, 13.0])
+    monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+
+    def body(rng, order, theta):
+        yield CheckOutcome.from_residual("a", 0)
+        yield CheckOutcome.from_residual("b", 0)
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(suites._BODIES, "sharp-map", body)
+    rep = run_suite("sharp-map")
+    assert [c.elapsed_ms for c in rep.checks] == [500.0, 1500.0, 250.0]
+    assert rep.elapsed_ms == 3000
+    assert [c.get("elapsed_ms") for c in rep.to_dict()["checks"]] == [None] * 3
+    assert [c["elapsed_ms"] for c in rep.to_dict(timings=True)["checks"]] == [
+        500.0, 1500.0, 250.0,
+    ]
+
+
 def test_dsquared_failures_name_their_trial(monkeypatch):
     # d^2 is the unit on every trial but the fourth of the first host and
     # the sixth of k[S3]+h (call 100 + 7 + 5); the twists are stubbed out,
