@@ -265,8 +265,6 @@ def group_algebra(G, ring=None):
         coproduct,
         counit,
         antipode,
-        commutative=G.is_abelian(),
-        cocommutative=True,
         name="k[G%d]" % G.order,
     )
 
@@ -299,8 +297,6 @@ def dual_group_hopf(G, ring=None):
         coproduct,
         counit,
         antipode,
-        commutative=True,
-        cocommutative=G.is_abelian(),
         name="k^G%d" % G.order,
     )
 
@@ -342,23 +338,21 @@ def z2_dual_iso_report():
                     accumulate(out, (ka, kb), c * va * vb)
         return out
 
-    return [
-        CheckOutcome.tally("z2-iso-mult", (
-            (1, "(%d,%d)" % (i, j)) for i in range(2) for j in range(2)
-            if image(H.basis_mul(i, j)) != K.elem_mul(images[i], images[j])
-        )),
-        CheckOutcome.tally("z2-iso-coproduct", (
-            (1, str(i)) for i in range(2)
-            if image2(H.basis_coproduct(i)) != K.elem_coproduct(images[i])
-        )),
-        CheckOutcome.tally("z2-iso-counit", (
-            (1, str(i)) for i in range(2) if H.counit[i] != K.elem_counit(images[i])
-        )),
-        CheckOutcome.tally("z2-iso-antipode", (
-            (1, str(i)) for i in range(2)
-            if image(H.apply_antipode({i: Fraction(1)})) != K.apply_antipode(images[i])
-        )),
-    ]
+    yield CheckOutcome.tally("z2-iso-mult", (
+        (1, "(%d,%d)" % (i, j)) for i in range(2) for j in range(2)
+        if image(H.basis_mul(i, j)) != K.elem_mul(images[i], images[j])
+    ))
+    yield CheckOutcome.tally("z2-iso-coproduct", (
+        (1, str(i)) for i in range(2)
+        if image2(H.basis_coproduct(i)) != K.elem_coproduct(images[i])
+    ))
+    yield CheckOutcome.tally("z2-iso-counit", (
+        (1, str(i)) for i in range(2) if H.counit[i] != K.elem_counit(images[i])
+    ))
+    yield CheckOutcome.tally("z2-iso-antipode", (
+        (1, str(i)) for i in range(2)
+        if image(H.apply_antipode({i: Fraction(1)})) != K.apply_antipode(images[i])
+    ))
 
 
 def dual_pairing_report(G):
@@ -421,15 +415,13 @@ def dual_pairing_report(G):
             if kg.counit[a] != pair(basis[a], kd.elem_unit()):
                 yield 1, "(%d|1)" % a
 
-    return [
-        CheckOutcome.tally("pairing-mult-coproduct", mult_coproduct()),
-        CheckOutcome.tally("pairing-coproduct-mult", coproduct_mult()),
-        CheckOutcome.tally("pairing-unit-counit", unit_counit()),
-        CheckOutcome.tally("pairing-antipode", (
-            (1, "(%d,%d)" % (a, g)) for a in range(n) for g in range(n)
-            if pair(kg_s[a], basis[g]) != pair(basis[a], kd_s[g])
-        )),
-    ]
+    yield CheckOutcome.tally("pairing-mult-coproduct", mult_coproduct())
+    yield CheckOutcome.tally("pairing-coproduct-mult", coproduct_mult())
+    yield CheckOutcome.tally("pairing-unit-counit", unit_counit())
+    yield CheckOutcome.tally("pairing-antipode", (
+        (1, "(%d,%d)" % (a, g)) for a in range(n) for g in range(n)
+        if pair(kg_s[a], basis[g]) != pair(basis[a], kd_s[g])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +511,6 @@ def taft(p, lam=None):
         coproduct,
         counit,
         antipode,
-        commutative=False,
-        cocommutative=False,
         name="taft-%d" % p,
     )
 
@@ -631,14 +621,12 @@ def _pin(S, cid, got, want):
 def word_pin_report(S):
     """Two small shuffle values pinned by hand: single letters x, y give
     xy + yx; a letter against a 2-word gives the three interleavings."""
-    checks = []
     if S.dim_v >= 2 and S.max_len >= 2:
         want = {S.index[(0, 1)]: 1, S.index[(1, 0)]: 1}
-        checks.append(_pin(S, "pin-two-letters", S.shuffle_words((0,), (1,)), want))
+        yield _pin(S, "pin-two-letters", S.shuffle_words((0,), (1,)), want)
     if S.dim_v >= 2 and S.max_len >= 3:
         want = {S.index[(0, 1, 1)]: 1, S.index[(1, 0, 1)]: 1, S.index[(1, 1, 0)]: 1}
-        checks.append(_pin(S, "pin-letter-vs-pair", S.shuffle_words((0,), (1, 1)), want))
-    return checks
+        yield _pin(S, "pin-letter-vs-pair", S.shuffle_words((0,), (1, 1)), want)
 
 
 # ---------------------------------------------------------------------------

@@ -371,8 +371,6 @@ def _conjugated_host(host, F):
         host.coproduct if commutes else {},
         host.counit,
         antipode=None,
-        commutative=host.commutative,
-        cocommutative=False,
         name=host.name + "-twist",
     )
     twisted.share_product(host)

@@ -266,8 +266,6 @@ def presentation_from_dict(doc):
         cop,
         counit,
         antipode,
-        commutative=bool(doc.get("commutative", False)),
-        cocommutative=bool(doc.get("cocommutative", False)),
         name=doc.get("name"),
     )
 
@@ -301,8 +299,9 @@ def presentation_to_dict(pres):
             for row in pres.antipode:
                 values.extend(row)
             doc["antipode"] = [[render(v) for v in row] for row in pres.antipode]
-        doc["commutative"] = pres.commutative
-        doc["cocommutative"] = pres.cocommutative
+        # read from the tables; presentation_from_dict ignores both fields
+        doc["commutative"] = pres.product_commutes()
+        doc["cocommutative"] = pres.coproduct_cocommutes()
     doc["scalar"] = {
         "conductor": _conductor_of(values),
         "hbar_order": pres.ring.hbar_order,

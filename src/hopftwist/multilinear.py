@@ -106,8 +106,10 @@ and associativity checks.  It runs on any host that offers dim, labels,
 ring, elem_unit(), a counit list, basis_mul(i, j) and basis_coproduct(i)
 as sparse dicts, apply_antipode(vec), and axiom_ids, the check ids to run
 in report order: HopfPresentation derives them from its antipode and its
-commutative/cocommutative flags, the windowed hosts in constructors
-(ShuffleBialgebra, PareigisWindow) state them as class data.  The
+tables (product_commutes, coproduct_cocommutes), the windowed hosts in
+constructors (ShuffleBialgebra, PareigisWindow) state them as class data.
+Both batteries are generators: each check is yielded once it is decided,
+so a caller that times each yield times each axiom.  The
 coproducts and the counit become phase cells too, and act on rows through
 phase_map; the antipode images are rows.  A windowed host raises
 WindowOverflow for a value outside its window: its cell is None, and the
@@ -888,9 +890,8 @@ class _MulOps:
 
     def product_commutes(self):
         """True when basis i times basis j equals basis j times basis i for
-        every i and j, read from the structure table once; a declared
-        commutative flag is not consulted.  A cell on one side only is a
-        product that does not commute."""
+        every i and j, read from the structure table once.  A cell on one
+        side only is a product that does not commute."""
         if self._comm is None:
             mult = self.mult
             self._comm = all(mult.get((j, i)) == cell for (i, j), cell in mult.items())
@@ -921,8 +922,6 @@ class HopfPresentation(_MulOps):
         coproduct,
         counit,
         antipode=None,
-        commutative=False,
-        cocommutative=False,
         name=None,
     ):
         self._init_mul(dim, labels, ring, mult, unit)
@@ -938,8 +937,6 @@ class HopfPresentation(_MulOps):
             self.antipode = [
                 [ring.coerce(v) for v in row] for row in antipode
             ]
-        self.commutative = commutative
-        self.cocommutative = cocommutative
         self.name = name or "hopf-%d" % dim
         self._order0 = None
         self._cop_pieces = None
@@ -986,8 +983,7 @@ class HopfPresentation(_MulOps):
 
     def coproduct_cocommutes(self):
         """True when the coproduct of every basis element is unchanged by
-        swapping its two legs, read from the table once; a declared
-        cocommutative flag is not consulted."""
+        swapping its two legs, read from the table once."""
         if self._cocomm is None:
             self._cocomm = all(
                 {(k, j): w for (j, k), w in cell.items()} == cell
@@ -996,11 +992,16 @@ class HopfPresentation(_MulOps):
         return self._cocomm
 
     @property
+    def commutative(self):
+        """product_commutes(), read from the table."""
+        return self.product_commutes()
+
+    @property
     def axiom_ids(self):
         """verify_hopf's check ids: the bialgebra axioms and the antipode's,
         S^2 = id only on a host whose product commutes or whose coproduct
         cocommutes, as read from its tables (product_commutes,
-        coproduct_cocommutes), not from the declared flags."""
+        coproduct_cocommutes)."""
         ids = [
             "unit-laws",
             "associativity",
@@ -1102,8 +1103,6 @@ class HopfPresentation(_MulOps):
                 cop,
                 [drop(v) for v in self.counit],
                 antipode=None,
-                commutative=self.commutative,
-                cocommutative=self.cocommutative,
                 name=self.name + "-order0",
             )
         return self._order0
@@ -1124,8 +1123,6 @@ def with_series_ring(host, order):
         host.coproduct,
         host.counit,
         antipode=host.antipode,
-        commutative=host.commutative,
-        cocommutative=host.cocommutative,
         name=host.name + "-h%d" % order,
     )
 
@@ -1658,9 +1655,9 @@ class ModuleAlgebra:
 
 
 def verify_algebra(algebra, associator=None, module=None):
-    """Exhaustive unit and associativity report for an algebra on a finite
+    """Exhaustive unit and associativity checks for an algebra on a finite
     basis, and the module-algebra axioms when a ModuleAlgebra acting on it
-    is given.
+    is given, each CheckOutcome yielded once it is decided.
 
     Without an associator the law is x(yz) = (xy)z.  With one it is
     x(yz) = sum Phi(x,y,z)_abc (ab)c: Phi is a scalar table {(i, j, k):
@@ -1671,15 +1668,18 @@ def verify_algebra(algebra, associator=None, module=None):
     ids = ["unit-laws", "associativity" if associator is None else "quasi-associativity"]
     if module is not None:
         ids += ["module-unit", "module-action", "module-algebra-unit", "module-algebra-mult"]
-    return [getattr(run, cid.replace("-", "_") + "_check")() for cid in ids]
+    for cid in ids:
+        yield getattr(run, cid.replace("-", "_") + "_check")()
 
 
 def verify_hopf(host):
-    """Exhaustive axiom report for a Hopf algebra or bialgebra on a finite
-    basis, one CheckOutcome per id of host.axiom_ids.  Residuals count the
-    failing instances; coassociativity counts residual terms."""
+    """Exhaustive axiom checks for a Hopf algebra or bialgebra on a finite
+    basis, one CheckOutcome per id of host.axiom_ids, each yielded once it
+    is decided.  Residuals count the failing instances; coassociativity
+    counts residual terms."""
     run = _Battery(host)
-    return [getattr(run, cid.replace("-", "_") + "_check")() for cid in host.axiom_ids]
+    for cid in host.axiom_ids:
+        yield getattr(run, cid.replace("-", "_") + "_check")()
 
 
 def _within(f, *args):

@@ -10,11 +10,11 @@ one 'error' outcome, id 'raised', witness '<ExceptionClass>: <message>',
 after the checks it yielded; under 'all' the later suites still run.
 
 A check's elapsed_ms is the time from the previous yield of the run (or
-its start) to its own, set-up included.  A battery that returns its
-checks as a list (multilinear.verify_hopf and verify_algebra,
-pbw.moyal_suite) bills all of its time to its first check.  Reports are
-deterministic: the same seed yields byte-identical JSON, and timing is
-only attached on request.
+its start) to its own, set-up included.  The batteries a body yields from
+(multilinear.verify_hopf, pbw.moyal_suite, the reports in constructors)
+are generators too, so each of their checks carries its own time.
+Reports are deterministic: the same seed yields byte-identical JSON, and
+timing is only attached on request.
 
 Each body imports the modules it uses inside the function, so one
 ``verify <suite>`` process loads, and without bytecode compiles, only the
@@ -178,8 +178,7 @@ def _group_cohomology(rng, order, theta):
     for theta_q in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
         tag = "torus-%d/%d" % (theta_q.numerator, theta_q.denominator)
         F, W = torus_cochain(theta_q, 5)
-        out = is_cocycle(F, window=W)
-        failed = [o for o in (out if isinstance(out, list) else [out]) if not o.ok]
+        failed = [o for o in is_cocycle(F, window=W) if not o.ok]
         yield CheckOutcome.from_residual(
             "%s:cocycle" % tag,
             len(failed),

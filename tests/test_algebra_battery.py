@@ -154,7 +154,7 @@ def expected_ids(associator, module):
 @pytest.mark.parametrize("target,build,failed", CONTROLS, ids=[c[0] for c in CONTROLS])
 def test_each_check_fails_alone(target, build, failed):
     algebra, associator, module = build()
-    report = verify_algebra(algebra, associator, module)
+    report = list(verify_algebra(algebra, associator, module))
     assert [c.id for c in report] == expected_ids(associator, module)
     got = {c.id: (c.residual_term_count, c.witness) for c in report if not c.ok}
     assert got == failed

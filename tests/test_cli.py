@@ -9,8 +9,9 @@ from importlib import resources
 
 import pytest
 
-from hopftwist import suites
+from hopftwist import multilinear, suites
 from hopftwist.cli import main
+from hopftwist.constructors import cyclic_group, group_algebra
 from hopftwist.errors import InverseTooCostly, SolveTooCostly
 from hopftwist.reporting import CheckOutcome
 from hopftwist.suites import SUITE_NAMES
@@ -80,6 +81,25 @@ def test_verify_a_check_that_raises_exits_one_without_traceback(monkeypatch, cap
         "pass  before",
         "ERROR raised  residual=-1  [RuntimeError: boom]",
         "1/2 checks passed (seed 1729)",
+    ]
+    assert captured.err == ""
+
+
+def test_verify_a_battery_check_that_raises_exits_one_without_traceback(
+    monkeypatch, capsys
+):
+    def boom(self):
+        raise RuntimeError("boom")
+
+    # k[Z2]'s last check raises: its earlier checks stay in the report
+    monkeypatch.setattr(multilinear._Battery, "antipode_square_check", boom)
+    ids = group_algebra(cyclic_group(2)).axiom_ids
+    assert ids[-1] == "antipode-square"
+    assert main(["verify", "hopf-axioms"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["pass  k[Z2]:%s" % i for i in ids[:-1]] + [
+        "ERROR raised  residual=-1  [RuntimeError: boom]",
+        "9/10 checks passed (seed 1729)",
     ]
     assert captured.err == ""
 

@@ -488,7 +488,7 @@ def _presentation(rng):
     return HopfPresentation(
         dim, ["b%d" % i for i in range(dim)], ring, mult, unit, cop,
         [_scalars(rng, order) for _ in range(dim)], antipode,
-        commutative=rng.random() < 0.5, name=rng.choice((None, "h%d" % dim)),
+        name=rng.choice((None, "h%d" % dim)),
     )
 
 

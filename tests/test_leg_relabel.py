@@ -284,7 +284,6 @@ def _wrong_unit_dual():
     H = con.dual_group_hopf(DUAL_GROUPS["Z2^2"])
     return multilinear.HopfPresentation(
         H.dim, H.labels, H.ring, H.mult, [1, 0, 0, 0], H.coproduct, H.counit, H.antipode,
-        commutative=True, cocommutative=True,
     )
 
 

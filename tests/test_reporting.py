@@ -1,7 +1,9 @@
 """CheckOutcome.tally, the one rule for a check over many inputs, a scan
-that keeps it the only one, and a scan that keeps each suite body yielding
-its checks to run_suite."""
+that keeps it the only one, and a scan and a test that keep each suite
+body, and each battery it yields from, yielding its checks to run_suite."""
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -123,3 +125,27 @@ def test_the_scan_sees_each_list_builder():
 
 def test_no_suite_body_builds_its_list_of_checks():
     assert list_builders((SRC / "suites.py").read_text()) == []
+
+
+# The batteries whose checks a suite body yields straight to run_suite; each
+# must yield its checks one by one, so that run_suite times each of them.
+BATTERIES = [
+    "multilinear.verify_hopf",
+    "multilinear.verify_algebra",
+    "pbw.moyal_suite",
+    "constructors.dual_pairing_report",
+    "constructors.z2_dual_iso_report",
+    "constructors.word_pin_report",
+]
+
+
+def test_every_battery_yields_its_checks():
+    returns_a_list = [
+        name
+        for name in BATTERIES
+        for module, _, func in [name.partition(".")]
+        if not inspect.isgeneratorfunction(
+            getattr(importlib.import_module("hopftwist." + module), func)
+        )
+    ]
+    assert returns_a_list == []

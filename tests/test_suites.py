@@ -13,6 +13,7 @@ from hopftwist import (
     group_cohomology,
     heis_torus,
     hopf_cochain,
+    multilinear,
     pbw,
     suites,
 )
@@ -487,6 +488,27 @@ def test_each_check_is_timed_from_the_one_before(monkeypatch):
     assert [c["elapsed_ms"] for c in rep.to_dict(timings=True)["checks"]] == [
         500.0, 1500.0, 250.0,
     ]
+
+
+def test_a_battery_check_carries_its_own_time(monkeypatch):
+    # the clock moves only inside coproduct-morphism, so every host bills
+    # that time to coproduct-morphism and none of it to unit-laws
+    now = [0.0]
+    monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    real = multilinear._Battery.coproduct_morphism_check
+
+    def slow(self):
+        now[0] += 2.0
+        return real(self)
+
+    monkeypatch.setattr(multilinear._Battery, "coproduct_morphism_check", slow)
+    rep = run_suite("hopf-axioms")
+    timed = {c.id: c.elapsed_ms for c in rep.checks}
+    assert [c.id for c in rep.checks] == [c.id for c in report("hopf-axioms").checks]
+    hosts = {i.split(":")[0] for i in timed if i.endswith(":coproduct-morphism")}
+    assert len(hosts) == 17
+    for cid, ms in timed.items():
+        assert ms == (2000.0 if cid.endswith(":coproduct-morphism") else 0.0), cid
 
 
 def test_dsquared_failures_name_their_trial(monkeypatch):
