@@ -67,18 +67,6 @@ per output key when the pairs it sums have at least dim**arity term
 products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
 cochains; its nonzero cells become the product's piece.
 
-A dense product of integer tensors over a group table whose group is in
-group_fourier's catalogue (Z2^k, D4, Q8) runs through the exact group
-Fourier transform instead: leg by leg into the rational Wedderburn blocks,
-one block product, back, and one exact division by |G|**arity.  The table
-derives its plan once, checks it, and keeps it in its plan slot (None for
-any other group, S3 among them); the plan takes a product with more than
-plan.switch(arity) key pairs, a measured switch past its break-even against
-the pair loop.  group_fourier is imported on the first product with more
-than _SWITCH * dim**arity pairs, so a process whose products are all
-sparser never compiles it.  Every other table, and every sparser product,
-keeps the pair loop.
-
 An exact tensor inverse (tensor_invert, _invert_exact) is one integer
 solve of the left regular representation at every conductor N: each
 unknown is a coordinate of the inverse on a key and a power of z_N, and
@@ -149,13 +137,6 @@ from .scalars import (
 )
 
 
-# group_fourier is imported, and a group table's plan derived, only for a
-# product with more than _SWITCH * dim**arity key pairs: up to arity 5 no
-# plan takes one with fewer (plan.switch(arity) is 32 times dim**arity for
-# Z2 at arity 5 and Z2^2 at arity 4, and more everywhere else).
-_SWITCH = 32
-
-
 def encode_key(digits, dim):
     key = 0
     for d in digits:
@@ -191,24 +172,8 @@ def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
     value y to stride * key(x*y).  Otherwise the cells are expanded leg by
     leg, and a pair of keys with an empty cell on any leg is skipped before
     its product is formed.  The b keys are decoded once.
-
-    Over a group table (base.latin) whose plan exists (group_fourier: Z2^k,
-    D4 or Q8), a product of integer tensors with more than plan.switch(arity) key pairs
-    is the plan's transform product instead, with the same result.
     """
     rows = getattr(base, "rows", None)
-    if rows is not None and base.latin and len(a) * len(b) > _SWITCH * dim ** arity:
-        plan = base.plan
-        if plan == 0:
-            from . import group_fourier
-
-            plan = base.plan = group_fourier.plan(base, dim)
-        if (
-            plan is not None
-            and len(a) * len(b) > plan.switch(arity)
-            and all(type(v) is int for t in (a, b) for v in t.values())
-        ):
-            return plan.product(a, b, arity, acc, f)
     fresh = acc is None
     if fresh:
         acc = _accumulator(dim ** arity, len(a) * len(b))
@@ -298,17 +263,14 @@ class _Cells(list):
     is True on a permutation table whose every row and column is a
     permutation of the basis and which has a unit, the basis index unit (a
     group table): there one key times all the keys of a tensor gives
-    distinct keys (see _relabel).  plan is 0 until a dense product first
-    asks for the group Fourier plan of a group table, then that
-    group_fourier.Plan, or None when the group has none.
+    distinct keys (see _relabel).
     """
 
-    __slots__ = ("rows", "latin", "unit", "plan")
+    __slots__ = ("rows", "latin", "unit")
 
     def __init__(self, cells, rows, dim):
         super().__init__(cells)
         self.rows = rows
-        self.plan = 0
         basis = list(range(dim))
         keys = [c[0][0] for c in cells] if rows is not None else []
         self.unit = next(
@@ -699,7 +661,7 @@ class _MulOps:
         the pointwise and commutativity tests): other has the same
         dim, ring, mult and unit, as the host a twist conjugates.  other's
         rational table is made first, so that both hosts hold the one
-        table and with it the one group Fourier plan."""
+        table."""
         other.rational_table()
         for name in (
             "mult", "_base", "_phase", "_rational", "_rows", "_units", "_unit_cells",

@@ -5,7 +5,8 @@ intersected on pointwise hosts) and the exact inverse built on it are
 checked against the generic kernel on Fraction and Series scalars; the
 generic path itself, and the key-product rows of permutation tables, are
 checked against products expanded leg by leg with the host's own
-multiplication in plain scalar arithmetic.
+multiplication in plain scalar arithmetic; a dense product added into a
+caller's list or dict accumulator adds exactly f times the product.
 """
 
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from hopftwist import multilinear as kernel
 from hopftwist.constructors import (
+    FiniteGroup,
     dihedral_4,
     dual_group_hopf,
     elementary_abelian_2,
@@ -446,7 +448,27 @@ def test_cyclotomic_values_over_permutation_table_match_per_leg_loop(arity, data
 # ---------------------------------------------------------------------------
 # dense operands: the list accumulator of permutation tables
 
-DENSE_HOSTS = [(G, group_algebra(G)) for G in (S3, elementary_abelian_2(3), dihedral_4())]
+def _relabelled(G, seed):
+    """G with its elements renamed by a seeded permutation; at seed 5 the
+    identity of dihedral_4() becomes element 6, so the unit key of a
+    tensor is not key 0."""
+    perm = list(range(G.order))
+    random.Random(seed).shuffle(perm)
+    back = {p: i for i, p in enumerate(perm)}
+    table = [[perm[G.mul(back[x], back[y])] for y in range(G.order)] for x in range(G.order)]
+    return FiniteGroup(G.order, table)
+
+
+DENSE_HOSTS = [
+    (G, group_algebra(G))
+    for G in (
+        S3,
+        elementary_abelian_2(3),
+        dihedral_4(),
+        pauli_8(),
+        _relabelled(dihedral_4(), 5),
+    )
+]
 
 
 _Z3 = Cyclotomic(3, {1: 1})
@@ -480,14 +502,40 @@ def dense_operands(draw, kinds=("int", "rational"), hosts=DENSE_HOSTS):
     return G, host, arity, a, b
 
 
+def _adds_f_times(product, fresh, size):
+    """product(acc, f), added into a pre-filled list and into a pre-filled
+    dict, returns acc with exactly f times fresh, the product made on its
+    own, added to what acc held."""
+    rng = random.Random(size)
+    start = [rng.randint(-3, 3) for _ in range(size)]
+    acc = list(start)
+    assert product(acc, -7) is acc
+    assert acc == [s - 7 * fresh.get(k, 0) for k, s in enumerate(start)]
+    acc = {k: s for k, s in enumerate(start) if s}
+    assert product(acc, 3) is acc
+    want = {k: s + 3 * fresh.get(k, 0) for k, s in enumerate(start)}
+    assert {k: v for k, v in acc.items() if v} == {k: v for k, v in want.items() if v}
+
+
 def _dense_product(host, arity, a, b):
     a, b = flat(a, host.dim), flat(b, host.dim)
-    assert len(a) * len(b) >= host.dim ** arity
+    dim, size = host.dim, host.dim ** arity
+    assert len(a) * len(b) >= size
     base = host.base_table()
-    got = kernel.tensor_convolve(a, b, host.dim, arity, base)
+    got = kernel.tensor_convolve(a, b, dim, arity, base)
     # a plain list carries no rows, so it takes the per-leg loop
-    assert got == kernel.tensor_convolve(a, b, host.dim, arity, list(base))
+    assert got == kernel.tensor_convolve(a, b, dim, arity, list(base))
     assert all(got.values())
+    _adds_f_times(lambda acc, f: kernel.tensor_convolve(a, b, dim, arity, base, acc, f), got, size)
+    # the term of a at its least key (key 0 when a is dense, which is not
+    # the unit's key over a relabelled group) times b, and b times it: the
+    # host's kernel relabels
+    one = {min(a): a[min(a)]}
+    convolve, _den = host.rational_kernel(arity)
+    for x, y in ((one, b), (b, one)):
+        fresh = kernel.tensor_convolve(x, y, dim, arity, list(base))
+        assert convolve(x, y, None, 1) == fresh
+        _adds_f_times(lambda acc, f: convolve(x, y, acc, f), fresh, size)
     return got
 
 
