@@ -14,65 +14,66 @@ PhaseCells), made once: the product of basis i and basis j is a tuple of
 (k, (v, t, e), n), the numerator n of z_N^e tau^t hbar^v on basis k, over
 one denominator D at one conductor N, FLINT's nf_elem layout.  A tagged
 root of unity is one cell, so Taft's q-commutation constants stay single
-terms.  rational_table() is the phase-0 case, as tensor_convolve reads it.
+terms.  key_table() is the case of a permutation table, every cell one
+key k at phase 0 with numerator 1 over D = 1.
 
 A LegTensor holds its values as phase pieces (scalars): for each phase
 (hbar degree v, tau power t, exponent e of z_N) at one conductor N, one
 canonical pair of integer numerators over one denominator.  Every operation
 multiplies pieces and returns pieces, so a chain of products never leaves
-the integers.  A product over a host whose cells all lie at phase 0 (every
-group algebra, its twists by a rational cocycle, and the dual hosts), and
-every leg map (coproduct_leg, counit_leg, and leg_embed, one leg map per
-unit leg it inserts) that sums, is one scalars.piece_product: the pairs
-of phases are grouped by the phase they land on, and all the pairs of one
-output phase are summed into one integer accumulator over the lcm of
-their denominators, then settled once.  The kernel that multiplies one
-pair is key intersection on a pointwise host with unit coefficients (a
-dual host), where the table makes the all-ones row the unit and a product
-with it is the other operand, tensor_convolve against the integer table
-otherwise (over the operand denominators times D**arity), or the leg map
-itself.  A leg map whose cells send each digit to blocks of its own with
-weight 1, no block reached from two digits (a group-like coproduct, a
-unit that is one basis element, and on a dual host the coproduct
-d(g) -> sum over xy = g of d(x) (x) d(y) and the unit sum of every d(g))
-only relabels the keys of each piece; when the blocks fill the block
-space the all-ones row goes to the all-ones row.  Over any other host
-(Taft, series structure constants)
-``phase_convolve`` multiplies the two operands' flat phase rows against the
-phase cells, adding the cells' phases, and the product is settled once.
-elem_mul is one phase_convolve on flat phase rows.  The coproduct, counit
-and unit come as pieces made once on the host; a twisted host takes its
-coproduct as tensors, and builds its {key: value} coproduct from their
-pieces only when it is read.  The {key: value} view is
-built from the pieces only when it is read (reports, JSON, witnesses), by
-scalars.phase_values; a tensor built from a dict and a module action sum
-their values through scalars.accumulate.
+the integers.  A product takes one path for each shape of the table
+(rational_kernel).  On a pointwise table with unit coefficients (a dual
+host) and, at arity at most 4, on a permutation table (a group algebra),
+the product, like every leg map (coproduct_leg, counit_leg, and
+leg_embed, one leg map per unit leg it inserts) that sums, is one
+scalars.piece_product: the pairs of phases are grouped by the phase they
+land on, and all the pairs of one output phase are summed into one
+integer accumulator over the lcm of their denominators, then settled
+once.  The kernel that multiplies one pair is key intersection on the
+pointwise table, where the table makes the all-ones row the unit and a
+product with it is the other operand, tensor_convolve's key-product rows
+on the permutation table, or the leg map itself.  A leg map whose cells
+send each digit to blocks of its own with weight 1, no block reached from
+two digits (a group-like coproduct, a unit that is one basis element, and
+on a dual host the coproduct d(g) -> sum over xy = g of d(x) (x) d(y) and
+the unit sum of every d(g)) only relabels the keys of each piece; when
+the blocks fill the block space the all-ones row goes to the all-ones
+row.  Every other table (Taft, a twisted k_F[G], fractional or series
+structure constants), at any arity, and a permutation table at arity 5
+and up, multiply through ``phase_convolve``: the two operands' flat phase
+rows against the phase cells, adding the cells' phases, and the product
+is settled once.  elem_mul is one phase_convolve on flat phase rows.  The
+coproduct, counit and unit come as pieces made once on the host; a
+twisted host takes its coproduct as tensors, and builds its {key: value}
+coproduct from their pieces only when it is read.  The {key: value} view
+is built from the pieces only when it is read (reports, JSON, witnesses),
+by scalars.phase_values; a tensor built from a dict and a module action
+sum their values through scalars.accumulate.
 
 Over a group algebra k[G], k[G]^(tensor n) = k[G^n]: the product of two
 basis keys is one basis key with coefficient 1.  A host detects such a
-permutation table once (every cell exactly one (k, None); its integer
-rational_table() is one too) and hands tensor_convolve a cache of
+permutation table once (key_table) and hands tensor_convolve its cache of
 key-product rows.  The legs are split into blocks of at most two, a one-leg
 block first when the arity is odd; the row of a block value x is a flat list
 mapping each block value y to stride * key(x*y), so a product key is
-row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4; arity 5 and
-up keep the per-leg loop.  Rows are built lazily, one for each block value
-met, and kept on the host.  A group table (every row and column a
-permutation, with a unit) makes the product of one key with all the keys
-of a tensor a relabel, so a pair whose operand has a single key (the
-unit, a monomial, a basis column) skips the convolution; the unit's key
-keeps the keys as they are, and with the numerator 1 the product is the
-operand's own dict.  An accumulator is a plain list with one cell
-per output key when the pairs it sums have at least dim**arity term
-products, and a dict otherwise, such as for hopf-cochain's sparse arity-3
-cochains; its nonzero cells become the product's piece.
+row[kb] at arity 1 or 2 and r0[y0] + r1[y1] at arity 3 or 4.  Rows are
+built lazily, one for each block value met, and kept with the table.  A
+group table (every row and column a permutation, with a unit) makes the
+product of one key with all the keys of a tensor a relabel, so a pair
+whose operand has a single key (the unit, a monomial, a basis column)
+skips the convolution; the unit's key keeps the keys as they are, and
+with the numerator 1 the product is the operand's own dict.  An
+accumulator is a plain list with one cell per output key when the pairs
+it sums have at least dim**arity term products, and a dict otherwise,
+such as for hopf-cochain's sparse arity-3 cochains; its nonzero cells
+become the product's piece.
 
 An exact tensor inverse (tensor_invert, _invert_exact) is one integer
 solve of the left regular representation at every conductor N: each
 unknown is a coordinate of the inverse on a key and a power of z_N, and
-each column is over its own denominator; at N = 1 over a phase-0 table
-the columns come straight from the product kernel.  No step does
-Cyclotomic arithmetic.
+each column is over its own denominator; at N = 1 over a table with a
+piece_product kernel the columns come straight from that kernel.  No step
+does Cyclotomic arithmetic.
 
 verify_algebra is the one algebra axiom battery: unit laws, associativity
 or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
@@ -152,34 +153,30 @@ def decode_key(key, dim, arity):
 
 
 def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
-    """Multiply two sparse tensors over an algebra given by structure cells.
+    """Multiply two sparse tensors of arity at most 4 over a permutation
+    table base (a _Cells: basis i times basis j is basis base[i*dim + j]
+    with coefficient 1).
 
     a, b map flat indices (base-dim digits, leftmost leg most significant) to
-    scalar coefficients.  base[i*dim + j] is a tuple of (k, coeff) pairs for
-    the product of basis i with basis j; coeff None means 1 and skips a
-    multiplication.  With acc None, returns the product as a new dict with
-    exact zeros dropped.  Otherwise adds f times the product into acc, a
-    list with one cell per output key or a dict (scalars._accumulator), and
-    returns acc: this is how piece_product sums every pair of phases that
-    lands on one output phase.  A new product is summed in such an
+    scalar coefficients.  With acc None, returns the product as a new dict
+    with exact zeros dropped.  Otherwise adds f times the product into acc,
+    a list with one cell per output key or a dict (scalars._accumulator),
+    and returns acc: this is how piece_product sums every pair of phases
+    that lands on one output phase.  A new product is summed in such an
     accumulator too, a list when len(a) * len(b) >= dim**arity; a
     Cyclotomic or Series value starts from 0 + value.
 
-    When base is a permutation table (a _Cells whose rows are set) and the
-    arity is at most 4, each pair of keys gives one key with coefficient 1,
-    read from key-product rows: the legs are split into one or two blocks
-    of at most two legs, and a row of a block value x maps every block
-    value y to stride * key(x*y).  Otherwise the cells are expanded leg by
-    leg, and a pair of keys with an empty cell on any leg is skipped before
-    its product is formed.  The b keys are decoded once.
+    Each pair of keys gives one key, read from key-product rows: the legs
+    are split into one or two blocks of at most two legs, and a row of a
+    block value x maps every block value y to stride * key(x*y).  The b
+    keys are split once.
     """
-    rows = getattr(base, "rows", None)
     fresh = acc is None
     if fresh:
         acc = _accumulator(dim ** arity, len(a) * len(b))
     dense = type(acc) is list
     get = None if dense else acc.get
-    if rows is not None and arity <= 2:
+    if arity <= 2:
         # one block: the row of ka maps kb to key(ka*kb)
         cache = _key_rows(base, dim, arity, 1)
         for ka, va in a.items():
@@ -193,7 +190,7 @@ def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
             for kb, vb in b.items():
                 idx = row[kb]
                 acc[idx] = get(idx, 0) + va * vb
-    elif rows is not None and arity <= 4:
+    else:
         # a block of arity - 2 legs over a block of the two last legs
         s0 = dim * dim
         c0 = _key_rows(base, dim, arity - 2, s0)
@@ -210,31 +207,6 @@ def tensor_convolve(a, b, dim, arity, base, acc=None, f=1):
             for y0, y1, vb in bd:
                 idx = r0[y0] + r1[y1]
                 acc[idx] = get(idx, 0) + va * vb
-    else:
-        # leg by leg; the terms go through a dict
-        out = {} if dense else acc
-        oget = out.get
-        strides = [dim ** (arity - 1 - t) for t in range(arity)]
-        bd = [([kb // s % dim for s in strides], vb) for kb, vb in b.items()]
-        for ka, va in a.items():
-            da = [ka // s % dim * dim for s in strides]
-            if f != 1:
-                va *= f
-            for db, vb in bd:
-                cells = [base[x + y] for x, y in zip(da, db)]
-                if not all(cells):
-                    continue
-                partial = [(0, va * vb)]
-                for cell, st in zip(cells, strides):
-                    partial = [
-                        (idx + k * st, cv if w is None else cv * w)
-                        for idx, cv in partial
-                        for k, w in cell
-                    ]
-                for idx, cv in partial:
-                    out[idx] = oget(idx, 0) + cv
-        if dense:
-            _fold(acc, out.keys(), out.values(), 1)
     return _nonzero(acc) if fresh else acc
 
 
@@ -252,27 +224,24 @@ def _fold(acc, keys, values, c):
 
 
 class _Cells(list):
-    """Structure cells as tensor_convolve reads them.
+    """A permutation table as tensor_convolve reads it: cells[i * dim + j]
+    is the key of basis i times basis j, whose coefficient is 1.
 
-    rows is the host's cache of key-product rows when the table is a
-    permutation table (every cell exactly one (k, None)), else None.  The
-    cache maps a block shape (width in legs, stride) to a _KeyRows, which
-    gets one row for each block value met, so that a host built only to be
-    checked once pays only for the products it forms.  A host's base and
-    integer tables share one cache: their cells have the same keys.  latin
-    is True on a permutation table whose every row and column is a
-    permutation of the basis and which has a unit, the basis index unit (a
+    rows is the table's cache of key-product rows.  It maps a block shape
+    (width in legs, stride) to a _KeyRows, which gets one row for each
+    block value met, so that a host built only to be checked once pays only
+    for the products it forms.  latin is True when every row and column is
+    a permutation of the basis and there is a unit, the basis index unit (a
     group table): there one key times all the keys of a tensor gives
     distinct keys (see _relabel).
     """
 
     __slots__ = ("rows", "latin", "unit")
 
-    def __init__(self, cells, rows, dim):
-        super().__init__(cells)
-        self.rows = rows
+    def __init__(self, keys, dim):
+        super().__init__(keys)
+        self.rows = {}
         basis = list(range(dim))
-        keys = [c[0][0] for c in cells] if rows is not None else []
         self.unit = next(
             (i for i in basis if keys[i * dim:(i + 1) * dim] == keys[i::dim] == basis), None
         )
@@ -307,14 +276,10 @@ def _key_row(base, dim, width, stride, x):
     """The row of block value x: stride * key(x*y) for each block value y
     of a one- or two-leg block, over a permutation table."""
     if width == 1:
-        return [cell[0][0] * stride for cell in base[x * dim:(x + 1) * dim]]
+        return [k * stride for k in base[x * dim:(x + 1) * dim]]
     x0, x1 = divmod(x, dim)
-    low = [cell[0][0] for cell in base[x1 * dim:(x1 + 1) * dim]]
-    return [
-        (cell[0][0] * dim + k) * stride
-        for cell in base[x0 * dim:(x0 + 1) * dim]
-        for k in low
-    ]
+    low = base[x1 * dim:(x1 + 1) * dim]
+    return [(h * dim + k) * stride for h in base[x0 * dim:(x0 + 1) * dim] for k in low]
 
 
 def _relabel(a, b, dim, arity, base, acc, f):
@@ -645,10 +610,8 @@ class _MulOps:
             if cc:
                 self.mult[(i, j)] = cc
         self.unit = [ring.coerce(v) for v in unit]
-        self._base = None
         self._phase = None
-        self._rational = 0
-        self._rows = {}
+        self._keys = 0
         self._units = {}
         self._unit_cells = {}
         self._ones = _AllOnes(dim)
@@ -656,40 +619,19 @@ class _MulOps:
         self._comm = None
 
     def share_product(self, other):
-        """Use other's product and its caches (the phase, rational and base
-        tables, the key rows, the unit pieces and cells, the all-ones rows,
-        the pointwise and commutativity tests): other has the same
-        dim, ring, mult and unit, as the host a twist conjugates.  other's
-        rational table is made first, so that both hosts hold the one
-        table."""
-        other.rational_table()
+        """Use other's product and its caches (the phase and key tables, the
+        unit pieces and cells, the all-ones rows, the pointwise and
+        commutativity tests): other has the same dim, ring, mult and unit,
+        as the host a twist conjugates.  other's key table is made first, so
+        that both hosts hold the one table and its key rows."""
+        other.key_table()
         for name in (
-            "mult", "_base", "_phase", "_rational", "_rows", "_units", "_unit_cells",
-            "_ones", "_pw", "_comm",
+            "mult", "_phase", "_keys", "_units", "_unit_cells", "_ones", "_pw", "_comm",
         ):
             setattr(self, name, getattr(other, name))
 
     def basis_mul(self, i, j):
         return self.mult.get((i, j), {})
-
-    def base_table(self):
-        """The structure cells over the values themselves, as
-        tensor_convolve reads them: a tuple per (i, j), coeff None = 1."""
-        if self._base is None:
-            one = self.ring.one()
-            tbl = []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    cell = self.mult.get((i, j), {})
-                    tbl.append(
-                        tuple(
-                            (k, None if v == one else v)
-                            for k, v in sorted(cell.items())
-                        )
-                    )
-            perm = all(len(cell) == 1 and cell[0][1] is None for cell in tbl)
-            self._base = _Cells(tbl, self._rows if perm else None, self.dim)
-        return self._base
 
     def phase_table(self):
         """The product as integer phase cells (phase_cells), made once:
@@ -701,45 +643,39 @@ class _MulOps:
             )
         return self._phase
 
-    def rational_table(self):
-        """The phase-0 case of phase_table(), as tensor_convolve reads it:
-        (cells, D) with (k, numerator) pairs over the common denominator D,
-        None for the numerator 1, sharing the key-row cache when every cell
-        is one (k, None).  None when some cell lies off phase 0 (a root of
-        unity, a power of tau or of hbar)."""
-        if self._rational == 0:
+    def key_table(self):
+        """The product as a permutation table (_Cells), made once: the key
+        of basis i times basis j, when every such product is one basis
+        element with coefficient 1; else None."""
+        if self._keys == 0:
             table = self.phase_table()
-            if any(p != _PHASE0 for cell in table.cells for _k, p, _n in cell):
-                self._rational = None
-                return None
-            tbl = [
-                tuple((k, None if n == 1 else n) for k, _p, n in cell)
-                for cell in table.cells
-            ]
-            perm = all(len(cell) == 1 and cell[0][1] is None for cell in tbl)
-            self._rational = (_Cells(tbl, self._rows if perm else None, self.dim), table.den)
-        return self._rational
+            perm = table.den == 1 and all(
+                len(cell) == 1 and cell[0][1:] == (_PHASE0, 1) for cell in table.cells
+            )
+            self._keys = _Cells([cell[0][0] for cell in table.cells], self.dim) if perm else None
+        return self._keys
 
     def rational_kernel(self, arity):
-        """(kernel, den) of a product at arity over a phase-0 table: key
-        intersection on a pointwise host with unit coefficients (den 1), a
-        product with the all-ones row the other operand (_common_keys; the
-        rule is read from the table by pointwise_coeffs, never from the
-        declared unit), else tensor_convolve against the integer table (den
-        D**arity), a pair with a single-key operand over a group table a
-        _relabel."""
+        """The piece_product kernel of a product at arity, or None when the
+        product is one phase_convolve: key intersection on a pointwise host
+        with unit coefficients, where a product with the all-ones row is the
+        other operand (_common_keys; the rule is read from the table by
+        pointwise_coeffs, never from the declared unit); at arity at most 4
+        over a permutation table (key_table), tensor_convolve, and a
+        _relabel for a pair with a single-key operand over a group table."""
         if self.pointwise_coeffs() is not None:
-            return _common_keys(self._ones[arity]), 1
-        dim = self.dim
-        tbl, tden = self.rational_table()
-        relabel = tbl.latin and arity <= 4
+            return _common_keys(self._ones[arity])
+        tbl = self.key_table()
+        if tbl is None or arity > 4:
+            return None
+        dim, relabel = self.dim, tbl.latin
 
         def kernel(x, y, acc, f):
             if relabel and (len(x) == 1 or len(y) == 1):
                 return _relabel(x, y, dim, arity, tbl, acc, f)
             return tensor_convolve(x, y, dim, arity, tbl, acc, f)
 
-        return kernel, tden ** arity
+        return kernel
 
     def unit_rows(self, arity):
         """(pieces, N): the phase pieces of the unit of host^(tensor arity),
@@ -1212,31 +1148,30 @@ class LegTensor:
     def copy(self):
         return self.over(self.host)
 
-    def _product(self, B, M, kernel, arity, den=1):
+    def _product(self, B, M, kernel, arity):
         """The tensor of the given arity whose pieces are piece_product of
-        these pieces with pieces B at conductor M, through kernel, over den
-        times the operands' denominators."""
+        these pieces with pieces B at conductor M, through kernel."""
         A, N = self._phases()
         host = self.host
         rows, L = piece_product(
-            A, N, B, M, host.ring.hbar_order or 0, kernel, host.dim ** arity, den
+            A, N, B, M, host.ring.hbar_order or 0, kernel, host.dim ** arity
         )
         return LegTensor._of_rows(host, arity, rows, L)
 
     # -- algebra
 
     def mul(self, other):
-        """Product in host^(tensor arity), on integers only.
-
-        Over a host whose phase cells all lie at phase 0
-        (host.rational_table(): every group algebra, its twists by a
-        rational cocycle, and the dual hosts) piece_product sums every pair
-        of phases that lands on one output phase into one accumulator,
-        through the host's rational_kernel.  Over any other
-        host (Taft's roots of unity, series structure constants) both
-        operands become one flat phase row at the lcm L of their conductors
-        and the table's, phase_convolve multiplies them against the host's
-        phase cells, and the product is settled once."""
+        """Product in host^(tensor arity), on integers only, by one path for
+        each shape of the host's table (rational_kernel).  On a pointwise
+        host with unit coefficients (the dual hosts), and at arity at most 4
+        on a permutation table (every group algebra, also over series),
+        piece_product sums every pair of phases that lands on one output
+        phase into one accumulator, through the host's kernel.  Over any
+        other table (Taft's roots of unity, a twisted k_F[G], fractional or
+        series structure constants), and at arity 5 and up, both operands
+        become one flat phase row at the lcm L of their conductors and the
+        table's, phase_convolve multiplies them against the host's phase
+        cells, and the product is settled once."""
         if other.host is not self.host:
             raise ValueError("tensors live over different hosts")
         if other.arity != self.arity:
@@ -1244,18 +1179,18 @@ class LegTensor:
                 "arity %d vs %d" % (self.arity, other.arity)
             )
         host, arity = self.host, self.arity
-        if host.rational_table() is None:
-            table = host.phase_table()
-            A, N = self._phases()
-            B, M = other._phases()
-            L = lcm(N, M, table.N)
-            row = phase_convolve(
-                pieces_row(A, N, L), pieces_row(B, M, L), host.dim, arity,
-                table, host.ring.hbar_order or 0, L,
-            )
-            return LegTensor._of_rows(host, arity, *row_pieces(row, L))
-        kernel, den = host.rational_kernel(arity)
-        return self._product(*other._phases(), kernel, arity, den)
+        kernel = host.rational_kernel(arity)
+        if kernel is not None:
+            return self._product(*other._phases(), kernel, arity)
+        table = host.phase_table()
+        A, N = self._phases()
+        B, M = other._phases()
+        L = lcm(N, M, table.N)
+        row = phase_convolve(
+            pieces_row(A, N, L), pieces_row(B, M, L), host.dim, arity,
+            table, host.ring.hbar_order or 0, L,
+        )
+        return LegTensor._of_rows(host, arity, *row_pieces(row, L))
 
     def add(self, other):
         return self._add(other, False)
@@ -1501,8 +1436,9 @@ def _inverse_work(t, unit):
 def _invert_exact(t, unit):
     """The two-sided inverse of t over an exact ring, by one rational solve
     of the left regular representation.  With t and the unit at conductor 1
-    over a phase-0 table, column j is t's numerators through the kernel of
-    LegTensor.mul (rational_kernel) times {j: 1}.  Otherwise the columns t *
+    and phase 0 and a host whose products have a piece_product kernel
+    (rational_kernel), column j is t's numerators through that kernel times
+    {j: 1}.  Otherwise the columns t *
     b_j and the unit are flat rows at L, the lcm of their conductors, and
     the column of x_(j,f), the inverse's coordinate at key j on z_L^f, f <
     phi(L), is t * b_j with its exponents shifted by f and reduced below
@@ -1519,11 +1455,12 @@ def _invert_exact(t, unit):
     D = host.dim ** arity
     A, N = t._phases()
     U, M = unit._phases()
-    if N == M == 1 and set(A) | set(U) <= {_PHASE0} and host.rational_table():
-        kernel, tden = host.rational_kernel(arity)
+    rational = N == M == 1 and set(A) | set(U) <= {_PHASE0}
+    kernel = host.rational_kernel(arity) if rational else None
+    if kernel is not None:
         nums, den = A.get(_PHASE0, ({}, 1))
         L = phi = 1
-        cols = [(kernel(nums, {j: 1}, None, 1), den * tden) for j in range(D)]
+        cols = [(kernel(nums, {j: 1}, None, 1), den) for j in range(D)]
         unit_nums, unit_den = U.get(_PHASE0, ({}, 1))
     else:
         prods = [t.mul(LegTensor._of_rows(host, arity, {_PHASE0: ({j: 1}, 1)})) for j in range(D)]

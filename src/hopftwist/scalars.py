@@ -56,8 +56,8 @@ phase canonical once.
 
 A flat phase row (``phase_rows``/``phase_values``), the layout of the pbw
 and heis_torus products, of multilinear's phase cells and axiom batteries,
-and of a LegTensor product over a host with roots of unity or series
-structure constants, maps (key, hbar degree, tau power, e) to the integer
+and of a LegTensor product over a table that is neither pointwise nor a
+permutation table at arity at most 4, maps (key, hbar degree, tau power, e) to the integer
 numerator of z_N^e over one denominator; a rational row is the case N = 1.
 Its exponents lie below N but not always below phi(N): in phase cells a
 tagged root is one numerator on its own exponent.  Its products
@@ -1334,7 +1334,7 @@ def _settle(groups, N):
     return out, N
 
 
-def piece_product(A, N, B, M, K, kernel, size, den=1):
+def piece_product(A, N, B, M, K, kernel, size):
     """(pieces, L) of a product of phase pieces, A at conductor N and B at
     M, with one integer accumulator per output phase.
 
@@ -1350,9 +1350,8 @@ def piece_product(A, N, B, M, K, kernel, size, den=1):
     products, each pair scaled by D over its own product; the accumulator
     is a list of size cells (size is the number of output keys) when the
     sum of len(x) * len(y) over the pairs reaches size, else a dict.  Every
-    phase is over den times its operands' denominators (den is the
-    kernel's own, such as a structure table's); its zeros go and its
-    content is removed once, when the phases are settled (see _settle)."""
+    phase is over its operands' denominators; its zeros go and its content
+    is removed once, when the phases are settled (see _settle)."""
     L = N if N == M else lcm(N, M)
     sa, sb = L // N, L // M
     groups = {}
@@ -1374,13 +1373,13 @@ def piece_product(A, N, B, M, K, kernel, size, den=1):
     for p, pairs in groups.items():
         if len(pairs) == 1:
             (x, dx), (y, dy) = pairs[0]
-            groups[p] = [(kernel(x, y, None, 1), dx * dy * den)]
+            groups[p] = [(kernel(x, y, None, 1), dx * dy)]
             continue
         D = lcm(*[dx * dy for (_x, dx), (_y, dy) in pairs])
         acc = _accumulator(size, sum(len(x) * len(y) for (x, _dx), (y, _dy) in pairs))
         for (x, dx), (y, dy) in pairs:
             kernel(x, y, acc, D // (dx * dy))
-        groups[p] = [(_nonzero(acc), D * den)]
+        groups[p] = [(_nonzero(acc), D)]
     return _settle(groups, L)
 
 

@@ -470,13 +470,13 @@ def _pbw_gcl(rng, order, theta):
     yield CheckOutcome.from_residual(
         "twist-not-cocycle",
         0 if (not ck.ok and ck.residual_term_count > 0) else 1,
-        ck.witness,
+        "cocycle holds" if ck.ok else ck.witness,
     )
     ck2 = gcl_equivariance_report(th1, order)
     yield CheckOutcome.from_residual(
         "twist-not-equivariant",
         0 if (not ck2.ok and ck2.witness) else 1,
-        ck2.witness,
+        "equivariance holds" if ck2.ok else ck2.witness,
     )
     ck = gcl_cocycle_report(z, order)
     if ck.ok:
@@ -547,7 +547,7 @@ def _graded_galois(rng, order, theta):
         yield CheckOutcome.from_residual(
             "window-products-iff-strong:%s" % name,
             0 if rep.ok == expect else 1,
-            rep.witness,
+            "component products span" if rep.ok else rep.witness,
         )
 
 

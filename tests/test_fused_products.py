@@ -1,15 +1,16 @@
 """The per-output-phase products of LegTensor against value arithmetic.
 
-LegTensor.mul over a rational structure table, leg_embed, coproduct_leg and
-counit_leg group the pairs of phases (hbar degree, tau power, exponent of
-z_N) of their operands by the phase they land on, and sum every pair of one
-output phase into one integer accumulator over the lcm of the pairs'
-denominators.  Here each is checked, at arity 1 to 4, against a reference
-written out leg by leg from basis_mul, basis_coproduct, the unit and the
-counit in Fraction, Cyclotomic and Series arithmetic, over group algebras at
-hbar order 2 and 3, a dual host, a host whose coproduct is twisted (its
-coproduct pieces span every hbar degree) and a k[Z3] whose tensors carry
-roots of unity, so that exponents pass phi(N) and move onto the basis.
+LegTensor.mul over a pointwise or permutation table, leg_embed,
+coproduct_leg and counit_leg group the pairs of phases (hbar degree, tau
+power, exponent of z_N) of their operands by the phase they land on, and
+sum every pair of one output phase into one integer accumulator over the
+lcm of the pairs' denominators.  Here each is checked, at arity 1 to 4,
+against a reference written out leg by leg from basis_mul,
+basis_coproduct, the unit and the counit in Fraction, Cyclotomic and
+Series arithmetic, over group algebras at hbar order 2 and 3, a dual host,
+a host whose coproduct is twisted (its coproduct pieces span every hbar
+degree) and a k[Z3] whose tensors carry roots of unity, so that exponents
+pass phi(N) and move onto the basis.
 """
 
 import itertools
@@ -57,8 +58,8 @@ HOSTS = {
     "twisted[S3]+h2": _twisted_s3(2),
     "k[Z3]+h2": with_series_ring(group_algebra(Z3), 2),
 }
-# the products run on the integer tables these tests are about
-assert all(H.rational_table() is not None for H in HOSTS.values())
+# the products run on the piece_product kernels these tests are about
+assert all(H.rational_kernel(4) is not None for H in HOSTS.values())
 assert any(v.coeffs[1] for cell in HOSTS["twisted[S3]+h2"].coproduct.values() for v in cell.values())
 
 SETTINGS = settings(max_examples=30, deadline=None)

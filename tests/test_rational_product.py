@@ -1,17 +1,20 @@
-"""Integer-numerator tensor products against the generic kernel.
+"""Integer-numerator tensor products against plain scalar arithmetic.
 
-The integer path of LegTensor.mul (exact and series values, convolved or
-intersected on pointwise hosts) and the exact inverse built on it are
-checked against the generic kernel on Fraction and Series scalars; the
-generic path itself, and the key-product rows of permutation tables, are
-checked against products expanded leg by leg with the host's own
-multiplication in plain scalar arithmetic; a dense product added into a
-caller's list or dict accumulator adds exactly f times the product.
+LegTensor.mul takes one path for each shape of table: key intersection on
+a pointwise table with unit coefficients, tensor_convolve's key-product
+rows on a permutation table at arity at most 4, and phase_convolve on
+every other table and at arity 5 and up.  Each path, on exact, series and
+cyclotomic values, and the exact inverse built on them, is checked against
+products expanded leg by leg with the host's own multiplication
+(basis_product) or with the group law (group_product); the path chosen is
+pinned; a dense product added into a caller's list or dict accumulator
+adds exactly f times the product.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,11 +72,32 @@ def tensors(host, arity, values=RATIONALS):
     )
 
 
-def generic(a, b):
+def basis_product(host, a, b):
+    """a*b on digit-tuple keys, expanded leg by leg from host.basis_mul."""
+    out = {}
+    for x, va in a.items():
+        for y, vb in b.items():
+            terms = [((), va * vb)]
+            for g, h in zip(x, y):
+                terms = [
+                    (key + (k,), c * w)
+                    for key, c in terms
+                    for k, w in host.basis_mul(g, h).items()
+                ]
+            for key, c in terms:
+                out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def flat(d, dim):
+    return {encode_key(k, dim): v for k, v in d.items()}
+
+
+def legwise(a, b):
+    """a*b expanded leg by leg from host.basis_mul, in plain scalar
+    arithmetic, on flat keys."""
     host = a.host
-    return kernel.tensor_convolve(
-        a.data, b.data, host.dim, a.arity, host.base_table()
-    )
+    return flat(basis_product(host, dict(a.entries()), dict(b.entries())), host.dim)
 
 
 @st.composite
@@ -88,20 +112,22 @@ def rational_pairs(draw, hosts):
 def test_integer_path_matches_generic_kernel(pair):
     a, b = pair
     got = a.mul(b).data
-    assert got == generic(a, b)
+    assert got == legwise(a, b)
     assert all(type(v) is Fraction and v for v in got.values())
 
 
 def test_twisted_host_has_a_denominator():
-    assert KF.rational_table()[1] > 1
+    assert KF.phase_table().den > 1
+    assert KF.key_table() is None
 
 
 @SETTINGS
 @given(rational_pairs([KF]))
 def test_integer_path_matches_generic_kernel_over_fractional_table(pair):
     # the product's denominator carries the table's denominator once per leg
+    # (phase_convolve)
     a, b = pair
-    assert a.mul(b).data == generic(a, b)
+    assert a.mul(b).data == legwise(a, b)
 
 
 # the largest |structure constant| of KF
@@ -120,7 +146,7 @@ def test_exact_inverse_over_fractional_table(arity, data):
     inv = tensor_invert(t)
     unit = LegTensor.unit(KF, arity)
     assert t.mul(inv).eq(unit) and inv.mul(t).eq(unit)
-    assert LegTensor(KF, arity, generic(t, inv)).eq(unit)
+    assert LegTensor(KF, arity, legwise(t, inv)).eq(unit)
 
 
 # k[Z2] on the basis 2e, g: its unit e = (2e)/2 has the denominator 2, so
@@ -146,7 +172,7 @@ def test_exact_inverse_with_a_fractional_unit(arity, data):
     t = t.add(unit.scale(lead))
     inv = tensor_invert(t)
     assert t.mul(inv).eq(unit) and inv.mul(t).eq(unit)
-    assert LegTensor(KU, arity, generic(t, inv)).eq(unit)
+    assert LegTensor(KU, arity, legwise(t, inv)).eq(unit)
 
 
 K = 2
@@ -165,7 +191,7 @@ def test_series_product_matches_generic_and_stores_no_zeros(arity, data):
     a = data.draw(tensors(KS3H, arity, series_values()))
     b = data.draw(tensors(KS3H, arity, series_values()))
     got = a.mul(b).data
-    assert got == generic(a, b)
+    assert got == legwise(a, b)
     assert all(v for v in got.values())
 
 
@@ -235,13 +261,6 @@ def _cyclo_values():
     return st.one_of(RATIONALS, RATIONALS.map(lambda q: z3 * q))
 
 
-def legwise(a, b):
-    """a*b expanded leg by leg from host.basis_mul, in plain scalar
-    arithmetic, on flat keys."""
-    host = a.host
-    return flat(basis_product(host, dict(a.entries()), dict(b.entries())), host.dim)
-
-
 @SETTINGS
 @given(st.integers(1, 2), st.data())
 def test_cyclotomic_operands_keep_the_generic_path(arity, data):
@@ -281,27 +300,6 @@ def group_product(G, a, b):
     return {k: v for k, v in out.items() if v}
 
 
-def basis_product(host, a, b):
-    """a*b on digit-tuple keys, expanded leg by leg from host.basis_mul."""
-    out = {}
-    for x, va in a.items():
-        for y, vb in b.items():
-            terms = [((), va * vb)]
-            for g, h in zip(x, y):
-                terms = [
-                    (key + (k,), c * w)
-                    for key, c in terms
-                    for k, w in host.basis_mul(g, h).items()
-                ]
-            for key, c in terms:
-                out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def flat(d, dim):
-    return {encode_key(k, dim): v for k, v in d.items()}
-
-
 def digit_tensors(dim, arity, values):
     keys = st.tuples(*[st.integers(0, dim - 1)] * arity)
     return st.dictionaries(keys, values, max_size=6)
@@ -329,11 +327,17 @@ def group_operands(draw):
 
 
 def test_permutation_tables_share_the_row_cache():
-    for _G, host in GROUP_HOSTS:
-        assert host.base_table().rows is host._rows
-        assert host.rational_table()[0].rows is host._rows
-    assert KF.base_table().rows is None
-    assert KF.rational_table()[0].rows is None
+    # one key table per host, made once with its row cache, and shared with
+    # a host that takes its product (share_product); no other table has one
+    for G, host in GROUP_HOSTS:
+        tbl = host.key_table()
+        assert tbl is host.key_table() and tbl.latin and tbl.unit == G.identity
+        assert list(tbl) == [G.mul(i, j) for i in range(G.order) for j in range(G.order)]
+        twin = AlgebraPresentation(host.dim, host.labels, host.ring, host.mult, host.unit)
+        twin.share_product(host)
+        assert twin.key_table() is tbl
+    for host in (KF, KU, dual_group_hopf(S3)):
+        assert host.key_table() is None
 
 
 @SETTINGS
@@ -341,11 +345,12 @@ def test_permutation_tables_share_the_row_cache():
 def test_key_product_rows_match_group_multiplication(case):
     G, host, arity, a, b = case
     want = flat(group_product(G, a, b), host.dim)
-    got = kernel.tensor_convolve(
-        flat(a, host.dim), flat(b, host.dim), host.dim, arity, host.base_table()
-    )
-    assert got == want
-    assert all(got.values())
+    if arity <= 4:
+        got = kernel.tensor_convolve(
+            flat(a, host.dim), flat(b, host.dim), host.dim, arity, host.key_table()
+        )
+        assert got == want
+        assert all(got.values())
     prod = LegTensor(host, arity, a).mul(LegTensor(host, arity, b))
     assert prod.data == want
     assert all(type(v) is Fraction and v for v in prod.data.values())
@@ -360,9 +365,10 @@ def test_products_cancelling_to_zero_store_nothing():
         b = LegTensor(host, arity, {e_n: 1, g_n: -1})
         # (1 + g)(1 - g) = 1 - g^2 = 0, legwise in k[Z2^2]
         assert a.mul(b).data == {}
-        assert kernel.tensor_convolve(
-            a.data, b.data, host.dim, arity, host.base_table()
-        ) == {}
+        if arity <= 4:
+            assert kernel.tensor_convolve(
+                a.data, b.data, host.dim, arity, host.key_table()
+            ) == {}
 
 
 def _blocks(arity, dim):
@@ -380,8 +386,8 @@ def test_row_cache_holds_only_rows_met():
     G = S3
     dim = G.order
     host = group_algebra(G)
-    assert host._rows == {}
-    base = host.base_table()
+    cache = host.key_table().rows
+    assert cache == {}
     met = {}
     rng = random.Random(5)
     for arity in (3, 1, 5, 2, 4):
@@ -390,14 +396,15 @@ def test_row_cache_holds_only_rows_met():
             for _ in range(3)
         }
         b = {tuple(rng.randrange(dim) for _ in range(arity)): 1}
-        kernel.tensor_convolve(flat(a, dim), flat(b, dim), dim, arity, base)
+        prod = LegTensor(host, arity, a).mul(LegTensor(host, arity, b))
+        assert prod.data == flat(group_product(G, a, b), dim)
         if arity <= 4:
-            # arity 5 and up take the per-leg loop and build no rows
+            # arity 5 and up multiply through phase_convolve and build no rows
             for width, stride, start in _blocks(arity, dim):
                 seen = met.setdefault((width, stride), set())
                 seen.update(encode_key(x[start:start + width], dim) for x in a)
-        assert {shape: set(rows) for shape, rows in host._rows.items()} == met
-    for (width, stride), rows in host._rows.items():
+        assert {shape: set(rows) for shape, rows in cache.items()} == met
+    for (width, stride), rows in cache.items():
         for x, row in rows.items():
             xs = decode_key(x, dim, width)
             assert len(row) == dim ** width
@@ -420,14 +427,10 @@ KZ = _cyclotomic_twisted_z22()
 @SETTINGS
 @given(st.sampled_from([KF, KZ]), st.integers(1, 4), st.data())
 def test_non_permutation_tables_match_leg_by_leg_products(host, arity, data):
-    assert host.base_table().rows is None
+    assert host.key_table() is None
     a = data.draw(digit_tensors(host.dim, arity, RATIONALS))
     b = data.draw(digit_tensors(host.dim, arity, RATIONALS))
     want = flat(basis_product(host, a, b), host.dim)
-    got = kernel.tensor_convolve(
-        flat(a, host.dim), flat(b, host.dim), host.dim, arity, host.base_table()
-    )
-    assert got == want
     assert LegTensor(host, arity, a).mul(LegTensor(host, arity, b)).data == want
 
 
@@ -437,12 +440,11 @@ def test_cyclotomic_values_over_permutation_table_match_per_leg_loop(arity, data
     a = data.draw(digit_tensors(KS3.dim, arity, _cyclo_values()))
     b = data.draw(digit_tensors(KS3.dim, arity, _cyclo_values()))
     want = flat(group_product(S3, a, b), KS3.dim)
-    a, b = flat(a, KS3.dim), flat(b, KS3.dim)
-    base = KS3.base_table()
-    got = kernel.tensor_convolve(a, b, KS3.dim, arity, base)
+    got = kernel.tensor_convolve(
+        flat(a, KS3.dim), flat(b, KS3.dim), KS3.dim, arity, KS3.key_table()
+    )
     assert got == want
-    # a plain list carries no rows, so it takes the per-leg loop
-    assert got == kernel.tensor_convolve(a, b, KS3.dim, arity, list(base))
+    assert LegTensor(KS3, arity, a).mul(LegTensor(KS3, arity, b)).data == want
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +519,25 @@ def _adds_f_times(product, fresh, size):
     assert {k: v for k, v in acc.items() if v} == {k: v for k, v in want.items() if v}
 
 
-def _dense_product(host, arity, a, b):
-    a, b = flat(a, host.dim), flat(b, host.dim)
+def _dense_product(G, host, arity, a, b):
+    """a*b by tensor_convolve's key rows on flat keys, checked against the
+    group law, as are the host's kernel on the term of a at its least key
+    times b and on b times it; each also added into an accumulator."""
     dim, size = host.dim, host.dim ** arity
-    assert len(a) * len(b) >= size
-    base = host.base_table()
-    got = kernel.tensor_convolve(a, b, dim, arity, base)
-    # a plain list carries no rows, so it takes the per-leg loop
-    assert got == kernel.tensor_convolve(a, b, dim, arity, list(base))
+    fa, fb = flat(a, dim), flat(b, dim)
+    assert len(fa) * len(fb) >= size
+    base = host.key_table()
+    got = kernel.tensor_convolve(fa, fb, dim, arity, base)
+    assert got == flat(group_product(G, a, b), dim)
     assert all(got.values())
-    _adds_f_times(lambda acc, f: kernel.tensor_convolve(a, b, dim, arity, base, acc, f), got, size)
-    # the term of a at its least key (key 0 when a is dense, which is not
-    # the unit's key over a relabelled group) times b, and b times it: the
-    # host's kernel relabels
+    _adds_f_times(lambda acc, f: kernel.tensor_convolve(fa, fb, dim, arity, base, acc, f), got, size)
+    # the least key is key 0 when a is dense, which is not the unit's key
+    # over a relabelled group: the host's kernel relabels
     one = {min(a): a[min(a)]}
-    convolve, _den = host.rational_kernel(arity)
+    convolve = host.rational_kernel(arity)
     for x, y in ((one, b), (b, one)):
-        fresh = kernel.tensor_convolve(x, y, dim, arity, list(base))
+        fresh = flat(group_product(G, x, y), dim)
+        x, y = flat(x, dim), flat(y, dim)
         assert convolve(x, y, None, 1) == fresh
         _adds_f_times(lambda acc, f: convolve(x, y, acc, f), fresh, size)
     return got
@@ -543,8 +547,7 @@ def _dense_product(host, arity, a, b):
 @given(dense_operands())
 def test_dense_products_match_group_multiplication(case):
     G, host, arity, a, b = case
-    want = flat(group_product(G, a, b), host.dim)
-    assert _dense_product(host, arity, a, b) == want
+    want = _dense_product(G, host, arity, a, b)
     prod = LegTensor(host, arity, a).mul(LegTensor(host, arity, b))
     assert prod.data == want
 
@@ -556,20 +559,18 @@ def test_dense_products_cancelling_to_zero_store_nothing():
             keys = [decode_key(k, host.dim, arity) for k in range(host.dim ** arity)]
             ones = {x: Fraction(1, 3) for x in keys}
             diff = {(G.identity,) * arity: 1, (1,) * arity: -1}
-            assert _dense_product(host, arity, ones, diff) == {}
-            assert _dense_product(host, arity, diff, ones) == {}
+            assert _dense_product(G, host, arity, ones, diff) == {}
+            assert _dense_product(G, host, arity, diff, ones) == {}
 
 
 @SETTINGS
 @given(dense_operands(kinds=("cyclotomic",), hosts=[(S3, KS3)]))
 def test_dense_cyclotomic_values_start_each_cell_from_zero(case):
     G, host, arity, a, b = case
-    want = flat(group_product(G, a, b), host.dim)
-    got = _dense_product(host, arity, a, b)
-    assert got == want
+    _dense_product(G, host, arity, a, b)
     keys = [decode_key(k, host.dim, arity) for k in range(host.dim ** arity)]
     ones = {x: _Z3 for x in keys}
-    assert _dense_product(host, arity, ones, {(G.identity,) * arity: 1, (1,) * arity: -1}) == {}
+    assert _dense_product(G, host, arity, ones, {(G.identity,) * arity: 1, (1,) * arity: -1}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -621,3 +622,41 @@ def test_pointwise_series_product_with_tau_falls_back():
     got = a.mul(b).data
     assert got == pointwise_reference(a.data, b.data)
     assert set(got) == {encode_key((0, 1), host.dim)}
+
+
+# ---------------------------------------------------------------------------
+# one product path for each shape of table
+
+
+def _raising(name):
+    def called(*args):
+        raise AssertionError("%s was called" % name)
+
+    return called
+
+
+@SETTINGS
+@given(st.sampled_from([(KF, 1), (KF, 2), (KF, 3), (KU, 1), (KU, 2), (KU, 3),
+                        (KZ, 1), (KZ, 2), (KZ, 3), (KS3, 5)]), st.data())
+def test_other_tables_multiply_through_phase_convolve(case, data):
+    # a table that is neither pointwise nor a permutation table, and a
+    # permutation table at arity 5, never reach tensor_convolve
+    host, arity = case
+    a = data.draw(tensors(host, arity, _cyclo_values()))
+    b = data.draw(tensors(host, arity, _cyclo_values()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "tensor_convolve", _raising("tensor_convolve"))
+        got = a.mul(b).data
+    assert got == legwise(a, b)
+    assert host.rational_kernel(arity) is None
+
+
+@SETTINGS
+@given(st.sampled_from([KS3, KP8, dual_group_hopf(S3)]), st.integers(1, 4), st.data())
+def test_pointwise_and_permutation_tables_keep_their_kernels(host, arity, data):
+    a = data.draw(tensors(host, arity, _cyclo_values()))
+    b = data.draw(tensors(host, arity, _cyclo_values()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "phase_convolve", _raising("phase_convolve"))
+        got = a.mul(b).data
+    assert got == legwise(a, b)

@@ -794,3 +794,26 @@ def test_octonion_module_twist_names_the_first_broken_step(monkeypatch):
     monkeypatch.setattr(ModuleAlgebra, "act_tensor", negated)
     ck = suites._octonion_module_twist()
     assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 2, "twisted-table")
+
+
+def test_negative_controls_name_what_unexpectedly_held(monkeypatch):
+    # reports that find nothing wrong: each check that expects its report to
+    # fail fails, and its witness says what held
+    def passing(*args):
+        return CheckOutcome("report", "pass", 0)
+
+    monkeypatch.setattr(pbw, "gcl_cocycle_report", passing)
+    monkeypatch.setattr(pbw, "gcl_equivariance_report", passing)
+    monkeypatch.setattr(graded, "window_products_report", passing)
+    got = {
+        c.id: (c.status, c.witness)
+        for name in ("pbw-gcl", "graded-galois")
+        for c in run_suite(name).checks
+        if not c.ok
+    }
+    assert got.pop("twist-not-cocycle") == ("fail", "cocycle holds")
+    assert got.pop("twist-not-equivariant") == ("fail", "equivariance holds")
+    assert got and all(
+        cid.startswith("window-products-iff-strong:") for cid in got
+    )
+    assert set(got.values()) == {("fail", "component products span")}
