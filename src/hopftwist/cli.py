@@ -7,15 +7,14 @@ hopftwist octonion-table [--csv PATH]
 
 Exit codes: 0 all checks passed, 1 at least one failed or raised, 2
 malformed input (unknown suite, unparsable scalar, schema violation,
-unreadable file) or a computation refused as too costly
-(InverseTooCostly, SolveTooCostly).
+unreadable file) or a computation refused as too costly (SolveTooCostly:
+one solve, one price, one refusal).
 """
 
 import argparse
 import sys
 
 from .errors import (
-    InverseTooCostly,
     ParseError,
     SchemaError,
     SolveTooCostly,
@@ -125,9 +124,7 @@ def main(argv=None):
     try:
         _one_value_each(args)
         return handlers[args.command](args)
-    except (
-        UnknownSuite, ParseError, SchemaError, InverseTooCostly, SolveTooCostly, OSError
-    ) as e:
+    except (UnknownSuite, ParseError, SchemaError, SolveTooCostly, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -53,15 +53,10 @@ class NotInvertible(HopftwistError):
     pass
 
 
-class InverseTooCostly(HopftwistError):
-    """An exact tensor inverse whose estimated work passes the cap
-    (multilinear._MAX_INVERSE_WORK); refused before it is solved."""
-
-
 class SolveTooCostly(HopftwistError):
-    """A linear system over a cyclotomic field whose rational expansion's
-    estimated work passes the cap (scalars._MAX_SOLVE_WORK); refused before
-    the expansion is built."""
+    """An exact solve over Q(z_N), a tensor inverse or a graded rank or
+    solution, priced by scalars.solve_work past scalars._MAX_SOLVE_WORK and
+    refused before it is expanded: one solve, one price, one refusal."""
 
 
 class NotPrimitiveRoot(HopftwistError):

@@ -14,7 +14,6 @@ reduce to degrees +1 and -1.
 from fractions import Fraction
 from math import gcd, prod
 
-from . import linalg
 from .constructors import cyclic_group, group_algebra, symmetric_3
 from .errors import NotAction, NotAutomorphism, NotHomogeneous
 from .multilinear import AlgebraPresentation
@@ -298,10 +297,8 @@ def crossed_product(B, G, alpha):
 
     one = B.ring.one()
     for g, rows in maps.items():
-        dense = [
-            [Fraction(rows[i].get(k, 0)) for k in range(dB)] for i in range(dB)
-        ]
-        if linalg.rank(dense) != dB:
+        dense = [[rows[i].get(k, 0) for k in range(dB)] for i in range(dB)]
+        if field_rank(dense) != dB:
             raise NotAutomorphism("alpha_%s is singular" % G.labels[g])
         img_unit = _apply_map(rows, B.elem_unit())
         if img_unit != B.elem_unit():

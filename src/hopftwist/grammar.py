@@ -56,8 +56,11 @@ _MAX_WORK = 5 * 10**7
 # 10+z(997,1)+z(997,3)+z(997,7) (2.8e9) 4.9 and 4.4 s; and
 # 30+z(997,1)+z(997,3)+z(997,7) (3.5e9) and 3+z(997,1)-2*z(997,5)+z(997,20)
 # (6.0e9) 7.4 and 8.2 s.  Over these, seconds past start-up per unit of the
-# estimate lie within 0.6-2.0e-9.
-_MAX_INVERSE_WORK = 3 * 10**9
+# estimate lie within 0.6-2.0e-9.  It is a parse-time bound of its own, not
+# scalars' one price of an exact solve: that dense estimate, R * C * min(R,
+# C) * g, would refuse 1/(1+z(997,1)) (996^3 = 9.9e8 past 10^8), which
+# parses in 0.7 s.
+_MAX_DIVISOR_WORK = 3 * 10**9
 
 # Deepest nesting of '(' and unary '-' an expression may have.  The parser
 # descends recursively, five interpreter frames for each level of
@@ -227,7 +230,7 @@ def _inverse_cost(w):
     their common denominator plus the bits of that denominator, and a
     coordinate of the inverse has about phi * g bits.  The largest
     numerator, not the l1 norm: many coordinates 1 cost no more than one
-    (see _MAX_INVERSE_WORK)."""
+    (see _MAX_DIVISOR_WORK)."""
     if isinstance(w, Series):
         w = w.coeffs[0]
     if isinstance(w, TauLaurent):
@@ -293,7 +296,7 @@ class _Parser:
             what = "product" if op.kind == "*" else "quotient"
             self.bound(op, what, lambda: _product_cost(v, w))
             if op.kind == "/":
-                self.bound(op, what, lambda: _inverse_cost(w), _MAX_INVERSE_WORK)
+                self.bound(op, what, lambda: _inverse_cost(w), _MAX_DIVISOR_WORK)
             v = v * w if op.kind == "*" else _invertible(op, lambda: v / w)
         return v
 
@@ -312,7 +315,7 @@ class _Parser:
             k = self.intexp()
             what = "power ^%d" % k
             if k < 0:
-                self.bound(op, what, lambda: _inverse_cost(v), _MAX_INVERSE_WORK)
+                self.bound(op, what, lambda: _inverse_cost(v), _MAX_DIVISOR_WORK)
             self.bound(op, what, lambda: _power_cost(v, k, self.order))
             v = _invertible(op, lambda: v**k)
         return v

@@ -24,9 +24,11 @@ from .scalars import (
     ScalarRing,
     Series,
     TauLaurent,
+    _conductor,
+    _field_columns,
     _phi_deg,
-    expansion_work,
     field_rank,
+    solve_work,
 )
 from .suites import _THETA_ORDER_CAP
 
@@ -95,15 +97,14 @@ def _conductor_of(values):
     return lcm(*found) if found else None
 
 
-# Cap on the estimated work of the antipode check over a cyclotomic field
-# (see _invertible): m^3 * g for the m = n * phi(N) rows of the expansion
-# (scalars.expansion_work), g the bits of the largest numerator of an
-# entry's coordinates over their common denominator plus the bits of that
-# denominator.  As single field_rank calls on a shared 2-core x86 host,
-# dense expansions of m from 32 to 384 took 0.6-4.5e-7 s per unit of the
-# estimate (m = 192 at N = 420: 1.3 s), so the cap allows about 2-4 s.  A
-# rational matrix is not priced: it is no larger than the document that
-# writes it.
+# Cap on scalars.solve_work, the one estimate of an exact solve, for the
+# antipode check over a cyclotomic field (see _invertible): m^3 * g for the
+# m = n * phi(N) rows of the expansion.  It is below scalars'
+# _MAX_SOLVE_WORK as it bounds outside input at load time.  As single
+# field_rank calls on a shared 2-core x86 host, dense expansions of m from
+# 32 to 384 took 0.6-4.5e-7 s per unit of the estimate (m = 192 at N =
+# 420: 1.3 s), so the cap allows about 2-4 s.  A rational matrix is not
+# priced: it is no larger than the document that writes it.
 _MAX_EXPANSION_WORK = 10**7
 
 
@@ -141,9 +142,9 @@ def _invertible(rows):
 
     Each connected part of the nonzero pattern (_components) is decided on
     its own: a single entry is nonzero, and a larger square part goes to
-    scalars.field_rank, the integer rank of its expansion into rational
-    multiplication blocks (scalars.expansion), unless the estimated work of
-    that expansion passes _MAX_EXPANSION_WORK (a SchemaError)."""
+    scalars.field_rank, the one solve over Q(z_N) (one solve, one price,
+    one refusal), unless the one estimate, scalars.solve_work, passes the
+    lower load-time cap _MAX_EXPANSION_WORK first (a SchemaError)."""
     mat = []
     for row in rows:
         out = []
@@ -160,11 +161,10 @@ def _invertible(rows):
         if len(part_rows) == 1:
             continue
         part = [[mat[i][j] for j in part_cols] for i in part_rows]
-        values = [[Cyclotomic._coerce(v) for v in row] for row in part]
-        N = lcm(*[q.conductor for row in values for q in row])
+        N = _conductor(part)
         if N > 1:
             m = len(part) * _phi_deg(N)
-            work = expansion_work(values, N)
+            work = solve_work(len(part), len(part), N, _field_columns(part, N)[1])
             if work > _MAX_EXPANSION_WORK:
                 raise SchemaError(
                     "antipode check too costly: %d x %d rational expansion "

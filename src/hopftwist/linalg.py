@@ -12,10 +12,11 @@ in the solution.  The reduced row echelon form is unique, so the pivots
 and the solution (free variables set to zero) are those of any exact
 Gauss-Jordan elimination.
 
-A system over a cyclotomic field Q(z_N) comes here as its rational
-expansion, each entry a phi(N) x phi(N) block of multiplication
-(scalars.expansion), through scalars.field_rank and field_solve.  Nothing
-here touches floats.
+Only scalars imports this module: one solve, one price, one refusal.  A
+system over Q(z_N) is priced there (solve_work) and refused past one cap
+(SolveTooCostly), then comes here as the expansion of its integer columns
+(scalars.solve_columns); a rational one comes as it is.  Nothing here
+touches floats.
 """
 
 from fractions import Fraction

@@ -68,12 +68,16 @@ it sums have at least dim**arity term products, and a dict otherwise,
 such as for hopf-cochain's sparse arity-3 cochains; its nonzero cells
 become the product's piece.
 
-An exact tensor inverse (tensor_invert, _invert_exact) is one integer
-solve of the left regular representation at every conductor N: each
-unknown is a coordinate of the inverse on a key and a power of z_N, and
-each column is over its own denominator; at N = 1 over a table with a
-piece_product kernel the columns come straight from that kernel.  No step
-does Cyclotomic arithmetic.
+An exact tensor inverse (tensor_invert, _invert_exact) is the one exact
+solve of scalars, scalars.solve_columns, on the left regular
+representation at every conductor N: one solve, one price, one refusal.
+Each unknown is a coordinate of the inverse on a key, each column is over
+its own denominator, and the solve expands each column into its phi(N)
+multiples by powers of z_N; at N = 1 over a table with a piece_product
+kernel the columns come straight from that kernel.  The inverse is priced
+from t's pieces and the table before a column is formed, with the one
+estimate (scalars.solve_work), and refused past the one cap with
+SolveTooCostly.  No step does Cyclotomic arithmetic.
 
 verify_algebra is the one algebra axiom battery: unit laws, associativity
 or quasi-associativity x(yz) = sum Phi(x,y,z)_abc (ab)c, and the
@@ -108,12 +112,10 @@ instances that need it are skipped, not failed.
 from fractions import Fraction
 from math import lcm
 
-from . import linalg
 from .errors import (
     ArityMismatch,
     BadLeg,
     BadPositions,
-    InverseTooCostly,
     NotInvertible,
     WindowOverflow,
 )
@@ -125,7 +127,6 @@ from .scalars import (
     _nonzero,
     _numerators,
     _row,
-    _phi_deg,
     _settle,
     accumulate,
     phase_pieces,
@@ -134,7 +135,9 @@ from .scalars import (
     piece_product,
     pieces_row,
     reduced_row,
+    refuse_costly,
     row_pieces,
+    solve_columns,
 )
 
 
@@ -1398,98 +1401,43 @@ def tensor_invert(t):
     return x0.mul(acc)
 
 
-# Cap on the estimated work of one exact inverse (see _inverse_work): m^3 * g
-# for its m = D * phi(L) unknowns, g the bits of t's largest numerator and
-# denominator and of the table's, the estimate of io_json's antipode check.
-# As single _invert_exact calls on one CPU of a shared 2-core x86 machine,
-# dense tensors over k[Z2], k[Z2^2] and k[Z2^3] took 4-8e-8 s per unit of
-# the estimate for m = 32-96, and more as m grows: k[Z2] at arity 2 over
-# N = 105 (m = 192, 4.9e7) 9.0 s and k[Z2^2] at arity 2 over N = 60
-# (m = 256, 1.5e8) 51 s.  A sparse tensor runs far under its estimate: the
-# three-term 2-leg tensor over k[S3] at N = 12 of test_row_store (1.8e7)
-# takes 0.13 s.  So the cap refuses what would run for about a minute or
-# more, such as k[Z2] over N = 997 (m = 1992), and keeps every inverse the
-# tests form; the hopf-cochain suite and the cochain benchmarks price theirs
-# under 10^4.
-_MAX_INVERSE_WORK = 10**8
-
-
-def _inverse_work(t, unit):
-    """The estimated work of _invert_exact(t, unit), from t's pieces and
-    the host's table alone, before a column is formed: m^3 * g as for the
-    antipode check of io_json, with L the lcm of the conductors of t, the
-    unit and the table."""
-    pieces, N = t._phases()
-    table = t.host.phase_table()
-    L = lcm(N, unit._phases()[1], table.N)
-    m = t.host.dim ** t.arity * _phi_deg(L)
-    bits = max(
-        (
-            max(map(abs, nums.values())).bit_length() + (den - 1).bit_length()
-            for nums, den in pieces.values()
-        ),
-        default=1,
-    )
-    return m**3 * (bits + table.top.bit_length() + (table.den - 1).bit_length())
-
-
 def _invert_exact(t, unit):
-    """The two-sided inverse of t over an exact ring, by one rational solve
-    of the left regular representation.  With t and the unit at conductor 1
-    and phase 0 and a host whose products have a piece_product kernel
-    (rational_kernel), column j is t's numerators through that kernel times
-    {j: 1}.  Otherwise the columns t *
-    b_j and the unit are flat rows at L, the lcm of their conductors, and
-    the column of x_(j,f), the inverse's coordinate at key j on z_L^f, f <
-    phi(L), is t * b_j with its exponents shifted by f and reduced below
-    phi(L) (z_L is central).  An inverse whose estimated work passes
-    _MAX_INVERSE_WORK is refused (InverseTooCostly) before a column is
-    formed."""
-    work = _inverse_work(t, unit)
-    if work > _MAX_INVERSE_WORK:
-        raise InverseTooCostly(
-            "exact inverse priced at %.1e, past the cap of %.0e" % (work, _MAX_INVERSE_WORK)
-        )
+    """The two-sided inverse of t over an exact ring: one
+    scalars.solve_columns of the left regular representation, priced first
+    from t's pieces and the table alone (refuse_costly: D x D at the lcm of
+    the conductors of t, the unit and the table; the bits of t's top
+    numerator and denominator plus the table's).  At conductor 1 and phase
+    0 over a host with a piece_product kernel (rational_kernel), column j is
+    t's numerators through that kernel times {j: 1}; otherwise it is the
+    flat row of t * b_j, and the right side the unit's."""
     host = t.host
     arity = t.arity
     D = host.dim ** arity
     A, N = t._phases()
     U, M = unit._phases()
+    table = host.phase_table()
+    bits = table.top.bit_length() + (table.den - 1).bit_length() + max(
+        (max(map(abs, n.values())).bit_length() + (d - 1).bit_length() for n, d in A.values()),
+        default=1,
+    )
+    refuse_costly(D, D, lcm(N, M, table.N), bits)
     rational = N == M == 1 and set(A) | set(U) <= {_PHASE0}
     kernel = host.rational_kernel(arity) if rational else None
     if kernel is not None:
         nums, den = A.get(_PHASE0, ({}, 1))
-        L = phi = 1
+        L = 1
         cols = [(kernel(nums, {j: 1}, None, 1), den) for j in range(D)]
-        unit_nums, unit_den = U.get(_PHASE0, ({}, 1))
+        cols.append(U.get(_PHASE0, ({}, 1)))
     else:
         prods = [t.mul(LegTensor._of_rows(host, arity, {_PHASE0: ({j: 1}, 1)})) for j in range(D)]
         phases = [c._phases() for c in prods + [unit]]
         L = lcm(*[N for _rows, N in phases])
-        phi = _phi_deg(L)
-        rows = [pieces_row(pieces, N, L) for pieces, N in phases]
-        cols = [
-            ({k * phi + e: n for (k, _v, _t, e), n in reduced_row(
-                {(k, v, tau, (e + f) % L): n for (k, v, tau, e), n in nums.items()}, L
-            ).items()}, den)
-            for nums, den in rows[:D]
-            for f in range(phi)
-        ]
-        unit_nums = {k * phi + e: n for (k, _v, _t, e), n in rows[D][0].items()}
-        unit_den = rows[D][1]
-    mat = [[0] * len(cols) for _ in cols]
-    for c, (col, _den) in enumerate(cols):
-        for r, n in col.items():
-            mat[r][c] = n
-    sol = linalg.solve(mat, [unit_nums.get(r, 0) for r in range(len(cols))])
+        rows = [pieces_row(pieces, n, L) for pieces, n in phases]
+        cols = [({k * L + e: x for (k, _v, _t, e), x in nums.items()}, den) for nums, den in rows]
+    sol = solve_columns(cols[:D], cols[D], D, L)
     if sol is None:
         raise NotInvertible("tensor has no inverse")
-    # x_(j,f) = z_(j,f) * den_(j,f) / unit_den, on the phase (0, 0, f)
-    flat = {}
-    for c, z in enumerate(sol):
-        if z:
-            j, f = divmod(c, phi)
-            flat[j, 0, 0, f] = z * Fraction(cols[c][1], unit_den)
+    flat = {(j, 0, 0, f): x for j, coords in enumerate(sol) for f, x in coords.items()}
     inv = LegTensor._of_rows(host, arity, *row_pieces(_numerators(flat), L))
     if not t.mul(inv).eq(unit) or not inv.mul(t).eq(unit):
         raise NotInvertible("one-sided inverse only")

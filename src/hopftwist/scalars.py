@@ -422,7 +422,8 @@ class Cyclotomic(_Ring):
             return Cyclotomic(self.conductor, {-e % self.conductor: 1 / c})
         # unpriced: grammar prices a divisor before it is formed
         N = self.conductor
-        return _solved(_blocks([[self, Cyclotomic._coerce(1)]], N), N)[0]
+        (x,) = solve_columns([_numerators(self.coords)], ({0: 1}, 1), 1, N)
+        return Cyclotomic(N, x, _reduced=True)
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -460,135 +461,169 @@ def root_of_unity(p, q):
 
 # ---------------------------------------------------------------------------
 # linear systems over Q(z_N)
-
-
-# Cap on the estimated work of one rational solve of the expansion of a
-# system with a Cyclotomic entry (field_rank, field_solve): m^3 * g, the
-# estimate and the cap of multilinear._invert_exact (see expansion_work).
-# Zero rows are dropped before the price.  The graded decisions over Q(z_3)
-# of the tests price theirs under 10^7.  Over twisted k^a[Z3 x Z3] with a =
-# z(997, b*c), the 9 x 1 systems of strong_grading and smeb_check keep one
-# nonzero row and are decided unpriced; canonical_map's 81 x 81 system,
-# which expands to 80,676 columns, is priced at 5.3e14 and refused at once.
+#
+# One solve, one price, one refusal.  A system over Q(z_N) is integer
+# columns: column j is (numerators, den), the numerator at z_N^e of its
+# entry in row r keyed by r * N + e (e below N), over its own denominator.
+# solve_columns solves their expansion for field_rank, field_solve,
+# Cyclotomic.inverse and multilinear._invert_exact.  Every caller but
+# Cyclotomic.inverse (grammar prices a divisor when it is parsed) prices
+# first with solve_work, and refuse_costly raises SolveTooCostly past the
+# cap.  A rational system goes to linalg as it is, unpriced: `verify all`
+# at seed 1729 makes 337 field_rank and 76 field_solve calls, all rational,
+# and through the columns they made graded-galois 2.4-3.5x slower.
+#
+# The cap: as single exact tensor inverses on one CPU of a shared 2-core
+# x86 machine, dense tensors over k[Z2], k[Z2^2] and k[Z2^3] took 4-8e-8 s
+# per unit of solve_work for 32-96 unknowns, and more as they grow: k[Z2]
+# at arity 2 over N = 105 (192 unknowns, 4.9e7) 9.0 s, k[Z2^2] at arity 2
+# over N = 60 (256, 1.5e8) 51 s.  It refuses what would run for a minute
+# or more, such as k[Z2] over N = 997, or canonical_map's 81 x 81 system
+# over twisted k^a[Z3 x Z3], a = z(997, b*c) (5.3e14), and keeps every
+# solve the tests form: the hopf-cochain suite and the cochain benchmarks
+# price their inverses under 10^4, the graded decisions over Q(z_3) theirs
+# under 10^7.
 _MAX_SOLVE_WORK = 10**8
 
 
-def _coordinate_bits(q):
-    """The bits of the largest coordinate numerator of a Cyclotomic over
-    their common denominator plus the bits of that denominator, at least 1."""
-    if not q.coords:
-        return 1
-    den = lcm(*[c.denominator for c in q.coords.values()])
-    top = max(abs(c.numerator) * (den // c.denominator) for c in q.coords.values())
-    return max(1, top.bit_length() + (den - 1).bit_length())
-
-
-def expansion_work(values, N):
-    """The estimated work of a rational solve of the expansion of a matrix
-    of Cyclotomic values at conductor N, from the entries alone: R * C *
-    min(R, C) * g for its R x C rational matrix (m^3 * g when square, as
-    multilinear._inverse_work), g the largest _coordinate_bits of an entry."""
+def solve_work(rows, cols, N, bits):
+    """The one price of an exact solve over Q(z_N): R * C * min(R, C) * bits
+    for its R = rows * phi(N) by C = cols * phi(N) rational expansion, bits
+    those of the top coefficient numerator plus those of its denominator."""
     phi = _phi_deg(N)
-    R, C = len(values) * phi, len(values[0]) * phi
-    return R * C * min(R, C) * max(_coordinate_bits(q) for row in values for q in row)
+    R, C = rows * phi, cols * phi
+    return R * C * min(R, C) * bits
 
 
-def expansion(mat):
-    """(rows, N) for a matrix of int, Fraction and Cyclotomic entries, N the
-    lcm of their conductors: the rational matrix in which entry (i, j) is the
-    phi(N) x phi(N) block of multiplication by it on the reduced basis, at
-    rows i*phi + r and columns j*phi + s, the coordinate at z_N^r of the
-    entry times z_N^s.  Column j*phi + s thus acts on the coordinate at
-    z_N^s of unknown j, and the rank is phi(N) times the rank over Q(z_N).
-    A rational matrix comes back as it is, with N = 1.  Any other is priced
-    first (expansion_work) and refused past _MAX_SOLVE_WORK with
-    SolveTooCostly, before a block is built."""
-    if all(isinstance(x, _RATIONAL) for row in mat for x in row):
-        return mat, 1
-    values, N = _as_cyclotomic(mat)
-    return _priced(values, N), N
-
-
-def _as_cyclotomic(mat):
-    """(values, N): a matrix as Cyclotomic values, N their lcm conductor."""
-    values = [[Cyclotomic._coerce(x) for x in row] for row in mat]
-    return values, lcm(*[x.conductor for row in values for x in row])
-
-
-def _priced(values, N):
-    """The expansion of a matrix of Cyclotomic values at N, priced first."""
-    work = expansion_work(values, N)
+def refuse_costly(rows, cols, N, bits):
+    """Raise SolveTooCostly when solve_work passes _MAX_SOLVE_WORK."""
+    work = solve_work(rows, cols, N, bits)
     if work > _MAX_SOLVE_WORK:
         raise SolveTooCostly(
             "%d x %d system over Q(z_%d) priced at %.1e, past the cap of %.0e"
-            % (len(values), len(values[0]), N, work, _MAX_SOLVE_WORK)
+            % (rows, cols, N, work, _MAX_SOLVE_WORK)
         )
-    return _blocks(values, N)
 
 
-def _blocks(values, N):
-    """The rational expansion (see expansion) of a matrix of Cyclotomic
-    values at conductor N, unpriced."""
+def _expanded(cols, rows, N):
+    """The integer matrix of integer columns over rows rows at N: its column
+    j * phi + f is column j times z_N^f (z_N is central), its row r * phi + s
+    the coordinates at z_N^s of row r, phi = phi(N), so its rank is phi
+    times the rank over Q(z_N).  At N = 1 it is one pass over each column."""
     phi = _phi_deg(N)
-    rows = []
-    for row in values:
-        cols = [
-            _reduce(N, {e + s: v for e, v in x._embedded(N).items()})
-            for x in row
-            for s in range(phi)
-        ]
-        rows.extend([col.get(r, 0) for col in cols] for r in range(phi))
-    return rows
+    mat = [[0] * (len(cols) * phi) for _ in range(rows * phi)]
+    if N == 1:
+        for c, (nums, _den) in enumerate(cols):
+            for r, n in nums.items():
+                mat[r][c] = n
+        return mat
+    for c, (nums, _den) in enumerate(cols):
+        for key, n in nums.items():
+            r, e = divmod(key, N)
+            for f in range(phi):
+                s = (e + f) % N
+                if s < phi:
+                    mat[r * phi + s][c * phi + f] += n
+                else:
+                    for j, w in _power_row(N, s).items():
+                        mat[r * phi + j][c * phi + f] += n * w
+    return mat
+
+
+def solve_columns(cols, rhs, rows, N):
+    """A solution of sum_j cols[j] x_j = rhs over Q(z_N), integer columns
+    over rows rows, free coordinates zero, or None if it is inconsistent:
+    one linalg.solve of the expansion, unpriced, for y_j = x_j * rhs_den /
+    den_j.  Each x_j is its coordinates {f: Fraction} on z_N^f, no zeros."""
+    phi = _phi_deg(N)
+    if N == 1:
+        b = [rhs[0].get(r, 0) for r in range(rows)]
+    else:
+        b = [row[0] for row in _expanded([rhs], rows, N)]
+    y = linalg.solve(_expanded(cols, rows, N), b)
+    if y is None:
+        return None
+    out = [{} for _ in cols]
+    for c, v in enumerate(y):
+        if v:
+            j, f = divmod(c, phi)
+            out[j][f] = v * Fraction(cols[j][1], rhs[1])
+    return out
+
+
+def _conductor(mat):
+    """The lcm of the conductors of a matrix's Cyclotomic entries, 1 if it
+    has none."""
+    return lcm(*[x.conductor for row in mat for x in row if isinstance(x, Cyclotomic)])
+
+
+def _field_columns(mat, N):
+    """(integer columns at N, bits) of a matrix of int, Fraction and
+    Cyclotomic entries, N a multiple of their conductors; bits is the most
+    of an entry's top coordinate numerator over its common denominator,
+    plus that denominator's, at least 1."""
+    bits = 1
+    cols = []
+    for j in range(len(mat[0])):
+        coords = {}
+        for i, row in enumerate(mat):
+            q = Cyclotomic._coerce(row[j])
+            if q.coords:
+                vals = q.coords.values()
+                den = lcm(*[c.denominator for c in vals])
+                top = max(abs(c.numerator) * (den // c.denominator) for c in vals)
+                bits = max(bits, top.bit_length() + (den - 1).bit_length())
+                coords.update({i * N + e: c for e, c in q._embedded(N).items()})
+        cols.append(_numerators(coords))
+    return cols, bits
 
 
 def field_rank(mat):
-    """Rank over Q(z_N) of a matrix of rational and Cyclotomic entries: the
-    integer rank of its expansion over phi(N).  Zero rows are dropped first,
-    so a matrix with at most one nonzero row is ranked unpriced."""
+    """Rank over Q(z_N) of a matrix of rational and Cyclotomic entries, N
+    the lcm of their conductors.  Zero rows are dropped first, so at most
+    one nonzero row is ranked unpriced; any other matrix with a Cyclotomic
+    entry is priced and ranked through its integer columns."""
     mat = [row for row in mat if any(row)]
     if len(mat) < 2:
         return len(mat)
-    rows, N = expansion(mat)
-    return linalg.rank(rows) // _phi_deg(N)
+    if all(isinstance(x, _RATIONAL) for row in mat for x in row):
+        return linalg.rank(mat)
+    N = _conductor(mat)
+    cols, bits = _field_columns(mat, N)
+    refuse_costly(len(mat), len(cols), N, bits)
+    return linalg.rank(_expanded(cols, len(mat), N)) // _phi_deg(N)
 
 
 def field_solve(mat, rhs):
     """A solution x of mat x = rhs over Q(z_N), free coordinates zero, or
-    None if the system is inconsistent: one rational solve of the expansion.
-    The entries of x are Fractions when every entry of mat and rhs is
-    rational, and Cyclotomic values at N otherwise.  A zero row of mat
-    with a nonzero right side is None at once, and the other zero rows are
-    dropped before anything is priced; N is still the lcm over every
-    entry.  One equation left in one unknown, with a coefficient whose
-    inverse is immediate (a root of unity or one term c z^e), is decided
-    unpriced by Cyclotomic.inverse; any other coefficient's inverse is
-    itself a dense elimination, and goes through the priced expansion."""
+    None if the system is inconsistent; its entries are Cyclotomic values at
+    N, the lcm over every entry, and Fractions from a solve at N = 1.  A
+    zero row of mat with a nonzero right side is None at once, and the
+    other zero rows are dropped before anything is priced.  One equation
+    left in one unknown, with a coefficient whose inverse is immediate (a
+    root of unity or one term c z^e), is decided unpriced by
+    Cyclotomic.inverse; any other system with a Cyclotomic entry is priced
+    and solved through its integer columns, the right side the last."""
     aug = [row + [b] for row, b in zip(mat, rhs)]
     if any(row[-1] and not any(row[:-1]) for row in aug):
         return None
     if all(isinstance(x, _RATIONAL) for row in aug for x in row):
-        return _solved(aug, 1)
-    values, N = _as_cyclotomic(aug)
+        return linalg.solve(mat, rhs)
+    N = _conductor(aug)
     # a system of zero rows keeps one, solved by zeros
-    values = [row for row in values if any(row)] or values[:1]
-    if len(values) == 1 and len(values[0]) == 2:
-        a, b = values[0]
+    aug = [row for row in aug if any(row)] or aug[:1]
+    if len(aug) == 1 and len(aug[0]) == 2:
+        a, b = map(Cyclotomic._coerce, aug[0])
         if len(a.coords) == 1 or a.root is not None:
             return [Cyclotomic(N, (b * a.inverse())._embedded(N), _reduced=True)]
-    return _solved(_priced(values, N), N)
-
-
-def _solved(aug, N):
-    """field_solve of the expansion aug of an augmented system at N."""
-    phi = _phi_deg(N)
-    cols = len(aug[0]) - phi
-    x = linalg.solve([row[:cols] for row in aug], [row[cols] for row in aug])
-    if x is None or N == 1:
-        return x
-    return [
-        Cyclotomic(N, {s: v for s, v in enumerate(x[j : j + phi]) if v}, _reduced=True)
-        for j in range(0, cols, phi)
-    ]
+    cols, bits = _field_columns(aug, N)
+    refuse_costly(len(aug), len(cols), N, bits)
+    x = solve_columns(cols[:-1], cols[-1], len(aug), N)
+    if x is None:
+        return None
+    if N == 1:
+        return [c.get(0, Fraction(0)) for c in x]
+    return [Cyclotomic(N, c, _reduced=True) for c in x]
 
 
 # ---------------------------------------------------------------------------

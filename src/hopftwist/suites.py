@@ -4,9 +4,10 @@ Each suite body is a generator: it builds its objects from scratch and
 yields each CheckOutcome where the check is decided, in report order.
 run_suite, for one suite and for 'all' alike, gives each body a fresh
 random.Random(seed), prefixes ids with the suite's name under 'all', and
-is the one exception boundary: InverseTooCostly and SolveTooCostly end
-the run (the CLI exits 2), and any other exception ends that suite with
-one 'error' outcome, id 'raised', witness '<ExceptionClass>: <message>',
+is the one exception boundary: SolveTooCostly (one solve, one price, one
+refusal: an exact solve over Q(z_N) priced past the cap) ends the run
+(the CLI exits 2), and any other exception ends that suite with one
+'error' outcome, id 'raised', witness '<ExceptionClass>: <message>',
 after the checks it yielded; under 'all' the later suites still run.
 
 A check's elapsed_ms is the time from the previous yield of the run (or
@@ -25,7 +26,7 @@ import random
 import time
 from fractions import Fraction
 
-from .errors import InverseTooCostly, SchemaError, SolveTooCostly, UnknownSuite
+from .errors import SchemaError, SolveTooCostly, UnknownSuite
 from .grammar import hbar_valuation_bound, parse, render
 from .reporting import CheckOutcome, SuiteReport, key_repr
 from .scalars import Series, TauLaurent, root_of_unity, series_exp, theta_ok
@@ -764,7 +765,7 @@ def _contained(body, rng, order, theta):
     computation refused as too costly still ends the run."""
     try:
         yield from body(rng, order, theta)
-    except (InverseTooCostly, SolveTooCostly):
+    except SolveTooCostly:
         raise
     except Exception as e:
         yield CheckOutcome.error("raised", "%s: %s" % (type(e).__name__, e))

@@ -12,8 +12,8 @@ import pytest
 from hopftwist import multilinear, suites
 from hopftwist.cli import main
 from hopftwist.constructors import cyclic_group, group_algebra
-from hopftwist.errors import InverseTooCostly, SolveTooCostly
 from hopftwist.reporting import CheckOutcome
+from hopftwist.scalars import field_solve, root_of_unity
 from hopftwist.suites import SUITE_NAMES
 
 
@@ -451,15 +451,28 @@ def test_octonion_table_csv(tmp_path, capsys):
     assert len(lines) == 65
 
 
-@pytest.mark.parametrize("error", [InverseTooCostly, SolveTooCostly])
-def test_verify_refused_computation_exit_two(monkeypatch, capsys, error):
-    # a suite body that meets a refused inverse or solve ends in one
-    # error line and exit 2, not a traceback
-    def refused(rng, order, theta):
-        raise error("priced past the cap")
+def _refused_inverse(rng, order, theta):
+    # r + c z(997, k) over k[Z2]: 2 * 996 unknowns
+    t = multilinear.LegTensor(
+        group_algebra(cyclic_group(2)), 1, {0: 3 + root_of_unity(1, 997), 1: 2 * root_of_unity(5, 997)}
+    )
+    yield multilinear.tensor_invert(t)
 
-    monkeypatch.setitem(suites._BODIES, "sharp-map", refused)
+
+def _refused_solve(rng, order, theta):
+    # one equation over Q(z_997) whose coefficient has two terms
+    yield field_solve([[root_of_unity(1, 997) + 2]], [1])
+
+
+@pytest.mark.parametrize("body", [_refused_inverse, _refused_solve], ids=["inverse", "solve"])
+def test_verify_refused_computation_exit_two(monkeypatch, capsys, body):
+    # a suite body that meets a refused inverse or solve ends in one
+    # error line and exit 2, not a traceback, at once
+    monkeypatch.setitem(suites._BODIES, "sharp-map", body)
+    start = time.perf_counter()
     assert main(["verify", "sharp-map"]) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
-    assert captured.err == "error: priced past the cap\n"
-    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and " Q(z_997) priced at " in line, line
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopftwist import constructors as con
-from hopftwist import multilinear
-from hopftwist.errors import InverseTooCostly, NotInvertible
+from hopftwist import scalars
+from hopftwist.errors import NotInvertible, SolveTooCostly
 from hopftwist.multilinear import AlgebraPresentation, LegTensor, decode_key, tensor_invert
 from hopftwist.scalars import ScalarRing, root_of_unity
 from hopftwist.suites import run_suite
@@ -112,22 +112,29 @@ def test_costly_inverse_is_refused_before_it_is_solved():
     H = con.group_algebra(con.cyclic_group(2))
     t = LegTensor(H, 1, {0: 3 + root_of_unity(1, 997), 1: 2 * root_of_unity(5, 997)})
     start = time.perf_counter()
-    with pytest.raises(InverseTooCostly):
+    with pytest.raises(SolveTooCostly, match="Q\\(z_997\\) priced at"):
         tensor_invert(t)
     assert time.perf_counter() - start < 1
+
+
+def _recorded_prices(monkeypatch):
+    """The list that every later price of an exact solve, the number the
+    one estimate scalars.solve_work returns, is appended to."""
+    prices = []
+    work = scalars.solve_work
+
+    def recorded(*args):
+        prices.append(work(*args))
+        return prices[-1]
+
+    monkeypatch.setattr(scalars, "solve_work", recorded)
+    return prices
 
 
 def test_benchmark_and_suite_inverses_are_priced_under_the_cap(monkeypatch):
     # every inverse that the hopf-cochain suite and a round of the
     # cochain-exact benchmark form, with its price
-    prices = []
-    work = multilinear._inverse_work
-
-    def recorded(t, unit):
-        prices.append(work(t, unit))
-        return prices[-1]
-
-    monkeypatch.setattr(multilinear, "_inverse_work", recorded)
+    prices = _recorded_prices(monkeypatch)
     run_suite("hopf-cochain", seed=1729)
     suite_count = len(prices)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -137,10 +144,10 @@ def test_benchmark_and_suite_inverses_are_priced_under_the_cap(monkeypatch):
         for case in cases:
             assert case.run() == case.expected, case.label
     assert suite_count > 50 and len(prices) > suite_count
-    assert max(prices) < multilinear._MAX_INVERSE_WORK // 1000
+    assert max(prices) < scalars._MAX_SOLVE_WORK // 1000
 
 
-def test_dense_price_reads_the_top_numerator_kept_on_the_table():
+def test_dense_price_reads_the_top_numerator_kept_on_the_table(monkeypatch):
     # the table keeps its largest numerator when it is made, so a price is
     # unchanged: a dense arity-3 tensor over k[D4] with numerators up to 3
     # (2 bits) over 1, against cells of numerator 1 over 1, has
@@ -156,11 +163,13 @@ def test_dense_price_reads_the_top_numerator_kept_on_the_table():
         table = host.phase_table()
         assert table.top == max(abs(n) for cell in table.cells if cell for _k, _p, n in cell)
     assert (H.phase_table().top, root.phase_table().top) == (1, 3)
+    prices = _recorded_prices(monkeypatch)
     x = LegTensor(root, 1, {0: Fraction(1), 1: Fraction(1)})
-    assert multilinear._inverse_work(x, LegTensor.unit(root, 1)) == 32
+    tensor_invert(x)
+    assert prices == [32]
     t = LegTensor(H, 3, {k: Fraction(k % 7 - 3) for k in range(8**3)})
-    assert multilinear._inverse_work(t, LegTensor.unit(H, 3)) == 512**3 * 3
     start = time.perf_counter()
-    with pytest.raises(InverseTooCostly):
+    with pytest.raises(SolveTooCostly):
         tensor_invert(t)
     assert time.perf_counter() - start < 1
+    assert prices == [32, 512**3 * 3] and prices[1] > scalars._MAX_SOLVE_WORK

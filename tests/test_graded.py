@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from hopftwist.constructors import cyclic_group
+from hopftwist.constructors import cyclic_group, group_algebra
 from hopftwist.errors import (
     HopftwistError,
     NotAction,
@@ -222,7 +222,7 @@ def test_one_by_one_system_over_a_large_conductor_is_decided(monkeypatch):
     for _k, c in A.basis_mul(8, 4).items():
         row[0] += c
     assert row[0].root is None and len(row[0].coords) == 1
-    monkeypatch.setattr(scalars, "_solved", None)
+    monkeypatch.setattr(scalars, "solve_columns", None)
     start = time.perf_counter()
     assert field_rank([row]) == 1
     (x,) = field_solve([row], [Fraction(1)])
@@ -305,6 +305,25 @@ def test_crossed_product_rejects_singular_map():
         crossed_product(
             B, cyclic_group(2), {0: [{i: 1} for i in range(4)], 1: bad}
         )
+
+
+def test_crossed_product_takes_a_cyclotomic_automorphism():
+    # alpha_g(x_k) = z3^(g k) x_k on k[Z3], a character twist, is ranked
+    # over Q(z_3), not by the rational linalg.rank, which takes no
+    # Cyclotomic entry: the product is strongly graded and its canonical
+    # map bijective, 27 -> 27; a cyclotomic map that is singular or not
+    # multiplicative is refused
+    Z3 = cyclic_group(3)
+    B = group_algebra(Z3)
+    z = lambda k: root_of_unity(k, 3)
+    ga = crossed_product(B, Z3, {g: [{0: 1}, {1: z(g)}, {2: z(2 * g)}] for g in range(3)})
+    assert strong_grading(ga).strong
+    cm = canonical_map(ga)
+    assert (cm.dim_source, cm.dim_target, cm.rank, cm.bijective) == (27, 27, 27, True)
+    ident = [{0: 1}, {1: 1}, {2: 1}]
+    for bad in ([{0: 1}, {1: z(1)}, {1: z(2)}], [{0: 1}, {1: z(1)}, {2: z(1)}]):
+        with pytest.raises(NotAutomorphism):
+            crossed_product(B, Z3, {0: ident, 1: bad, 2: bad})
 
 
 def test_crossed_product_rejects_nonunital_map():

@@ -1,5 +1,6 @@
 """linalg against sympy: rank and solve on random rational
-matrices; cyclotomic systems as their rational block expansion."""
+matrices; cyclotomic systems as the rational expansion of their integer
+columns (scalars.solve_columns)."""
 
 import time
 from fractions import Fraction
@@ -14,7 +15,17 @@ from hopftwist import linalg
 from hopftwist.errors import SolveTooCostly
 from hopftwist.hopf_cochain import HopfCochain
 from hopftwist.multilinear import LegTensor
-from hopftwist.scalars import Cyclotomic, expansion, field_rank, field_solve, root_of_unity
+from hopftwist.scalars import (
+    Cyclotomic,
+    _conductor,
+    _expanded,
+    _field_columns,
+    _phi_deg,
+    field_rank,
+    field_solve,
+    root_of_unity,
+    solve_columns,
+)
 from hopftwist.suites import run_suite
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -95,9 +106,18 @@ def test_int_entries_give_fractions():
     assert linalg.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
 
 
+def _columns_solve(a, b):
+    """The solution of a x = b through the one solve over Q(z_N), as
+    field_solve would give it past its 1 x 1 fast path."""
+    N = _conductor([[a, b]])
+    cols, _bits = _field_columns([[a, b]], N)
+    x = solve_columns(cols[:1], cols[1], 1, N)
+    return None if x is None else [Cyclotomic(N, x[0], _reduced=True)]
+
+
 def test_cyclotomic_entries_solve_through_blocks():
     # linalg takes rational entries only; a system over Q(i) is solved as
-    # its rational expansion into multiplication blocks (scalars.expansion)
+    # the rational expansion of its integer columns (scalars._expanded)
     i = root_of_unity(1, 4)
     mat = [[i, Fraction(1)], [Fraction(1), i]]
     rhs = [Fraction(1), Fraction(0)]
@@ -106,22 +126,21 @@ def test_cyclotomic_entries_solve_through_blocks():
     with pytest.raises(TypeError):
         linalg.rank(mat)
 
-    rows, N = expansion(mat)
+    N = _conductor(mat)
+    rows = _expanded(_field_columns(mat, N)[0], 2, N)
     assert N == 4 and rows == [[0, -1, 1, 0], [1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0]]
     x = field_solve(mat, rhs)
     assert [sum(a * b for a, b in zip(row, x)) for row in mat] == rhs
     assert linalg.rank(rows) == 4 and field_rank(mat) == 2
     # [[i, 1], [-1, i]] has rank 1 over Q(i), 2 = 1 * phi(4) over Q
     assert field_rank([[i, Fraction(1)], [Fraction(-1), i]]) == 1
-    assert linalg.rank(expansion([[i, Fraction(1)], [Fraction(-1), i]])[0]) == 2
+    assert linalg.rank(_expanded(_field_columns([[i, 1], [-1, i]], 4)[0], 2, 4)) == 2
 
 
 def test_one_by_one_cyclotomic_systems_match_the_expansion():
     # a 1 x 1 system is ranked by a zero test, and solved by
     # Cyclotomic.inverse when that is immediate (a root, one term c z^e);
-    # its rank and solution are those of the priced block expansion
-    from hopftwist.scalars import _phi_deg, _solved
-
+    # its rank and solution are those of the one solve over Q(z_N)
     z5, z12 = root_of_unity(1, 5), root_of_unity(1, 12)
     values = [
         Fraction(0), Fraction(-3, 2), Cyclotomic(5, {}), Cyclotomic(5, {0: Fraction(2)}),
@@ -129,13 +148,14 @@ def test_one_by_one_cyclotomic_systems_match_the_expansion():
         Fraction(1, 3) * z12 + z12 * z12,
     ]
     for a in values:
-        rows, N = expansion([[a]])
+        N = _conductor([[a]])
+        rows = _expanded(_field_columns([[a]], N)[0], 1, N)
         assert field_rank([[a]]) == linalg.rank(rows) // _phi_deg(N), a
         for b in values:
             if all(isinstance(x, Fraction) for x in (a, b)):
                 continue
             got = field_solve([[a]], [b])
-            want = _solved(*expansion([[a, b]]))
+            want = _columns_solve(a, b)
             assert got == want, (a, b)
             if got is not None:
                 assert got[0].conductor == want[0].conductor, (a, b)
