@@ -1,6 +1,7 @@
-"""Concrete hosts: finite groups, their group algebras and duals, Taft
-algebras, the shuffle bialgebra, the anti-commutative Laurent window host,
-and the chain-complex/comodule dictionary.
+"""Concrete hosts: the finite groups of the suites (the FiniteGroup class
+is in multilinear), their group algebras and duals, Taft algebras, the
+shuffle bialgebra, the anti-commutative Laurent window host, and the
+chain-complex/comodule dictionary.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from .errors import (
 )
 from .multilinear import (
     AlgebraPresentation,
+    FiniteGroup,
     HopfPresentation,
     LegTensor,
     ModuleAlgebra,
@@ -22,99 +24,6 @@ from .scalars import Cyclotomic, ScalarRing, accumulate, root_of_unity
 
 # ---------------------------------------------------------------------------
 # finite groups
-
-
-class FiniteGroup:
-    """Multiplication-table group on indices 0..order-1.
-
-    Tables only; order capped at 16 so every validation stays exhaustive.
-    """
-
-    def __init__(self, order, table, labels=None, validate=True):
-        if order > 16:
-            raise ValueError("table groups are capped at order 16")
-        self.order = order
-        self.table = [list(row) for row in table]
-        self.labels = list(labels) if labels else [str(i) for i in range(order)]
-        if len(self.table) != order or any(
-            len(row) != order for row in self.table
-        ):
-            raise ValueError("table shape mismatch")
-        ident = None
-        for e in range(order):
-            if all(
-                self.table[e][g] == g and self.table[g][e] == g
-                for g in range(order)
-            ):
-                ident = e
-                break
-        if ident is None:
-            raise ValueError("no identity element")
-        self.identity = ident
-        if validate:
-            rng = set(range(order))
-            for i in range(order):
-                if set(self.table[i]) != rng:
-                    raise ValueError("row %d is not a permutation" % i)
-                if {self.table[j][i] for j in range(order)} != rng:
-                    raise ValueError("column %d is not a permutation" % i)
-            for a in range(order):
-                for b in range(order):
-                    ab = self.table[a][b]
-                    for c in range(order):
-                        if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                            raise ValueError(
-                                "associativity fails at (%d,%d,%d)" % (a, b, c)
-                            )
-        self.inv = [0] * order
-        for g in range(order):
-            found = None
-            for h in range(order):
-                if self.table[g][h] == ident and self.table[h][g] == ident:
-                    found = h
-                    break
-            if found is None:
-                raise ValueError("element %d has no two-sided inverse" % g)
-            self.inv[g] = found
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inverse(self, a):
-        return self.inv[a]
-
-    def elements(self):
-        return range(self.order)
-
-    def is_abelian(self):
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
-    def center(self):
-        return [
-            z
-            for z in range(self.order)
-            if all(self.table[z][g] == self.table[g][z] for g in range(self.order))
-        ]
-
-    def conjugacy_classes(self):
-        seen = set()
-        classes = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            orb = set()
-            for h in range(self.order):
-                orb.add(self.table[self.table[h][g]][self.inv[h]])
-            classes.append(sorted(orb))
-            seen |= orb
-        return classes
-
-    def __repr__(self):
-        return "FiniteGroup(order=%d)" % self.order
 
 
 def cyclic_group(n):

@@ -2,9 +2,9 @@
 
 Carries the strong-grading decision procedure (exact linear solves for
 resolutions of unity), the balanced-tensor canonical map into A (x) kG,
-crossed products by automorphism actions, two-sided Morita-style basis
-checks for each degree component, and the weight-vector combinatorics
-used by the lens-space style examples.
+crossed products by automorphism actions and two-sided Morita-style basis
+checks for each degree component.  The weight-vector combinatorics of the
+lens-space style examples (the sharp map) are in weights.
 
 Integer gradings are windowed: degrees live in [-radius, radius] and a
 product escaping the window must vanish.  Checks for window gradings
@@ -12,7 +12,6 @@ reduce to degrees +1 and -1.
 """
 
 from fractions import Fraction
-from math import gcd, prod
 
 from .constructors import cyclic_group, group_algebra, symmetric_3
 from .errors import NotAction, NotAutomorphism, NotHomogeneous
@@ -509,86 +508,6 @@ def window_products_report(graded):
                     yield 1, "degrees (%d,%d)" % (h, k)
 
     return CheckOutcome.tally("window-component-products", failures())
-
-
-# ---------------------------------------------------------------------------
-# weight vectors
-
-
-class WeightVector:
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(int(v) for v in entries)
-        if not self.entries:
-            raise ValueError("weight vector must be nonempty")
-        if any(v < 1 for v in self.entries):
-            raise ValueError("weights must be positive")
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if isinstance(other, WeightVector):
-            return self.entries == other.entries
-        return self.entries == tuple(other)
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "WeightVector(%r)" % (self.entries,)
-
-
-def sharp(l):
-    """Componentwise complementary products: i-th entry becomes the
-    product of all the other entries."""
-    l = l if isinstance(l, WeightVector) else WeightVector(l)
-    total = prod(l.entries)
-    return WeightVector(tuple(total // v for v in l.entries))
-
-
-def is_coprime(l):
-    l = l if isinstance(l, WeightVector) else WeightVector(l)
-    g = 0
-    for v in l.entries:
-        g = gcd(g, v)
-    return g == 1
-
-
-def is_pairwise_coprime(l):
-    l = l if isinstance(l, WeightVector) else WeightVector(l)
-    n = len(l.entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gcd(l.entries[i], l.entries[j]) != 1:
-                return False
-    return True
-
-
-def sharp_laws(l):
-    """The double-sharp rescaling law and the coprimality biconditional."""
-    l = l if isinstance(l, WeightVector) else WeightVector(l)
-    s = sharp(l)
-    ss = sharp(s)
-    n = len(l) - 1
-    k = Fraction(prod(l.entries)) ** (n - 1)
-    ok1 = all(Fraction(ss[i]) == k * l[i] for i in range(len(l)))
-    ok2 = is_coprime(s) == is_pairwise_coprime(l)
-    return [
-        CheckOutcome.from_residual(
-            "sharp-double", 0 if ok1 else 1, None if ok1 else repr(l)
-        ),
-        CheckOutcome.from_residual(
-            "sharp-coprime-iff", 0 if ok2 else 1, None if ok2 else repr(l)
-        ),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ twisted algebra is the noncommutative torus.
 from fractions import Fraction
 from functools import partial
 
-from .constructors import FiniteGroup
 from .errors import NotUnital, WindowOverflow
-from .multilinear import AlgebraPresentation
+from .multilinear import AlgebraPresentation, FiniteGroup
 from .reporting import CheckOutcome
 from .scalars import ScalarRing, root_of_unity
 

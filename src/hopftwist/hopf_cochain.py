@@ -1,27 +1,12 @@
 """Multiplicative cochain calculus on Hopf presentations.
 
-A cochain of arity n is an invertible tensor in host^(tensor n).  The
-coboundary interleaves coproduct-leg insertions:
+A cochain of arity n is an invertible tensor in host^(tensor n) that
+carries its inverse, so its coboundary d(h) is formed by the coboundary
+engine (cochain_engine) with no linear solve.  A cochain made with
+HopfCochain.deferred forms its inverse on the first read.
 
-    d(h) = [prod over even i of D_i(h)] * [prod over odd i of D_i(h^-1)]
-
-with i running 0..n+1 in increasing order inside each product, D_0 = unit
-on a new leftmost leg, D_{n+1} = unit on a new rightmost leg, and D_i for
-1 <= i <= n the coproduct applied at leg i-1.  Cochains carry their
-inverses so coboundaries never solve linear systems: the inverse of d(h)
-is the reversed product of the leg-inserted inverses (coboundary_inverse).
-That inverse costs as many products as d(h) itself, so it is formed only
-when a caller needs it: coboundary_pair forms both, for a new cochain; the
-checks that compare d(h) against a target call coboundary, which forms
-d(h) alone; and a cochain made with HopfCochain.deferred forms its inverse
-on the first read.
-
-For an invertible X, each D_i being an algebra map,
-
-    d(X) = even * odd^-1,  even = D_0(X) D_2(X) ...,  odd = ... D_3(X) D_1(X)
-
-(the even faces in increasing order, the odd ones in decreasing order;
-_faces), so d(X) is the unit exactly when even == odd.  That decides d^2
+For an invertible X, d(X) is the unit exactly when its even faces equal
+its odd faces (cochain_engine._faces).  That decides d^2
 (dsquared forms X = d(c) alone, and the inverse of X only when d^2(c) is
 not the unit), the cocycle check (d(F) is formed only for a failing check's
 residual) and the pentagon below.
@@ -56,6 +41,14 @@ conductor 1 forms no difference at all.
 from fractions import Fraction
 from itertools import chain
 
+from .cochain_engine import (
+    _faces,
+    _legs,
+    _product,
+    coboundary,
+    coboundary_inverse,
+    coboundary_pair,
+)
 from .errors import ArityMismatch, NotCounital, NotInvertible
 from .multilinear import (
     AlgebraPresentation,
@@ -139,67 +132,12 @@ def unit_cochain(host, arity):
 
 
 # ---------------------------------------------------------------------------
-# coboundary engine (duck-typed: works for any tensor implementing mul,
-# leg_embed, coproduct_leg, arity)
-
-
-def _delta_i(t, i):
-    n = t.arity
-    if i == 0:
-        return t.leg_embed(tuple(range(1, n + 1)), n + 1)
-    if i == n + 1:
-        return t.leg_embed(tuple(range(n)), n + 1)
-    return t.coproduct_leg(i - 1)
-
-
-def _product(factors):
-    """The product of a nonempty sequence of tensors, left to right."""
-    factors = iter(factors)
-    out = next(factors)
-    for f in factors:
-        out = out.mul(f)
-    return out
-
-
-def _legs(t, indices):
-    return (_delta_i(t, i) for i in indices)
-
-
-def coboundary(value, inverse):
-    """d(value) alone, without linear solves: the even leg insertions of
-    value in increasing order, then the odd ones of its inverse."""
-    n = value.arity
-    evens, odds = range(0, n + 2, 2), range(1, n + 2, 2)
-    return _product(chain(_legs(value, evens), _legs(inverse, odds)))
-
-
-def coboundary_inverse(value, inverse):
-    """d(value)^-1 without linear solves: the reversed product, the odd
-    leg insertions of value in decreasing order, then the even ones of its
-    inverse."""
-    n = value.arity
-    evens, odds = range(0, n + 2, 2), range(1, n + 2, 2)
-    return _product(chain(_legs(value, reversed(odds)), _legs(inverse, reversed(evens))))
-
-
-def coboundary_pair(value, inverse):
-    """(d(value), d(value)^-1) without linear solves."""
-    return coboundary(value, inverse), coboundary_inverse(value, inverse)
+# coboundaries of cochains (the engine itself is cochain_engine)
 
 
 def hopf_coboundary(c):
     val, inv = coboundary_pair(c.value, c.inverse)
     return HopfCochain(c.host, c.arity + 1, val, inv, _trusted=True)
-
-
-def _faces(X):
-    """(even, odd) for an invertible tensor X: the even faces D_0(X) D_2(X)
-    ... in increasing order and the odd faces ... D_3(X) D_1(X) in
-    decreasing order, so that d(X) = even * odd^-1, each D_i being an
-    algebra map.  d(X) is the unit exactly when even equals odd."""
-    n = X.arity
-    evens, odds = range(0, n + 2, 2), range(1, n + 2, 2)
-    return _product(_legs(X, evens)), _product(_legs(X, reversed(odds)))
 
 
 def dsquared(c):

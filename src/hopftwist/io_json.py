@@ -12,13 +12,13 @@ import json
 from fractions import Fraction
 from math import lcm
 
-from .constructors import ChainComplexWindow, FiniteGroup
+from .constructors import ChainComplexWindow
 from .errors import NotAComplex, NotHomogeneous, ParseError, SchemaError
 from .graded import GradedAlgebra, ZWindow
 from .grammar import hbar_valuation_bound, parse, render
 from .group_cohomology import GroupCochain, fano_octonions
 from .heis_torus import HeisElement
-from .multilinear import AlgebraPresentation, HopfPresentation, LegTensor
+from .multilinear import AlgebraPresentation, FiniteGroup, HopfPresentation, LegTensor
 from .scalars import (
     Cyclotomic,
     ScalarRing,

@@ -4,7 +4,7 @@ Generators X, Y, T with [X, Y] = kappa*T and T central, kappa in {+1, -1, 0}.
 Elements are sparse sums of normal-ordered monomials X^a Y^b T^c with
 hbar-truncated Series coefficients.  Tensor powers carry the same leg
 calculus as LegTensor (legwise products, primitive coproducts, unit
-embeddings), so the coboundary engine applies unchanged.
+embeddings), so the coboundary engine (cochain_engine) applies unchanged.
 
 Products and exponentials run on phase rows (see scalars) at the
 conductor of their values, so Moyal's i*hbar is integers too: one row
@@ -24,6 +24,7 @@ from functools import partial
 from itertools import product
 from math import comb, factorial, prod
 
+from .cochain_engine import coboundary, coboundary_pair
 from .errors import (
     ArityMismatch,
     BadLeg,
@@ -32,7 +33,6 @@ from .errors import (
     NotInvertible,
     OrderMismatch,
 )
-from .hopf_cochain import coboundary, coboundary_pair
 from .reporting import CheckOutcome, key_repr
 from .scalars import (
     ScalarRing,

@@ -73,8 +73,7 @@ exponent, so that a row is zero exactly when it reduces to nothing.
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import linalg
-from .errors import NonNilpotent, NonUnit, OrderMismatch, SolveTooCostly
+from .errors import NonNilpotent, NonUnit, OrderMismatch, SchemaError, SolveTooCostly
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power-basis reduction
@@ -535,6 +534,8 @@ def solve_columns(cols, rhs, rows, N):
     over rows rows, free coordinates zero, or None if it is inconsistent:
     one linalg.solve of the expansion, unpriced, for y_j = x_j * rhs_den /
     den_j.  Each x_j is its coordinates {f: Fraction} on z_N^f, no zeros."""
+    from . import linalg
+
     phi = _phi_deg(N)
     if N == 1:
         b = [rhs[0].get(r, 0) for r in range(rows)]
@@ -553,7 +554,16 @@ def solve_columns(cols, rhs, rows, N):
 
 def _conductor(mat):
     """The lcm of the conductors of a matrix's Cyclotomic entries, 1 if it
-    has none."""
+    has none.  An entry that is neither rational nor Cyclotomic, such as a
+    Series, is not in Q(z_N): a SchemaError."""
+    for row in mat:
+        for x in row:
+            if not isinstance(x, (Cyclotomic, *_RATIONAL)):
+                raise SchemaError(
+                    "an exact solve takes rational and Cyclotomic entries, not %s"
+                    % type(x).__name__,
+                    "scalar",
+                )
     return lcm(*[x.conductor for row in mat for x in row if isinstance(x, Cyclotomic)])
 
 
@@ -583,6 +593,8 @@ def field_rank(mat):
     the lcm of their conductors.  Zero rows are dropped first, so at most
     one nonzero row is ranked unpriced; any other matrix with a Cyclotomic
     entry is priced and ranked through its integer columns."""
+    from . import linalg
+
     mat = [row for row in mat if any(row)]
     if len(mat) < 2:
         return len(mat)
@@ -604,6 +616,8 @@ def field_solve(mat, rhs):
     root of unity or one term c z^e), is decided unpriced by
     Cyclotomic.inverse; any other system with a Cyclotomic entry is priced
     and solved through its integer columns, the right side the last."""
+    from . import linalg
+
     aug = [row + [b] for row, b in zip(mat, rhs)]
     if any(row[-1] and not any(row[:-1]) for row in aug):
         return None

@@ -13,31 +13,34 @@ from hopftwist.errors import (
     NotAction,
     NotAutomorphism,
     NotHomogeneous,
+    SchemaError,
     SolveTooCostly,
 )
 from hopftwist.graded import (
     GradedAlgebra,
     UnityResolution,
-    WeightVector,
     ZWindow,
     battery,
     canonical_map,
     crossed_product,
     group_graded,
     ideal_property_report,
-    is_coprime,
-    is_pairwise_coprime,
     laurent_window_graded,
     matrix_algebra_2x2,
     resolution_of_unity,
-    sharp,
-    sharp_laws,
     smeb_check,
     strong_grading,
     window_battery,
     window_products_report,
 )
-from hopftwist.multilinear import AlgebraPresentation, verify_algebra
+from hopftwist.multilinear import AlgebraPresentation, verify_algebra, with_series_ring
+from hopftwist.weights import (
+    WeightVector,
+    is_coprime,
+    is_pairwise_coprime,
+    sharp,
+    sharp_laws,
+)
 from hopftwist.scalars import Cyclotomic, ScalarRing, field_rank, field_solve, root_of_unity
 
 BATTERY = battery()
@@ -324,6 +327,17 @@ def test_crossed_product_takes_a_cyclotomic_automorphism():
     for bad in ([{0: 1}, {1: z(1)}, {1: z(2)}], [{0: 1}, {1: z(1)}, {2: z(1)}]):
         with pytest.raises(NotAutomorphism):
             crossed_product(B, Z3, {0: ident, 1: bad, 2: bad})
+
+
+def test_crossed_product_over_a_series_ring_is_a_schema_error():
+    # the automorphism check ranks over Q(z_N), which holds no Series: the
+    # identity map on k[Z3] over series to h^2 is refused with SchemaError,
+    # not an AttributeError from inside the solve
+    B = with_series_ring(group_algebra(cyclic_group(3)), 2)
+    one = B.ring.one()
+    with pytest.raises(SchemaError) as err:
+        crossed_product(B, cyclic_group(2), {g: [{i: one} for i in range(3)] for g in range(2)})
+    assert "not Series" in str(err.value)
 
 
 def test_crossed_product_rejects_nonunital_map():

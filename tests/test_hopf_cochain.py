@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopftwist import hopf_cochain
+from hopftwist import cochain_engine, hopf_cochain
 from hopftwist.constructors import (
     cyclic_group,
     dihedral_4,
@@ -796,13 +796,13 @@ def test_noncommutative_twist_still_conjugates_product_count(monkeypatch):
 
 def _coboundary_on_swapped_legs(monkeypatch):
     """Fault: D_i applies the coproduct at leg n-i instead of leg i-1."""
-    delta_i = hopf_cochain._delta_i
+    delta_i = cochain_engine._delta_i
 
     def swapped(t, i):
         n = t.arity
         return t.coproduct_leg(n - i) if 1 <= i <= n else delta_i(t, i)
 
-    monkeypatch.setattr(hopf_cochain, "_delta_i", swapped)
+    monkeypatch.setattr(cochain_engine, "_delta_i", swapped)
 
 
 def test_cocycle_failure_names_first_residual_key(monkeypatch):
@@ -920,7 +920,7 @@ def _ref_conjugation(phi, i):
 
 
 def _ref_pentagon(phi):
-    D = [hopf_cochain._delta_i(phi, i) for i in range(5)]
+    D = [cochain_engine._delta_i(phi, i) for i in range(5)]
     return D[0].mul(D[2]).mul(D[4]).sub(D[3].mul(D[1]))
 
 

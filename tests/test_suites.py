@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from hopftwist import (
+    cochain_engine,
     constructors,
     graded,
     group_cohomology,
@@ -16,6 +17,7 @@ from hopftwist import (
     multilinear,
     pbw,
     suites,
+    weights,
 )
 from hopftwist.errors import SchemaError, UnknownSuite
 from hopftwist.group_cohomology import (
@@ -301,8 +303,8 @@ def test_fourway_names_each_disagreeing_verdict(monkeypatch):
 
 def test_frozen_sharp_examples_name_the_first_wrong_input(monkeypatch):
     assert failing(report("sharp-map").checks) == {}
-    real = graded.sharp
-    monkeypatch.setattr(graded, "sharp", lambda l: tuple(reversed(real(l))))
+    real = weights.sharp
+    monkeypatch.setattr(weights, "sharp", lambda l: tuple(reversed(real(l))))
     bad = failing(run_suite("sharp-map").checks)
     assert bad["frozen-examples"] == (2, "(1, 2, 3)")
 
@@ -558,7 +560,7 @@ def test_dsquared_failures_name_their_trial(monkeypatch):
 
 def _delta_i_fault(monkeypatch, fault):
     """Run the coboundary engine with D_i replaced by fault(D_i)."""
-    monkeypatch.setattr(hopf_cochain, "_delta_i", fault(hopf_cochain._delta_i))
+    monkeypatch.setattr(cochain_engine, "_delta_i", fault(cochain_engine._delta_i))
 
 
 def _swapped_coproduct_legs(delta_i):
