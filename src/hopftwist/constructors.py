@@ -515,10 +515,6 @@ class ShuffleBialgebra:
         return out
 
 
-def shuffle_bialgebra(dim_v, max_len):
-    return ShuffleBialgebra(dim_v, max_len)
-
-
 def _pin(S, cid, got, want):
     """The outcome of a pinned shuffle value: the residual counts the words
     whose coefficients in got and want differ, and the witness is the label
@@ -615,10 +611,6 @@ class PareigisWindow:
         return out
 
 
-def pareigis_window(N):
-    return PareigisWindow(N)
-
-
 # ---------------------------------------------------------------------------
 # chain complexes in a window <-> comodules over the window host
 
@@ -630,7 +622,7 @@ class ChainComplexWindow:
     differential A_n -> A_(n-1), rows indexed by source basis vectors.
     """
 
-    def __init__(self, dims, d, validate=True):
+    def __init__(self, dims, d):
         self.dims = {int(n): int(k) for n, k in dims.items() if k}
         self.d = {}
         for n, mat in d.items():
@@ -638,8 +630,7 @@ class ChainComplexWindow:
             rows = [list(map(Fraction, row)) for row in mat]
             if any(any(v for v in row) for row in rows):
                 self.d[n] = rows
-        if validate:
-            self.assert_complex()
+        self.assert_complex()
 
     def degrees(self):
         return sorted(self.dims)
@@ -736,7 +727,7 @@ def chain_to_comodule(C, P):
     return WindowComodule(P, C.dims, coaction)
 
 
-def comodule_to_chain(M, validate=True):
+def comodule_to_chain(M):
     """Read the differential back off the g^(n-1) x components."""
     dims = dict(M.dims)
     d = {}
@@ -757,4 +748,4 @@ def comodule_to_chain(M, validate=True):
                     ],
                 )
                 mat[i][j] += c
-    return ChainComplexWindow(dims, d, validate=validate)
+    return ChainComplexWindow(dims, d)

@@ -18,7 +18,8 @@ class NonUnit(HopftwistError):
 
 
 class NonNilpotent(HopftwistError):
-    """Exponential of a series whose constant term is nonzero."""
+    """An exponential (series_exp, pbw_exp) or a deformation parameter (the
+    theta of pbw's twist) with a nonzero hbar-degree-0 part."""
 
 
 class ParseError(HopftwistError):
@@ -88,10 +89,6 @@ class NotAutomorphism(HopftwistError):
 
 
 class NotAction(HopftwistError):
-    pass
-
-
-class NotFormallyNilpotent(HopftwistError):
     pass
 
 

@@ -57,7 +57,6 @@ from .scalars import (
     root_of_unity,
     row_exp,
     row_product,
-    series_invert,
     theta_ok,
 )
 
@@ -69,9 +68,7 @@ def _phase(c):
     return root_of_unity(c.numerator % c.denominator, c.denominator)
 
 
-def _check_theta(theta, order, convention):
-    if convention not in ("main", "alt"):
-        raise ValueError("convention must be 'main' or 'alt'")
+def _check_theta(theta, order):
     if not isinstance(theta, Series):
         theta = Series.const(theta, order)
     if theta.order != order:
@@ -80,7 +77,7 @@ def _check_theta(theta, order, convention):
         )
     if not theta_ok(theta):
         raise ValueError("deformation parameter needs a zero constant term")
-    return -theta if convention == "alt" else theta
+    return theta
 
 
 class HeisElement(SeriesSum):
@@ -229,7 +226,7 @@ def _scalar_product(k1, k2):
     return ((k2, 1),)
 
 
-def star(a, b, theta, convention="main"):
+def star(a, b, theta):
     """Truncated star product  sum_k (1/k!) (theta/tau)^k (X^k a)(Y^k b).
 
     One pass on phase rows (see the module docstring): X^k a, Y^k b and
@@ -237,7 +234,7 @@ def star(a, b, theta, convention="main"):
     row products."""
     a._compat(b)
     order = a.order
-    theta = _check_theta(theta, order, convention)
+    theta = _check_theta(theta, order)
     D = _freq_den(a, b)
     N = conductor([*a.data.values(), *b.data.values(), theta])
     xa, yb = _rows(a, D, N), _rows(b, D, N)
@@ -257,38 +254,33 @@ def star(a, b, theta, convention="main"):
     return _element(a, _row(pieces), D, N)
 
 
-def alpha(theta, k, convention="main"):
+def alpha(theta, k):
     """The integer action theta |-> theta / (1 + k theta) on parameters."""
     if not isinstance(theta, Series):
         raise ValueError("deformation parameter must be a series")
-    theta = _check_theta(theta, theta.order, convention)
-    res = theta * series_invert(Series.one(theta.order) + theta * k)
-    return -res if convention == "alt" else res
+    theta = _check_theta(theta, theta.order)
+    return theta * (Series.one(theta.order) + theta * k).inverse()
 
 
-def assoc_residual(a, b, c, theta, theta_p, convention="main"):
+def assoc_residual(a, b, c, theta, theta_p):
     """(a *_t' b) *_t c  -  a *_t' (b *_t c); zero exactly when
     t' = alpha_n(t) with n the degree of the homogeneous middle factor."""
     if not b.is_homogeneous():
         raise NotHomogeneous("middle factor mixes degrees %r" % (b.degrees(),))
-    lhs = star(star(a, b, theta_p, convention), c, theta, convention)
-    rhs = star(a, star(b, c, theta, convention), theta_p, convention)
+    lhs = star(star(a, b, theta_p), c, theta)
+    rhs = star(a, star(b, c, theta), theta_p)
     return lhs.sub(rhs)
 
 
 def m3_residual(f):
-    """f minus its image under (x, y, t) -> (x, y+1, t+x)."""
+    """f minus its image under (x, y, t) -> (x, y+1, t+x); zero exactly
+    when f descends to the quotient by the lattice identification."""
     out = dict(f.data)
     for (m, n, p, c), s in f.data.items():
         scaled = s * _phase(c)
         for j in range(p + 1):
             accumulate(out, (m + n, n, j, c), scaled * (-comb(p, j)))
     return f._raw(out)
-
-
-def m3_membership(f):
-    """True when f descends to the quotient by the lattice identification."""
-    return m3_residual(f).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +440,23 @@ def _act_once(letter, f, theta, side):
     return f._raw(_freq_keys(values, D))
 
 
-def zak_act_left(word, f, theta, convention="main"):
+def zak_act_left(word, f, theta):
     """Left torus action; the rightmost letter of the word acts first."""
-    theta = _check_theta(theta, f.order, convention)
+    theta = _check_theta(theta, f.order)
     for letter in reversed(word):
         f = _act_once(letter, f, theta, "left")
     return f
 
 
-def zak_act_right(word, f, theta, convention="main"):
+def zak_act_right(word, f, theta):
     """Right torus action; the leftmost letter of the word acts first."""
-    theta = _check_theta(theta, f.order, convention)
+    theta = _check_theta(theta, f.order)
     for letter in word:
         f = _act_once(letter, f, theta, "right")
     return f
 
 
-def zak_pair(f1, f2, theta, convention="main"):
+def zak_pair(f1, f2, theta):
     """Degree-additive pairing of Zak elements via affine substitutions.
 
     Slot m of the result collects products over slot splittings j+k=m,
@@ -476,7 +468,7 @@ def zak_pair(f1, f2, theta, convention="main"):
             "series orders differ: %d vs %d" % (f1.order, f2.order)
         )
     order = f1.order
-    theta = _check_theta(theta, order, convention)
+    theta = _check_theta(theta, order)
     n, p = f1.degree, f2.degree
     if n == 0 or p == 0 or n + p == 0:
         raise DegenerateDegrees("degrees n, p, n+p must all be nonzero")

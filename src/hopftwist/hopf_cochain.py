@@ -184,10 +184,6 @@ def counital_report(c):
     return CheckOutcome.tally("counital", failures())
 
 
-def is_counital(c):
-    return counital_report(c).ok
-
-
 def iterated_coproduct(host, vec, arity):
     """Left-iterated coproduct of a sparse element, as an arity-n tensor."""
     t = LegTensor.from_element(host, dict(vec))
@@ -211,10 +207,6 @@ def invariant_report(c):
     return CheckOutcome.tally("invariant", failures())
 
 
-def is_invariant(c):
-    return invariant_report(c).ok
-
-
 def key_witness(t):
     """The labels of the first key of a tensor, "(a,b,...)", or None when
     the tensor is zero."""
@@ -233,10 +225,6 @@ def cocycle_report(F):
         return CheckOutcome.from_residual("cocycle", 0)
     res = _difference(coboundary(F.value, F.inverse), LegTensor.unit(F.host, F.arity + 1))
     return CheckOutcome.from_residual("cocycle", res.term_count(), key_witness(res))
-
-
-def is_in_kernel(F):
-    return cocycle_report(F).ok
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +442,10 @@ def gauge_act(g, F):
     return HopfCochain(F.host, F.arity, val, inv, _trusted=True)
 
 
-def gauge_equivalent(F, F2, g):
-    return gauge_act(g, F).value.eq(F2.value)
-
-
 def gauge_equivariance_report(g, F):
     """d(gauge(g, F)) must equal the g x g x g conjugate of d(F)."""
-    lhs = coboundary(*_pair(gauge_act(g, F)))
+    gF = gauge_act(g, F)
+    lhs = coboundary(gF.value, gF.inverse)
     dF = coboundary(F.value, F.inverse)
     res = _difference(lhs, _power(g.value, 3).mul(dF).mul(_power(g.inverse, 3)))
     return CheckOutcome.from_residual(
@@ -468,17 +453,14 @@ def gauge_equivariance_report(g, F):
     )
 
 
-def _pair(c):
-    return c.value, c.inverse
-
-
 # ---------------------------------------------------------------------------
 # seeded samplers
 
 
-def random_invertible_element_cochain(host, rng, tries=60):
-    """Dense small-integer 1-cochain, resampled until invertible."""
-    for _ in range(tries):
+def random_invertible_element_cochain(host, rng):
+    """Dense small-integer 1-cochain, resampled until invertible, at most
+    60 draws."""
+    for _ in range(60):
         vec = {}
         for i in range(host.dim):
             c = rng.randint(-3, 3)
@@ -536,18 +518,18 @@ def _sparse_pairs(host, rng, terms):
     return {k: Fraction(v) for k, v in u.items() if v}
 
 
-def random_counital_two_cochain(host, rng, terms=4):
+def random_counital_two_cochain(host, rng):
     """1 + hbar * (counit-projected sparse perturbation), over a series host."""
     order = host.ring.hbar_order
     if order is None:
         raise ValueError("sampler needs a series-ring host")
-    u = LegTensor(host, 2, _sparse_pairs(host, rng, terms))
+    u = LegTensor(host, 2, _sparse_pairs(host, rng, 4))
     u = counital_projection(u)
     F = LegTensor.unit(host, 2).add(u.scale(Series.hbar(order)))
     return HopfCochain(host, 2, F)
 
 
-def random_invariant_two_cochain(host, rng, group=None, terms=3):
+def random_invariant_two_cochain(host, rng, group=None):
     """1 + hbar * (invariant perturbation): free over a host whose product
     commutes (read from the table, product_commutes), spanned by class sums
     sum(g x g) and central pairs otherwise."""
@@ -557,7 +539,7 @@ def random_invariant_two_cochain(host, rng, group=None, terms=3):
     if group is None:
         if not host.product_commutes():
             raise ValueError("noncommutative host needs its group")
-        pairs = _sparse_pairs(host, rng, terms)
+        pairs = _sparse_pairs(host, rng, 3)
     else:
         blocks = [
             {(g, g): Fraction(1) for g in cls}
@@ -566,7 +548,7 @@ def random_invariant_two_cochain(host, rng, group=None, terms=3):
         cen = group.center()
         blocks.extend({(z, w): Fraction(1)} for z in cen for w in cen)
         pairs = {}
-        for _ in range(terms):
+        for _ in range(3):
             blk = blocks[rng.randrange(len(blocks))]
             c = rng.randint(1, 3) * (1 if rng.random() < 0.5 else -1)
             for k, v in blk.items():

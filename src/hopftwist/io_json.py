@@ -27,6 +27,7 @@ from .scalars import (
     _conductor,
     _field_columns,
     _phi_deg,
+    columns_rank,
     field_rank,
     solve_work,
 )
@@ -141,10 +142,13 @@ def _invertible(rows):
     [[tau-1]] does not.
 
     Each connected part of the nonzero pattern (_components) is decided on
-    its own: a single entry is nonzero, and a larger square part goes to
-    scalars.field_rank, the one solve over Q(z_N) (one solve, one price,
-    one refusal), unless the one estimate, scalars.solve_work, passes the
-    lower load-time cap _MAX_EXPANSION_WORK first (a SchemaError)."""
+    its own: a single entry is nonzero, and a larger square part is ranked
+    over Q(z_N).  A part at N = 1 goes to scalars.field_rank.  Any other
+    part has its integer columns built and priced once, with the one
+    estimate, scalars.solve_work, against the lower load-time cap
+    _MAX_EXPANSION_WORK (a SchemaError past it); under that cap the solve
+    cap of field_rank cannot be reached, so scalars.columns_rank ranks the
+    same columns with no second price."""
     mat = []
     for row in rows:
         out = []
@@ -163,15 +167,19 @@ def _invertible(rows):
         part = [[mat[i][j] for j in part_cols] for i in part_rows]
         N = _conductor(part)
         if N > 1:
+            cols, bits = _field_columns(part, N)
             m = len(part) * _phi_deg(N)
-            work = solve_work(len(part), len(part), N, _field_columns(part, N)[1])
+            work = solve_work(len(part), len(part), N, bits)
             if work > _MAX_EXPANSION_WORK:
                 raise SchemaError(
                     "antipode check too costly: %d x %d rational expansion "
                     "over Q(z_%d), estimated work %.1e" % (m, m, N, work),
                     "antipode",
                 )
-        if field_rank(part) != len(part):
+            rank = columns_rank(cols, len(part), N)
+        else:
+            rank = field_rank(part)
+        if rank != len(part):
             return False
     return True
 

@@ -1356,17 +1356,6 @@ class LegTensor:
         )
 
 
-# -- module-level op aliases matching the published interface
-
-
-def leg_embed(t, positions, arity_out):
-    return t.leg_embed(positions, arity_out)
-
-
-def coproduct_leg(t, leg):
-    return t.coproduct_leg(leg)
-
-
 def tensor_invert(t):
     """Two-sided inverse of a tensor in host^(tensor arity).
 
@@ -2026,7 +2015,7 @@ class FiniteGroup:
     Tables only; order capped at 16 so every validation stays exhaustive.
     """
 
-    def __init__(self, order, table, labels=None, validate=True):
+    def __init__(self, order, table, labels=None):
         if order > 16:
             raise ValueError("table groups are capped at order 16")
         self.order = order
@@ -2047,21 +2036,20 @@ class FiniteGroup:
         if ident is None:
             raise ValueError("no identity element")
         self.identity = ident
-        if validate:
-            rng = set(range(order))
-            for i in range(order):
-                if set(self.table[i]) != rng:
-                    raise ValueError("row %d is not a permutation" % i)
-                if {self.table[j][i] for j in range(order)} != rng:
-                    raise ValueError("column %d is not a permutation" % i)
-            for a in range(order):
-                for b in range(order):
-                    ab = self.table[a][b]
-                    for c in range(order):
-                        if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                            raise ValueError(
-                                "associativity fails at (%d,%d,%d)" % (a, b, c)
-                            )
+        rng = set(range(order))
+        for i in range(order):
+            if set(self.table[i]) != rng:
+                raise ValueError("row %d is not a permutation" % i)
+            if {self.table[j][i] for j in range(order)} != rng:
+                raise ValueError("column %d is not a permutation" % i)
+        for a in range(order):
+            for b in range(order):
+                ab = self.table[a][b]
+                for c in range(order):
+                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
+                        raise ValueError(
+                            "associativity fails at (%d,%d,%d)" % (a, b, c)
+                        )
         self.inv = [0] * order
         for g in range(order):
             found = None

@@ -29,7 +29,7 @@ from .errors import (
     ArityMismatch,
     BadLeg,
     BadPositions,
-    NotFormallyNilpotent,
+    NonNilpotent,
     NotInvertible,
     OrderMismatch,
 )
@@ -173,20 +173,13 @@ class PBWElement(SeriesSum):
         )
 
 
-def pbw_mul(x, y):
-    """Exact normal-ordered product."""
-    return x.mul(y)
-
-
 def pbw_exp(x):
     """Truncated exponential sum_n x^n / n!, every term of hbar valuation
     >= 1: one scalars.row_exp of the row of x."""
     for s in x.data.values():
         v = s.valuation()
         if v is not None and v < 1:
-            raise NotFormallyNilpotent(
-                "exponent has an hbar-degree-0 part"
-            )
+            raise NonNilpotent("exponent has an hbar-degree-0 part")
     K = x.order
     (unit,) = x.unit_like().data
     step, N = phase_rows(x.data)
@@ -415,7 +408,7 @@ def _lam(theta, order):
     if not isinstance(theta, Series) or theta.order != order:
         raise OrderMismatch("theta must be a Series at the working order")
     if not theta_ok(theta):
-        raise NotFormallyNilpotent("theta needs a vanishing constant term")
+        raise NonNilpotent("theta needs a vanishing constant term")
     return theta * TauLaurent.tau(-1)
 
 

@@ -590,20 +590,33 @@ def _field_columns(mat, N):
 
 def field_rank(mat):
     """Rank over Q(z_N) of a matrix of rational and Cyclotomic entries, N
-    the lcm of their conductors.  Zero rows are dropped first, so at most
-    one nonzero row is ranked unpriced; any other matrix with a Cyclotomic
-    entry is priced and ranked through its integer columns."""
+    the lcm of the conductors of its nonzero rows.  Every entry is checked
+    first, so any other entry, such as a Series, is a SchemaError (_conductor)
+    at any size.  Zero rows are dropped next, so at most one nonzero row is
+    ranked unpriced; any other matrix with a Cyclotomic entry is priced and
+    ranked through its integer columns."""
     from . import linalg
 
+    rational = all(isinstance(x, _RATIONAL) for row in mat for x in row)
+    if not rational:
+        _conductor(mat)
     mat = [row for row in mat if any(row)]
     if len(mat) < 2:
         return len(mat)
-    if all(isinstance(x, _RATIONAL) for row in mat for x in row):
+    if rational:
         return linalg.rank(mat)
     N = _conductor(mat)
     cols, bits = _field_columns(mat, N)
     refuse_costly(len(mat), len(cols), N, bits)
-    return linalg.rank(_expanded(cols, len(mat), N)) // _phi_deg(N)
+    return columns_rank(cols, len(mat), N)
+
+
+def columns_rank(cols, rows, N):
+    """Rank over Q(z_N) of integer columns over rows rows at N, as
+    _field_columns makes them, unpriced: its caller has priced them."""
+    from . import linalg
+
+    return linalg.rank(_expanded(cols, rows, N)) // _phi_deg(N)
 
 
 def field_solve(mat, rhs):
@@ -937,6 +950,8 @@ class Series(_Ring):
     __rmul__ = __mul__
 
     def inverse(self):
+        """Inverse of a truncated series; NonUnit if the constant term is
+        not an invertible tau-monomial."""
         c0 = self.coeffs[0]
         if not c0:
             raise NonUnit("series with zero constant term has no inverse")
@@ -965,12 +980,6 @@ class Series(_Ring):
             self.order,
             {k: c for k, c in enumerate(self.coeffs) if c},
         )
-
-
-def series_invert(s):
-    """Inverse of a truncated series; NonUnit if the constant term is not
-    an invertible tau-monomial."""
-    return s.inverse()
 
 
 def series_exp(s):

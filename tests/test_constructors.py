@@ -8,6 +8,7 @@ from hopftwist import constructors
 from hopftwist.constructors import (
     ChainComplexWindow,
     FiniteGroup,
+    PareigisWindow,
     ShuffleBialgebra,
     WindowComodule,
     chain_to_comodule,
@@ -19,9 +20,7 @@ from hopftwist.constructors import (
     dual_pairing_report,
     elementary_abelian_2,
     group_algebra,
-    pareigis_window,
     pauli_8,
-    shuffle_bialgebra,
     symmetric_3,
     taft,
     word_pin_report,
@@ -113,13 +112,13 @@ def test_taft_antipode_order():
 
 
 def test_shuffle_dimensions():
-    B = shuffle_bialgebra(2, 4)
+    B = ShuffleBialgebra(2, 4)
     # words of length <= 4 over two letters
     assert B.dim == 1 + 2 + 4 + 8 + 16
 
 
 def test_shuffle_axioms():
-    B = shuffle_bialgebra(2, 4)
+    B = ShuffleBialgebra(2, 4)
     for ck in verify_hopf(B):
         assert ck.ok, ck.id
 
@@ -140,7 +139,7 @@ def test_shuffle_antipode_square_failure_names_first_word():
     # 112 -> 121 -> 211 is the first that does not, of six
     assert (ck.status, ck.residual_term_count) == ("fail", 6)
     assert ck.witness == "112"
-    passing = {ck.id: ck for ck in verify_hopf(shuffle_bialgebra(2, 3))}
+    passing = {ck.id: ck for ck in verify_hopf(ShuffleBialgebra(2, 3))}
     assert passing["antipode-square"].witness is None
 
 
@@ -188,7 +187,7 @@ def test_pairing_failures_keep_their_counts_and_first_witness(monkeypatch):
 
 
 def test_word_pins():
-    B = shuffle_bialgebra(2, 4)
+    B = ShuffleBialgebra(2, 4)
     for ck in word_pin_report(B):
         assert ck.ok, ck.id
         assert ck.witness is None, ck.id
@@ -197,7 +196,7 @@ def test_word_pins():
 def test_word_pins_name_the_first_differing_word(monkeypatch):
     # a shuffle that drops the last interleaving: x sh y = xy, and
     # x sh yy = xyy + yxy, so each pin misses one word
-    B = shuffle_bialgebra(2, 4)
+    B = ShuffleBialgebra(2, 4)
     shuffle = B.shuffle_words
 
     def dropped(u, v):
@@ -214,12 +213,12 @@ def test_word_pins_name_the_first_differing_word(monkeypatch):
 
 
 def test_pareigis_dimension():
-    P = pareigis_window(4)
+    P = PareigisWindow(4)
     assert P.dim == 18
 
 
 def test_pareigis_axioms():
-    for ck in verify_hopf(pareigis_window(4)):
+    for ck in verify_hopf(PareigisWindow(4)):
         assert ck.ok, ck.id
 
 
@@ -241,7 +240,7 @@ def test_chain_complex_window_roundtrip():
     d = {1: [[one], [Fraction(0)]], 2: [[Fraction(0), one]]}
     C = ChainComplexWindow(dims, d)
     C.assert_complex()
-    P = pareigis_window(4)
+    P = PareigisWindow(4)
     M = chain_to_comodule(C, P)
     for ck in M.report():
         assert ck.ok, ck.id
@@ -259,7 +258,7 @@ def test_chain_complex_rejects_nonzero_square():
 
 
 def test_comodule_counit_axiom_catches_bad_coaction():
-    P = pareigis_window(4)
+    P = PareigisWindow(4)
     dims = {0: 1}
     # coaction hits x, which the counit kills, so the counit law fails
     coaction = {(0, 0): {((0, 0), P.idx(0, 1)): Fraction(1)}}

@@ -25,10 +25,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from hopftwist import constructors as con
 from hopftwist import scalars
-from hopftwist.errors import NotInvertible
+from hopftwist.errors import NotInvertible, SchemaError
 from hopftwist.group_cohomology import GroupCochain, group_coboundary, twisted_group_algebra
 from hopftwist.multilinear import LegTensor, decode_key, tensor_invert
-from hopftwist.scalars import Cyclotomic, field_rank, field_solve, root_of_unity
+from hopftwist.scalars import Cyclotomic, Series, field_rank, field_solve, root_of_unity
 
 CONDUCTORS = (3, 4, 5, 8, 12)
 _FIELDS = {}
@@ -124,6 +124,27 @@ def test_a_rational_system_is_not_priced(monkeypatch):
     x = field_solve(A, [1, 2, 3])
     assert [_dot(row, x) for row in A] == [1, 2, 3]
     assert field_solve(A, [1, 2, 4]) is None
+
+
+def test_an_entry_outside_the_field_is_refused_at_any_size(monkeypatch):
+    # a Series is no element of Q(z_N): one row of it, two rows, a zero
+    # row and a solve are all refused by the same entry check
+    h = Series.hbar(2)
+    for call in (
+        lambda: field_rank([[h]]),
+        lambda: field_rank([[h], [h]]),
+        lambda: field_rank([[Series.zero(2)]]),
+        lambda: field_solve([[h]], [h]),
+    ):
+        with pytest.raises(SchemaError) as err:
+            call()
+        assert err.value.field == "scalar"
+    # the empty matrix and a rational row are ranked with no price
+    monkeypatch.setattr(scalars, "solve_work", None)
+    monkeypatch.setattr(scalars, "_field_columns", None)
+    assert field_rank([]) == 0
+    assert field_rank([[Fraction(1, 2), 3]]) == 1
+    assert field_rank([[0, Fraction(0)], [Fraction(2, 3), 0]]) == 1
 
 
 def _twisted_s3():

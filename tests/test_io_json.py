@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopftwist import io_json as io
+from hopftwist import scalars
 from hopftwist.constructors import (
     ChainComplexWindow,
     FiniteGroup,
@@ -166,6 +167,22 @@ def test_antipode_expansion_above_the_cap_is_a_schema_error():
     # at conductor 3 the same pattern is decided: det = z3 - 1 != 0
     ap[0][0] = "z(3,1)"
     assert io.presentation_from_dict(_with_antipode(ap, None)).antipode is not None
+
+
+def test_a_cyclotomic_antipode_part_builds_its_columns_once(monkeypatch):
+    # the load-time price and the rank read the same integer columns
+    real = scalars._field_columns
+    calls = []
+
+    def counted(mat, N):
+        calls.append(N)
+        return real(mat, N)
+
+    monkeypatch.setattr(scalars, "_field_columns", counted)
+    monkeypatch.setattr(io, "_field_columns", counted)
+    doc = _with_antipode([["z(3,1)", "1"], ["1", "1"]], None)
+    assert io.presentation_from_dict(doc).antipode is not None
+    assert calls == [3]
 
 
 @pytest.mark.parametrize(

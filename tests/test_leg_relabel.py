@@ -36,7 +36,7 @@ from hopftwist.scalars import ScalarRing, Series, accumulate
 
 
 def _coproduct_ref(t, leg):
-    """coproduct_leg(t, leg) from basis_coproduct on values."""
+    """t.coproduct_leg(leg) from basis_coproduct on values."""
     host = t.host
     out = {}
     for digits, v in t.entries():
@@ -46,7 +46,7 @@ def _coproduct_ref(t, leg):
 
 
 def _embed_ref(t, positions, arity_out):
-    """leg_embed(t, positions, arity_out) from elem_unit on values."""
+    """t.leg_embed(positions, arity_out) from elem_unit on values."""
     host = t.host
     unit = host.elem_unit()
     out = {}

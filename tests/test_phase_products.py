@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from hopftwist import multilinear as ml
 from hopftwist import suites
-from hopftwist.constructors import dual_action_module, elementary_abelian_2, pareigis_window, taft
+from hopftwist.constructors import PareigisWindow, dual_action_module, elementary_abelian_2, taft
 from hopftwist.errors import WindowOverflow
 from hopftwist.grammar import parse
 from hopftwist.group_cohomology import fano_octonions, octonion_norm
@@ -78,7 +78,7 @@ HOSTS = {
 assert any(
     p != (0, 0, 0) for cell in HOSTS["twisted-h2"].phase_table().cells for _k, p, _n in cell
 )
-PAREIGIS = pareigis_window(2)
+PAREIGIS = PareigisWindow(2)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 RATIONALS = st.sampled_from([Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)])

@@ -148,8 +148,8 @@ def test_octonion_suite_records_the_census():
 def test_heis_torus_witnesses_a_wrong_reparametrization(monkeypatch):
     real = heis_torus.alpha
 
-    def shifted(theta, k, convention="main"):
-        return real(theta, k + 1, convention)
+    def shifted(theta, k):
+        return real(theta, k + 1)
 
     # the suite body and the Zak left action both call alpha
     monkeypatch.setattr(heis_torus, "alpha", shifted)
@@ -178,7 +178,7 @@ def test_uv_commutation_names_the_first_residual_key(monkeypatch):
     assert report("heis-torus").checks[0].witness is None
     real = heis_torus.star
 
-    def without_first_order(a, b, theta, convention="main"):
+    def without_first_order(a, b, theta):
         zero = Series.zero(a.order)
         first = real(heis_torus.vf_apply("X", a), heis_torus.vf_apply("Y", b), zero)
         return real(a, b, theta).sub(first.scale(theta * TauLaurent.tau(-1)))
