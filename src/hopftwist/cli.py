@@ -75,10 +75,31 @@ def _cmd_verify(args):
     return 0 if rep.ok else 1
 
 
-def _cmd_describe(args):
-    from .io_json import describe_doc, load_json_file
+def load_json_file(path):
+    """The JSON document in the file at path; ParseError with line and
+    column for a file that is not UTF-8 or not JSON."""
+    import json
 
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError("file is not UTF-8 text", line, e.start - raw.rfind(b"\n", 0, e.start))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, e.lineno, e.colno)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode", 1, 1)
+
+
+def _cmd_describe(args):
+    # the file is decoded first: io_json's tree is loaded only for a document
     doc = load_json_file(args.file)
+    from .io_json import describe_doc
+
     for line in describe_doc(doc):
         print(line)
     return 0

@@ -9,6 +9,8 @@ lens-space style examples (the sharp map) are in weights.
 Integer gradings are windowed: degrees live in [-radius, radius] and a
 product escaping the window must vanish.  Checks for window gradings
 reduce to degrees +1 and -1.
+
+The graded-galois suite body, graded_galois_checks, is here too.
 """
 
 from fractions import Fraction
@@ -624,3 +626,55 @@ def window_battery():
         ("laurent-window-2", laurent_window_graded(2), True),
         ("poly-window-2", poly_window_graded(2), False),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the graded-galois suite
+
+
+def graded_galois_checks(rng, order, theta):
+    for name, ga, expect in battery():
+        n = ga.grading.order
+        verdicts = {
+            "strong-grading": strong_grading(ga).strong,
+            "resolution-of-unity": all(
+                resolution_of_unity(ga, g) is not None for g in range(n)
+            ),
+            "canonical-map": canonical_map(ga).bijective,
+            "smeb": all(c.ok for g in range(n) for c in smeb_check(ga, g)),
+        }
+        yield _fourway("fourway:%s" % name, verdicts, expect)
+    for name, ga, expect in window_battery():
+        verdicts = {
+            "strong-grading": strong_grading(ga).strong,
+            "smeb": all(c.ok for g in (1, -1) for c in smeb_check(ga, g)),
+        }
+        yield _fourway("fourway-window:%s" % name, verdicts, expect)
+
+    weak = [
+        name
+        for name, ga, _ in battery()
+        if name.endswith("crossed") and not strong_grading(ga).strong
+    ]
+    yield CheckOutcome.from_residual(
+        "crossed-products-strong", len(weak), ",".join(weak)
+    )
+
+    for name, ga, _ in battery():
+        rep = ideal_property_report(ga)
+        yield rep.renamed("ideal:%s:%s" % (name, rep.id))
+    # component products span iff the window grading is strong
+    for name, ga, expect in window_battery():
+        rep = window_products_report(ga)
+        yield CheckOutcome.from_residual(
+            "window-products-iff-strong:%s" % name,
+            0 if rep.ok == expect else 1,
+            "component products span" if rep.ok else rep.witness,
+        )
+
+
+def _fourway(id, verdicts, expect):
+    """One outcome for verdicts that must all equal expect; the witness
+    names the ones that do not."""
+    wrong = [name for name, v in verdicts.items() if v != expect]
+    return CheckOutcome.from_residual(id, len(wrong), ",".join(wrong))

@@ -2,6 +2,10 @@
 2-cocycle examples: the Fano-plane sign cochain on (Z/2)^3 whose twisted
 algebra is the octonions, and the antisymmetric-form cochain on Z^2 whose
 twisted algebra is the noncommutative torus.
+
+The group-cohomology and octonions suite bodies (group_cohomology_checks,
+octonions_checks) are here, in the one module both of their runs load;
+they load the algebra battery (batteries) when they run.
 """
 
 from fractions import Fraction
@@ -406,3 +410,146 @@ def random_group_cochain(G, arity, rng):
             num = rng.randint(-5, 5)
         table[key] = Fraction(num, rng.randint(1, 5))
     return GroupCochain(G, arity, table)
+
+
+# ---------------------------------------------------------------------------
+# the group-cohomology and octonions suites
+
+
+def _render(x):
+    """The grammar text of a scalar in a failing check's witness; grammar
+    is loaded only when a check fails."""
+    from .grammar import render
+
+    return render(x)
+
+
+def group_cohomology_checks(rng, order, theta):
+    from .constructors import cyclic_group, elementary_abelian_2, symmetric_3
+    from .batteries import verify_algebra
+
+    hosts = [
+        ("Z3", cyclic_group(3)),
+        ("S3", symmetric_3()),
+        ("Z2^2", elementary_abelian_2(2)),
+    ]
+
+    def ddelta(G, arity):
+        for t in range(5):
+            c = random_group_cochain(G, arity, rng)
+            ck = is_constant_one(group_coboundary(group_coboundary(c)))
+            if not ck.ok:
+                yield 1, "trial %d at %s" % (t, ck.witness)
+
+    for name, G in hosts:
+        for arity in (1, 2):
+            yield CheckOutcome.tally(
+                "ddelta-trivial:%s:arity%d" % (name, arity), ddelta(G, arity)
+            )
+        c1 = random_group_cochain(G, 1, rng)
+        out = is_cocycle(group_coboundary(c1))
+        yield out.renamed("coboundary-closed:%s" % name)
+
+    # a coboundary twist gives an associative algebra, the Fano cochain not;
+    # normalizing F(e) = 1 makes dF unital, so the twist exists on every seed
+    S3 = symmetric_3()
+    dF = group_coboundary(normalized(random_group_cochain(S3, 1, rng)))
+    _, assoc = verify_algebra(twisted_group_algebra(S3, dF))
+    yield assoc.renamed("twist-assoc-iff-cocycle:pos")
+    _, _, oct_algebra = fano_octonions()
+    _, assoc = verify_algebra(oct_algebra)
+    yield CheckOutcome.from_residual(
+        "twist-assoc-iff-cocycle:neg", 0 if not assoc.ok else 1, "associative"
+    )
+
+    for theta_q in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
+        tag = "torus-%d/%d" % (theta_q.numerator, theta_q.denominator)
+        F, W = torus_cochain(theta_q, 5)
+        failed = [o for o in is_cocycle(F, window=W) if not o.ok]
+        yield CheckOutcome.from_residual(
+            "%s:cocycle" % tag,
+            len(failed),
+            "%s at %s" % (failed[0].id, failed[0].witness) if failed else None,
+        )
+        u = is_unital(F)
+        yield u.renamed("%s:unital" % tag)
+        rep = TorusWindowAlgebra(F, W).commutation_report()
+        yield rep.renamed("%s:commutation" % tag)
+        want = root_of_unity(theta_q.numerator, 2 * theta_q.denominator)
+        found = F.value((1, 0), (0, 1))
+        ok = found == want
+        yield CheckOutcome.from_residual(
+            "%s:uv-phase-exact" % tag,
+            0 if ok else 1,
+            None if ok else _render(found),
+        )
+
+
+def octonions_checks(rng, order, theta):
+    from .batteries import verify_algebra
+
+    _, fano, O = fano_octonions()
+    one = Fraction(1)
+    unit, quasi = verify_algebra(O, associator=O.associator)
+    yield unit
+    yield quasi.renamed("quasi-associativity-512")
+
+    def alternativity():
+        for a in range(8):
+            x = {a: one}
+            xx = O.elem_mul(x, x)
+            for b in range(8):
+                y = {b: one}
+                left = O.elem_mul(x, O.elem_mul(x, y)) != O.elem_mul(xx, y)
+                right = O.elem_mul(O.elem_mul(y, x), x) != O.elem_mul(y, xx)
+                if left or right:
+                    yield left + right, "(%s,%s)" % (O.labels[a], O.labels[b])
+
+    def multiplicative(u, v):
+        """N(uv) = N(u) N(v); a norm that is not real fails it."""
+        try:
+            return octonion_norm(O, O.elem_mul(u, v)) == octonion_norm(O, u) * octonion_norm(O, v)
+        except ValueError:
+            return False
+
+    def norm_pairs():
+        for a in range(8):
+            for b in range(8):
+                if not multiplicative({a: one}, {b: one}):
+                    yield 1, "(%s,%s)" % (O.labels[a], O.labels[b])
+
+    def norm_seeded():
+        for t in range(100):
+            u = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
+            v = {i: Fraction(rng.randint(-3, 3)) for i in range(8)}
+            u = {i: c for i, c in u.items() if c}
+            v = {i: c for i, c in v.items() if c}
+            if not multiplicative(u, v):
+                yield 1, "trial %d" % t
+
+    def sign_census():
+        # 168 of the 512 signs are -1, among them m(1,2,4), and no other value
+        table = group_coboundary(fano).table
+        neg = sum(1 for v in table.values() if v == -1)
+        if neg != 168:
+            yield 1, "%d signs -1, not 168" % neg
+        if table[(1, 2, 4)] != -1:
+            yield 1, "m(1,2,4) = %s" % _render(table[(1, 2, 4)])
+        other = next((k for k, v in table.items() if v not in (1, -1)), None)
+        if other is not None:
+            yield 1, "m(%d,%d,%d) = %s" % (*other, _render(table[other]))
+
+    yield CheckOutcome.tally("alternativity-basis", alternativity())
+    yield CheckOutcome.tally("norm-basis-pairs", norm_pairs())
+    yield CheckOutcome.tally("norm-seeded-100", norm_seeded())
+    yield CheckOutcome.tally("coboundary-sign-census", sign_census())
+
+    # the Fano cochain must be unital and not closed; a failure names which
+    unital = is_unital(fano)
+    if is_cocycle(fano).ok:
+        witness = "closed"
+    else:
+        witness = None if unital.ok else "not unital at %s" % unital.witness
+    yield CheckOutcome.from_residual(
+        "twist-not-closed", 0 if witness is None else 1, witness
+    )

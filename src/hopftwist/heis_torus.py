@@ -33,6 +33,9 @@ a polynomial in y with phase-row coefficients, keyed by y-power and
 memoized per (y-power, frequency, shift) within the call; the output row
 is keyed by (slot, y-power, frequency * D) with D the lcm of the
 frequency denominators, and builds one Series per key of the result.
+
+The heis-torus suite body, heis_torus_checks, with its seeded random
+elements, is here too.
 """
 
 from fractions import Fraction
@@ -44,11 +47,13 @@ from .errors import (
     OrderMismatch,
     ZeroDegree,
 )
+from .reporting import CheckOutcome, key_repr
 from .scalars import (
     _ZERO_ROW,
     ScalarRing,
     Series,
     SeriesSum,
+    TauLaurent,
     _row,
     accumulate,
     conductor,
@@ -57,6 +62,7 @@ from .scalars import (
     root_of_unity,
     row_exp,
     row_product,
+    series_exp,
     theta_ok,
 )
 
@@ -511,3 +517,128 @@ def zak_pair(f1, f2, theta):
         )
     values = phase_values(_row(pieces), order, N)
     return f1._raw(_freq_keys(values, D), degree=n + p)
+
+
+# ---------------------------------------------------------------------------
+# the heis-torus suite
+
+
+def _rand_heis(order, rng, degree=None):
+    data = {}
+    for _ in range(2):
+        m = rng.randint(-2, 2)
+        n = degree if degree is not None else rng.randint(-2, 2)
+        p = rng.randint(0, 2)
+        c = Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+        coeff = Series(order, {k: rng.randint(-2, 2) for k in range(order + 1)})
+        cur = data.get((m, n, p, c))
+        data[(m, n, p, c)] = coeff if cur is None else cur + coeff
+    return HeisElement(order, data)
+
+
+def _rand_zak(order, degree, rng):
+    data = {}
+    for _ in range(2):
+        key = (
+            rng.randint(-1, 1),
+            rng.randint(0, 2),
+            Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])),
+        )
+        coeff = Series(order, {k: rng.randint(-2, 2) for k in range(order + 1)})
+        cur = data.get(key)
+        data[key] = coeff if cur is None else cur + coeff
+    return ZakElement(order, degree, data)
+
+
+def heis_torus_checks(rng, order, theta):
+    order = 4 if order is None else order
+    if theta is None:
+        theta = Series.hbar(order)
+    tau = TauLaurent.tau()
+
+    U = HeisElement.monomial(order, m=1)
+    V = HeisElement.monomial(order, 0, 0, 0, 1)
+    uv = star(U, V, theta)
+    vu = star(V, U, theta)
+    resid = uv.sub(vu.scale(series_exp(theta * tau)))
+    yield CheckOutcome.from_residual("uv-commutation", resid.term_count(), key_repr(resid))
+
+    def reparam(n, th, a, b, c):
+        # alpha_n(theta) makes (a, b, c) associative; no perturbation of it
+        # keeps (U, t^n, V) so
+        good = alpha(th, n)
+        if not assoc_residual(a, b, c, th, good).is_zero():
+            yield 1, "assoc at alpha_%d(theta)" % n
+        mono = HeisElement.monomial(order, 0, n)
+        for j in (1, 2, order):
+            perturbed = good + Series.hbar(order, power=j)
+            if assoc_residual(U, mono, V, th, perturbed).is_zero():
+                yield 1, "perturbation h^%d unseen" % j
+
+    for n in (-2, -1, 1, 2):
+        for tag, terms in (("h", {1: 1}), ("h+h^2", {1: 1, 2: 1})):
+            th = Series(order, terms)
+            a = _rand_heis(order, rng)
+            b = _rand_heis(order, rng, degree=n)
+            c = _rand_heis(order, rng)
+            yield CheckOutcome.tally(
+                "reparam-iff:n=%d:theta=%s" % (n, tag), reparam(n, th, a, b, c)
+            )
+
+    t5 = Series(5, {1: 1, 2: Fraction(1, 3)})
+    yield CheckOutcome.tally("alpha-composition-order5", (
+        (1, "j=%d,k=%d" % (j, k)) for j in (-2, 1, 3) for k in (-1, 2)
+        if alpha(alpha(t5, k), j) != alpha(t5, j + k)
+    ))
+
+    for n in (1, 2):
+        f = _rand_zak(order, n, rng)
+        lhs = zak_act_left("UV", f, theta)
+        rhs = zak_act_left("VU", f, theta)
+        resid = lhs.sub(rhs.scale(series_exp(alpha(theta, n) * tau)))
+        yield CheckOutcome.from_residual(
+            "zak-left-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
+        )
+        f2 = _rand_zak(order, n, rng)
+        lhs = zak_act_right("UV", f2, theta)
+        rhs = zak_act_right("VU", f2, theta)
+        resid = lhs.sub(rhs.scale(series_exp(theta * tau)))
+        yield CheckOutcome.from_residual(
+            "zak-right-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
+        )
+
+    t3 = Series.hbar(3)
+    h1 = _rand_zak(3, 1, rng)
+    h2 = _rand_zak(3, 1, rng)
+    that = alpha(t3, -1)
+    yield CheckOutcome.tally("pairing-balanced", (
+        (1, w) for w in ("U", "V", "UV", "VU")
+        if zak_pair(zak_act_right(w, h1, t3), h2, t3)
+        != zak_pair(h1, zak_act_left(w, h2, that), t3)
+    ))
+
+    def bimodule():
+        for w in ("U", "V", "UV"):
+            if zak_act_left(w, zak_pair(h1, h2, t3), that) != zak_pair(
+                zak_act_left(w, h1, t3), h2, t3
+            ):
+                yield 1, "%s:left" % w
+            if zak_act_right(w, zak_pair(h1, h2, t3), that) != zak_pair(
+                h1, zak_act_right(w, h2, that), t3
+            ):
+                yield 1, "%s:right" % w
+
+    yield CheckOutcome.tally("pairing-bimodule", bimodule())
+
+    thp = alpha(theta, 1)
+    a = _rand_heis(order, rng, degree=0)
+    b = _rand_heis(order, rng, degree=0)
+    f = _rand_heis(order, rng, degree=1)
+    yield CheckOutcome.tally("monomial-bimodule", (
+        (1, tag) for tag, x, y, z, t, tp in (
+            ("a*f*b", a, f, b, theta, thp),
+            ("a*b*f", a, b, f, thp, thp),
+            ("f*a*b", f, a, b, theta, theta),
+        )
+        if not assoc_residual(x, y, z, t, tp).is_zero()
+    ))

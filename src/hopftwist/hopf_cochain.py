@@ -54,9 +54,7 @@ from .multilinear import (
     AlgebraPresentation,
     HopfPresentation,
     LegTensor,
-    ModuleAlgebra,
     tensor_invert,
-    verify_algebra,
 )
 from .reporting import CheckOutcome
 from .scalars import Series, accumulate
@@ -390,7 +388,10 @@ def verify_quasi(result):
     )
 
     if result.module is not None and result.twisted_algebra is not None:
-        # x(yz) = sum phi^-1(x,y,z)_abc (ab)c, phi acting through the module
+        # x(yz) = sum phi^-1(x,y,z)_abc (ab)c, phi acting through the module;
+        # the batteries are loaded only here
+        from .batteries import ModuleAlgebra, verify_algebra
+
         AF = result.twisted_algebra
         module = ModuleAlgebra(tw, AF, result.module.action)
         got = {c.id: c for c in verify_algebra(AF, phi_t.inverse, module)}

@@ -3,22 +3,23 @@
 All scalar coefficients travel as exact grammar strings (integers,
 rationals, roots of unity z(N,k), tau, and the formal h), never floats.
 Loaders raise SchemaError naming the offending field (for malformed scalar
-text it quotes the string and the column inside it), or ParseError with line
-and column for malformed JSON text; dumpers emit a canonical
-key-sorted layout so that dump(load(x)) == x for canonical files.
+text it quotes the string and the column inside it); dumpers emit a
+canonical key-sorted layout so that dump(load(x)) == x for canonical files.
+A file is decoded by cli.load_json_file, which raises ParseError with line
+and column for malformed JSON text before this module is loaded.
 """
 
 import json
 from fractions import Fraction
 from math import lcm
 
-from .constructors import ChainComplexWindow
 from .errors import NotAComplex, NotHomogeneous, ParseError, SchemaError
 from .graded import GradedAlgebra, ZWindow
 from .grammar import hbar_valuation_bound, parse, render
 from .group_cohomology import GroupCochain, fano_octonions
 from .heis_torus import HeisElement
 from .multilinear import AlgebraPresentation, FiniteGroup, HopfPresentation, LegTensor
+from .sample_hosts import ChainComplexWindow
 from .scalars import (
     Cyclotomic,
     ScalarRing,
@@ -558,23 +559,7 @@ def octonion_table_csv():
 
 
 # ---------------------------------------------------------------------------
-# files and document detection
-
-
-def load_json_file(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        raise ParseError("file is not UTF-8 text", line, e.start - raw.rfind(b"\n", 0, e.start))
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, e.lineno, e.colno)
-    except RecursionError:
-        raise ParseError("JSON nested too deeply to decode", 1, 1)
+# dumping and document detection
 
 
 def dump_json(doc):

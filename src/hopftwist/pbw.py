@@ -17,6 +17,9 @@ legwise product of those.
 
 Exponentials exist for arguments whose every coefficient has positive
 hbar valuation; each hbar-coefficient of the sum is then a finite sum.
+
+The pbw-gcl and moyal suite bodies (pbw_gcl_checks, moyal_checks) are
+here, in the one module both of their runs load.
 """
 
 from fractions import Fraction
@@ -514,3 +517,72 @@ def moyal_suite(order):
     yield CheckOutcome.from_residual(
         "moyal-symmetric-cocycle", resid.term_count(), key_repr(resid)
     )
+
+
+# ---------------------------------------------------------------------------
+# the pbw-gcl and moyal suites
+
+
+def pbw_gcl_checks(rng, order, theta):
+    order = 4 if order is None else order
+
+    def seeded():
+        for t in range(5):
+            th = Series(order, {k: rng.randint(-2, 2) for k in range(1, order + 1)})
+            tp = Series(order, {k: rng.randint(-2, 2) for k in range(1, order + 1)})
+            try:
+                gcl_coassociator(th, tp, order)
+            except RuntimeError:
+                yield 1, "pair %d" % t
+
+    yield CheckOutcome.tally("coassociator-seeded", seeded())
+
+    th = Series(order, {1: Fraction(2, 3)})
+    lam = th * TauLaurent.tau(-1)
+    phi = gcl_coassociator(th, th, order)
+    expected = pbw_exp(
+        PBWTensor(-1, order, 3, {((1, 0, 0), (0, 0, 1), (0, 1, 0)): -(lam * lam)})
+    )
+    ok = phi.eq(expected)
+    yield CheckOutcome.from_residual(
+        "equal-angle-closed-form",
+        0 if ok else 1,
+        None if ok else key_repr(phi.sub(expected)),
+    )
+
+    z = Series.zero(order)
+    resid = gcl_coassociator(z, z, order).sub(PBWTensor.unit(-1, order, 3))
+    yield CheckOutcome.from_residual(
+        "zero-angle-trivial", resid.term_count(), key_repr(resid)
+    )
+
+    th1 = Series(order, {1: 1})
+    ck = gcl_cocycle_report(th1, order)
+    yield CheckOutcome.from_residual(
+        "twist-not-cocycle",
+        0 if (not ck.ok and ck.residual_term_count > 0) else 1,
+        "cocycle holds" if ck.ok else ck.witness,
+    )
+    ck2 = gcl_equivariance_report(th1, order)
+    yield CheckOutcome.from_residual(
+        "twist-not-equivariant",
+        0 if (not ck2.ok and ck2.witness) else 1,
+        "equivariance holds" if ck2.ok else ck2.witness,
+    )
+    ck = gcl_cocycle_report(z, order)
+    if ck.ok:
+        ck = gcl_equivariance_report(z, order)
+    yield CheckOutcome.from_residual(
+        "zero-angle-is-cocycle",
+        0 if ck.ok else 1,
+        None if ck.ok else "%s at %s" % (ck.id, ck.witness),
+    )
+
+
+def moyal_checks(rng, order, theta):
+    order = 5 if order is None else order
+    yield from moyal_suite(order)
+    for kappa in (1, -1):
+        for o in range(2, 7):
+            ck = bch_report(kappa, o)
+            yield ck.renamed("kappa%+d:%s" % (kappa, ck.id))

@@ -11,9 +11,10 @@ them sorted, so that they name the least failing triple.
 suites.run_suite sets each check's elapsed_ms, the time in milliseconds
 from the check before it; a report carries it, and the suite's own
 elapsed_ms, only under to_dict(timings=True).
-"""
 
-import json
+json is imported only by to_json, so neither importing the CLI nor a
+process that never writes a report loads it.
+"""
 
 
 def key_repr(t):
@@ -103,4 +104,6 @@ class SuiteReport:
         return d
 
     def to_json(self, timings=False):
+        import json
+
         return json.dumps(self.to_dict(timings=timings), indent=2) + "\n"

@@ -4,10 +4,12 @@ A weight vector is a nonempty tuple of positive integers.  Its sharp is
 the vector of complementary products, the i-th entry the product of all
 the others; sharp_laws checks the double-sharp rescaling law and that the
 sharp is coprime exactly when the vector is pairwise coprime.  Plain
-integers throughout: no presentation and no scalar ring.
+integers throughout: no presentation and no scalar ring.  The sharp-map
+suite body, sharp_map_checks, is here too.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 from .reporting import CheckOutcome
@@ -87,3 +89,24 @@ def sharp_laws(l):
             "sharp-coprime-iff", 0 if ok2 else 1, None if ok2 else repr(l)
         ),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the sharp-map suite
+
+
+def sharp_map_checks(rng, order, theta):
+    tuples = [entries for n in range(1, 5) for entries in product(range(1, 5), repeat=n)]
+    yield CheckOutcome.tally("laws-exhaustive-%d-tuples" % len(tuples), (
+        (1, repr(entries)) for entries in tuples for ck in sharp_laws(entries) if not ck.ok
+    ))
+
+    frozen = [
+        ((1, 2, 3), (6, 3, 2)),
+        ((5, 7), (7, 5)),
+        ((4,), (1,)),
+    ]
+    wrong = [inp for inp, out in frozen if sharp(inp) != out]
+    yield CheckOutcome.from_residual(
+        "frozen-examples", len(wrong), repr(wrong[0]) if wrong else None
+    )

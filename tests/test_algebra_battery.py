@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopftwist.batteries import ModuleAlgebra, verify_algebra
 from hopftwist.constructors import (
     cyclic_group,
     dual_action_module,
@@ -26,12 +27,7 @@ from hopftwist.group_cohomology import (
     twisted_group_algebra,
 )
 from hopftwist.hopf_cochain import HopfCochain, twist
-from hopftwist.multilinear import (
-    AlgebraPresentation,
-    LegTensor,
-    ModuleAlgebra,
-    verify_algebra,
-)
+from hopftwist.multilinear import AlgebraPresentation, LegTensor
 from hopftwist.scalars import ScalarRing
 
 MODULE_IDS = ["module-unit", "module-action", "module-algebra-unit", "module-algebra-mult"]

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from hopftwist import multilinear, suites
+from hopftwist import batteries, multilinear, suites
 from hopftwist.cli import main
 from hopftwist.constructors import cyclic_group, group_algebra
 from hopftwist.reporting import CheckOutcome
@@ -92,7 +92,7 @@ def test_verify_a_battery_check_that_raises_exits_one_without_traceback(
         raise RuntimeError("boom")
 
     # k[Z2]'s last check raises: its earlier checks stay in the report
-    monkeypatch.setattr(multilinear._Battery, "antipode_square_check", boom)
+    monkeypatch.setattr(batteries._Battery, "antipode_square_check", boom)
     ids = group_algebra(cyclic_group(2)).axiom_ids
     assert ids[-1] == "antipode-square"
     assert main(["verify", "hopf-axioms"]) == 1

@@ -4,30 +4,32 @@ from fractions import Fraction
 
 import pytest
 
-from hopftwist import constructors
+from hopftwist import sample_hosts
+from hopftwist.batteries import verify_hopf
 from hopftwist.constructors import (
-    ChainComplexWindow,
     FiniteGroup,
+    cyclic_group,
+    dihedral_4,
+    direct_product,
+    dual_group_hopf,
+    elementary_abelian_2,
+    group_algebra,
+    pauli_8,
+    symmetric_3,
+)
+from hopftwist.errors import NotAComplex
+from hopftwist.sample_hosts import (
+    ChainComplexWindow,
     PareigisWindow,
     ShuffleBialgebra,
     WindowComodule,
     chain_to_comodule,
     comodule_to_chain,
-    cyclic_group,
-    dihedral_4,
-    direct_product,
-    dual_group_hopf,
     dual_pairing_report,
-    elementary_abelian_2,
-    group_algebra,
-    pauli_8,
-    symmetric_3,
     taft,
     word_pin_report,
     z2_dual_iso_report,
 )
-from hopftwist.errors import NotAComplex
-from hopftwist.multilinear import verify_hopf
 
 GROUPS = {
     "Z2": cyclic_group(2),
@@ -144,14 +146,14 @@ def test_shuffle_antipode_square_failure_names_first_word():
 
 
 def test_pairing_unit_counit_failure_names_index(monkeypatch):
-    build = constructors.dual_group_hopf
+    build = sample_hosts.dual_group_hopf
 
     def wrong_counit(G):
         kd = build(G)
         kd.counit[2] = Fraction(1)  # <1, [2]> is 0, not 1
         return kd
 
-    monkeypatch.setattr(constructors, "dual_group_hopf", wrong_counit)
+    monkeypatch.setattr(sample_hosts, "dual_group_hopf", wrong_counit)
     report = {ck.id: ck for ck in dual_pairing_report(GROUPS["S3"])}
     ck = report["pairing-unit-counit"]
     assert not ck.ok
@@ -162,7 +164,7 @@ def test_pairing_failures_keep_their_counts_and_first_witness(monkeypatch):
     # the products, coproducts and antipodes are tabulated once per run;
     # the triples keep their order, so counts and witnesses are those of
     # the loop that formed them per triple
-    build = constructors.dual_group_hopf
+    build = sample_hosts.dual_group_hopf
 
     def corrupted(G):
         kd = build(G)
@@ -173,7 +175,7 @@ def test_pairing_failures_keep_their_counts_and_first_witness(monkeypatch):
         kd.antipode[5] = [Fraction(int(j == 5)) for j in range(G.order)]
         return kd
 
-    monkeypatch.setattr(constructors, "dual_group_hopf", corrupted)
+    monkeypatch.setattr(sample_hosts, "dual_group_hopf", corrupted)
     report = {
         ck.id: (ck.status, ck.residual_term_count, ck.witness)
         for ck in dual_pairing_report(GROUPS["S3"])

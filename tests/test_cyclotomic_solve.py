@@ -28,6 +28,7 @@ from hopftwist import scalars
 from hopftwist.errors import NotInvertible, SchemaError
 from hopftwist.group_cohomology import GroupCochain, group_coboundary, twisted_group_algebra
 from hopftwist.multilinear import LegTensor, decode_key, tensor_invert
+from hopftwist.sample_hosts import taft
 from hopftwist.scalars import Cyclotomic, Series, field_rank, field_solve, root_of_unity
 
 CONDUCTORS = (3, 4, 5, 8, 12)
@@ -158,7 +159,7 @@ def _twisted_s3():
 
 HOSTS = {
     "k[Z3]": (con.group_algebra(con.cyclic_group(3)), 1),
-    "Taft(3)": (con.taft(3), 3),
+    "Taft(3)": (taft(3), 3),
     "k_F[S3]": (_twisted_s3(), 1),
 }
 

@@ -22,6 +22,7 @@ from hopftwist import constructors as con
 from hopftwist import scalars
 from hopftwist.errors import NotInvertible, SolveTooCostly
 from hopftwist.multilinear import AlgebraPresentation, LegTensor, decode_key, tensor_invert
+from hopftwist.sample_hosts import taft
 from hopftwist.scalars import ScalarRing, root_of_unity
 from hopftwist.suites import run_suite
 
@@ -159,7 +160,7 @@ def test_dense_price_reads_the_top_numerator_kept_on_the_table(monkeypatch):
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: Fraction(3, 2)}},
         [1, 0],
     )
-    for host in (H, root, con.taft(3), con.dual_group_hopf(con.symmetric_3())):
+    for host in (H, root, taft(3), con.dual_group_hopf(con.symmetric_3())):
         table = host.phase_table()
         assert table.top == max(abs(n) for cell in table.cells if cell for _k, _p, n in cell)
     assert (H.phase_table().top, root.phase_table().top) == (1, 3)

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from hopftwist.batteries import verify_algebra
 from hopftwist.constructors import cyclic_group, group_algebra
 from hopftwist.errors import (
     HopftwistError,
@@ -33,7 +34,7 @@ from hopftwist.graded import (
     window_battery,
     window_products_report,
 )
-from hopftwist.multilinear import AlgebraPresentation, verify_algebra, with_series_ring
+from hopftwist.multilinear import AlgebraPresentation, with_series_ring
 from hopftwist.weights import (
     WeightVector,
     is_coprime,

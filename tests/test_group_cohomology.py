@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopftwist.batteries import verify_algebra
 from hopftwist.constructors import cyclic_group, elementary_abelian_2, symmetric_3
 from hopftwist.errors import NotUnital, WindowOverflow
 from hopftwist.group_cohomology import (
@@ -23,7 +24,6 @@ from hopftwist.group_cohomology import (
     torus_cochain,
     twisted_group_algebra,
 )
-from hopftwist.multilinear import verify_algebra
 
 G8, FCOCHAIN, OCT = fano_octonions()
 S3 = symmetric_3()

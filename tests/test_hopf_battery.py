@@ -6,19 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopftwist.constructors import (
-    PareigisWindow,
-    ShuffleBialgebra,
-    cyclic_group,
-    dual_group_hopf,
-    group_algebra,
-    symmetric_3,
-    taft,
-)
+from hopftwist.batteries import verify_hopf
+from hopftwist.constructors import cyclic_group, dual_group_hopf, group_algebra, symmetric_3
 from hopftwist.errors import WindowOverflow
 from hopftwist.io_json import presentation_from_dict, presentation_to_dict
 from hopftwist.linalg import solve
-from hopftwist.multilinear import HopfPresentation, verify_hopf
+from hopftwist.multilinear import HopfPresentation
+from hopftwist.sample_hosts import PareigisWindow, ShuffleBialgebra, taft
 from hopftwist.scalars import ScalarRing
 
 

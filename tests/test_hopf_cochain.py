@@ -69,7 +69,7 @@ def test_unit_and_grouplike_coboundaries_trivial():
 
 
 def test_from_element_rejects_non_invertible():
-    from hopftwist.constructors import taft
+    from hopftwist.sample_hosts import taft
 
     T = taft(2)
     with pytest.raises(NotInvertible):

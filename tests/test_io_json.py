@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from hopftwist import io_json as io
 from hopftwist import scalars
+from hopftwist.batteries import verify_hopf
+from hopftwist.cli import load_json_file
 from hopftwist.constructors import (
-    ChainComplexWindow,
     FiniteGroup,
     cyclic_group,
     dual_group_hopf,
     elementary_abelian_2,
     group_algebra,
     symmetric_3,
-    taft,
 )
 from hopftwist.errors import ParseError, SchemaError
 from hopftwist.graded import group_graded, laurent_window_graded
@@ -30,9 +30,9 @@ from hopftwist.multilinear import (
     AlgebraPresentation,
     HopfPresentation,
     LegTensor,
-    verify_hopf,
     with_series_ring,
 )
+from hopftwist.sample_hosts import ChainComplexWindow, taft
 from hopftwist.scalars import Cyclotomic, ScalarRing, Series, TauLaurent, root_of_unity
 
 
@@ -65,7 +65,7 @@ def test_series_ring_survives_round_trip():
 
 def test_shipped_symmetric_group_file():
     path = resources.files("hopftwist").joinpath("data/ks3_hopf.json")
-    doc = io.load_json_file(str(path))
+    doc = load_json_file(str(path))
     pres = io.presentation_from_dict(doc)
     assert pres.dim == 6
     assert all(o.ok for o in verify_hopf(pres))
@@ -437,7 +437,7 @@ def test_load_json_file_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"open": [1, 2\n')
     with pytest.raises(ParseError) as err:
-        io.load_json_file(str(p))
+        load_json_file(str(p))
     assert err.value.line >= 1 and err.value.column >= 1
 
 

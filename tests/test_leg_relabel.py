@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopftwist import batteries
 from hopftwist import constructors as con
 from hopftwist import multilinear
 from hopftwist.hopf_cochain import random_counital_two_cochain, twist
@@ -313,5 +314,5 @@ def test_unit_rule_is_read_from_the_table(make):
     if host.pointwise_coeffs() is None:
         assert LegTensor(host, 1, {0: 3}).mul(LegTensor.unit(host, 1)).entries() == [((0,), 6)]
     else:
-        outcome = {c.id: c for c in multilinear.verify_hopf(host)}["unit-laws"]
+        outcome = {c.id: c for c in batteries.verify_hopf(host)}["unit-laws"]
         assert outcome.status == "fail"

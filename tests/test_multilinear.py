@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from hopftwist import multilinear as kernel
+from hopftwist.batteries import ModuleAlgebra, verify_algebra, verify_hopf
 from hopftwist.constructors import (
     dual_action_module,
     dual_group_hopf,
     group_algebra,
     symmetric_3,
-    taft,
 )
 from hopftwist.errors import (
     ArityMismatch,
@@ -19,14 +19,8 @@ from hopftwist.errors import (
     BadPositions,
     NotInvertible,
 )
-from hopftwist.multilinear import (
-    LegTensor,
-    ModuleAlgebra,
-    tensor_invert,
-    verify_algebra,
-    verify_hopf,
-    with_series_ring,
-)
+from hopftwist.multilinear import LegTensor, tensor_invert, with_series_ring
+from hopftwist.sample_hosts import taft
 from hopftwist.scalars import ScalarRing, Series, TauLaurent
 
 S3 = symmetric_3()

@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopftwist import batteries, suites
 from hopftwist import multilinear as ml
-from hopftwist import suites
-from hopftwist.constructors import PareigisWindow, dual_action_module, elementary_abelian_2, taft
+from hopftwist.batteries import verify_algebra, verify_hopf
+from hopftwist.constructors import dual_action_module, elementary_abelian_2
 from hopftwist.errors import WindowOverflow
 from hopftwist.grammar import parse
 from hopftwist.group_cohomology import fano_octonions, octonion_norm
@@ -31,10 +32,9 @@ from hopftwist.multilinear import (
     AlgebraPresentation,
     HopfPresentation,
     LegTensor,
-    verify_algebra,
-    verify_hopf,
     with_series_ring,
 )
+from hopftwist.sample_hosts import PareigisWindow, taft
 from hopftwist.scalars import Cyclotomic, ScalarRing, Series, TauLaurent, root_of_unity
 
 K = 2
@@ -137,10 +137,10 @@ def test_elem_mul_and_arity_one_products_match_value_arithmetic(name, data):
     assert got.eq(LegTensor(host, 1, want))
     assert got.term_count() == len(want)
     # the battery's product on rows, read back as values
-    run = ml._AlgebraBattery(host)
+    run = batteries._AlgebraBattery(host)
     row = run.mul(ml._vec_row(u), ml._vec_row(v))
-    assert not ml._differ(row, ml._vec_row(want))
-    assert not ml._differ(ml._vec_row(want), row)
+    assert not batteries._differ(row, ml._vec_row(want))
+    assert not batteries._differ(ml._vec_row(want), row)
 
 
 @SETTINGS
@@ -155,16 +155,16 @@ def test_arity_two_and_three_products_match_value_arithmetic(name, data):
     assert dict(got.entries()) == want
     dim = host.dim
     flat = {a * dim + b: c for (a, b), c in want.items()} if arity == 2 else None
-    run = ml._Battery(host) if arity == 2 and isinstance(host, HopfPresentation) else None
+    run = batteries._Battery(host) if arity == 2 and isinstance(host, HopfPresentation) else None
     if run is not None:
         rows = [ml._vec_row({a * dim + b: c for (a, b), c in w.items()}) for w in (u, v)]
-        assert not ml._differ(run.mul(*rows, 2), ml._vec_row(flat))
+        assert not batteries._differ(run.mul(*rows, 2), ml._vec_row(flat))
 
 
 @SETTINGS
 @given(st.data())
 def test_window_overflow_gives_none_exactly_where_basis_mul_raises(data):
-    run = ml._Battery(PAREIGIS)
+    run = batteries._Battery(PAREIGIS)
     u = clean(data.draw(elements(PAREIGIS)))
     v = clean(data.draw(elements(PAREIGIS)))
     try:
@@ -174,7 +174,7 @@ def test_window_overflow_gives_none_exactly_where_basis_mul_raises(data):
     got = run.mul(ml._vec_row(u), ml._vec_row(v))
     assert (got is None) == (want is None)
     if want is not None:
-        assert not ml._differ(got, ml._vec_row(want))
+        assert not batteries._differ(got, ml._vec_row(want))
     dim = PAREIGIS.dim
     u2 = {a * dim + b: c for a, c in u.items() for b in (0, 1)}
     try:

@@ -8,17 +8,19 @@ from types import SimpleNamespace
 import pytest
 
 from hopftwist import (
+    batteries,
     cochain_engine,
-    constructors,
+    cochain_suite,
     graded,
     group_cohomology,
     heis_torus,
     hopf_cochain,
-    multilinear,
     pbw,
+    sample_hosts,
     suites,
     weights,
 )
+from hopftwist.batteries import ModuleAlgebra
 from hopftwist.errors import SchemaError, UnknownSuite
 from hopftwist.group_cohomology import (
     GroupCochain,
@@ -27,7 +29,7 @@ from hopftwist.group_cohomology import (
     octonion_norm,
     twisted_group_algebra,
 )
-from hopftwist.multilinear import LegTensor, ModuleAlgebra
+from hopftwist.multilinear import LegTensor
 from hopftwist.reporting import CheckOutcome
 from hopftwist.scalars import Series, TauLaurent, root_of_unity
 from hopftwist.suites import DEFAULT_SEED, SUITE_NAMES, run_suite
@@ -44,14 +46,18 @@ def report(name):
     return _CACHE[name]
 
 
-def _patch_for_suites(monkeypatch, module, name, fake):
-    """Replace module.name by fake for the calls made from suites.py; the
-    library's own calls keep the real function."""
+def _patch_for_suites(monkeypatch, module, name, fake, body):
+    """Replace module.name by fake for the calls made from the suite body
+    body and the functions nested in it; the library's own calls keep the
+    real function."""
     real = getattr(module, name)
 
     def patched(*args, **kwargs):
-        caller = sys._getframe(1).f_globals
-        return (fake if caller is vars(suites) else real)(*args, **kwargs)
+        caller = sys._getframe(1)
+        own = caller.f_globals is body.__globals__ and (
+            caller.f_code.co_qualname.partition(".")[0] == body.__name__
+        )
+        return (fake if own else real)(*args, **kwargs)
 
     monkeypatch.setattr(module, name, patched)
 
@@ -184,7 +190,9 @@ def test_uv_commutation_names_the_first_residual_key(monkeypatch):
         return real(a, b, theta).sub(first.scale(theta * TauLaurent.tau(-1)))
 
     # assoc_residual's products keep the real star
-    _patch_for_suites(monkeypatch, heis_torus, "star", without_first_order)
+    _patch_for_suites(
+        monkeypatch, heis_torus, "star", without_first_order, heis_torus.heis_torus_checks
+    )
     checks = {c.id: c for c in run_suite("heis-torus").checks}
     assert not checks["uv-commutation"].ok
     assert checks["uv-commutation"].witness == "(1, 0, 0, Fraction(1, 1))"
@@ -260,7 +268,11 @@ def test_graded_verdicts_name_a_weak_strong_grading(monkeypatch):
     # a strong_grading that finds no grading strong; canonical_map's own
     # cross-check keeps the real one
     _patch_for_suites(
-        monkeypatch, graded, "strong_grading", lambda ga: SimpleNamespace(strong=False)
+        monkeypatch,
+        graded,
+        "strong_grading",
+        lambda ga: SimpleNamespace(strong=False),
+        graded.graded_galois_checks,
     )
     bad = failing(run_suite("graded-galois").checks)
     for name in (
@@ -288,6 +300,7 @@ def test_fourway_names_each_disagreeing_verdict(monkeypatch):
         graded,
         "resolution_of_unity",
         lambda ga, g: None if ga.grading.order == 3 else object(),
+        graded.graded_galois_checks,
     )
     bad = failing(run_suite("graded-galois").checks)
     assert bad == {
@@ -310,19 +323,19 @@ def test_frozen_sharp_examples_name_the_first_wrong_input(monkeypatch):
 
 
 def _z2_iso_with(monkeypatch, fault):
-    real = constructors.dual_group_hopf
+    real = sample_hosts.dual_group_hopf
 
     def faulty(G, ring=None):
         H = real(G, ring)
         fault(H)
         return H
 
-    monkeypatch.setattr(constructors, "dual_group_hopf", faulty)
-    return failing(constructors.z2_dual_iso_report())
+    monkeypatch.setattr(sample_hosts, "dual_group_hopf", faulty)
+    return failing(sample_hosts.z2_dual_iso_report())
 
 
 def test_z2_iso_counit_names_the_first_wrong_index(monkeypatch):
-    assert failing(constructors.z2_dual_iso_report()) == {}
+    assert failing(sample_hosts.z2_dual_iso_report()) == {}
     # d(g) given counit 1 as well as d(e)
     bad = _z2_iso_with(monkeypatch, lambda H: H.counit.__setitem__(1, Fraction(1)))
     assert bad == {"z2-iso-counit": (1, "1")}
@@ -497,13 +510,13 @@ def test_a_battery_check_carries_its_own_time(monkeypatch):
     # that time to coproduct-morphism and none of it to unit-laws
     now = [0.0]
     monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    real = multilinear._Battery.coproduct_morphism_check
+    real = batteries._Battery.coproduct_morphism_check
 
     def slow(self):
         now[0] += 2.0
         return real(self)
 
-    monkeypatch.setattr(multilinear._Battery, "coproduct_morphism_check", slow)
+    monkeypatch.setattr(batteries._Battery, "coproduct_morphism_check", slow)
     rep = run_suite("hopf-axioms")
     timed = {c.id: c.elapsed_ms for c in rep.checks}
     assert [c.id for c in rep.checks] == [c.id for c in report("hopf-axioms").checks]
@@ -582,21 +595,21 @@ def _d0_on_the_right(delta_i):
 
 def test_pauli_counterexample_names_a_unit_d_squared(monkeypatch):
     _delta_i_fault(monkeypatch, _swapped_coproduct_legs)
-    ck = suites._pauli_counterexample()
+    ck = cochain_suite._pauli_counterexample()
     assert (ck.status, ck.residual_term_count) == ("fail", 1)
     assert ck.witness == "d^2 is the unit"
 
 
 def test_pauli_counterexample_names_the_first_differing_key(monkeypatch):
     _delta_i_fault(monkeypatch, _d0_on_the_right)
-    ck = suites._pauli_counterexample()
+    ck = cochain_suite._pauli_counterexample()
     assert (ck.status, ck.residual_term_count) == ("fail", 1)
     assert ck.witness == "([1],[-1],[1],[1])"
 
 
 def test_pbw_counterexample_names_the_first_differing_key(monkeypatch):
     _delta_i_fault(monkeypatch, _d0_on_the_right)
-    ck = suites._pbw_counterexample()
+    ck = cochain_suite._pbw_counterexample()
     assert (ck.status, ck.residual_term_count) == ("fail", 1)
     assert ck.witness == "((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0, 0))"
 
@@ -794,7 +807,7 @@ def test_octonion_module_twist_names_the_first_broken_step(monkeypatch):
         return {js: {ks: -c for ks, c in image.items()} for js, image in real(self, ht).items()}
 
     monkeypatch.setattr(ModuleAlgebra, "act_tensor", negated)
-    ck = suites._octonion_module_twist()
+    ck = cochain_suite._octonion_module_twist()
     assert (ck.status, ck.residual_term_count, ck.witness) == ("fail", 2, "twisted-table")
 
 
