@@ -1,7 +1,8 @@
 """The coboundary engine: the multiplicative coboundary of a tensor, with
 no linear solve.  It is duck-typed: it works for any tensor implementing
-mul, leg_embed, coproduct_leg and arity (multilinear.LegTensor,
-pbw.PBWTensor), and imports none of them.
+mul, leg_embed, coproduct_leg and arity (multilinear.LegTensor, among them
+the k^G tensors of group_cohomology.GroupCochain, and pbw.PBWTensor), and
+imports none of them.
 
 A cochain of arity n is an invertible tensor in host^(tensor n).  The
 coboundary interleaves coproduct-leg insertions:

@@ -1,7 +1,9 @@
 """Multiplicative group cochains, coboundaries, and the two flagship
 2-cocycle examples: the Fano-plane sign cochain on (Z/2)^3 whose twisted
 algebra is the octonions, and the antisymmetric-form cochain on Z^2 whose
-twisted algebra is the noncommutative torus.
+twisted algebra is the noncommutative torus.  A group cochain is a
+pointwise cochain over k^G, so its coboundary and its cocycle check are
+the k^G case of cochain_engine's.
 
 The group-cohomology and octonions suite bodies (group_cohomology_checks,
 octonions_checks) are here, in the one module both of their runs load;
@@ -9,108 +11,104 @@ they load the algebra battery (batteries) when they run.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import product
+from weakref import WeakKeyDictionary
 
 from .errors import NotUnital, WindowOverflow
-from .multilinear import AlgebraPresentation, FiniteGroup
+from .multilinear import AlgebraPresentation, FiniteGroup, LegTensor, encode_key
 from .reporting import CheckOutcome
 from .scalars import ScalarRing, root_of_unity
 
 
 class GroupCochain:
-    """Total table G^n -> nonzero scalars."""
+    """Total table G^n -> nonzero scalars, held as a pointwise tensor over
+    k^G (_dual_host) with its pointwise inverse, formed on its first read.
+    table, {key tuple: value}, is made from the tensor on its first read."""
 
     def __init__(self, group, arity, table):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        self.group = group
-        self.arity = arity
-        self.table = {}
+        host = _dual_host(group)
         size = group.order
+        values = {}
         for key, v in table.items():
             key = tuple(key)
             if len(key) != arity or not all(0 <= g < size for g in key):
                 raise ValueError("bad key %r" % (key,))
             if not v:
                 raise ValueError("cochain values must be invertible")
-            self.table[key] = v
-        if len(self.table) != size ** arity:
+            values[encode_key(key, size)] = host.ring.coerce(v)
+        if len(values) != size ** arity:
             raise ValueError("cochain table must be total")
-
-    def value(self, *key):
-        return self.table[key]
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupCochain):
-            return NotImplemented
-        return (
-            self.group is other.group
-            and self.arity == other.arity
-            and all(self.table[k] == other.table[k] for k in self.table)
+        self.group, self.arity = group, arity
+        self.tensor = LegTensor(host, arity, values, _checked=True)
+        self._make_inverse = lambda: LegTensor(
+            host, arity, {k: 1 / v for k, v in values.items()}, _checked=True
         )
 
-    __hash__ = None
+    @staticmethod
+    def _of(group, tensor, make_inverse):
+        """The cochain of a pointwise tensor over _dual_host(group), whose
+        inverse make_inverse() forms, unchecked, on its first read."""
+        c = GroupCochain.__new__(GroupCochain)
+        c.group, c.arity, c.tensor, c._make_inverse = group, tensor.arity, tensor, make_inverse
+        return c
+
+    @cached_property
+    def inverse(self):
+        return self._make_inverse()
+
+    @cached_property
+    def table(self):
+        return dict(self.tensor.entries())
 
 
-def _keys(order, arity):
-    out = [()]
-    for _ in range(arity):
-        out = [k + (g,) for k in out for g in range(order)]
-    return out
+_HOSTS = WeakKeyDictionary()
+
+
+def _dual_host(G):
+    """The one k^G of G's cochains (LegTensor.eq compares hosts by identity)."""
+    if G not in _HOSTS:
+        from .constructors import dual_group_hopf
+
+        _HOSTS[G] = dual_group_hopf(G)
+    return _HOSTS[G]
 
 
 def group_coboundary(c):
-    """Multiplicative coboundary: alternating product over dropped or merged
-    slots, the first factor dropping the leading argument.
-
-    Each entry is one quotient of two products.  A rational value enters as
-    its integer numerator and denominator, so a rational entry is one
-    Fraction of two integer products; any other value enters as itself over
-    1."""
+    """Multiplicative coboundary, the k^G case of cochain_engine.coboundary:
+    k^G's coproduct is d(g) -> sum over xy = g of d(x) (x) d(y), so its faces
+    are the group faces, the first dropping the leading argument.  d(c)^-1
+    is formed (coboundary_inverse) only when read, as by a further d."""
     if isinstance(c, TorusCochain):
         return TorusCoboundary(c)
-    G = c.group
-    n = c.arity
-    parts = {key: _ratio(v) for key, v in c.table.items()}
-    table = {}
-    for key in _keys(G.order, n + 1):
-        num = den = 1
-        for i in range(n + 2):
-            if i == 0:
-                sub = key[1:]
-            elif i == n + 1:
-                sub = key[:-1]
-            else:
-                sub = key[: i - 1] + (G.mul(key[i - 1], key[i]),) + key[i + 1 :]
-            p, q = parts[sub]
-            if i % 2:
-                num, den = num * q, den * p
-            else:
-                num, den = num * p, den * q
-        if type(num) is int and type(den) is int:
-            table[key] = Fraction(num, den)
-        else:
-            table[key] = num / den
-    return GroupCochain(G, n + 1, table)
+    from .cochain_engine import coboundary, coboundary_inverse
+
+    value, inverse = c.tensor, c.inverse
+    return GroupCochain._of(
+        c.group, coboundary(value, inverse), lambda: coboundary_inverse(value, inverse)
+    )
 
 
-def _ratio(v):
-    """(numerator, denominator) of a cochain value: integers when it is
-    rational, (v, 1) otherwise."""
-    if isinstance(v, (int, Fraction)):
-        return v.numerator, v.denominator
-    return v, 1
+def _agree(id, lhs, rhs, labels, witness):
+    """Whether two tensors over one k^G agree: the residual counts the keys
+    where they differ, and witness(names) names the first by its labels."""
+    if lhs.eq(rhs):
+        return CheckOutcome.from_residual(id, 0)
+    diff = lhs.sub(rhs)
+    names = tuple(labels[g] for g in diff.entries()[0][0])
+    return CheckOutcome.from_residual(id, diff.term_count(), witness(names))
 
 
 def is_constant_one(c):
-    labels = c.group.labels
-    return CheckOutcome.tally("coboundary-trivial", (
-        (1, str(tuple(labels[g] for g in k))) for k, v in c.table.items() if v != 1
-    ))
+    unit = LegTensor.unit(c.tensor.host, c.arity)
+    return _agree("coboundary-trivial", c.tensor, unit, c.group.labels, str)
 
 
 def is_cocycle(c, window=None):
-    """2-cocycle identity F(a,b)F(ab,c) = F(a,bc)F(b,c), exhaustively.
+    """d(c) = 1 exhaustively, for a 2-cochain F(a,b)F(ab,c) = F(a,bc)F(b,c),
+    read as "c's even faces equal its odd faces" (cochain_engine._faces).
 
     For the lattice cochain a window radius is required.
     """
@@ -118,25 +116,19 @@ def is_cocycle(c, window=None):
         if window is None:
             raise ValueError("lattice cochains need a window")
         return c.cocycle_report(window)
-    if c.arity != 2:
-        raise ValueError("is_cocycle applies to 2-cochains")
-    G, t = c.group, c.table
+    from .cochain_engine import _faces
 
-    def failures():
-        for a in range(G.order):
-            for b in range(G.order):
-                fab, ab = t[(a, b)], G.mul(a, b)
-                for d in range(G.order):
-                    if fab * t[(ab, d)] != t[(a, G.mul(b, d))] * t[(b, d)]:
-                        yield 1, "(%s,%s,%s)" % (G.labels[a], G.labels[b], G.labels[d])
-
-    return CheckOutcome.tally("cocycle", failures())
+    even, odd = _faces(c.tensor)
+    return _agree("cocycle", even, odd, c.group.labels, lambda names: "(%s)" % ",".join(names))
 
 
 def is_unital(c):
     if isinstance(c, TorusCochain):
-        # exponent form vanishes whenever either argument is the origin
-        return CheckOutcome.from_residual("unital", 0)
+        # F(0, a) = F(a, 0) = 1 at every point a of the radius-2 square
+        o = (0, 0)
+        return CheckOutcome.tally("unital", (
+            (1, repr(a)) for a in _square(2) if c.value(o, a) != 1 or c.value(a, o) != 1
+        ))
     if c.arity != 2:
         raise ValueError("is_unital applies to 2-cochains")
     G = c.group
@@ -404,7 +396,7 @@ def normalized(c):
 def random_group_cochain(G, arity, rng):
     """Seeded nonzero rational table, handy for coboundary batteries."""
     table = {}
-    for key in _keys(G.order, arity):
+    for key in product(range(G.order), repeat=arity):
         num = 0
         while num == 0:
             num = rng.randint(-5, 5)

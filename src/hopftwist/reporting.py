@@ -6,7 +6,8 @@ check over many inputs forms its verdict with CheckOutcome.tally: the
 residual is the sum over the failing inputs, and the witness is the first
 failing input's, in the order the check visits them.  The associativity
 and quasi-associativity checks visit their triples out of order and tally
-them sorted, so that they name the least failing triple.
+them sorted, so that they name the least failing triple.  An outcome has
+no truth value: its verdict is .ok, and bool() of it raises TypeError.
 
 suites.run_suite sets each check's elapsed_ms, the time in milliseconds
 from the check before it; a report carries it, and the suite's own
@@ -61,6 +62,9 @@ class CheckOutcome:
     @property
     def ok(self):
         return self.status == "pass"
+
+    def __bool__(self):
+        raise TypeError("read .ok of a CheckOutcome, not its truth value")
 
     def to_dict(self, timings=False):
         d = {

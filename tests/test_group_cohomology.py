@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hopftwist.batteries import verify_algebra
-from hopftwist.constructors import cyclic_group, elementary_abelian_2, symmetric_3
+from hopftwist.constructors import cyclic_group, dihedral_4, elementary_abelian_2, symmetric_3
 from hopftwist.errors import NotUnital, WindowOverflow
 from hopftwist.group_cohomology import (
     GroupCochain,
@@ -24,6 +24,7 @@ from hopftwist.group_cohomology import (
     torus_cochain,
     twisted_group_algebra,
 )
+from hopftwist.reporting import CheckOutcome
 
 G8, FCOCHAIN, OCT = fano_octonions()
 S3 = symmetric_3()
@@ -122,10 +123,10 @@ def test_group_coboundary_squares_to_one():
         for _ in range(5):
             c = random_group_cochain(G, 1, rng)
             dd = group_coboundary(group_coboundary(c))
-            assert is_constant_one(dd)
+            assert is_constant_one(dd).ok
             c2 = random_group_cochain(G, 2, rng)
             dd2 = group_coboundary(group_coboundary(c2))
-            assert is_constant_one(dd2)
+            assert is_constant_one(dd2).ok
 
 
 def test_coboundaries_are_cocycles():
@@ -331,3 +332,187 @@ def test_torus_sweeps_evaluate_each_pair_once():
     F.calls["value"] = 0
     assert all(c.ok for c in F.cocycle_report(2))
     assert F.calls["value"] <= 2 * 9**2 * 5**2
+
+
+class _NotUnitalAt(TorusCochain):
+    # F(a, 0) is a nontrivial root of unity at the points a of `points`
+    def __init__(self, theta, points):
+        super().__init__(theta)
+        self.points = points
+
+    def exponent(self, a, b):
+        return (super().exponent(a, b) + (b == (0, 0) and a in self.points)) % self.two_q
+
+
+@pytest.mark.parametrize(
+    "points,expect",
+    [(((1, 0),), (1, "(1, 0)")), (((2, 2), (0, 0), (-1, 1)), (3, "(-1, 1)"))],
+    ids=["one-point", "origin-too"],
+)
+def test_torus_unital_evaluates_the_cochain(points, expect):
+    # each point a of the radius-2 square where F(0, a) or F(a, 0) is not 1
+    # counts once, and the first in the square's order is the witness
+    ck = is_unital(_NotUnitalAt(Fraction(1, 3), points))
+    assert (ck.id, ck.status, (ck.residual_term_count, ck.witness)) == ("unital", "fail", expect)
+    assert is_unital(_NotUnitalAt(Fraction(1, 3), ((3, 0),))).ok
+
+
+# The face loop that group_coboundary was before it became the k^G case of
+# cochain_engine, and the loops of is_constant_one and the arity-2
+# is_cocycle, kept verbatim (but for their names) as the oracle of the
+# differential tests below.
+
+
+def _keys(order, arity):
+    out = [()]
+    for _ in range(arity):
+        out = [k + (g,) for k in out for g in range(order)]
+    return out
+
+
+def _old_group_coboundary(c):
+    """Multiplicative coboundary: alternating product over dropped or merged
+    slots, the first factor dropping the leading argument.
+
+    Each entry is one quotient of two products.  A rational value enters as
+    its integer numerator and denominator, so a rational entry is one
+    Fraction of two integer products; any other value enters as itself over
+    1."""
+    if isinstance(c, TorusCochain):
+        return TorusCoboundary(c)
+    G = c.group
+    n = c.arity
+    parts = {key: _ratio(v) for key, v in c.table.items()}
+    table = {}
+    for key in _keys(G.order, n + 1):
+        num = den = 1
+        for i in range(n + 2):
+            if i == 0:
+                sub = key[1:]
+            elif i == n + 1:
+                sub = key[:-1]
+            else:
+                sub = key[: i - 1] + (G.mul(key[i - 1], key[i]),) + key[i + 1 :]
+            p, q = parts[sub]
+            if i % 2:
+                num, den = num * q, den * p
+            else:
+                num, den = num * p, den * q
+        if type(num) is int and type(den) is int:
+            table[key] = Fraction(num, den)
+        else:
+            table[key] = num / den
+    return GroupCochain(G, n + 1, table)
+
+
+def _ratio(v):
+    """(numerator, denominator) of a cochain value: integers when it is
+    rational, (v, 1) otherwise."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
+    return v, 1
+
+
+def _old_is_constant_one(c):
+    labels = c.group.labels
+    return CheckOutcome.tally("coboundary-trivial", (
+        (1, str(tuple(labels[g] for g in k))) for k, v in c.table.items() if v != 1
+    ))
+
+
+def _old_is_cocycle(c):
+    G, t = c.group, c.table
+
+    def failures():
+        for a in range(G.order):
+            for b in range(G.order):
+                fab, ab = t[(a, b)], G.mul(a, b)
+                for d in range(G.order):
+                    if fab * t[(ab, d)] != t[(a, G.mul(b, d))] * t[(b, d)]:
+                        yield 1, "(%s,%s,%s)" % (G.labels[a], G.labels[b], G.labels[d])
+
+    return CheckOutcome.tally("cocycle", failures())
+
+
+def _verdict(ck):
+    return ck.id, ck.status, ck.residual_term_count, ck.witness
+
+
+def _rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
+
+
+def _cyclotomic(rng):
+    # r z(12, k): some values rational (k = 0 or 6), most not
+    return _rational(rng) * root_of_unity(rng.randrange(12), 12)
+
+
+_GROUPS = {"S3": symmetric_3, "D4": dihedral_4, "Z2^3": lambda: elementary_abelian_2(3)}
+
+
+def _cochain(G, arity, draw, rng):
+    return GroupCochain(G, arity, {k: draw(rng) for k in _keys(G.order, arity)})
+
+
+@pytest.mark.parametrize("draw", [_rational, _cyclotomic], ids=["rational", "z12"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("group", sorted(_GROUPS))
+def test_group_coboundary_matches_the_face_loop(group, arity, draw):
+    G = _GROUPS[group]()
+    rng = random.Random("%s/%d/%s" % (group, arity, draw.__name__))
+    c = _cochain(G, arity, draw, rng)
+    d, old = group_coboundary(c), _old_group_coboundary(c)
+    assert d.table == old.table
+    assert list(d.table) == _keys(G.order, arity + 1)
+    assert d.tensor.eq(old.tensor)
+    # the deferred inverse of d(c) is the pointwise inverse of the old table
+    assert d.inverse.eq(GroupCochain(G, arity + 1, {k: 1 / v for k, v in old.table.items()}).tensor)
+    assert _verdict(is_constant_one(d)) == _verdict(_old_is_constant_one(old))
+    if arity == 1:
+        assert _verdict(is_cocycle(d)) == _verdict(_old_is_cocycle(old)) == ("cocycle", "pass", 0, None)
+    if arity == 2:
+        assert _verdict(is_cocycle(c)) == _verdict(_old_is_cocycle(c))
+        assert is_cocycle(c).status == "fail"
+
+
+@pytest.mark.parametrize("draw", [_rational, _cyclotomic], ids=["rational", "z12"])
+@pytest.mark.parametrize("group", sorted(_GROUPS))
+def test_two_coboundaries_match_the_face_loop_twice(group, draw):
+    # the outer d reads the inner one's deferred inverse
+    G = _GROUPS[group]()
+    rng = random.Random("%s/dd/%s" % (group, draw.__name__))
+    for arity in (1, 2):
+        c = _cochain(G, arity, draw, rng)
+        dd = group_coboundary(group_coboundary(c))
+        old = _old_group_coboundary(_old_group_coboundary(c))
+        assert dd.table == old.table
+        assert _verdict(is_constant_one(dd)) == _verdict(_old_is_constant_one(old))
+        assert is_constant_one(dd).ok
+
+
+def test_a_non_unital_coboundary_matches_the_face_loop():
+    # d(c) of a 1-cochain with c(e) != 1 is a cocycle but not unital
+    rng = random.Random(11)
+    c = random_group_cochain(S3, 1, rng)
+    assert c.table[(S3.identity,)] != 1
+    d, old = group_coboundary(c), _old_group_coboundary(c)
+    assert d.table == old.table
+    assert _verdict(is_unital(d)) == _verdict(is_unital(old))
+    assert is_unital(d).status == "fail"
+    assert _verdict(is_cocycle(d)) == _verdict(_old_is_cocycle(old)) == ("cocycle", "pass", 0, None)
+    assert _verdict(is_constant_one(group_coboundary(d))) == ("coboundary-trivial", "pass", 0, None)
+
+
+def test_a_non_cocycle_keeps_the_face_loop_verdicts_and_witnesses():
+    # a unital cocycle of S3 with the sign of F((12),(23)) flipped
+    F = group_coboundary(normalized(random_group_cochain(S3, 1, random.Random(5))))
+    table = dict(F.table)
+    table[(1, 2)] = -table[(1, 2)]
+    bad = GroupCochain(S3, 2, table)
+    assert _verdict(is_cocycle(bad)) == _verdict(_old_is_cocycle(bad))
+    assert is_cocycle(bad).witness == "((12),(12),(23))"
+    d, old = group_coboundary(bad), _old_group_coboundary(bad)
+    assert d.table == old.table
+    assert _verdict(is_constant_one(d)) == _verdict(_old_is_constant_one(old))
+    assert is_constant_one(d).witness == "('(12)', '(12)', '(23)')"
+    assert is_constant_one(d).residual_term_count == is_cocycle(bad).residual_term_count > 0

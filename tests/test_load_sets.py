@@ -66,12 +66,20 @@ LOADS = {
     "hopf-axioms": {"batteries", "constructors", "multilinear", "sample_hosts", "scalars"},
     "group-cohomology": {
         "batteries",
+        "cochain_engine",
         "constructors",
         "group_cohomology",
         "multilinear",
         "scalars",
     },
-    "octonions": {"batteries", "group_cohomology", "multilinear", "scalars"},
+    "octonions": {
+        "batteries",
+        "cochain_engine",
+        "constructors",
+        "group_cohomology",
+        "multilinear",
+        "scalars",
+    },
     "pbw-gcl": {"cochain_engine", "pbw", "scalars"},
     "moyal": {"cochain_engine", "pbw", "scalars"},
     "graded-galois": {"constructors", "graded", "linalg", "multilinear", "scalars"},
@@ -137,6 +145,15 @@ def test_verify_loads_only_what_its_suite_runs(suite):
     code, mods, _ = _child(["verify", suite, "--seed", "5"])
     assert code == 0
     assert mods == BASE | LOADS[suite]
+
+
+@pytest.mark.parametrize("suite", ["group-cohomology", "octonions"])
+def test_group_cochain_suites_reach_the_engine_without_hopf_cochain(suite):
+    # a group cochain is a pointwise cochain over k^G (constructors), and
+    # its coboundary is cochain_engine's; the Hopf cochain layer stays out.
+    # test_verify_loads_only_what_its_suite_runs holds each run to LOADS
+    assert {"cochain_engine", "constructors"} <= LOADS[suite]
+    assert "hopf_cochain" not in LOADS[suite]
 
 
 def test_malformed_theta_loads_no_suite_module():

@@ -1,11 +1,14 @@
 """CheckOutcome.tally, the one rule for a check over many inputs, a scan
-that keeps it the only one, and a scan and a test that keep each suite
-body, and each battery it yields from, yielding its checks to run_suite."""
+that keeps it the only one, an outcome with no truth value, and a scan and
+a test that keep each suite body, and each battery it yields from,
+yielding its checks to run_suite."""
 
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 from hopftwist import suites
 from hopftwist.reporting import CheckOutcome
@@ -40,6 +43,16 @@ def test_tally_skips_a_witness_of_none():
         "status": "fail",
         "residual_term_count": 1,
     }
+
+
+@pytest.mark.parametrize("ck", [CheckOutcome.from_residual("c", 0), CheckOutcome.from_residual("c", 2, "x")])
+def test_an_outcome_has_no_truth_value(ck):
+    # `assert ck` would hold for a failing check too; the verdict is ck.ok
+    with pytest.raises(TypeError, match="read .ok"):
+        assert ck
+    with pytest.raises(TypeError, match="read .ok"):
+        if ck:
+            pass
 
 
 # A check that counts its failures and keeps a witness by hand instead of
