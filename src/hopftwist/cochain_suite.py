@@ -146,11 +146,10 @@ def _octonion_module_twist():
         twist,
         verify_quasi,
     )
-    from .multilinear import LegTensor
 
     G8, fano, Oct = fano_octonions()
     mod = dual_action_module(G8)
-    valF = LegTensor(mod.host, 2, dict(fano.table))
+    valF = fano.tensor.over(mod.host)
     FF = HopfCochain(mod.host, 2, valF, valF)
     broken = []
     if not (counital_report(FF).ok and invariant_report(FF).ok):

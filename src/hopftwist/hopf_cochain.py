@@ -6,10 +6,26 @@ engine (cochain_engine) with no linear solve.  A cochain made with
 HopfCochain.deferred forms its inverse on the first read.
 
 For an invertible X, d(X) is the unit exactly when its even faces equal
-its odd faces (cochain_engine._faces).  That decides d^2
-(dsquared forms X = d(c) alone, and the inverse of X only when d^2(c) is
-not the unit), the cocycle check (d(F) is formed only for a failing check's
-residual) and the pentagon below.
+its odd faces (cochain_engine._faces).  One test, _closed, decides that
+for d^2 (dsquared forms X = d(c) alone, and the inverse of X only when
+d^2(c) is not the unit), the cocycle check (d(F) is formed only for a
+failing check's residual) and the pentagon below.  Over a commutative
+Q-algebra in which hbar is nilpotent (hbar^(K+1) = 0), log is a bijection
+from 1 + hbar A onto hbar A that turns products into sums, so for
+X = 1 + P, P of positive hbar degree, d(X) = 1 exactly when the even faces
+of log X = P - P^2/2 + ... (to P^K) sum to its odd faces.  _closed takes
+that log form when the host's tables, never its name, say each D_i is a
+unital algebra map that relabels keys: a series ring, a commuting product
+(product_commutes) that is a group table (key_table, _Cells.latin), a
+declared unit that is the table's identity with coefficient 1, and the
+diagonal coproduct g -> g (x) g as a relabel; and when X's hbar^0 pieces
+are the unit's.  It costs K - 1 products at X's arity n and n + 2
+relabelled faces, with no product at arity n + 1.  Every other host (a
+dual, k[S3], an exact ring), and an X the log form finds not closed, is
+decided by the faces, which give every failing check its residual and
+witness as before.
+Phi = coboundary(F, F^-1) stays a product of faces: an associator formed as
+exp(d log F) would pass the pentagon whatever the kernel did.
 
 Twisting replaces the coproduct by Delta_F = F Delta(.) F^-1 and the
 module-algebra product by m(F^-1 acting legwise); the associator
@@ -39,6 +55,7 @@ conductor 1 forms no difference at all.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 
 from .cochain_engine import (
@@ -138,19 +155,63 @@ def hopf_coboundary(c):
     return HopfCochain(c.host, c.arity + 1, val, inv, _trusted=True)
 
 
+def _log_faces(X):
+    """(even, odd), the sums of the even and of the odd faces of log X, or
+    None when the log form does not apply: the host's tables must make each
+    D_i a unital algebra map that relabels keys over a commutative
+    Q-algebra in which hbar is nilpotent (a series ring, a commuting group
+    table whose identity is the declared unit with coefficient 1, and the
+    diagonal coproduct), and X's hbar^0 pieces must be the unit's.  log X is
+    P - P^2/2 + ... + (-1)^(K+1) P^K/K for X = 1 + P, truncated at the
+    ring's order K: K - 1 products at X's arity."""
+    host, n = X.host, X.arity
+    K = host.ring.hbar_order
+    if K is None or not host.product_commutes():
+        return None
+    table = host.key_table()
+    if table is None or not table.latin:
+        return None
+    if host.unit_rows(1) != ({(0, 0, 0): ({table.unit: 1}, 1)}, 1):
+        return None
+    dim = host.dim
+    relabel = host.coproduct_pieces()[2]
+    if relabel is None or list(relabel.codes) != [(i * dim + i,) for i in range(dim)]:
+        return None
+    pieces, N = X._phases()
+    if {p: x for p, x in pieces.items() if not p[0]} != host.unit_rows(n)[0]:
+        return None
+    P = LegTensor._of_rows(host, n, {p: x for p, x in pieces.items() if p[0]}, N)
+    log, power = P, P
+    for k in range(2, K + 1):
+        power = power.mul(P)
+        log = log.add(power.scale(Fraction((-1) ** (k + 1), k)))
+    return tuple(reduce(LegTensor.add, _legs(log, range(first, n + 2, 2))) for first in (0, 1))
+
+
+def _closed(X):
+    """(closed, faces): closed is True exactly when d(X) is the unit.  The
+    log form (_log_faces) decides a closed X with faces None; otherwise the
+    faces decide, even == odd, and faces is (even, odd) (_faces), from which
+    a failing check forms its residual and witness."""
+    logs = _log_faces(X)
+    if logs is not None and logs[0].eq(logs[1]):
+        return True, None
+    even, odd = _faces(X)
+    return even.eq(odd), (even, odd)
+
+
 def dsquared(c):
     """d(d(c)) as a bare tensor, for comparison against the unit.  With
-    X = d(c), formed alone, d(X) is the unit exactly when X's even faces
-    equal its odd faces (_faces), and then the unit is returned with no
-    inverse formed.  Otherwise X^-1 is formed and d(X) is the even faces
-    times the odd faces of X^-1 in increasing order, the product
-    coboundary(X, X^-1) forms."""
+    X = d(c), formed alone, d(X) is the unit exactly when _closed(X) says
+    so, and then the unit is returned with no inverse formed.  Otherwise
+    X^-1 is formed and d(X) is the even faces times the odd faces of X^-1
+    in increasing order, the product coboundary(X, X^-1) forms."""
     X = coboundary(c.value, c.inverse)
-    even, odd = _faces(X)
-    if even.eq(odd):
+    closed, faces = _closed(X)
+    if closed:
         return LegTensor.unit(c.host, c.arity + 2)
     Xinv = coboundary_inverse(c.value, c.inverse)
-    return _product(chain([even], _legs(Xinv, range(1, X.arity + 2, 2))))
+    return _product(chain([faces[0]], _legs(Xinv, range(1, X.arity + 2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +277,9 @@ def key_witness(t):
 
 def cocycle_report(F):
     """Residual of d(F) against the unit tensor.  d(F) is the unit exactly
-    when F's even faces equal its odd faces (_faces); d(F) itself is formed
-    only for a failing check's residual and witness."""
-    even, odd = _faces(F.value)
-    if even.eq(odd):
+    when _closed(F) says so; d(F) itself is formed only for a failing
+    check's residual and witness."""
+    if _closed(F.value)[0]:
         return CheckOutcome.from_residual("cocycle", 0)
     res = _difference(coboundary(F.value, F.inverse), LegTensor.unit(F.host, F.arity + 1))
     return CheckOutcome.from_residual("cocycle", res.term_count(), key_witness(res))
@@ -355,9 +415,13 @@ def conjugation_residual(phi, i):
 def pentagon_residual(phi):
     """D_0(Phi) D_2(Phi) D_4(Phi) - D_3(Phi) D_1(Phi) for the associator
     value phi: d(Phi) = 1 with the inverted factors moved to the right
-    side, as each D_i is an algebra map (_faces); the empty tensor when the
-    two sides are equal (see _difference)."""
-    return _difference(*_faces(phi))
+    side, as each D_i is an algebra map (_faces); the empty tensor when
+    _closed(phi) says the two sides are equal, and their difference
+    otherwise (see _difference)."""
+    closed, faces = _closed(phi)
+    if closed:
+        return LegTensor(phi.host, phi.arity + 1, {})
+    return _difference(*faces)
 
 
 def verify_quasi(result):

@@ -1129,3 +1129,176 @@ def test_unit_products_and_leg_maps_leave_their_operands_alone():
     t = LegTensor(KS3, 2, {(1, 2): Fraction(3), (4, 5): Fraction(-1)})
     prod = LegTensor.unit(KS3, 2).mul(t)
     assert prod._phases()[0][0, 0, 0][0] is t._phases()[0][0, 0, 0][0]
+
+
+# ---------------------------------------------------------------------------
+# d(X) = 1 in log form, against the faces: over a commuting group algebra
+# with a series ring, _closed decides a closed X from the faces of log X and
+# forms no face of X; every other X is decided by the faces as before
+
+
+def _alternating_faces(B):
+    """The additive coboundary sum over i of (-1)^i D_i(B)."""
+    out = LegTensor(B.host, B.arity + 1, {})
+    for i in range(B.arity + 2):
+        face = cochain_engine._delta_i(B, i)
+        out = out.sub(face) if i % 2 else out.add(face)
+    return out
+
+
+def _exp_hbar(T):
+    """exp(hbar T) over T's series host, the sum of (hbar T)^k / k! to K."""
+    K = T.host.ring.hbar_order
+    term = out = LegTensor.unit(T.host, T.arity)
+    hT = T.scale(Series.hbar(K))
+    for k in range(1, K + 1):
+        term = term.mul(hT).scale(Fraction(1, k))
+        out = out.add(term)
+    return out
+
+
+def _random_tensor(H, rng, arity, terms, root=False):
+    entries = {}
+    for _ in range(terms):
+        key = tuple(rng.randrange(H.dim) for _ in range(arity))
+        accumulate(entries, key, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)))
+    if root:
+        accumulate(entries, (1,) * arity, Z3)
+    return LegTensor(H, arity, entries)
+
+
+def _log_form_cases(H, rng, arity):
+    """(name, X, closed) over a commuting group algebra H with a series
+    ring: X = exp(hbar dB) for random B, closed by construction; that X
+    times 1 + hbar^2 b for a basis key b off the unit, not closed; and
+    d(F) for random F, closed as H commutes: a twisting cochain at arity 3,
+    1 + hbar u for a 1-tensor u at arity 2."""
+    K = H.ring.hbar_order
+    unit = LegTensor.unit(H, arity)
+    for t in range(2):
+        B = _random_tensor(H, rng, arity - 1, 3, root=(t == 1 and H.dim == 3))
+        X = _exp_hbar(_alternating_faces(B))
+        yield "exp #%d" % t, X, True
+        b = tuple(rng.randrange(H.dim) for _ in range(arity))
+        b = b if any(b) else (1,) + b[1:]
+        bump = unit.add(LegTensor(H, arity, {b: Series.hbar(K, 2)}))
+        yield "exp * (1 + hbar^2 b) #%d" % t, X.mul(bump), False
+        if arity == 3:
+            F = random_counital_two_cochain(H, rng)
+        else:
+            u = _random_tensor(H, rng, 1, 3)
+            F = HopfCochain(H, 1, LegTensor.unit(H, 1).add(u.scale(Series.hbar(K))))
+        yield "d(F) #%d" % t, coboundary(F.value, F.inverse), True
+
+
+def _log_form_hosts():
+    for G in (cyclic_group(3), elementary_abelian_2(2), elementary_abelian_2(3)):
+        for K in (2, 3):
+            yield with_series_ring(group_algebra(G), K)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_closed_in_log_form_agrees_with_the_faces(arity):
+    rng = random.Random(4300 + arity)
+    seen = set()
+    for H in _log_form_hosts():
+        for name, X, closed in _log_form_cases(H, rng, arity):
+            label = (H.name, arity, name)
+            even, odd = cochain_engine._faces(X)
+            assert even.eq(odd) == closed, label
+            logs = hopf_cochain._log_faces(X)
+            assert logs is not None, label
+            assert logs[0].eq(logs[1]) == closed, label
+            got, faces = hopf_cochain._closed(X)
+            assert got == closed, label
+            if closed:
+                # the log form decided, and no face of X was formed
+                assert faces is None, label
+            else:
+                assert faces[0].eq(even) and faces[1].eq(odd), label
+            seen.add(closed)
+    assert seen == {True, False}
+
+
+def _unit_two_host():
+    """k[Z2^2] over the order-2 series ring with its unit declared as 2 e:
+    the table is a group table whose identity is e, with coefficient 1."""
+    H = with_series_ring(group_algebra(elementary_abelian_2(2)), 2)
+    return HopfPresentation(
+        H.dim, H.labels, H.ring, H.mult, [2 * v for v in H.unit], H.coproduct,
+        H.counit, name="unit-2e",
+    )
+
+
+def _idempotent_monoid_host():
+    """k[{e, x}] with x x = x over the order-2 series ring, x group-like: a
+    commuting permutation table with a unit that is no group table."""
+    one = Fraction(1)
+    return HopfPresentation(
+        2, ["e", "x"], SER,
+        {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {1: one}},
+        [one, 0], {0: {(0, 0): one}, 1: {(1, 1): one}}, [one, one], name="monoid",
+    )
+
+
+def _gated_cases(rng):
+    """(name, X) that the log form must leave to the faces: d of a sample
+    over hosts where some D_i is not a unital algebra map that relabels
+    keys, or whose table is no group table, or whose ring is exact; 1 +
+    hbar u over a group table whose declared unit is 2 e, which is no
+    unit, so X is formed with no inverse; and over a host that takes the
+    log form, X = X_0 exp(hbar dB) with X_0 off the unit: the closed
+    group-like a (x) e (x) c, and 2 (x) 1 (x) 1, whose d is 2."""
+    Z22 = elementary_abelian_2(2)
+    for H in (
+        with_series_ring(KS3, 2),
+        with_series_ring(group_algebra(dihedral_4()), 2),
+        dual_group_hopf(Z22, SER),
+        group_algebra(elementary_abelian_2(3)),
+        _with_coproduct_fault(with_series_ring(group_algebra(Z22), 2), 1),
+        _idempotent_monoid_host(),
+    ):
+        if H.ring.hbar_order is None:
+            c = random_invertible_element_cochain(H, rng)
+        else:
+            c = random_counital_two_cochain(H, rng)
+        yield H.name, coboundary(c.value, c.inverse)
+    H = _unit_two_host()
+    yield H.name, LegTensor.unit(H, 3).add(_random_tensor(H, rng, 3, 4).scale(Series.hbar(2)))
+    H = with_series_ring(group_algebra(elementary_abelian_2(3)), 2)
+    E = _exp_hbar(_alternating_faces(_random_tensor(H, rng, 2, 3)))
+    for X0 in (LegTensor(H, 3, {(5, 0, 3): Fraction(1)}), LegTensor.unit(H, 3).scale(2)):
+        yield "X_0 = %s" % dict(X0.entries()), X0.mul(E)
+
+
+def test_the_log_form_is_read_from_the_tables():
+    # _closed decides each gated X on the faces, and its verdict is theirs
+    verdicts = set()
+    for name, X in _gated_cases(random.Random(4400)):
+        assert hopf_cochain._log_faces(X) is None, name
+        closed, faces = hopf_cochain._closed(X)
+        even, odd = cochain_engine._faces(X)
+        assert faces[0].eq(even) and faces[1].eq(odd), name
+        assert closed == even.eq(odd), name
+        verdicts.add(closed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label", ["k[Z2^3]+h2", "k[Z3]+h3"])
+def test_a_corrupted_associator_fails_the_pentagon_with_the_face_residual(label):
+    G, K = (elementary_abelian_2(3), 2) if label == "k[Z2^3]+h2" else (cyclic_group(3), 3)
+    H = with_series_ring(group_algebra(G), K)
+    rng = random.Random(4500)
+    R = twist(H, random_counital_two_cochain(H, rng))
+    assert _checks(R)["associator-pentagon"].ok
+    bump = LegTensor.unit(H, 3).add(LegTensor(H, 3, {(1, 0, 1): Series.hbar(K, 2)}))
+    bad = HopfCochain.deferred(H, 3, R.phi.value.mul(bump), None)
+    corrupted = QuasiHopfTwistResult(R.original, R.twisted, R.cochain, bad, None, None)
+    phi = corrupted.phi_twisted().value
+    logs = hopf_cochain._log_faces(phi)
+    assert logs is not None and not logs[0].eq(logs[1])
+    want = hopf_cochain._difference(*cochain_engine._faces(phi))
+    ck = _checks(corrupted)["associator-pentagon"]
+    assert ck.status == "fail"
+    assert (ck.residual_term_count, ck.witness) == (want.term_count(), key_witness(want))
+    assert want.term_count() > 0
