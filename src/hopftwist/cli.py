@@ -65,7 +65,7 @@ def _cmd_verify(args):
     if args.timings:
         for c in sorted(rep.checks, key=lambda c: c.elapsed_ms, reverse=True)[:5]:
             print("slow  %10.3f ms  %s" % (c.elapsed_ms, c.id))
-    if args.json_path:
+    if args.json_path is not None:
         text = rep.to_json(timings=args.timings)
         if args.json_path == "-":
             sys.stdout.write(text)

@@ -13,6 +13,7 @@ they load the algebra battery (batteries) when they run.
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
+from operator import mul
 from weakref import WeakKeyDictionary
 
 from .errors import NotUnital, WindowOverflow
@@ -263,8 +264,10 @@ class TorusCochain:
     def cocycle_report(self, window):
         """The coboundary of exponent() must vanish on a radius-3 subwindow,
         and the cocycle identity must hold in literal cyclotomics on a
-        radius-2 subwindow.  Both sweeps examine every triple but evaluate
-        each pair of points they read once (see _sweep)."""
+        radius-2 subwindow.  Both sweeps (_sweep) examine every triple but
+        evaluate each pair of points they read once, and combine each pair
+        of value classes once: exponents by addition mod 2q, values by
+        Cyclotomic products, so at most (2q)^2 literal products."""
         w3 = min(window, 3)
         checks = [
             TorusCoboundary(self).trivial_on_window(w3).renamed(
@@ -273,7 +276,7 @@ class TorusCochain:
         ]
         w2 = min(window, 2)
         checks.append(CheckOutcome.tally(
-            "cocycle-cyclotomic-window-%d" % w2, _sweep(self.value, w2, _cocycle_differs)
+            "cocycle-cyclotomic-window-%d" % w2, _sweep(self.value, w2, mul)
         ))
         return checks
 
@@ -285,40 +288,71 @@ def _square(radius):
     ]
 
 
-def _sweep(f, window, residual):
+def _sweep(f, window, op):
     """(1, witness) for each triple a, b, c of the radius-`window` square,
-    in order, where residual(f(b, c), f(ab, c), f(a, bc), f(a, b)) is
-    nonzero: the failures of CheckOutcome.tally.
+    in order, where op(f(a, b), f(ab, c)) != op(f(a, bc), f(b, c)): the
+    failures of CheckOutcome.tally.
 
     f is evaluated once per pair, into two tables over the points of the
     square of twice the radius, where ab and bc lie, numbered in the order
-    of _square: left[x][k] = f(x, pts[k]) and right[i][y] = f(pts[i], y).
-    at[i] is the number of pts[i] and plus[i][k] that of pts[i] + pts[k].
+    of _square: left[x][k] is f(x, pts[k]) and right[i][y] is f(pts[i], y),
+    each held as the number of its class of values.  A value's class is
+    found by identity first, then by == against the classes' first values
+    (a Cyclotomic has no hash); every value numbered is kept, so no id is
+    reused during the sweep.  op is applied once per pair of classes, in
+    rows[u][v].  For each a, b the two sides are rows of class numbers over
+    c, compared by one list ==, and only a row that differs is walked c by
+    c.  The row op(f(a, b), f(ab, c)) depends only on the class of f(a, b)
+    and on ab, so it is formed once per such pair that occurs (lhs_rows),
+    at most once per a, b.  at[i] is the number of pts[i] and plus[i][k]
+    that of pts[i] + pts[k].
     """
+    reps, kept, ids = [], [], {}
+
+    def class_of(v):
+        n = ids.get(id(v))
+        if n is None:
+            n = next((i for i, r in enumerate(reps) if r == v), len(reps))
+            if n == len(reps):
+                reps.append(v)
+            kept.append(v)
+            ids[id(v)] = n
+        return n
+
+    def combine(u, v):
+        return class_of(op(reps[u], reps[v]))
+
     pts = _square(window)
     wide = _square(2 * window)
     number = {x: n for n, x in enumerate(wide)}
     at = [number[a] for a in pts]
     plus = [[number[(a[0] + b[0], a[1] + b[1])] for b in pts] for a in pts]
-    left = [[f(x, c) for c in pts] for x in wide]
-    right = [[f(a, y) for y in wide] for a in pts]
+    left = [[class_of(f(x, c)) for c in pts] for x in wide]
+    right = [[class_of(f(a, y)) for y in wide] for a in pts]
+    rows = [_Lazy(partial(combine, u)) for u in range(len(reps))]
+    w = len(wide)
+    lhs_rows = _Lazy(lambda k: list(map(rows[k // w].__getitem__, left[k % w])))
+    get = dict.__getitem__
     for a, ra, a_plus in zip(pts, right, plus):
+        ops = [rows[u] for u in ra]
         for b, b_at, b_plus, ab in zip(pts, at, plus, a_plus):
-            f_ab = ra[b_at]
-            for c, f_bc, f_ab_c, bc in zip(pts, left[b_at], left[ab], b_plus):
-                if residual(f_bc, f_ab_c, ra[bc], f_ab):
-                    yield 1, "%r,%r,%r" % (a, b, c)
+            lhs = lhs_rows[ra[b_at] * w + ab]
+            rhs = list(map(get, map(ops.__getitem__, b_plus), left[b_at]))
+            if lhs != rhs:
+                for c, x, y in zip(pts, lhs, rhs):
+                    if x != y:
+                        yield 1, "%r,%r,%r" % (a, b, c)
 
 
-def _coboundary_exponent(two_q, e_bc, e_ab_c, e_a_bc, e_ab):
-    """Exponent of dF(a, b, c) = F(b, c) F(ab, c)^-1 F(a, bc) F(a, b)^-1
-    from the four exponents of F."""
-    return (e_bc - e_ab_c + e_a_bc - e_ab) % two_q
+class _Lazy(dict):
+    """A dict that fills a missing key k with fill(k) on its first read."""
 
+    def __init__(self, fill):
+        self.fill = fill
 
-def _cocycle_differs(f_bc, f_ab_c, f_a_bc, f_ab):
-    """Whether F(a, b) F(ab, c) != F(a, bc) F(b, c), in literal values."""
-    return f_ab * f_ab_c != f_a_bc * f_bc
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
 
 
 class TorusCoboundary:
@@ -333,19 +367,19 @@ class TorusCoboundary:
         e = self.base.exponent
         ab = (a[0] + b[0], a[1] + b[1])
         bc = (b[0] + c[0], b[1] + c[1])
-        return _coboundary_exponent(
-            self.base.two_q, e(b, c), e(ab, c), e(a, bc), e(a, b)
-        )
+        return (e(b, c) - e(ab, c) + e(a, bc) - e(a, b)) % self.base.two_q
 
     def value(self, a, b, c):
         return root_of_unity(self.exponent(a, b, c), self.base.two_q)
 
     def trivial_on_window(self, window):
         """Count the triples of the radius-`window` square where exponent()
-        is nonzero; the first one is the witness.  base.exponent is called
-        once per pair of points, not four times per triple (see _sweep)."""
+        is nonzero; the first one is the witness.  That is _sweep with op
+        the sum of exponents mod 2q, so base.exponent is called once per
+        pair of points, not four times per triple."""
+        two_q = self.base.two_q
         return CheckOutcome.tally("coboundary-trivial-window-%d" % window, _sweep(
-            self.base.exponent, window, partial(_coboundary_exponent, self.base.two_q)
+            self.base.exponent, window, lambda x, y: (x + y) % two_q
         ))
 
 

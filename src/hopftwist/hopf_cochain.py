@@ -339,7 +339,8 @@ def _twisted_module_algebra(module, F):
 def _conjugated_host(host, F):
     """Same algebra, coproduct replaced by F Delta(.) F^-1, no antipode;
     the product side, with its tables and caches, and the counit's leg
-    cells are host's own.  Over a commuting product (read from the table,
+    cells are host's own (share_product), so no product table is passed
+    to be normalized.  Over a commuting product (read from the table,
     product_commutes) F commutes with every Delta(b_i), so the coproduct
     is host's too, copied with no product, and so are its leg cells.
     Otherwise the products F Delta(b_i) F^-1 go to the twisted host as
@@ -350,7 +351,7 @@ def _conjugated_host(host, F):
         host.dim,
         host.labels,
         host.ring,
-        host.mult,
+        {},
         host.unit,
         host.coproduct if commutes else {},
         host.counit,

@@ -142,6 +142,14 @@ def test_verify_unparsable_theta_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("path", ["", "/nonexistent/dir/x.json"], ids=["empty", "no-dir"])
+def test_verify_unwritable_json_path_exit_two(path, capsys):
+    # an empty path is a path that cannot be written, not "no --json"
+    assert main(["verify", "sharp-map", "--json", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("flag", ["--theta=--", "--seed=--", "--order=--", "--json=--"])
 def test_verify_option_value_double_dash_exit_two(flag, capsys):
     # argparse hands an option whose value is exactly '--' an empty list

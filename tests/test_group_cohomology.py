@@ -25,6 +25,7 @@ from hopftwist.group_cohomology import (
     twisted_group_algebra,
 )
 from hopftwist.reporting import CheckOutcome
+from hopftwist.scalars import Cyclotomic
 
 G8, FCOCHAIN, OCT = fano_octonions()
 S3 = symmetric_3()
@@ -279,12 +280,25 @@ class _WrongValueOnOnePair(TorusCochain):
         return super().value(a, b)
 
 
+class _Uncached(TorusCochain):
+    # a new Cyclotomic on each call, equal to the cached root but not it
+    def value(self, a, b):
+        return Cyclotomic(self.two_q, {self.exponent(a, b): 1})
+
+
+class _Unreduced(TorusCochain):
+    # the same residue mod 2q, but many distinct integers
+    def exponent(self, a, b):
+        return super().exponent(a, b) + self.two_q * (a[0] - 2 * b[1])
+
+
 @pytest.mark.parametrize(
     "F",
     [TorusCochain(Fraction(1, 2)), TorusCochain(Fraction(1, 3)),
      TorusCochain(Fraction(2, 5)), _NotACocycle(Fraction(1, 3)),
-     _WrongValueOnOnePair(Fraction(2, 5))],
-    ids=["1/2", "1/3", "2/5", "not-a-cocycle", "wrong-value"],
+     _WrongValueOnOnePair(Fraction(2, 5)), _Uncached(Fraction(2, 5)),
+     _Unreduced(Fraction(1, 3))],
+    ids=["1/2", "1/3", "2/5", "not-a-cocycle", "wrong-value", "uncached", "unreduced"],
 )
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_torus_sweeps_match_naive_triple_loops(F, window):
@@ -322,16 +336,32 @@ class _Counting(TorusCochain):
         return super().value(a, b)
 
 
-def test_torus_sweeps_evaluate_each_pair_once():
+def test_torus_sweeps_evaluate_each_pair_once(monkeypatch):
     # the radius-w sweeps read the cochain on a x (radius-2w square) and
     # (radius-2w square) x c: 2 * (4w+1)^2 * (2w+1)^2 pairs, against
-    # 4 * (2w+1)^6 calls for one call per triple
+    # 4 * (2w+1)^6 calls for one call per triple; and they multiply each
+    # pair of value classes once: at most (2q)^2 = 10^2 products at
+    # theta = 2/5, against 2 per triple.  An uncached value is classed by
+    # ==: by identity alone, each of its 450 values at window 1 would be a
+    # class of its own.
+    products = []
+    cyclotomic_mul = Cyclotomic.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return cyclotomic_mul(x, y)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
     F = _Counting(Fraction(2, 5))
     assert TorusCoboundary(F).trivial_on_window(3).ok
     assert F.calls["exponent"] <= 2 * 13**2 * 7**2
     F.calls["value"] = 0
     assert all(c.ok for c in F.cocycle_report(2))
     assert F.calls["value"] <= 2 * 9**2 * 5**2
+    assert 0 < len(products) <= 10**2
+    products.clear()
+    assert all(c.ok for c in _Uncached(Fraction(2, 5)).cocycle_report(1))
+    assert 0 < len(products) <= 10**2
 
 
 class _NotUnitalAt(TorusCochain):

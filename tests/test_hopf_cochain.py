@@ -240,6 +240,8 @@ def test_twisted_host_shares_the_product_side():
         F = random_counital_two_cochain(H, rng)
         R = twist(H, F)
         tw = R.twisted
+        assert tw.mult is H.mult
+        assert (tw.unit, tw.counit) == (H.unit, H.counit)
         assert tw.key_table() is H.key_table()
         assert tw.phase_table() is H.phase_table()
         assert tw.unit_rows(3) is H.unit_rows(3)
