@@ -50,6 +50,16 @@ def _build_parser():
 
 
 def _cmd_verify(args):
+    # the report file is opened before the suite runs, so that a path that
+    # cannot be written costs no run; an existing file is emptied only when
+    # the report replaces it
+    if args.json_path in (None, "-"):
+        return _verify(args, None)
+    with open(args.json_path, "a", encoding="utf-8") as fh:
+        return _verify(args, fh)
+
+
+def _verify(args, fh):
     rep = run_suite(args.suite, order=args.order, theta=args.theta, seed=args.seed)
     for c in rep.checks:
         if c.ok:
@@ -67,11 +77,11 @@ def _cmd_verify(args):
             print("slow  %10.3f ms  %s" % (c.elapsed_ms, c.id))
     if args.json_path is not None:
         text = rep.to_json(timings=args.timings)
-        if args.json_path == "-":
+        if fh is None:
             sys.stdout.write(text)
         else:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh.truncate(0)
+            fh.write(text)
     return 0 if rep.ok else 1
 
 

@@ -9,30 +9,40 @@ a formal series with zero constant term, and tau = 2 pi i stays formal.
 Sums and scalings, here and on the Zak side, are those of
 scalars.SeriesSum.
 
-The star product runs on phase rows (see scalars) at the conductor of
-both factors and theta: a monomial key becomes (m, n, p, c * D) with D
-the lcm of the frequency denominators of both factors, so row keys are
-integers.  The vector fields act on rows: X shifts the tau power and
+Values become phase rows (see scalars) at one public entry and rows
+become values at most once, at its exit.  A row is keyed by integers: a
+monomial key becomes (m, n, p, c * D) with D the lcm of the frequency
+denominators of the factors, at the conductor N of the factors and the
+parameters.  The vector fields act on rows: X shifts the tau power and
 multiplies by m or n, Y multiplies by p * D or by c * D over the
-denominator times D.  Each term of the sum is the row of (theta/tau)^k /
-k! times X^k a, times Y^k b, and the terms are summed as rows; the result
-builds one Series per monomial.
+denominator times D.  _star_rows is the one star product: its k-th term
+is the row product of (theta/tau)^k / k! X^k a, formed from the previous
+one as (theta/tau) / k times X of it and truncated at the hbar order,
+with Y^k b.  star converts its two factors, calls _star_rows once and
+builds the result.
 
 Generalized associativity mixes two parameters: (a *_t' b) *_t c equals
 a *_t' (b *_t c) exactly when t' = alpha_n(t) for n the degree of b,
 with alpha_k(t) = t / (1 + k t) the integer reparametrization action.
+assoc_residual converts a, b and c once, at one D and one N (of the
+three and both parameters), chains the four products and their
+difference on rows, and builds only the difference.
 
 The Zak side models each nonzero degree as a module of sequences
 f(y; m) of y-monomials indexed by integer slots m, with generator
 actions U, V of the deformed torus on both sides and a degree-additive
-pairing given by exact affine substitutions in y.  One action or pairing
-call runs on phase rows (see scalars) at one conductor N: the lcm of the
-conductors of the values and theta and of the denominators of every
-phase e^{2 pi i c r} and e^{-2 pi i m/n} it meets.  Each substitution is
-a polynomial in y with phase-row coefficients, keyed by y-power and
-memoized per (y-power, frequency, shift) within the call; the output row
-is keyed by (slot, y-power, frequency * D) with D the lcm of the
-frequency denominators, and builds one Series per key of the result.
+pairing given by exact affine substitutions in y.  A Zak row (_ZakRow)
+is a phase row keyed by (slot, y-power, frequency * D) that carries its
+D and N; where two rows meet, or a phase e^{2 pi i c r} or e^{-2 pi i
+m/n} needs more, a row is lifted: its frequency keys are multiplied by
+D' / D and its exponents by N' / N.  Each substitution is a polynomial
+in y with phase-row coefficients, keyed by y-power and memoized per
+(y-power, frequency, shift) within a call.  _act_rows and _pair_rows are
+the one action and pairing: _act_once and zak_pair convert their
+operands and build their result, and the pairing checks compose actions
+and pairings on rows, form alpha_n(theta) once per word, and compare two
+rows by their reduced difference (_rows_differ) without building a
+value.
 
 The heis-torus suite body, heis_torus_checks, with its seeded random
 elements, is here too.
@@ -59,6 +69,7 @@ from .scalars import (
     conductor,
     phase_rows,
     phase_values,
+    reduced_row,
     root_of_unity,
     row_exp,
     row_product,
@@ -138,13 +149,14 @@ class HeisElement(SeriesSum):
 
 def _freq_den(*elements):
     """The lcm of the y-frequency denominators of the elements' keys."""
-    return lcm(*[k[3].denominator for f in elements for k in f.data])
+    return lcm(*[k[-1].denominator for f in elements for k in f.data])
 
 
 def _rows(f, D, N):
-    """Phase row of f at conductor N, each frequency c keyed as c * D."""
+    """Phase row of f at conductor N, the frequency c that ends each key
+    keyed as the integer c * D."""
     return phase_rows(
-        {(m, n, p, c.numerator * (D // c.denominator)): s for (m, n, p, c), s in f.data.items()},
+        {k[:-1] + (k[-1].numerator * (D // k[-1].denominator),): s for k, s in f.data.items()},
         N,
     )[0]
 
@@ -163,27 +175,32 @@ def _freq_keys(values, D):
     return out
 
 
-def _element(f, row, D, N):
-    """The HeisElement at f's order of a canonical phase row keyed as in
-    _rows."""
-    return f._raw(_freq_keys(phase_values(row, f.order, N), D))
+def _element(f, row, D, N, **fields):
+    """The value of f's class and order (fields replaced) of a canonical
+    phase row keyed as in _rows."""
+    return f._raw(_freq_keys(phase_values(row, f.order, N), D), **fields)
 
 
-def _put(out, idx, x):
-    r = out.get(idx)
-    out[idx] = x if r is None else r + x
+def _negated(row):
+    nums, den = row
+    return {k: -x for k, x in nums.items()}, den
 
 
 def _field_x(row, D):
     """X = d_x + y d_t: tau * (m + n y) on each monomial."""
     nums, den = row
     out = {}
+    get = out.get
     for (key, v, t, e), x in nums.items():
         m, n, p, c = key
         if m:
-            _put(out, (key, v, t + 1, e), x * m)
+            idx = key, v, t + 1, e
+            r = get(idx)
+            out[idx] = x * m if r is None else r + x * m
         if n:
-            _put(out, ((m, n, p + 1, c), v, t + 1, e), x * n)
+            idx = (m, n, p + 1, c), v, t + 1, e
+            r = get(idx)
+            out[idx] = x * n if r is None else r + x * n
     return _row([(out, den)])
 
 
@@ -191,12 +208,17 @@ def _field_y(row, D):
     """Y = d_y: p y^(p-1) + tau * c y^p on each monomial, over den * D."""
     nums, den = row
     out = {}
+    get = out.get
     for (key, v, t, e), x in nums.items():
         m, n, p, c = key
         if p:
-            _put(out, ((m, n, p - 1, c), v, t, e), x * (p * D))
+            idx = (m, n, p - 1, c), v, t, e
+            r = get(idx)
+            out[idx] = x * (p * D) if r is None else r + x * (p * D)
         if c:
-            _put(out, (key, v, t + 1, e), x * c)
+            idx = key, v, t + 1, e
+            r = get(idx)
+            out[idx] = x * c if r is None else r + x * c
     return _row([(out, den * D)])
 
 
@@ -228,36 +250,56 @@ def _monomial_product(k1, k2):
     return (((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3]), 1),)
 
 
-def _scalar_product(k1, k2):
-    return ((k2, 1),)
+def _over_tau(theta, N):
+    """The row at conductor N of theta / tau, keyed by ()."""
+    (nums, den), _ = phase_rows({(): theta}, N)
+    return {(key, v, t - 1, e): x for (key, v, t, e), x in nums.items()}, den
+
+
+def _scalar_times(lam, row, k, K, N):
+    """lam * row / k truncated at hbar order K, for a row lam keyed by ()."""
+    out = {}
+    get = out.get
+    terms = row[0].items()
+    for (_, v0, t0, e0), x0 in lam[0].items():
+        room = K - v0
+        for (key, v, t, e), x in terms:
+            if v <= room:
+                e += e0
+                idx = key, v + v0, t + t0, e - N if e >= N else e
+                r = get(idx)
+                out[idx] = x * x0 if r is None else r + x * x0
+    return _row([(out, lam[1] * row[1] * k)])
+
+
+def _star_rows(xa, yb, lam, K, N, D):
+    """The canonical row of the star product of the rows xa and yb at
+    conductor N, frequencies keyed times D, with lam the row of theta / tau
+    (_over_tau).  The k-th term of the sum is the row product of
+    (theta/tau)^k / k! X^k a, formed as lam / k times X of the (k-1)-th and
+    truncated at hbar order K, with Y^k b."""
+    pieces = [row_product(xa, yb, K, N, _monomial_product)]
+    for k in range(1, K + 1):
+        xa = _scalar_times(lam, _field_x(xa, D), k, K, N)
+        yb = _field_y(yb, D)
+        if not (xa[0] and yb[0]):
+            break
+        pieces.append(row_product(xa, yb, K, N, _monomial_product))
+    return _row(pieces)
 
 
 def star(a, b, theta):
     """Truncated star product  sum_k (1/k!) (theta/tau)^k (X^k a)(Y^k b).
 
-    One pass on phase rows (see the module docstring): X^k a, Y^k b and
-    the factor (theta/tau)^k / k! are rows, and each term of the sum is two
-    row products."""
+    The operands become rows once, the sum is one _star_rows, and the
+    result is built from its row once."""
     a._compat(b)
-    order = a.order
-    theta = _check_theta(theta, order)
+    K = a.order
+    theta = _check_theta(theta, K)
     D = _freq_den(a, b)
     N = conductor([*a.data.values(), *b.data.values(), theta])
-    xa, yb = _rows(a, D, N), _rows(b, D, N)
-    (lnums, lden), _ = phase_rows({(): theta}, N)
-    lam = {(key, v, t - 1, e): x for (key, v, t, e), x in lnums.items()}, lden
-    pieces = [row_product(xa, yb, order, N, _monomial_product)]
-    coef = ({((), 0, 0, 0): 1}, 1)
-    for k in range(1, order + 1):
-        xa = _field_x(xa, D)
-        yb = _field_y(yb, D)
-        nums, den = row_product(coef, lam, order, N, _scalar_product)
-        coef = _row([(nums, den * k)])
-        if not (coef[0] and xa[0] and yb[0]):
-            break
-        scaled = row_product(coef, xa, order, N, _scalar_product)
-        pieces.append(row_product(scaled, yb, order, N, _monomial_product))
-    return _element(a, _row(pieces), D, N)
+    lam = _over_tau(theta, N)
+    return _element(a, _star_rows(_rows(a, D, N), _rows(b, D, N), lam, K, N, D), D, N)
 
 
 def alpha(theta, k):
@@ -270,12 +312,26 @@ def alpha(theta, k):
 
 def assoc_residual(a, b, c, theta, theta_p):
     """(a *_t' b) *_t c  -  a *_t' (b *_t c); zero exactly when
-    t' = alpha_n(t) with n the degree of the homogeneous middle factor."""
+    t' = alpha_n(t) with n the degree of the homogeneous middle factor.
+
+    The three factors become rows once, at the lcm D of their frequency
+    denominators and the conductor N of them and both parameters; the four
+    products and the difference run on rows, and only the difference is
+    built as an element."""
     if not b.is_homogeneous():
         raise NotHomogeneous("middle factor mixes degrees %r" % (b.degrees(),))
-    lhs = star(star(a, b, theta_p), c, theta)
-    rhs = star(a, star(b, c, theta), theta_p)
-    return lhs.sub(rhs)
+    a._compat(b)
+    a._compat(c)
+    K = a.order
+    theta = _check_theta(theta, K)
+    theta_p = _check_theta(theta_p, K)
+    D = _freq_den(a, b, c)
+    N = conductor([*a.data.values(), *b.data.values(), *c.data.values(), theta, theta_p])
+    ra, rb, rc = _rows(a, D, N), _rows(b, D, N), _rows(c, D, N)
+    lam, lam_p = _over_tau(theta, N), _over_tau(theta_p, N)
+    lhs = _star_rows(_star_rows(ra, rb, lam_p, K, N, D), rc, lam, K, N, D)
+    rhs = _star_rows(ra, _star_rows(rb, rc, lam, K, N, D), lam_p, K, N, D)
+    return _element(a, _row([lhs, _negated(rhs)]), D, N)
 
 
 def m3_residual(f):
@@ -345,6 +401,62 @@ class ZakElement(SeriesSum):
         )
 
 
+class _ZakRow:
+    """A Zak element of one order and degree as a canonical phase row at
+    conductor N keyed by (slot, y-power, frequency * D), D a multiple of
+    every frequency denominator."""
+
+    __slots__ = ("order", "degree", "row", "D", "N")
+
+    def __init__(self, order, degree, row, D, N):
+        self.order = order
+        self.degree = degree
+        self.row = row
+        self.D = D
+        self.N = N
+
+    def lifted(self, D, N):
+        """The row at the frequency denominator D and the conductor N,
+        multiples of self's: frequency keys times D / self.D, exponents
+        times N / self.N."""
+        if D == self.D and N == self.N:
+            return self.row
+        f, s = D // self.D, N // self.N
+        nums, den = self.row
+        return {
+            ((m, p, cd * f), v, t, e * s): x
+            for ((m, p, cd), v, t, e), x in nums.items()
+        }, den
+
+
+def _zak_row(f):
+    D = _freq_den(f)
+    N = conductor(f.data.values())
+    return _ZakRow(f.order, f.degree, _rows(f, D, N), D, N)
+
+
+def _zak_element(f, z):
+    return _element(f, z.row, z.D, z.N, degree=z.degree)
+
+
+def _rows_differ(z1, z2):
+    """z1 != z2 for Zak rows of one order: their difference at the lcm D
+    and N of both, with every exponent reduced (scalars.reduced_row), is
+    not empty."""
+    if z1.degree != z2.degree:
+        return True
+    D, N = lcm(z1.D, z2.D), lcm(z1.N, z2.N)
+    (an, ad), (bn, bd) = z1.lifted(D, N), z2.lifted(D, N)
+    if ad == bd and an == bn:
+        return False
+    den = lcm(ad, bd)
+    diff = {k: x * (den // ad) for k, x in an.items()}
+    f = den // bd
+    for k, x in bn.items():
+        diff[k] = diff.get(k, 0) - x * f
+    return bool(reduced_row(diff, N))
+
+
 def _scaled(row, q, y=0, t=0):
     """q * y^y * tau^t times a phase row keyed by y-power, for rational q."""
     q = Fraction(q)
@@ -381,7 +493,15 @@ def _subst(K, N, p, c, du, r, sigma):
     e^{2 pi i c r} e^{tau c (du y + sigma)} ((1 + du) y + r + sigma)^p.
     """
     x = c * r
-    out = _root(x.numerator * (N // x.denominator) % N)
+    e = x.numerator * (N // x.denominator) % N
+    if not (du[0] or sigma[0]):
+        # a translation: e^{2 pi i c r} (y + r)^p by the binomial theorem
+        a, b = r.numerator, r.denominator
+        return _row([(
+            {(j, 0, 0, e): comb(p, j) * a ** (p - j) * b ** j for j in range(p + 1)},
+            b ** p,
+        )])
+    out = _root(e)
     if c:
         # e^{2 pi i c (du y + sigma)}: du brings extra y powers
         arg = _row([_scaled(du, c, y=1, t=1), _scaled(sigma, c, t=1)])
@@ -397,53 +517,81 @@ def _subst(K, N, p, c, du, r, sigma):
     return out
 
 
-def _act_once(letter, f, theta, side):
-    order, n = f.order, f.degree
-    D = lcm(*[c.denominator for _, _, c in f.data])
-    pieces = []
-    if letter == "U":
-        # slot shifts by one; left actions also shift y by the
-        # reparametrized angle alpha_n(theta)
-        r = -Fraction(1, n)
-        sigma = alpha(theta, n) if side == "left" else Series.zero(order)
-        N = lcm(
-            conductor([*f.data.values(), sigma]),
-            *[(c * r).denominator for _, _, c in f.data],
-        )
-        sig = phase_rows({0: sigma}, N)[0]
-        memo = {}
-        for (m, p, c), s in f.data.items():
-            w = memo.get((p, c))
-            if w is None:
-                w = memo[p, c] = _subst(order, N, p, c, _ZERO_ROW, r, sig)
-            cd = c.numerator * (D // c.denominator)
-            pieces.append(
-                row_product(
-                    phase_rows({0: s}, N)[0], w, order, N,
-                    lambda _, j: (((m + 1, j, cd), 1),),
-                )
-            )
-    elif letter == "V":
-        N = lcm(n, conductor([*f.data.values(), theta]))
-        if side == "right":
-            # e^{2 pi i n theta y} expands into extra y powers
-            arg = _scaled(phase_rows({0: theta}, N)[0], n, y=1, t=1)
-            g = row_exp(arg, _root(0), order, N, _ypow)
+def _by_slot(row):
+    """{(y-power, frequency key): numerators keyed (slot, v, t, e)} of a Zak
+    row's numerators."""
+    out = {}
+    for ((m, p, cd), v, t, e), x in row[0].items():
+        part = out.get((p, cd))
+        if part is None:
+            out[p, cd] = {(m, v, t, e): x}
         else:
-            g = _root(0)
-        for (m, p, c), s in f.data.items():
-            rot = _root(-m * (N // n) % N)
-            cd = (c.numerator + c.denominator) * (D // c.denominator)
+            part[m, v, t, e] = x
+    return out
+
+
+def _act_rows(letter, z, angle, side):
+    """One letter of the torus action on a Zak row.  angle is alpha_n(theta)
+    for a left U, which also shifts y by it, and theta for a right V, whose
+    e^{2 pi i n theta y} expands into extra y powers; the other two ignore
+    it.  U moves each slot up by one, V multiplies slot m by e^{-2 pi i
+    m/n} and raises each frequency by one."""
+    K, n, D = z.order, z.degree, z.D
+    if letter == "U":
+        r = -Fraction(1, n)
+        N = lcm(
+            z.N,
+            conductor([angle]) if side == "left" else 1,
+            *[Fraction(cd, D * n).denominator for (_, _, cd), _, _, _ in z.row[0]],
+        )
+        sig = phase_rows({0: angle}, N)[0] if side == "left" else _ZERO_ROW
+        den = z.row[1]
+        pieces = []
+        for (p, cd), part in _by_slot(z.lifted(D, N)).items():
+            w = _subst(K, N, p, Fraction(cd, D), _ZERO_ROW, r, sig)
             pieces.append(
                 row_product(
-                    _ymul(phase_rows({0: s}, N)[0], rot, order, N), g, order, N,
-                    lambda _, t: (((m, p + t, cd), 1),),
+                    (part, den), w, K, N, lambda m, j: (((m + 1, j, cd), 1),)
                 )
             )
+        row = _row(pieces)
+    elif letter == "V":
+        N = lcm(n, z.N, conductor([angle]) if side == "right" else 1)
+        step = N // n
+        nums, den = z.lifted(D, N)
+        row = {
+            ((m, p, cd + D), v, t, (e - m * step) % N): x
+            for ((m, p, cd), v, t, e), x in nums.items()
+        }, den
+        if side == "right":
+            arg = _scaled(phase_rows({0: angle}, N)[0], n, y=1, t=1)
+            g = row_exp(arg, _root(0), K, N, _ypow)
+            row = _row([
+                row_product(
+                    row, g, K, N, lambda k, j: (((k[0], k[1] + j, k[2]), 1),)
+                )
+            ])
     else:
         raise ValueError("words are over the letters U and V")
-    values = phase_values(_row(pieces), order, N)
-    return f._raw(_freq_keys(values, D))
+    return _ZakRow(K, n, row, D, N)
+
+
+def _word_rows(word, z, theta, side):
+    """The left (rightmost letter first) or right (leftmost letter first)
+    action of a word on a Zak row; a left word forms alpha_n(theta) once."""
+    theta = _check_theta(theta, z.order)
+    if side == "left":
+        word = word[::-1]
+        if "U" in word:
+            theta = alpha(theta, z.degree)
+    for letter in word:
+        z = _act_rows(letter, z, theta, side)
+    return z
+
+
+def _act_once(letter, f, theta, side):
+    angle = alpha(theta, f.degree) if side == "left" and letter == "U" else theta
+    return _zak_element(f, _act_rows(letter, _zak_row(f), angle, side))
 
 
 def zak_act_left(word, f, theta):
@@ -462,6 +610,71 @@ def zak_act_right(word, f, theta):
     return f
 
 
+def _pair_rows(z1, z2, theta):
+    """zak_pair of two Zak rows, as a Zak row at the lcm D of their
+    frequency denominators: both are lifted to it and to the conductor of
+    both, theta and every phase of the substitutions."""
+    K = z1.order
+    n, p = z1.degree, z2.degree
+    if n == 0 or p == 0 or n + p == 0:
+        raise DegenerateDegrees("degrees n, p, n+p must all be nonzero")
+    D = lcm(z1.D, z2.D)
+    s1, s2 = D // z1.D, D // z2.D
+    keys1 = dict.fromkeys((m, p, cd * s1) for (m, p, cd), _, _, _ in z1.row[0])
+    keys2 = dict.fromkeys((m, p, cd * s2) for (m, p, cd), _, _, _ in z2.row[0])
+    pairs = []
+    for k1 in keys1:
+        for k2 in keys2:
+            num = k1[0] * p - k2[0] * n
+            pairs.append((k1, k2, Fraction(num, n * (n + p)), Fraction(num, p * (n + p))))
+    N = lcm(
+        z1.N,
+        z2.N,
+        conductor([theta]),
+        *[Fraction(k1[2] * r1.numerator, D * r1.denominator).denominator for k1, _, r1, _ in pairs],
+        *[Fraction(k2[2] * q.numerator, D * q.denominator).denominator for _, k2, _, q in pairs],
+    )
+    th = phase_rows({0: theta}, N)[0]
+    du = _scaled(th, n)
+    rows1 = _coefficient_rows(z1.lifted(D, N))
+    rows2 = _coefficient_rows(z2.lifted(D, N))
+    left, right = {}, {}
+    pieces = []
+    for k1, k2, r1, q in pairs:
+        (j, p1, cd1), (k, p2, cd2) = k1, k2
+        wa = left.get((p1, cd1, r1))
+        if wa is None:
+            wa = left[p1, cd1, r1] = _subst(
+                K, N, p1, Fraction(cd1, D), _ZERO_ROW, r1, _ZERO_ROW
+            )
+        wb = right.get((p2, cd2, q))
+        if wb is None:
+            wb = right[p2, cd2, q] = _subst(
+                K, N, p2, Fraction(cd2, D), du, -q, _scaled(th, p * q)
+            )
+        a = _ymul(rows1[k1], wa, K, N)
+        b = _ymul(rows2[k2], wb, K, N)
+        m, cd = j + k, cd1 + cd2
+        pieces.append(
+            row_product(a, b, K, N, lambda x, y: (((m, x + y, cd), 1),))
+        )
+    return _ZakRow(K, n + p, _row(pieces), D, N)
+
+
+def _coefficient_rows(row):
+    """{key: the row of its coefficient, keyed by y-power 0} of a Zak
+    row."""
+    nums, den = row
+    out = {}
+    for (key, v, t, e), x in nums.items():
+        part = out.get(key)
+        if part is None:
+            out[key] = ({(0, v, t, e): x}, den)
+        else:
+            part[0][0, v, t, e] = x
+    return out
+
+
 def zak_pair(f1, f2, theta):
     """Degree-additive pairing of Zak elements via affine substitutions.
 
@@ -473,50 +686,9 @@ def zak_pair(f1, f2, theta):
         raise OrderMismatch(
             "series orders differ: %d vs %d" % (f1.order, f2.order)
         )
-    order = f1.order
-    theta = _check_theta(theta, order)
-    n, p = f1.degree, f2.degree
-    if n == 0 or p == 0 or n + p == 0:
-        raise DegenerateDegrees("degrees n, p, n+p must all be nonzero")
-    pairs = []
-    for k1 in f1.data:
-        for k2 in f2.data:
-            num = k1[0] * p - k2[0] * n
-            pairs.append(
-                (k1, k2, Fraction(num, n * (n + p)), Fraction(num, p * (n + p)))
-            )
-    N = lcm(
-        conductor([*f1.data.values(), *f2.data.values(), theta]),
-        *[(k1[2] * r1).denominator for k1, _, r1, _ in pairs],
-        *[(k2[2] * q).denominator for _, k2, _, q in pairs],
-    )
-    D = lcm(*[c.denominator for f in (f1, f2) for _, _, c in f.data])
-    th = phase_rows({0: theta}, N)[0]
-    du = _scaled(th, n)
-    rows1 = {k: phase_rows({0: s}, N)[0] for k, s in f1.data.items()}
-    rows2 = {k: phase_rows({0: s}, N)[0] for k, s in f2.data.items()}
-    left, right = {}, {}
-    pieces = []
-    for (j, p1, c1), (k, p2, c2), r1, q in pairs:
-        wa = left.get((p1, c1, r1))
-        if wa is None:
-            wa = left[p1, c1, r1] = _subst(
-                order, N, p1, c1, _ZERO_ROW, r1, _ZERO_ROW
-            )
-        wb = right.get((p2, c2, q))
-        if wb is None:
-            wb = right[p2, c2, q] = _subst(
-                order, N, p2, c2, du, -q, _scaled(th, p * q)
-            )
-        a = _ymul(rows1[j, p1, c1], wa, order, N)
-        b = _ymul(rows2[k, p2, c2], wb, order, N)
-        m = j + k
-        cd = ((c1 + c2) * D).numerator
-        pieces.append(
-            row_product(a, b, order, N, lambda x, y: (((m, x + y, cd), 1),))
-        )
-    values = phase_values(_row(pieces), order, N)
-    return f1._raw(_freq_keys(values, D), degree=n + p)
+    theta = _check_theta(theta, f1.order)
+    z = _pair_rows(_zak_row(f1), _zak_row(f2), theta)
+    return _zak_element(f1, z)
 
 
 # ---------------------------------------------------------------------------
@@ -607,24 +779,32 @@ def heis_torus_checks(rng, order, theta):
             "zak-right-commutation:n=%d" % n, resid.term_count(), key_repr(resid)
         )
 
+    # the pairing checks compose actions and pairings on Zak rows and
+    # compare the two sides by their reduced difference
     t3 = Series.hbar(3)
     h1 = _rand_zak(3, 1, rng)
     h2 = _rand_zak(3, 1, rng)
     that = alpha(t3, -1)
+    z1, z2 = _zak_row(h1), _zak_row(h2)
     yield CheckOutcome.tally("pairing-balanced", (
         (1, w) for w in ("U", "V", "UV", "VU")
-        if zak_pair(zak_act_right(w, h1, t3), h2, t3)
-        != zak_pair(h1, zak_act_left(w, h2, that), t3)
+        if _rows_differ(
+            _pair_rows(_word_rows(w, z1, t3, "right"), z2, t3),
+            _pair_rows(z1, _word_rows(w, z2, that, "left"), t3),
+        )
     ))
 
     def bimodule():
+        pair = _pair_rows(z1, z2, t3)
         for w in ("U", "V", "UV"):
-            if zak_act_left(w, zak_pair(h1, h2, t3), that) != zak_pair(
-                zak_act_left(w, h1, t3), h2, t3
+            if _rows_differ(
+                _word_rows(w, pair, that, "left"),
+                _pair_rows(_word_rows(w, z1, t3, "left"), z2, t3),
             ):
                 yield 1, "%s:left" % w
-            if zak_act_right(w, zak_pair(h1, h2, t3), that) != zak_pair(
-                h1, zak_act_right(w, h2, that), t3
+            if _rows_differ(
+                _word_rows(w, pair, that, "right"),
+                _pair_rows(z1, _word_rows(w, z2, that, "right"), t3),
             ):
                 yield 1, "%s:right" % w
 

@@ -89,8 +89,8 @@ _THETA_ORDER_CAP = 64
 # Largest order a suite accepts: the largest at which its CLI run took under
 # 15 s on a shared 2-core x86 machine while the products ran on Series.  On
 # integer rows a CLI run at the cap takes 0.9-1.1 s (moyal at 11), 1.4-2.1 s
-# (pbw-gcl at 13) and 3.2-3.8 s (heis-torus at 12) on that machine, at a
-# peak RSS of 21.3, 27.9 and 25.5 MB.  The other suites read the order only
+# (pbw-gcl at 13) and 2.7-3.1 s (heis-torus at 12) on that machine, at a
+# peak RSS of 21.3, 27.9 and 23.8 MB.  The other suites read the order only
 # to parse --theta, so theirs is the theta cap (sharp-map at order 64 with a
 # theta: 0.15 s).
 _MAX_ORDER = {"moyal": 11, "pbw-gcl": 13, "heis-torus": 12}

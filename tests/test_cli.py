@@ -150,6 +150,26 @@ def test_verify_unwritable_json_path_exit_two(path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_verify_unwritable_json_path_runs_no_suite(capsys):
+    # the report file is opened before the suite runs: nothing is printed
+    assert main(["verify", "octonions", "--json", "/nonexistent/dir/x.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_verify_malformed_input_keeps_an_existing_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", "sharp-map", "--json", str(path)]) == 0
+    written = path.read_text()
+    assert main(["verify", "sharp-map", "--theta", "1+h", "--json", str(path)]) == 2
+    assert path.read_text() == written
+    assert main(["verify", "sharp-map", "--seed", "3", "--json", str(path)]) == 0
+    text = path.read_text()
+    assert text != written and text.count('"suite"') == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", ["--theta=--", "--seed=--", "--order=--", "--json=--"])
 def test_verify_option_value_double_dash_exit_two(flag, capsys):
     # argparse hands an option whose value is exactly '--' an empty list

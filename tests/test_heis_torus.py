@@ -18,6 +18,12 @@ from hopftwist.heis_torus import (
     HeisElement,
     ZakElement,
     _act_once,
+    _pair_rows,
+    _rows_differ,
+    _word_rows,
+    _zak_element,
+    _zak_row,
+    _ZakRow,
     alpha,
     assoc_residual,
     m3_residual,
@@ -527,3 +533,120 @@ def test_pairing_outer_module_consistency():
         assert zak_act_right(w, zak_pair(h1, h2, t3), that) == zak_pair(
             h1, zak_act_right(w, h2, that), t3
         )
+
+
+# --- the row core against values ---------------------------------------------
+# Frequencies with denominators 2 and 3 and coefficients in Q(z_3) and Q(z_4)
+# make the rows that meet differ in both their frequency denominator D and
+# their conductor N, so that every lift scales keys and exponents.
+
+
+def cyclotomic_theta(order):
+    return Series(order, {1: root_of_unity(1, 4), 2: Fraction(1, 3)})
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_assoc_residual_matches_the_value_difference(order):
+    rng = random.Random(4500 + order)
+    theta = cyclotomic_theta(order)
+    seen_nonzero = False
+    for n in (-1, 1, 2):
+        a = rand_heis(order, rng, terms=2).add(
+            HeisElement.monomial(order, 1, 0, 1, Fraction(1, 2))
+        )
+        b = rand_heis(order, rng, terms=2, degree=n).add(
+            HeisElement.monomial(order, 0, n, 0, Fraction(1, 3), coeff=root_of_unity(1, 3))
+        )
+        c = rand_heis(order, rng, terms=2)
+        good = alpha(theta, n)
+        for theta_p in (good, good + Series.hbar(order, power=order)):
+            want = star(star(a, b, theta_p), c, theta).sub(
+                star(a, star(b, c, theta), theta_p)
+            )
+            got = assoc_residual(a, b, c, theta, theta_p)
+            assert got == want, (n, theta_p)
+            assert want.is_zero() == (theta_p is good)
+            seen_nonzero |= not want.is_zero()
+    assert seen_nonzero
+
+
+def oracle_word(word, f, theta, side):
+    """The action of a word through the Series oracle, letter by letter."""
+    if side == "left":
+        word = word[::-1]
+    for letter in word:
+        f = oracle_act_once(letter, f, theta, side)
+    return f
+
+
+def zak_factors(order):
+    """h1 of degree 1 with frequency denominator 2 and a coefficient in
+    Q(z_3), h2 of degree 2 with frequency denominator 3 and rational
+    coefficients."""
+    rng = random.Random(4700 + order)
+
+    def coeff():
+        return Series(order, {k: rng.randint(-2, 2) for k in range(order + 1)})
+
+    h1 = ZakElement(order, 1, {
+        (0, 0, Fraction(1, 2)): coeff(),
+        (1, 1, Fraction(-1, 2)): coeff() * root_of_unity(1, 3),
+        (-1, 2, 0): coeff(),
+    })
+    h2 = ZakElement(order, 2, {
+        (1, 1, Fraction(1, 3)): coeff(),
+        (0, 0, Fraction(-2, 3)): coeff(),
+    })
+    return h1, h2
+
+
+def assert_rows_hold(z, want):
+    assert _zak_element(want, z) == want
+    assert not _rows_differ(z, _zak_row(want))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("word", ["U", "V", "UV", "VU"])
+def test_actions_and_pairings_on_rows_match_the_series_oracle(word, side):
+    order = 3
+    theta = cyclotomic_theta(order)
+    that = alpha(theta, -1)
+    h1, h2 = zak_factors(order)
+    z1, z2 = _zak_row(h1), _zak_row(h2)
+    assert (z1.D, z1.N, z2.D, z2.N) == (2, 3, 3, 1)
+    pair = oracle_pair(h1, h2, theta)
+    # act after pair
+    assert_rows_hold(
+        _word_rows(word, _pair_rows(z1, z2, theta), that, side),
+        oracle_word(word, pair, that, side),
+    )
+    # pair after act, on either factor
+    assert_rows_hold(
+        _pair_rows(_word_rows(word, z1, theta, side), z2, theta),
+        oracle_pair(oracle_word(word, h1, theta, side), h2, theta),
+    )
+    assert_rows_hold(
+        _pair_rows(z1, _word_rows(word, z2, that, side), theta),
+        oracle_pair(h1, oracle_word(word, h2, that, side), theta),
+    )
+    # the value-level functions agree
+    act = zak_act_left if side == "left" else zak_act_right
+    assert act(word, zak_pair(h1, h2, theta), that) == oracle_word(word, pair, that, side)
+
+
+def test_rows_differ_reduces_and_lifts():
+    # z_3^2 = -1 - z_3: one value on exponent 2 and on the reduced basis,
+    # at slot 0, y-power 1 and frequency 1/2 (keyed 1 at D = 2)
+    key = (0, 1, 1)
+    high = _ZakRow(K, 1, ({(key, 0, 0, 2): 1}, 1), 2, 3)
+    low = _ZakRow(K, 1, ({(key, 0, 0, 0): -1, (key, 0, 0, 1): -1}, 1), 2, 3)
+    assert not _rows_differ(high, low)
+    # the same value at D = 6 and N = 12: the key is 1/2 * 6, z_3 is z_12^4
+    wide = _ZakRow(K, 1, ({((0, 1, 3), 0, 0, 8): 1}, 1), 6, 12)
+    assert not _rows_differ(high, wide)
+    assert not _rows_differ(wide, low)
+    # a different exponent, frequency, denominator or degree differs
+    assert _rows_differ(high, _ZakRow(K, 1, ({(key, 0, 0, 1): 1}, 1), 2, 3))
+    assert _rows_differ(wide, _ZakRow(K, 1, ({((0, 1, 2), 0, 0, 8): 1}, 1), 6, 12))
+    assert _rows_differ(high, _ZakRow(K, 1, ({(key, 0, 0, 2): 1}, 2), 2, 3))
+    assert _rows_differ(high, _ZakRow(K, 2, ({(key, 0, 0, 2): 1}, 1), 2, 3))

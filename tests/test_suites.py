@@ -228,6 +228,55 @@ def test_zak_commutation_names_the_first_residual_key(monkeypatch):
     assert (right.residual_term_count, right.witness) == (13, "(0, 0, Fraction(0, 1))")
 
 
+def _v_without_slot_phase(real):
+    def act(letter, z, angle, side):
+        # V multiplies slot m by z_N^(-m N/n); take that factor back off
+        out = real(letter, z, angle, side)
+        if letter != "V":
+            return out
+        N, n = out.N, out.degree
+        nums, den = out.row
+        undone = {
+            ((m, p, cd), v, t, (e + m * (N // n)) % N): x
+            for ((m, p, cd), v, t, e), x in nums.items()
+        }
+        return heis_torus._ZakRow(out.order, n, (undone, den), out.D, N)
+
+    return act
+
+
+def _right_v_without_theta(real):
+    def act(letter, z, angle, side):
+        # a right V without its factor e^{2 pi i n theta y}
+        if (letter, side) == ("V", "right"):
+            angle = Series.zero(z.order)
+        return real(letter, z, angle, side)
+
+    return act
+
+
+@pytest.mark.parametrize(
+    "fault, balanced, bimodule",
+    [
+        # the slot phase is 1 in degree 1, so only the degree-2 pairing sees it
+        (_v_without_slot_phase, None, "V:left"),
+        (_right_v_without_theta, "V", "V:right"),
+    ],
+    ids=["slot-phase", "right-theta"],
+)
+def test_pairing_checks_witness_a_fault_in_the_row_action(
+    monkeypatch, fault, balanced, bimodule
+):
+    passing = {c.id: c for c in report("heis-torus").checks}
+    assert passing["pairing-balanced"].ok and passing["pairing-bimodule"].ok
+    monkeypatch.setattr(heis_torus, "_act_rows", fault(heis_torus._act_rows))
+    checks = {c.id: c for c in run_suite("heis-torus").checks}
+    assert checks["pairing-balanced"].witness == balanced
+    assert checks["pairing-balanced"].ok == (balanced is None)
+    assert not checks["pairing-bimodule"].ok
+    assert checks["pairing-bimodule"].witness == bimodule
+
+
 def failing(checks):
     return {
         c.id: (c.residual_term_count, c.witness) for c in checks if not c.ok
