@@ -118,7 +118,7 @@ def _cmd_describe(args):
 def _cmd_octonion_table(args):
     from .io_json import octonion_table_csv, octonion_table_rows
 
-    if args.csv:
+    if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(octonion_table_csv())
         print("wrote %s" % args.csv)

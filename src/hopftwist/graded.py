@@ -34,9 +34,6 @@ class ZWindow:
             raise ValueError("window radius must be positive")
         self.radius = radius
 
-    def elements(self):
-        return range(-self.radius, self.radius + 1)
-
     def mul(self, a, b):
         return a + b
 

@@ -37,12 +37,12 @@ D and N; where two rows meet, or a phase e^{2 pi i c r} or e^{-2 pi i
 m/n} needs more, a row is lifted: its frequency keys are multiplied by
 D' / D and its exponents by N' / N.  Each substitution is a polynomial
 in y with phase-row coefficients, keyed by y-power and memoized per
-(y-power, frequency, shift) within a call.  _act_rows and _pair_rows are
-the one action and pairing: _act_once and zak_pair convert their
-operands and build their result, and the pairing checks compose actions
-and pairings on rows, form alpha_n(theta) once per word, and compare two
-rows by their reduced difference (_rows_differ) without building a
-value.
+(y-power, frequency, shift) within a call.  There is one action,
+_word_rows (one letter is _act_rows), and one pairing, _pair_rows, both
+on rows: zak_act_left and zak_act_right convert their operand once, form
+alpha_n(theta) once per word and build their result once, and the
+pairing checks compose actions and pairings on rows and compare two rows
+by their reduced difference (_rows_differ) without building a value.
 
 The heis-torus suite body, heis_torus_checks, with its seeded random
 elements, is here too.
@@ -70,20 +70,11 @@ from .scalars import (
     phase_rows,
     phase_values,
     reduced_row,
-    root_of_unity,
     row_exp,
     row_product,
     series_exp,
     theta_ok,
 )
-
-def _phase(c):
-    """e^{2 pi i c} for rational c, as an exact root of unity."""
-    c = Fraction(c)
-    if c.denominator == 1:
-        return 1
-    return root_of_unity(c.numerator % c.denominator, c.denominator)
-
 
 def _check_theta(theta, order):
     if not isinstance(theta, Series):
@@ -119,10 +110,6 @@ class HeisElement(SeriesSum):
     @staticmethod
     def zero(order):
         return HeisElement(order, {})
-
-    @staticmethod
-    def one(order):
-        return HeisElement(order, {(0, 0, 0, 0): 1})
 
     def degrees(self):
         return sorted({k[1] for k in self.data})
@@ -222,30 +209,6 @@ def _field_y(row, D):
     return _row([(out, den * D)])
 
 
-def _field_t(row, D):
-    """T = d_t: tau * n on each monomial."""
-    nums, den = row
-    out = {}
-    for (key, v, t, e), x in nums.items():
-        n = key[1]
-        if n:
-            out[key, v, t + 1, e] = x * n
-    return _row([(out, den)])
-
-
-_FIELDS = {"X": _field_x, "Y": _field_y, "T": _field_t}
-
-
-def vf_apply(field, f):
-    """Apply one of the invariant vector fields X, Y, T monomial-wise."""
-    apply = _FIELDS.get(field)
-    if apply is None:
-        raise ValueError("field must be one of X, Y, T")
-    D = _freq_den(f)
-    N = conductor(f.data.values())
-    return _element(f, apply(_rows(f, D, N), D), D, N)
-
-
 def _monomial_product(k1, k2):
     return (((k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3]), 1),)
 
@@ -334,17 +297,6 @@ def assoc_residual(a, b, c, theta, theta_p):
     return _element(a, _row([lhs, _negated(rhs)]), D, N)
 
 
-def m3_residual(f):
-    """f minus its image under (x, y, t) -> (x, y+1, t+x); zero exactly
-    when f descends to the quotient by the lattice identification."""
-    out = dict(f.data)
-    for (m, n, p, c), s in f.data.items():
-        scaled = s * _phase(c)
-        for j in range(p + 1):
-            accumulate(out, (m + n, n, j, c), scaled * (-comb(p, j)))
-    return f._raw(out)
-
-
 # ---------------------------------------------------------------------------
 # Zak side
 
@@ -369,10 +321,6 @@ class ZakElement(SeriesSum):
                 raise ValueError("negative y-power")
             accumulate(norm, (int(m), int(p), Fraction(c)), coerce(s))
         self.data = norm
-
-    @staticmethod
-    def monomial(order, degree, m=0, p=0, c=0, coeff=1):
-        return ZakElement(order, degree, {(m, p, c): coeff})
 
     def _compat(self, other):
         if not isinstance(other, ZakElement):
@@ -589,31 +537,24 @@ def _word_rows(word, z, theta, side):
     return z
 
 
-def _act_once(letter, f, theta, side):
-    angle = alpha(theta, f.degree) if side == "left" and letter == "U" else theta
-    return _zak_element(f, _act_rows(letter, _zak_row(f), angle, side))
-
-
 def zak_act_left(word, f, theta):
     """Left torus action; the rightmost letter of the word acts first."""
-    theta = _check_theta(theta, f.order)
-    for letter in reversed(word):
-        f = _act_once(letter, f, theta, "left")
-    return f
+    return _zak_element(f, _word_rows(word, _zak_row(f), theta, "left"))
 
 
 def zak_act_right(word, f, theta):
     """Right torus action; the leftmost letter of the word acts first."""
-    theta = _check_theta(theta, f.order)
-    for letter in word:
-        f = _act_once(letter, f, theta, "right")
-    return f
+    return _zak_element(f, _word_rows(word, _zak_row(f), theta, "right"))
 
 
 def _pair_rows(z1, z2, theta):
-    """zak_pair of two Zak rows, as a Zak row at the lcm D of their
-    frequency denominators: both are lifted to it and to the conductor of
-    both, theta and every phase of the substitutions."""
+    """The degree-additive pairing of two Zak rows via affine substitutions.
+
+    Slot m of the result collects products over slot splittings j+k=m,
+    with z1 shifted by (jp-kn)/(n(n+p)) and z2 dilated by (1+n theta) and
+    shifted by -(1-p theta)(jp-kn)/(p(n+p)).  The result is a Zak row at
+    the lcm D of their frequency denominators: both are lifted to it and
+    to the conductor of both, theta and every phase of the substitutions."""
     K = z1.order
     n, p = z1.degree, z2.degree
     if n == 0 or p == 0 or n + p == 0:
@@ -673,22 +614,6 @@ def _coefficient_rows(row):
         else:
             part[0][0, v, t, e] = x
     return out
-
-
-def zak_pair(f1, f2, theta):
-    """Degree-additive pairing of Zak elements via affine substitutions.
-
-    Slot m of the result collects products over slot splittings j+k=m,
-    with f1 shifted by (jp-kn)/(n(n+p)) and f2 dilated by (1+n theta)
-    and shifted by -(1-p theta)(jp-kn)/(p(n+p)).
-    """
-    if f1.order != f2.order:
-        raise OrderMismatch(
-            "series orders differ: %d vs %d" % (f1.order, f2.order)
-        )
-    theta = _check_theta(theta, f1.order)
-    z = _pair_rows(_zak_row(f1), _zak_row(f2), theta)
-    return _zak_element(f1, z)
 
 
 # ---------------------------------------------------------------------------

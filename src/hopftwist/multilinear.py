@@ -1126,9 +1126,6 @@ class LegTensor:
         the pieces move as they are."""
         return LegTensor._of_rows(host, self.arity, *self._phases())
 
-    def copy(self):
-        return self.over(self.host)
-
     def _product(self, B, M, kernel, arity):
         """The tensor of the given arity whose pieces are piece_product of
         these pieces with pieces B at conductor M, through kernel."""
@@ -1197,9 +1194,6 @@ class LegTensor:
                 else:
                     g.append(piece)
         return LegTensor._of_rows(self.host, self.arity, *_settle(groups, L))
-
-    def neg(self):
-        return self.scale(-1)
 
     def scale(self, c):
         host = self.host

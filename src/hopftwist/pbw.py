@@ -33,7 +33,6 @@ from .errors import (
     BadLeg,
     BadPositions,
     NonNilpotent,
-    NotInvertible,
     OrderMismatch,
 )
 from .reporting import CheckOutcome, key_repr
@@ -132,11 +131,6 @@ class PBWElement(SeriesSum):
     def unit(kappa, order):
         return PBWElement(kappa, order, {_ZERO3: 1})
 
-    @staticmethod
-    def gen(kappa, order, name, coeff=1):
-        triple = {"X": (1, 0, 0), "Y": (0, 1, 0), "T": (0, 0, 1)}[name]
-        return PBWElement(kappa, order, {triple: coeff})
-
     def unit_like(self):
         return PBWElement.unit(self.kappa, self.order)
 
@@ -150,23 +144,6 @@ class PBWElement(SeriesSum):
         return self._raw(
             _product(self.order, self.data, other.data, self._key_product())
         )
-
-    def counit(self):
-        s = self.data.get(_ZERO3)
-        return Series.zero(self.order) if s is None else s
-
-    def antipode(self):
-        """Anti-homomorphism with S(W) = -W on the generators."""
-        store = {}
-        for (a, b, c), s in self.data.items():
-            sign = Fraction(-1) ** (a + b + c)
-            # reversed word T^c Y^b X^a back to normal order
-            flipped = PBWElement(self.kappa, self.order, {(0, b, c): 1}).mul(
-                PBWElement(self.kappa, self.order, {(a, 0, 0): 1})
-            )
-            for key, v in flipped.data.items():
-                accumulate(store, key, s * v * sign)
-        return self._raw(store)
 
     def __repr__(self):
         return "PBWElement(kappa=%d, order=%d, %d terms)" % (
@@ -221,12 +198,6 @@ class PBWTensor(SeriesSum):
     def unit(kappa, order, arity):
         return PBWTensor(kappa, order, arity, {(_ZERO3,) * arity: 1})
 
-    @staticmethod
-    def from_element(x, arity=1):
-        return PBWTensor(x.kappa, x.order, arity, {}) if not x.data else PBWTensor(
-            x.kappa, x.order, arity, {(k,) + (_ZERO3,) * (arity - 1): s for k, s in x.data.items()}
-        )
-
     def unit_like(self):
         return PBWTensor.unit(self.kappa, self.order, self.arity)
 
@@ -273,43 +244,6 @@ class PBWTensor(SeriesSum):
                 new = key[:leg] + (tl, tr) + key[leg + 1 :]
                 accumulate(store, new, s * q)
         return self._raw(store, arity=self.arity + 1)
-
-    def counit_leg(self, leg):
-        if not 0 <= leg < self.arity:
-            raise BadLeg("leg %d out of range" % leg)
-        if self.arity == 1:
-            raise BadLeg("cannot drop the last leg")
-        store = {}
-        for key, s in self.data.items():
-            if key[leg] == _ZERO3:
-                accumulate(store, key[:leg] + key[leg + 1 :], s)
-        return self._raw(store, arity=self.arity - 1)
-
-    def invert(self):
-        """Inverse when the tensor is a unit multiple plus hbar-positive rest."""
-        u = self.data.get((_ZERO3,) * self.arity)
-        if u is None:
-            raise NotInvertible("no coefficient on the identity key")
-        rest = self.sub(self.unit_like().scale(u))
-        for s in rest.data.values():
-            v = s.valuation()
-            if v is not None and v < 1:
-                raise NotInvertible(
-                    "non-identity terms must have positive hbar valuation"
-                )
-        try:
-            uinv = u.inverse()
-        except Exception:
-            raise NotInvertible("identity coefficient is not a unit")
-        n = rest.scale(uinv).neg()
-        out = self.unit_like()
-        term = self.unit_like()
-        for _ in range(self.order):
-            term = term.mul(n)
-            if term.is_zero():
-                break
-            out = out.add(term)
-        return out.scale(uinv)
 
     def __repr__(self):
         return "PBWTensor(kappa=%d, order=%d, arity=%d, %d terms)" % (

@@ -323,9 +323,6 @@ class Cyclotomic(_Ring):
 
     # -- predicates
 
-    def is_zero(self):
-        return not self.coords
-
     def __bool__(self):
         return bool(self.coords)
 
@@ -741,9 +738,6 @@ class TauLaurent(_Ring):
     def _one():
         return TauLaurent({0: 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -1035,12 +1029,6 @@ class SeriesSum:
 
     def term_count(self):
         return len(self.data)
-
-    def copy(self):
-        return self._raw(dict(self.data))
-
-    def entries(self):
-        return sorted(self.data.items())
 
     def add(self, other):
         self._compat(other)

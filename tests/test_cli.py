@@ -479,6 +479,15 @@ def test_octonion_table_csv(tmp_path, capsys):
     assert len(lines) == 65
 
 
+@pytest.mark.parametrize("path", ["", "/nonexistent/dir/oct.csv"], ids=["empty", "no-dir"])
+def test_octonion_table_unwritable_csv_path_exit_two(path, capsys):
+    # an empty path is a path that cannot be written, not "no --csv"
+    assert main(["octonion-table", "--csv", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def _refused_inverse(rng, order, theta):
     # r + c z(997, k) over k[Z2]: 2 * 996 unknowns
     t = multilinear.LegTensor(

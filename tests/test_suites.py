@@ -31,7 +31,7 @@ from hopftwist.group_cohomology import (
 )
 from hopftwist.multilinear import LegTensor
 from hopftwist.reporting import CheckOutcome
-from hopftwist.scalars import Series, TauLaurent, root_of_unity
+from hopftwist.scalars import Series, TauLaurent, conductor, root_of_unity
 from hopftwist.suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 # the slow suite (hopf-cochain) is exercised by the acceptance gate;
@@ -184,9 +184,14 @@ def test_uv_commutation_names_the_first_residual_key(monkeypatch):
     assert report("heis-torus").checks[0].witness is None
     real = heis_torus.star
 
+    def on_rows(field, f):
+        D = heis_torus._freq_den(f)
+        N = conductor(f.data.values())
+        return heis_torus._element(f, field(heis_torus._rows(f, D, N), D), D, N)
+
     def without_first_order(a, b, theta):
         zero = Series.zero(a.order)
-        first = real(heis_torus.vf_apply("X", a), heis_torus.vf_apply("Y", b), zero)
+        first = real(on_rows(heis_torus._field_x, a), on_rows(heis_torus._field_y, b), zero)
         return real(a, b, theta).sub(first.scale(theta * TauLaurent.tau(-1)))
 
     # assoc_residual's products keep the real star
@@ -202,22 +207,7 @@ def test_zak_commutation_names_the_first_residual_key(monkeypatch):
     passing = {c.id: c for c in report("heis-torus").checks}
     for name in ("zak-left-commutation:n=2", "zak-right-commutation:n=2"):
         assert passing[name].ok and passing[name].witness is None
-    real = heis_torus._act_once
-
-    def without_phase(letter, f, theta, side):
-        # V multiplies slot m by e^{-2 pi i m/n}; take that factor back off
-        out = real(letter, f, theta, side)
-        if letter != "V":
-            return out
-        n = out.degree
-        return out._raw(
-            {
-                (m, p, c): s * heis_torus._phase(Fraction(m, n))
-                for (m, p, c), s in out.data.items()
-            },
-        )
-
-    monkeypatch.setattr(heis_torus, "_act_once", without_phase)
+    monkeypatch.setattr(heis_torus, "_act_rows", _v_without_slot_phase(heis_torus._act_rows))
     checks = {c.id: c for c in run_suite("heis-torus").checks}
     # the phase is 1 in degree 1, so only degree 2 can see it
     assert checks["zak-left-commutation:n=1"].ok
