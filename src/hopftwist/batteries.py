@@ -10,10 +10,10 @@ forms is one phase_convolve against those cells, on flat phase rows at one
 conductor (the battery's rows).  A vector's row is multilinear._vec_row,
 and every row is made canonical by scalars._row, so the batteries have no
 canonical form or rational fast path of their own.  Two rows are compared
-as they are when their conductors agree, and otherwise, or when they
-differ, through their difference with every exponent reduced below
-phi(N): a row's exponents are kept below N, not below phi(N), so that a
-product of roots stays one term.
+by scalars.row_difference, the one reduced difference of two rows, which
+the Zak pairing checks share: a row's exponents are kept below N, not
+below phi(N), so that a product of roots stays one term, and the
+difference reduces them.
 A host tensor Phi acts through the module by act_tensor, tabulated once per
 run.
 
@@ -35,13 +35,10 @@ Only a caller that runs a battery imports this module: the cochain
 workloads' twists without a module never compile it.
 """
 
-from math import lcm
-
 from .errors import WindowOverflow
 from .multilinear import (
     LegTensor,
     PhaseCells,
-    _align,
     _clean,
     _on_rows,
     _vec_row,
@@ -51,7 +48,7 @@ from .multilinear import (
     phase_map,
 )
 from .reporting import CheckOutcome
-from .scalars import _row, accumulate, reduced_row
+from .scalars import _align, _row, accumulate, row_difference
 
 
 class ModuleAlgebra:
@@ -190,19 +187,6 @@ def _sum(rows):
     return _row(parts), L
 
 
-def _residual(got, want):
-    """The numerators of got - want, each exponent reduced below phi
-    (scalars.reduced_row): empty exactly when the two rows hold equal
-    values."""
-    L, ((gn, gd), (wn, wd)) = _align([got, want])
-    den = lcm(gd, wd)
-    diff = {k: n * (den // gd) for k, n in gn.items()}
-    f = den // wd
-    for k, n in wn.items():
-        diff[k] = diff.get(k, 0) - n * f
-    return reduced_row(diff, L)
-
-
 def _regular(table, dim, side):
     """The left (side 0) or right (side 1) regular representation of a
     product table: PhaseCells whose cell m lists the cells of x_i x_m
@@ -248,14 +232,9 @@ def _by_basis(row, regular, dim, K):
 
 
 def _differ(got, want):
-    """got != want for rows; None, a value outside the window, differs from
-    nothing.  Equal rows at one conductor, or with one of them rational,
-    are equal; otherwise the difference decides (_residual)."""
-    if got is None or want is None:
-        return False
-    if got[0] == want[0] and (got[1] == want[1] or got[1] == 1 or want[1] == 1):
-        return False
-    return bool(_residual(got, want))
+    """got != want for rows (scalars.row_difference); None, a value outside
+    the window, differs from nothing."""
+    return got is not None and want is not None and bool(row_difference(got, want))
 
 
 class _AlgebraBattery:
@@ -488,7 +467,7 @@ class _Battery(_AlgebraBattery):
                 right = self.mapped(d, self.cop, 2, 1, 2)
                 if left is None or right is None:
                     continue
-                res = _residual(left, right)
+                res = row_difference(left, right)
                 if res:
                     yield len({key for key, _v, _t, _e in res}), self.at(i)
 

@@ -18,10 +18,9 @@ def _counterexample(name, got, expect, unit, first_key):
     names the side that broke."""
     if got.eq(unit):
         witness = "d^2 is the unit"
-    elif not got.eq(expect):
-        witness = first_key(got.sub(expect))
     else:
-        witness = None
+        diff = got.sub(expect)
+        witness = None if diff.is_zero() else first_key(diff)
     return CheckOutcome.from_residual(name, 0 if witness is None else 1, witness)
 
 

@@ -120,6 +120,34 @@ class UnityResolution:
         return len(self.pairs)
 
 
+def _coords(vec, index, size):
+    """The coordinates of a sparse vector {basis k: c} on a component: a
+    list of size Fractions, c at position index[k] (index a dict, or a
+    range for an arithmetic progression of positions)."""
+    out = [Fraction(0)] * size
+    for k, c in vec.items():
+        out[index[k]] += c
+    return out
+
+
+def _balanced_relations(A, left, base, right, pidx):
+    """The nonzero relations x b (x) y - x (x) b y of the product balanced
+    over base, for x in left, b in base and y in right, as coordinates on
+    the pairs pidx {(x, y): position}."""
+    out = []
+    for x in left:
+        for b in base:
+            for y in right:
+                vec = [Fraction(0)] * len(pidx)
+                for k, c in A.basis_mul(x, b).items():
+                    vec[pidx[k, y]] += c
+                for k, c in A.basis_mul(b, y).items():
+                    vec[pidx[x, k]] -= c
+                if any(vec):
+                    out.append(vec)
+    return out
+
+
 def resolution_of_unity(graded, g):
     """Solve 1 = sum c_ij (x_i y_j), x_i in A_{g^-1}, y_j in A_g; None if
     the system is inconsistent."""
@@ -132,10 +160,8 @@ def resolution_of_unity(graded, g):
     pairs = [(i, j) for i in rows_i for j in cols_j]
     if not pairs:
         return None
-    mat = [[Fraction(0)] * len(pairs) for _ in range(A.dim)]
-    for col, (i, j) in enumerate(pairs):
-        for k, c in A.basis_mul(i, j).items():
-            mat[k][col] += c
+    cols = [_coords(A.basis_mul(i, j), range(A.dim), A.dim) for i, j in pairs]
+    mat = [list(row) for row in zip(*cols)]
     rhs = [Fraction(v) for v in A.unit]
     x = field_solve(mat, rhs)
     if x is None:
@@ -214,28 +240,17 @@ def canonical_map(graded):
     e = grading.identity
     B = graded.component(e)
 
-    relations = []
-    for x in range(n):
-        for b in B:
-            for y in range(n):
-                vec = [Fraction(0)] * (n * n)
-                for k, c in A.basis_mul(x, b).items():
-                    vec[k * n + y] += c
-                for k, c in A.basis_mul(b, y).items():
-                    vec[x * n + k] -= c
-                if any(vec):
-                    relations.append(vec)
+    pidx = {(x, y): x * n + y for x in range(n) for y in range(n)}
+    relations = _balanced_relations(A, range(n), B, range(n), pidx)
     rk_rel = field_rank(relations)
     dim_source = n * n - rk_rel
 
-    def psi_row(i, j):
-        vec = [Fraction(0)] * (n * order)
-        dj = graded.degree[j]
-        for k, c in A.basis_mul(i, j).items():
-            vec[k * order + dj] += c
-        return vec
-
-    psi = [psi_row(i, j) for i in range(n) for j in range(n)]
+    # psi(b_i (x) b_j) = b_i b_j (x) deg(j), at k * order + deg(j) for b_k
+    psi = [
+        _coords(A.basis_mul(i, j), range(graded.degree[j], n * order, order), n * order)
+        for i in range(n)
+        for j in range(n)
+    ]
     # the map must kill every balancing relation
     for vec in relations:
         img = [Fraction(0)] * (n * order)
@@ -358,26 +373,11 @@ def smeb_check(graded, g):
     pidx = {p: t for t, p in enumerate(pairs)}
     checks = []
 
-    relations = []
-    for x in I:
-        for b in E:
-            for y in J:
-                vec = [Fraction(0)] * len(pairs)
-                for k, c in A.basis_mul(x, b).items():
-                    vec[pidx[(k, y)]] += c
-                for k, c in A.basis_mul(b, y).items():
-                    vec[pidx[(x, k)]] -= c
-                if any(vec):
-                    relations.append(vec)
+    relations = _balanced_relations(A, I, E, J, pidx)
     rk_rel = field_rank(relations)
     qdim = len(pairs) - rk_rel
 
-    mult_rows = []
-    for i, j in pairs:
-        vec = [Fraction(0)] * len(E)
-        for k, c in A.basis_mul(i, j).items():
-            vec[eidx[k]] += c
-        mult_rows.append(vec)
+    mult_rows = [_coords(A.basis_mul(i, j), eidx, len(E)) for i, j in pairs]
     rk_mult = field_rank(mult_rows)
     bij = qdim == len(E) == rk_mult
     checks.append(
@@ -448,9 +448,7 @@ def ideal_property_report(graded):
             span = []
             for i in graded.component(g):
                 for j in graded.component(ginv):
-                    vec = [Fraction(0)] * len(E)
-                    for k, c in A.basis_mul(i, j).items():
-                        vec[eidx[k]] += c
+                    vec = _coords(A.basis_mul(i, j), eidx, len(E))
                     if any(vec):
                         span.append(vec)
             base_rank = field_rank(span)
@@ -461,9 +459,7 @@ def ideal_property_report(graded):
                         A.elem_mul({b: one}, elem),
                         A.elem_mul(elem, {b: one}),
                     ):
-                        new = [Fraction(0)] * len(E)
-                        for k, c in prod_.items():
-                            new[eidx[k]] += c
+                        new = _coords(prod_, eidx, len(E))
                         if any(new) and field_rank(span + [new]) != base_rank:
                             yield 1, "degree %r via %s" % (g, A.labels[b])
 
@@ -488,9 +484,7 @@ def window_products_report(graded):
                 span = []
                 for i in graded.component(h):
                     for j in graded.component(k):
-                        vec = [Fraction(0)] * len(target)
-                        for t, c in A.basis_mul(i, j).items():
-                            vec[tidx[t]] += c
+                        vec = _coords(A.basis_mul(i, j), tidx, len(target))
                         if any(vec):
                             span.append(vec)
                 if field_rank(span) != len(target):

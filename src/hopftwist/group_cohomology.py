@@ -95,9 +95,9 @@ def group_coboundary(c):
 def _agree(id, lhs, rhs, labels, witness):
     """Whether two tensors over one k^G agree: the residual counts the keys
     where they differ, and witness(names) names the first by its labels."""
-    if lhs.eq(rhs):
-        return CheckOutcome.from_residual(id, 0)
     diff = lhs.sub(rhs)
+    if diff.is_zero():
+        return CheckOutcome.from_residual(id, 0)
     names = tuple(labels[g] for g in diff.entries()[0][0])
     return CheckOutcome.from_residual(id, diff.term_count(), witness(names))
 

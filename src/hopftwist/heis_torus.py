@@ -42,7 +42,8 @@ _word_rows (one letter is _act_rows), and one pairing, _pair_rows, both
 on rows: zak_act_left and zak_act_right convert their operand once, form
 alpha_n(theta) once per word and build their result once, and the
 pairing checks compose actions and pairings on rows and compare two rows
-by their reduced difference (_rows_differ) without building a value.
+by their reduced difference (_rows_differ, on scalars.row_difference)
+without building a value.
 
 The heis-torus suite body, heis_torus_checks, with its seeded random
 elements, is here too.
@@ -69,7 +70,7 @@ from .scalars import (
     conductor,
     phase_rows,
     phase_values,
-    reduced_row,
+    row_difference,
     row_exp,
     row_product,
     series_exp,
@@ -388,21 +389,12 @@ def _zak_element(f, z):
 
 
 def _rows_differ(z1, z2):
-    """z1 != z2 for Zak rows of one order: their difference at the lcm D
-    and N of both, with every exponent reduced (scalars.reduced_row), is
-    not empty."""
+    """z1 != z2 for Zak rows of one order: both lifted to the lcm D and N,
+    their reduced difference (scalars.row_difference) is not empty."""
     if z1.degree != z2.degree:
         return True
     D, N = lcm(z1.D, z2.D), lcm(z1.N, z2.N)
-    (an, ad), (bn, bd) = z1.lifted(D, N), z2.lifted(D, N)
-    if ad == bd and an == bn:
-        return False
-    den = lcm(ad, bd)
-    diff = {k: x * (den // ad) for k, x in an.items()}
-    f = den // bd
-    for k, x in bn.items():
-        diff[k] = diff.get(k, 0) - x * f
-    return bool(reduced_row(diff, N))
+    return bool(row_difference((z1.lifted(D, N), N), (z2.lifted(D, N), N)))
 
 
 def _scaled(row, q, y=0, t=0):

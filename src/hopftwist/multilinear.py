@@ -103,11 +103,12 @@ from .scalars import (
     ScalarRing,
     _RATIONAL,
     _accumulator,
+    _align,
     _nonzero,
     _numerators,
     _row,
-    _settle,
     accumulate,
+    merge_pieces,
     phase_pieces,
     phase_rows,
     phase_values,
@@ -844,19 +845,14 @@ class HopfPresentation(_MulOps):
         """Take the coproduct of basis i as the arity-2 tensor tensors[i],
         on integers: the pieces of every tensor, keyed (i, code of j (x)
         k), are merged at the lcm of their conductors into one canonical
-        set (scalars._settle), the pieces that coproduct_pieces() builds
-        from values, and its leg cells are made from them by the same
-        builder.  The values (coproduct) are built only when read."""
+        set (scalars.merge_pieces), the pieces that coproduct_pieces()
+        builds from values, and its leg cells are made from them by the
+        same builder.  The values (coproduct) are built only when read."""
         parts = [(i, *t._phases()) for i, t in tensors.items()]
-        L = lcm(1, *[N for _i, _pieces, N in parts])
-        groups = {}
-        for i, pieces, N in parts:
-            s = L // N
-            for (v, t, e), (nums, den) in pieces.items():
-                groups.setdefault((v, t, e * s), []).append(
-                    ({(i, k): n for k, n in nums.items()}, den)
-                )
-        self._cop_flat = _settle(groups, L)
+        self._cop_flat = merge_pieces([
+            ({p: ({(i, k): n for k, n in nums.items()}, den) for p, (nums, den) in pieces.items()}, N)
+            for i, pieces, N in parts
+        ])
         self._cop_pieces = self._piece_cells(*self._cop_flat, 2)
         self._coproduct = None
 
@@ -1174,26 +1170,26 @@ class LegTensor:
         return self._add(other, False)
 
     def sub(self, other):
+        """self - other: the empty tensor, with no merge, when both hold
+        equal pieces at one conductor, else one merge (_add).  Every
+        residual check of two sides is one sub."""
+        if other.host is self.host and other.arity == self.arity:
+            A, N = self._phases()
+            B, M = other._phases()
+            if N == M and A == B:
+                return LegTensor._of_rows(self.host, self.arity, {})
         return self._add(other, True)
 
     def _add(self, other, negate):
+        """self + other, or self - other with negate: their pieces merged
+        at the lcm of the two conductors (scalars.merge_pieces)."""
         if other.host is not self.host or other.arity != self.arity:
             raise ArityMismatch("cannot add tensors of different shape")
         A, N = self._phases()
         B, M = other._phases()
         if negate:
             B = {p: ({k: -n for k, n in nums.items()}, d) for p, (nums, d) in B.items()}
-        L = N if N == M else lcm(N, M)
-        groups = {}
-        for pieces, s in ((A, L // N), (B, L // M)):
-            for (v, t, e), piece in pieces.items():
-                p = (v, t, e * s)
-                g = groups.get(p)
-                if g is None:
-                    groups[p] = [piece]
-                else:
-                    g.append(piece)
-        return LegTensor._of_rows(self.host, self.arity, *_settle(groups, L))
+        return LegTensor._of_rows(self.host, self.arity, *merge_pieces([(A, N), (B, M)]))
 
     def scale(self, c):
         host = self.host
@@ -1422,17 +1418,6 @@ def _vec_row(vec):
         return None
     row, N = phase_rows(vec)
     return (row if N == 1 else _row([row])), N
-
-
-def _align(rows, N=1):
-    """(L, numerator rows): rows at L, the lcm of N and their conductors; a
-    rational row (N = 1) needs no scaling."""
-    L = lcm(N, *[M for _r, M in rows])
-    return L, [
-        r if M == L or M == 1
-        else ({(k, v, t, e * (L // M)): n for (k, v, t, e), n in r[0].items()}, r[1])
-        for r, M in rows
-    ]
 
 
 def _on_rows(kernel, rows, table, K, *args):

@@ -1,10 +1,14 @@
 """Truncated enveloping algebra of a one-relator nilpotent Lie algebra.
 
 Generators X, Y, T with [X, Y] = kappa*T and T central, kappa in {+1, -1, 0}.
-Elements are sparse sums of normal-ordered monomials X^a Y^b T^c with
-hbar-truncated Series coefficients.  Tensor powers carry the same leg
-calculus as LegTensor (legwise products, primitive coproducts, unit
-embeddings), so the coboundary engine (cochain_engine) applies unchanged.
+PBWTensor is the one class: a tensor power keyed by one exponent triple
+(a, b, c) per leg, for normal-ordered monomials X^a Y^b T^c, with
+hbar-truncated Series coefficients; an element of the algebra is a one-leg
+tensor, keyed ((a, b, c),).  Tensor powers carry the same leg calculus as
+LegTensor (legwise products, primitive coproducts, unit embeddings), so
+the coboundary engine (cochain_engine) applies unchanged.  The coproduct
+of a monomial is its binomial closed form (_delta_mono), not a product of
+tensors.
 
 Products and exponentials run on phase rows (see scalars) at the
 conductor of their values, so Moyal's i*hbar is integers too: one row
@@ -12,8 +16,8 @@ product forms every pair of keys, and the result builds one Series per
 key; pbw_exp is one row_exp, its powers kept as rows until the sum is
 done.  Sums, negations and scalings are those of scalars.SeriesSum, on
 the Series values.  The product of two monomials is memoized per (kappa,
-t1, t2) as (triple, integer) pairs, and a tensor key product is the
-legwise product of those.
+t1, t2) as (triple, integer) pairs, and a tensor key product, the legwise
+product of those, per (kappa, k1, k2).
 
 Exponentials exist for arguments whose every coefficient has positive
 hbar valuation; each hbar-coefficient of the sum is then a finite sum.
@@ -78,97 +82,39 @@ def _mono_mul(kappa, t1, t2):
     return hit
 
 
+_TENSOR_MONO = {}
+
+
 def _tensor_mono_mul(kappa, k1, k2):
-    """Legwise product of two tensor keys as (key, integer) pairs."""
-    out = []
-    for terms in product(*map(_mono_mul, (kappa,) * len(k1), k1, k2)):
-        key, qs = zip(*terms)
-        out.append((key, prod(qs)))
-    return out
-
-
-def _product(K, a, b, keymul):
-    """{key: Series} of the product of two {key: Series} dicts of order K
-    whose keys multiply by keymul, formed on phase rows at the conductor of
-    their values."""
-    A, N = phase_rows(a)
-    B, M = phase_rows(b, N)
-    if M != N:
-        A, N = phase_rows(a, M)
-    return phase_values(_row([row_product(A, B, K, N, keymul)]), K, N)
-
-
-def _check_compat(x, y):
-    if x.kappa != y.kappa:
-        raise ValueError("bracket constants differ: %r vs %r" % (x.kappa, y.kappa))
-    if x.order != y.order:
-        raise OrderMismatch(
-            "truncation orders differ: %d vs %d" % (x.order, y.order)
-        )
-
-
-class PBWElement(SeriesSum):
-    """Sparse normal-form element keyed by exponent triples (a, b, c)."""
-
-    __slots__ = ("kappa",)
-
-    def __init__(self, kappa, order, data):
-        if kappa not in (1, -1, 0):
-            raise ValueError("bracket constant must be +1, -1 or 0")
-        self.kappa = kappa
-        self.order = order
-        coerce = ScalarRing(order).coerce
-        store = {}
-        for key, v in data.items():
-            a, b, c = key
-            key = (int(a), int(b), int(c))
-            if min(key) < 0:
-                raise ValueError("negative exponent in %r" % (key,))
-            accumulate(store, key, coerce(v))
-        self.data = store
-
-    @staticmethod
-    def unit(kappa, order):
-        return PBWElement(kappa, order, {_ZERO3: 1})
-
-    def unit_like(self):
-        return PBWElement.unit(self.kappa, self.order)
-
-    _compat = _check_compat
-
-    def _key_product(self):
-        return partial(_mono_mul, self.kappa)
-
-    def mul(self, other):
-        _check_compat(self, other)
-        return self._raw(
-            _product(self.order, self.data, other.data, self._key_product())
-        )
-
-    def __repr__(self):
-        return "PBWElement(kappa=%d, order=%d, %d terms)" % (
-            self.kappa,
-            self.order,
-            len(self.data),
-        )
+    """Legwise product of two tensor keys as (key, integer) pairs, memoized
+    per (kappa, k1, k2)."""
+    hit = _TENSOR_MONO.get((kappa, k1, k2))
+    if hit is None:
+        out = []
+        for terms in product(*map(_mono_mul, (kappa,) * len(k1), k1, k2)):
+            key, qs = zip(*terms)
+            out.append((key, prod(qs)))
+        hit = _TENSOR_MONO[kappa, k1, k2] = tuple(out)
+    return hit
 
 
 def pbw_exp(x):
-    """Truncated exponential sum_n x^n / n!, every term of hbar valuation
-    >= 1: one scalars.row_exp of the row of x."""
+    """Truncated exponential sum_n x^n / n! of a PBWTensor, every term of
+    hbar valuation >= 1: one scalars.row_exp of the row of x."""
     for s in x.data.values():
         v = s.valuation()
         if v is not None and v < 1:
             raise NonNilpotent("exponent has an hbar-degree-0 part")
     K = x.order
-    (unit,) = x.unit_like().data
     step, N = phase_rows(x.data)
-    one = ({(unit, 0, 0, 0): 1}, 1)
-    return x._raw(phase_values(row_exp(step, one, K, N, x._key_product()), K, N))
+    one = ({((_ZERO3,) * x.arity, 0, 0, 0): 1}, 1)
+    keymul = partial(_tensor_mono_mul, x.kappa)
+    return x._raw(phase_values(row_exp(step, one, K, N, keymul), K, N))
 
 
 class PBWTensor(SeriesSum):
-    """Tensor power keyed by tuples of exponent triples, one per leg."""
+    """Tensor power keyed by tuples of exponent triples, one per leg; an
+    element of the algebra is a one-leg tensor, keyed ((a, b, c),)."""
 
     __slots__ = ("kappa", "arity")
 
@@ -198,24 +144,29 @@ class PBWTensor(SeriesSum):
     def unit(kappa, order, arity):
         return PBWTensor(kappa, order, arity, {(_ZERO3,) * arity: 1})
 
-    def unit_like(self):
-        return PBWTensor.unit(self.kappa, self.order, self.arity)
-
     def _compat(self, other):
-        _check_compat(self, other)
+        if self.kappa != other.kappa:
+            raise ValueError(
+                "bracket constants differ: %r vs %r" % (self.kappa, other.kappa)
+            )
+        if self.order != other.order:
+            raise OrderMismatch(
+                "truncation orders differ: %d vs %d" % (self.order, other.order)
+            )
         if self.arity != other.arity:
             raise ArityMismatch(
                 "arities differ: %d vs %d" % (self.arity, other.arity)
             )
 
-    def _key_product(self):
-        return partial(_tensor_mono_mul, self.kappa)
-
     def mul(self, other):
+        """One row_product on phase rows at the conductor of both values."""
         self._compat(other)
-        return self._raw(
-            _product(self.order, self.data, other.data, self._key_product())
-        )
+        K, keymul = self.order, partial(_tensor_mono_mul, self.kappa)
+        A, N = phase_rows(self.data)
+        B, M = phase_rows(other.data, N)
+        if M != N:
+            A, N = phase_rows(self.data, M)
+        return self._raw(phase_values(_row([row_product(A, B, K, N, keymul)]), K, N))
 
     def leg_embed(self, positions, arity_out):
         positions = tuple(positions)
@@ -240,7 +191,7 @@ class PBWTensor(SeriesSum):
             raise BadLeg("leg %d out of range" % leg)
         store = {}
         for key, s in self.data.items():
-            for (tl, tr), q in _delta_mono(self.kappa, self.order, key[leg]):
+            for (tl, tr), q in _delta_mono(key[leg]):
                 new = key[:leg] + (tl, tr) + key[leg + 1 :]
                 accumulate(store, new, s * q)
         return self._raw(store, arity=self.arity + 1)
@@ -254,37 +205,21 @@ class PBWTensor(SeriesSum):
         )
 
 
-_DELTA_CACHE = {}
+def _delta_mono(triple):
+    """Coproduct of X^a Y^b T^c as ((left, right), integer) pairs, the
+    closed form sum C(a,i) C(b,j) C(c,k) (i,j,k) (x) (a-i,b-j,c-k).
 
-
-def _delta_mono(kappa, order, triple):
-    """Coproduct of one monomial as ((left, right), rational) pairs.
-
-    Delta is multiplicative and the generators are primitive, so the
-    expansion is Delta(X)^a Delta(Y)^b Delta(T)^c in the tensor square.
+    Delta is multiplicative and the generators are primitive, so this is
+    Delta(X)^a Delta(Y)^b Delta(T)^c, and each leg of that product is
+    already in normal order: X's come before Y's and T is central.
     """
-    key = (kappa, order, triple)
-    hit = _DELTA_CACHE.get(key)
-    if hit is not None:
-        return hit
     a, b, c = triple
-    acc = PBWTensor.unit(kappa, order, 2)
-    for name, power in (("X", a), ("Y", b), ("T", c)):
-        if not power:
-            continue
-        g = {"X": (1, 0, 0), "Y": (0, 1, 0), "T": (0, 0, 1)}[name]
-        prim = PBWTensor(
-            kappa, order, 2, {(g, _ZERO3): 1, (_ZERO3, g): 1}
-        )
-        for _ in range(power):
-            acc = acc.mul(prim)
-    out = []
-    for (tl, tr), s in acc.data.items():
-        # binomial-type expansions stay rational with no hbar shift
-        q = s.coeffs[0].terms.get(0)
-        out.append(((tl, tr), Fraction(q) if not isinstance(q, Fraction) else q))
-    _DELTA_CACHE[key] = out
-    return out
+    return [
+        (((i, j, k), (a - i, b - j, c - k)), comb(a, i) * comb(b, j) * comb(c, k))
+        for i in range(a + 1)
+        for j in range(b + 1)
+        for k in range(c + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +229,16 @@ def _delta_mono(kappa, order, triple):
 def bch_report(kappa, order):
     """e^{hX} e^{hY} = e^{(kappa/2) h^2 T} e^{h(X+Y)}, exactly."""
     h = Series.hbar(order)
-    ex = pbw_exp(PBWElement(kappa, order, {(1, 0, 0): h}))
-    ey = pbw_exp(PBWElement(kappa, order, {(0, 1, 0): h}))
+    x, y, t = ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),)
+    ex = pbw_exp(PBWTensor(kappa, order, 1, {x: h}))
+    ey = pbw_exp(PBWTensor(kappa, order, 1, {y: h}))
     lhs = ex.mul(ey)
     central = pbw_exp(
-        PBWElement(
-            kappa, order, {(0, 0, 1): Series.hbar(order, power=2, coeff=Fraction(kappa, 2))}
+        PBWTensor(
+            kappa, order, 1, {t: Series.hbar(order, power=2, coeff=Fraction(kappa, 2))}
         )
     )
-    diag = pbw_exp(PBWElement(kappa, order, {(1, 0, 0): h, (0, 1, 0): h}))
+    diag = pbw_exp(PBWTensor(kappa, order, 1, {x: h, y: h}))
     rhs = central.mul(diag)
     resid = lhs.sub(rhs)
     return CheckOutcome.from_residual(

@@ -52,7 +52,9 @@ output phase: hbar degrees add (truncated at K), tau powers add, and the
 exponents add mod lcm(N, M), each operand's scaled to that conductor; the
 pairs of phases that land on one phase are summed into one integer list
 or dict over the lcm of their denominators, and ``_settle`` makes each
-phase canonical once.
+phase canonical once.  ``merge_pieces`` is the one sum of pieces held at
+several conductors (LegTensor's sums, a twisted host's coproduct): each is
+scaled to the lcm of the conductors and settled once.
 
 A flat phase row (``phase_rows``/``phase_values``), the layout of the pbw
 and heis_torus products, of multilinear's phase cells and axiom batteries,
@@ -68,6 +70,9 @@ heis_torus and ``series_exp`` share.  ``phase_values`` reduces each (key,
 hbar degree, tau power) to the basis once, ``row_pieces`` makes the row
 phase pieces (``pieces_row`` goes back), and ``reduced_row`` reduces every
 exponent, so that a row is zero exactly when it reduces to nothing.
+``row_difference`` is the one comparison of two rows (the axiom batteries'
+and the Zak pairing checks'): their difference at one conductor
+(``_align``), reduced.
 """
 
 from fractions import Fraction
@@ -1332,6 +1337,34 @@ def reduced_row(nums, N):
     return {idx: n for idx, n in out.items() if n}
 
 
+def _align(rows, N=1):
+    """(L, numerator rows) of rows ((numerators, den), M): each at L, the
+    lcm of N and their conductors; a rational row (M = 1) needs no
+    scaling."""
+    L = lcm(N, *[M for _r, M in rows])
+    return L, [
+        r if M == L or M == 1
+        else ({(k, v, t, e * (L // M)): n for (k, v, t, e), n in r[0].items()}, r[1])
+        for r, M in rows
+    ]
+
+
+def row_difference(got, want):
+    """The numerators of got - want for rows ((numerators, den), N), at the
+    lcm of their conductors with each exponent reduced (reduced_row): empty
+    exactly when the two rows hold equal values.  Equal rows at one
+    conductor, or with one of them rational, give {} with no subtraction."""
+    if got[0] == want[0] and (got[1] == want[1] or got[1] == 1 or want[1] == 1):
+        return {}
+    L, ((gn, gd), (wn, wd)) = _align([got, want])
+    den = lcm(gd, wd)
+    diff = {k: n * (den // gd) for k, n in gn.items()}
+    f = den // wd
+    for k, n in wn.items():
+        diff[k] = diff.get(k, 0) - n * f
+    return reduced_row(diff, L)
+
+
 def pieces_row(pieces, N, L):
     """The flat phase row of phase pieces at conductor N over one
     denominator, their exponents scaled to the conductor L, a multiple of
@@ -1378,6 +1411,25 @@ def _settle(groups, N):
             out = {(v, t, e // s): row for (v, t, e), row in out.items()}
             N //= s
     return out, N
+
+
+def merge_pieces(parts):
+    """(pieces, L) of the sum of phase pieces held at several conductors,
+    parts a list of (pieces, N): each exponent is scaled to L, the lcm of
+    the conductors, the pieces that land on one phase are grouped, and the
+    phases are settled once (_settle)."""
+    L = lcm(1, *[N for _pieces, N in parts])
+    groups = {}
+    for pieces, N in parts:
+        s = L // N
+        for (v, t, e), piece in pieces.items():
+            p = (v, t, e * s)
+            g = groups.get(p)
+            if g is None:
+                groups[p] = [piece]
+            else:
+                g.append(piece)
+    return _settle(groups, L)
 
 
 def piece_product(A, N, B, M, K, kernel, size):

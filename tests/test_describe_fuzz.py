@@ -34,7 +34,11 @@ SMALL = {
     "hopf": _HOPF,
     "tensor": {"host": _HOPF, "arity": 2, "entries": {"0,1": "h", "1,1": "-1/2"}},
     "group": _Z2,
-    "cochain": {"group": _Z2, "arity": 2, "table": {"0,0": "1", "1,1": "z(4,1)"}},
+    "cochain": {
+        "group": _Z2,
+        "arity": 2,
+        "table": {"0,0": "1", "0,1": "1", "1,0": "1", "1,1": "z(4,1)"},
+    },
     "chain": {"dims": {"0": 1, "1": 2}, "d": {"1": [["1"], ["-1"]]}},
     "graded": {
         "dim": 2,
@@ -97,7 +101,7 @@ def _mutated(doc, path, atom):
 def _describe(path, data):
     """main(["describe", path]) on a file holding data, checked against the
     contract: exit 0 with nothing on stderr, or exit 2 with one `error:`
-    line, within BOUND_S."""
+    line, within BOUND_S.  Returns the exit code."""
     path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -111,11 +115,14 @@ def _describe(path, data):
     else:
         assert code == 2, (data[:200], code)
         assert text.startswith("error:") and text.count("\n") == 1, (data[:200], text)
+    return code
 
 
 def test_every_single_edit_of_the_small_documents(tmp_path):
     path = tmp_path / "doc.json"
-    for doc in SMALL.values():
+    for kind, doc in SMALL.items():
+        # the sweep starts from a valid document
+        assert _describe(path, json.dumps(doc).encode()) == 0, kind
         for at in list(_paths(doc)):
             for atom in ATOMS + ([_DELETE] if at else []):
                 _describe(path, json.dumps(_mutated(doc, at, atom)).encode())

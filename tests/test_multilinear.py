@@ -21,7 +21,7 @@ from hopftwist.errors import (
 )
 from hopftwist.multilinear import LegTensor, tensor_invert, with_series_ring
 from hopftwist.sample_hosts import taft
-from hopftwist.scalars import ScalarRing, Series, TauLaurent
+from hopftwist.scalars import ScalarRing, Series, TauLaurent, root_of_unity
 
 S3 = symmetric_3()
 KS3 = group_algebra(S3)
@@ -114,6 +114,35 @@ def test_add_sub_scale():
         a.add(rand_tensor(KS3, 3, rng))
     with pytest.raises(ValueError):
         a.mul(rand_tensor(KD, 2, rng))
+
+
+def test_sub_of_equal_pieces_forms_no_merge(monkeypatch):
+    merges = []
+    merge = kernel.merge_pieces
+    monkeypatch.setattr(kernel, "merge_pieces", lambda parts: merges.append(parts) or merge(parts))
+    rng = random.Random(9)
+    a = rand_tensor(KS3, 2, rng)
+    b = rand_tensor(KS3, 2, rng)
+    # equal pieces at one conductor, held by two tensors: empty, no merge
+    same = LegTensor(KS3, 2, dict(a.data))
+    assert same.rows() is not a.rows()
+    assert a.sub(same).is_zero() and a.sub(same).term_count() == 0
+    assert merges == []
+    # unequal pieces at one conductor: one merge, the value difference
+    want = {k: a.data.get(k, 0) - b.data.get(k, 0) for k in set(a.data) | set(b.data)}
+    assert a.sub(b).data == {k: v for k, v in want.items() if v}
+    assert len(merges) == 1
+    # two conductors, 4 and 3: one merge, whether or not the values differ
+    z4, z3 = root_of_unity(1, 4), root_of_unity(1, 3)
+    x = LegTensor(KS3, 1, {(0,): z4, (1,): z3})
+    y = LegTensor(KS3, 1, {(1,): z3})
+    assert (x._phases()[1], y._phases()[1]) == (12, 3)
+    d = x.sub(y)
+    assert d.data == {0: z4}
+    assert x.sub(d).data == {1: z3}
+    assert len(merges) == 3
+    with pytest.raises(ArityMismatch):
+        a.sub(rand_tensor(KS3, 3, rng))
 
 
 def test_tensor_invert_exact_two_sided():

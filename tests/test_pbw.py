@@ -1,6 +1,8 @@
 """Normal-form engine for [X,Y] = kappa T with T central, plus the
-truncated-exponential identities built on it."""
+truncated-exponential identities built on it.  An element of the algebra
+is a one-leg PBWTensor, keyed ((a, b, c),)."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from hopftwist.errors import NonNilpotent, OrderMismatch
 from hopftwist.pbw import (
-    PBWElement,
     PBWTensor,
+    _delta_mono,
     bch_report,
     gcl_coassociator,
     gcl_cocycle_report,
@@ -65,9 +67,15 @@ def oracle_mul(kappa, t1, t2):
     return {_triple(w): c for w, c in res.items()}
 
 
+def elem(kappa, order, data):
+    """The one-leg tensor of {(a, b, c): coefficient}."""
+    return PBWTensor(kappa, order, 1, {(t,): v for t, v in data.items()})
+
+
 def elem_to_plain(x):
+    """{(a, b, c): hbar^0 coefficient} of a one-leg tensor."""
     out = {}
-    for key, s in x.data.items():
+    for (key,), s in x.data.items():
         c = s.coeffs[0].terms.get(0, Fraction(0))
         out[key] = Fraction(c)
     return out
@@ -79,13 +87,13 @@ def test_single_swap_against_closed_form():
         for _ in range(12):
             t1 = tuple(rng.randrange(3) for _ in range(3))
             t2 = tuple(rng.randrange(3) for _ in range(3))
-            x = PBWElement(kappa, 0, {t1: 1})
-            y = PBWElement(kappa, 0, {t2: 1})
+            x = elem(kappa, 0, {t1: 1})
+            y = elem(kappa, 0, {t2: 1})
             assert elem_to_plain(x.mul(y)) == oracle_mul(kappa, t1, t2)
 
 
-# Reference: the per-pair Series loop that PBWElement.mul and PBWTensor.mul
-# ran before they moved to term rows, one Series product per pair of keys.
+# Reference: the per-pair Series loop that PBWTensor.mul ran before it
+# moved to term rows, one Series product per pair of keys.
 def reference_mono_mul(kappa, t1, t2):
     a1, b1, c1 = t1
     a2, b2, c2 = t2
@@ -96,20 +104,18 @@ def reference_mono_mul(kappa, t1, t2):
 
 
 def reference_mul(x, y):
-    tensor = isinstance(x, PBWTensor)
     store = {}
     for k1, s1 in x.data.items():
         for k2, s2 in y.data.items():
             s12 = s1 * s2
             partial = [((), Fraction(1))]
-            for t1, t2 in zip(k1, k2) if tensor else [(k1, k2)]:
+            for t1, t2 in zip(k1, k2):
                 partial = [
                     (prefix + (t,), q * q2)
                     for prefix, q in partial
                     for t, q2 in reference_mono_mul(x.kappa, t1, t2)
                 ]
             for key, q in partial:
-                key = key if tensor else key[0]
                 prev = store.get(key)
                 r = s12 * q if prev is None else prev + s12 * q
                 if r.is_zero():
@@ -173,14 +179,14 @@ def test_tensor_mul_matches_the_per_pair_loop(kappa, arity, ka, kb, data):
 )
 def test_element_mul_matches_the_per_pair_loop(kappa, ka, kb, data):
     order = 2
-    x = PBWElement(kappa, order, data.draw(data_of(TRIPLES, ka, order)))
-    y = PBWElement(kappa, order, data.draw(data_of(TRIPLES, kb, order)))
+    x = elem(kappa, order, data.draw(data_of(TRIPLES, ka, order)))
+    y = elem(kappa, order, data.draw(data_of(TRIPLES, kb, order)))
     assert x.mul(y).data == reference_mul(x, y)
 
 
 def reference_exp(x):
     """The Series loop pbw_exp ran before term rows: term = term x / n."""
-    out = term = x.unit_like()
+    out = term = PBWTensor.unit(x.kappa, x.order, x.arity)
     for n in range(1, x.order + 1):
         data = reference_mul(term, x)
         term = x._raw({k: s * Fraction(1, n) for k, s in data.items()})
@@ -202,15 +208,15 @@ def test_exp_matches_the_per_pair_loop(kappa, arity, kind, data):
     keys = st.tuples(*[TRIPLES] * arity)
     x = PBWTensor(kappa, order, arity, data.draw(data_of(keys, kind, order, 1)))
     assert pbw_exp(x).data == reference_exp(x)
-    e = PBWElement(kappa, order, data.draw(data_of(TRIPLES, kind, order, 1)))
+    e = elem(kappa, order, data.draw(data_of(TRIPLES, kind, order, 1)))
     assert pbw_exp(e).data == reference_exp(e)
 
 
 def test_basic_rewrites():
     for kappa in (1, -1):
-        X = PBWElement(kappa, 0, {(1, 0, 0): 1})
-        Y = PBWElement(kappa, 0, {(0, 1, 0): 1})
-        T = PBWElement(kappa, 0, {(0, 0, 1): 1})
+        X = elem(kappa, 0, {(1, 0, 0): 1})
+        Y = elem(kappa, 0, {(0, 1, 0): 1})
+        T = elem(kappa, 0, {(0, 0, 1): 1})
         yx = Y.mul(X)
         assert elem_to_plain(yx) == {(1, 1, 0): 1, (0, 0, 1): -kappa}
         assert elem_to_plain(T.mul(X)) == {(1, 0, 1): 1}
@@ -230,30 +236,30 @@ def test_product_associative_seeded():
                     )
                     for _ in range(3)
                 }
-                xs.append(PBWElement(kappa, 1, data))
+                xs.append(elem(kappa, 1, data))
             a, b, c = xs
             assert a.mul(b).mul(c).eq(a.mul(b.mul(c)))
 
 
 def test_compat_errors():
-    a = PBWElement(1, 2, {(1, 0, 0): Series.hbar(2)})
-    b = PBWElement(1, 3, {(1, 0, 0): Series.hbar(3)})
+    a = elem(1, 2, {(1, 0, 0): Series.hbar(2)})
+    b = elem(1, 3, {(1, 0, 0): Series.hbar(3)})
     with pytest.raises(OrderMismatch):
         a.mul(b)
-    c = PBWElement(-1, 2, {(1, 0, 0): Series.hbar(2)})
+    c = elem(-1, 2, {(1, 0, 0): Series.hbar(2)})
     with pytest.raises(ValueError):
         a.mul(c)
 
 
 def test_exp_basics():
-    u = PBWElement.unit(1, 4)
-    assert pbw_exp(PBWElement(1, 4, {})).eq(u)
-    x = PBWElement(1, 4, {(1, 0, 0): Series.hbar(4)})
+    u = PBWTensor.unit(1, 4, 1)
+    assert pbw_exp(elem(1, 4, {})).eq(u)
+    x = elem(1, 4, {(1, 0, 0): Series.hbar(4)})
     e = pbw_exp(x)
     eneg = pbw_exp(x.neg())
     assert e.mul(eneg).eq(u)
     with pytest.raises(NonNilpotent):
-        pbw_exp(PBWElement(1, 4, {(1, 0, 0): 1}))
+        pbw_exp(elem(1, 4, {(1, 0, 0): 1}))
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
@@ -356,3 +362,21 @@ def test_tensor_coproduct_counit_laws():
     assert counit_leg(d, 1).eq(t)
     # coassociativity on the expanded tensor
     assert d.coproduct_leg(0).eq(d.coproduct_leg(1))
+
+
+def oracle_delta(kappa, triple):
+    """{(left, right): integer} of Delta(X)^a Delta(Y)^b Delta(T)^c formed
+    as products of primitive tensors in the tensor square: the loop the
+    coproduct of a monomial was built by before its closed form."""
+    acc = PBWTensor.unit(kappa, 0, 2)
+    for g, power in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), triple):
+        prim = PBWTensor(kappa, 0, 2, {(g, (0, 0, 0)): 1, ((0, 0, 0), g): 1})
+        for _ in range(power):
+            acc = acc.mul(prim)
+    return {key: s.coeffs[0].terms[0] for key, s in acc.data.items()}
+
+
+@pytest.mark.parametrize("kappa", [1, -1, 0])
+def test_closed_form_coproduct_matches_the_product_of_primitives(kappa):
+    for triple in itertools.product(range(4), repeat=3):
+        assert dict(_delta_mono(triple)) == oracle_delta(kappa, triple), triple

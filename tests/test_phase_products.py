@@ -35,7 +35,14 @@ from hopftwist.multilinear import (
     with_series_ring,
 )
 from hopftwist.sample_hosts import PareigisWindow, taft
-from hopftwist.scalars import Cyclotomic, ScalarRing, Series, TauLaurent, root_of_unity
+from hopftwist.scalars import (
+    Cyclotomic,
+    ScalarRing,
+    Series,
+    TauLaurent,
+    root_of_unity,
+    row_difference,
+)
 
 K = 2
 SER = ScalarRing(hbar_order=K)
@@ -141,6 +148,11 @@ def test_elem_mul_and_arity_one_products_match_value_arithmetic(name, data):
     row = run.mul(ml._vec_row(u), ml._vec_row(v))
     assert not batteries._differ(row, ml._vec_row(want))
     assert not batteries._differ(ml._vec_row(want), row)
+    # the scalars row difference of the product and of the value product
+    # against twice the value product: empty, and the value product's terms
+    assert row_difference(row, ml._vec_row(want)) == {}
+    twice = {k: 2 * c for k, c in want.items()}
+    assert len({k for k, _v, _t, _e in row_difference(row, ml._vec_row(twice))}) == len(want)
 
 
 @SETTINGS

@@ -1,7 +1,8 @@
 """Every function and method of the package is reached, or says why not.
 
-One child interpreter installs sys.settrace before it imports hopftwist
-(suites._BODIES runs _body at import) and runs the census:
+One child interpreter enables a cProfile.Profile(builtins=False) before it
+imports hopftwist (suites._BODIES runs _body at import) and runs the
+census:
 - `verify all --timings --json -`;
 - moyal, heis-torus, pbw-gcl and sharp-map with a --theta, and sharp-map
   with --theta edge inputs (THETA_RUNS);
@@ -12,7 +13,8 @@ One child interpreter installs sys.settrace before it imports hopftwist
   cochain-exact (perfbench/workloads.py is imported and only read).
 
 The child records the (file, first line) of every code object of the
-package that was called.  With ast, the parent lists every module-level
+package that the profile saw called; the profiler's C hook costs far less
+than a Python sys.settrace function and reaches the same set.  With ast, the parent lists every module-level
 def and every method of a top-level class, keyed the same way: for a
 decorated def the first line is its first decorator's, which is the
 co_firstlineno of its code object.  Dunder methods are exempt.  Every
@@ -59,8 +61,8 @@ DOCS = {
     **SMALL,
     "dense-antipode": {**SMALL["hopf"], "antipode": [["1", "z(3,1)"], ["1", "1"]]},
 }
-# the small cochain document is refused: its table is not total
-DESCRIBE_CODES = {kind: 2 if kind == "cochain" else 0 for kind in DOCS}
+# every document describes
+DESCRIBE_CODES = dict.fromkeys(DOCS, 0)
 
 FAILING = "reached only on a failing check or on refused input"
 NOTES = "a construction of the notes that a check is still to use"
@@ -105,18 +107,12 @@ ALLOWED = {
 CHILD = r"""
 import sys
 
+import cProfile
+
 src, perfbench, runs_path = sys.argv[1:]
-reached = set()
-
-
-def trace(frame, event, arg):
-    code = frame.f_code
-    if code.co_filename.startswith(src):
-        reached.add((code.co_filename[len(src) + 1:], code.co_firstlineno))
-
-
 sys.dont_write_bytecode = True
-sys.settrace(trace)
+profile = cProfile.Profile(builtins=False)
+profile.enable()
 
 import contextlib
 import io
@@ -137,7 +133,12 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         for case in build(1, 1)[0]
         if case.run() != case.expected
     ]
-sys.settrace(None)
+profile.disable()
+reached = {
+    (code.co_filename[len(src) + 1:], code.co_firstlineno)
+    for code in (entry.code for entry in profile.getstats())
+    if not isinstance(code, str) and code.co_filename.startswith(src)
+}
 print(json.dumps({"codes": codes, "wrong": wrong, "reached": sorted(reached)}))
 """
 

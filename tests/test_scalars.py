@@ -17,8 +17,12 @@ from hopftwist.scalars import (
     ScalarRing,
     Series,
     TauLaurent,
+    accumulate,
     cyclotomic_polynomial,
+    merge_pieces,
+    phase_pieces,
     root_of_unity,
+    row_difference,
     series_exp,
     theta_ok,
 )
@@ -372,3 +376,53 @@ def test_cyclotomic_inverse_matches_sympy_invert(n):
         assert a * got == 1
         checked += 1
     assert checked >= 15
+
+
+# rows ((numerators, den), N) at one key of a Zak row: slot 0, y-power 1,
+# frequency key 1; z_3^2 = -1 - z_3 = z_12^8
+_KEY = (0, 1, 1)
+
+
+def _one_key_row(coords, den, N):
+    return ({(_KEY, 0, 0, e): n for e, n in coords.items()}, den), N
+
+
+def test_row_difference_reduces_and_aligns():
+    high = _one_key_row({2: 1}, 1, 3)
+    low = _one_key_row({0: -1, 1: -1}, 1, 3)
+    wide = _one_key_row({8: 1}, 1, 12)
+    for a, b in [(high, low), (low, high), (high, wide), (wide, low)]:
+        assert row_difference(a, b) == {}
+    # z_3^2 - z_3 = -1 - 2 z_3, reduced
+    assert row_difference(high, _one_key_row({1: 1}, 1, 3)) == {
+        (_KEY, 0, 0, 0): -1,
+        (_KEY, 0, 0, 1): -2,
+    }
+    # z_3^2 - z_3^2 / 2 over the denominator 2: the numerators of z_3^2
+    assert row_difference(high, _one_key_row({2: 1}, 2, 3)) == {
+        (_KEY, 0, 0, 0): -1,
+        (_KEY, 0, 0, 1): -1,
+    }
+    # equal rational rows at two conductors, and two different ones
+    assert row_difference(_one_key_row({0: 3}, 1, 1), _one_key_row({0: 3}, 1, 5)) == {}
+    assert row_difference(_one_key_row({0: 3}, 1, 1), _one_key_row({0: 2}, 1, 5)) == {
+        (_KEY, 0, 0, 0): 1
+    }
+
+
+def test_merge_pieces_is_the_value_sum_at_the_lcm():
+    # conductors 4, 6 and 1: the lcm 12 is neither the largest nor the first
+    z4, z6 = root_of_unity(1, 4), root_of_unity(1, 6)
+    parts = [
+        {0: z4 + 1, 1: Fraction(1, 2)},
+        {0: z6, 2: z6 * z6},
+        {1: Fraction(-1, 2), 2: Fraction(3)},
+    ]
+    want = {}
+    for part in parts:
+        for k, v in part.items():
+            accumulate(want, k, v)
+    got = merge_pieces([phase_pieces(part) for part in parts])
+    assert got == phase_pieces(want)
+    assert got[1] == 12
+    assert merge_pieces([]) == ({}, 1)

@@ -1,5 +1,6 @@
-"""The sums shared by PBWElement, PBWTensor, HeisElement and ZakElement
-(scalars.SeriesSum), against a plain {key: Series} model."""
+"""The sums shared by PBWTensor (its one-leg elements and its tensor
+powers), HeisElement and ZakElement (scalars.SeriesSum), against a plain
+{key: Series} model."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from hopftwist.errors import ArityMismatch, OrderMismatch
 from hopftwist.heis_torus import HeisElement, ZakElement
-from hopftwist.pbw import PBWElement, PBWTensor
+from hopftwist.pbw import PBWTensor
 from hopftwist.scalars import Series, SeriesSum, TauLaurent, root_of_unity
 
 K = 2
@@ -27,14 +28,16 @@ def zak(data, order=K, degree=2):
 
 
 # per class: a constructor from {key: value} at order K, four keys in the
-# class's normal form, and the partners it must refuse with their errors
+# class's normal form, and the partners it must refuse with their errors;
+# a PBW element is a one-leg PBWTensor
 CLASSES = {
     "PBWElement": (
-        lambda data, order=K: PBWElement(1, order, data),
-        [(0, 0, 0), (1, 0, 0), (0, 1, 2), (2, 0, 1)],
+        lambda data, order=K: pbw_tensor(data, order, arity=1),
+        [((0, 0, 0),), ((1, 0, 0),), ((0, 1, 2),), ((2, 0, 1),)],
         [
-            (PBWElement(1, K + 1, {}), OrderMismatch),
-            (PBWElement(-1, K, {}), ValueError),
+            (pbw_tensor({}, order=K + 1, arity=1), OrderMismatch),
+            (pbw_tensor({}, kappa=-1, arity=1), ValueError),
+            (pbw_tensor({}), ArityMismatch),
         ],
     ),
     "PBWTensor": (
